@@ -12,6 +12,7 @@ grid resolution report ``inconclusive`` rather than guessing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -111,17 +112,7 @@ def _tensor_gh_quadratic(a, b, v, cov, nodes=200):
         axis_exponents.append(
             a * z**2 / cov.variances[i] + b * v[i] * z / cov.variances[i] + log_w
         )
-    if cov.dim == 1:
-        return float(np.exp(axis_exponents[0]).sum())
-    if cov.dim == 2:
-        s = axis_exponents[0][:, None] + axis_exponents[1][None, :]
-        return float(np.exp(s).sum())
-    s = (
-        axis_exponents[0][:, None, None]
-        + axis_exponents[1][None, :, None]
-        + axis_exponents[2][None, None, :]
-    )
-    return float(np.exp(s).sum())
+    return float(np.exp(functools.reduce(np.add.outer, axis_exponents)).sum())
 
 
 def check_gauss_quad_expectation(cfg: CheckSuiteConfig):
@@ -651,10 +642,3 @@ def run_checker(checker_id: str, cfg: CheckSuiteConfig) -> list:
         if entry.checker_id == checker_id:
             return entry.runner(cfg)
     raise KeyError(f"unknown checker {checker_id!r}")
-
-
-def run_all_checkers(cfg: CheckSuiteConfig) -> list:
-    out = []
-    for entry in REGISTRY:
-        out.extend(entry.runner(cfg))
-    return out

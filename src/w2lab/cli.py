@@ -48,6 +48,7 @@ from .reporting import (
     write_verdicts_json,
 )
 from .seeding import rng_for
+from .transport import EXACT_CAP_DEFAULT
 
 RATE_SLOPE_WINDOW = (-0.65, -0.35)
 CI_DECAY_SLOPE_MAX = -0.25
@@ -68,12 +69,16 @@ class JobResult:
 # experiment jobs -> verdicts + artifacts
 # ---------------------------------------------------------------------------
 
+def _sampler_meta(spec) -> str:
+    return f"{spec.kind}(dim={spec.dim},scale={spec.scale})"
+
+
 def _rate_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = settings.rate_d1 if leg == "d1" else settings.rate_d2
     rep = clt_rate_experiment(cfg)
     job = JobResult(job_id=f"rate:{leg}")
     job.meta = {"m": cfg.m, "replicas": cfg.replicas, "estimator": cfg.estimator,
-                "sampler": f"{cfg.sampler.kind}(dim={cfg.sampler.dim},scale={cfg.sampler.scale})"}
+                "sampler": _sampler_meta(cfg.sampler)}
     anchor = "main rate bound W2(S_n, Z) <= 5 sqrt(d) beta (1 + log n)/sqrt(n)"
     worst = max(max(p.replica_values) - p.bound for p in rep.points)
     job.verdicts.append(_v(f"rate-{leg}", anchor, "every replica below the bound",
@@ -115,7 +120,7 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
     rep = lattice_lower_experiment(cfg)
     job = JobResult(job_id=f"lower:{leg}")
     job.meta = {"m_w2": cfg.m_w2, "m_proxy": cfg.m_proxy, "estimator": cfg.estimator,
-                "sampler": f"{cfg.sampler.kind}(dim={cfg.sampler.dim},scale={cfg.sampler.scale})"}
+                "sampler": _sampler_meta(cfg.sampler)}
     anchor = "lattice floor: liminf sqrt(n) W2(S_n, Z) >= sqrt(d) beta / 4"
     ratio = rep.plateau_vs_target
     if leg == "d1":
@@ -171,7 +176,7 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     job = JobResult(job_id=f"ci:{leg}")
     job.meta = {"m": cfg.m, "w2_m": cfg.w2_m or cfg.m, "directions": cfg.directions,
                 "estimator": cfg.estimator,
-                "sampler": f"{cfg.sampler.kind}(dim={cfg.sampler.dim},scale={cfg.sampler.scale})"}
+                "sampler": _sampler_meta(cfg.sampler)}
     worst = max(p.delta_hat - (p.rhs + p.slack) for p in rep.points)
     job.verdicts.append(_v(f"ci-{leg}", anchor,
                            "delta_hat below the conversion bound at every grid point",
@@ -329,13 +334,23 @@ def main(argv=None) -> int:
             return 0
         job_ids = jobs_for(args.subcommand, settings, only=args.only)
         # fail fast on configuration errors before any compute
-        for exp_cfg in (settings.rate_d1, settings.rate_d2,
-                        settings.lower_d1, settings.lower_d2,
-                        settings.ci_d1, settings.ci_d2):
+        for name, exp_cfg, cloud in (
+            ("rate_d1", settings.rate_d1, settings.rate_d1.m),
+            ("rate_d2", settings.rate_d2, settings.rate_d2.m),
+            ("lower_d1", settings.lower_d1, settings.lower_d1.m_w2),
+            ("lower_d2", settings.lower_d2, settings.lower_d2.m_w2),
+            ("ci_d1", settings.ci_d1, settings.ci_d1.w2_m or settings.ci_d1.m),
+            ("ci_d2", settings.ci_d2, settings.ci_d2.w2_m or settings.ci_d2.m),
+        ):
             if exp_cfg.estimator == "quantile_1d" and exp_cfg.sampler.dim != 1:
                 raise UsageError(
                     f"estimator quantile_1d requires dim=1 "
                     f"(sampler {exp_cfg.sampler.kind} has dim={exp_cfg.sampler.dim})"
+                )
+            if exp_cfg.estimator == "exact" and cloud > EXACT_CAP_DEFAULT:
+                raise UsageError(
+                    f"[{name}] estimator exact is capped at {EXACT_CAP_DEFAULT} "
+                    f"points per cloud, got {cloud}"
                 )
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 from .checks import CheckSuiteConfig
@@ -112,9 +113,6 @@ class RunSettings:
             ci_d2=replace(self.ci_d2, root_seed=seed + 5),
         )
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def semantic_dict(self) -> dict:
         """Config echo without presentation fields (out dir, workers, verbosity).
 
@@ -128,19 +126,13 @@ class RunSettings:
         return d
 
 
-_INT_TUPLE_FIELDS = {"n_grid", "increment_ns"}
-
-
-def _coerce(name: str, raw: str, current):
-    if name in _INT_TUPLE_FIELDS or isinstance(current, tuple):
-        parts = raw.replace(",", " ").split()
-        return tuple(int(p) for p in parts)
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+def _coerce(raw: str, declared):
+    """Parse ``raw`` as the declared field type (``Optional[T]`` parses as T)."""
+    kind = next((t for t in typing.get_args(declared) if t is not type(None)), declared)
+    if kind is tuple:
+        return tuple(int(p) for p in raw.replace(",", " ").split())
+    if kind in (int, float):
+        return kind(raw)
     return raw
 
 
@@ -155,7 +147,7 @@ def _parse_outcomes(raw: str) -> tuple:
 def _apply_section(obj, section: str, items) -> object:
     sampler_keys = {}
     updates = {}
-    names = {f.name for f in fields(obj)}
+    declared = typing.get_type_hints(type(obj))
     for key, raw in items:
         if key in ("sampler", "kind"):
             sampler_keys["kind"] = raw.strip()
@@ -174,11 +166,11 @@ def _apply_section(obj, section: str, items) -> object:
                 float(v) for v in raw.replace(",", " ").split()
             )
             continue
-        if key not in names:
+        if key not in declared:
             raise UsageError(f"unknown key {key!r} in section [{section}]")
-        updates[key] = _coerce(key, raw, getattr(obj, key))
+        updates[key] = _coerce(raw, declared[key])
     if sampler_keys:
-        if "sampler" not in names:
+        if "sampler" not in declared:
             raise UsageError(f"section [{section}] does not take a sampler block")
         base = obj.sampler
         updates["sampler"] = SamplerSpec(
@@ -201,15 +193,8 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
         read = parser.read(path)
         if not read:
             raise UsageError(f"config file not found or unreadable: {path}")
-        known = {
-            "check": "check",
-            "rate_d1": "rate_d1",
-            "rate_d2": "rate_d2",
-            "lower_d1": "lower_d1",
-            "lower_d2": "lower_d2",
-            "ci_d1": "ci_d1",
-            "ci_d2": "ci_d2",
-        }
+        sub_configs = {f.name for f in fields(settings)
+                       if is_dataclass(getattr(settings, f.name))}
         for section in parser.sections():
             if section == "run":
                 for key, raw in parser.items(section):
@@ -225,17 +210,16 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
                         settings = replace(settings, calibration_m=int(raw))
                     else:
                         raise UsageError(f"unknown key {key!r} in section [run]")
-            elif section in known:
-                attr = known[section]
+            elif section in sub_configs:
                 try:
                     updated = _apply_section(
-                        getattr(settings, attr), section, parser.items(section)
+                        getattr(settings, section), section, parser.items(section)
                     )
                 except (TypeError, ValueError) as exc:
                     if isinstance(exc, UsageError):
                         raise
                     raise UsageError(f"bad value in section [{section}]: {exc}")
-                settings = replace(settings, **{attr: updated})
+                settings = replace(settings, **{section: updated})
             else:
                 raise UsageError(f"unknown config section [{section}]")
     if seed is not None:

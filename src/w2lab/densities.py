@@ -37,13 +37,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, roots_legendre, xlogy
 
-from .gaussmath import CovarianceSpec, gh_nodes_weights
+from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid
 from .samplers import BoundedSampler
 from .qstats import q_values, check_hypothesis
 from .transport import w2_atomic_1d, w2_discrete_lp
 
 CLAMP_RADIUS_FACTOR = 8.0
-GH_NODES = 200
 
 
 class QuadratureResolutionError(RuntimeError):
@@ -74,6 +73,25 @@ def _mixture_eval(
     )
     pref = (1.0 - 1.0 / n) ** (-k / 2.0)
     return pref * (np.exp(expo) @ probs)
+
+
+def _support(
+    sampler: Optional[BoundedSampler], n: int, cov: Optional[CovarianceSpec]
+):
+    """(ys, probs, cov): the support of Y = X/sqrt(n), its masses, and Sigma.
+
+    ``sampler=None`` is the zero atom, which needs ``cov``; otherwise ``cov``
+    defaults to the sampler's covariance.
+    """
+    if cov is None:
+        if sampler is None:
+            raise ValueError("cov is required for the zero sampler")
+        cov = sampler.cov
+    if sampler is None:
+        return np.zeros((1, cov.dim)), np.ones(1), cov
+    if not sampler.enumerable:
+        raise ValueError("exact evaluation requires an enumerable support")
+    return sampler.outcomes / math.sqrt(n), sampler.probs, cov
 
 
 def _gauss_cell_masses_1d(edges: np.ndarray, mean: float, sd: float) -> np.ndarray:
@@ -126,13 +144,7 @@ class _RatioBase:
             raise ValueError(
                 f"expected points of dim {len(keep)}, got {pts.shape[1]}"
             )
-        x1, w1 = gh_nodes_weights(nodes)
-        grids = np.meshgrid(*[x1 * self.cov.sigmas[a] for a in axes], indexing="ij")
-        sub = np.stack([g.ravel() for g in grids], axis=-1)  # (M, |axes|)
-        wts = w1
-        for _ in range(len(axes) - 1):
-            wts = np.multiply.outer(wts, w1)
-        wts = wts.ravel()
+        sub, wts = gh_grid(CovarianceSpec(self.cov.sigmas[list(axes)]), nodes=nodes)
         full = np.empty((pts.shape[0], sub.shape[0], self.dim))
         for col, j in enumerate(keep):
             full[:, :, j] = pts[:, col][:, None]
@@ -219,22 +231,9 @@ class DensityRatioModel(_RatioBase):
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.cov is None:
-            if self.sampler is None:
-                raise ValueError("cov is required for the zero sampler")
-            self.cov = self.sampler.cov
-        if self.sampler is not None and not self.sampler.enumerable:
-            raise ValueError("density evaluation requires an enumerable support")
-        if self.sampler is None:
-            ys = np.zeros((1, self.cov.dim))
-            probs = np.ones(1)
-        else:
-            if self.sampler.dim != self.cov.dim:
-                raise ValueError("sampler and covariance dims differ")
-            ys = self.sampler.outcomes / math.sqrt(self.n)
-            probs = self.sampler.probs
-        self._ys = ys
-        self._probs = probs
+        self._ys, self._probs, self.cov = _support(self.sampler, self.n, self.cov)
+        if self.sampler is not None and self.sampler.dim != self.cov.dim:
+            raise ValueError("sampler and covariance dims differ")
         if self.clamp_radius is None:
             self.clamp_radius = CLAMP_RADIUS_FACTOR * math.sqrt(self.cov.dim)
 
@@ -290,16 +289,9 @@ class DensityRatioModel(_RatioBase):
 
 def _clamped_gh(model: _RatioBase, nodes: int):
     """GH grid for the model's reference Gaussian, clamped to the ellipsoid."""
-    x1, w1 = gh_nodes_weights(nodes)
-    d = model.dim
-    axes = [x1 * model.cov.sigmas[i] for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wts = w1
-    for _ in range(d - 1):
-        wts = np.multiply.outer(wts, w1)
-    wts = wts.ravel().copy()
-    radius = getattr(model, "clamp_radius", CLAMP_RADIUS_FACTOR * math.sqrt(d))
+    pts, wts = gh_grid(model.cov, nodes=nodes)
+    wts = wts.copy()
+    radius = getattr(model, "clamp_radius", CLAMP_RADIUS_FACTOR * math.sqrt(model.dim))
     wnorm = np.sqrt((pts**2 / model.cov.variances).sum(axis=-1))
     outside = wnorm > radius
     mass_loss = float(wts[outside].sum())
@@ -314,7 +306,7 @@ def _second_moment_quad(model: _RatioBase, nodes: int) -> float:
 
 def density_second_moment_lhs(
     model: _RatioBase,
-    nodes: int = GH_NODES,
+    nodes: int = GH_NODES_DEFAULT,
     check_nodes: Optional[int] = None,
     check_tol: float = 1e-8,
 ) -> float:
@@ -336,7 +328,7 @@ def density_second_moment_lhs(
     return fine
 
 
-def density_normalization(model: _RatioBase, nodes: int = GH_NODES) -> float:
+def density_normalization(model: _RatioBase, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z), which must equal 1 (tau integrates to one)."""
     pts, wts, _ = _clamped_gh(model, nodes)
     return float(wts @ model.f(pts))
@@ -351,26 +343,16 @@ def density_second_moment_rhs(
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """E exp(Q) over independent pairs: the closed-form side of E f(Z)^2."""
-    if cov is None:
-        if sampler is None:
-            raise ValueError("cov is required for the zero sampler")
-        cov = sampler.cov
-    if sampler is None:
-        ys = np.zeros((1, cov.dim))
-        probs = np.ones(1)
-    elif mode == "exact":
-        if not sampler.enumerable:
-            raise ValueError("exact mode requires an enumerable support")
-        ys = sampler.outcomes / math.sqrt(n)
-        probs = sampler.probs
-    elif mode == "mc":
+    if sampler is not None and mode != "exact":
+        if mode != "mc":
+            raise ValueError(f"unknown mode {mode!r}")
         if rng is None:
             raise ValueError("mc mode requires an rng")
+        cov = sampler.cov if cov is None else cov
         y = sampler.draw(rng, size=m) / math.sqrt(n)
         yp = sampler.draw(rng, size=m) / math.sqrt(n)
         return float(np.mean(np.exp(q_values(y, yp, cov, n).sum(axis=-1))))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ys, probs, cov = _support(sampler, n, cov)
     q = q_values(ys[:, None, :], ys[None, :, :], cov, n).sum(axis=-1)
     w = probs[:, None] * probs[None, :]
     return float(np.sum(w * np.exp(q)))
@@ -383,41 +365,31 @@ def averaged_second_moment(
     i: int = 0,
 ) -> float:
     """E f_(i)(Z)^2 = E exp(Q - Q_i) by exact enumeration."""
-    if cov is None:
-        if sampler is None:
-            raise ValueError("cov is required for the zero sampler")
-        cov = sampler.cov
+    ys, probs, cov = _support(sampler, n, cov)
     if not 0 <= i < cov.dim:
         raise ValueError(f"coordinate {i} out of range")
-    if sampler is None:
-        ys = np.zeros((1, cov.dim))
-        probs = np.ones(1)
-    else:
-        if not sampler.enumerable:
-            raise ValueError("exact mode requires an enumerable support")
-        ys = sampler.outcomes / math.sqrt(n)
-        probs = sampler.probs
     q_all = q_values(ys[:, None, :], ys[None, :, :], cov, n)
     q_wo = q_all.sum(axis=-1) - q_all[:, :, i]
     w = probs[:, None] * probs[None, :]
     return float(np.sum(w * np.exp(q_wo)))
 
 
-def prefix_second_moments(model: _RatioBase, nodes: int = GH_NODES) -> np.ndarray:
-    """[E f_[k](Z)^2 for k = 0..d] by quadrature on the k-dim marginals."""
-    out = [1.0]
+def _prefix_integrals(
+    model: _RatioBase, nodes: int, integrand: Callable[[np.ndarray], np.ndarray]
+) -> list:
+    """[E integrand(f_[k](Z)) for k = 1..d] by quadrature on the k-dim marginals."""
+    out = []
     for k in range(1, model.dim + 1):
-        sub = CovarianceSpec(model.cov.sigmas[:k])
-        x1, w1 = gh_nodes_weights(nodes)
-        axes = [x1 * sub.sigmas[i] for i in range(k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        wts = w1
-        for _ in range(k - 1):
-            wts = np.multiply.outer(wts, w1)
-        vals = model.f_prefix(k, pts)
-        out.append(float(wts.ravel() @ vals**2))
-    return np.array(out)
+        pts, wts = gh_grid(model.cov.head(k), nodes=nodes)
+        out.append(float(wts @ integrand(model.f_prefix(k, pts))))
+    return out
+
+
+def prefix_second_moments(
+    model: _RatioBase, nodes: int = GH_NODES_DEFAULT
+) -> np.ndarray:
+    """[E f_[k](Z)^2 for k = 0..d]; f_[0] = 1."""
+    return np.array([1.0] + _prefix_integrals(model, nodes, lambda v: v**2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +411,7 @@ class ChainGrid:
     refine: float = 1.5
     radius_sigmas: float = 6.4
     budget_factor: float = 3.0
-    quad_nodes: int = GH_NODES
+    quad_nodes: int = GH_NODES_DEFAULT
 
     def resolutions(self, dim: int) -> tuple[int, int]:
         base = self.points_per_axis or (2048 if dim == 1 else 24)
@@ -481,41 +453,20 @@ class ChainReport:
 
 
 def _entropy_functional(model: _RatioBase, nodes: int) -> np.ndarray:
-    """[E f_[k] log f_[k] for k = 0..d] by quadrature on k-dim marginals."""
-    out = [0.0]
-    for k in range(1, model.dim + 1):
-        x1, w1 = gh_nodes_weights(nodes)
-        axes = [x1 * model.cov.sigmas[i] for i in range(k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        wts = w1
-        for _ in range(k - 1):
-            wts = np.multiply.outer(wts, w1)
-        vals = model.f_prefix(k, pts)
-        out.append(float(wts.ravel() @ xlogy(vals, vals)))
-    return np.array(out)
+    """[E f_[k] log f_[k] for k = 0..d]; the k = 0 term is 0."""
+    return np.array([0.0] + _prefix_integrals(model, nodes, lambda v: xlogy(v, v)))
 
 
 def _chi2_terms(model: _RatioBase, nodes: int) -> np.ndarray:
     """[E f^2 - E f_(i)^2 for each i] by quadrature."""
     ef2 = _second_moment_quad(model, nodes)
-    d = model.dim
-    terms = np.empty(d)
-    for i in range(d):
-        if d == 1:
-            terms[i] = ef2 - 1.0
-            continue
-        rest = [j for j in range(d) if j != i]
-        x1, w1 = gh_nodes_weights(nodes)
-        axes = [x1 * model.cov.sigmas[j] for j in rest]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        wts = w1
-        for _ in range(len(rest) - 1):
-            wts = np.multiply.outer(wts, w1)
-        vals = model.f_avg_coord(i, pts)
-        terms[i] = ef2 - float(wts.ravel() @ vals**2)
-    return terms
+    if model.dim == 1:
+        return np.array([ef2 - 1.0])
+    terms = []
+    for i in range(model.dim):
+        pts, wts = gh_grid(model.cov.drop(i), nodes=nodes)
+        terms.append(ef2 - float(wts @ model.f_avg_coord(i, pts) ** 2))
+    return np.array(terms)
 
 
 def _grid_edges(model: _RatioBase, cells: int, radius_sigmas: float):

@@ -90,7 +90,9 @@ def estimate_w2(
     """Dispatch a two-cloud W2 estimate through the chosen estimator."""
     if estimator == "quantile_1d":
         if sn.shape[1] != 1:
-            raise ValueError("quantile_1d estimator requires dim = 1")
+            raise ValueError(
+                f"quantile_1d estimator requires 1-d clouds, got dim={sn.shape[1]}"
+            )
         return w2_quantile_1d(sn[:, 0], z[:, 0])
     if estimator == "exact":
         cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
@@ -105,14 +107,18 @@ def estimate_w2(
     if estimator == "projection_lower":
         if rng is None:
             raise ValueError("projection_lower needs an rng for directions")
-        d = sn.shape[1]
-        dirs = rng.standard_normal((projection_directions, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dirs = np.concatenate([np.eye(d), dirs])
+        dirs = _direction_set(sn.shape[1], projection_directions, rng)
         return w2_projection_lower(
             EmpiricalMeasure(sn), EmpiricalMeasure(z), dirs
         )
     raise ValueError(f"unknown estimator {estimator!r}")
+
+
+def _direction_set(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The d coordinate axes followed by ``count`` random unit directions."""
+    dirs = rng.standard_normal((count, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.concatenate([np.eye(d), dirs])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,10 @@ class RateExperimentConfig:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares fit of log mean-W2 against log n, over replica means."""
+    """Least-squares line through (log n, log y), y the replica-mean W2.
+
+    The ci experiment fits its decay slope of log delta_hat the same way.
+    """
 
     slope: float
     intercept: float
@@ -173,6 +182,18 @@ def main_rate_bound(d: int, beta: float, n: int) -> float:
     return 5.0 * math.sqrt(d) * beta * (1.0 + math.log(n)) / math.sqrt(n)
 
 
+def _loglog_fit(xs, ys) -> RateFit:
+    """Least-squares line through (log x, log y); one point has no correlation."""
+    log_x = np.log(xs)
+    log_y = np.log(ys)
+    a = np.vstack([log_x, np.ones_like(log_x)]).T
+    slope, intercept = np.linalg.lstsq(a, log_y, rcond=None)[0]
+    corr = np.corrcoef(log_x, log_y)[0, 1] if log_x.size > 1 else math.nan
+    return RateFit(
+        slope=float(slope), intercept=float(intercept), correlation=float(corr)
+    )
+
+
 def _replica_ci(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
     mean = float(values.mean())
@@ -189,8 +210,6 @@ def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     sum fast path; each replica draws a fresh (S_n cloud, Z cloud) pair.
     """
     s = cfg.sampler.build()
-    if cfg.estimator == "quantile_1d" and s.dim != 1:
-        raise ValueError("quantile_1d estimator requires a 1-d sampler")
     model = GaussianModel(s.cov, 1.0)
     points = []
     all_below = True
@@ -213,15 +232,7 @@ def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
                 bound=bound, replica_values=tuple(vals),
             )
         )
-    log_n = np.log([p.n for p in points])
-    log_w = np.log([p.w2_hat for p in points])
-    a = np.vstack([log_n, np.ones_like(log_n)]).T
-    slope, intercept = np.linalg.lstsq(a, log_w, rcond=None)[0]
-    fit = RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        correlation=float(np.corrcoef(log_n, log_w)[0, 1]),
-    )
+    fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
     return RateReport(
         config=cfg, points=tuple(points), fit=fit, all_below_bound=all_below
     )
@@ -414,12 +425,6 @@ def halfspace_distance(
     return best
 
 
-def _direction_set(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = rng.standard_normal((count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.concatenate([np.eye(d), dirs])
-
-
 def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
     """Measure the halfspace distance along the n grid and test the conversion.
 
@@ -451,12 +456,11 @@ def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
                 slack=slack, passed=ok,
             )
         )
-    log_n = np.log([p.n for p in points])
-    log_d = np.log([max(p.delta_hat, 1e-12) for p in points])
-    a = np.vstack([log_n, np.ones_like(log_n)]).T
-    slope = float(np.linalg.lstsq(a, log_d, rcond=None)[0][0])
+    fit = _loglog_fit(
+        [p.n for p in points], [max(p.delta_hat, 1e-12) for p in points]
+    )
     return HalfspaceReport(
-        config=cfg, points=tuple(points), decay_slope=slope, all_passed=all_passed
+        config=cfg, points=tuple(points), decay_slope=fit.slope, all_passed=all_passed
     )
 
 

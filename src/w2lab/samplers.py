@@ -14,7 +14,7 @@ identity, not an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -256,7 +256,3 @@ def validate_sampler(
         ok=mean_ok and cov_ok,
     )
 
-
-def corrupt_bound(s: BoundedSampler, factor: float) -> BoundedSampler:
-    """Return a copy with the declared bound scaled (test fixture helper)."""
-    return replace(s, bound=factor * s.bound)

@@ -4,7 +4,9 @@ Solver menu:
 
 * :func:`w2_exact` -- equal-size uniform clouds via the shortest-augmenting-path
   assignment solver (`scipy.optimize.linear_sum_assignment`, Jonker-Volgenant
-  family).  Exact, capped at a configurable cloud size.
+  family).  Exact; returns W2^2 and the plan (callers take the square
+  root).  Clouds past ``EXACT_CAP_DEFAULT`` points raise
+  :class:`SolverCapacityError`.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
   dimension; the fast path for d=1 and per-coordinate work.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
@@ -113,10 +115,6 @@ def w2_exact(
     pairing[rows] = cols
     cost = math.fsum(c[rows, cols].tolist()) / mu.size
     return cost, TransportPlan(pairing=pairing, cost=cost)
-
-
-def w2_exact_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = EXACT_CAP_DEFAULT) -> float:
-    return math.sqrt(w2_exact(mu, nu, cap=cap)[0])
 
 
 def w2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 8) -> float:

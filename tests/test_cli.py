@@ -74,6 +74,13 @@ class TestConfig:
         assert "out_dir" not in d and "workers" not in d
         assert "seed" in d
 
+    def test_optional_int_coerced(self, tmp_path):
+        p = tmp_path / "w2m.ini"
+        p.write_text("[ci_d1]\nw2_m = 5000\n")
+        s = load_settings(str(p))
+        assert s.ci_d1.w2_m == 5000
+        assert isinstance(s.ci_d1.w2_m, int)
+
     def test_lattice_custom_from_config(self, tmp_path):
         p = tmp_path / "lattice.ini"
         p.write_text(
@@ -128,6 +135,13 @@ class TestMainEndToEnd:
         p = tmp_path / "bad.ini"
         p.write_text("[rate_d1]\nsampler = scaled_basis\ndim = 2\n")
         assert cli.main(["rate", "--config", str(p)]) == 2
+
+    def test_exact_cap_exits_2_before_compute(self, tmp_path):
+        out = tmp_path / "out"
+        p = tmp_path / "cap.ini"
+        p.write_text("[rate_d2]\nm = 6000\n")
+        assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 2
+        assert not (out / "verdicts.json").exists()
 
     def test_rate_csv_schema(self, tmp_path):
         out = str(tmp_path / "out")

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from w2lab.samplers import (
+    BoundedSampler,
     LatticeSpec,
     SamplerInvariantError,
-    corrupt_bound,
     lattice_distance,
     make_lattice_custom,
     make_rademacher_product,
@@ -16,6 +17,11 @@ from w2lab.samplers import (
     require_lattice_support,
     validate_sampler,
 )
+
+
+def corrupt_bound(s: BoundedSampler, factor: float) -> BoundedSampler:
+    """A copy of ``s`` whose declared bound is scaled by ``factor``."""
+    return replace(s, bound=factor * s.bound)
 
 
 class TestRademacher:
