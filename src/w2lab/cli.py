@@ -33,6 +33,7 @@ from .checks import (
 )
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
+    _CI_CALIBRATION_JOB,
     bentkus_reference_curve,
     ci_calibration,
     ci_halfspace_experiment,
@@ -157,7 +158,7 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
 def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     anchor = "halfspace distance <= 5 d^{1/6} W2^{2/3} (restricted-family lower bound)"
     if leg == "calibration":
-        rng = rng_for(settings.seed + 6, 0)
+        rng = rng_for(settings.seed, _CI_CALIBRATION_JOB)
         res = ci_calibration(settings.calibration_m, rng)
         job = JobResult(job_id="ci:calibration")
         tol = 5.0 * 0.5 / math.sqrt(settings.calibration_m)

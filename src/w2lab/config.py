@@ -183,6 +183,24 @@ def _apply_section(obj, section: str, items) -> object:
     return replace(obj, **updates)
 
 
+def _apply_run(settings: RunSettings, items) -> RunSettings:
+    """Apply the ``[run]`` section's key/value pairs to ``settings``."""
+    for key, raw in items:
+        if key == "seed":
+            settings = replace(settings, seed=int(raw))
+        elif key == "workers":
+            settings = replace(settings, workers=int(raw))
+        elif key == "out":
+            settings = replace(settings, out_dir=raw.strip())
+        elif key == "verbosity":
+            settings = replace(settings, verbosity=int(raw))
+        elif key == "calibration_m":
+            settings = replace(settings, calibration_m=int(raw))
+        else:
+            raise UsageError(f"unknown key {key!r} in section [run]")
+    return settings
+
+
 def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
                   workers: Optional[int] = None, out_dir: Optional[str] = None,
                   verbosity: Optional[int] = None) -> RunSettings:
@@ -196,32 +214,20 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
         sub_configs = {f.name for f in fields(settings)
                        if is_dataclass(getattr(settings, f.name))}
         for section in parser.sections():
-            if section == "run":
-                for key, raw in parser.items(section):
-                    if key == "seed":
-                        settings = replace(settings, seed=int(raw))
-                    elif key == "workers":
-                        settings = replace(settings, workers=int(raw))
-                    elif key == "out":
-                        settings = replace(settings, out_dir=raw.strip())
-                    elif key == "verbosity":
-                        settings = replace(settings, verbosity=int(raw))
-                    elif key == "calibration_m":
-                        settings = replace(settings, calibration_m=int(raw))
-                    else:
-                        raise UsageError(f"unknown key {key!r} in section [run]")
-            elif section in sub_configs:
-                try:
+            if section != "run" and section not in sub_configs:
+                raise UsageError(f"unknown config section [{section}]")
+            try:
+                if section == "run":
+                    settings = _apply_run(settings, parser.items(section))
+                else:
                     updated = _apply_section(
                         getattr(settings, section), section, parser.items(section)
                     )
-                except (TypeError, ValueError) as exc:
-                    if isinstance(exc, UsageError):
-                        raise
-                    raise UsageError(f"bad value in section [{section}]: {exc}")
-                settings = replace(settings, **{section: updated})
-            else:
-                raise UsageError(f"unknown config section [{section}]")
+                    settings = replace(settings, **{section: updated})
+            except UsageError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"bad value in section [{section}]: {exc}") from exc
     if seed is not None:
         settings = replace(settings, seed=seed)
     if workers is not None:

@@ -44,6 +44,7 @@ _LOWER_W2_JOB = 2
 _LOWER_PROXY_JOB = 3
 _CI_JOB = 4
 _CI_W2_JOB = 5
+_CI_CALIBRATION_JOB = 6
 
 
 @dataclass(frozen=True)

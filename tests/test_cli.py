@@ -128,6 +128,14 @@ class TestMainEndToEnd:
         p.write_text("[rate_d1]\nwhatever = 3\n")
         assert cli.main(["check", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("argv", [["list"], ["check", "--only", "r-of-n"]])
+    def test_malformed_run_value_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        p = tmp_path / "bad.ini"
+        p.write_text("[run]\nseed = abc\n")
+        assert cli.main(argv + ["--config", str(p), "--out", str(out)]) == 2
+        assert not (out / "verdicts.json").exists()
+
     def test_missing_config_exits_2(self):
         assert cli.main(["check", "--config", "/no/such/file.ini"]) == 2
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+
+from w2lab import transport
 from w2lab.transport import (
     EmpiricalMeasure,
     SinkhornConvergenceError,
@@ -220,3 +223,75 @@ class TestDiscreteLP:
         assert np.allclose(gamma.sum(axis=0), q, atol=1e-9)
         c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(-1)
         assert float((gamma * c).sum()) == pytest.approx(cost, abs=1e-10)
+
+
+def _dense_lp_oracle(x, p, y, q):
+    """The full transport LP over all ns*nt pairs, at the solver's tolerances."""
+    ns, nt = len(x), len(y)
+    c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(-1)
+    a_eq = np.zeros((ns + nt, ns * nt))
+    for i in range(ns):
+        a_eq[i, i * nt:(i + 1) * nt] = 1.0
+    for j in range(nt):
+        a_eq[ns + j, j::nt] = 1.0
+    res = linprog(
+        c.ravel(), A_eq=a_eq[:-1], b_eq=np.concatenate([p, q])[:-1],
+        bounds=(0, None), method="highs",
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("ns, nt", [(40, 35), (30, 45), (60, 60)])
+    def test_matches_dense_oracle(self, rng, ns, nt):
+        x = rng.normal(size=(ns, 2))
+        y = rng.normal(size=(nt, 2)) * 1.3 + 0.4
+        p = rng.dirichlet(np.ones(ns))
+        q = rng.dirichlet(np.full(nt, 0.5))
+        # a few atoms carry mass near the chain's 1e-13 keep threshold
+        p[rng.choice(ns, 3, replace=False)] = 1e-13
+        q[rng.choice(nt, 3, replace=False)] = 1e-13
+        p /= p.sum()
+        q /= q.sum()
+        cost, gamma = w2_discrete_lp(x, p, y, q, return_plan=True)
+        assert cost == pytest.approx(_dense_lp_oracle(x, p, y, q), abs=1e-10)
+        assert gamma.shape == (ns, nt)
+        assert np.allclose(gamma.sum(axis=1), p, atol=1e-9)
+        assert np.allclose(gamma.sum(axis=0), q, atol=1e-9)
+
+    def test_pricing_adds_columns_outside_seed(self, rng, monkeypatch):
+        # 60 sources near the origin, 40 light targets among them and two
+        # heavy targets far out: the far targets are nobody's 16 nearest, so
+        # the optimum needs pairs that only pricing can supply
+        x = rng.normal(size=(60, 2))
+        y = np.vstack([rng.normal(size=(40, 2)), [[8.0, 0.0], [0.0, -8.0]]])
+        p = rng.dirichlet(np.ones(60))
+        q = np.concatenate([rng.dirichlet(np.ones(40)) * 0.4, [0.35, 0.25]])
+        solves = []
+
+        def counting_linprog(*args, **kwargs):
+            solves.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", counting_linprog)
+        cost = w2_discrete_lp(x, p, y, q)
+        assert len(solves) >= 2
+        assert cost == pytest.approx(_dense_lp_oracle(x, p, y, q), abs=1e-10)
+
+    def test_negative_weight_rejected(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            w2_discrete_lp(x, np.array([1.5, -0.5]), x, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            w2_discrete_lp(x, np.array([0.5, 0.5]), x, np.array([-0.5, 1.5]))
+
+    def test_length_mismatch_rejected(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="length"):
+            w2_discrete_lp(x, np.array([0.25, 0.25, 0.5]), x, w)
+        with pytest.raises(ValueError, match="length"):
+            w2_discrete_lp(x, w, x[:1], w)
