@@ -34,6 +34,7 @@ from .checks import (
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     _CI_CALIBRATION_JOB,
+    ESTIMATORS,
     bentkus_reference_curve,
     ci_calibration,
     ci_halfspace_experiment,
@@ -48,6 +49,7 @@ from .reporting import (
     write_table_csv,
     write_verdicts_json,
 )
+from .samplers import require_lattice_support
 from .seeding import rng_for
 from .transport import EXACT_CAP_DEFAULT
 
@@ -343,6 +345,11 @@ def main(argv=None) -> int:
             ("ci_d1", settings.ci_d1, settings.ci_d1.w2_m or settings.ci_d1.m),
             ("ci_d2", settings.ci_d2, settings.ci_d2.w2_m or settings.ci_d2.m),
         ):
+            if exp_cfg.estimator not in ESTIMATORS:
+                raise UsageError(
+                    f"[{name}] unknown estimator {exp_cfg.estimator!r}; "
+                    f"expected one of {', '.join(ESTIMATORS)}"
+                )
             if exp_cfg.estimator == "quantile_1d" and exp_cfg.sampler.dim != 1:
                 raise UsageError(
                     f"estimator quantile_1d requires dim=1 "
@@ -353,6 +360,12 @@ def main(argv=None) -> int:
                     f"[{name}] estimator exact is capped at {EXACT_CAP_DEFAULT} "
                     f"points per cloud, got {cloud}"
                 )
+            try:
+                sampler = exp_cfg.sampler.build()
+                if name.startswith("lower"):
+                    require_lattice_support(sampler)
+            except ValueError as exc:
+                raise UsageError(f"[{name}] {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
-from scipy.stats import t as student_t
+from scipy.special import ndtr, roots_legendre, stdtrit
 
 from .gaussmath import CovarianceSpec, GaussianModel, sample_gaussian
 from .samplers import (
@@ -78,6 +77,9 @@ class SamplerSpec:
                 )
             return make_lattice_custom(outs, np.asarray(self.probs, dtype=float))
         raise ValueError(f"unknown sampler kind {self.kind!r}")
+
+
+ESTIMATORS = ("quantile_1d", "exact", "sinkhorn", "projection_lower")
 
 
 def estimate_w2(
@@ -199,7 +201,7 @@ def _replica_ci(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
     mean = float(values.mean())
     half = float(
-        student_t.ppf(0.975, r - 1) * values.std(ddof=1) / math.sqrt(r)
+        stdtrit(r - 1, 0.975) * values.std(ddof=1) / math.sqrt(r)
     )
     return mean - half, mean + half
 

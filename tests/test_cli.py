@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import w2lab
 from w2lab import cli
 from w2lab.checks import REGISTRY, Verdict
 from w2lab.cli import JobResult, emit, jobs_for
@@ -151,6 +154,24 @@ class TestMainEndToEnd:
         assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 2
         assert not (out / "verdicts.json").exists()
 
+    @pytest.mark.parametrize("subcommand,ini", [
+        ("rate", "[rate_d2]\nestimator = exactt\n"),
+        ("lower", "[lower_d2]\nsampler = sphere_uniform\n"),
+        ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
+                  "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
+    ])
+    def test_bad_estimator_or_lattice_exits_2_before_compute(
+            self, tmp_path, monkeypatch, subcommand, ini):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a job ran before the config error was reported")
+
+        monkeypatch.setattr(cli, "execute", no_compute)
+        out = tmp_path / "out"
+        p = tmp_path / "bad.ini"
+        p.write_text(ini)
+        assert cli.main([subcommand, "--config", str(p), "--out", str(out)]) == 2
+        assert not (out / "verdicts.json").exists()
+
     def test_rate_csv_schema(self, tmp_path):
         out = str(tmp_path / "out")
         p = tmp_path / "tiny.ini"
@@ -199,3 +220,11 @@ class TestMainEndToEnd:
         rc = emit(dataclasses.replace(s, out_dir=str(tmp_path / "o")), [j], verbose=1)
         assert rc == 0
         assert "warning" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, w2lab.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

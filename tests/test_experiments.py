@@ -1,13 +1,15 @@
 import math
 
 import pytest
-from scipy.special import ndtr, roots_legendre
+from scipy import stats
+from scipy.special import ndtr, roots_legendre, stdtrit
 
 from w2lab.experiments import (
     HalfspaceConfig,
     LowerExperimentConfig,
     RateExperimentConfig,
     SamplerSpec,
+    _replica_ci,
     bentkus_reference_curve,
     ci_calibration,
     ci_halfspace_experiment,
@@ -95,6 +97,19 @@ class TestRate:
     def test_zero_variance_rejected_upstream(self):
         with pytest.raises(ValueError):
             SamplerSpec("rademacher_product", 1, 0.0).build()
+
+
+class TestReplicaCI:
+    def test_stdtrit_matches_student_t_ppf(self):
+        for df in range(2, 201):
+            assert stdtrit(df, 0.975) == stats.t.ppf(0.975, df)
+
+    def test_interval_is_mean_plus_minus_t_half_width(self, rng):
+        values = rng.normal(size=7)
+        half = stats.t.ppf(0.975, 6) * values.std(ddof=1) / math.sqrt(7)
+        lo, hi = _replica_ci(values)
+        assert lo == pytest.approx(values.mean() - half, rel=1e-15)
+        assert hi == pytest.approx(values.mean() + half, rel=1e-15)
 
 
 class TestLatticeDistanceExpectation:
