@@ -34,7 +34,6 @@ from .checks import (
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     _CI_CALIBRATION_JOB,
-    ESTIMATORS,
     bentkus_reference_curve,
     ci_calibration,
     ci_halfspace_experiment,
@@ -49,9 +48,7 @@ from .reporting import (
     write_table_csv,
     write_verdicts_json,
 )
-from .samplers import require_lattice_support
 from .seeding import rng_for
-from .transport import EXACT_CAP_DEFAULT
 
 RATE_SLOPE_WINDOW = (-0.65, -0.35)
 CI_DECAY_SLOPE_MAX = -0.25
@@ -177,7 +174,7 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = settings.ci_d1 if leg == "d1" else settings.ci_d2
     rep = ci_halfspace_experiment(cfg)
     job = JobResult(job_id=f"ci:{leg}")
-    job.meta = {"m": cfg.m, "w2_m": cfg.w2_m or cfg.m, "directions": cfg.directions,
+    job.meta = {"m": cfg.m, "w2_m": cfg.w2_cloud, "directions": cfg.directions,
                 "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
     worst = max(p.delta_hat - (p.rhs + p.slack) for p in rep.points)
@@ -336,36 +333,6 @@ def main(argv=None) -> int:
                 print(f"{entry.checker_id:24s} {entry.anchor}")
             return 0
         job_ids = jobs_for(args.subcommand, settings, only=args.only)
-        # fail fast on configuration errors before any compute
-        for name, exp_cfg, cloud in (
-            ("rate_d1", settings.rate_d1, settings.rate_d1.m),
-            ("rate_d2", settings.rate_d2, settings.rate_d2.m),
-            ("lower_d1", settings.lower_d1, settings.lower_d1.m_w2),
-            ("lower_d2", settings.lower_d2, settings.lower_d2.m_w2),
-            ("ci_d1", settings.ci_d1, settings.ci_d1.w2_m or settings.ci_d1.m),
-            ("ci_d2", settings.ci_d2, settings.ci_d2.w2_m or settings.ci_d2.m),
-        ):
-            if exp_cfg.estimator not in ESTIMATORS:
-                raise UsageError(
-                    f"[{name}] unknown estimator {exp_cfg.estimator!r}; "
-                    f"expected one of {', '.join(ESTIMATORS)}"
-                )
-            if exp_cfg.estimator == "quantile_1d" and exp_cfg.sampler.dim != 1:
-                raise UsageError(
-                    f"estimator quantile_1d requires dim=1 "
-                    f"(sampler {exp_cfg.sampler.kind} has dim={exp_cfg.sampler.dim})"
-                )
-            if exp_cfg.estimator == "exact" and cloud > EXACT_CAP_DEFAULT:
-                raise UsageError(
-                    f"[{name}] estimator exact is capped at {EXACT_CAP_DEFAULT} "
-                    f"points per cloud, got {cloud}"
-                )
-            try:
-                sampler = exp_cfg.sampler.build()
-                if name.startswith("lower"):
-                    require_lattice_support(sampler)
-            except ValueError as exc:
-                raise UsageError(f"[{name}] {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

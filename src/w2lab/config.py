@@ -2,9 +2,11 @@
 
 The config file is plain key = value under named sections; every key maps
 onto a field of one of the experiment/checker config dataclasses and is
-coerced to that field's type.  Unknown sections or keys are usage errors
-with the offending name in the message.  Defaults reproduce the full
-verification suite, so running with no config file is the reference run.
+coerced to that field's type.  Unknown sections or keys, a ``root_seed`` (every
+sub-config's seed derives from ``[run] seed``), and values a config rejects
+when it is built are usage errors with the offending name in the message, so
+they surface before any compute.  Defaults reproduce the full verification
+suite, so running with no config file is the reference run.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class RunSettings:
             n_grid=N_GRID_DEFAULT,
             replicas=10,
             m=10**5,
-            estimator="quantile_1d",
         )
     )
     rate_d2: RateExperimentConfig = field(
@@ -58,7 +59,6 @@ class RunSettings:
             n_grid=N_GRID_DEFAULT,
             replicas=3,
             m=3000,
-            estimator="exact",
         )
     )
     lower_d1: LowerExperimentConfig = field(
@@ -67,7 +67,6 @@ class RunSettings:
             n_grid=(64, 256, 1024, 4096),
             m_w2=10**5,
             m_proxy=2 * 10**5,
-            estimator="quantile_1d",
         )
     )
     lower_d2: LowerExperimentConfig = field(
@@ -76,7 +75,6 @@ class RunSettings:
             n_grid=(64, 256, 1024, 4096),
             m_w2=3000,
             m_proxy=2 * 10**5,
-            estimator="exact",
         )
     )
     ci_d1: HalfspaceConfig = field(
@@ -85,7 +83,6 @@ class RunSettings:
             n_grid=N_GRID_DEFAULT,
             m=10**5,
             directions=16,
-            estimator="quantile_1d",
         )
     )
     ci_d2: HalfspaceConfig = field(
@@ -95,9 +92,14 @@ class RunSettings:
             m=10**5,
             w2_m=3000,
             directions=16,
-            estimator="exact",
         )
     )
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.calibration_m < 1:
+            raise ValueError(f"calibration_m must be >= 1, got {self.calibration_m}")
 
     def with_seed(self, seed: int) -> "RunSettings":
         """Propagate one root seed into every sub-config."""
@@ -149,13 +151,13 @@ def _apply_section(obj, section: str, items) -> object:
     updates = {}
     declared = typing.get_type_hints(type(obj))
     for key, raw in items:
-        if key in ("sampler", "kind"):
+        if key == "sampler":
             sampler_keys["kind"] = raw.strip()
             continue
-        if key in ("dim",):
+        if key == "dim":
             sampler_keys["dim"] = int(raw)
             continue
-        if key in ("scale", "beta"):
+        if key == "scale":
             sampler_keys["scale"] = float(raw)
             continue
         if key == "outcomes":
@@ -166,6 +168,11 @@ def _apply_section(obj, section: str, items) -> object:
                 float(v) for v in raw.replace(",", " ").split()
             )
             continue
+        if key == "root_seed":
+            raise UsageError(
+                f"root_seed in section [{section}]: every section's seed derives "
+                "from the root seed; set it with [run] seed or --seed"
+            )
         if key not in declared:
             raise UsageError(f"unknown key {key!r} in section [{section}]")
         updates[key] = _coerce(raw, declared[key])
@@ -228,12 +235,12 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
                 raise
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad value in section [{section}]: {exc}") from exc
-    if seed is not None:
-        settings = replace(settings, seed=seed)
-    if workers is not None:
-        settings = replace(settings, workers=workers)
-    if out_dir is not None:
-        settings = replace(settings, out_dir=out_dir)
-    if verbosity is not None:
-        settings = replace(settings, verbosity=verbosity)
+    flags = {"seed": seed, "workers": workers, "out_dir": out_dir,
+             "verbosity": verbosity}
+    try:
+        settings = replace(
+            settings, **{k: v for k, v in flags.items() if v is not None}
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad command-line value: {exc}") from exc
     return settings.with_seed(settings.seed)

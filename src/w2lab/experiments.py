@@ -5,6 +5,12 @@ derives one generator per (grid point, replica) job through the documented
 splitting rule, so reports are bit-identical across runs and across worker
 counts.  Experiments return plain report dataclasses; serialization lives in
 :mod:`w2lab.reporting`.
+
+The sampler's dimension picks the W2 estimator (:func:`estimate_w2`): the
+quantile coupling in one dimension, exact assignment otherwise.  A config
+checks at construction everything that depends on it alone (the sampler
+builds, the n grid, the cloud sizes against the exact-assignment cap, the
+lower leg's lattice support), so a bad config fails before any compute.
 """
 
 from __future__ import annotations
@@ -28,13 +34,7 @@ from .samplers import (
     require_lattice_support,
 )
 from .seeding import rng_for
-from .transport import (
-    EmpiricalMeasure,
-    w2_exact,
-    w2_projection_lower,
-    w2_quantile_1d,
-    sinkhorn_w2,
-)
+from .transport import EXACT_CAP_DEFAULT, EmpiricalMeasure, w2_exact, w2_quantile_1d
 
 # job-path codes for the seed-splitting rule: distinct first components keep
 # every experiment's streams disjoint under one root seed
@@ -44,6 +44,8 @@ _LOWER_PROXY_JOB = 3
 _CI_JOB = 4
 _CI_W2_JOB = 5
 _CI_CALIBRATION_JOB = 6
+# Gaussian draws below which the lattice-distance Monte Carlo is too noisy
+LATTICE_MC_MIN = 10**5
 
 
 @dataclass(frozen=True)
@@ -79,42 +81,17 @@ class SamplerSpec:
         raise ValueError(f"unknown sampler kind {self.kind!r}")
 
 
-ESTIMATORS = ("quantile_1d", "exact", "sinkhorn", "projection_lower")
+def estimate_w2(sn: np.ndarray, z: np.ndarray) -> float:
+    """W2 between two equal-size clouds, by the estimator their dimension picks.
 
-
-def estimate_w2(
-    sn: np.ndarray,
-    z: np.ndarray,
-    estimator: str,
-    rng: Optional[np.random.Generator] = None,
-    projection_directions: int = 16,
-    sinkhorn_eps_rel: float = 0.01,
-) -> float:
-    """Dispatch a two-cloud W2 estimate through the chosen estimator."""
-    if estimator == "quantile_1d":
-        if sn.shape[1] != 1:
-            raise ValueError(
-                f"quantile_1d estimator requires 1-d clouds, got dim={sn.shape[1]}"
-            )
+    One-dimensional clouds use the monotone (quantile) coupling; higher
+    dimensions use exact assignment, which raises past ``EXACT_CAP_DEFAULT``
+    points per cloud.
+    """
+    if sn.shape[1] == 1:
         return w2_quantile_1d(sn[:, 0], z[:, 0])
-    if estimator == "exact":
-        cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
-        return math.sqrt(cost)
-    if estimator == "sinkhorn":
-        sub_x = sn[:: max(1, len(sn) // 64)]
-        sub_y = z[:: max(1, len(z) // 64)]
-        pair = ((sub_x[:, None, :] - sub_y[None, :, :]) ** 2).sum(-1)
-        eps = max(sinkhorn_eps_rel * float(np.median(pair)), 1e-9)
-        cost, _ = sinkhorn_w2(EmpiricalMeasure(sn), EmpiricalMeasure(z), epsilon=eps)
-        return math.sqrt(max(cost, 0.0))
-    if estimator == "projection_lower":
-        if rng is None:
-            raise ValueError("projection_lower needs an rng for directions")
-        dirs = _direction_set(sn.shape[1], projection_directions, rng)
-        return w2_projection_lower(
-            EmpiricalMeasure(sn), EmpiricalMeasure(z), dirs
-        )
-    raise ValueError(f"unknown estimator {estimator!r}")
+    cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
+    return math.sqrt(cost)
 
 
 def _direction_set(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,26 +101,49 @@ def _direction_set(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([np.eye(d), dirs])
 
 
+class _ExperimentLeg:
+    """The derived W2 estimator and the checks every experiment config shares."""
+
+    @property
+    def estimator(self) -> str:
+        """``quantile_1d`` for a one-dimensional sampler, ``exact`` otherwise."""
+        return "quantile_1d" if self.sampler.dim == 1 else "exact"
+
+    def _check_leg(self, cloud: int) -> BoundedSampler:
+        """Check the n grid (stored as ints) and the W2 cloud size; return the sampler."""
+        s = self.sampler.build()
+        grid = tuple(int(n) for n in self.n_grid)
+        if not grid or grid[0] < 1:
+            raise ValueError("n grid must be non-empty with every n >= 1")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("n grid must be strictly increasing")
+        object.__setattr__(self, "n_grid", grid)
+        if cloud < 1:
+            raise ValueError(f"need at least 1 point per W2 cloud, got {cloud}")
+        if self.sampler.dim > 1 and cloud > EXACT_CAP_DEFAULT:
+            raise ValueError(
+                f"exact assignment is capped at {EXACT_CAP_DEFAULT} points "
+                f"per cloud, got {cloud}"
+            )
+        return s
+
+
 # ---------------------------------------------------------------------------
 # Rate experiment
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RateExperimentConfig:
+class RateExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple = tuple(2**k for k in range(4, 13))
     replicas: int = 10
     m: int = 10**5
-    estimator: str = "quantile_1d"
     root_seed: int = 20260810
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n grid must be strictly increasing")
+        self._check_leg(self.m)
         if self.replicas < 3:
             raise ValueError("need replicas >= 3 for CI reporting")
-        object.__setattr__(self, "n_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,6 @@ class RateReport:
     points: tuple
     fit: RateFit
     all_below_bound: bool
-
-    @property
-    def bound_margin_min(self) -> float:
-        return min(p.bound - max(p.replica_values) for p in self.points)
 
 
 def main_rate_bound(d: int, beta: float, n: int) -> float:
@@ -223,7 +219,7 @@ def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
             rng = rng_for(cfg.root_seed, _RATE_JOB, i_n, r)
             sn = s.draw_sum(n, cfg.m, rng) / math.sqrt(n)
             z = sample_gaussian(model, cfg.m, rng)
-            w2_hat = estimate_w2(sn, z, cfg.estimator, rng=rng)
+            w2_hat = estimate_w2(sn, z)
             vals.append(w2_hat)
             if w2_hat > bound:
                 all_below = False
@@ -253,8 +249,8 @@ def expected_lattice_distance(
     A certified lower-bound ingredient: for S_n supported on the lattice,
     W2(S_n, Z) >= E d_L(Z) up to the MC error.
     """
-    if m < 10**5:
-        raise ValueError("need m >= 1e5 draws for a stable estimate")
+    if m < LATTICE_MC_MIN:
+        raise ValueError(f"need m >= {LATTICE_MC_MIN} draws for a stable estimate")
     z = sample_gaussian(GaussianModel(cov, 1.0), m, rng)
     d = lattice_distance(z, spec)
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(m))
@@ -308,25 +304,30 @@ class LowerBoundReport:
 
 
 @dataclass(frozen=True)
-class LowerExperimentConfig:
+class LowerExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple = (64, 256, 1024, 4096)
     m_w2: int = 10**5
     m_proxy: int = 2 * 10**5
-    estimator: str = "quantile_1d"
     root_seed: int = 20260810
+
+    def __post_init__(self):
+        require_lattice_support(self._check_leg(self.m_w2))
+        if self.m_proxy < LATTICE_MC_MIN:
+            raise ValueError(
+                f"need m_proxy >= {LATTICE_MC_MIN} draws, got {self.m_proxy}"
+            )
 
 
 def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
     """Track sqrt(n) * W2 and the certified lattice proxy along the n grid.
 
-    The sampler must take values in beta * Z^d (validated).  At scale n the
+    The sampler takes values in beta * Z^d (checked by the config).  At scale n the
     normalized sum lives on the lattice with spacing ell_n = beta / sqrt(n),
     so E d_L(Z) with that spacing lower-bounds W2(S_n, Z); its sqrt(n)-scaled
     plateau is compared against sqrt(d) * beta / 4.
     """
     s = cfg.sampler.build()
-    require_lattice_support(s)
     model = GaussianModel(s.cov, 1.0)
     cell_const = unit_cell_mean_distance(s.dim)
     points = []
@@ -338,7 +339,7 @@ def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
         rng_w = rng_for(cfg.root_seed, _LOWER_W2_JOB, i_n)
         sn = s.draw_sum(n, cfg.m_w2, rng_w) / math.sqrt(n)
         z = sample_gaussian(model, cfg.m_w2, rng_w)
-        w2_hat = estimate_w2(sn, z, cfg.estimator, rng=rng_w)
+        w2_hat = estimate_w2(sn, z)
         # measured per-cube constant: mean distance of uniform cell points
         u = (rng_p.random((10**5, s.dim)) - 0.5) * ell
         percube = float(np.sqrt((u**2).sum(axis=1)).mean()) / ell
@@ -389,14 +390,23 @@ class HalfspacePoint:
 
 
 @dataclass(frozen=True)
-class HalfspaceConfig:
+class HalfspaceConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple = tuple(2**k for k in range(4, 13))
     m: int = 10**5
-    w2_m: Optional[int] = None  # defaults to m (cap applies for exact)
+    w2_m: Optional[int] = None  # defaults to m
     directions: int = 16
-    estimator: str = "quantile_1d"
     root_seed: int = 20260810
+
+    @property
+    def w2_cloud(self) -> int:
+        """Points per cloud in the W2 estimate: ``w2_m``, or ``m`` when unset."""
+        return self.w2_m or self.m
+
+    def __post_init__(self):
+        self._check_leg(self.w2_cloud)
+        if self.m < 1 or self.directions < 0:
+            raise ValueError("need m >= 1 and directions >= 0")
 
 
 @dataclass(frozen=True)
@@ -437,7 +447,6 @@ def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
     """
     s = cfg.sampler.build()
     model = GaussianModel(s.cov, 1.0)
-    w2_m = cfg.w2_m or cfg.m
     slack = 5.0 * 0.5 / math.sqrt(cfg.m)
     points = []
     all_passed = True
@@ -447,9 +456,9 @@ def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
         dirs = _direction_set(s.dim, cfg.directions, rng)
         delta_hat = halfspace_distance(sn, s.cov, dirs)
         rng_w = rng_for(cfg.root_seed, _CI_W2_JOB, i_n)
-        sn_w = s.draw_sum(n, w2_m, rng_w) / math.sqrt(n)
-        z_w = sample_gaussian(model, w2_m, rng_w)
-        w2_hat = estimate_w2(sn_w, z_w, cfg.estimator, rng=rng_w)
+        sn_w = s.draw_sum(n, cfg.w2_cloud, rng_w) / math.sqrt(n)
+        z_w = sample_gaussian(model, cfg.w2_cloud, rng_w)
+        w2_hat = estimate_w2(sn_w, z_w)
         rhs = conversion_bound(s.dim, w2_hat)
         ok = delta_hat <= rhs + slack
         all_passed = all_passed and ok

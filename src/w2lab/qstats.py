@@ -242,7 +242,7 @@ def estimate_q_moments(
     target = -1.0 / (2.0 * n2m1) - rn
     lhs = float(np.max(np.abs(e_qi - target)))
     checks.append(
-        BoundCheck("mean_identity", lhs, 0.0 if se == 0 else 0.0, slack,
+        BoundCheck("mean_identity", lhs, 0.0, slack,
                    lhs <= (1e-12 if se == 0 else slack))
     )
 

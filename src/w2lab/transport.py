@@ -6,13 +6,13 @@ Solver menu:
   assignment solver (`scipy.optimize.linear_sum_assignment`, Jonker-Volgenant
   family).  Exact; returns W2^2 and the plan (callers take the square
   root).  Clouds past ``EXACT_CAP_DEFAULT`` points raise
-  :class:`SolverCapacityError`.
+  :class:`SolverCapacityError`.  The experiments' estimator in d >= 2.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
-  dimension; the fast path for d=1 and per-coordinate work.
+  dimension; the experiments' estimator in d = 1.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
-  unequal sizes or clouds past the exact cap.
+  unequal sizes; only its checker runs it.
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
-  1-d projections.
+  1-d projections; only its checker runs it.
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport
   between weighted atomic measures (1-d sweep / linear program), used by the
   transportation-inequality chain on density grids.  The linear program is
@@ -34,7 +34,6 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
-MARGINAL_TOL = 1e-9
 EXACT_CAP_DEFAULT = 5000
 # column generation in w2_discrete_lp: nearest targets seeded per source,
 # HiGHS feasibility tolerances, and the reduced cost below which a pair enters

@@ -67,6 +67,10 @@ class TestConfig:
         with pytest.raises(UsageError, match="bogus_key"):
             load_settings(str(p))
 
+    def test_negative_seed_flag_rejected(self):
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            load_settings(seed=-1)
+
     def test_missing_file(self):
         with pytest.raises(UsageError, match="not found"):
             load_settings("/nonexistent/path.ini")
@@ -83,6 +87,21 @@ class TestConfig:
         s = load_settings(str(p))
         assert s.ci_d1.w2_m == 5000
         assert isinstance(s.ci_d1.w2_m, int)
+
+    @pytest.mark.parametrize("ini", ["[rate_d1]\nroot_seed = 5\n",
+                                     "[check]\nroot_seed = 9\n"])
+    def test_root_seed_in_section_rejected(self, tmp_path, ini):
+        p = tmp_path / "seed.ini"
+        p.write_text(ini)
+        with pytest.raises(UsageError, match=r"\[run\] seed or --seed"):
+            load_settings(str(p))
+
+    @pytest.mark.parametrize("alias", ["kind = scaled_basis", "beta = 2.0"])
+    def test_sampler_aliases_are_unknown_keys(self, tmp_path, alias):
+        p = tmp_path / "alias.ini"
+        p.write_text(f"[rate_d1]\n{alias}\n")
+        with pytest.raises(UsageError, match="unknown key"):
+            load_settings(str(p))
 
     def test_lattice_custom_from_config(self, tmp_path):
         p = tmp_path / "lattice.ini"
@@ -159,6 +178,11 @@ class TestMainEndToEnd:
         ("lower", "[lower_d2]\nsampler = sphere_uniform\n"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
+        ("lower", "[lower_d1]\nm_proxy = 50000\n"),
+        ("rate", "[rate_d1]\nm = 0\n"),
+        ("ci", "[run]\ncalibration_m = 0\n"),
+        ("rate", "[run]\nseed = -1\n"),
+        ("list", "[rate_d2]\nm = 6000\n"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):

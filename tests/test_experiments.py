@@ -23,6 +23,7 @@ from w2lab.experiments import (
 )
 from w2lab.gaussmath import CovarianceSpec
 from w2lab.samplers import LatticeSpec
+from w2lab.transport import EmpiricalMeasure, w2_exact, w2_quantile_1d
 
 
 RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
@@ -54,7 +55,7 @@ class TestRate:
     def test_small_run_structure(self):
         cfg = RateExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
-            estimator="quantile_1d", root_seed=5,
+            root_seed=5,
         )
         rep = clt_rate_experiment(cfg)
         assert [p.n for p in rep.points] == [16, 64, 256]
@@ -80,19 +81,24 @@ class TestRate:
         b = clt_rate_experiment(cfg)
         assert a.points == b.points
 
-    def test_estimator_dimension_mismatch(self):
-        cfg = RateExperimentConfig(
-            sampler=SamplerSpec("scaled_basis", 2, 1.0),
-            n_grid=(16,), replicas=3, m=100, estimator="quantile_1d",
-        )
-        with pytest.raises(ValueError, match="1-d"):
-            clt_rate_experiment(cfg)
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(16, 16))
         with pytest.raises(ValueError, match="replicas"):
             RateExperimentConfig(sampler=RADEMACHER_1D, replicas=2)
+        with pytest.raises(ValueError, match="non-empty"):
+            RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=())
+        with pytest.raises(ValueError, match="W2 cloud"):
+            RateExperimentConfig(sampler=RADEMACHER_1D, m=0)
+
+    def test_estimator_follows_dimension(self):
+        assert RateExperimentConfig(sampler=RADEMACHER_1D).estimator == "quantile_1d"
+        cfg = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=5000)
+        assert cfg.estimator == "exact"
+
+    def test_exact_cap_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="capped at 5000"):
+            RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=6000)
 
     def test_zero_variance_rejected_upstream(self):
         with pytest.raises(ValueError):
@@ -166,12 +172,15 @@ class TestLowerExperiment:
         assert p.percube_measured == pytest.approx(0.25, abs=0.005)
 
     def test_rejects_non_lattice_sampler(self):
-        cfg = LowerExperimentConfig(
-            sampler=SamplerSpec("rademacher_product", 2, 1.0),
-            n_grid=(64,), m_w2=10**5, m_proxy=10**5,
-        )
         with pytest.raises(ValueError, match="beta\\*Z"):
-            lattice_lower_experiment(cfg)
+            LowerExperimentConfig(
+                sampler=SamplerSpec("rademacher_product", 2, 1.0),
+                n_grid=(64,), m_w2=600, m_proxy=10**5,
+            )
+
+    def test_rejects_small_proxy_sample(self):
+        with pytest.raises(ValueError, match="m_proxy"):
+            LowerExperimentConfig(sampler=RADEMACHER_1D, m_proxy=50000)
 
 
 class TestHalfspace:
@@ -207,6 +216,16 @@ class TestHalfspace:
         for p in rep.points:
             assert p.delta_hat <= p.rhs + p.slack
 
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="W2 cloud"):
+            HalfspaceConfig(sampler=RADEMACHER_1D, m=0)
+        with pytest.raises(ValueError, match="directions"):
+            HalfspaceConfig(sampler=RADEMACHER_1D, directions=-1)
+        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600)
+        assert cfg.w2_cloud == 600
+        with pytest.raises(ValueError, match="capped"):
+            HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0))
+
     def test_gaussian_sample_near_zero_delta(self):
         # replacing S_n by Z itself: delta_hat within binomial noise of zero
         cfg = HalfspaceConfig(
@@ -233,18 +252,13 @@ class TestBentkus:
 
 
 class TestEstimatorDispatch:
-    def test_unknown_estimator(self, rng):
-        with pytest.raises(ValueError, match="estimator"):
-            estimate_w2(rng.normal(size=(10, 1)), rng.normal(size=(10, 1)), "nope")
+    def test_one_dimensional_clouds_use_the_quantile_coupling(self, rng):
+        sn = rng.normal(size=(200, 1))
+        z = rng.normal(size=(200, 1))
+        assert estimate_w2(sn, z) == w2_quantile_1d(sn[:, 0], z[:, 0])
 
-    def test_projection_needs_rng(self, rng):
-        with pytest.raises(ValueError, match="rng"):
-            estimate_w2(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)),
-                        "projection_lower")
-
-    def test_sinkhorn_path(self, rng):
+    def test_higher_dimensional_clouds_use_exact_assignment(self, rng):
         sn = rng.normal(size=(80, 2))
         z = rng.normal(size=(80, 2))
-        val = estimate_w2(sn, z, "sinkhorn")
-        exact = estimate_w2(sn, z, "exact")
-        assert val == pytest.approx(exact, rel=0.2, abs=0.05)
+        cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
+        assert estimate_w2(sn, z) == math.sqrt(cost)
