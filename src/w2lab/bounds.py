@@ -65,7 +65,7 @@ def increment_bound_check(
     z_n = sample_gaussian(GaussianModel(cov, float(n)), m, rng)
     z_prev = sample_gaussian(GaussianModel(cov, float(n - 1)), m, rng)
     if s is not None:
-        z_prev = z_prev + s.draw(rng, size=m)
+        z_prev += s.draw(rng, size=m)
     if k == 1:
         w2_hat = w2_quantile_1d(z_n[:, 0], z_prev[:, 0])
     else:

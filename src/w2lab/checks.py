@@ -36,6 +36,7 @@ from .samplers import (
     make_scaled_basis,
     lattice_distance,
     LatticeSpec,
+    VALIDATE_MIN_DRAWS,
     validate_sampler,
 )
 from .seeding import rng_for
@@ -91,6 +92,20 @@ class CheckSuiteConfig:
     chain_refine: float = 1.42
     chain_radius: float = 5.0
     schedule_n_max: int = 4096
+
+    def __post_init__(self):
+        for name in ("gauss_quad_instances", "ot_instances", "quantile_instances",
+                     "metric_triples", "q_random_pairs", "q_mc_pairs", "l2_tables",
+                     "remainder_pairs", "increment_m", "schedule_n_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sampler_validate_m < VALIDATE_MIN_DRAWS:
+            raise ValueError(
+                f"sampler_validate_m must be >= {VALIDATE_MIN_DRAWS}, "
+                f"got {self.sampler_validate_m}"
+            )
+        if not self.increment_ns or min(self.increment_ns) < 2:
+            raise ValueError("increment_ns must be non-empty with every n >= 2")
 
 
 # ---------------------------------------------------------------------------

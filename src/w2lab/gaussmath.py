@@ -131,8 +131,9 @@ def sample_gaussian(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    scale = np.sqrt(model.time_scale) * model.cov.sigmas
-    return rng.standard_normal((count, model.cov.dim)) * scale
+    z = rng.standard_normal((count, model.cov.dim))
+    z *= np.sqrt(model.time_scale) * model.cov.sigmas
+    return z
 
 
 def gaussian_exp_quadratic(

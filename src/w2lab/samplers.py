@@ -23,6 +23,7 @@ from .gaussmath import CovarianceSpec
 
 ENUMERATION_CAP = 2**16
 NORM_SLACK = 1e-12
+VALIDATE_MIN_DRAWS = 10**4  # fewest draws validate_sampler accepts
 
 
 class SamplerInvariantError(RuntimeError):
@@ -227,8 +228,8 @@ def validate_sampler(
     raises.  Mean and covariance are statistical: flagged (not raised) when
     outside ``se_factor`` standard errors.
     """
-    if m < 10**4:
-        raise ValueError("validation requires m >= 10^4 draws")
+    if m < VALIDATE_MIN_DRAWS:
+        raise ValueError(f"validation requires m >= {VALIDATE_MIN_DRAWS} draws")
     draws = s.draw(rng, size=m)
     norms = np.linalg.norm(draws, axis=1)
     max_norm = float(norms.max())

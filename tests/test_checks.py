@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from w2lab.checks import _tensor_gh_quadratic
+from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 
 
@@ -25,3 +25,20 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
         v = rng.uniform(-1.0, 1.0, size=k) * cov.sigmas
         explicit = _outer_tensor_sum(a, b, v, cov)
         assert _tensor_gh_quadratic(a, b, v, cov) == pytest.approx(explicit, rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [
+    {"gauss_quad_instances": 0}, {"ot_instances": 0}, {"quantile_instances": 0},
+    {"metric_triples": 0}, {"q_random_pairs": 0}, {"q_mc_pairs": 0},
+    {"l2_tables": 0}, {"remainder_pairs": 0}, {"increment_m": 0},
+    {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
+    {"increment_ns": ()}, {"increment_ns": (20, 1)},
+])
+def test_check_config_sizes_validated(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        CheckSuiteConfig(**bad)
+
+
+def test_check_config_floor_accepted():
+    cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(2,))
+    assert cfg.sampler_validate_m == 10**4

@@ -183,6 +183,9 @@ class TestMainEndToEnd:
         ("ci", "[run]\ncalibration_m = 0\n"),
         ("rate", "[run]\nseed = -1\n"),
         ("list", "[rate_d2]\nm = 6000\n"),
+        ("check", "[check]\nsampler_validate_m = 0\n"),
+        ("check", "[check]\nq_random_pairs = 0\n"),
+        ("check", "[check]\not_instances = 0\n"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):

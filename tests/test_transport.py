@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from w2lab import transport
+from w2lab.samplers import make_scaled_basis
 from w2lab.transport import (
     EmpiricalMeasure,
     SinkhornConvergenceError,
@@ -99,6 +101,83 @@ class TestQuantile1d:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             w2_quantile_1d([], [])
+
+
+def _reference_pair_cost(x, y):
+    """The two-temporary expression ``_pair_cost`` must reproduce bit for bit."""
+    xx = np.sum(x**2, axis=1)
+    yy = np.sum(y**2, axis=1)
+    return np.maximum(xx[:, None] + yy[None, :] - 2.0 * (x @ y.T), 0.0)
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBitIdentity:
+    """The in-place estimator paths round exactly like the plain expressions."""
+
+    @pytest.mark.parametrize("m", [1, 257, 3001])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_cost_random_clouds(self, rng, m, d):
+        x = rng.normal(size=(m, d))
+        y = rng.normal(size=(m + 5, d)) * 3.0 + 0.5
+        x0, y0 = x.copy(), y.copy()
+        assert np.array_equal(transport._pair_cost(x, y), _reference_pair_cost(x, y))
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+    @pytest.mark.parametrize("m", [257, 3001])
+    def test_pair_cost_lattice_duplicates(self, rng, m):
+        s = make_scaled_basis(2, 1.0)
+        x = s.draw_sum(16, m, rng)
+        y = s.draw_sum(16, m, rng)
+        assert len(np.unique(x, axis=0)) < m  # duplicate rows present
+        assert np.array_equal(transport._pair_cost(x, y), _reference_pair_cost(x, y))
+
+    def test_exact_cost_matches_reference_sum(self, rng):
+        s = make_scaled_basis(2, 1.0)
+        x = s.draw_sum(64, 300, rng)
+        y = rng.normal(size=(300, 2)) * 8.0
+        cost, plan = w2_exact(EmpiricalMeasure(x), EmpiricalMeasure(y))
+        ref = _reference_pair_cost(x, y)
+        rows, cols = linear_sum_assignment(ref)
+        assert np.array_equal(plan.pairing[rows], cols)
+        assert cost == math.fsum(ref[rows, cols].tolist()) / 300
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, transport._FSUM_CHUNK + 1])
+    def test_quantile_matches_list_fsum(self, rng, offset):
+        m = transport._FSUM_CHUNK + offset
+        xs = rng.normal(size=m)
+        ys = rng.normal(size=(m, 2))[:, 1] * 2.0 + 1.0  # strided view
+        xs0, ys0 = xs.copy(), ys.copy()
+        d = np.sort(xs) - np.sort(ys)
+        expected = math.sqrt(math.fsum(list(d * d)) / m)
+        assert w2_quantile_1d(xs, ys) == expected
+        assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
+
+
+class TestMemory:
+    """Peak allocations of the large-array paths (tracemalloc sees numpy buffers)."""
+
+    def test_pair_cost_holds_one_matrix(self, rng):
+        m = 2000
+        x = rng.normal(size=(m, 2))
+        y = rng.normal(size=(m, 2))
+        assert _peak_bytes(transport._pair_cost, x, y) <= 1.25 * 8 * m * m
+
+    def test_quantile_streams_the_sum(self, rng):
+        m = 10**6
+        xs = rng.normal(size=m)
+        ys = rng.normal(size=m)
+        # one chunk list: a pointer and a float object per value
+        chunk = transport._FSUM_CHUNK * (8 + (1.0).__sizeof__())
+        assert _peak_bytes(w2_quantile_1d, xs, ys) <= 3 * 8 * m + chunk
 
 
 class TestSinkhorn:
