@@ -2,8 +2,10 @@
 
 Each checker verifies one mathematical statement (an identity, an inequality
 suite, or a solver contract) and emits structured verdict records.  Checkers
-are pure functions of (config, derived seed), so the registry can be executed
-in any order, in parallel, with bit-identical results.
+are pure functions of (config, root seed): a checker that draws takes its
+generator from ``rng_for(seed, _CHECK_JOB, k)`` with its own k, so the
+registry can be executed in any order, in parallel, with bit-identical
+results.
 
 Statistical checks widen inequalities by five standard errors before
 declaring failure; exact enumerations assert at 1e-12.  Checks that depend on
@@ -36,6 +38,7 @@ from .samplers import (
     make_scaled_basis,
     lattice_distance,
     LatticeSpec,
+    SE_FACTOR,
     VALIDATE_MIN_DRAWS,
     validate_sampler,
 )
@@ -76,7 +79,6 @@ def _v(checker, anchor, case, lhs, rhs, ok, inputs=None, inconclusive=False):
 class CheckSuiteConfig:
     """Size knobs for the checker suite; defaults match the acceptance runs."""
 
-    root_seed: int = 20260810
     gauss_quad_instances: int = 50
     ot_instances: int = 200
     quantile_instances: int = 100
@@ -132,9 +134,9 @@ def _tensor_gh_quadratic(a, b, v, cov, nodes=200):
     return math.prod(float(np.exp(e).sum()) for e in axis_exponents)
 
 
-def check_gauss_quad_expectation(cfg: CheckSuiteConfig):
+def check_gauss_quad_expectation(cfg: CheckSuiteConfig, seed: int):
     anchor = "quadratic-exponential Gaussian moment formula"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 1)
+    rng = rng_for(seed, _CHECK_JOB, 1)
     worst = 0.0
     for i in range(cfg.gauss_quad_instances):
         k = int(rng.integers(1, 4))
@@ -163,9 +165,9 @@ def check_gauss_quad_expectation(cfg: CheckSuiteConfig):
     return out
 
 
-def check_gauss_sampling(cfg: CheckSuiteConfig):
+def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
     anchor = "Gaussian sampling matches t*Sigma within 5 SE"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 2)
+    rng = rng_for(seed, _CHECK_JOB, 2)
     out = []
     for t, sigmas in ((1.0, [1.0]), (4.0, [1.0]), (1.0, [2.0, 1.0, 0.5])):
         cov = CovarianceSpec(sigmas)
@@ -174,15 +176,15 @@ def check_gauss_sampling(cfg: CheckSuiteConfig):
         emp = (z**2).mean(axis=0)
         target = t * cov.variances
         se = (z**2).std(axis=0, ddof=1) / math.sqrt(m)
-        dev = float(np.max(np.abs(emp - target) / (5.0 * se)))
+        dev = float(np.max(np.abs(emp - target) / (SE_FACTOR * se)))
         out.append(_v("gauss-sampling", anchor, f"t={t} dim={cov.dim}",
                       dev, 1.0, dev <= 1.0, {"m": m}))
     return out
 
 
-def check_w2_gaussian_metric(cfg: CheckSuiteConfig):
+def check_w2_gaussian_metric(cfg: CheckSuiteConfig, seed: int):
     anchor = "closed-form W2 between diagonal Gaussians is a metric"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 3)
+    rng = rng_for(seed, _CHECK_JOB, 3)
     worst_tri = -math.inf
     for _ in range(cfg.metric_triples):
         d = int(rng.integers(1, 5))
@@ -198,9 +200,9 @@ def check_w2_gaussian_metric(cfg: CheckSuiteConfig):
     ]
 
 
-def check_ot_exact(cfg: CheckSuiteConfig):
+def check_ot_exact(cfg: CheckSuiteConfig, seed: int):
     anchor = "exact assignment equals factorial brute force"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 4)
+    rng = rng_for(seed, _CHECK_JOB, 4)
     worst = 0.0
     for _ in range(cfg.ot_instances):
         m = int(rng.integers(2, 8))
@@ -231,9 +233,9 @@ def check_ot_exact(cfg: CheckSuiteConfig):
     ]
 
 
-def check_sinkhorn(cfg: CheckSuiteConfig):
+def check_sinkhorn(cfg: CheckSuiteConfig, seed: int):
     anchor = "entropic cost approaches the exact assignment cost"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 5)
+    rng = rng_for(seed, _CHECK_JOB, 5)
     out = []
     mu = tr.EmpiricalMeasure(np.array([[0.0], [1.0]]))
     nu = tr.EmpiricalMeasure(np.array([[1.0], [2.0]]))
@@ -254,9 +256,9 @@ def check_sinkhorn(cfg: CheckSuiteConfig):
     return out
 
 
-def check_projection_lower(cfg: CheckSuiteConfig):
+def check_projection_lower(cfg: CheckSuiteConfig, seed: int):
     anchor = "1-d projections lower-bound the full W2"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 6)
+    rng = rng_for(seed, _CHECK_JOB, 6)
     worst = -math.inf
     for _ in range(10):
         m, d = 500, 3
@@ -271,9 +273,9 @@ def check_projection_lower(cfg: CheckSuiteConfig):
                worst, 0.0, worst <= 1e-9)]
 
 
-def check_sampler_zoo(cfg: CheckSuiteConfig):
+def check_sampler_zoo(cfg: CheckSuiteConfig, seed: int):
     anchor = "mean-zero, covariance, and norm-bound sampler hypotheses"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 7)
+    rng = rng_for(seed, _CHECK_JOB, 7)
     out = []
     zoo = [
         make_rademacher_product(2, 1.0),
@@ -298,9 +300,9 @@ def check_sampler_zoo(cfg: CheckSuiteConfig):
     return out
 
 
-def check_lattice_distance(cfg: CheckSuiteConfig):
+def check_lattice_distance(cfg: CheckSuiteConfig, seed: int):
     anchor = "nearest-lattice-point distance: brute force and cell bound"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 8)
+    rng = rng_for(seed, _CHECK_JOB, 8)
     worst = 0.0
     worst_cell = -math.inf
     for _ in range(2000):
@@ -322,7 +324,7 @@ def check_lattice_distance(cfg: CheckSuiteConfig):
     ]
 
 
-def check_r_of_n(cfg: CheckSuiteConfig):
+def check_r_of_n(cfg: CheckSuiteConfig, seed: int):
     anchor = "log-correction constant bracket 0 <= r(n) <= 1/(n^2-1)^2"
     ns = [2, 3, 5, 10, 100, 10**4, 10**6, 10**8]
     worst_lo, worst_hi = 0.0, -math.inf
@@ -355,9 +357,9 @@ def _q_zoo():
     ]
 
 
-def check_q_abs_estimates(cfg: CheckSuiteConfig):
+def check_q_abs_estimates(cfg: CheckSuiteConfig, seed: int):
     anchor = "|Q_i|, |Q|, and |Q - Q_i| estimates under the n-hypothesis"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 9)
+    rng = rng_for(seed, _CHECK_JOB, 9)
     worst_qi, worst_q, worst_qmqi = -math.inf, -math.inf, -math.inf
     for s, n in _q_zoo():
         qs.check_hypothesis(n, s.bound, s.cov)
@@ -377,7 +379,7 @@ def check_q_abs_estimates(cfg: CheckSuiteConfig):
     ]
 
 
-def check_q_moments(cfg: CheckSuiteConfig):
+def check_q_moments(cfg: CheckSuiteConfig, seed: int):
     anchor = "Q moment identity and bounds (mean, cross, square, total)"
     out = []
     for s, n in _q_zoo():
@@ -391,7 +393,7 @@ def check_q_moments(cfg: CheckSuiteConfig):
         for c in rep.checks[1:]:
             out.append(_v("q-moments", anchor, f"{s.kind} d={s.dim} n={n} {c.name}",
                           c.lhs, c.rhs, c.passed))
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 10)
+    rng = rng_for(seed, _CHECK_JOB, 10)
     s = make_scaled_basis(2, math.sqrt(2.0))
     rep = qs.estimate_q_moments(s, 20, mode="mc", m=cfg.q_mc_pairs, rng=rng)
     out.append(_v("q-moments", anchor, "scaled_basis d=2 n=20 MC suite (5 SE slack)",
@@ -400,7 +402,7 @@ def check_q_moments(cfg: CheckSuiteConfig):
     return out
 
 
-def check_chi2_identity(cfg: CheckSuiteConfig):
+def check_chi2_identity(cfg: CheckSuiteConfig, seed: int):
     anchor = "density-ratio second moment: quadrature equals exponential-moment form"
     out = []
     worst = 0.0
@@ -425,7 +427,7 @@ def check_chi2_identity(cfg: CheckSuiteConfig):
     return out
 
 
-def check_averaged_identity(cfg: CheckSuiteConfig):
+def check_averaged_identity(cfg: CheckSuiteConfig, seed: int):
     anchor = "coordinate-averaged second moment equals the Q-sum with one term removed"
     out = []
     s1 = make_rademacher_product(1, 1.0)
@@ -450,9 +452,9 @@ def check_averaged_identity(cfg: CheckSuiteConfig):
     return out
 
 
-def check_conditional_l2(cfg: CheckSuiteConfig):
+def check_conditional_l2(cfg: CheckSuiteConfig, seed: int):
     anchor = "conditional second-moment inequality on product tables"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 11)
+    rng = rng_for(seed, _CHECK_JOB, 11)
     violations = 0
     worst = -math.inf
     for _ in range(cfg.l2_tables):
@@ -474,9 +476,9 @@ def check_conditional_l2(cfg: CheckSuiteConfig):
     ]
 
 
-def check_remainder(cfg: CheckSuiteConfig):
+def check_remainder(cfg: CheckSuiteConfig, seed: int):
     anchor = "cubic Taylor remainder difference bound on [-1, 1]^2"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 12)
+    rng = rng_for(seed, _CHECK_JOB, 12)
     a = rng.uniform(-1, 1, size=cfg.remainder_pairs)
     b = rng.uniform(-1, 1, size=cfg.remainder_pairs)
     lhs, rhs = qs.remainder_difference_batch(a, b)
@@ -490,7 +492,7 @@ def check_remainder(cfg: CheckSuiteConfig):
     ]
 
 
-def check_talagrand_1d(cfg: CheckSuiteConfig):
+def check_talagrand_1d(cfg: CheckSuiteConfig, seed: int):
     anchor = "transportation inequality: shifted-Gaussian equality case"
     out = []
     cov = CovarianceSpec([1.0])
@@ -532,7 +534,7 @@ def chain_models_2d():
     ]
 
 
-def check_talagrand_2d(cfg: CheckSuiteConfig):
+def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
     anchor = "weighted transportation chain: W2^2 <= entropy RHS <= chi-square RHS"
     grid = dens.ChainGrid(
         points_per_axis=cfg.chain_grid_2d,
@@ -559,9 +561,9 @@ def check_talagrand_2d(cfg: CheckSuiteConfig):
     return out
 
 
-def check_increment(cfg: CheckSuiteConfig):
+def check_increment(cfg: CheckSuiteConfig, seed: int):
     anchor = "single Gaussian replacement step: W2(Z_n, Z_{n-1}+X) <= 5 sqrt(k) beta/n"
-    rng = rng_for(cfg.root_seed, _CHECK_JOB, 13)
+    rng = rng_for(seed, _CHECK_JOB, 13)
     out = []
     cov = CovarianceSpec([1.0])
     n0 = 25
@@ -579,7 +581,7 @@ def check_increment(cfg: CheckSuiteConfig):
     return out
 
 
-def check_naive_w2(cfg: CheckSuiteConfig):
+def check_naive_w2(cfg: CheckSuiteConfig, seed: int):
     anchor = "independent-coupling W2 bound over a coordinate split"
     v = bnd.naive_w2_upper([1.0, 0.5], [1.0, 0.5], 2, 0.7)
     base = bnd.naive_w2_upper([0.5, 0.5], [0.5, 0.5], 0, 0.0)
@@ -594,7 +596,7 @@ def check_naive_w2(cfg: CheckSuiteConfig):
     ]
 
 
-def check_ank_schedule(cfg: CheckSuiteConfig):
+def check_ank_schedule(cfg: CheckSuiteConfig, seed: int):
     anchor = "double induction stays under the 5 sqrt(k) beta (1 + log n) envelope"
     out = []
     for sigmas, beta in (([1.0], 1.0), ([1.0, 0.5], 1.3), ([2.0, 1.0, 0.25], 2.5)):
@@ -623,7 +625,7 @@ def check_ank_schedule(cfg: CheckSuiteConfig):
 class CheckerEntry:
     checker_id: str
     anchor: str
-    runner: Callable[[CheckSuiteConfig], list]
+    runner: Callable[[CheckSuiteConfig, int], list]
 
 
 REGISTRY: tuple[CheckerEntry, ...] = (
@@ -654,8 +656,8 @@ def checker_ids() -> list[str]:
     return [e.checker_id for e in REGISTRY]
 
 
-def run_checker(checker_id: str, cfg: CheckSuiteConfig) -> list:
+def run_checker(checker_id: str, cfg: CheckSuiteConfig, seed: int) -> list:
     for entry in REGISTRY:
         if entry.checker_id == checker_id:
-            return entry.runner(cfg)
+            return entry.runner(cfg, seed)
     raise KeyError(f"unknown checker {checker_id!r}")

@@ -2,11 +2,13 @@
 
 The config file is plain key = value under named sections; every key maps
 onto a field of one of the experiment/checker config dataclasses and is
-coerced to that field's type.  Unknown sections or keys, a ``root_seed`` (every
-sub-config's seed derives from ``[run] seed``), and values a config rejects
-when it is built are usage errors with the offending name in the message, so
-they surface before any compute.  Defaults reproduce the full verification
-suite, so running with no config file is the reference run.
+coerced to that field's type.  Unknown sections or keys and values a config
+rejects when it is built are usage errors with the offending name in the
+message, so they surface before any compute.  The one root seed is
+``RunSettings.seed`` (``[run] seed`` or ``--seed``); no section carries a seed
+of its own, because every job derives its generators from the root seed and
+its own job path.  Defaults reproduce the full verification suite, so running
+with no config file is the reference run.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ N_GRID_DEFAULT = tuple(2**k for k in range(4, 13))
 
 class UsageError(ValueError):
     """Malformed CLI input or config file (exit code 2)."""
-
-
-def default_settings() -> "RunSettings":
-    return RunSettings()
 
 
 @dataclass(frozen=True)
@@ -101,20 +99,6 @@ class RunSettings:
         if self.calibration_m < 1:
             raise ValueError(f"calibration_m must be >= 1, got {self.calibration_m}")
 
-    def with_seed(self, seed: int) -> "RunSettings":
-        """Propagate one root seed into every sub-config."""
-        return replace(
-            self,
-            seed=seed,
-            check=replace(self.check, root_seed=seed),
-            rate_d1=replace(self.rate_d1, root_seed=seed),
-            rate_d2=replace(self.rate_d2, root_seed=seed + 1),
-            lower_d1=replace(self.lower_d1, root_seed=seed + 2),
-            lower_d2=replace(self.lower_d2, root_seed=seed + 3),
-            ci_d1=replace(self.ci_d1, root_seed=seed + 4),
-            ci_d2=replace(self.ci_d2, root_seed=seed + 5),
-        )
-
     def semantic_dict(self) -> dict:
         """Config echo without presentation fields (out dir, workers, verbosity).
 
@@ -168,11 +152,6 @@ def _apply_section(obj, section: str, items) -> object:
                 float(v) for v in raw.replace(",", " ").split()
             )
             continue
-        if key == "root_seed":
-            raise UsageError(
-                f"root_seed in section [{section}]: every section's seed derives "
-                "from the root seed; set it with [run] seed or --seed"
-            )
         if key not in declared:
             raise UsageError(f"unknown key {key!r} in section [{section}]")
         updates[key] = _coerce(raw, declared[key])
@@ -212,7 +191,7 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
                   workers: Optional[int] = None, out_dir: Optional[str] = None,
                   verbosity: Optional[int] = None) -> RunSettings:
     """Resolve settings: defaults <- config file <- CLI flags (strongest)."""
-    settings = default_settings()
+    settings = RunSettings()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         read = parser.read(path)
@@ -243,4 +222,4 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
         )
     except ValueError as exc:
         raise UsageError(f"bad command-line value: {exc}") from exc
-    return settings.with_seed(settings.seed)
+    return settings

@@ -31,7 +31,7 @@ never manufacture a pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from scipy.special import ndtr, roots_legendre, xlogy
 
 from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid
 from .samplers import BoundedSampler
-from .qstats import q_values, check_hypothesis
+from .qstats import q_values
 from .transport import w2_atomic_1d, w2_discrete_lp
 
 CLAMP_RADIUS_FACTOR = 8.0
@@ -226,7 +226,6 @@ class DensityRatioModel(_RatioBase):
     sampler: Optional[BoundedSampler]
     n: int
     cov: CovarianceSpec = None  # type: ignore[assignment]
-    clamp_radius: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n < 2:
@@ -234,8 +233,6 @@ class DensityRatioModel(_RatioBase):
         self._ys, self._probs, self.cov = _support(self.sampler, self.n, self.cov)
         if self.sampler is not None and self.sampler.dim != self.cov.dim:
             raise ValueError("sampler and covariance dims differ")
-        if self.clamp_radius is None:
-            self.clamp_radius = CLAMP_RADIUS_FACTOR * math.sqrt(self.cov.dim)
 
     # scaled supports for a projection onto an index subset
     def _proj(self, idx: list[int]):
@@ -291,7 +288,7 @@ def _clamped_gh(model: _RatioBase, nodes: int):
     """GH grid for the model's reference Gaussian, clamped to the ellipsoid."""
     pts, wts = gh_grid(model.cov, nodes=nodes)
     wts = wts.copy()
-    radius = getattr(model, "clamp_radius", CLAMP_RADIUS_FACTOR * math.sqrt(model.dim))
+    radius = CLAMP_RADIUS_FACTOR * math.sqrt(model.dim)
     wnorm = np.sqrt((pts**2 / model.cov.variances).sum(axis=-1))
     outside = wnorm > radius
     mass_loss = float(wts[outside].sum())
@@ -338,20 +335,11 @@ def density_second_moment_rhs(
     sampler: Optional[BoundedSampler],
     n: int,
     cov: Optional[CovarianceSpec] = None,
-    mode: str = "exact",
-    m: int = 10**6,
-    rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """E exp(Q) over independent pairs: the closed-form side of E f(Z)^2."""
-    if sampler is not None and mode != "exact":
-        if mode != "mc":
-            raise ValueError(f"unknown mode {mode!r}")
-        if rng is None:
-            raise ValueError("mc mode requires an rng")
-        cov = sampler.cov if cov is None else cov
-        y = sampler.draw(rng, size=m) / math.sqrt(n)
-        yp = sampler.draw(rng, size=m) / math.sqrt(n)
-        return float(np.mean(np.exp(q_values(y, yp, cov, n).sum(axis=-1))))
+    """E exp(Q) over independent pairs, by exact enumeration of the support.
+
+    The closed-form side of E f(Z)^2.
+    """
     ys, probs, cov = _support(sampler, n, cov)
     q = q_values(ys[:, None, :], ys[None, :, :], cov, n).sum(axis=-1)
     w = probs[:, None] * probs[None, :]
@@ -582,14 +570,3 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
         grid_cells=(coarse_n, fine_n),
     )
 
-
-def make_density_model(
-    sampler: Optional[BoundedSampler],
-    n: int,
-    cov: Optional[CovarianceSpec] = None,
-    enforce_hypothesis: bool = False,
-) -> DensityRatioModel:
-    """Convenience constructor; optionally enforces n >= 5 beta^2/sigma_min^2."""
-    if enforce_hypothesis and sampler is not None:
-        check_hypothesis(n, sampler.bound, cov or sampler.cov)
-    return DensityRatioModel(sampler=sampler, n=n, cov=cov)

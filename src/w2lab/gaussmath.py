@@ -1,20 +1,19 @@
 """Gaussian geometry for diagonal covariances.
 
 Everything here works with centered Gaussians N(0, t*Sigma) where Sigma =
-diag(sigma_1^2, ..., sigma_d^2) and sigma_1 >= ... >= sigma_d > 0.  General
-SPD covariances are supported only through :func:`diagonalize_spd`, which
-rotates them to this canonical form on the way in.
+diag(sigma_1^2, ..., sigma_d^2) and sigma_1 >= ... >= sigma_d > 0;
+non-diagonal covariances are out of scope.
 
-The module also hosts the tensorized Gauss-Hermite machinery used as the
-quadrature oracle for every density integral in the package (200 nodes per
-axis, dimensions <= 3).
+The module also hosts the Gauss-Hermite nodes and the tensor grid used as
+the quadrature oracle for every density integral in the package (200 nodes
+per axis by default).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -110,18 +109,6 @@ def _check_dim(v: np.ndarray, cov: CovarianceSpec, name: str) -> np.ndarray:
     return v
 
 
-def weighted_inner(u: np.ndarray, v: np.ndarray, cov: CovarianceSpec) -> float:
-    """Inverse-covariance inner product sum_i u_i v_i / sigma_i^2."""
-    u = _check_dim(u, cov, "u")
-    v = _check_dim(v, cov, "v")
-    return float(np.sum(u * v / cov.variances, axis=-1))
-
-
-def weighted_norm(u: np.ndarray, cov: CovarianceSpec) -> float:
-    """sqrt of the inverse-covariance quadratic form of u."""
-    return math.sqrt(weighted_inner(u, u, cov))
-
-
 def sample_gaussian(
     model: GaussianModel, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -171,27 +158,6 @@ def w2_gaussian_diag(
     return float(np.sqrt(np.sum(diff**2)))
 
 
-def diagonalize_spd(matrix: np.ndarray) -> tuple[CovarianceSpec, np.ndarray]:
-    """Rotate an SPD covariance matrix into a diagonal CovarianceSpec.
-
-    Returns (spec, rotation) with rotation orthogonal and
-    rotation.T @ matrix @ rotation diagonal with non-increasing entries.
-    Entry point for users with non-diagonal covariances; everything else in
-    the package assumes the diagonal form.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-        raise ValueError("matrix must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if np.any(eigvals <= 0):
-        raise ValueError("matrix must be positive definite")
-    order = np.argsort(-eigvals)
-    spec = CovarianceSpec(np.sqrt(eigvals[order]))
-    return spec, eigvecs[:, order]
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature oracle
 # ---------------------------------------------------------------------------
@@ -202,33 +168,14 @@ def gh_nodes_weights(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
-def gh_grid(cov: CovarianceSpec, t: float = 1.0, nodes: int = GH_NODES_DEFAULT):
-    """Tensor quadrature grid for N(0, t*Sigma): points (N, d) and weights (N,)."""
+def gh_grid(cov: CovarianceSpec, nodes: int = GH_NODES_DEFAULT):
+    """Tensor quadrature grid for N(0, Sigma): points (N, d) and weights (N,)."""
     x1, w1 = gh_nodes_weights(nodes)
     d = cov.dim
-    scales = np.sqrt(t) * cov.sigmas
-    axes = [x1 * scales[i] for i in range(d)]
+    axes = [x1 * cov.sigmas[i] for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     wts = w1
     for _ in range(d - 1):
         wts = np.multiply.outer(wts, w1)
     return pts, wts.ravel()
-
-
-def gh_expectation(
-    func: Callable[[np.ndarray], np.ndarray],
-    cov: CovarianceSpec,
-    t: float = 1.0,
-    nodes: int = GH_NODES_DEFAULT,
-) -> float:
-    """E[func(Z)] for Z ~ N(0, t*Sigma) by tensorized Gauss-Hermite quadrature.
-
-    ``func`` maps an (N, d) array of points to (N,) values.  Intended for
-    d <= 3; the node count is the package-wide oracle standard.
-    """
-    if cov.dim > 3:
-        raise ValueError("tensor quadrature is supported for dim <= 3 only")
-    pts, wts = gh_grid(cov, t=t, nodes=nodes)
-    vals = np.asarray(func(pts), dtype=float)
-    return float(wts @ vals)

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussmath import CovarianceSpec, DimensionMismatchError
-from .samplers import BoundedSampler
+from .samplers import SE_FACTOR, BoundedSampler
 
 
 class HypothesisError(ValueError):
@@ -63,21 +63,6 @@ def check_hypothesis(n: int, beta: float, cov: CovarianceSpec) -> None:
         assert n >= 5 * cov.dim - 1e-9, "n >= 5k must follow from the hypothesis"
 
 
-@dataclass(frozen=True)
-class QStats:
-    """All Q_i, their sum, and r(n) for one pair (Y, Y')."""
-
-    q_i: np.ndarray
-    q_total: float
-    r_n: float
-    n: int
-    pair: tuple
-
-    def __post_init__(self):
-        if abs(self.q_total - float(np.sum(self.q_i))) > 1e-12:
-            raise ValueError("q_total must equal sum(q_i) to 1e-12")
-
-
 def q_values(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) -> np.ndarray:
     """Vectorized Q_i for batches: y, yp of shape (..., d) -> (..., d)."""
     y = np.asarray(y, dtype=float)
@@ -89,36 +74,6 @@ def q_values(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) -> np.n
     n2m1 = float(n) * n - 1.0
     num = 2.0 * n * n * y * yp - n * y**2 - n * yp**2 + cov.variances
     return num / (2.0 * cov.variances * n2m1) - r_of_n(n)
-
-
-def compute_q_stats(
-    y: np.ndarray,
-    yp: np.ndarray,
-    cov: CovarianceSpec,
-    n: int,
-    beta: Optional[float] = None,
-) -> QStats:
-    """QStats for a single rescaled pair; enforces ||Y|| <= beta/sqrt(n) if known."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    y = np.asarray(y, dtype=float)
-    yp = np.asarray(yp, dtype=float)
-    if beta is not None:
-        lim = beta / math.sqrt(n) + 1e-12
-        for name, vec in (("Y", y), ("Y'", yp)):
-            if np.linalg.norm(vec) > lim:
-                raise ValueError(
-                    f"||{name}|| = {np.linalg.norm(vec):.6g} exceeds "
-                    f"beta/sqrt(n) = {lim:.6g}"
-                )
-    qi = q_values(y, yp, cov, n)
-    return QStats(
-        q_i=qi,
-        q_total=float(np.sum(qi)),
-        r_n=r_of_n(n),
-        n=n,
-        pair=(y.copy(), yp.copy()),
-    )
 
 
 def q_abs_bound_rhs(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) -> np.ndarray:
@@ -209,13 +164,12 @@ def estimate_q_moments(
     mode: str = "exact",
     m: int = 10**6,
     rng: Optional[np.random.Generator] = None,
-    se_factor: float = 5.0,
 ) -> QMomentReport:
     """Estimate all Q moments for sampler pairs and check the five bounds.
 
     ``mode='exact'`` enumerates support pairs (requires an enumerable
     sampler); ``mode='mc'`` uses m Monte Carlo pairs and widens every bound
-    by ``se_factor`` standard errors before declaring failure, so noise can
+    by ``SE_FACTOR`` standard errors before declaring failure, so noise can
     not produce a false negative.
     """
     check_hypothesis(n, s.bound, s.cov)
@@ -234,7 +188,7 @@ def estimate_q_moments(
 
     d = s.dim
     n2m1 = float(n) * n - 1.0
-    slack = se_factor * se
+    slack = SE_FACTOR * se
     rn = r_of_n(n)
     checks = []
 

@@ -24,6 +24,8 @@ from .gaussmath import CovarianceSpec
 ENUMERATION_CAP = 2**16
 NORM_SLACK = 1e-12
 VALIDATE_MIN_DRAWS = 10**4  # fewest draws validate_sampler accepts
+# standard errors a Monte Carlo check widens its inequality by before failing
+SE_FACTOR = 5.0
 
 
 class SamplerInvariantError(RuntimeError):
@@ -220,13 +222,13 @@ class ValidationReport:
 
 
 def validate_sampler(
-    s: BoundedSampler, m: int, rng: np.random.Generator, se_factor: float = 5.0
+    s: BoundedSampler, m: int, rng: np.random.Generator
 ) -> ValidationReport:
     """Draw m samples and check the bound, mean-zero, and covariance claims.
 
     The norm bound is a hard invariant: any draw with ||X|| > beta + 1e-12
     raises.  Mean and covariance are statistical: flagged (not raised) when
-    outside ``se_factor`` standard errors.
+    outside ``SE_FACTOR`` standard errors.
     """
     if m < VALIDATE_MIN_DRAWS:
         raise ValueError(f"validation requires m >= {VALIDATE_MIN_DRAWS} draws")
@@ -244,8 +246,8 @@ def validate_sampler(
     # SE of covariance entries, crude upper bound via fourth moments
     sq = draws**2
     se_cov = np.sqrt((sq.T @ sq) / m / m)
-    mean_ok = bool(np.all(np.abs(mean) <= se_factor * np.maximum(mean_se, 1e-300)))
-    cov_ok = bool(np.all(cov_dev <= se_factor * np.maximum(se_cov, 1e-300)))
+    mean_ok = bool(np.all(np.abs(mean) <= SE_FACTOR * np.maximum(mean_se, 1e-300)))
+    cov_ok = bool(np.all(cov_dev <= SE_FACTOR * np.maximum(se_cov, 1e-300)))
     return ValidationReport(
         kind=s.kind,
         n_draws=m,

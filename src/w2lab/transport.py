@@ -11,6 +11,9 @@ Solver menu:
   the cap), built in place by :func:`_pair_cost`.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
   dimension; the experiments' estimator in d = 1.
+* :func:`estimate_w2` -- the estimator rule: the quantile coupling for 1-d
+  clouds, exact assignment otherwise.  The experiments and the increment
+  check estimate every empirical W2 through it.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
   unequal sizes; only its checker runs it.
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
@@ -38,6 +41,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 EXACT_CAP_DEFAULT = 5000
+BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
 # rows of the cost matrix per block when the squared norms are added in, and
 # values per list handed to math.fsum: the scratch each path allocates
 _COST_ROW_BLOCK = 256
@@ -152,16 +156,16 @@ def w2_exact(
     return cost, TransportPlan(pairing=pairing, cost=cost)
 
 
-def w2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 8) -> float:
-    """Reference oracle: minimum cost over all m! pairings (tiny clouds only).
+def w2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Reference oracle: minimum cost over all m! pairings (m <= 8 only).
 
     Kept deliberately independent of the assignment solver; used to certify
     :func:`w2_exact` on small random instances.
     """
     if mu.size != nu.size:
         raise ValueError("equal point counts required")
-    if mu.size > cap:
-        raise SolverCapacityError(f"brute force capped at {cap} points")
+    if mu.size > BRUTEFORCE_CAP:
+        raise SolverCapacityError(f"brute force capped at {BRUTEFORCE_CAP} points")
     c = _pair_cost(mu.points, nu.points)
     m = mu.size
     best = math.inf
@@ -187,6 +191,19 @@ def w2_quantile_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     d -= np.sort(ys)
     d *= d
     return math.sqrt(_fsum(d) / xs.size)
+
+
+def estimate_w2(sn: np.ndarray, z: np.ndarray) -> float:
+    """W2 between two equal-size clouds, by the estimator their dimension picks.
+
+    One-dimensional clouds use the monotone (quantile) coupling; higher
+    dimensions use exact assignment, which raises past ``EXACT_CAP_DEFAULT``
+    points per cloud.
+    """
+    if sn.shape[1] == 1:
+        return w2_quantile_1d(sn[:, 0], z[:, 0])
+    cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
+    return math.sqrt(cost)
 
 
 @dataclass(frozen=True)

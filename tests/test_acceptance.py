@@ -21,7 +21,7 @@ from w2lab.checks import (
     check_gauss_quad_expectation,
     check_ot_exact,
 )
-from w2lab.config import default_settings
+from w2lab.config import RunSettings
 from w2lab.densities import (
     ChainGrid,
     DensityRatioModel,
@@ -69,7 +69,7 @@ def criterion(num: int, label: str):
 
 def test_criterion_01_closed_form_vs_quadrature():
     with criterion(1, "quadratic-exponential moment: closed form vs 200-node quadrature"):
-        verdicts = check_gauss_quad_expectation(CheckSuiteConfig(root_seed=SEED))
+        verdicts = check_gauss_quad_expectation(CheckSuiteConfig(), SEED)
         suite = verdicts[0]
         assert suite.inputs["instances"] == 50
         assert suite.lhs <= 1e-8
@@ -78,8 +78,8 @@ def test_criterion_01_closed_form_vs_quadrature():
 
 def test_criterion_02_ot_solver_correctness():
     with criterion(2, "assignment solver vs factorial brute force and 1-d quantile"):
-        cfg = CheckSuiteConfig(root_seed=SEED, ot_instances=200, quantile_instances=100)
-        verdicts = check_ot_exact(cfg)
+        cfg = CheckSuiteConfig(ot_instances=200, quantile_instances=100)
+        verdicts = check_ot_exact(cfg, SEED)
         brute, quant = verdicts
         assert brute.lhs <= 1e-9
         assert quant.lhs <= 1e-9
@@ -173,30 +173,30 @@ def test_criterion_07_increment_lemma():
 
 def test_criterion_08_rate_experiments():
     with criterion(8, "rate bound pointwise (d=1 and d=2) and d=1 slope window"):
-        settings = default_settings().with_seed(SEED)
-        rep1 = clt_rate_experiment(settings.rate_d1)
-        assert rep1.all_below_bound
+        settings = RunSettings(seed=SEED)
+        rep1 = clt_rate_experiment(settings.rate_d1, SEED, 1)
+        assert all(v <= p.bound for p in rep1.points for v in p.replica_values)
         assert -0.65 <= rep1.fit.slope <= -0.35, rep1.fit
-        rep2 = clt_rate_experiment(settings.rate_d2)
-        assert rep2.all_below_bound
+        rep2 = clt_rate_experiment(settings.rate_d2, SEED, 2)
+        assert all(v <= p.bound for p in rep2.points for v in p.replica_values)
 
 
 def test_criterion_09_lattice_lower_bound():
     with criterion(9, "lattice floor: d=1 proxy window and W2, d=2 plateau"):
-        settings = default_settings().with_seed(SEED)
-        rep1 = lattice_lower_experiment(settings.lower_d1)
+        settings = RunSettings(seed=SEED)
+        rep1 = lattice_lower_experiment(settings.lower_d1, SEED, 1)
         last = rep1.points[-1]
         assert last.n == 4096
         assert 0.24 <= last.sqrtn_proxy <= 0.26, last
         assert last.sqrtn_w2_hat >= 0.24, last
-        rep2 = lattice_lower_experiment(settings.lower_d2)
+        rep2 = lattice_lower_experiment(settings.lower_d2, SEED, 2)
         assert rep2.target == pytest.approx(math.sqrt(2.0) / 4.0)
         assert rep2.plateau_value >= 0.95 * rep2.target, rep2
 
 
 def test_criterion_10_ci_conversion():
     with criterion(10, "halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
-        settings = default_settings().with_seed(SEED)
+        settings = RunSettings(seed=SEED)
         cal = ci_calibration(settings.calibration_m, rng_for(SEED, _CI_CALIBRATION_JOB))
         assert cal.delta_exact == pytest.approx(0.19741265, abs=1e-7)
         assert cal.rhs == pytest.approx(3.1498, abs=5e-4)
@@ -204,10 +204,10 @@ def test_criterion_10_ci_conversion():
             settings.calibration_m
         )
         assert cal.delta_hat <= cal.rhs
-        for leg in (settings.ci_d1, settings.ci_d2):
-            rep = ci_halfspace_experiment(leg)
+        for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
+            rep = ci_halfspace_experiment(cfg, SEED, leg)
             for p in rep.points:
-                assert p.delta_hat <= p.rhs + p.slack, (leg.sampler, p)
+                assert p.delta_hat <= p.rhs + p.slack, (cfg.sampler, p)
 
 
 def test_criterion_11_determinism(tmp_path):

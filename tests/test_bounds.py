@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from w2lab import bounds, experiments, transport
 from w2lab.bounds import (
     ank_bound_schedule,
     increment_bound_check,
     naive_w2_upper,
 )
-from w2lab.gaussmath import CovarianceSpec, w2_gaussian_diag
+from w2lab.gaussmath import (
+    CovarianceSpec,
+    GaussianModel,
+    sample_gaussian,
+    w2_gaussian_diag,
+)
 from w2lab.qstats import HypothesisError
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
 
@@ -42,6 +48,27 @@ class TestIncrement:
         assert chk.dim == 2
         assert chk.bound == pytest.approx(5.0 * math.sqrt(2.0) * math.sqrt(2.0) / 10)
         assert chk.passed
+
+    @pytest.mark.parametrize("s,n,m", [
+        (make_rademacher_product(1, 2.0), 20, 5000),
+        (make_scaled_basis(2, math.sqrt(2.0)), 10, 300),
+    ])
+    def test_estimate_is_the_shared_estimator_rule(self, s, n, m):
+        # the experiments' estimator rule, written out: quantile coupling for
+        # k = 1, sqrt of the exact assignment cost otherwise
+        assert bounds.estimate_w2 is transport.estimate_w2 is experiments.estimate_w2
+        chk = increment_bound_check(s, n, m, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        z_n = sample_gaussian(GaussianModel(s.cov, float(n)), m, rng)
+        z_prev = sample_gaussian(GaussianModel(s.cov, float(n - 1)), m, rng)
+        z_prev += s.draw(rng, size=m)
+        if s.dim == 1:
+            expect = transport.w2_quantile_1d(z_n[:, 0], z_prev[:, 0])
+        else:
+            cost, _ = transport.w2_exact(transport.EmpiricalMeasure(z_n),
+                                         transport.EmpiricalMeasure(z_prev))
+            expect = math.sqrt(cost)
+        assert chk.w2_hat == expect
 
     def test_high_dim_unsupported(self, rng):
         s = make_scaled_basis(4, 2.0)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import w2lab
-from w2lab import cli
+from w2lab import cli, experiments, seeding
 from w2lab.checks import REGISTRY, Verdict
 from w2lab.cli import JobResult, emit, jobs_for
-from w2lab.config import UsageError, default_settings, load_settings
+from w2lab.config import RunSettings, UsageError, load_settings
 
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
@@ -36,9 +36,8 @@ class TestRegistry:
 
 class TestConfig:
     def test_defaults_resolve(self):
-        s = default_settings().with_seed(1)
-        assert s.rate_d1.root_seed == 1
-        assert s.rate_d2.root_seed == 2
+        s = RunSettings(seed=1)
+        assert s.seed == 1
         assert s.rate_d1.sampler.kind == "rademacher_product"
         assert s.rate_d2.estimator == "exact"
 
@@ -51,7 +50,6 @@ class TestConfig:
     def test_cli_flags_strongest(self):
         s = load_settings(SMOKE, seed=42, workers=4, out_dir="x")
         assert s.seed == 42
-        assert s.check.root_seed == 42
         assert s.workers == 4
         assert s.out_dir == "x"
 
@@ -76,7 +74,7 @@ class TestConfig:
             load_settings("/nonexistent/path.ini")
 
     def test_semantic_dict_excludes_presentation(self):
-        s = default_settings()
+        s = RunSettings()
         d = s.semantic_dict()
         assert "out_dir" not in d and "workers" not in d
         assert "seed" in d
@@ -91,10 +89,14 @@ class TestConfig:
     @pytest.mark.parametrize("ini", ["[rate_d1]\nroot_seed = 5\n",
                                      "[check]\nroot_seed = 9\n"])
     def test_root_seed_in_section_rejected(self, tmp_path, ini):
+        # the root seed is [run] seed / --seed; no section has a seed field
         p = tmp_path / "seed.ini"
         p.write_text(ini)
-        with pytest.raises(UsageError, match=r"\[run\] seed or --seed"):
+        with pytest.raises(UsageError, match="unknown key 'root_seed'"):
             load_settings(str(p))
+
+    def test_defaults_equal_loaded_defaults(self):
+        assert RunSettings() == load_settings()
 
     @pytest.mark.parametrize("alias", ["kind = scaled_basis", "beta = 2.0"])
     def test_sampler_aliases_are_unknown_keys(self, tmp_path, alias):
@@ -120,18 +122,77 @@ class TestConfig:
 
 class TestJobs:
     def test_job_lists(self):
-        s = default_settings()
+        s = RunSettings()
         assert len(jobs_for("check", s)) == len(REGISTRY)
         assert jobs_for("rate", s) == ["rate:d1", "rate:d2"]
         assert set(jobs_for("all", s)) >= set(jobs_for("ci", s))
 
     def test_only_filter(self):
-        s = default_settings()
+        s = RunSettings()
         assert jobs_for("check", s, only="r-of-n") == ["check:r-of-n"]
         with pytest.raises(UsageError):
             jobs_for("check", s, only="not-a-checker")
         with pytest.raises(UsageError):
             jobs_for("rate", s, only="r-of-n")
+
+
+TINY_EXPERIMENTS = """
+[run]
+calibration_m = 1000
+[rate_d1]
+n_grid = 16 64
+replicas = 3
+m = 200
+[rate_d2]
+n_grid = 16 64
+replicas = 3
+m = 50
+[lower_d1]
+n_grid = 64
+m_w2 = 200
+m_proxy = 100000
+[lower_d2]
+n_grid = 64
+m_w2 = 50
+m_proxy = 100000
+[ci_d1]
+n_grid = 16 64
+m = 500
+directions = 2
+[ci_d2]
+n_grid = 16 64
+m = 500
+w2_m = 50
+directions = 2
+"""
+
+
+class TestSeedPaths:
+    def test_no_two_jobs_share_a_stream_across_consecutive_seeds(
+            self, tmp_path, monkeypatch):
+        keys = []
+
+        def recording_rng_for(root, *path):
+            keys.append((int(root), tuple(int(p) for p in path)))
+            return seeding.rng_for(root, *path)
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "rng_for", recording_rng_for)
+        p = tmp_path / "tiny.ini"
+        p.write_text(TINY_EXPERIMENTS)
+        owner = {}
+        for seed in (20260810, 20260811):
+            settings = load_settings(str(p), seed=seed)
+            for job in [j for sub in ("rate", "lower", "ci")
+                        for j in jobs_for(sub, settings)]:
+                keys.clear()
+                cli.run_job(settings, job)
+                assert keys, job
+                for key in set(keys):
+                    assert owner.setdefault(key, (seed, job)) == (seed, job), (
+                        f"{(seed, job)} reuses the stream {key} of {owner[key]}"
+                    )
+        assert len(set(owner.values())) == 2 * 7
 
 
 class TestMainEndToEnd:
@@ -186,6 +247,8 @@ class TestMainEndToEnd:
         ("check", "[check]\nsampler_validate_m = 0\n"),
         ("check", "[check]\nq_random_pairs = 0\n"),
         ("check", "[check]\not_instances = 0\n"),
+        ("ci", "[ci_d1]\nw2_m = 0\n"),
+        ("ci", "[ci_d2]\nw2_m = 0\n"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):
@@ -224,7 +287,7 @@ class TestMainEndToEnd:
         np.array(rows, dtype=float)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
-        s = default_settings()
+        s = RunSettings()
         bad = JobResult(
             job_id="check:fake",
             verdicts=[Verdict("fake", "anchor", "case", 1.0, 0.0, -1.0, "fail", {})],
@@ -236,7 +299,7 @@ class TestMainEndToEnd:
         assert rc == 1
 
     def test_inconclusive_exits_0_with_warning(self, tmp_path, capsys):
-        s = default_settings()
+        s = RunSettings()
         j = JobResult(
             job_id="check:fake",
             verdicts=[Verdict("fake", "anchor", "case", 0.0, 0.0, 0.0,

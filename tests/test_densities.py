@@ -84,15 +84,6 @@ class TestMixtureRepresentation:
         with pytest.raises(ValueError, match="cov"):
             DensityRatioModel(None, 10)
 
-    def test_hypothesis_enforcing_constructor(self):
-        from w2lab.densities import make_density_model
-        from w2lab.qstats import HypothesisError
-
-        s = make_scaled_basis(2, math.sqrt(2.0))  # threshold n >= 10
-        assert make_density_model(s, 12, enforce_hypothesis=True).n == 12
-        with pytest.raises(HypothesisError):
-            make_density_model(s, 9, enforce_hypothesis=True)
-
 
 class TestSecondMoments:
     def test_degenerate_closed_form(self):
@@ -116,12 +107,6 @@ class TestSecondMoments:
             lhs = density_second_moment_lhs(DensityRatioModel(s, n))
             rhs = density_second_moment_rhs(s, n)
             assert lhs == pytest.approx(rhs, abs=1e-6)
-
-    def test_mc_mode_agrees(self, rng):
-        s = make_rademacher_product(1, 1.0)
-        exact = density_second_moment_rhs(s, 10)
-        mc = density_second_moment_rhs(s, 10, mode="mc", m=200000, rng=rng)
-        assert mc == pytest.approx(exact, abs=5e-4)
 
     def test_quadrature_self_check_raises_when_coarse(self):
         s = make_scaled_basis(2, 3.0)

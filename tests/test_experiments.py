@@ -16,6 +16,7 @@ from w2lab.experiments import (
     clt_rate_experiment,
     estimate_w2,
     expected_lattice_distance,
+    halfspace_slack,
     ks_statistic_gaussian,
     lattice_lower_experiment,
     main_rate_bound,
@@ -55,11 +56,10 @@ class TestRate:
     def test_small_run_structure(self):
         cfg = RateExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
-            root_seed=5,
         )
-        rep = clt_rate_experiment(cfg)
+        rep = clt_rate_experiment(cfg, seed=5, leg=1)
         assert [p.n for p in rep.points] == [16, 64, 256]
-        assert rep.all_below_bound
+        assert all(v <= p.bound for p in rep.points for v in p.replica_values)
         assert rep.fit.slope < 0
         for p in rep.points:
             assert p.ci_lo <= p.w2_hat <= p.ci_hi
@@ -75,10 +75,9 @@ class TestRate:
     def test_deterministic(self):
         cfg = RateExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64), replicas=3, m=2000,
-            root_seed=11,
         )
-        a = clt_rate_experiment(cfg)
-        b = clt_rate_experiment(cfg)
+        a = clt_rate_experiment(cfg, seed=11, leg=1)
+        b = clt_rate_experiment(cfg, seed=11, leg=1)
         assert a.points == b.points
 
     def test_config_validation(self):
@@ -159,9 +158,9 @@ class TestLowerExperiment:
     def test_d1_small(self):
         cfg = LowerExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(256, 1024), m_w2=10**5,
-            m_proxy=10**5, root_seed=3,
+            m_proxy=10**5,
         )
-        rep = lattice_lower_experiment(cfg)
+        rep = lattice_lower_experiment(cfg, seed=3, leg=1)
         assert rep.target == pytest.approx(0.25)
         assert rep.plateau_value == pytest.approx(0.25, abs=0.01)
         assert rep.points[-1].sqrtn_w2_hat >= 0.24
@@ -203,18 +202,22 @@ class TestHalfspace:
         assert res.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
         assert res.rhs == pytest.approx(3.1498, abs=5e-4)
         assert abs(res.delta_hat - res.delta_exact) < 0.01
-        assert res.passed
+        assert res.delta_hat <= res.rhs + halfspace_slack(10**5)
 
     def test_experiment_small(self):
         cfg = HalfspaceConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64, 256), m=20000,
-            directions=8, root_seed=9,
+            directions=8,
         )
-        rep = ci_halfspace_experiment(cfg)
-        assert rep.all_passed
+        rep = ci_halfspace_experiment(cfg, seed=9, leg=1)
         assert rep.decay_slope <= -0.25
         for p in rep.points:
+            assert p.slack == halfspace_slack(20000)
             assert p.delta_hat <= p.rhs + p.slack
+
+    def test_slack_is_five_binomial_standard_errors(self):
+        for m in (1, 20000, 10**5, 123457):
+            assert halfspace_slack(m) == 5.0 * 0.5 / math.sqrt(m)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="W2 cloud"):
@@ -225,14 +228,17 @@ class TestHalfspace:
         assert cfg.w2_cloud == 600
         with pytest.raises(ValueError, match="capped"):
             HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0))
+        # an explicit w2_m = 0 is a zero-point cloud, not "unset"
+        for sampler in (RADEMACHER_1D, SamplerSpec("scaled_basis", 2, 1.0)):
+            with pytest.raises(ValueError, match="W2 cloud, got 0"):
+                HalfspaceConfig(sampler=sampler, w2_m=0)
 
     def test_gaussian_sample_near_zero_delta(self):
         # replacing S_n by Z itself: delta_hat within binomial noise of zero
         cfg = HalfspaceConfig(
             sampler=RADEMACHER_1D, n_grid=(4096,), m=50000, directions=4,
-            root_seed=21,
         )
-        rep = ci_halfspace_experiment(cfg)
+        rep = ci_halfspace_experiment(cfg, seed=21, leg=1)
         assert rep.points[0].delta_hat < 0.03
 
 

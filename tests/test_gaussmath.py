@@ -9,14 +9,11 @@ from w2lab.gaussmath import (
     DimensionMismatchError,
     DivergentIntegralError,
     GaussianModel,
-    diagonalize_spd,
     gaussian_exp_quadratic,
-    gh_expectation,
+    gh_grid,
     gh_nodes_weights,
     sample_gaussian,
     w2_gaussian_diag,
-    weighted_inner,
-    weighted_norm,
 )
 from w2lab.transport import EmpiricalMeasure, w2_exact
 
@@ -48,35 +45,6 @@ class TestCovarianceSpec:
         cov = CovarianceSpec([2.0, 1.0, 0.5])
         assert np.array_equal(cov.head(2).sigmas, [2.0, 1.0])
         assert np.array_equal(cov.drop(1).sigmas, [2.0, 0.5])
-
-
-class TestWeightedInner:
-    def test_zero_vector(self):
-        cov = CovarianceSpec([1.0, 2.0])
-        assert weighted_inner(np.zeros(2), np.zeros(2), cov) == 0.0
-
-    def test_diagonal_arithmetic(self):
-        # Sigma = diag(1, 4), u = v = (1, 2): 1/1 + 4/4 = 2
-        cov = CovarianceSpec([1.0, 2.0])
-        u = cov.canonicalize([1.0, 2.0])
-        assert weighted_inner(u, u, cov) == pytest.approx(2.0, abs=1e-15)
-        assert weighted_norm(u, cov) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_against_dense_solve(self, rng):
-        # oracle: solve Sigma x = v, then <u, x>
-        sigmas = rng.uniform(0.5, 2.0, size=5)
-        cov = CovarianceSpec(sigmas)
-        mat = np.diag(cov.variances)
-        for _ in range(20):
-            u = rng.normal(size=5)
-            v = rng.normal(size=5)
-            oracle = float(u @ np.linalg.solve(mat, v))
-            assert weighted_inner(u, v, cov) == pytest.approx(oracle, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        cov = CovarianceSpec([1.0, 1.0])
-        with pytest.raises(DimensionMismatchError):
-            weighted_inner(np.ones(3), np.ones(3), cov)
 
 
 class TestSampling:
@@ -206,23 +174,9 @@ class TestW2GaussianDiag:
             w2_gaussian_diag(CovarianceSpec([1.0]), CovarianceSpec([1.0, 1.0]))
 
 
-class TestDiagonalize:
-    def test_round_trip(self, rng):
-        a = rng.normal(size=(4, 4))
-        spd = a @ a.T + 4.0 * np.eye(4)
-        spec, rot = diagonalize_spd(spd)
-        rebuilt = rot @ np.diag(spec.variances) @ rot.T
-        assert np.allclose(rebuilt, spd, atol=1e-10)
-        assert np.all(np.diff(spec.sigmas) <= 0)
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(ValueError):
-            diagonalize_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            diagonalize_spd(-np.eye(2))
-
-
-def test_gh_expectation_second_moment():
+def test_gh_grid_second_moment():
     cov = CovarianceSpec([1.5, 0.5])
-    val = gh_expectation(lambda p: (p**2).sum(axis=1), cov, t=2.0, nodes=60)
-    assert val == pytest.approx(2.0 * (1.5**2 + 0.5**2), rel=1e-12)
+    pts, wts = gh_grid(cov, nodes=60)
+    assert pts.shape == (60 * 60, 2) and wts.shape == (60 * 60,)
+    val = float(wts @ (pts**2).sum(axis=1))
+    assert val == pytest.approx(1.5**2 + 0.5**2, rel=1e-12)

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from w2lab.gaussmath import CovarianceSpec, DimensionMismatchError
 from w2lab.qstats import (
     HypothesisError,
-    QStats,
     check_hypothesis,
-    compute_q_stats,
     conditional_l2_check,
     estimate_q_moments,
     exp_remainder,
@@ -53,34 +51,23 @@ class TestRofN:
 class TestComputeQ:
     def test_zero_pair_constant_term(self):
         # Y = Y' = 0, sigma = 1, n = 2: Q_1 = 1/6 - r(2) = log(4/3)/2
-        qs = compute_q_stats(np.zeros(1), np.zeros(1), CovarianceSpec([1.0]), 2)
-        assert qs.q_total == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-15)
-        assert qs.q_total == pytest.approx(0.1438410, abs=5e-8)
+        q = q_values(np.zeros(1), np.zeros(1), CovarianceSpec([1.0]), 2)
+        assert q.shape == (1,)
+        assert q[0] == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-15)
+        assert q[0] == pytest.approx(0.1438410, abs=5e-8)
 
     def test_symmetric_pair_example(self):
         # n=2, sigma=1, Y=Y'=1/sqrt(2): numerator (4 - 1 - 1 + 1) = 3, so
         # Q = 3/6 - r(2) = 1/2 - r(2), re-derived independently
         y = np.array([1.0 / math.sqrt(2.0)])
-        qs = compute_q_stats(y, y, CovarianceSpec([1.0]), 2)
+        q = q_values(y, y, CovarianceSpec([1.0]), 2)
         expect = 0.5 - (1.0 / 6.0 - 0.5 * math.log(4.0 / 3.0))
-        assert qs.q_total == pytest.approx(expect, abs=1e-15)
-        assert qs.q_total == pytest.approx(0.4771744, abs=5e-8)
-
-    def test_total_matches_sum(self, rng):
-        cov = CovarianceSpec(rng.uniform(0.5, 2.0, size=3))
-        y = rng.normal(size=3) * 0.1
-        yp = rng.normal(size=3) * 0.1
-        qs = compute_q_stats(y, yp, cov, 9)
-        assert qs.q_total == pytest.approx(float(qs.q_i.sum()), abs=1e-14)
-
-    def test_beta_enforcement(self):
-        y = np.array([1.0])
-        with pytest.raises(ValueError, match="beta"):
-            compute_q_stats(y, y, CovarianceSpec([1.0]), 4, beta=1.0)
+        assert q[0] == pytest.approx(expect, abs=1e-15)
+        assert q[0] == pytest.approx(0.4771744, abs=5e-8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            compute_q_stats(np.zeros(2), np.zeros(2), CovarianceSpec([1.0]), 5)
+            q_values(np.zeros(2), np.zeros(2), CovarianceSpec([1.0]), 5)
 
     def test_abs_bounds_on_admissible_pairs(self, rng):
         s = make_scaled_basis(2, math.sqrt(2.0))
@@ -198,8 +185,3 @@ class TestRemainder:
             tail = sum(t**m / math.factorial(m) for m in range(3, 40))
             assert exp_remainder(t) == pytest.approx(tail, abs=1e-14)
 
-
-def test_qstats_invariant_guard():
-    with pytest.raises(ValueError):
-        QStats(q_i=np.array([0.5, 0.5]), q_total=2.0, r_n=0.0, n=5,
-               pair=(np.zeros(2), np.zeros(2)))
