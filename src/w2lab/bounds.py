@@ -6,6 +6,9 @@ once n >= 5 beta^2 / sigma_min^2; below that threshold the crude
 independent-coupling bound takes over; and alternating the two over (n, k)
 certifies A_{n,k} <= 5 sqrt(k) beta (1 + log n) for the unnormalized partial
 sums, which is the main rate bound after dividing by sqrt(n).
+
+These functions measure (an estimated W2 next to its bound, a table of
+certified bounds); the checkers in :mod:`w2lab.checks` decide pass or fail.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ class IncrementCheck:
     m: int
     w2_hat: float
     bound: float
-    passed: bool
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.w2_hat
 
 
 def increment_bound_check(
@@ -46,7 +44,7 @@ def increment_bound_check(
     rng: np.random.Generator,
     cov: Optional[CovarianceSpec] = None,
 ) -> IncrementCheck:
-    """Estimate W2(Z_n, Z_{n-1} + X) empirically and compare to 5 sqrt(k) beta / n.
+    """Estimate W2(Z_n, Z_{n-1} + X) empirically, next to its bound 5 sqrt(k) beta / n.
 
     ``s=None`` runs the degenerate X = 0 case (requires ``cov``), useful for
     calibrating the estimator against the closed Gaussian-to-Gaussian form.
@@ -70,10 +68,7 @@ def increment_bound_check(
         z_prev += s.draw(rng, size=m)
     w2_hat = estimate_w2(z_n, z_prev)
     bound = 5.0 * math.sqrt(k) * beta / n
-    return IncrementCheck(
-        n=n, dim=k, beta=beta, m=m, w2_hat=w2_hat, bound=bound,
-        passed=(w2_hat <= bound) if s is not None else True,
-    )
+    return IncrementCheck(n=n, dim=k, beta=beta, m=m, w2_hat=w2_hat, bound=bound)
 
 
 def naive_w2_upper(
@@ -104,14 +99,6 @@ def naive_w2_upper(
 
 
 @dataclass(frozen=True)
-class ScheduleEntry:
-    n: int
-    k: int
-    branch: str  # "base", "increment", or "naive"
-    bound: float
-
-
-@dataclass(frozen=True)
 class ScheduleTable:
     """Certified A_{n,k} bounds from replaying the double induction."""
 
@@ -119,16 +106,6 @@ class ScheduleTable:
     dim: int
     beta: float
     bounds: np.ndarray  # (n_max + 1, dim + 1); row 0 unused
-    branches: np.ndarray  # same shape, integer codes 0=base,1=increment,2=naive
-
-    BRANCH_NAMES = ("base", "increment", "naive")
-
-    def entry(self, n: int, k: int) -> ScheduleEntry:
-        return ScheduleEntry(
-            n=n, k=k,
-            branch=self.BRANCH_NAMES[self.branches[n, k]],
-            bound=float(self.bounds[n, k]),
-        )
 
     def envelope(self, n: int, k: int) -> float:
         """The target envelope 5 sqrt(k) beta (1 + log n)."""
@@ -138,7 +115,7 @@ class ScheduleTable:
 def ank_bound_schedule(
     n_max: int, cov: CovarianceSpec, beta: float
 ) -> ScheduleTable:
-    """Replay the (n, k) induction, recording which branch certified each cell.
+    """Replay the (n, k) induction, recording the bound each cell certifies.
 
     Cells with k = 0 are 0; n = 1 uses the independent-coupling base case
     (sqrt of twice the head variance sum, itself <= 2 beta); for n > 1 the
@@ -157,20 +134,14 @@ def ank_bound_schedule(
             "total variance exceeds beta^2; no bounded law has these moments"
         )
     bounds = np.zeros((n_max + 1, d + 1))
-    branches = np.zeros((n_max + 1, d + 1), dtype=np.int8)
     for k in range(1, d + 1):
         bounds[1, k] = math.sqrt(2.0 * var_prefix[k])
-        branches[1, k] = 0
     for n in range(2, n_max + 1):
         for k in range(1, d + 1):
             if n > 5.0 * beta**2 / cov.variances[k - 1]:
                 bounds[n, k] = bounds[n - 1, k] + 5.0 * math.sqrt(k) * beta / n
-                branches[n, k] = 1
             else:
                 bounds[n, k] = math.sqrt(
                     bounds[n, k - 1] ** 2 + 2.0 * n * cov.variances[k - 1]
                 )
-                branches[n, k] = 2
-    return ScheduleTable(
-        n_max=n_max, dim=d, beta=beta, bounds=bounds, branches=branches
-    )
+    return ScheduleTable(n_max=n_max, dim=d, beta=beta, bounds=bounds)

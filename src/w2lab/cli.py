@@ -12,7 +12,9 @@ list    print the checker registry (id and anchor)
 Every job draws from the one root seed (``--seed``), addressed by its own
 job path; an experiment leg's index in that path comes from its job id
 (``rate:d2`` is leg 2).  The experiment verdicts are decided here, from the
-margins of the reports the experiments return.
+margins of the reports the experiments return.  Each job states its anchor
+once (a checker's ``REGISTRY`` entry, or one constant per experiment kind
+here) and stamps it, with its checker id, on every record it emits.
 
 Artifacts land in the output directory: ``verdicts.json`` plus
 ``tables/*.csv`` and ``plotdata/*.dat`` for the experiments, every file
@@ -29,12 +31,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .checks import (
-    REGISTRY,
-    checker_ids,
-    run_checker,
-    _v,
-)
+from .checks import REGISTRY, checker_entry, checker_ids, _v
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     _CI_CALIBRATION_JOB,
@@ -59,15 +56,26 @@ RATE_SLOPE_WINDOW = (-0.65, -0.35)
 CI_DECAY_SLOPE_MAX = -0.25
 PLATEAU_WINDOW = (0.96, 1.04)
 
+RATE_ANCHOR = "main rate bound W2(S_n, Z) <= 5 sqrt(d) beta (1 + log n)/sqrt(n)"
+LOWER_ANCHOR = "lattice floor: liminf sqrt(n) W2(S_n, Z) >= sqrt(d) beta / 4"
+CI_ANCHOR = "halfspace distance <= 5 d^{1/6} W2^{2/3} (restricted-family lower bound)"
+
 
 @dataclass
 class JobResult:
     job_id: str
+    anchor: str
     verdicts: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     plotdata: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)  # extra per-job artifact metadata
+
+    @property
+    def checker(self) -> str:
+        """The id on this job's records: the checker id, else ``rate-d1`` style."""
+        kind, _, name = self.job_id.partition(":")
+        return name if kind == "check" else f"{kind}-{name}"
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +94,17 @@ def _leg_index(leg: str) -> int:
 def _rate_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = settings.rate_d1 if leg == "d1" else settings.rate_d2
     rep = clt_rate_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"rate:{leg}")
+    job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR)
     job.meta = {"m": cfg.m, "replicas": cfg.replicas, "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
-    anchor = "main rate bound W2(S_n, Z) <= 5 sqrt(d) beta (1 + log n)/sqrt(n)"
     worst = max(max(p.replica_values) - p.bound for p in rep.points)
-    job.verdicts.append(_v(f"rate-{leg}", anchor, "every replica below the bound",
+    job.verdicts.append(_v("every replica below the bound",
                            worst, 0.0, worst <= 0,
                            {"n_grid": list(cfg.n_grid), "m": cfg.m}))
     if leg == "d1":
         lo, hi = RATE_SLOPE_WINDOW
         ok = lo <= rep.fit.slope <= hi
-        job.verdicts.append(_v(f"rate-{leg}", anchor,
-                               f"log-log slope within [{lo}, {hi}]",
+        job.verdicts.append(_v(f"log-log slope within [{lo}, {hi}]",
                                rep.fit.slope, hi, ok,
                                {"slope": rep.fit.slope,
                                 "correlation": rep.fit.correlation}))
@@ -128,25 +134,21 @@ def _rate_job(settings: RunSettings, leg: str) -> JobResult:
 def _lower_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = settings.lower_d1 if leg == "d1" else settings.lower_d2
     rep = lattice_lower_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"lower:{leg}")
+    job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR)
     job.meta = {"m_w2": cfg.m_w2, "m_proxy": cfg.m_proxy, "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
-    anchor = "lattice floor: liminf sqrt(n) W2(S_n, Z) >= sqrt(d) beta / 4"
     ratio = rep.plateau_vs_target
     if leg == "d1":
         lo, hi = PLATEAU_WINDOW
-        job.verdicts.append(_v(f"lower-{leg}", anchor,
-                               "sqrt(n) x lattice proxy within 4% of the target",
+        job.verdicts.append(_v("sqrt(n) x lattice proxy within 4% of the target",
                                ratio, hi, lo <= ratio <= hi,
                                {"plateau": rep.plateau_value, "target": rep.target}))
         w2_ratio = rep.points[-1].sqrtn_w2_hat / rep.target
-        job.verdicts.append(_v(f"lower-{leg}", anchor,
-                               "sqrt(n) x empirical W2 above 96% of the target",
+        job.verdicts.append(_v("sqrt(n) x empirical W2 above 96% of the target",
                                0.96, w2_ratio, w2_ratio >= 0.96,
                                {"sqrtn_w2": rep.points[-1].sqrtn_w2_hat}))
     else:
-        job.verdicts.append(_v(f"lower-{leg}", anchor,
-                               "sqrt(n) x lattice proxy above 95% of the target",
+        job.verdicts.append(_v("sqrt(n) x lattice proxy above 95% of the target",
                                0.95, ratio, ratio >= 0.95,
                                {"plateau": rep.plateau_value, "target": rep.target}))
     job.tables[f"lower_{leg}"] = (
@@ -165,35 +167,30 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
 
 
 def _ci_job(settings: RunSettings, leg: str) -> JobResult:
-    anchor = "halfspace distance <= 5 d^{1/6} W2^{2/3} (restricted-family lower bound)"
     if leg == "calibration":
         rng = rng_for(settings.seed, _CI_CALIBRATION_JOB)
         res = ci_calibration(settings.calibration_m, rng)
-        job = JobResult(job_id="ci:calibration")
+        job = JobResult(job_id="ci:calibration", anchor=CI_ANCHOR)
         slack = halfspace_slack(settings.calibration_m)
-        job.verdicts.append(_v("ci-calibration", anchor,
-                               "shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
+        job.verdicts.append(_v("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
                                abs(res.delta_hat - res.delta_exact), slack,
                                abs(res.delta_hat - res.delta_exact) <= slack,
                                {"delta_exact": res.delta_exact, "w2": res.w2}))
-        job.verdicts.append(_v("ci-calibration", anchor,
-                               "conversion bound dominates the calibration instance",
+        job.verdicts.append(_v("conversion bound dominates the calibration instance",
                                res.delta_hat, res.rhs, res.delta_hat <= res.rhs + slack,
                                {"rhs": res.rhs}))
         return job
     cfg = settings.ci_d1 if leg == "d1" else settings.ci_d2
     rep = ci_halfspace_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"ci:{leg}")
+    job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR)
     job.meta = {"m": cfg.m, "w2_m": cfg.w2_cloud, "directions": cfg.directions,
                 "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
     worst = max(p.delta_hat - (p.rhs + p.slack) for p in rep.points)
-    job.verdicts.append(_v(f"ci-{leg}", anchor,
-                           "delta_hat below the conversion bound at every grid point",
+    job.verdicts.append(_v("delta_hat below the conversion bound at every grid point",
                            worst, 0.0, worst <= 0,
                            {"n_grid": list(cfg.n_grid), "m": cfg.m}))
-    job.verdicts.append(_v(f"ci-{leg}", anchor,
-                           f"log delta_hat decay slope at most {CI_DECAY_SLOPE_MAX}",
+    job.verdicts.append(_v(f"log delta_hat decay slope at most {CI_DECAY_SLOPE_MAX}",
                            rep.decay_slope, CI_DECAY_SLOPE_MAX,
                            rep.decay_slope <= CI_DECAY_SLOPE_MAX))
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}
@@ -213,9 +210,9 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
 def run_job(settings: RunSettings, job_id: str) -> JobResult:
     kind, _, name = job_id.partition(":")
     if kind == "check":
-        job = JobResult(job_id=job_id)
-        job.verdicts = run_checker(name, settings.check, settings.seed)
-        return job
+        entry = checker_entry(name)
+        return JobResult(job_id=job_id, anchor=entry.anchor,
+                         verdicts=entry.runner(settings.check, settings.seed))
     if kind == "rate":
         return _rate_job(settings, name)
     if kind == "lower":
@@ -279,8 +276,8 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
             records.append({
                 "job": res.job_id,
                 "index": idx,
-                "checker": v.checker,
-                "anchor": v.anchor,
+                "checker": res.checker,
+                "anchor": res.anchor,
                 "case": v.case,
                 "lhs": v.lhs,
                 "rhs": v.rhs,
@@ -289,7 +286,7 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
                 "inputs": jsonable(v.inputs),
             })
             if verbose >= 2 or (verbose >= 1 and v.verdict != "pass"):
-                print(f"[{v.verdict:^12}] {v.checker}: {v.case}")
+                print(f"[{v.verdict:^12}] {res.checker}: {v.case}")
         fits.update(res.fits)
         job_meta = {**meta, **res.meta}
         for name, (cols, rows) in res.tables.items():

@@ -96,6 +96,8 @@ class RunSettings:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.calibration_m < 1:
             raise ValueError(f"calibration_m must be >= 1, got {self.calibration_m}")
 

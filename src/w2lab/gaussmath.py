@@ -47,8 +47,8 @@ class CovarianceSpec:
         arr = np.asarray(sigmas, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sigmas must be a non-empty 1-d sequence")
-        if not np.all(arr > 0):
-            raise ValueError("all sigmas must be strictly positive")
+        if not np.all((arr > 0) & np.isfinite(arr)):
+            raise ValueError("all sigmas must be finite and strictly positive")
         order = np.argsort(-arr, kind="stable")
         object.__setattr__(self, "sigmas", arr[order])
         object.__setattr__(self, "permutation", order)

@@ -9,12 +9,15 @@ For a pair (Y, Y') of independent rescaled draws (Y = X/sqrt(n), so
 with the log-correction constant r(n) = 1/(2(n^2-1)) - (1/2) log(1 + 1/(n^2-1)).
 The exponential moment of Q equals the chi-square-type second moment of the
 density ratio handled in :mod:`w2lab.densities`; this module evaluates the Q
-moments themselves, exactly over enumerable supports or by Monte Carlo, and
-checks them against their closed-form bounds.
+moments themselves, by one weighted sum over sampler pairs (every support
+pair for an enumerable law, or Monte Carlo draws), and both sides of their
+closed-form bounds.
 
 Under the standing hypothesis n >= 5 beta^2 / sigma_min^2 the statistics obey
 |Q| <= 1 and |Q - Q_i| <= 1, which is what makes the later Taylor expansion
-of exp(Q) legitimate; the remainder inequality is checked here too.
+of exp(Q) legitimate; both sides of the remainder inequality are evaluated
+here too.  These functions measure; the checkers in :mod:`w2lab.checks`
+decide pass or fail.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussmath import CovarianceSpec, DimensionMismatchError
-from .samplers import SE_FACTOR, BoundedSampler
+from .samplers import BoundedSampler
 
 
 class HypothesisError(ValueError):
@@ -89,73 +92,26 @@ def q_abs_bound_rhs(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) 
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """One moment rule: the measured lhs against its closed-form rhs."""
+
     name: str
     lhs: float
     rhs: float
-    slack: float  # statistical widening already applied to rhs
-    passed: bool
-
-    @property
-    def margin(self) -> float:
-        return self.rhs + self.slack - self.lhs
 
 
 @dataclass(frozen=True)
 class QMomentReport:
-    """Q moments with exact values or MC standard errors, plus bound verdicts."""
+    """Q moments, exact or with a Monte Carlo standard-error scale, and their rules."""
 
     mode: str
     n: int
     dim: int
     e_qi: np.ndarray
     e_qiqj: np.ndarray
-    e_qi2: np.ndarray
     e_qmqi_qi: np.ndarray
     e_q2: float
     se_scale: float  # 0 for exact enumeration
     checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _pair_moments_exact(s: BoundedSampler, n: int):
-    """Exact Q moments by enumeration over independent support pairs."""
-    y = s.outcomes / math.sqrt(n)
-    p = s.probs
-    qa = q_values(y[:, None, :], y[None, :, :], s.cov, n)  # (s, s, d)
-    w = p[:, None] * p[None, :]
-    e_qi = np.einsum("ab,abi->i", w, qa)
-    e_qiqj = np.einsum("ab,abi,abj->ij", w, qa, qa)
-    q_tot = qa.sum(axis=-1)
-    e_q2 = float(np.einsum("ab,ab->", w, q_tot**2))
-    e_qmqi_qi = np.einsum("ab,ab,abi->i", w, q_tot, qa) - np.diag(e_qiqj)
-    e_y2 = (p @ y**2)
-    e_yi2yj2 = np.einsum("a,ai,aj->ij", p, y**2, y**2)
-    return e_qi, e_qiqj, e_q2, e_qmqi_qi, e_y2, e_yi2yj2, 0.0
-
-
-def _pair_moments_mc(s: BoundedSampler, n: int, m: int, rng: np.random.Generator):
-    """Monte Carlo Q moments over m independent pairs; returns a crude SE scale."""
-    y = s.draw(rng, size=m) / math.sqrt(n)
-    yp = s.draw(rng, size=m) / math.sqrt(n)
-    qa = q_values(y, yp, s.cov, n)  # (m, d)
-    e_qi = qa.mean(axis=0)
-    e_qiqj = (qa.T @ qa) / m
-    q_tot = qa.sum(axis=1)
-    e_q2 = float(np.mean(q_tot**2))
-    e_qmqi_qi = (q_tot[:, None] * qa).mean(axis=0) - (qa**2).mean(axis=0)
-    e_y2 = (y**2).mean(axis=0)
-    e_yi2yj2 = ((y**2).T @ (y**2)) / m
-    # dominant SE among the estimated moments, used to widen every bound
-    ses = [
-        float(np.max(qa.std(axis=0, ddof=1))) / math.sqrt(m),
-        float(np.max((qa[:, :, None] * qa[:, None, :]).std(axis=0, ddof=1)))
-        / math.sqrt(m),
-        float(np.std(q_tot**2, ddof=1)) / math.sqrt(m),
-    ]
-    return e_qi, e_qiqj, e_q2, e_qmqi_qi, e_y2, e_yi2yj2, max(ses)
 
 
 def estimate_q_moments(
@@ -165,85 +121,74 @@ def estimate_q_moments(
     m: int = 10**6,
     rng: Optional[np.random.Generator] = None,
 ) -> QMomentReport:
-    """Estimate all Q moments for sampler pairs and check the five bounds.
+    """Q moments over weighted sampler pairs, with the five rules' two sides.
 
-    ``mode='exact'`` enumerates support pairs (requires an enumerable
-    sampler); ``mode='mc'`` uses m Monte Carlo pairs and widens every bound
-    by ``SE_FACTOR`` standard errors before declaring failure, so noise can
-    not produce a false negative.
+    ``mode='exact'`` takes every support pair with weight p x p (requires an
+    enumerable sampler); ``mode='mc'`` takes m drawn pairs with weight 1/m and
+    reports the dominant standard error of the estimated moments as
+    ``se_scale``.  The caller decides each rule, widening it by standard
+    errors where the moments are estimated.
     """
     check_hypothesis(n, s.bound, s.cov)
     if mode == "exact":
         if not s.enumerable:
             raise ValueError("exact mode requires an enumerable support")
-        e_qi, e_qiqj, e_q2, e_qmqi_qi, e_y2, e_yi2yj2, se = _pair_moments_exact(s, n)
+        size = len(s.probs)
+        y = np.repeat(s.outcomes, size, axis=0)
+        yp = np.tile(s.outcomes, (size, 1))
+        w = np.outer(s.probs, s.probs).ravel()
     elif mode == "mc":
         if rng is None:
             raise ValueError("mc mode requires an rng")
-        e_qi, e_qiqj, e_q2, e_qmqi_qi, e_y2, e_yi2yj2, se = _pair_moments_mc(
-            s, n, m, rng
-        )
+        y = s.draw(rng, size=m)
+        yp = s.draw(rng, size=m)
+        w = np.full(m, 1.0 / m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    y = y / math.sqrt(n)
+    yp = yp / math.sqrt(n)
+    qa = q_values(y, yp, s.cov, n)  # (pairs, d)
+    q_tot = qa.sum(axis=1)
+    e_qi = w @ qa
+    e_qiqj = (w[:, None] * qa).T @ qa
+    e_q2 = float(w @ q_tot**2)
+    e_qmqi_qi = (w * q_tot) @ qa - np.diag(e_qiqj)
+    e_yi2yj2 = (w[:, None] * y**2).T @ y**2
+    se = 0.0
+    if mode == "mc":  # dominant SE among the estimated moments
+        se = max(
+            float(np.max(qa.std(axis=0, ddof=1))),
+            float(np.max((qa[:, :, None] * qa[:, None, :]).std(axis=0, ddof=1))),
+            float(np.std(q_tot**2, ddof=1)),
+        ) / math.sqrt(m)
 
     d = s.dim
     n2m1 = float(n) * n - 1.0
-    slack = SE_FACTOR * se
-    rn = r_of_n(n)
-    checks = []
-
-    # mean identity: E Q_i = -1/(2(n^2-1)) - r(n)
-    target = -1.0 / (2.0 * n2m1) - rn
-    lhs = float(np.max(np.abs(e_qi - target)))
-    checks.append(
-        BoundCheck("mean_identity", lhs, 0.0, slack,
-                   lhs <= (1e-12 if se == 0 else slack))
-    )
-
-    # cross-moment bound:
+    var = s.cov.variances
+    # cross-moment bound, entrywise:
     # E Q_i Q_j <= n^2/(n^2-1)^2 delta_ij + n^2 E Y_i^2 Y_j^2 / (2 s_i^2 s_j^2 (n^2-1)^2)
     #              + 1/(2 (n^2-1)^2)
-    var = s.cov.variances
     rhs_qiqj = (
         (n * n) / n2m1**2 * np.eye(d)
         + (n * n) * e_yi2yj2 / (2.0 * np.outer(var, var) * n2m1**2)
         + 1.0 / (2.0 * n2m1**2)
     )
-    gap = float(np.max(e_qiqj - rhs_qiqj))
-    checks.append(BoundCheck("cross_moment", gap, 0.0, slack, gap <= slack + 1e-15))
-
-    # E Q_i^2 <= (2n^2 + n + 1) / (2 (n^2-1)^2)
-    rhs_qi2 = (2.0 * n * n + n + 1.0) / (2.0 * n2m1**2)
-    lhs_qi2 = float(np.max(np.diag(e_qiqj)))
-    checks.append(
-        BoundCheck("square_moment", lhs_qi2, rhs_qi2, slack, lhs_qi2 <= rhs_qi2 + slack)
+    checks = (
+        # mean identity: E Q_i = -1/(2(n^2-1)) - r(n)
+        BoundCheck("mean_identity",
+                   float(np.max(np.abs(e_qi - (-1.0 / (2.0 * n2m1) - r_of_n(n))))), 0.0),
+        BoundCheck("cross_moment", float(np.max(e_qiqj - rhs_qiqj)), 0.0),
+        # E Q_i^2 <= (2n^2 + n + 1) / (2 (n^2-1)^2)
+        BoundCheck("square_moment", float(np.max(np.diag(e_qiqj))),
+                   (2.0 * n * n + n + 1.0) / (2.0 * n2m1**2)),
+        # E (Q - Q_i) Q_i <= n k / (2 (n^2-1)^2)
+        BoundCheck("coupled_moment", float(np.max(e_qmqi_qi)), n * d / (2.0 * n2m1**2)),
+        # E Q^2 <= 2k / (n^2-1)
+        BoundCheck("total_square", e_q2, 2.0 * d / n2m1),
     )
-
-    # E (Q - Q_i) Q_i <= n k / (2 (n^2-1)^2)
-    rhs_cross_sum = n * d / (2.0 * n2m1**2)
-    lhs_cross_sum = float(np.max(e_qmqi_qi))
-    checks.append(
-        BoundCheck(
-            "coupled_moment", lhs_cross_sum, rhs_cross_sum, slack,
-            lhs_cross_sum <= rhs_cross_sum + slack,
-        )
-    )
-
-    # E Q^2 <= 2k / (n^2-1)
-    rhs_q2 = 2.0 * d / n2m1
-    checks.append(BoundCheck("total_square", e_q2, rhs_q2, slack, e_q2 <= rhs_q2 + slack))
-
     return QMomentReport(
-        mode=mode,
-        n=n,
-        dim=d,
-        e_qi=e_qi,
-        e_qiqj=e_qiqj,
-        e_qi2=np.diag(e_qiqj).copy(),
-        e_qmqi_qi=e_qmqi_qi,
-        e_q2=e_q2,
-        se_scale=se,
-        checks=tuple(checks),
+        mode=mode, n=n, dim=d, e_qi=e_qi, e_qiqj=e_qiqj, e_qmqi_qi=e_qmqi_qi,
+        e_q2=e_q2, se_scale=se, checks=checks,
     )
 
 
@@ -281,21 +226,13 @@ def exp_remainder(t: np.ndarray) -> np.ndarray:
     return np.exp(t) - 1.0 - t - 0.5 * t**2
 
 
-def remainder_difference_check(a: float, b: float) -> dict:
-    """Check |R(a) - R(b)| <= |a - b| * (1.5 a^2 + (a-b)^2) on [-1, 1]^2."""
-    a = float(a)
-    b = float(b)
-    if not (-1.0 <= a <= 1.0 and -1.0 <= b <= 1.0):
-        raise ValueError("the remainder bound is proved only on [-1, 1]")
-    lhs = abs(float(exp_remainder(a) - exp_remainder(b)))
-    rhs = abs(a - b) * (1.5 * a * a + (a - b) ** 2)
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + 1e-12}
-
-
 def remainder_difference_batch(
     a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (lhs, rhs) of the remainder inequality for test sweeps."""
+    """(lhs, rhs) of |R(a) - R(b)| <= |a - b| (1.5 a^2 + (a - b)^2) on [-1, 1]^2.
+
+    Elementwise over arrays (or scalars) a and b; raises outside the square.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(np.abs(a) > 1.0) or np.any(np.abs(b) > 1.0):

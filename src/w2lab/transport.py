@@ -270,12 +270,6 @@ def sinkhorn_w2(
                 f"(marginal violation {violation:.3e})",
                 marginal_violation=violation,
             )
-    if violation > tol:
-        raise SinkhornConvergenceError(
-            f"no convergence after {iters_used} iterations "
-            f"(marginal violation {violation:.3e})",
-            marginal_violation=violation,
-        )
     gamma = np.exp((f[:, None] + g[None, :] - c) / epsilon)
     cost = float(np.sum(gamma * c))
     return cost, SinkhornDiagnostics(

@@ -1,8 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from w2lab import checks
 from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
+from w2lab.qstats import estimate_q_moments
+from w2lab.samplers import SE_FACTOR, make_rademacher_product, make_scaled_basis
+from w2lab.seeding import rng_for
 
 
 def _outer_tensor_sum(a, b, v, cov, nodes=200):
@@ -42,3 +49,36 @@ def test_check_config_sizes_validated(bad):
 def test_check_config_floor_accepted():
     cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(2,))
     assert cfg.sampler_validate_m == 10**4
+
+
+def corrupt_cov(s, factor):
+    """A copy of ``s`` whose declared standard deviations are scaled by ``factor``."""
+    return replace(s, cov=CovarianceSpec(factor * s.cov.sigmas))
+
+
+def test_wrong_covariance_fails_statistical_validation(monkeypatch):
+    bad = corrupt_cov(make_scaled_basis(2, 2.0), 1.5)
+    monkeypatch.setattr(checks, "_sampler_zoo", lambda: [bad])
+    out = checks.check_sampler_zoo(CheckSuiteConfig(sampler_validate_m=10**4), 3)
+    [rec] = [v for v in out if v.case.endswith("statistical validation")]
+    assert rec.verdict == "fail"
+    assert rec.lhs > rec.rhs == 1.0
+    [norm] = [v for v in out if v.case.endswith("hard norm bound")]
+    assert norm.verdict == "pass"
+
+
+def test_q_moments_records_come_from_the_report():
+    cfg = CheckSuiteConfig(q_mc_pairs=20000)
+    seed = 11
+    out = {v.case: v for v in checks.check_q_moments(cfg, seed)}
+    rep = estimate_q_moments(make_scaled_basis(2, math.sqrt(2.0)), 20, mode="mc",
+                             m=cfg.q_mc_pairs, rng=rng_for(seed, checks._CHECK_JOB, 10))
+    worst = max((c.lhs - c.rhs) / (SE_FACTOR * rep.se_scale) for c in rep.checks)
+    mc = out["scaled_basis d=2 n=20 MC suite (5 SE slack)"]
+    assert mc.lhs == worst
+    assert mc.rhs == 1.0
+    assert mc.verdict == ("pass" if worst <= 1.0 else "fail")
+    exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10, mode="exact")
+    mean = out["rademacher_product d=1 n=10 exact mean identity"]
+    assert mean.lhs == exact.checks[0].lhs
+    assert mean.rhs == 1e-12

@@ -249,6 +249,11 @@ class TestMainEndToEnd:
         ("check", "[check]\not_instances = 0\n"),
         ("ci", "[ci_d1]\nw2_m = 0\n"),
         ("ci", "[ci_d2]\nw2_m = 0\n"),
+        ("rate", "[rate_d1]\nscale = inf\n"),
+        ("list", "[lower_d1]\nscale = inf\n"),
+        ("check", "[run]\nworkers = 0\n"),
+        ("check --workers 0", ""),
+        ("check --workers -3", ""),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):
@@ -259,8 +264,21 @@ class TestMainEndToEnd:
         out = tmp_path / "out"
         p = tmp_path / "bad.ini"
         p.write_text(ini)
-        assert cli.main([subcommand, "--config", str(p), "--out", str(out)]) == 2
+        argv = subcommand.split() + ["--config", str(p), "--out", str(out)]
+        assert cli.main(argv) == 2
         assert not (out / "verdicts.json").exists()
+
+    def test_check_records_carry_registry_labels(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["check", "--config", SMOKE, "--workers", "1", "--out", str(out)])
+        assert rc == 0
+        records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        anchors = {e.checker_id: e.anchor for e in REGISTRY}
+        assert {r["job"] for r in records} == {f"check:{cid}" for cid in anchors}
+        for r in records:
+            cid = r["job"].removeprefix("check:")
+            assert r["checker"] == cid, r
+            assert r["anchor"] == anchors[cid], r
 
     def test_rate_csv_schema(self, tmp_path):
         out = str(tmp_path / "out")
@@ -285,25 +303,31 @@ class TestMainEndToEnd:
         rows = [l.split() for l in dat if not l.startswith("#")]
         assert all(len(r) == 2 for r in rows)
         np.array(rows, dtype=float)
+        records = json.loads(open(os.path.join(out, "verdicts.json")).read())["verdicts"]
+        assert {r["job"] for r in records} == {"rate:d1", "rate:d2"}
+        for r in records:
+            assert r["checker"] == r["job"].replace(":", "-")
+            assert r["anchor"] == cli.RATE_ANCHOR
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()
         bad = JobResult(
-            job_id="check:fake",
-            verdicts=[Verdict("fake", "anchor", "case", 1.0, 0.0, -1.0, "fail", {})],
+            job_id="check:fake", anchor="anchor",
+            verdicts=[Verdict("case", 1.0, 0.0, -1.0, "fail", {})],
         )
         rc = emit(
             s.__class__(**{**s.__dict__, "out_dir": str(tmp_path / "o")}),
             [bad], verbose=0,
         )
         assert rc == 1
+        [rec] = json.loads((tmp_path / "o" / "verdicts.json").read_text())["verdicts"]
+        assert (rec["checker"], rec["anchor"], rec["verdict"]) == ("fake", "anchor", "fail")
 
     def test_inconclusive_exits_0_with_warning(self, tmp_path, capsys):
         s = RunSettings()
         j = JobResult(
-            job_id="check:fake",
-            verdicts=[Verdict("fake", "anchor", "case", 0.0, 0.0, 0.0,
-                              "inconclusive", {})],
+            job_id="check:fake", anchor="anchor",
+            verdicts=[Verdict("case", 0.0, 0.0, 0.0, "inconclusive", {})],
         )
         import dataclasses
 

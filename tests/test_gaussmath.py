@@ -41,6 +41,11 @@ class TestCovarianceSpec:
         with pytest.raises(ValueError):
             CovarianceSpec([])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceSpec([1.0, bad])
+
     def test_head_and_drop(self):
         cov = CovarianceSpec([2.0, 1.0, 0.5])
         assert np.array_equal(cov.head(2).sigmas, [2.0, 1.0])

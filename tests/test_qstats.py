@@ -16,9 +16,18 @@ from w2lab.qstats import (
     q_values,
     r_of_n,
     remainder_difference_batch,
-    remainder_difference_check,
 )
-from w2lab.samplers import make_rademacher_product, make_scaled_basis
+from w2lab.samplers import (
+    SE_FACTOR,
+    make_lattice_custom,
+    make_rademacher_product,
+    make_scaled_basis,
+)
+
+RULES = ["mean_identity", "cross_moment", "square_moment", "coupled_moment",
+         "total_square"]
+# the exact rules' rounding allowances: the mean identity is an equality
+EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
 
 
 class TestRofN:
@@ -100,14 +109,39 @@ class TestMoments:
 
     def test_exact_bounds_pass(self):
         rep = estimate_q_moments(make_rademacher_product(1, 1.0), 10, mode="exact")
-        assert rep.all_passed
+        assert [c.name for c in rep.checks] == RULES
+        for c in rep.checks:
+            assert c.lhs <= c.rhs + EXACT_TOL.get(c.name, 0.0), c
         assert rep.e_q2 <= 2.0 / 99.0
 
     def test_mc_bounds_pass(self, rng):
         s = make_scaled_basis(2, math.sqrt(2.0))
         rep = estimate_q_moments(s, 20, mode="mc", m=200000, rng=rng)
-        assert rep.all_passed
         assert rep.se_scale > 0
+        assert [c.name for c in rep.checks] == RULES
+        for c in rep.checks:
+            assert c.lhs <= c.rhs + SE_FACTOR * rep.se_scale, c
+
+    def test_exact_moments_match_pair_loop(self):
+        # every support pair visited explicitly, weights p_a p_b
+        s = make_lattice_custom(
+            np.array([[-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]),
+            np.full(4, 0.25))
+        n = 30
+        rep = estimate_q_moments(s, n, mode="exact")
+        e_qiqj = np.zeros((2, 2))
+        e_q2 = 0.0
+        e_cross = np.zeros(2)
+        for ya, pa in zip(s.outcomes, s.probs):
+            for yb, pb in zip(s.outcomes, s.probs):
+                q = q_values(ya / math.sqrt(n), yb / math.sqrt(n), s.cov, n)
+                e_qiqj += pa * pb * np.outer(q, q)
+                e_q2 += pa * pb * q.sum() ** 2
+                e_cross += pa * pb * (q.sum() - q) * q
+        assert rep.se_scale == 0.0
+        np.testing.assert_allclose(rep.e_qiqj, e_qiqj, rtol=0, atol=1e-16)
+        assert rep.e_q2 == pytest.approx(e_q2, abs=1e-16)
+        np.testing.assert_allclose(rep.e_qmqi_qi, e_cross, rtol=0, atol=1e-16)
 
     def test_hypothesis_violation_named(self):
         s = make_scaled_basis(2, math.sqrt(2.0))  # threshold n >= 10
@@ -155,19 +189,19 @@ class TestConditionalL2:
 
 class TestRemainder:
     def test_equal_arguments(self):
-        res = remainder_difference_check(0.3, 0.3)
-        assert res["lhs"] == 0.0
-        assert res["pass"]
+        lhs, rhs = remainder_difference_batch(0.3, 0.3)
+        assert lhs == 0.0
+        assert lhs <= rhs + 1e-12
 
     def test_endpoint_example(self):
-        res = remainder_difference_check(1.0, 0.0)
-        assert res["lhs"] == pytest.approx(math.e - 2.5, abs=1e-12)
-        assert res["rhs"] == pytest.approx(2.5)
-        assert res["pass"]
+        lhs, rhs = remainder_difference_batch(1.0, 0.0)
+        assert lhs == pytest.approx(math.e - 2.5, abs=1e-12)
+        assert rhs == pytest.approx(2.5)
+        assert lhs <= rhs + 1e-12
 
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            remainder_difference_check(1.5, 0.0)
+            remainder_difference_batch(1.5, 0.0)
 
     def test_random_sweep(self, rng):
         a = rng.uniform(-1, 1, size=10**5)
@@ -177,7 +211,8 @@ class TestRemainder:
 
     @given(st.floats(-1, 1), st.floats(-1, 1))
     def test_property(self, a, b):
-        assert remainder_difference_check(a, b)["pass"]
+        lhs, rhs = remainder_difference_batch(a, b)
+        assert lhs <= rhs + 1e-12
 
     def test_remainder_series(self):
         # R(t) should match the tail sum_{m>=3} t^m/m!
