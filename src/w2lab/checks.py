@@ -7,13 +7,17 @@ generator from ``rng_for(seed, _CHECK_JOB, k)`` with its own k, so the
 registry can be executed in any order, in parallel, with bit-identical
 results.
 
-Each checker decides its own verdicts: the library functions it calls return
-measured quantities only, and the pass rule is written here, once.
-Statistical checks widen inequalities by ``SE_FACTOR`` standard errors before
-declaring failure; exact enumerations assert at 1e-12.  Checks that depend on
-grid resolution report ``inconclusive`` rather than guessing.  A checker's
-records carry no labels: the job that runs it stamps them with the checker id
-and the anchor written in its ``REGISTRY`` entry.
+Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
+functions it calls return measured quantities only, and the pass rule is
+written once, in :class:`Verdict`: a record passes exactly when lhs <= rhs,
+with margin rhs - lhs.  A checker folds its tolerance into the record: an
+equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
+tol)``.  Statistical checks widen inequalities by ``SE_FACTOR`` standard
+errors; exact enumerations allow 1e-12.  Only the transportation chain flags
+a record ``inconclusive``: when a step's error interval straddles its bound,
+or when its two grid resolutions disagree.
+A checker's records carry no labels: the job that runs it stamps them with
+the checker id and the anchor written in its ``REGISTRY`` entry.
 """
 
 from __future__ import annotations
@@ -53,29 +57,33 @@ _CHECK_JOB = 100  # seed-path code for checker jobs
 
 @dataclass(frozen=True)
 class Verdict:
-    """One checked statement instance: lhs vs rhs with a margin and a verdict.
+    """One checked statement instance: it passes exactly when lhs <= rhs.
 
-    The job that records it supplies its checker id and anchor.
+    ``margin`` (rhs - lhs) and ``verdict`` derive from the record, so a NaN
+    lhs fails; only a chain step whose error interval straddles its bound is
+    flagged ``inconclusive``.  The job that records it supplies its checker
+    id and anchor.
     """
 
     case: str
     lhs: float
     rhs: float
-    margin: float
-    verdict: str  # "pass" | "fail" | "inconclusive"
     inputs: dict = field(default_factory=dict)
+    inconclusive: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "lhs", float(self.lhs))
+        object.__setattr__(self, "rhs", float(self.rhs))
 
-def _v(case, lhs, rhs, ok, inputs=None, inconclusive=False):
-    verdict = "inconclusive" if inconclusive else ("pass" if ok else "fail")
-    return Verdict(
-        case=case,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(rhs - lhs),
-        verdict=verdict,
-        inputs=dict(inputs or {}),
-    )
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def verdict(self) -> str:  # "pass" | "fail" | "inconclusive"
+        if self.inconclusive:
+            return "inconclusive"
+        return "pass" if self.lhs <= self.rhs else "fail"
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ class CheckSuiteConfig:
     def __post_init__(self):
         for name in ("gauss_quad_instances", "ot_instances", "quantile_instances",
                      "metric_triples", "q_random_pairs", "q_mc_pairs", "l2_tables",
-                     "remainder_pairs", "increment_m", "schedule_n_max"):
+                     "remainder_pairs", "increment_m", "schedule_n_max", "chain_grid_2d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sampler_validate_m < VALIDATE_MIN_DRAWS:
@@ -111,6 +119,16 @@ class CheckSuiteConfig:
             )
         if not self.increment_ns or min(self.increment_ns) < 2:
             raise ValueError("increment_ns must be non-empty with every n >= 2")
+        if not 0 < self.chain_radius < math.inf:
+            raise ValueError(f"chain_radius must be finite and > 0, got {self.chain_radius}")
+        if not 1 < self.chain_refine < math.inf:
+            raise ValueError(f"chain_refine must be finite and > 1, got {self.chain_refine}")
+        fine = math.ceil(self.chain_grid_2d * self.chain_refine)  # ChainGrid's fine pass
+        if fine**2 > tr.EXACT_CAP_DEFAULT:
+            raise ValueError(
+                f"chain_grid_2d * chain_refine gives a {fine}x{fine} fine grid, past "
+                f"the {tr.EXACT_CAP_DEFAULT}-atom cap of exact transport"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +172,17 @@ def check_gauss_quad_expectation(cfg: CheckSuiteConfig, seed: int):
         closed = gaussian_exp_quadratic(a, b, v, cov)
         quad = _tensor_gh_quadratic(a, b, v, cov)
         worst = max(worst, abs(closed - quad) / abs(closed))
-    out = [
-        _v(f"max relative error over {cfg.gauss_quad_instances} random instances",
-           worst, 1e-8, worst <= 1e-8,
-           {"instances": cfg.gauss_quad_instances})
-    ]
     # pinned examples
     c1 = CovarianceSpec([1.0])
-    out.append(_v("k=1 a=1/4 b=0 equals sqrt(2)",
-                  gaussian_exp_quadratic(0.25, 0.0, np.zeros(1), c1), math.sqrt(2.0),
-                  abs(gaussian_exp_quadratic(0.25, 0.0, np.zeros(1), c1) - math.sqrt(2)) < 1e-12))
+    v1 = gaussian_exp_quadratic(0.25, 0.0, np.zeros(1), c1)
     c2 = CovarianceSpec([1.0, 2.0])
-    val = gaussian_exp_quadratic(-0.5, 1.0, c2.canonicalize([1.0, 2.0]), c2)
-    out.append(_v("k=2 diag(1,4) example",
-                  val, 0.5 * math.exp(0.5), abs(val - 0.5 * math.exp(0.5)) < 1e-12))
-    return out
+    v2 = gaussian_exp_quadratic(-0.5, 1.0, c2.canonicalize([1.0, 2.0]), c2)
+    return [
+        Verdict(f"max relative error over {cfg.gauss_quad_instances} random instances",
+                worst, 1e-8, {"instances": cfg.gauss_quad_instances}),
+        Verdict("k=1 a=1/4 b=0 equals sqrt(2)", abs(v1 - math.sqrt(2.0)), 1e-12),
+        Verdict("k=2 diag(1,4) example", abs(v2 - 0.5 * math.exp(0.5)), 1e-12),
+    ]
 
 
 def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
@@ -182,7 +196,7 @@ def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
         target = t * cov.variances
         se = (z**2).std(axis=0, ddof=1) / math.sqrt(m)
         dev = _se_units(emp - target, se)
-        out.append(_v(f"t={t} dim={cov.dim}", dev, 1.0, dev <= 1.0, {"m": m}))
+        out.append(Verdict(f"t={t} dim={cov.dim}", dev, 1.0, {"m": m}))
     return out
 
 
@@ -196,9 +210,9 @@ def check_w2_gaussian_metric(cfg: CheckSuiteConfig, seed: int):
         worst_tri = max(worst_tri, ac - (ab + bc))
     one = w2_gaussian_diag(CovarianceSpec([1.0]), CovarianceSpec([1.0]), 1.0, 4.0)
     return [
-        _v("triangle inequality on random triples",
-           worst_tri, 0.0, worst_tri <= 1e-9, {"triples": cfg.metric_triples}),
-        _v("d=1 t-scales 1 vs 4 gives 1", one, 1.0, abs(one - 1.0) < 1e-12),
+        Verdict("triangle inequality on random triples",
+                worst_tri, 1e-9, {"triples": cfg.metric_triples}),
+        Verdict("d=1 t-scales 1 vs 4 gives 1", abs(one - 1.0), 1e-12),
     ]
 
 
@@ -226,9 +240,9 @@ def check_ot_exact(cfg: CheckSuiteConfig, seed: int):
         )[0])
         worst_q = max(worst_q, abs(qv - ev))
     return [
-        _v(f"{cfg.ot_instances} random instances m<=7 d<=3", worst, 1e-9, worst <= 1e-9),
-        _v(f"1-d quantile equals assignment on {cfg.quantile_instances} instances",
-           worst_q, 1e-9, worst_q <= 1e-9),
+        Verdict(f"{cfg.ot_instances} random instances m<=7 d<=3", worst, 1e-9),
+        Verdict(f"1-d quantile equals assignment on {cfg.quantile_instances} instances",
+                worst_q, 1e-9),
     ]
 
 
@@ -238,9 +252,8 @@ def check_sinkhorn(cfg: CheckSuiteConfig, seed: int):
     mu = tr.EmpiricalMeasure(np.array([[0.0], [1.0]]))
     nu = tr.EmpiricalMeasure(np.array([[1.0], [2.0]]))
     cost, diag = tr.sinkhorn_w2(mu, nu, epsilon=1e-3)
-    out.append(_v("two-point instance within 1% of exact cost 1",
-                  abs(cost - 1.0), 0.01, abs(cost - 1.0) <= 0.01,
-                  {"iterations": diag.iterations}))
+    out.append(Verdict("two-point instance within 1% of exact cost 1",
+                       abs(cost - 1.0), 0.01, {"iterations": diag.iterations}))
     m, d = 200, 2
     x = tr.EmpiricalMeasure(rng.normal(size=(m, d)))
     y = tr.EmpiricalMeasure(rng.normal(size=(m, d)) + np.array([1.2, 0.5]))
@@ -249,8 +262,7 @@ def check_sinkhorn(cfg: CheckSuiteConfig, seed: int):
     eps = 0.01 * float(np.median(pair))
     ent = tr.sinkhorn_w2(x, y, epsilon=eps)[0]
     rel = abs(ent - exact) / exact
-    out.append(_v("random m=200 d=2 within 3% relative",
-                  rel, 0.03, rel <= 0.03, {"epsilon": eps}))
+    out.append(Verdict("random m=200 d=2 within 3% relative", rel, 0.03, {"epsilon": eps}))
     return out
 
 
@@ -266,7 +278,7 @@ def check_projection_lower(cfg: CheckSuiteConfig, seed: int):
         low = tr.w2_projection_lower(mu, nu, dirs)
         full = math.sqrt(tr.w2_exact(mu, nu)[0])
         worst = max(worst, low - full)
-    return [_v("random rotations never exceed the exact value", worst, 0.0, worst <= 1e-9)]
+    return [Verdict("random rotations never exceed the exact value", worst, 1e-9)]
 
 
 def _sampler_zoo():
@@ -283,19 +295,18 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, seed: int):
     for s in _sampler_zoo():
         rep = validate_sampler(s, cfg.sampler_validate_m, rng)
         dev = max(_se_units(rep.mean, rep.mean_se), _se_units(rep.cov_dev, rep.cov_se))
-        out.append(_v(f"{s.kind} d={s.dim} statistical validation",
-                      dev, 1.0, dev <= 1.0,
-                      {"max_norm": rep.max_norm, "beta": rep.beta, "m": rep.n_draws}))
-        out.append(_v(f"{s.kind} d={s.dim} hard norm bound",
-                      rep.max_norm, rep.beta + 1e-12, rep.max_norm <= rep.beta + 1e-12))
+        out.append(Verdict(f"{s.kind} d={s.dim} statistical validation", dev, 1.0,
+                           {"max_norm": rep.max_norm, "beta": rep.beta, "m": rep.n_draws}))
+        out.append(Verdict(f"{s.kind} d={s.dim} hard norm bound",
+                           rep.max_norm, rep.beta + 1e-12))
     # rademacher sums stay on the rescaled lattice
     s = make_rademacher_product(2, 1.0)
     n = 64
     sn = s.draw_sum(n, 20000, rng) / math.sqrt(n)
     step = 1.0 / math.sqrt(n)
     resid = float(np.max(np.abs(sn / step - np.round(sn / step))))
-    out.append(_v("normalized rademacher sums live on (scale/sqrt n) Z^d",
-                  resid, 1e-12, resid <= 1e-12, {"n": n}))
+    out.append(Verdict("normalized rademacher sums live on (scale/sqrt n) Z^d",
+                       resid, 1e-12, {"n": n}))
     return out
 
 
@@ -316,9 +327,9 @@ def check_lattice_distance(cfg: CheckSuiteConfig, seed: int):
         worst_cell = max(worst_cell, fast - ell * math.sqrt(d) / 2.0)
     example = float(lattice_distance(np.array([0.3, 0.4]), LatticeSpec(1.0, 2)))
     return [
-        _v("agrees with 3^d-neighbor brute force", worst, 1e-12, worst <= 1e-12),
-        _v("never exceeds the half-diagonal", worst_cell, 0.0, worst_cell <= 1e-12),
-        _v("d=2 point (0.3, 0.4) gives 1/2", abs(example - 0.5), 1e-12, abs(example - 0.5) <= 1e-12),
+        Verdict("agrees with 3^d-neighbor brute force", worst, 1e-12),
+        Verdict("never exceeds the half-diagonal", worst_cell, 1e-12),
+        Verdict("d=2 point (0.3, 0.4) gives 1/2", abs(example - 0.5), 1e-12),
     ]
 
 
@@ -332,11 +343,11 @@ def check_r_of_n(cfg: CheckSuiteConfig, seed: int):
     r2 = qs.r_of_n(2)
     expect = 1.0 / 6.0 - 0.5 * math.log(4.0 / 3.0)
     return [
-        _v("lower edge over the n grid", -worst_lo, 0.0, worst_lo >= 0.0),
-        _v("upper edge over the n grid", worst_hi, 0.0, worst_hi <= 0.0),
-        _v("r(2) equals 1/6 - log(4/3)/2", abs(r2 - expect), 1e-16,
-           abs(r2 - expect) <= 1e-16),
-        _v("r(10^6) below 1e-12", qs.r_of_n(10**6), 1e-12, 0.0 <= qs.r_of_n(10**6) < 1e-12),
+        Verdict("lower edge over the n grid", -worst_lo, 0.0),
+        Verdict("upper edge over the n grid", worst_hi, 0.0),
+        Verdict("r(2) equals 1/6 - log(4/3)/2", abs(r2 - expect), 1e-16),
+        # r(10^6) >= 0 is the lower-edge record: 10^6 is on the n grid
+        Verdict("r(10^6) below 1e-12", qs.r_of_n(10**6), 1e-12),
     ]
 
 
@@ -368,15 +379,16 @@ def check_q_abs_estimates(cfg: CheckSuiteConfig, seed: int):
         wo = np.abs(q_tot[:, None] - qa)
         worst_qmqi = max(worst_qmqi, float(np.max(wo) - 1.0))
     return [
-        _v("per-coordinate bound", worst_qi, 0.0, worst_qi <= 1e-12),
-        _v("|Q| <= 1", worst_q, 0.0, worst_q <= 1e-12),
-        _v("|Q - Q_i| <= 1", worst_qmqi, 0.0, worst_qmqi <= 1e-12),
+        Verdict("per-coordinate bound", worst_qi, 1e-12),
+        Verdict("|Q| <= 1", worst_q, 1e-12),
+        Verdict("|Q - Q_i| <= 1", worst_qmqi, 1e-12),
     ]
 
 
 # rounding allowance of the exact Q-moment rules: the mean identity is an
 # equality, and the cross-moment rule compares two d x d tables entrywise
 _Q_EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
+_Q_CASE = {"mean_identity": "exact mean identity"}  # other rules' cases are their names
 
 
 def check_q_moments(cfg: CheckSuiteConfig, seed: int):
@@ -386,19 +398,14 @@ def check_q_moments(cfg: CheckSuiteConfig, seed: int):
             continue
         rep = qs.estimate_q_moments(s, n, mode="exact")
         for c in rep.checks:
-            tol = _Q_EXACT_TOL.get(c.name, 0.0)
-            ok = c.lhs <= c.rhs + tol
-            if c.name == "mean_identity":  # an equality: the record states its tolerance
-                out.append(_v(f"{s.kind} d={s.dim} n={n} exact mean identity",
-                              c.lhs, c.rhs + tol, ok))
-            else:
-                out.append(_v(f"{s.kind} d={s.dim} n={n} {c.name}", c.lhs, c.rhs, ok))
+            out.append(Verdict(f"{s.kind} d={s.dim} n={n} {_Q_CASE.get(c.name, c.name)}",
+                               c.lhs, c.rhs + _Q_EXACT_TOL.get(c.name, 0.0)))
     rng = rng_for(seed, _CHECK_JOB, 10)
     s = make_scaled_basis(2, math.sqrt(2.0))
     rep = qs.estimate_q_moments(s, 20, mode="mc", m=cfg.q_mc_pairs, rng=rng)
     worst = max((c.lhs - c.rhs) / (SE_FACTOR * rep.se_scale) for c in rep.checks)
-    out.append(_v("scaled_basis d=2 n=20 MC suite (5 SE slack)",
-                  worst, 1.0, worst <= 1.0, {"pairs": cfg.q_mc_pairs}))
+    out.append(Verdict("scaled_basis d=2 n=20 MC suite (5 SE slack)",
+                       worst, 1.0, {"pairs": cfg.q_mc_pairs}))
     return out
 
 
@@ -413,15 +420,13 @@ def check_chi2_identity(cfg: CheckSuiteConfig, seed: int):
         rhs = dens.density_second_moment_rhs(s, n)
         dev = abs(lhs - rhs)
         worst = max(worst, dev)
-        out.append(_v(f"{s.kind} d={s.dim} n={n}", dev, 1e-6, dev <= 1e-6))
+        out.append(Verdict(f"{s.kind} d={s.dim} n={n}", dev, 1e-6))
         norm = dens.density_normalization(model)
-        out.append(_v(f"{s.kind} d={s.dim} n={n} normalization",
-                      abs(norm - 1.0), 1e-8, abs(norm - 1.0) <= 1e-8))
+        out.append(Verdict(f"{s.kind} d={s.dim} n={n} normalization", abs(norm - 1.0), 1e-8))
     m0 = dens.DensityRatioModel(None, 10, cov=CovarianceSpec([1.0]))
     lhs0 = dens.density_second_moment_lhs(m0)
     rhs0 = dens.density_second_moment_rhs(None, 10, CovarianceSpec([1.0]))
-    out.append(_v("degenerate Y=0 cross-check",
-                  abs(lhs0 - rhs0), 1e-8, abs(lhs0 - rhs0) <= 1e-8))
+    out.append(Verdict("degenerate Y=0 cross-check", abs(lhs0 - rhs0), 1e-8))
     return out
 
 
@@ -429,13 +434,11 @@ def check_averaged_identity(cfg: CheckSuiteConfig, seed: int):
     out = []
     s1 = make_rademacher_product(1, 1.0)
     v1 = dens.averaged_second_moment(s1, 10, i=0)
-    out.append(_v("d=1 averaging gives the constant 1",
-                  abs(v1 - 1.0), 1e-12, abs(v1 - 1.0) <= 1e-12))
+    out.append(Verdict("d=1 averaging gives the constant 1", abs(v1 - 1.0), 1e-12))
     s2 = make_scaled_basis(2, math.sqrt(2.0))
     a0 = dens.averaged_second_moment(s2, 40, i=0)
     a1 = dens.averaged_second_moment(s2, 40, i=1)
-    out.append(_v("d=2 symmetric sampler: i=1 equals i=2",
-                  abs(a0 - a1), 1e-12, abs(a0 - a1) <= 1e-12))
+    out.append(Verdict("d=2 symmetric sampler: i=1 equals i=2", abs(a0 - a1), 1e-12))
     model = dens.DensityRatioModel(s2, 40)
     x1, w1 = gh_nodes_weights(200)
     worst = 0.0
@@ -444,14 +447,12 @@ def check_averaged_identity(cfg: CheckSuiteConfig, seed: int):
         pts = (x1 * model.cov.sigmas[other])[:, None]
         quad = float(w1 @ model.f_avg_coord(i, pts) ** 2)
         worst = max(worst, abs(quad - dens.averaged_second_moment(s2, 40, i=i)))
-    out.append(_v("d=2 quadrature oracle on the averaged integrand",
-                  worst, 1e-6, worst <= 1e-6))
+    out.append(Verdict("d=2 quadrature oracle on the averaged integrand", worst, 1e-6))
     return out
 
 
 def check_conditional_l2(cfg: CheckSuiteConfig, seed: int):
     rng = rng_for(seed, _CHECK_JOB, 11)
-    violations = 0
     worst = -math.inf
     for _ in range(cfg.l2_tables):
         na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -459,15 +460,13 @@ def check_conditional_l2(cfg: CheckSuiteConfig, seed: int):
         pa = rng.dirichlet(np.ones(na))
         pb = rng.dirichlet(np.ones(nb))
         res = qs.conditional_l2_check(f, pa, pb)
-        if not res["pass"]:
-            violations += 1
         worst = max(worst, res["rhs"] - res["lhs"])
     const = qs.conditional_l2_check(np.full((3, 4), 2.5), np.full(3, 1 / 3), np.full(4, 0.25))
     eq_gap = abs(const["lhs"] - const["rhs"])
     return [
-        _v(f"zero violations over {cfg.l2_tables} random tables",
-           violations, 0.0, violations == 0, {"worst_gap": worst}),
-        _v("constant table is the equality case", eq_gap, 1e-12, eq_gap <= 1e-12),
+        Verdict(f"zero violations over {cfg.l2_tables} random tables",
+                worst, 1e-12, {"worst_gap": worst}),
+        Verdict("constant table is the equality case", eq_gap, 1e-12),
     ]
 
 
@@ -479,9 +478,8 @@ def check_remainder(cfg: CheckSuiteConfig, seed: int):
     worst = float(np.max(lhs - rhs))
     ex_lhs, ex_rhs = qs.remainder_difference_batch(1.0, 0.0)
     return [
-        _v(f"zero violations over {cfg.remainder_pairs} random pairs",
-           worst, 0.0, worst <= 1e-12),
-        _v("endpoint example |R(1)| <= 2.5", ex_lhs, ex_rhs, ex_lhs <= ex_rhs + 1e-12),
+        Verdict(f"zero violations over {cfg.remainder_pairs} random pairs", worst, 1e-12),
+        Verdict("endpoint example |R(1)| <= 2.5", ex_lhs, ex_rhs + 1e-12),
     ]
 
 
@@ -495,15 +493,16 @@ def check_talagrand_1d(cfg: CheckSuiteConfig, seed: int):
         rep = dens.talagrand_chain(
             model, dens.ChainGrid(points_per_axis=4096, refine=2.0, radius_sigmas=12.8)
         )
-        out.append(_v(f"shift {shift}: W2^2 equals shift^2",
-                      abs(rep.w2_sq - shift**2), 1e-6, abs(rep.w2_sq - shift**2) <= 1e-6))
-        out.append(_v(f"shift {shift}: entropy RHS equals shift^2",
-                      abs(rep.rhs_entropy - shift**2), 1e-6,
-                      abs(rep.rhs_entropy - shift**2) <= 1e-6))
-        out.append(_v(f"shift {shift}: chain ordering",
-                      rep.w2_sq, rep.rhs_entropy,
-                      rep.verdict_w2_entropy == "pass" and rep.verdict_entropy_chi2 == "pass",
-                      inconclusive=(rep.verdict == "inconclusive")))
+        # the worse of the two steps' upper-edge excesses over their bounds
+        excess = max((rep.w2_sq - rep.rhs_entropy) + (rep.budget_w2 + rep.budget_quad),
+                     (rep.rhs_entropy - rep.rhs_chi2) + rep.budget_quad)
+        out += [
+            Verdict(f"shift {shift}: W2^2 equals shift^2", abs(rep.w2_sq - shift**2), 1e-6),
+            Verdict(f"shift {shift}: entropy RHS equals shift^2",
+                    abs(rep.rhs_entropy - shift**2), 1e-6),
+            Verdict(f"shift {shift}: chain ordering", excess, rep.equality_atol,
+                    inconclusive=rep.verdict == "inconclusive"),
+        ]
     return out
 
 
@@ -537,17 +536,18 @@ def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
         try:
             rep = dens.talagrand_chain(model, grid)
         except dens.InconclusiveGridError:
-            out.append(_v(f"{name}: grid resolution", 1.0, 0.0, False, inconclusive=True))
+            out.append(Verdict(f"{name}: grid resolution", 1.0, 0.0, inconclusive=True))
             continue
-        out.append(_v(f"{name}: W2^2 <= entropy RHS",
-                      rep.w2_sq, rep.rhs_entropy,
-                      rep.verdict_w2_entropy == "pass",
-                      {"raw": rep.w2_sq_raw, "budget": rep.budget_w2},
-                      inconclusive=(rep.verdict_w2_entropy == "inconclusive")))
-        out.append(_v(f"{name}: entropy RHS <= chi-square RHS",
-                      rep.rhs_entropy, rep.rhs_chi2,
-                      rep.verdict_entropy_chi2 == "pass",
-                      inconclusive=(rep.verdict_entropy_chi2 == "inconclusive")))
+        # each step records the upper edge of its error interval
+        out.append(Verdict(f"{name}: W2^2 <= entropy RHS",
+                           rep.w2_sq + rep.budget_w2 + rep.budget_quad,
+                           rep.rhs_entropy + rep.equality_atol,
+                           {"raw": rep.w2_sq_raw, "budget": rep.budget_w2},
+                           inconclusive=rep.verdict_w2_entropy == "inconclusive"))
+        out.append(Verdict(f"{name}: entropy RHS <= chi-square RHS",
+                           rep.rhs_entropy + rep.budget_quad,
+                           rep.rhs_chi2 + rep.equality_atol,
+                           inconclusive=rep.verdict_entropy_chi2 == "inconclusive"))
     return out
 
 
@@ -558,15 +558,13 @@ def check_increment(cfg: CheckSuiteConfig, seed: int):
     n0 = 25
     chk = bnd.increment_bound_check(None, n0, cfg.increment_m, rng, cov=cov)
     exact = w2_gaussian_diag(cov, cov, float(n0), float(n0 - 1))
-    out.append(_v("degenerate X=0 estimator calibration",
-                  abs(chk.w2_hat - exact), 0.02, abs(chk.w2_hat - exact) <= 0.02,
-                  {"m": cfg.increment_m}))
+    out.append(Verdict("degenerate X=0 estimator calibration",
+                       abs(chk.w2_hat - exact), 0.02, {"m": cfg.increment_m}))
     s = make_rademacher_product(1, 2.0)
     for n in cfg.increment_ns:
         chk = bnd.increment_bound_check(s, n, cfg.increment_m, rng)
-        out.append(_v(f"k=1 beta=2 n={n} (need 50% margin)",
-                      chk.w2_hat, 0.5 * chk.bound, chk.w2_hat <= 0.5 * chk.bound,
-                      {"bound": chk.bound, "m": cfg.increment_m}))
+        out.append(Verdict(f"k=1 beta=2 n={n} (need 50% margin)", chk.w2_hat,
+                           0.5 * chk.bound, {"bound": chk.bound, "m": cfg.increment_m}))
     return out
 
 
@@ -575,12 +573,9 @@ def check_naive_w2(cfg: CheckSuiteConfig, seed: int):
     base = bnd.naive_w2_upper([0.5, 0.5], [0.5, 0.5], 0, 0.0)
     tail = bnd.naive_w2_upper([1.0, 4.0], [1.0, 4.0], 1, 0.0)
     return [
-        _v("k=d leaves the head distance unchanged",
-           abs(v - 0.7), 1e-12, abs(v - 0.7) <= 1e-12),
-        _v("k=0 with matched moments stays below 2 beta",
-           base, 2.0, base <= 2.0, {"value": base}),
-        _v("tail adds 2 n sigma^2 under the root",
-           abs(tail - math.sqrt(8.0)), 1e-12, abs(tail - math.sqrt(8.0)) <= 1e-12),
+        Verdict("k=d leaves the head distance unchanged", abs(v - 0.7), 1e-12),
+        Verdict("k=0 with matched moments stays below 2 beta", base, 2.0, {"value": base}),
+        Verdict("tail adds 2 n sigma^2 under the root", abs(tail - math.sqrt(8.0)), 1e-12),
     ]
 
 
@@ -593,13 +588,11 @@ def check_ank_schedule(cfg: CheckSuiteConfig, seed: int):
         for n in range(1, cfg.schedule_n_max + 1):
             for k in range(1, cov.dim + 1):
                 worst = max(worst, table.bounds[n, k] - table.envelope(n, k))
-        out.append(_v(f"sigmas={sigmas} beta={beta} envelope", worst, 1e-9, worst <= 1e-9))
+        out.append(Verdict(f"sigmas={sigmas} beta={beta} envelope", worst, 1e-9))
         first_row = float(np.max(table.bounds[1, 1:]))
-        out.append(_v(f"sigmas={sigmas} base row below 2 beta",
-                      first_row, 2.0 * beta, first_row <= 2.0 * beta))
+        out.append(Verdict(f"sigmas={sigmas} base row below 2 beta", first_row, 2.0 * beta))
         zero_col = float(np.max(np.abs(table.bounds[:, 0])))
-        out.append(_v(f"sigmas={sigmas} k=0 column is zero",
-                      zero_col, 0.0, zero_col == 0.0))
+        out.append(Verdict(f"sigmas={sigmas} k=0 column is zero", zero_col, 0.0))
     return out
 
 

@@ -11,10 +11,12 @@ list    print the checker registry (id and anchor)
 
 Every job draws from the one root seed (``--seed``), addressed by its own
 job path; an experiment leg's index in that path comes from its job id
-(``rate:d2`` is leg 2).  The experiment verdicts are decided here, from the
-margins of the reports the experiments return.  Each job states its anchor
-once (a checker's ``REGISTRY`` entry, or one constant per experiment kind
-here) and stamps it, with its checker id, on every record it emits.
+(``rate:d2`` is leg 2).  The experiment records are stated here, as
+``Verdict(case, lhs, rhs)`` from the reports the experiments return; each
+passes exactly when lhs <= rhs (``checks.Verdict``), so a window around a
+centre is recorded as ``(|x - centre|, half-width)``.  Each job states its
+anchor once (a checker's ``REGISTRY`` entry, or one constant per experiment
+kind here) and stamps it, with its checker id, on every record it emits.
 
 Artifacts land in the output directory: ``verdicts.json`` plus
 ``tables/*.csv`` and ``plotdata/*.dat`` for the experiments, every file
@@ -31,7 +33,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .checks import REGISTRY, checker_entry, checker_ids, _v
+from .checks import REGISTRY, Verdict, checker_entry, checker_ids
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     _CI_CALIBRATION_JOB,
@@ -52,9 +54,10 @@ from .reporting import (
 )
 from .seeding import rng_for
 
-RATE_SLOPE_WINDOW = (-0.65, -0.35)
+# windows as (centre, half-width): a record is (|x - centre|, half-width)
+RATE_SLOPE_WINDOW = (-0.5, 0.15)
 CI_DECAY_SLOPE_MAX = -0.25
-PLATEAU_WINDOW = (0.96, 1.04)
+PLATEAU_WINDOW = (1.0, 0.04)
 
 RATE_ANCHOR = "main rate bound W2(S_n, Z) <= 5 sqrt(d) beta (1 + log n)/sqrt(n)"
 LOWER_ANCHOR = "lattice floor: liminf sqrt(n) W2(S_n, Z) >= sqrt(d) beta / 4"
@@ -98,16 +101,14 @@ def _rate_job(settings: RunSettings, leg: str) -> JobResult:
     job.meta = {"m": cfg.m, "replicas": cfg.replicas, "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
     worst = max(max(p.replica_values) - p.bound for p in rep.points)
-    job.verdicts.append(_v("every replica below the bound",
-                           worst, 0.0, worst <= 0,
-                           {"n_grid": list(cfg.n_grid), "m": cfg.m}))
+    job.verdicts.append(Verdict("every replica below the bound", worst, 0.0,
+                                {"n_grid": list(cfg.n_grid), "m": cfg.m}))
     if leg == "d1":
-        lo, hi = RATE_SLOPE_WINDOW
-        ok = lo <= rep.fit.slope <= hi
-        job.verdicts.append(_v(f"log-log slope within [{lo}, {hi}]",
-                               rep.fit.slope, hi, ok,
-                               {"slope": rep.fit.slope,
-                                "correlation": rep.fit.correlation}))
+        c, h = RATE_SLOPE_WINDOW
+        job.verdicts.append(Verdict(f"log-log slope within [{c - h}, {c + h}]",
+                                    abs(rep.fit.slope - c), h,
+                                    {"slope": rep.fit.slope,
+                                     "correlation": rep.fit.correlation}))
     job.fits[f"rate_{leg}"] = {
         "slope": rep.fit.slope,
         "intercept": rep.fit.intercept,
@@ -139,18 +140,18 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
                 "sampler": _sampler_meta(cfg.sampler)}
     ratio = rep.plateau_vs_target
     if leg == "d1":
-        lo, hi = PLATEAU_WINDOW
-        job.verdicts.append(_v("sqrt(n) x lattice proxy within 4% of the target",
-                               ratio, hi, lo <= ratio <= hi,
-                               {"plateau": rep.plateau_value, "target": rep.target}))
+        c, h = PLATEAU_WINDOW
+        job.verdicts.append(Verdict("sqrt(n) x lattice proxy within 4% of the target",
+                                    abs(ratio - c), h,
+                                    {"plateau": rep.plateau_value, "target": rep.target}))
         w2_ratio = rep.points[-1].sqrtn_w2_hat / rep.target
-        job.verdicts.append(_v("sqrt(n) x empirical W2 above 96% of the target",
-                               0.96, w2_ratio, w2_ratio >= 0.96,
-                               {"sqrtn_w2": rep.points[-1].sqrtn_w2_hat}))
+        job.verdicts.append(Verdict("sqrt(n) x empirical W2 above 96% of the target",
+                                    0.96, w2_ratio,
+                                    {"sqrtn_w2": rep.points[-1].sqrtn_w2_hat}))
     else:
-        job.verdicts.append(_v("sqrt(n) x lattice proxy above 95% of the target",
-                               0.95, ratio, ratio >= 0.95,
-                               {"plateau": rep.plateau_value, "target": rep.target}))
+        job.verdicts.append(Verdict("sqrt(n) x lattice proxy above 95% of the target",
+                                    0.95, ratio,
+                                    {"plateau": rep.plateau_value, "target": rep.target}))
     job.tables[f"lower_{leg}"] = (
         ("n", "ell_n", "sqrtn_w2_hat", "sqrtn_proxy", "proxy_se",
          "percube_measured", "percube_quadrature", "percube_claim_half_sqrtd"),
@@ -172,13 +173,11 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
         res = ci_calibration(settings.calibration_m, rng)
         job = JobResult(job_id="ci:calibration", anchor=CI_ANCHOR)
         slack = halfspace_slack(settings.calibration_m)
-        job.verdicts.append(_v("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
-                               abs(res.delta_hat - res.delta_exact), slack,
-                               abs(res.delta_hat - res.delta_exact) <= slack,
-                               {"delta_exact": res.delta_exact, "w2": res.w2}))
-        job.verdicts.append(_v("conversion bound dominates the calibration instance",
-                               res.delta_hat, res.rhs, res.delta_hat <= res.rhs + slack,
-                               {"rhs": res.rhs}))
+        job.verdicts.append(Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
+                                    abs(res.delta_hat - res.delta_exact), slack,
+                                    {"delta_exact": res.delta_exact, "w2": res.w2}))
+        job.verdicts.append(Verdict("conversion bound dominates the calibration instance",
+                                    res.delta_hat, res.rhs + slack, {"rhs": res.rhs}))
         return job
     cfg = settings.ci_d1 if leg == "d1" else settings.ci_d2
     rep = ci_halfspace_experiment(cfg, settings.seed, _leg_index(leg))
@@ -187,12 +186,10 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
                 "estimator": cfg.estimator,
                 "sampler": _sampler_meta(cfg.sampler)}
     worst = max(p.delta_hat - (p.rhs + p.slack) for p in rep.points)
-    job.verdicts.append(_v("delta_hat below the conversion bound at every grid point",
-                           worst, 0.0, worst <= 0,
-                           {"n_grid": list(cfg.n_grid), "m": cfg.m}))
-    job.verdicts.append(_v(f"log delta_hat decay slope at most {CI_DECAY_SLOPE_MAX}",
-                           rep.decay_slope, CI_DECAY_SLOPE_MAX,
-                           rep.decay_slope <= CI_DECAY_SLOPE_MAX))
+    job.verdicts.append(Verdict("delta_hat below the conversion bound at every grid point",
+                                worst, 0.0, {"n_grid": list(cfg.n_grid), "m": cfg.m}))
+    job.verdicts.append(Verdict(f"log delta_hat decay slope at most {CI_DECAY_SLOPE_MAX}",
+                                rep.decay_slope, CI_DECAY_SLOPE_MAX))
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}
     job.tables[f"ci_{leg}"] = (
         ("n", "delta_hat", "w2_hat", "conversion_rhs", "slack"),

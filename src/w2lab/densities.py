@@ -416,6 +416,7 @@ class ChainReport:
     budget_w2: float
     budget_quad: float
     mass_loss: float
+    equality_atol: float  # rounding allowance of both steps' bounds
     verdict_w2_entropy: str
     verdict_entropy_chi2: str
     entropy_terms: np.ndarray
@@ -563,6 +564,7 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
         budget_w2=budget_w2,
         budget_quad=budget_quad,
         mass_loss=mass_loss,
+        equality_atol=equality_atol,
         verdict_w2_entropy=classify(w2_est, rhs_entropy, budget_w2 + budget_quad),
         verdict_entropy_chi2=classify(rhs_entropy, rhs_chi2, budget_quad),
         entropy_terms=entropy_terms,

@@ -118,6 +118,8 @@ def _enumerated(kind: str, outcomes: np.ndarray, probs: np.ndarray) -> BoundedSa
         raise ValueError("outcomes and probabilities must have equal length")
     if len(outcomes) > ENUMERATION_CAP:
         raise ValueError(f"support exceeds enumeration cap {ENUMERATION_CAP}")
+    if not (np.isfinite(outcomes).all() and np.isfinite(probs).all()):
+        raise ValueError("outcomes and probabilities must be finite")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     mean = probs @ outcomes

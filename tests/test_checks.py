@@ -6,6 +6,7 @@ import pytest
 
 from w2lab import checks
 from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
+from w2lab.densities import ChainGrid
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import SE_FACTOR, make_rademacher_product, make_scaled_basis
@@ -40,6 +41,10 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
     {"l2_tables": 0}, {"remainder_pairs": 0}, {"increment_m": 0},
     {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
     {"increment_ns": ()}, {"increment_ns": (20, 1)},
+    {"chain_grid_2d": 0}, {"chain_radius": 0.0}, {"chain_radius": -1.0},
+    {"chain_radius": math.inf}, {"chain_radius": math.nan},
+    {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
+    {"chain_refine": 100.0}, {"chain_grid_2d": 80},
 ])
 def test_check_config_sizes_validated(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -49,6 +54,22 @@ def test_check_config_sizes_validated(bad):
 def test_check_config_floor_accepted():
     cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(2,))
     assert cfg.sampler_validate_m == 10**4
+    # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
+    cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)
+    assert ChainGrid(cfg.chain_grid_2d, cfg.chain_refine).resolutions(2)[1] == 70
+
+
+@pytest.mark.parametrize("lhs,rhs,verdict", [
+    (1.0, 2.0, "pass"), (2.0, 2.0, "pass"), (2.0, 1.0, "fail"),
+    (math.nan, 1.0, "fail"), (0.0, math.nan, "fail"), (-math.inf, 0.0, "pass"),
+])
+def test_verdict_is_lhs_at_most_rhs(lhs, rhs, verdict):
+    v = checks.Verdict("case", np.float64(lhs), rhs)
+    assert v.verdict == verdict
+    assert type(v.lhs) is float and type(v.rhs) is float
+    assert checks.Verdict("case", lhs, rhs, inconclusive=True).verdict == "inconclusive"
+    if verdict == "pass" and math.isfinite(lhs):
+        assert v.margin == rhs - lhs >= 0
 
 
 def corrupt_cov(s, factor):

@@ -16,6 +16,14 @@ from w2lab.config import RunSettings, UsageError, load_settings
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
 
 
+def assert_verdicts_follow_margins(records):
+    """Every decided record passes exactly when its margin rhs - lhs is >= 0."""
+    for r in records:
+        assert r["margin"] == r["rhs"] - r["lhs"], r
+        if r["verdict"] != "inconclusive":
+            assert (r["verdict"] == "pass") == (r["margin"] >= 0), r
+
+
 class TestRegistry:
     def test_at_least_twelve_checkers(self):
         assert len(REGISTRY) >= 12
@@ -251,6 +259,12 @@ class TestMainEndToEnd:
         ("ci", "[ci_d2]\nw2_m = 0\n"),
         ("rate", "[rate_d1]\nscale = inf\n"),
         ("list", "[lower_d1]\nscale = inf\n"),
+        ("check", "[check]\nchain_grid_2d = 0\n"),
+        ("check", "[check]\nchain_radius = inf\n"),
+        ("check", "[check]\nchain_radius = 0\n"),
+        ("check", "[check]\nchain_refine = 0.5\n"),
+        ("check", "[check]\nchain_refine = 1\n"),
+        ("all", "[check]\nchain_refine = 100\n"),
         ("check", "[run]\nworkers = 0\n"),
         ("check --workers 0", ""),
         ("check --workers -3", ""),
@@ -279,6 +293,7 @@ class TestMainEndToEnd:
             cid = r["job"].removeprefix("check:")
             assert r["checker"] == cid, r
             assert r["anchor"] == anchors[cid], r
+        assert_verdicts_follow_margins(records)
 
     def test_rate_csv_schema(self, tmp_path):
         out = str(tmp_path / "out")
@@ -308,12 +323,13 @@ class TestMainEndToEnd:
         for r in records:
             assert r["checker"] == r["job"].replace(":", "-")
             assert r["anchor"] == cli.RATE_ANCHOR
+        assert_verdicts_follow_margins(records)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()
         bad = JobResult(
             job_id="check:fake", anchor="anchor",
-            verdicts=[Verdict("case", 1.0, 0.0, -1.0, "fail", {})],
+            verdicts=[Verdict("case", 1.0, 0.0)],
         )
         rc = emit(
             s.__class__(**{**s.__dict__, "out_dir": str(tmp_path / "o")}),
@@ -327,7 +343,7 @@ class TestMainEndToEnd:
         s = RunSettings()
         j = JobResult(
             job_id="check:fake", anchor="anchor",
-            verdicts=[Verdict("case", 0.0, 0.0, 0.0, "inconclusive", {})],
+            verdicts=[Verdict("case", 0.0, 0.0, inconclusive=True)],
         )
         import dataclasses
 
