@@ -23,9 +23,10 @@ The chain report compares, for one model,
 where the middle term is 2 * sum_k sigma_k^2 * E(f_[k] log f_[k] -
 f_[k-1] log f_[k-1]) and the right term 2 * sum_i sigma_i^2 * (E f^2 -
 E f_(i)^2).  W2 is computed by discretizing both densities onto a grid and
-solving exact discrete transport; verdicts are tri-state (pass, fail,
-inconclusive) with Richardson-style budgets so discretization error can
-never manufacture a pass.
+solving exact discrete transport; the report carries Richardson-style error
+budgets, from which :mod:`w2lab.checks` decides each step as pass, fail or
+inconclusive: a step passes only when the upper edge of its error interval
+meets its bound.  The budget is a first-order error model, not a certificate.
 """
 
 from __future__ import annotations
@@ -417,28 +418,9 @@ class ChainReport:
     budget_quad: float
     mass_loss: float
     equality_atol: float  # rounding allowance of both steps' bounds
-    verdict_w2_entropy: str
-    verdict_entropy_chi2: str
     entropy_terms: np.ndarray
     chi2_terms: np.ndarray
     grid_cells: tuple
-
-    @property
-    def verdict(self) -> str:
-        pair = (self.verdict_w2_entropy, self.verdict_entropy_chi2)
-        if "fail" in pair:
-            return "fail"
-        if "inconclusive" in pair:
-            return "inconclusive"
-        return "pass"
-
-    @property
-    def margin_w2_entropy(self) -> float:
-        return self.rhs_entropy - self.w2_sq
-
-    @property
-    def margin_entropy_chi2(self) -> float:
-        return self.rhs_chi2 - self.rhs_entropy
 
 
 def _entropy_functional(model: _RatioBase, nodes: int) -> np.ndarray:
@@ -504,8 +486,9 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
 
     Raises :class:`InconclusiveGridError` when the extrapolated W2^2 turns
     substantially negative (the first-order error model has collapsed, so no
-    verdict is defensible); otherwise returns tri-state verdicts with the
-    Richardson correction as the conservative error budget.
+    verdict is defensible); otherwise returns the estimates with the
+    Richardson correction as the conservative error budget, from which
+    :mod:`w2lab.checks` decides each step.
     """
     if model.dim not in (1, 2):
         raise ValueError("the chain is computed for dim in {1, 2} only")
@@ -545,16 +528,6 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
     budget_quad = grid.budget_factor * max(
         abs(rhs_entropy - rhs_entropy_c), abs(rhs_chi2 - rhs_chi2_c)
     )
-    equality_atol = max(1e-10, 1e-8 * scale)
-
-    def classify(lhs: float, rhs: float, budget: float) -> str:
-        viol = lhs - rhs
-        if viol + budget <= equality_atol:
-            return "pass"
-        if viol - budget > equality_atol:
-            return "fail"
-        return "inconclusive"
-
     return ChainReport(
         w2_sq=w2_est,
         w2_sq_raw=w2_fine_raw,
@@ -564,9 +537,7 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
         budget_w2=budget_w2,
         budget_quad=budget_quad,
         mass_loss=mass_loss,
-        equality_atol=equality_atol,
-        verdict_w2_entropy=classify(w2_est, rhs_entropy, budget_w2 + budget_quad),
-        verdict_entropy_chi2=classify(rhs_entropy, rhs_chi2, budget_quad),
+        equality_atol=max(1e-10, 1e-8 * scale),
         entropy_terms=entropy_terms,
         chi2_terms=chi2_terms,
         grid_cells=(coarse_n, fine_n),

@@ -56,6 +56,8 @@ _CI_CALIBRATION_JOB = 6
 LATTICE_MC_MIN = 10**5
 # mean shift of the ci calibration instance N(shift, 1) against N(0, 1)
 CALIBRATION_SHIFT = 0.5
+# the rate and ci legs' n grid: 16 to 4096 in powers of 2
+N_GRID_DEFAULT = tuple(2**k for k in range(4, 13))
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,23 @@ class SamplerSpec:
     """Config-file description of a sampler; ``build()`` realizes it.
 
     ``outcomes``/``probs`` (tuples of tuples / tuple of floats) describe a
-    lattice_custom support and are ignored by the parametric kinds.
+    lattice_custom support and are rejected by the parametric kinds.
     """
 
     kind: str
     dim: int
     scale: float = 1.0  # rademacher scale, or beta for basis/sphere kinds
-    outcomes: Optional[tuple] = None
-    probs: Optional[tuple] = None
+    outcomes: Optional[tuple[tuple[float, ...], ...]] = None
+    probs: Optional[tuple[float, ...]] = None
 
     def build(self) -> BoundedSampler:
-        if self.kind == "rademacher_product":
-            return make_rademacher_product(self.dim, self.scale)
-        if self.kind == "scaled_basis":
-            return make_scaled_basis(self.dim, self.scale)
-        if self.kind == "sphere_uniform":
-            return make_sphere_uniform(self.dim, self.scale)
+        parametric = {"rademacher_product": make_rademacher_product,
+                      "scaled_basis": make_scaled_basis,
+                      "sphere_uniform": make_sphere_uniform}
+        if self.kind in parametric:
+            if self.outcomes is not None or self.probs is not None:
+                raise ValueError(f"sampler {self.kind!r} takes no outcomes or probs")
+            return parametric[self.kind](self.dim, self.scale)
         if self.kind == "lattice_custom":
             if self.outcomes is None or self.probs is None:
                 raise ValueError("lattice_custom needs explicit outcomes and probs")
@@ -132,7 +135,7 @@ class _ExperimentLeg:
 @dataclass(frozen=True)
 class RateExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
-    n_grid: tuple = tuple(2**k for k in range(4, 13))
+    n_grid: tuple[int, ...] = N_GRID_DEFAULT
     replicas: int = 10
     m: int = 10**5
 
@@ -296,7 +299,7 @@ class LowerBoundReport:
 @dataclass(frozen=True)
 class LowerExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
-    n_grid: tuple = (64, 256, 1024, 4096)
+    n_grid: tuple[int, ...] = (64, 256, 1024, 4096)
     m_w2: int = 10**5
     m_proxy: int = 2 * 10**5
 
@@ -382,7 +385,7 @@ class HalfspacePoint:
 @dataclass(frozen=True)
 class HalfspaceConfig(_ExperimentLeg):
     sampler: SamplerSpec
-    n_grid: tuple = tuple(2**k for k in range(4, 13))
+    n_grid: tuple[int, ...] = N_GRID_DEFAULT
     m: int = 10**5
     w2_m: Optional[int] = None  # defaults to m
     directions: int = 16

@@ -165,10 +165,13 @@ def test_criterion_06_talagrand_chain():
         grid = ChainGrid(points_per_axis=24, refine=1.42, radius_sigmas=5.0)
         for name, model in chain_models_2d():
             rep = talagrand_chain(model, grid)
-            assert rep.verdict_w2_entropy == "pass", (name, rep)
-            assert rep.verdict_entropy_chi2 == "pass", (name, rep)
-            assert rep.margin_w2_entropy > 0
-            assert rep.margin_entropy_chi2 > 0
+            # both steps pass at the upper edge of their error intervals
+            assert (rep.w2_sq + rep.budget_w2 + rep.budget_quad
+                    <= rep.rhs_entropy + rep.equality_atol), (name, rep)
+            assert (rep.rhs_entropy + rep.budget_quad
+                    <= rep.rhs_chi2 + rep.equality_atol), (name, rep)
+            assert rep.rhs_entropy - rep.w2_sq > 0
+            assert rep.rhs_chi2 - rep.rhs_entropy > 0
 
 
 def test_criterion_07_increment_lemma():

@@ -72,6 +72,15 @@ def test_verdict_is_lhs_at_most_rhs(lhs, rhs, verdict):
         assert v.margin == rhs - lhs >= 0
 
 
+@pytest.mark.parametrize("lower,upper,verdict", [
+    (0.0, 1.0, "pass"), (0.0, 1.5, "inconclusive"), (1.0, 1.5, "inconclusive"),
+    (1.2, 1.5, "fail"),
+])
+def test_chain_step_inconclusive_only_while_straddling(lower, upper, verdict):
+    v = checks._chain_step("step", upper, lower, 1.0)
+    assert (v.lhs, v.rhs, v.verdict) == (upper, 1.0, verdict)
+
+
 def corrupt_cov(s, factor):
     """A copy of ``s`` whose declared standard deviations are scaled by ``factor``."""
     return replace(s, cov=CovarianceSpec(factor * s.cov.sigmas))

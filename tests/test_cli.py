@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -7,13 +9,29 @@ import numpy as np
 import pytest
 
 import w2lab
-from w2lab import cli, experiments, seeding
+from w2lab import cli, config, experiments, seeding
 from w2lab.checks import REGISTRY, Verdict
 from w2lab.cli import JobResult, emit, jobs_for
 from w2lab.config import RunSettings, UsageError, load_settings
 
 
-SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SMOKE = os.path.join(ROOT, "configs", "smoke.ini")
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
+                         + glob.glob(os.path.join(ROOT, "perfbench", "*.ini")))
+
+SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
+ACCEPTED_KEYS = {
+    "run": {"seed", "workers", "out", "verbosity", "calibration_m"},
+    "check": {"gauss_quad_instances", "ot_instances", "quantile_instances",
+              "metric_triples", "sampler_validate_m", "q_random_pairs", "q_mc_pairs",
+              "l2_tables", "remainder_pairs", "increment_m", "increment_ns",
+              "chain_grid_2d", "chain_refine", "chain_radius", "schedule_n_max"},
+    **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
+    **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2", "m_proxy"} for leg in ("d1", "d2")},
+    **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "m", "w2_m", "directions"}
+       for leg in ("d1", "d2")},
+}
 
 
 def assert_verdicts_follow_margins(records):
@@ -112,6 +130,59 @@ class TestConfig:
         p.write_text(f"[rate_d1]\n{alias}\n")
         with pytest.raises(UsageError, match="unknown key"):
             load_settings(str(p))
+
+    def test_accepted_keys_golden(self):
+        s = RunSettings()
+        keys = {section: set(config._section_keys(
+                    s if section == "run" else getattr(s, section)))
+                for section in ACCEPTED_KEYS}
+        assert keys == ACCEPTED_KEYS
+        assert sum(len(k) for k in keys.values()) == 70
+
+    def test_every_key_parses_its_default_back(self, tmp_path):
+        # writing each default under its key reads back the same settings,
+        # down to the value types (repr tells 16 from 16.0)
+        def ini_value(v):
+            if isinstance(v, tuple) and v and isinstance(v[0], tuple):
+                return " | ".join(ini_value(row) for row in v)
+            return " ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+        s = RunSettings()
+        lines = []
+        for section in ACCEPTED_KEYS:
+            obj = s if section == "run" else getattr(s, section)
+            lines.append(f"[{section}]")
+            for key, (part, name, _) in config._section_keys(obj).items():
+                value = getattr(obj.sampler if part else obj, name)
+                if value is not None:
+                    lines.append(f"{key} = {ini_value(value)}")
+        p = tmp_path / "defaults.ini"
+        p.write_text("\n".join(lines) + "\n")
+        assert repr(load_settings(str(p))) == repr(s)
+        p.write_text("[rate_d1]\nsampler = lattice_custom\noutcomes = -1 | 1,\n"
+                     "probs = 0.5, 0.5\n[ci_d1]\nw2_m = 5000\n")
+        loaded = load_settings(str(p))
+        assert repr(loaded.rate_d1.sampler.outcomes) == "((-1.0,), (1.0,))"
+        assert repr(loaded.rate_d1.sampler.probs) == "(0.5, 0.5)"
+        assert repr(loaded.ci_d1.w2_m) == "5000"
+
+    @pytest.mark.parametrize("ini", [
+        "[rate_d1]\nkind = scaled_basis\n", "[rate_d1]\nbeta = 2.0\n",
+        "[run]\nout_dir = x\n", "[rate_d1]\nroot_seed = 5\n", "[run]\nroot_seed = 5\n",
+        "[run]\ncheck = 1\n", "[check]\nsampler = scaled_basis\n",
+    ])
+    def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
+        p = tmp_path / "bad.ini"
+        p.write_text(ini)
+        assert cli.main(["list", "--config", str(p)]) == 2
+        key = ini.split("\n")[1].split(" = ")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                             ids=lambda p: os.path.relpath(p, ROOT))
+    def test_shipped_configs_load(self, path):
+        assert len(SHIPPED_CONFIGS) >= 2
+        assert cli.main(["list", "--config", path]) == 0
 
     def test_lattice_custom_from_config(self, tmp_path):
         p = tmp_path / "lattice.ini"
@@ -268,6 +339,9 @@ class TestMainEndToEnd:
         ("check", "[run]\nworkers = 0\n"),
         ("check --workers 0", ""),
         ("check --workers -3", ""),
+        ("rate", "[rate_d1]\noutcomes = 5 | -5\nprobs = 0.5 0.5\n"),
+        ("check --only naive-w2", "[run]\nout =\n"),
+        ("check --only naive-w2 --out ''", ""),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):
@@ -278,7 +352,8 @@ class TestMainEndToEnd:
         out = tmp_path / "out"
         p = tmp_path / "bad.ini"
         p.write_text(ini)
-        argv = subcommand.split() + ["--config", str(p), "--out", str(out)]
+        # the case's own arguments come last, so its --out is the one that holds
+        argv = ["--config", str(p), "--out", str(out)] + shlex.split(subcommand)
         assert cli.main(argv) == 2
         assert not (out / "verdicts.json").exists()
 

@@ -152,6 +152,21 @@ class TestSecondMoments:
                 assert lhs <= rhs + 1e-9
 
 
+def chain_step_edges(rep):
+    """Each chain step's error interval minus its bound, as (lower, upper).
+
+    The steps are W2^2 against the entropy RHS (budget: grid plus
+    quadrature) and the entropy RHS against the chi-square RHS (budget:
+    quadrature).  A step passes when upper <= ``rep.equality_atol``, fails
+    when lower > it, and is inconclusive in between.
+    """
+    budget = rep.budget_w2 + rep.budget_quad
+    step_w2 = rep.w2_sq - rep.rhs_entropy
+    step_chi2 = rep.rhs_entropy - rep.rhs_chi2
+    return ((step_w2 - budget, step_w2 + budget),
+            (step_chi2 - rep.budget_quad, step_chi2 + rep.budget_quad))
+
+
 class TestChain1d:
     @pytest.mark.parametrize("shift", [0.25, 0.5, 1.0])
     def test_shifted_gaussian_equality(self, shift):
@@ -169,7 +184,8 @@ class TestChain1d:
         assert rep.rhs_chi2 == pytest.approx(
             2.0 * (math.exp(shift**2) - 1.0), abs=1e-6
         )
-        assert rep.verdict == "pass"
+        for _, upper in chain_step_edges(rep):
+            assert upper <= rep.equality_atol
 
     def test_identity_ratio_all_zero(self):
         cov = CovarianceSpec([1.0])
@@ -180,7 +196,8 @@ class TestChain1d:
         assert rep.w2_sq == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs_entropy == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs_chi2 == pytest.approx(0.0, abs=1e-10)
-        assert rep.verdict == "pass"
+        for _, upper in chain_step_edges(rep):
+            assert upper <= rep.equality_atol
 
 
 class TestChain2d:
@@ -189,8 +206,9 @@ class TestChain2d:
         rep = talagrand_chain(
             model, ChainGrid(points_per_axis=20, refine=1.5, radius_sigmas=5.0)
         )
-        assert rep.verdict_entropy_chi2 == "pass"
-        assert rep.verdict_w2_entropy in ("pass", "inconclusive")
+        (w2_lower, _), (_, chi2_upper) = chain_step_edges(rep)
+        assert chi2_upper <= rep.equality_atol  # pass
+        assert w2_lower <= rep.equality_atol  # pass or inconclusive
         assert rep.w2_sq_raw >= rep.w2_sq
         assert rep.rhs_entropy <= rep.rhs_chi2 + 1e-9
 
@@ -203,7 +221,8 @@ class TestChain2d:
             )
         except InconclusiveGridError:
             return
-        assert rep.verdict_w2_entropy == "inconclusive"
+        (w2_lower, w2_upper), _ = chain_step_edges(rep)
+        assert w2_lower <= rep.equality_atol < w2_upper  # inconclusive
 
     def test_mismatched_cov_model_runs(self):
         # sigmas (2, 1) with an independent scaled-basis perturbation
@@ -215,7 +234,8 @@ class TestChain2d:
             )
         except InconclusiveGridError:
             return
-        assert rep.verdict_w2_entropy != "fail"
+        (w2_lower, _), _ = chain_step_edges(rep)
+        assert w2_lower <= rep.equality_atol  # not a fail
         assert rep.rhs_entropy <= rep.rhs_chi2 + 1e-9
 
     def test_rejects_higher_dims(self):
