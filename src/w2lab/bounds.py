@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gaussmath import CovarianceSpec, GaussianModel, sample_gaussian
+from .gaussmath import CovarianceSpec, sample_gaussian
 from .qstats import check_hypothesis
 from .samplers import BoundedSampler
 from .transport import estimate_w2
@@ -62,8 +62,8 @@ def increment_bound_check(
     beta = 0.0 if s is None else s.bound
     if s is not None:
         check_hypothesis(n, beta, cov)
-    z_n = sample_gaussian(GaussianModel(cov, float(n)), m, rng)
-    z_prev = sample_gaussian(GaussianModel(cov, float(n - 1)), m, rng)
+    z_n = sample_gaussian(cov, m, rng, float(n))
+    z_prev = sample_gaussian(cov, m, rng, float(n - 1))
     if s is not None:
         z_prev += s.draw(rng, size=m)
     w2_hat = estimate_w2(z_n, z_prev)

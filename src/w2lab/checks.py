@@ -34,7 +34,6 @@ from . import qstats as qs
 from . import transport as tr
 from .gaussmath import (
     CovarianceSpec,
-    GaussianModel,
     gaussian_exp_quadratic,
     gh_nodes_weights,
     sample_gaussian,
@@ -186,7 +185,7 @@ def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
     for t, sigmas in ((1.0, [1.0]), (4.0, [1.0]), (1.0, [2.0, 1.0, 0.5])):
         cov = CovarianceSpec(sigmas)
         m = cfg.sampler_validate_m
-        z = sample_gaussian(GaussianModel(cov, t), m, rng)
+        z = sample_gaussian(cov, m, rng, t)
         emp = (z**2).mean(axis=0)
         target = t * cov.variances
         se = (z**2).std(axis=0, ddof=1) / math.sqrt(m)
@@ -633,14 +632,3 @@ REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("naive-w2", "independent-coupling W2 bound over a coordinate split", check_naive_w2),
     CheckerEntry("ank-schedule", "double induction stays under the 5 sqrt(k) beta (1 + log n) envelope", check_ank_schedule),
 )
-
-
-def checker_ids() -> list[str]:
-    return [e.checker_id for e in REGISTRY]
-
-
-def checker_entry(checker_id: str) -> CheckerEntry:
-    for entry in REGISTRY:
-        if entry.checker_id == checker_id:
-            return entry
-    raise KeyError(f"unknown checker {checker_id!r}")

@@ -9,18 +9,19 @@ ci      halfspace-distance experiments plus the shifted-Gaussian calibration
 all     everything above
 list    print the checker registry (id and anchor)
 
-Every job draws from the one root seed (``--seed``), addressed by its own
-job path; an experiment leg's index in that path comes from its job id
-(``rate:d2`` is leg 2).  The experiment records are stated here, as
-``Verdict(case, lhs, rhs)`` from the reports the experiments return; each
-passes exactly when lhs <= rhs (``checks.Verdict``), so a window around a
-centre is recorded as ``(|x - centre|, half-width)``.  Each job states its
-anchor once (a checker's ``REGISTRY`` entry, or one constant per experiment
-kind here) and stamps it, with its checker id, on every record it emits.
+A job id is ``kind:name``; ``run_job`` finds its kind in one table.  A check
+job runs its ``REGISTRY`` entry, an experiment leg the settings field
+``{kind}_{name}`` under the one root seed, with its seed-path index from the
+id (``rate:d2`` is leg 2).  The experiment records are stated here, as
+``Verdict(case, lhs, rhs)``; each passes exactly when lhs <= rhs, so a
+window around a centre is recorded as ``(|x - centre|, half-width)``.  Each
+job states its anchor once (a checker's ``REGISTRY`` entry, or one constant
+per experiment kind here) and stamps it, with its checker id, on every record.
 
-Artifacts land in the output directory: ``verdicts.json`` plus
-``tables/*.csv`` and ``plotdata/*.dat`` for the experiments, every file
-stamped with the config hash and root seed.  Exit status: 0 when nothing
+Artifacts land in the output directory: ``verdicts.json``, plus for the
+experiments ``tables/*.csv`` and ``plotdata/*.dat`` read from the named
+fields of each report's points, every file stamped with the config hash and
+root seed.  Exit status: 0 when nothing
 failed (inconclusive verdicts only warn), 1 on any failed verdict, 2 on
 usage or configuration errors.
 """
@@ -31,12 +32,11 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .checks import REGISTRY, Verdict, checker_entry, checker_ids
+from .checks import REGISTRY, Verdict
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
-    _CI_CALIBRATION_JOB,
     bentkus_reference_curve,
     ci_calibration,
     ci_halfspace_experiment,
@@ -52,7 +52,6 @@ from .reporting import (
     write_table_csv,
     write_verdicts_json,
 )
-from .seeding import rng_for
 
 # windows as (centre, half-width): a record is (|x - centre|, half-width)
 RATE_SLOPE_WINDOW = (-0.5, 0.15)
@@ -82,24 +81,47 @@ class JobResult:
 
 
 # ---------------------------------------------------------------------------
-# experiment jobs -> verdicts + artifacts
+# jobs -> verdicts + artifacts
 # ---------------------------------------------------------------------------
 
-def _sampler_meta(spec) -> str:
-    return f"{spec.kind}(dim={spec.dim},scale={spec.scale})"
+EXPERIMENT_JOBS = ("rate:d1", "rate:d2", "lower:d1", "lower:d2", "ci:calibration", "ci:d1", "ci:d2")
+_CHECKERS = {entry.checker_id: entry for entry in REGISTRY}
 
 
-def _leg_index(leg: str) -> int:
-    """The seed-path index of an experiment leg, from its job id: ``d2`` -> 2."""
-    return int(leg.removeprefix("d"))
+def _leg_config(settings: RunSettings, kind: str, leg: str):
+    """An experiment leg's config and seed-path index, from its job id: ``rate:d2`` -> 2."""
+    return getattr(settings, f"{kind}_{leg}"), int(leg.removeprefix("d"))
+
+
+def _leg_meta(cfg, **sizes) -> dict:
+    """Artifact metadata of an experiment leg: its sample sizes, estimator and sampler."""
+    s = cfg.sampler
+    return {**sizes, "estimator": cfg.estimator,
+            "sampler": f"{s.kind}(dim={s.dim},scale={s.scale})"}
+
+
+def _table(points, *columns) -> tuple:
+    """(columns, rows) of the named fields of each point; all its fields by default."""
+    columns = columns or tuple(f.name for f in fields(points[0]))
+    return columns, [tuple(getattr(p, c) for c in columns) for p in points]
+
+
+def _series(points, column: str) -> tuple:
+    """Plot data: the named field of each point against its n."""
+    return [p.n for p in points], [getattr(p, column) for p in points]
+
+
+def _check_job(settings: RunSettings, checker_id: str) -> JobResult:
+    entry = _CHECKERS[checker_id]
+    return JobResult(job_id=f"check:{checker_id}", anchor=entry.anchor,
+                     verdicts=entry.runner(settings.check, settings.seed))
 
 
 def _rate_job(settings: RunSettings, leg: str) -> JobResult:
-    cfg = settings.rate_d1 if leg == "d1" else settings.rate_d2
-    rep = clt_rate_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR)
-    job.meta = {"m": cfg.m, "replicas": cfg.replicas, "estimator": cfg.estimator,
-                "sampler": _sampler_meta(cfg.sampler)}
+    cfg, index = _leg_config(settings, "rate", leg)
+    rep = clt_rate_experiment(cfg, settings.seed, index)
+    job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR,
+                    meta=_leg_meta(cfg, m=cfg.m, replicas=cfg.replicas))
     worst = max(max(p.replica_values) - p.bound for p in rep.points)
     job.verdicts.append(Verdict("every replica below the bound", worst, 0.0,
                                 {"n_grid": list(cfg.n_grid), "m": cfg.m}))
@@ -109,35 +131,22 @@ def _rate_job(settings: RunSettings, leg: str) -> JobResult:
                                     abs(rep.fit.slope - c), h,
                                     {"slope": rep.fit.slope,
                                      "correlation": rep.fit.correlation}))
-    job.fits[f"rate_{leg}"] = {
-        "slope": rep.fit.slope,
-        "intercept": rep.fit.intercept,
-        "correlation": rep.fit.correlation,
-    }
-    job.tables[f"rate_{leg}"] = (
-        ("n", "w2_hat", "ci_lo", "ci_hi", "bound"),
-        [(p.n, p.w2_hat, p.ci_lo, p.ci_hi, p.bound) for p in rep.points],
-    )
+    job.fits[f"rate_{leg}"] = asdict(rep.fit)
+    job.tables[f"rate_{leg}"] = _table(rep.points, "n", "w2_hat", "ci_lo", "ci_hi", "bound")
     job.tables[f"rate_{leg}_replicas"] = (
         ("n", "replica", "w2_hat"),
-        [
-            (p.n, r, v)
-            for p in rep.points
-            for r, v in enumerate(p.replica_values)
-        ],
+        [(p.n, r, v) for p in rep.points for r, v in enumerate(p.replica_values)],
     )
-    ns = [p.n for p in rep.points]
-    job.plotdata[f"rate_{leg}"] = (ns, [p.w2_hat for p in rep.points])
-    job.plotdata[f"rate_{leg}_bound"] = (ns, [p.bound for p in rep.points])
+    job.plotdata[f"rate_{leg}"] = _series(rep.points, "w2_hat")
+    job.plotdata[f"rate_{leg}_bound"] = _series(rep.points, "bound")
     return job
 
 
 def _lower_job(settings: RunSettings, leg: str) -> JobResult:
-    cfg = settings.lower_d1 if leg == "d1" else settings.lower_d2
-    rep = lattice_lower_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR)
-    job.meta = {"m_w2": cfg.m_w2, "m_proxy": cfg.m_proxy, "estimator": cfg.estimator,
-                "sampler": _sampler_meta(cfg.sampler)}
+    cfg, index = _leg_config(settings, "lower", leg)
+    rep = lattice_lower_experiment(cfg, settings.seed, index)
+    job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR,
+                    meta=_leg_meta(cfg, m_w2=cfg.m_w2, m_proxy=cfg.m_proxy))
     ratio = rep.plateau_vs_target
     if leg == "d1":
         c, h = PLATEAU_WINDOW
@@ -152,25 +161,15 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
         job.verdicts.append(Verdict("sqrt(n) x lattice proxy above 95% of the target",
                                     0.95, ratio,
                                     {"plateau": rep.plateau_value, "target": rep.target}))
-    job.tables[f"lower_{leg}"] = (
-        ("n", "ell_n", "sqrtn_w2_hat", "sqrtn_proxy", "proxy_se",
-         "percube_measured", "percube_quadrature", "percube_claim_half_sqrtd"),
-        [
-            (p.n, p.ell_n, p.sqrtn_w2_hat, p.sqrtn_proxy, p.proxy_se,
-             p.percube_measured, p.percube_quadrature, p.percube_claim_half_sqrtd)
-            for p in rep.points
-        ],
-    )
-    ns = [p.n for p in rep.points]
-    job.plotdata[f"lower_{leg}_proxy"] = (ns, [p.sqrtn_proxy for p in rep.points])
-    job.plotdata[f"lower_{leg}_w2"] = (ns, [p.sqrtn_w2_hat for p in rep.points])
+    job.tables[f"lower_{leg}"] = _table(rep.points)
+    job.plotdata[f"lower_{leg}_proxy"] = _series(rep.points, "sqrtn_proxy")
+    job.plotdata[f"lower_{leg}_w2"] = _series(rep.points, "sqrtn_w2_hat")
     return job
 
 
 def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     if leg == "calibration":
-        rng = rng_for(settings.seed, _CI_CALIBRATION_JOB)
-        res = ci_calibration(settings.calibration_m, rng)
+        res = ci_calibration(settings.calibration_m, settings.seed)
         job = JobResult(job_id="ci:calibration", anchor=CI_ANCHOR)
         slack = halfspace_slack(settings.calibration_m)
         job.verdicts.append(Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
@@ -179,68 +178,50 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
         job.verdicts.append(Verdict("conversion bound dominates the calibration instance",
                                     res.delta_hat, res.rhs + slack, {"rhs": res.rhs}))
         return job
-    cfg = settings.ci_d1 if leg == "d1" else settings.ci_d2
-    rep = ci_halfspace_experiment(cfg, settings.seed, _leg_index(leg))
-    job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR)
-    job.meta = {"m": cfg.m, "w2_m": cfg.w2_cloud, "directions": cfg.directions,
-                "estimator": cfg.estimator,
-                "sampler": _sampler_meta(cfg.sampler)}
-    worst = max(p.delta_hat - (p.rhs + p.slack) for p in rep.points)
+    cfg, index = _leg_config(settings, "ci", leg)
+    rep = ci_halfspace_experiment(cfg, settings.seed, index)
+    job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR,
+                    meta=_leg_meta(cfg, m=cfg.m, w2_m=cfg.w2_cloud,
+                                   directions=cfg.directions))
+    worst = max(p.delta_hat - (p.conversion_rhs + p.slack) for p in rep.points)
     job.verdicts.append(Verdict("delta_hat below the conversion bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid), "m": cfg.m}))
     job.verdicts.append(Verdict(f"log delta_hat decay slope at most {CI_DECAY_SLOPE_MAX}",
                                 rep.decay_slope, CI_DECAY_SLOPE_MAX))
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}
-    job.tables[f"ci_{leg}"] = (
-        ("n", "delta_hat", "w2_hat", "conversion_rhs", "slack"),
-        [(p.n, p.delta_hat, p.w2_hat, p.rhs, p.slack) for p in rep.points],
-    )
-    ns = [p.n for p in rep.points]
+    job.tables[f"ci_{leg}"] = _table(rep.points)
+    job.plotdata[f"ci_{leg}_delta"] = _series(rep.points, "delta_hat")
     s = cfg.sampler.build()
-    job.plotdata[f"ci_{leg}_delta"] = (ns, [p.delta_hat for p in rep.points])
+    ns = [p.n for p in rep.points]
     job.plotdata[f"ci_{leg}_bentkus_reference"] = (
-        ns, [bentkus_reference_curve(s.dim, n, s.bound) for n in ns]
-    )
+        ns, [bentkus_reference_curve(s.dim, n, s.bound) for n in ns])
     return job
+
+
+_JOB_KINDS = {"check": _check_job, "rate": _rate_job, "lower": _lower_job, "ci": _ci_job}
 
 
 def run_job(settings: RunSettings, job_id: str) -> JobResult:
     kind, _, name = job_id.partition(":")
-    if kind == "check":
-        entry = checker_entry(name)
-        return JobResult(job_id=job_id, anchor=entry.anchor,
-                         verdicts=entry.runner(settings.check, settings.seed))
-    if kind == "rate":
-        return _rate_job(settings, name)
-    if kind == "lower":
-        return _lower_job(settings, name)
-    if kind == "ci":
-        return _ci_job(settings, name)
-    raise ValueError(f"unknown job {job_id!r}")
+    if kind not in _JOB_KINDS:
+        raise ValueError(f"unknown job {job_id!r}")
+    return _JOB_KINDS[kind](settings, name)
 
 
 def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[str]:
-    check_jobs = [f"check:{cid}" for cid in checker_ids()]
-    if only is not None:
-        if only not in checker_ids():
-            raise UsageError(
-                f"unknown checker {only!r}; run the list subcommand for ids"
-            )
-        check_jobs = [f"check:{only}"]
-    exp_jobs = {
-        "rate": ["rate:d1", "rate:d2"],
-        "lower": ["lower:d1", "lower:d2"],
-        "ci": ["ci:calibration", "ci:d1", "ci:d2"],
-    }
+    if only is not None and only not in _CHECKERS:
+        raise UsageError(f"unknown checker {only!r}; run the list subcommand for ids")
+    check_jobs = [f"check:{cid}" for cid in _CHECKERS if only in (None, cid)]
     if subcommand == "check":
         return check_jobs
-    if subcommand in exp_jobs:
-        if only is not None:
-            raise UsageError("--only applies to the check/all subcommands")
-        return exp_jobs[subcommand]
     if subcommand == "all":
-        return check_jobs + exp_jobs["rate"] + exp_jobs["lower"] + exp_jobs["ci"]
-    raise UsageError(f"unknown subcommand {subcommand!r}")
+        return check_jobs + list(EXPERIMENT_JOBS)
+    exp_jobs = [j for j in EXPERIMENT_JOBS if j.startswith(f"{subcommand}:")]
+    if not exp_jobs:
+        raise UsageError(f"unknown subcommand {subcommand!r}")
+    if only is not None:
+        raise UsageError("--only applies to the check/all subcommands")
+    return exp_jobs
 
 
 # ---------------------------------------------------------------------------

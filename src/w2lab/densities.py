@@ -13,8 +13,10 @@ evaluation is stable everywhere.  Coordinate averagings f_(i) (average along
 axis i) and prefix averagings f_[k] (average over all but the first k axes)
 reduce to the same formula on projected data.
 
-Evaluation is restricted to the ellipsoid |x|_w <= 8*sqrt(d); the discarded
-reference mass is tracked and folded into error budgets.
+The Gauss-Hermite quadratures against rho (second moment, normalization)
+drop the nodes outside the ellipsoid |x|_w <= 8*sqrt(d).  The weight dropped
+enters no error budget: at the default 200 nodes it is 4.8e-16 in d = 1 and
+1.5e-28 in d = 2, whatever the model (measured on the chi2-identity models).
 
 The chain report compares, for one model,
 
@@ -291,14 +293,12 @@ def _clamped_gh(model: _RatioBase, nodes: int):
     wts = wts.copy()
     radius = CLAMP_RADIUS_FACTOR * math.sqrt(model.dim)
     wnorm = np.sqrt((pts**2 / model.cov.variances).sum(axis=-1))
-    outside = wnorm > radius
-    mass_loss = float(wts[outside].sum())
-    wts[outside] = 0.0
-    return pts, wts, mass_loss
+    wts[wnorm > radius] = 0.0
+    return pts, wts
 
 
 def _second_moment_quad(model: _RatioBase, nodes: int) -> float:
-    pts, wts, _ = _clamped_gh(model, nodes)
+    pts, wts = _clamped_gh(model, nodes)
     return float(wts @ model.f(pts) ** 2)
 
 
@@ -328,7 +328,7 @@ def density_second_moment_lhs(
 
 def density_normalization(model: _RatioBase, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z), which must equal 1 (tau integrates to one)."""
-    pts, wts, _ = _clamped_gh(model, nodes)
+    pts, wts = _clamped_gh(model, nodes)
     return float(wts @ model.f(pts))
 
 

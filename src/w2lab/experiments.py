@@ -3,18 +3,18 @@
 Each experiment takes its leg's dataclass config, the run's root seed and the
 leg's index (1 for the ``d1`` job, 2 for ``d2``), and draws every stream
 from ``rng_for(seed, <experiment code>, leg, <grid point>[, <replica>])``
-through the documented splitting rule.  Distinct jobs therefore never share
-a stream, under one root seed or across seeds, and reports are
-bit-identical across runs and across worker counts.  Experiments return
-plain report dataclasses; the pass/fail verdicts are decided from them in
-:mod:`w2lab.cli`, and serialization lives in :mod:`w2lab.reporting`.
+(the calibration, which has no leg, from ``rng_for(seed, <its code>)``).
+Distinct jobs therefore never share a stream, under one root seed or across
+seeds, and reports are bit-identical across runs and across worker counts.
+Experiments return plain report dataclasses; the verdicts and the tables
+(the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
-The sampler's dimension picks the W2 estimator
-(:func:`w2lab.transport.estimate_w2`): the quantile coupling in one
-dimension, exact assignment otherwise.  A config checks at construction
-everything that depends on it alone (the sampler builds, the n grid, the
-cloud sizes against the exact-assignment cap, the lower leg's lattice
-support), so a bad config fails before any compute.
+Every W2(S_n, Z) estimate is one :func:`_w2_of_sum` draw, whose estimator
+the sampler's dimension picks (:func:`w2lab.transport.estimate_w2`): the
+quantile coupling in one dimension, exact assignment otherwise.  A config
+checks at construction everything that depends on it alone (the sampler
+builds, the n grid, the cloud sizes against the exact-assignment cap, the
+lower leg's lattice support), so a bad config fails before any compute.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, roots_legendre, stdtrit
 
-from .gaussmath import CovarianceSpec, GaussianModel, sample_gaussian
+from .gaussmath import CovarianceSpec, sample_gaussian
 from .samplers import (
     SE_FACTOR,
     BoundedSampler,
@@ -65,7 +65,8 @@ class SamplerSpec:
     """Config-file description of a sampler; ``build()`` realizes it.
 
     ``outcomes``/``probs`` (tuples of tuples / tuple of floats) describe a
-    lattice_custom support and are rejected by the parametric kinds.
+    lattice_custom support, which sets its own scale (``scale`` must be 1);
+    the parametric kinds reject them.
     """
 
     kind: str
@@ -85,6 +86,10 @@ class SamplerSpec:
         if self.kind == "lattice_custom":
             if self.outcomes is None or self.probs is None:
                 raise ValueError("lattice_custom needs explicit outcomes and probs")
+            if self.scale != 1:
+                raise ValueError(f"lattice_custom takes its scale from its outcomes, got scale "
+                                 f"= {self.scale}; a leg whose default sampler has another "
+                                 f"scale (rate_d2, ci_d2) needs scale = 1 written out")
             outs = np.asarray(self.outcomes, dtype=float)
             if outs.ndim != 2 or outs.shape[1] != self.dim:
                 raise ValueError(
@@ -120,7 +125,7 @@ class _ExperimentLeg:
         object.__setattr__(self, "n_grid", grid)
         if cloud < 1:
             raise ValueError(f"need at least 1 point per W2 cloud, got {cloud}")
-        if self.sampler.dim > 1 and cloud > EXACT_CAP_DEFAULT:
+        if self.estimator == "exact" and cloud > EXACT_CAP_DEFAULT:
             raise ValueError(
                 f"exact assignment is capped at {EXACT_CAP_DEFAULT} points "
                 f"per cloud, got {cloud}"
@@ -169,7 +174,6 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class RateReport:
-    config: RateExperimentConfig
     points: tuple
     fit: RateFit
 
@@ -200,23 +204,24 @@ def _replica_ci(values: np.ndarray) -> tuple[float, float]:
     return mean - half, mean + half
 
 
+def _w2_of_sum(s: BoundedSampler, n: int, m: int, rng: np.random.Generator) -> float:
+    """Estimate W2(S_n, Z) on m draws of S_n = n^{-1/2} (X_1 + ... + X_n) by the
+    sampler's exact sum path, then m draws of Z ~ N(0, Sigma), both from ``rng``."""
+    sn = s.draw_sum(n, m, rng) / math.sqrt(n)
+    return estimate_w2(sn, sample_gaussian(s.cov, m, rng))
+
+
 def clt_rate_experiment(cfg: RateExperimentConfig, seed: int, leg: int) -> RateReport:
     """Estimate W2(S_n, Z) over the n grid, with the rate bound at each n.
 
-    S_n = n^{-1/2} (X_1 + ... + X_n) is sampled through the sampler's exact
-    sum fast path; each replica draws a fresh (S_n cloud, Z cloud) pair.
+    Each replica draws a fresh (S_n cloud, Z cloud) pair.
     """
     s = cfg.sampler.build()
-    model = GaussianModel(s.cov, 1.0)
     points = []
     for i_n, n in enumerate(cfg.n_grid):
-        vals = []
         bound = main_rate_bound(s.dim, s.bound, n)
-        for r in range(cfg.replicas):
-            rng = rng_for(seed, _RATE_JOB, leg, i_n, r)
-            sn = s.draw_sum(n, cfg.m, rng) / math.sqrt(n)
-            z = sample_gaussian(model, cfg.m, rng)
-            vals.append(estimate_w2(sn, z))
+        vals = [_w2_of_sum(s, n, cfg.m, rng_for(seed, _RATE_JOB, leg, i_n, r))
+                for r in range(cfg.replicas)]
         arr = np.array(vals)
         lo, hi = _replica_ci(arr)
         points.append(
@@ -226,7 +231,7 @@ def clt_rate_experiment(cfg: RateExperimentConfig, seed: int, leg: int) -> RateR
             )
         )
     fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
-    return RateReport(config=cfg, points=tuple(points), fit=fit)
+    return RateReport(points=tuple(points), fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,7 @@ def expected_lattice_distance(
     """
     if m < LATTICE_MC_MIN:
         raise ValueError(f"need m >= {LATTICE_MC_MIN} draws for a stable estimate")
-    z = sample_gaussian(GaussianModel(cov, 1.0), m, rng)
+    z = sample_gaussian(cov, m, rng)
     d = lattice_distance(z, spec)
     return float(d.mean()), float(d.std(ddof=1) / math.sqrt(m))
 
@@ -285,8 +290,6 @@ class LowerBoundPoint:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    dim: int
-    beta: float
     target: float  # sqrt(d) * beta / 4
     points: tuple
     plateau_value: float  # sqrt(n) * proxy at the largest n
@@ -322,7 +325,6 @@ def lattice_lower_experiment(
     plateau is compared against sqrt(d) * beta / 4.
     """
     s = cfg.sampler.build()
-    model = GaussianModel(s.cov, 1.0)
     cell_const = unit_cell_mean_distance(s.dim)
     points = []
     for i_n, n in enumerate(cfg.n_grid):
@@ -330,10 +332,7 @@ def lattice_lower_experiment(
         spec = LatticeSpec(spacing=ell, dim=s.dim)
         rng_p = rng_for(seed, _LOWER_PROXY_JOB, leg, i_n)
         proxy, se = expected_lattice_distance(s.cov, spec, cfg.m_proxy, rng_p)
-        rng_w = rng_for(seed, _LOWER_W2_JOB, leg, i_n)
-        sn = s.draw_sum(n, cfg.m_w2, rng_w) / math.sqrt(n)
-        z = sample_gaussian(model, cfg.m_w2, rng_w)
-        w2_hat = estimate_w2(sn, z)
+        w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng_for(seed, _LOWER_W2_JOB, leg, i_n))
         # measured per-cube constant: mean distance of uniform cell points
         u = (rng_p.random((10**5, s.dim)) - 0.5) * ell
         percube = float(np.sqrt((u**2).sum(axis=1)).mean()) / ell
@@ -351,8 +350,6 @@ def lattice_lower_experiment(
         )
     target = math.sqrt(s.dim) * s.bound / 4.0
     return LowerBoundReport(
-        dim=s.dim,
-        beta=s.bound,
         target=target,
         points=tuple(points),
         plateau_value=points[-1].sqrtn_proxy,
@@ -378,7 +375,7 @@ class HalfspacePoint:
     n: int
     delta_hat: float
     w2_hat: float
-    rhs: float  # 5 d^{1/6} w2^{2/3}
+    conversion_rhs: float  # 5 d^{1/6} w2^{2/3}
     slack: float  # statistical widening added before the verdict
 
 
@@ -403,7 +400,6 @@ class HalfspaceConfig(_ExperimentLeg):
 
 @dataclass(frozen=True)
 class HalfspaceReport:
-    config: HalfspaceConfig
     points: tuple
     decay_slope: float  # slope of log delta_hat vs log n
 
@@ -447,7 +443,6 @@ def ci_halfspace_experiment(
     verdict widens the conversion bound.
     """
     s = cfg.sampler.build()
-    model = GaussianModel(s.cov, 1.0)
     slack = halfspace_slack(cfg.m)
     points = []
     for i_n, n in enumerate(cfg.n_grid):
@@ -455,20 +450,17 @@ def ci_halfspace_experiment(
         sn = s.draw_sum(n, cfg.m, rng) / math.sqrt(n)
         dirs = _direction_set(s.dim, cfg.directions, rng)
         delta_hat = halfspace_distance(sn, s.cov, dirs)
-        rng_w = rng_for(seed, _CI_W2_JOB, leg, i_n)
-        sn_w = s.draw_sum(n, cfg.w2_cloud, rng_w) / math.sqrt(n)
-        z_w = sample_gaussian(model, cfg.w2_cloud, rng_w)
-        w2_hat = estimate_w2(sn_w, z_w)
+        w2_hat = _w2_of_sum(s, n, cfg.w2_cloud, rng_for(seed, _CI_W2_JOB, leg, i_n))
         points.append(
             HalfspacePoint(
                 n=n, delta_hat=delta_hat, w2_hat=w2_hat,
-                rhs=conversion_bound(s.dim, w2_hat), slack=slack,
+                conversion_rhs=conversion_bound(s.dim, w2_hat), slack=slack,
             )
         )
     fit = _loglog_fit(
         [p.n for p in points], [max(p.delta_hat, 1e-12) for p in points]
     )
-    return HalfspaceReport(config=cfg, points=tuple(points), decay_slope=fit.slope)
+    return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)
 
 
 @dataclass(frozen=True)
@@ -479,14 +471,15 @@ class CalibrationResult:
     rhs: float
 
 
-def ci_calibration(m: int, rng: np.random.Generator) -> CalibrationResult:
+def ci_calibration(m: int, seed: int) -> CalibrationResult:
     """Shifted-Gaussian calibration of the halfspace machinery.
 
     N(shift, 1) against N(0, 1) with ``shift = CALIBRATION_SHIFT``: the exact
     halfspace supremum is 2 Phi(shift/2) - 1 at the midpoint threshold, W2
     equals shift, and the conversion bound is evaluated at the exact W2.
+    The m draws come from ``rng_for(seed, _CI_CALIBRATION_JOB)``.
     """
-    x = rng.standard_normal(m) + CALIBRATION_SHIFT
+    x = rng_for(seed, _CI_CALIBRATION_JOB).standard_normal(m) + CALIBRATION_SHIFT
     w2 = CALIBRATION_SHIFT
     return CalibrationResult(
         delta_hat=ks_statistic_gaussian(x, 1.0),

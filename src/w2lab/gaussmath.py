@@ -2,7 +2,8 @@
 
 Everything here works with centered Gaussians N(0, t*Sigma) where Sigma =
 diag(sigma_1^2, ..., sigma_d^2) and sigma_1 >= ... >= sigma_d > 0;
-non-diagonal covariances are out of scope.
+non-diagonal covariances are out of scope.  Functions take a Gaussian as its
+:class:`CovarianceSpec` and time scale t (default 1, the reference Gaussian).
 
 The module also hosts the Gauss-Hermite nodes and the tensor grid used as
 the quadrature oracle for every density integral in the package (200 nodes
@@ -88,18 +89,6 @@ class CovarianceSpec:
         )
 
 
-@dataclass(frozen=True)
-class GaussianModel:
-    """The law N(0, t*Sigma); t = 1 is the reference Gaussian."""
-
-    cov: CovarianceSpec
-    time_scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.time_scale > 0:
-            raise ValueError("time_scale must be strictly positive")
-
-
 def _check_dim(v: np.ndarray, cov: CovarianceSpec, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != cov.dim:
@@ -110,16 +99,18 @@ def _check_dim(v: np.ndarray, cov: CovarianceSpec, name: str) -> np.ndarray:
 
 
 def sample_gaussian(
-    model: GaussianModel, count: int, rng: np.random.Generator
+    cov: CovarianceSpec, count: int, rng: np.random.Generator, time_scale: float = 1.0
 ) -> np.ndarray:
-    """i.i.d. draws from N(0, t*Sigma), shape (count, dim).
+    """i.i.d. draws from N(0, t*Sigma), t = ``time_scale`` > 0, shape (count, dim).
 
     Deterministic given the generator state; callers own seeding.
     """
+    if not time_scale > 0:
+        raise ValueError("time_scale must be strictly positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    z = rng.standard_normal((count, model.cov.dim))
-    z *= np.sqrt(model.time_scale) * model.cov.sigmas
+    z = rng.standard_normal((count, cov.dim))
+    z *= np.sqrt(time_scale) * cov.sigmas
     return z
 
 

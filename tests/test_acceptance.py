@@ -31,7 +31,6 @@ from w2lab.densities import (
     talagrand_chain,
 )
 from w2lab.experiments import (
-    _CI_CALIBRATION_JOB,
     ci_calibration,
     ci_halfspace_experiment,
     clt_rate_experiment,
@@ -209,7 +208,7 @@ def test_criterion_09_lattice_lower_bound():
 def test_criterion_10_ci_conversion():
     with criterion(10, "halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
         settings = RunSettings(seed=SEED)
-        cal = ci_calibration(settings.calibration_m, rng_for(SEED, _CI_CALIBRATION_JOB))
+        cal = ci_calibration(settings.calibration_m, SEED)
         assert cal.delta_exact == pytest.approx(0.19741265, abs=1e-7)
         assert cal.rhs == pytest.approx(3.1498, abs=5e-4)
         assert abs(cal.delta_hat - cal.delta_exact) <= 5 * 0.5 / math.sqrt(
@@ -219,7 +218,7 @@ def test_criterion_10_ci_conversion():
         for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
             rep = ci_halfspace_experiment(cfg, SEED, leg)
             for p in rep.points:
-                assert p.delta_hat <= p.rhs + p.slack, (cfg.sampler, p)
+                assert p.delta_hat <= p.conversion_rhs + p.slack, (cfg.sampler, p)
 
 
 def test_criterion_11_determinism(tmp_path):

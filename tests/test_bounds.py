@@ -11,7 +11,6 @@ from w2lab.bounds import (
 )
 from w2lab.gaussmath import (
     CovarianceSpec,
-    GaussianModel,
     sample_gaussian,
     w2_gaussian_diag,
 )
@@ -59,8 +58,8 @@ class TestIncrement:
         assert bounds.estimate_w2 is transport.estimate_w2 is experiments.estimate_w2
         chk = increment_bound_check(s, n, m, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        z_n = sample_gaussian(GaussianModel(s.cov, float(n)), m, rng)
-        z_prev = sample_gaussian(GaussianModel(s.cov, float(n - 1)), m, rng)
+        z_n = sample_gaussian(s.cov, m, rng, float(n))
+        z_prev = sample_gaussian(s.cov, m, rng, float(n - 1))
         z_prev += s.draw(rng, size=m)
         if s.dim == 1:
             expect = transport.w2_quantile_1d(z_n[:, 0], z_prev[:, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import os
@@ -199,12 +200,35 @@ class TestConfig:
         assert built.bound == 1.0
 
 
+EXPERIMENT_JOBS = ["rate:d1", "rate:d2", "lower:d1", "lower:d2",
+                   "ci:calibration", "ci:d1", "ci:d2"]
+
+
 class TestJobs:
     def test_job_lists(self):
         s = RunSettings()
-        assert len(jobs_for("check", s)) == len(REGISTRY)
+        check_jobs = [f"check:{e.checker_id}" for e in REGISTRY]
+        assert len(check_jobs) == 20
+        assert jobs_for("check", s) == check_jobs
         assert jobs_for("rate", s) == ["rate:d1", "rate:d2"]
-        assert set(jobs_for("all", s)) >= set(jobs_for("ci", s))
+        assert jobs_for("lower", s) == ["lower:d1", "lower:d2"]
+        assert jobs_for("ci", s) == ["ci:calibration", "ci:d1", "ci:d2"]
+        assert jobs_for("all", s) == check_jobs + EXPERIMENT_JOBS
+        assert jobs_for("all", s, only="r-of-n") == ["check:r-of-n"] + EXPERIMENT_JOBS
+        with pytest.raises(UsageError, match="unknown subcommand"):
+            jobs_for("bogus", s)
+
+    def test_every_leg_job_names_its_settings_field(self):
+        s = RunSettings()
+        assert list(cli.EXPERIMENT_JOBS) == EXPERIMENT_JOBS
+        legs = {j.replace(":", "_") for j in EXPERIMENT_JOBS if j != "ci:calibration"}
+        leg_fields = {f.name for f in dataclasses.fields(s)
+                      if dataclasses.is_dataclass(getattr(s, f.name))} - {"check"}
+        assert legs == leg_fields
+
+    def test_unknown_job_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown job 'bogus:d1'"):
+            cli.run_job(RunSettings(), "bogus:d1")
 
     def test_only_filter(self):
         s = RunSettings()
@@ -245,6 +269,18 @@ w2_m = 50
 directions = 2
 """
 
+TABLE_HEADERS = {
+    **{f"rate_{leg}": "n,w2_hat,ci_lo,ci_hi,bound" for leg in ("d1", "d2")},
+    **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
+    **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_proxy,proxy_se,percube_measured,"
+                       "percube_quadrature,percube_claim_half_sqrtd" for leg in ("d1", "d2")},
+    **{f"ci_{leg}": "n,delta_hat,w2_hat,conversion_rhs,slack" for leg in ("d1", "d2")},
+}
+PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
+              for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_proxy", "_w2")),
+                                     ("ci", ("_delta", "_bentkus_reference")))
+              for suffix in suffixes}
+
 
 class TestSeedPaths:
     def test_no_two_jobs_share_a_stream_across_consecutive_seeds(
@@ -255,8 +291,7 @@ class TestSeedPaths:
             keys.append((int(root), tuple(int(p) for p in path)))
             return seeding.rng_for(root, *path)
 
-        for module in (cli, experiments):
-            monkeypatch.setattr(module, "rng_for", recording_rng_for)
+        monkeypatch.setattr(experiments, "rng_for", recording_rng_for)
         p = tmp_path / "tiny.ini"
         p.write_text(TINY_EXPERIMENTS)
         owner = {}
@@ -342,6 +377,12 @@ class TestMainEndToEnd:
         ("rate", "[rate_d1]\noutcomes = 5 | -5\nprobs = 0.5 0.5\n"),
         ("check --only naive-w2", "[run]\nout =\n"),
         ("check --only naive-w2 --out ''", ""),
+        # lattice_custom takes its scale from its outcomes: any other scale,
+        # written or inherited from the leg's default sampler, is an error
+        ("rate", "[rate_d1]\nsampler = lattice_custom\noutcomes = -1 | 1\n"
+                 "probs = 0.5 0.5\nscale = 7\n"),
+        ("rate", "[rate_d2]\nsampler = lattice_custom\n"
+                 "outcomes = -1 -1 | 1 1 | -1 1 | 1 -1\nprobs = 0.25 0.25 0.25 0.25\n"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, monkeypatch, subcommand, ini):
@@ -370,35 +411,48 @@ class TestMainEndToEnd:
             assert r["anchor"] == anchors[cid], r
         assert_verdicts_follow_margins(records)
 
-    def test_rate_csv_schema(self, tmp_path):
-        out = str(tmp_path / "out")
-        p = tmp_path / "tiny.ini"
+    @pytest.mark.parametrize("ini,subcommands,all_pass", [
         # grid wide enough for the slope window to apply meaningfully
-        p.write_text(
-            "[rate_d1]\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n"
-            "[rate_d2]\nn_grid = 16 64\nreplicas = 3\nm = 400\n"
-        )
-        rc = cli.main(["rate", "--config", str(p), "--out", out])
-        assert rc == 0
-        lines = open(os.path.join(out, "tables", "rate_d1.csv")).read().splitlines()
+        ("[rate_d1]\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n"
+         "[rate_d2]\nn_grid = 16 64\nreplicas = 3\nm = 400\n", ("rate",), True),
+        # sizes too small for the verdicts to mean anything: only the schema counts
+        (TINY_EXPERIMENTS, ("rate", "lower", "ci"), False),
+    ], ids=["rate", "all-experiments"])
+    def test_rate_csv_schema(self, tmp_path, ini, subcommands, all_pass):
+        p = tmp_path / "tiny.ini"
+        p.write_text(ini)
+        assert (len(TABLE_HEADERS), len(PLOT_NAMES)) == (8, 12)
+        anchors = {"rate": cli.RATE_ANCHOR, "lower": cli.LOWER_ANCHOR, "ci": cli.CI_ANCHOR}
+        for sub in subcommands:
+            out = str(tmp_path / sub)
+            rc = cli.main([sub, "--config", str(p), "--out", out])
+            records = json.loads(open(os.path.join(out, "verdicts.json")).read())["verdicts"]
+            assert rc == int(any(r["verdict"] == "fail" for r in records))
+            assert rc == 0 or not all_pass
+            assert {r["job"] for r in records} == set(jobs_for(sub, load_settings(str(p))))
+            for r in records:
+                assert r["checker"] == r["job"].replace(":", "-")
+                assert r["anchor"] == anchors[sub]
+            assert_verdicts_follow_margins(records)
+        lines = open(os.path.join(tmp_path, "rate", "tables", "rate_d1.csv")).read().splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert any("config_hash=" in l for l in meta)
         assert any("root_seed=" in l for l in meta)
-        header = [l for l in lines if not l.startswith("#")][0]
-        assert header == "n,w2_hat,ci_lo,ci_hi,bound"
         data = [l for l in lines if not l.startswith("#")][1:]
-        assert len(data) == 4
-        # plotdata is two-column numeric
-        dat = open(os.path.join(out, "plotdata", "rate_d1.dat")).read().splitlines()
-        rows = [l.split() for l in dat if not l.startswith("#")]
-        assert all(len(r) == 2 for r in rows)
-        np.array(rows, dtype=float)
-        records = json.loads(open(os.path.join(out, "verdicts.json")).read())["verdicts"]
-        assert {r["job"] for r in records} == {"rate:d1", "rate:d2"}
-        for r in records:
-            assert r["checker"] == r["job"].replace(":", "-")
-            assert r["anchor"] == cli.RATE_ANCHOR
-        assert_verdicts_follow_margins(records)
+        assert len(data) == len(load_settings(str(p)).rate_d1.n_grid)
+        headers = {}
+        for path in tmp_path.glob("*/tables/*.csv"):
+            rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+            headers[path.stem] = rows[0]
+        assert headers == {name: header for name, header in TABLE_HEADERS.items()
+                           if name.split("_")[0] in subcommands}
+        dats = {path.stem: path for path in tmp_path.glob("*/plotdata/*.dat")}
+        assert set(dats) == {name for name in PLOT_NAMES if name.split("_")[0] in subcommands}
+        for path in dats.values():
+            # plotdata is two-column numeric
+            rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
+            assert rows and all(len(r) == 2 for r in rows)
+            np.array(rows, dtype=float)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()
@@ -420,8 +474,6 @@ class TestMainEndToEnd:
             job_id="check:fake", anchor="anchor",
             verdicts=[Verdict("case", 0.0, 0.0, inconclusive=True)],
         )
-        import dataclasses
-
         rc = emit(dataclasses.replace(s, out_dir=str(tmp_path / "o")), [j], verbose=1)
         assert rc == 0
         assert "warning" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import stats
@@ -46,6 +47,11 @@ class TestSamplerSpec:
         assert s.bound == 2.0
         with pytest.raises(ValueError, match="outcomes"):
             SamplerSpec("lattice_custom", 1).build()
+        # the outcomes set the scale; any other scale would be silently ignored
+        assert replace(spec, scale=1.0).build().bound == 2.0
+        for scale in (7.0, 2.0**0.5):
+            with pytest.raises(ValueError, match="needs scale = 1"):
+                replace(spec, scale=scale).build()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -195,8 +201,8 @@ class TestHalfspace:
         ks = ks_statistic_gaussian(rng.standard_normal(10**5), 1.0)
         assert ks < 0.01
 
-    def test_calibration(self, rng):
-        res = ci_calibration(10**5, rng)
+    def test_calibration(self):
+        res = ci_calibration(10**5, seed=987654321)
         assert res.delta_exact == pytest.approx(0.19741265, abs=1e-7)
         assert res.w2 == 0.5
         assert res.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
@@ -213,7 +219,7 @@ class TestHalfspace:
         assert rep.decay_slope <= -0.25
         for p in rep.points:
             assert p.slack == halfspace_slack(20000)
-            assert p.delta_hat <= p.rhs + p.slack
+            assert p.delta_hat <= p.conversion_rhs + p.slack
 
     def test_slack_is_five_binomial_standard_errors(self):
         for m in (1, 20000, 10**5, 123457):

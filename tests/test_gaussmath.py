@@ -8,7 +8,6 @@ from w2lab.gaussmath import (
     CovarianceSpec,
     DimensionMismatchError,
     DivergentIntegralError,
-    GaussianModel,
     gaussian_exp_quadratic,
     gh_grid,
     gh_nodes_weights,
@@ -54,15 +53,14 @@ class TestCovarianceSpec:
 
 class TestSampling:
     def test_seed_determinism(self):
-        model = GaussianModel(CovarianceSpec([1.0, 2.0]), 1.5)
-        a = sample_gaussian(model, 100, np.random.default_rng(7))
-        b = sample_gaussian(model, 100, np.random.default_rng(7))
+        cov = CovarianceSpec([1.0, 2.0])
+        a = sample_gaussian(cov, 100, np.random.default_rng(7), time_scale=1.5)
+        b = sample_gaussian(cov, 100, np.random.default_rng(7), time_scale=1.5)
         assert np.array_equal(a, b)
 
     def test_mean_and_variance(self, rng):
         m = 10**6
-        model = GaussianModel(CovarianceSpec([1.0]), 4.0)
-        z = sample_gaussian(model, m, rng)
+        z = sample_gaussian(CovarianceSpec([1.0]), m, rng, time_scale=4.0)
         se_mean = 2.0 / math.sqrt(m)
         assert abs(z.mean()) < 4 * se_mean
         var = float((z**2).mean())
@@ -70,11 +68,11 @@ class TestSampling:
         assert abs(var - 4.0) < 5 * se_var
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="time_scale"):
+            sample_gaussian(CovarianceSpec([1.0]), 10, np.random.default_rng(0),
+                            time_scale=0.0)
         with pytest.raises(ValueError):
-            GaussianModel(CovarianceSpec([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            sample_gaussian(GaussianModel(CovarianceSpec([1.0])), 0,
-                            np.random.default_rng(0))
+            sample_gaussian(CovarianceSpec([1.0]), 0, np.random.default_rng(0))
 
 
 class TestExpQuadratic:
@@ -168,8 +166,8 @@ class TestW2GaussianDiag:
         c2 = CovarianceSpec(rng.uniform(0.6, 1.6, size=2))
         closed = w2_gaussian_diag(c1, c2)
         m = 3000
-        x = sample_gaussian(GaussianModel(c1), m, rng)
-        y = sample_gaussian(GaussianModel(c2), m, rng)
+        x = sample_gaussian(c1, m, rng)
+        y = sample_gaussian(c2, m, rng)
         emp = math.sqrt(w2_exact(EmpiricalMeasure(x), EmpiricalMeasure(y))[0])
         # empirical bias is positive and ~m^{-1/2}-ish in d=2
         assert emp == pytest.approx(closed, abs=0.15)
