@@ -6,6 +6,7 @@ from ``rng_for(seed, <experiment code>, leg, <grid point>[, <replica>])``
 (the calibration, which has no leg, from ``rng_for(seed, <its code>)``).
 Distinct jobs therefore never share a stream, under one root seed or across
 seeds, and reports are bit-identical across runs and across worker counts.
+The lower experiment's lattice floor is exact and draws nothing.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre, stdtrit
+from scipy.special import ndtr, stdtrit
 
 from .gaussmath import CovarianceSpec, sample_gaussian
 from .samplers import (
     SE_FACTOR,
     BoundedSampler,
     LatticeSpec,
-    lattice_distance,
     make_lattice_custom,
     make_rademacher_product,
     make_scaled_basis,
@@ -48,12 +48,10 @@ from .transport import w2_exact  # noqa: F401
 # component is the leg
 _RATE_JOB = 1
 _LOWER_W2_JOB = 2
-_LOWER_PROXY_JOB = 3
+# code 3 (the retired lattice-distance Monte Carlo) is not reused
 _CI_JOB = 4
 _CI_W2_JOB = 5
 _CI_CALIBRATION_JOB = 6
-# Gaussian draws below which the lattice-distance Monte Carlo is too noisy
-LATTICE_MC_MIN = 10**5
 # mean shift of the ci calibration instance N(shift, 1) against N(0, 1)
 CALIBRATION_SHIFT = 0.5
 # the rate and ci legs' n grid: 16 to 4096 in powers of 2
@@ -238,42 +236,34 @@ def clt_rate_experiment(cfg: RateExperimentConfig, seed: int, leg: int) -> RateR
 # Lattice lower bound
 # ---------------------------------------------------------------------------
 
-def expected_lattice_distance(
-    cov: CovarianceSpec, spec: LatticeSpec, m: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo estimate (value, standard error) of E d_L(Z), Z ~ N(0, Sigma).
+def _lattice_sq_distance_1d(sigma: float, ell: float) -> float:
+    """Exact E dist(Z, ell Z)^2 for Z ~ N(0, sigma^2), cell by cell to 12 sigma.
 
-    A certified lower-bound ingredient: for S_n supported on the lattice,
-    W2(S_n, Z) >= E d_L(Z) up to the MC error.
+    In sigma units (h = ell / sigma) the lattice point t owns [a, b] =
+    [t - h/2, t + h/2], on which ``int (u - t)^2 phi(u) du = (1 + t^2)(Phi(b) -
+    Phi(a)) - 2t(phi(a) - phi(b)) + a phi(a) - b phi(b)``.  By symmetry the cells
+    t > 0 count twice, their Phi(b) - Phi(a) taken from the upper tails.
     """
-    if m < LATTICE_MC_MIN:
-        raise ValueError(f"need m >= {LATTICE_MC_MIN} draws for a stable estimate")
-    z = sample_gaussian(cov, m, rng)
-    d = lattice_distance(z, spec)
-    return float(d.mean()), float(d.std(ddof=1) / math.sqrt(m))
+    h = ell / sigma
+    t = h * np.arange(int(12.0 / h + 0.5) + 1)
+    a, b = t - h / 2, t + h / 2
+    phi_a, phi_b = np.exp(-a * a / 2), np.exp(-b * b / 2)
+    cells = ((1 + t * t) * (ndtr(-a) - ndtr(-b))
+             + (-2 * t * (phi_a - phi_b) + a * phi_a - b * phi_b) / math.sqrt(2 * math.pi))
+    cells[1:] *= 2
+    return sigma * sigma * math.fsum(cells)
 
 
-def unit_cell_mean_distance(dim: int) -> float:
-    """Mean distance to the cell center over the unit cube, by quadrature.
+def expected_lattice_distance(cov: CovarianceSpec, spec: LatticeSpec) -> float:
+    """The exact lattice floor sqrt(E d_L(Z)^2), Z ~ N(0, Sigma), L = spec.
 
-    Scales to a lattice of spacing L as L * value; 1/4 in one dimension,
-    about 0.3826 in two.  The integrand |x| has a kink at the origin, so the
-    60-node Gauss-Legendre rule runs over symmetric subregions where it is
-    smooth (for d = 2, the octant substitution y = t x makes the radial
-    factor polynomial).
+    A law supported on L is at distance at least d_L(Z) from Z under every
+    coupling, so W2(., Z) >= sqrt(E d_L(Z)^2).  With Sigma diagonal,
+    E d_L(Z)^2 is the sum over the coordinates of E dist(Z_i, spacing Z)^2,
+    each an exact sum of Gaussian partial moments over the lattice cells.
     """
-    x, w = roots_legendre(60)
-    if dim == 1:
-        # 2 * integral of x over [0, 1/2]
-        u = 0.25 * (x + 1.0)
-        return float(2.0 * (0.25 * w) @ u)
-    if dim == 2:
-        # 8 congruent octants; on {0 <= y <= x <= 1/2} substitute y = t x:
-        # integral = (int_0^{1/2} x^2 dx) * (int_0^1 sqrt(1+t^2) dt)
-        t = 0.5 * (x + 1.0)
-        radial = float((0.5 * w) @ np.sqrt(1.0 + t**2))
-        return 8.0 * (0.5**3 / 3.0) * radial
-    raise ValueError("unit-cell constant implemented for dim in {1, 2}")
+    return math.sqrt(math.fsum(_lattice_sq_distance_1d(float(sd), spec.spacing)
+                               for sd in cov.sigmas))
 
 
 @dataclass(frozen=True)
@@ -281,22 +271,14 @@ class LowerBoundPoint:
     n: int
     ell_n: float
     sqrtn_w2_hat: float
-    sqrtn_proxy: float
-    proxy_se: float
-    percube_measured: float  # measured per-cube mean distance / ell_n
-    percube_quadrature: float  # quadrature value of the same constant
-    percube_claim_half_sqrtd: float  # the 0.5*sqrt(d) comparison constant
+    sqrtn_floor: float  # sqrt(n) * the exact lattice floor
+    sqrtn_bound: float  # sqrt(n) * the main rate bound
 
 
 @dataclass(frozen=True)
 class LowerBoundReport:
     target: float  # sqrt(d) * beta / 4
     points: tuple
-    plateau_value: float  # sqrt(n) * proxy at the largest n
-
-    @property
-    def plateau_vs_target(self) -> float:
-        return self.plateau_value / self.target
 
 
 @dataclass(frozen=True)
@@ -304,56 +286,33 @@ class LowerExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = (64, 256, 1024, 4096)
     m_w2: int = 10**5
-    m_proxy: int = 2 * 10**5
 
     def __post_init__(self):
         require_lattice_support(self._check_leg(self.m_w2))
-        if self.m_proxy < LATTICE_MC_MIN:
-            raise ValueError(
-                f"need m_proxy >= {LATTICE_MC_MIN} draws, got {self.m_proxy}"
-            )
 
 
 def lattice_lower_experiment(
     cfg: LowerExperimentConfig, seed: int, leg: int
 ) -> LowerBoundReport:
-    """Track sqrt(n) * W2 and the certified lattice proxy along the n grid.
+    """Track sqrt(n) * W2 and the exact lattice floor along the n grid.
 
     The sampler takes values in beta * Z^d (checked by the config).  At scale n the
     normalized sum lives on the lattice with spacing ell_n = beta / sqrt(n),
-    so E d_L(Z) with that spacing lower-bounds W2(S_n, Z); its sqrt(n)-scaled
-    plateau is compared against sqrt(d) * beta / 4.
+    so :func:`expected_lattice_distance` with that spacing lower-bounds
+    W2(S_n, Z).  Its sqrt(n)-scaled value tends to beta sqrt(d / 12), above
+    the target sqrt(d) * beta / 4, and must stay below the main rate bound.
     """
     s = cfg.sampler.build()
-    cell_const = unit_cell_mean_distance(s.dim)
     points = []
     for i_n, n in enumerate(cfg.n_grid):
         ell = s.bound / math.sqrt(n)
-        spec = LatticeSpec(spacing=ell, dim=s.dim)
-        rng_p = rng_for(seed, _LOWER_PROXY_JOB, leg, i_n)
-        proxy, se = expected_lattice_distance(s.cov, spec, cfg.m_proxy, rng_p)
+        floor = expected_lattice_distance(s.cov, LatticeSpec(spacing=ell, dim=s.dim))
         w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng_for(seed, _LOWER_W2_JOB, leg, i_n))
-        # measured per-cube constant: mean distance of uniform cell points
-        u = (rng_p.random((10**5, s.dim)) - 0.5) * ell
-        percube = float(np.sqrt((u**2).sum(axis=1)).mean()) / ell
-        points.append(
-            LowerBoundPoint(
-                n=n,
-                ell_n=ell,
-                sqrtn_w2_hat=math.sqrt(n) * w2_hat,
-                sqrtn_proxy=math.sqrt(n) * proxy,
-                proxy_se=math.sqrt(n) * se,
-                percube_measured=percube,
-                percube_quadrature=cell_const,
-                percube_claim_half_sqrtd=0.5 * math.sqrt(s.dim),
-            )
-        )
-    target = math.sqrt(s.dim) * s.bound / 4.0
-    return LowerBoundReport(
-        target=target,
-        points=tuple(points),
-        plateau_value=points[-1].sqrtn_proxy,
-    )
+        rn = math.sqrt(n)
+        points.append(LowerBoundPoint(
+            n=n, ell_n=ell, sqrtn_w2_hat=rn * w2_hat, sqrtn_floor=rn * floor,
+            sqrtn_bound=rn * main_rate_bound(s.dim, s.bound, n)))
+    return LowerBoundReport(target=math.sqrt(s.dim) * s.bound / 4.0, points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

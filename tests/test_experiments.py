@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from scipy import stats
-from scipy.special import ndtr, roots_legendre, stdtrit
+from scipy.special import ndtr, stdtrit
 
 from w2lab.experiments import (
     HalfspaceConfig,
@@ -21,10 +22,9 @@ from w2lab.experiments import (
     ks_statistic_gaussian,
     lattice_lower_experiment,
     main_rate_bound,
-    unit_cell_mean_distance,
 )
-from w2lab.gaussmath import CovarianceSpec
-from w2lab.samplers import LatticeSpec
+from w2lab.gaussmath import CovarianceSpec, sample_gaussian
+from w2lab.samplers import LatticeSpec, lattice_distance
 from w2lab.transport import EmpiricalMeasure, w2_exact, w2_quantile_1d
 
 
@@ -123,69 +123,73 @@ class TestReplicaCI:
         assert hi == pytest.approx(values.mean() + half, rel=1e-15)
 
 
-class TestLatticeDistanceExpectation:
-    def test_huge_spacing_gives_norm(self, rng):
-        # the nearest lattice point is the origin, so E d_L -> E|Z|
-        cov = CovarianceSpec([1.0])
-        val, se = expected_lattice_distance(cov, LatticeSpec(1e6, 1), 10**5, rng)
-        assert val == pytest.approx(math.sqrt(2.0 / math.pi), abs=5 * se + 1e-3)
+def _lattice_sq_distance_oracle(sigma: float, ell: float) -> float:
+    """mpmath quadrature of int dist(z, ell Z)^2 phi_sigma(z) dz, cell by cell to 14 sigma."""
+    with mpmath.workdps(20):
+        sigma, ell = mpmath.mpf(sigma), mpmath.mpf(ell)
+        k_max = int(14 * sigma / ell) + 1
+        total = mpmath.mpf(0)
+        for k in range(-k_max, k_max + 1):
+            t = k * ell
+            total += mpmath.quad(lambda z: (z - t) ** 2 * mpmath.npdf(z, 0, sigma),
+                                 [t - ell / 2, t + ell / 2])
+        return float(total)
 
-    def test_small_spacing_1d(self, rng):
-        # oracle: 1-d quadrature of E dist(Z, ell Z) for ell << sigma -> ell/4
-        ell = 0.01
-        cov = CovarianceSpec([1.0])
-        val, se = expected_lattice_distance(cov, LatticeSpec(ell, 1), 2 * 10**5, rng)
-        x, w = roots_legendre(200)
-        # distance to the nearest multiple is periodic; integrate one period
-        # against a locally-flat density: mean = ell/4
-        assert val == pytest.approx(ell / 4.0, abs=5 * se)
 
-    def test_small_spacing_2d(self, rng):
-        ell = 0.02
-        cov = CovarianceSpec([1.0, 1.0])
-        val, se = expected_lattice_distance(cov, LatticeSpec(ell, 2), 2 * 10**5, rng)
-        const = unit_cell_mean_distance(2)
-        assert const == pytest.approx(0.3826, abs=2e-4)
-        assert val == pytest.approx(const * ell, abs=5 * se)
+class TestLatticeFloor:
+    @pytest.mark.parametrize("sigma,ell", [(0.7, 0.05), (2.0, 0.3), (1.0, 1.0), (1.0, 3.0)])
+    def test_matches_quadrature(self, sigma, ell):
+        # ell below, near and above sigma
+        floor = expected_lattice_distance(CovarianceSpec([sigma]), LatticeSpec(ell, 1))
+        assert floor**2 == pytest.approx(_lattice_sq_distance_oracle(sigma, ell), rel=1e-10)
 
-    def test_unit_cell_constants(self):
-        assert unit_cell_mean_distance(1) == pytest.approx(0.25, abs=1e-12)
-        # closed form (sqrt(2) + asinh(1)) / 6 for the unit square
-        closed = (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
-        assert unit_cell_mean_distance(2) == pytest.approx(closed, abs=1e-10)
+    def test_sums_the_coordinates(self):
+        cov = CovarianceSpec([2.0, 1.0, 0.7])
+        floor = expected_lattice_distance(cov, LatticeSpec(1.5, 3))
+        oracle = sum(_lattice_sq_distance_oracle(sd, 1.5) for sd in (2.0, 1.0, 0.7))
+        assert floor**2 == pytest.approx(oracle, rel=1e-10)
 
-    def test_requires_many_draws(self, rng):
-        with pytest.raises(ValueError):
-            expected_lattice_distance(CovarianceSpec([1.0]), LatticeSpec(1.0, 1),
-                                      10**4, rng)
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_huge_spacing_gives_sigma(self, sigma):
+        # the nearest lattice point is the origin, so E d_L(Z)^2 = E Z^2
+        assert expected_lattice_distance(CovarianceSpec([sigma]), LatticeSpec(1e6, 1)) == sigma
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_small_spacing_limit(self, d):
+        # spacing ell = beta / sqrt(n) against sigma = beta / sqrt(d): each
+        # coordinate's squared distance tends to ell^2 / 12
+        beta, n = 1.5, 4096
+        cov = CovarianceSpec([beta / math.sqrt(d)] * d)
+        floor = expected_lattice_distance(cov, LatticeSpec(beta / math.sqrt(n), d))
+        assert abs(math.sqrt(n) * floor - beta * math.sqrt(d / 12)) <= 1e-9
+        assert beta * math.sqrt(d / 12) > math.sqrt(d) * beta / 4
+
+    def test_matches_monte_carlo_of_the_lattice_distance(self, rng):
+        cov = CovarianceSpec([1.0, 0.5])
+        spec = LatticeSpec(0.8, 2)
+        sq = lattice_distance(sample_gaussian(cov, 2 * 10**5, rng), spec) ** 2
+        se = sq.std(ddof=1) / math.sqrt(sq.size)
+        assert abs(sq.mean() - expected_lattice_distance(cov, spec) ** 2) <= 5 * se
 
 
 class TestLowerExperiment:
     def test_d1_small(self):
-        cfg = LowerExperimentConfig(
-            sampler=RADEMACHER_1D, n_grid=(256, 1024), m_w2=10**5,
-            m_proxy=10**5,
-        )
+        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(256, 1024), m_w2=10**5)
         rep = lattice_lower_experiment(cfg, seed=3, leg=1)
         assert rep.target == pytest.approx(0.25)
-        assert rep.plateau_value == pytest.approx(0.25, abs=0.01)
         assert rep.points[-1].sqrtn_w2_hat >= 0.24
-        # per-cube diagnostics carry both comparison constants
-        p = rep.points[-1]
-        assert p.percube_quadrature == pytest.approx(0.25, abs=1e-10)
-        assert p.percube_claim_half_sqrtd == pytest.approx(0.5)
-        assert p.percube_measured == pytest.approx(0.25, abs=0.005)
+        for p in rep.points:
+            assert p.ell_n == 1.0 / math.sqrt(p.n)
+            assert abs(p.sqrtn_floor - math.sqrt(1 / 12)) <= 1e-9
+            assert p.sqrtn_bound == pytest.approx(math.sqrt(p.n) * main_rate_bound(1, 1.0, p.n))
+            assert rep.target < p.sqrtn_floor < p.sqrtn_bound
 
     def test_rejects_non_lattice_sampler(self):
         with pytest.raises(ValueError, match="beta\\*Z"):
             LowerExperimentConfig(
                 sampler=SamplerSpec("rademacher_product", 2, 1.0),
-                n_grid=(64,), m_w2=600, m_proxy=10**5,
+                n_grid=(64,), m_w2=600,
             )
-
-    def test_rejects_small_proxy_sample(self):
-        with pytest.raises(ValueError, match="m_proxy"):
-            LowerExperimentConfig(sampler=RADEMACHER_1D, m_proxy=50000)
 
 
 class TestHalfspace:
