@@ -7,22 +7,22 @@ independent-coupling bound takes over; and alternating the two over (n, k)
 certifies A_{n,k} <= 5 sqrt(k) beta (1 + log n) for the unnormalized partial
 sums, which is the main rate bound after dividing by sqrt(n).
 
-These functions measure (an estimated W2 next to its bound, a table of
-certified bounds); the checkers in :mod:`w2lab.checks` decide pass or fail.
+These functions measure (an exact W2 next to its bound, a table of certified
+bounds); the checkers in :mod:`w2lab.checks` decide pass or fail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gaussmath import CovarianceSpec, sample_gaussian
+from .gaussmath import CovarianceSpec
 from .qstats import check_hypothesis
 from .samplers import BoundedSampler
-from .transport import estimate_w2
+from .transport import w2_gaussian_mixture_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
 from .transport import w2_exact  # noqa: F401
 
@@ -30,45 +30,27 @@ from .transport import w2_exact  # noqa: F401
 @dataclass(frozen=True)
 class IncrementCheck:
     n: int
-    dim: int
     beta: float
-    m: int
-    w2_hat: float
+    w2: float
     bound: float
 
 
-def increment_bound_check(
-    s: Optional[BoundedSampler],
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    cov: Optional[CovarianceSpec] = None,
-) -> IncrementCheck:
-    """Estimate W2(Z_n, Z_{n-1} + X) empirically, next to its bound 5 sqrt(k) beta / n.
+def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
+    """Exact W2(Z_n, Z_{n-1} + X) for k = 1, next to its bound 5 beta / n.
 
-    ``s=None`` runs the degenerate X = 0 case (requires ``cov``), useful for
-    calibrating the estimator against the closed Gaussian-to-Gaussian form.
-    The estimator is :func:`~w2lab.transport.estimate_w2`: the 1-d quantile
-    coupling for k = 1 and exact assignment for k in {2, 3} (subject to the
-    solver's size cap); higher k has no reliable desk-scale estimator here.
+    Z_{n-1} + X is the mixture sum_j p_j N(a_j, sigma^2 (n-1)) over the
+    support points a_j of X, and Z_n is N(0, sigma^2 n), so the distance is
+    :func:`~w2lab.transport.w2_gaussian_mixture_1d`.  Needs a 1-d sampler
+    with an enumerable support.
     """
-    if cov is None:
-        if s is None:
-            raise ValueError("cov is required for the degenerate sampler")
-        cov = s.cov
-    k = cov.dim
-    if k > 3:
-        raise ValueError("increment check supports k <= 3 only")
-    beta = 0.0 if s is None else s.bound
-    if s is not None:
-        check_hypothesis(n, beta, cov)
-    z_n = sample_gaussian(cov, m, rng, float(n))
-    z_prev = sample_gaussian(cov, m, rng, float(n - 1))
-    if s is not None:
-        z_prev += s.draw(rng, size=m)
-    w2_hat = estimate_w2(z_n, z_prev)
-    bound = 5.0 * math.sqrt(k) * beta / n
-    return IncrementCheck(n=n, dim=k, beta=beta, m=m, w2_hat=w2_hat, bound=bound)
+    if s.dim != 1 or not s.enumerable:
+        raise ValueError("the exact increment step needs k = 1 and an enumerable support")
+    check_hypothesis(n, s.bound, s.cov)
+    sigma = float(s.cov.sigmas[0])
+    w2 = w2_gaussian_mixture_1d(
+        s.outcomes[:, 0], s.probs, sigma * math.sqrt(n - 1), sigma * math.sqrt(n)
+    )
+    return IncrementCheck(n=n, beta=s.bound, w2=w2, bound=5.0 * s.bound / n)
 
 
 def naive_w2_upper(

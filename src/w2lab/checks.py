@@ -5,7 +5,8 @@ suite, or a solver contract) and emits structured verdict records.  Checkers
 are pure functions of (config, root seed): a checker that draws takes its
 generator from ``rng_for(seed, _CHECK_JOB, k)`` with its own k, so the
 registry can be executed in any order, in parallel, with bit-identical
-results.
+results.  Codes k = 9, 10 and 13 are retired: the Q-statistic and increment
+checkers that drew on them now compute on the exact support.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
 functions it calls return measured quantities only, and the pass rule is
@@ -52,6 +53,10 @@ from .samplers import (
 from .seeding import rng_for
 
 _CHECK_JOB = 100  # seed-path code for checker jobs
+# the increment checker's law (its hypothesis needs n >= 5), and the chain's
+# grid radius in standard deviations
+INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
+CHAIN_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
@@ -94,15 +99,11 @@ class CheckSuiteConfig:
     quantile_instances: int = 100
     metric_triples: int = 50
     sampler_validate_m: int = 10**6
-    q_random_pairs: int = 10**5
-    q_mc_pairs: int = 10**6
     l2_tables: int = 10**4
     remainder_pairs: int = 10**6
-    increment_m: int = 10**6
     increment_ns: tuple[int, ...] = (20, 40, 80)
     chain_grid_2d: int = 24
     chain_refine: float = 1.42
-    chain_radius: float = 5.0
     schedule_n_max: int = 4096
 
     def __post_init__(self):
@@ -111,10 +112,13 @@ class CheckSuiteConfig:
             floor = VALIDATE_MIN_DRAWS if name == "sampler_validate_m" else 1
             if declared is int and getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
-        if not self.increment_ns or min(self.increment_ns) < 2:
-            raise ValueError("increment_ns must be non-empty with every n >= 2")
-        if not 0 < self.chain_radius < math.inf:
-            raise ValueError(f"chain_radius must be finite and > 0, got {self.chain_radius}")
+        if not self.increment_ns:
+            raise ValueError("increment_ns must be non-empty")
+        try:
+            qs.check_hypothesis(min(self.increment_ns), INCREMENT_SAMPLER.bound,
+                                INCREMENT_SAMPLER.cov)
+        except qs.HypothesisError as exc:
+            raise ValueError(f"increment_ns: {exc}") from None
         if not 1 < self.chain_refine < math.inf:
             raise ValueError(f"chain_refine must be finite and > 1, got {self.chain_refine}")
         fine = math.ceil(self.chain_grid_2d * self.chain_refine)  # ChainGrid's fine pass
@@ -359,12 +363,10 @@ def _q_zoo():
 
 
 def check_q_abs_estimates(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 9)
     worst_qi, worst_q, worst_qmqi = -math.inf, -math.inf, -math.inf
     for s, n in _q_zoo():
         qs.check_hypothesis(n, s.bound, s.cov)
-        y = s.draw(rng, size=cfg.q_random_pairs) / math.sqrt(n)
-        yp = s.draw(rng, size=cfg.q_random_pairs) / math.sqrt(n)
+        y, yp, _ = qs.support_pairs(s, n)
         qa = qs.q_values(y, yp, s.cov, n)
         rhs = qs.q_abs_bound_rhs(y, yp, s.cov, n)
         worst_qi = max(worst_qi, float(np.max(np.abs(qa) - rhs)))
@@ -388,18 +390,10 @@ _Q_CASE = {"mean_identity": "exact mean identity"}  # other rules' cases are the
 def check_q_moments(cfg: CheckSuiteConfig, seed: int):
     out = []
     for s, n in _q_zoo():
-        if not s.enumerable:
-            continue
-        rep = qs.estimate_q_moments(s, n, mode="exact")
+        rep = qs.estimate_q_moments(s, n)
         for c in rep.checks:
             out.append(Verdict(f"{s.kind} d={s.dim} n={n} {_Q_CASE.get(c.name, c.name)}",
                                c.lhs, c.rhs + _Q_EXACT_TOL.get(c.name, 0.0)))
-    rng = rng_for(seed, _CHECK_JOB, 10)
-    s = make_scaled_basis(2, math.sqrt(2.0))
-    rep = qs.estimate_q_moments(s, 20, mode="mc", m=cfg.q_mc_pairs, rng=rng)
-    worst = max((c.lhs - c.rhs) / (SE_FACTOR * rep.se_scale) for c in rep.checks)
-    out.append(Verdict("scaled_basis d=2 n=20 MC suite (5 SE slack)",
-                       worst, 1.0, {"pairs": cfg.q_mc_pairs}))
     return out
 
 
@@ -533,7 +527,7 @@ def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
     grid = dens.ChainGrid(
         points_per_axis=cfg.chain_grid_2d,
         refine=cfg.chain_refine,
-        radius_sigmas=cfg.chain_radius,
+        radius_sigmas=CHAIN_RADIUS,
     )
     out = []
     for name, model in chain_models_2d():
@@ -555,19 +549,15 @@ def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
 
 
 def check_increment(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 13)
-    out = []
     cov = CovarianceSpec([1.0])
     n0 = 25
-    chk = bnd.increment_bound_check(None, n0, cfg.increment_m, rng, cov=cov)
+    w2 = tr.w2_gaussian_mixture_1d([0.0], [1.0], math.sqrt(n0 - 1), math.sqrt(n0))
     exact = w2_gaussian_diag(cov, cov, float(n0), float(n0 - 1))
-    out.append(Verdict("degenerate X=0 estimator calibration",
-                       abs(chk.w2_hat - exact), 0.02, {"m": cfg.increment_m}))
-    s = make_rademacher_product(1, 2.0)
+    out = [Verdict("degenerate X=0 against the closed form", abs(w2 - exact), 1e-12)]
     for n in cfg.increment_ns:
-        chk = bnd.increment_bound_check(s, n, cfg.increment_m, rng)
-        out.append(Verdict(f"k=1 beta=2 n={n} (need 50% margin)", chk.w2_hat,
-                           0.5 * chk.bound, {"bound": chk.bound, "m": cfg.increment_m}))
+        chk = bnd.increment_bound_check(INCREMENT_SAMPLER, n)
+        out.append(Verdict(f"k=1 beta=2 n={n} (need 50% margin)", chk.w2,
+                           0.5 * chk.bound, {"bound": chk.bound}))
     return out
 
 

@@ -9,9 +9,9 @@ For a pair (Y, Y') of independent rescaled draws (Y = X/sqrt(n), so
 with the log-correction constant r(n) = 1/(2(n^2-1)) - (1/2) log(1 + 1/(n^2-1)).
 The exponential moment of Q equals the chi-square-type second moment of the
 density ratio handled in :mod:`w2lab.densities`; this module evaluates the Q
-moments themselves, by one weighted sum over sampler pairs (every support
-pair for an enumerable law, or Monte Carlo draws), and both sides of their
-closed-form bounds.
+moments themselves, exactly, by one weighted sum over every ordered pair of
+support points of an enumerable law, and both sides of their closed-form
+bounds.
 
 Under the standing hypothesis n >= 5 beta^2 / sigma_min^2 the statistics obey
 |Q| <= 1 and |Q - Q_i| <= 1, which is what makes the later Taylor expansion
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -86,8 +85,18 @@ def q_abs_bound_rhs(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) 
     return (n * n) * np.abs(y * yp) / (cov.variances * (n * n - 1.0)) + 1.0 / (2.0 * n)
 
 
+def support_pairs(s: BoundedSampler, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair (Y, Y') of support points scaled by 1/sqrt(n), with weight p x p."""
+    if not s.enumerable:
+        raise ValueError("pair enumeration requires an enumerable support")
+    size = len(s.probs)
+    y = np.repeat(s.outcomes, size, axis=0) / math.sqrt(n)
+    yp = np.tile(s.outcomes, (size, 1)) / math.sqrt(n)
+    return y, yp, np.outer(s.probs, s.probs).ravel()
+
+
 # ---------------------------------------------------------------------------
-# Moment estimation and bound suite
+# Exact moments and bound suite
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -101,52 +110,24 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class QMomentReport:
-    """Q moments, exact or with a Monte Carlo standard-error scale, and their rules."""
+    """Exact Q moments and their rules."""
 
-    mode: str
     n: int
     dim: int
     e_qi: np.ndarray
     e_qiqj: np.ndarray
     e_qmqi_qi: np.ndarray
     e_q2: float
-    se_scale: float  # 0 for exact enumeration
     checks: tuple
 
 
-def estimate_q_moments(
-    s: BoundedSampler,
-    n: int,
-    mode: str = "exact",
-    m: int = 10**6,
-    rng: Optional[np.random.Generator] = None,
-) -> QMomentReport:
-    """Q moments over weighted sampler pairs, with the five rules' two sides.
+def estimate_q_moments(s: BoundedSampler, n: int) -> QMomentReport:
+    """Exact Q moments over :func:`support_pairs`, with the five rules' two sides.
 
-    ``mode='exact'`` takes every support pair with weight p x p (requires an
-    enumerable sampler); ``mode='mc'`` takes m drawn pairs with weight 1/m and
-    reports the dominant standard error of the estimated moments as
-    ``se_scale``.  The caller decides each rule, widening it by standard
-    errors where the moments are estimated.
+    Requires an enumerable sampler; the caller decides each rule.
     """
     check_hypothesis(n, s.bound, s.cov)
-    if mode == "exact":
-        if not s.enumerable:
-            raise ValueError("exact mode requires an enumerable support")
-        size = len(s.probs)
-        y = np.repeat(s.outcomes, size, axis=0)
-        yp = np.tile(s.outcomes, (size, 1))
-        w = np.outer(s.probs, s.probs).ravel()
-    elif mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode requires an rng")
-        y = s.draw(rng, size=m)
-        yp = s.draw(rng, size=m)
-        w = np.full(m, 1.0 / m)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    y = y / math.sqrt(n)
-    yp = yp / math.sqrt(n)
+    y, yp, w = support_pairs(s, n)
     qa = q_values(y, yp, s.cov, n)  # (pairs, d)
     q_tot = qa.sum(axis=1)
     e_qi = w @ qa
@@ -154,13 +135,6 @@ def estimate_q_moments(
     e_q2 = float(w @ q_tot**2)
     e_qmqi_qi = (w * q_tot) @ qa - np.diag(e_qiqj)
     e_yi2yj2 = (w[:, None] * y**2).T @ y**2
-    se = 0.0
-    if mode == "mc":  # dominant SE among the estimated moments
-        se = max(
-            float(np.max(qa.std(axis=0, ddof=1))),
-            float(np.max((qa[:, :, None] * qa[:, None, :]).std(axis=0, ddof=1))),
-            float(np.std(q_tot**2, ddof=1)),
-        ) / math.sqrt(m)
 
     d = s.dim
     n2m1 = float(n) * n - 1.0
@@ -187,8 +161,8 @@ def estimate_q_moments(
         BoundCheck("total_square", e_q2, 2.0 * d / n2m1),
     )
     return QMomentReport(
-        mode=mode, n=n, dim=d, e_qi=e_qi, e_qiqj=e_qiqj, e_qmqi_qi=e_qmqi_qi,
-        e_q2=e_q2, se_scale=se, checks=checks,
+        n=n, dim=d, e_qi=e_qi, e_qiqj=e_qiqj, e_qmqi_qi=e_qmqi_qi, e_q2=e_q2,
+        checks=checks,
     )
 
 

@@ -12,8 +12,12 @@ Solver menu:
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
   dimension; the experiments' estimator in d = 1.
 * :func:`estimate_w2` -- the estimator rule: the quantile coupling for 1-d
-  clouds, exact assignment otherwise.  The experiments and the increment
-  check estimate every empirical W2 through it.
+  clouds, exact assignment otherwise.  The experiments estimate every
+  empirical W2 through it.
+* :func:`w2_gaussian_mixture_1d` -- exact W2 between a 1-d Gaussian mixture
+  with a common variance and a centred Gaussian: the monotone coupling as a
+  Gauss-Hermite sum over bisected mixture quantiles; the increment step's
+  distance.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
   unequal sizes; only its checker runs it.
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
@@ -38,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
+
+from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights
 
 EXACT_CAP_DEFAULT = 5000
 BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
@@ -204,6 +210,36 @@ def estimate_w2(sn: np.ndarray, z: np.ndarray) -> float:
         return w2_quantile_1d(sn[:, 0], z[:, 0])
     cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
     return math.sqrt(cost)
+
+
+def w2_gaussian_mixture_1d(
+    atoms: np.ndarray, probs: np.ndarray, sd_mix: float, sd_ref: float
+) -> float:
+    """Exact W2 between sum_j p_j N(a_j, sd_mix^2) and N(0, sd_ref^2) on the line.
+
+    The monotone coupling is optimal in 1-d, so W2^2 = E (F^-1(Phi(T)) -
+    sd_ref T)^2 over T ~ N(0, 1), with F the mixture CDF; the expectation is
+    a Gauss-Hermite sum.  Each quantile F^-1(Phi(t)) lies in [sd_mix t +
+    min a, sd_mix t + max a] and is bisected until no float lies between the
+    two ends.  For t > 0 the upper tails are compared, which keeps the
+    right-hand nodes' tail probabilities at full relative precision.
+    """
+    a = np.asarray(atoms, dtype=float).ravel()
+    p = np.asarray(probs, dtype=float).ravel()
+    t, w = gh_nodes_weights(GH_NODES_DEFAULT)
+    side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
+    target = ndtr(side * t)
+    lo, hi = sd_mix * t + a.min(), sd_mix * t + a.max()
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            break
+        tail = ndtr(side[:, None] * (mid[:, None] - a) / sd_mix) @ p
+        below = open_ & (side * (tail - target) < 0)  # mid lies below the quantile
+        lo = np.where(below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    return math.sqrt(float(w @ (lo - sd_ref * t) ** 2))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from w2lab.qstats import (
     remainder_difference_batch,
 )
 from w2lab.samplers import (
-    SE_FACTOR,
     make_lattice_custom,
     make_rademacher_product,
     make_scaled_basis,
@@ -119,19 +118,12 @@ def test_criterion_04_q_moment_suite():
         # rounding allowance of the exact rules: the mean identity is an equality
         exact_tol = {"mean_identity": 1e-12, "cross_moment": 1e-15}
         for s, n in zoo:
-            rep = estimate_q_moments(s, n, mode="exact")
+            rep = estimate_q_moments(s, n)
             target = -1.0 / (2.0 * (n * n - 1.0)) - r_of_n(n)
             assert float(np.max(np.abs(rep.e_qi - target))) <= 1e-12
             assert [c.name for c in rep.checks] == rules
             for c in rep.checks:
                 assert c.lhs <= c.rhs + exact_tol.get(c.name, 0.0), (s.kind, c)
-        mc = estimate_q_moments(
-            make_scaled_basis(2, math.sqrt(2.0)), 20, mode="mc",
-            m=10**6, rng=rng_for(SEED, 400),
-        )
-        assert [c.name for c in mc.checks] == rules
-        for c in mc.checks:
-            assert c.lhs <= c.rhs + SE_FACTOR * mc.se_scale, c
 
 
 def test_criterion_05_conditional_l2_and_remainder():
@@ -174,12 +166,12 @@ def test_criterion_06_talagrand_chain():
 
 
 def test_criterion_07_increment_lemma():
-    with criterion(7, "increment bound at k=1, beta=2, n in {20,40,80}, 50% margin"):
+    with criterion(7, "exact increment step at k=1, beta=2, n in {20,40,80}, 50% margin"):
         s = make_rademacher_product(1, 2.0)
-        for i, n in enumerate((20, 40, 80)):
-            chk = increment_bound_check(s, n, 10**6, rng_for(SEED, 700, i))
+        for n in (20, 40, 80):
+            chk = increment_bound_check(s, n)
             assert chk.bound == pytest.approx(10.0 / n)
-            assert chk.w2_hat <= 0.5 * chk.bound, (n, chk.w2_hat, chk.bound)
+            assert chk.w2 <= 0.5 * chk.bound, (n, chk.w2, chk.bound)
 
 
 def test_criterion_08_rate_experiments():

@@ -3,81 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from w2lab import bounds, experiments, transport
+from w2lab import transport
 from w2lab.bounds import (
     ank_bound_schedule,
     increment_bound_check,
     naive_w2_upper,
 )
-from w2lab.gaussmath import (
-    CovarianceSpec,
-    sample_gaussian,
-    w2_gaussian_diag,
-)
+from w2lab.gaussmath import CovarianceSpec, w2_gaussian_diag
 from w2lab.qstats import HypothesisError
-from w2lab.samplers import make_rademacher_product, make_scaled_basis
+from w2lab.samplers import make_rademacher_product, make_scaled_basis, make_sphere_uniform
 
 
 class TestIncrement:
-    def test_degenerate_matches_closed_form(self, rng):
+    def test_degenerate_matches_closed_form(self):
         cov = CovarianceSpec([1.0])
         n = 25
-        chk = increment_bound_check(None, n, 10**5, rng, cov=cov)
+        w2 = transport.w2_gaussian_mixture_1d([0.0], [1.0], math.sqrt(n - 1), math.sqrt(n))
         exact = w2_gaussian_diag(cov, cov, float(n), float(n - 1))
         assert exact == pytest.approx(math.sqrt(n) - math.sqrt(n - 1), abs=1e-12)
-        assert chk.w2_hat == pytest.approx(exact, abs=0.05)
+        assert w2 == pytest.approx(exact, abs=1e-12)
 
-    def test_k1_bound_with_margin(self, rng):
+    def test_k1_bound_with_margin(self):
         s = make_rademacher_product(1, 2.0)
-        chk = increment_bound_check(s, 20, 10**5, rng)
+        chk = increment_bound_check(s, 20)
         assert chk.bound == pytest.approx(0.5)
-        assert chk.w2_hat <= 0.5 * chk.bound
-        assert chk.w2_hat <= chk.bound
+        assert chk.w2 <= 0.5 * chk.bound
+        assert chk.w2 <= chk.bound
 
-    def test_below_threshold_rejected(self, rng):
+    def test_is_the_mixture_distance(self):
+        # Z_{n-1} + X is the two-atom mixture at +-2, Z_n is N(0, 4n)
+        s = make_rademacher_product(1, 2.0)
+        chk = increment_bound_check(s, 40)
+        expect = transport.w2_gaussian_mixture_1d(
+            [-2.0, 2.0], [0.5, 0.5], 2.0 * math.sqrt(39), 2.0 * math.sqrt(40))
+        assert chk.w2 == expect
+
+    def test_below_threshold_rejected(self):
         s = make_rademacher_product(1, 2.0)  # needs n >= 5
         with pytest.raises(HypothesisError):
-            increment_bound_check(s, 4, 1000, rng)
+            increment_bound_check(s, 4)
 
-    def test_k2_exact_path(self, rng):
-        # n at the hypothesis minimum keeps the bound large relative to the
-        # d=2 empirical bias, which inflates w2_hat at small m
-        s = make_scaled_basis(2, math.sqrt(2.0))
-        chk = increment_bound_check(s, 10, 3000, rng)
-        assert chk.dim == 2
-        assert chk.bound == pytest.approx(5.0 * math.sqrt(2.0) * math.sqrt(2.0) / 10)
-        assert chk.w2_hat <= chk.bound
+    def test_high_dim_unsupported(self):
+        for s in (make_scaled_basis(2, math.sqrt(2.0)), make_rademacher_product(3, 1.0),
+                  make_scaled_basis(4, 2.0)):
+            with pytest.raises(ValueError, match="k = 1 and an enumerable support"):
+                increment_bound_check(s, 40)
 
-    @pytest.mark.parametrize("s,n,m", [
-        (make_rademacher_product(1, 2.0), 20, 5000),
-        (make_scaled_basis(2, math.sqrt(2.0)), 10, 300),
-    ])
-    def test_estimate_is_the_shared_estimator_rule(self, s, n, m):
-        # the experiments' estimator rule, written out: quantile coupling for
-        # k = 1, sqrt of the exact assignment cost otherwise
-        assert bounds.estimate_w2 is transport.estimate_w2 is experiments.estimate_w2
-        chk = increment_bound_check(s, n, m, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        z_n = sample_gaussian(s.cov, m, rng, float(n))
-        z_prev = sample_gaussian(s.cov, m, rng, float(n - 1))
-        z_prev += s.draw(rng, size=m)
-        if s.dim == 1:
-            expect = transport.w2_quantile_1d(z_n[:, 0], z_prev[:, 0])
-        else:
-            cost, _ = transport.w2_exact(transport.EmpiricalMeasure(z_n),
-                                         transport.EmpiricalMeasure(z_prev))
-            expect = math.sqrt(cost)
-        assert chk.w2_hat == expect
-
-    def test_high_dim_unsupported(self, rng):
-        s = make_scaled_basis(4, 2.0)
-        with pytest.raises(ValueError, match="k <= 3"):
-            increment_bound_check(s, 40, 100, rng)
-
-    def test_exact_cap_enforced(self, rng):
-        s = make_scaled_basis(2, math.sqrt(2.0))
-        with pytest.raises(ValueError, match="cap"):
-            increment_bound_check(s, 20, 10**6, rng)
+    def test_continuous_support_rejected(self):
+        with pytest.raises(ValueError, match="k = 1 and an enumerable support"):
+            increment_bound_check(make_sphere_uniform(1, 1.0), 40)
 
 
 class TestNaive:

@@ -9,8 +9,7 @@ from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
 from w2lab.densities import ChainGrid
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
-from w2lab.samplers import SE_FACTOR, make_rademacher_product, make_scaled_basis
-from w2lab.seeding import rng_for
+from w2lab.samplers import make_rademacher_product, make_scaled_basis
 
 
 def _outer_tensor_sum(a, b, v, cov, nodes=200):
@@ -37,12 +36,10 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 @pytest.mark.parametrize("bad", [
     {"gauss_quad_instances": 0}, {"ot_instances": 0}, {"quantile_instances": 0},
-    {"metric_triples": 0}, {"q_random_pairs": 0}, {"q_mc_pairs": 0},
-    {"l2_tables": 0}, {"remainder_pairs": 0}, {"increment_m": 0},
+    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0},
     {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
-    {"increment_ns": ()}, {"increment_ns": (20, 1)},
-    {"chain_grid_2d": 0}, {"chain_radius": 0.0}, {"chain_radius": -1.0},
-    {"chain_radius": math.inf}, {"chain_radius": math.nan},
+    {"increment_ns": ()}, {"increment_ns": (20, 1)}, {"increment_ns": (20, 4)},
+    {"chain_grid_2d": 0},
     {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
     {"chain_refine": 100.0}, {"chain_grid_2d": 80},
 ])
@@ -52,7 +49,8 @@ def test_check_config_sizes_validated(bad):
 
 
 def test_check_config_floor_accepted():
-    cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(2,))
+    # n = 5 is the increment checker's hypothesis floor, 5 beta^2 / sigma^2
+    cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(5,))
     assert cfg.sampler_validate_m == 10**4
     # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
     cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)
@@ -98,17 +96,9 @@ def test_wrong_covariance_fails_statistical_validation(monkeypatch):
 
 
 def test_q_moments_records_come_from_the_report():
-    cfg = CheckSuiteConfig(q_mc_pairs=20000)
-    seed = 11
-    out = {v.case: v for v in checks.check_q_moments(cfg, seed)}
-    rep = estimate_q_moments(make_scaled_basis(2, math.sqrt(2.0)), 20, mode="mc",
-                             m=cfg.q_mc_pairs, rng=rng_for(seed, checks._CHECK_JOB, 10))
-    worst = max((c.lhs - c.rhs) / (SE_FACTOR * rep.se_scale) for c in rep.checks)
-    mc = out["scaled_basis d=2 n=20 MC suite (5 SE slack)"]
-    assert mc.lhs == worst
-    assert mc.rhs == 1.0
-    assert mc.verdict == ("pass" if worst <= 1.0 else "fail")
-    exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10, mode="exact")
+    out = {v.case: v for v in checks.check_q_moments(CheckSuiteConfig(), 11)}
+    assert len(out) == 5 * len(checks._q_zoo())  # five exact rules per law, nothing sampled
+    exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
     mean = out["rademacher_product d=1 n=10 exact mean identity"]
     assert mean.lhs == exact.checks[0].lhs
     assert mean.rhs == 1e-12

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import w2lab
-from w2lab import cli, config, experiments, seeding
+from w2lab import checks, cli, config, experiments, seeding
 from w2lab.checks import REGISTRY, Verdict
 from w2lab.cli import JobResult, emit, jobs_for
 from w2lab.config import RunSettings, UsageError, load_settings
@@ -25,9 +25,8 @@ SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity", "calibration_m"},
     "check": {"gauss_quad_instances", "ot_instances", "quantile_instances",
-              "metric_triples", "sampler_validate_m", "q_random_pairs", "q_mc_pairs",
-              "l2_tables", "remainder_pairs", "increment_m", "increment_ns",
-              "chain_grid_2d", "chain_refine", "chain_radius", "schedule_n_max"},
+              "metric_triples", "sampler_validate_m", "l2_tables", "remainder_pairs",
+              "increment_ns", "chain_grid_2d", "chain_refine", "schedule_n_max"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "m", "w2_m", "directions"}
@@ -138,7 +137,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 68
+        assert sum(len(k) for k in keys.values()) == 64
 
     def test_every_key_parses_its_default_back(self, tmp_path):
         # writing each default under its key reads back the same settings,
@@ -173,6 +172,9 @@ class TestConfig:
         "[run]\ncheck = 1\n", "[check]\nsampler = scaled_basis\n",
         # the lattice floor is exact: the retired Monte Carlo size is unknown
         "[lower_d1]\nm_proxy = 50000\n",
+        # so are the increment step and the Q statistics, and the chain's radius is fixed
+        "[check]\nincrement_m = 1000000\n", "[check]\nq_mc_pairs = 100000\n",
+        "[check]\nchain_radius = 5.0\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -307,6 +309,32 @@ class TestSeedPaths:
                     )
         assert len(set(owner.values())) == 2 * 7
 
+    def test_checkers_draw_on_their_own_paths(self, monkeypatch):
+        keys = []
+
+        def recording_rng_for(root, *path):
+            keys.append(tuple(int(p) for p in path))
+            return seeding.rng_for(root, *path)
+
+        monkeypatch.setattr(checks, "rng_for", recording_rng_for)
+        cfg = load_settings(SMOKE).check
+        drawn = {}
+        for entry in REGISTRY:
+            keys.clear()
+            entry.runner(cfg, 20260810)
+            if keys:
+                drawn[entry.checker_id] = set(keys)
+        # 9, 10 and 13 are retired: q-abs-estimates, q-moments and
+        # increment-lemma compute exactly and draw nothing
+        code = checks._CHECK_JOB
+        assert drawn == {
+            "gauss-quad-expectation": {(code, 1)}, "gauss-sampling": {(code, 2)},
+            "w2-gaussian-metric": {(code, 3)}, "ot-exact": {(code, 4)},
+            "sinkhorn": {(code, 5)}, "projection-lower": {(code, 6)},
+            "sampler-zoo": {(code, 7)}, "lattice-distance": {(code, 8)},
+            "conditional-l2": {(code, 11)}, "exp-remainder": {(code, 12)},
+        }
+
 
 class TestMainEndToEnd:
     def test_single_checker_run(self, tmp_path):
@@ -367,6 +395,8 @@ class TestMainEndToEnd:
         ("check", "[check]\nchain_radius = inf\n"),
         ("check", "[check]\nchain_radius = 0\n"),
         ("check", "[check]\nchain_refine = 0.5\n"),
+        # below the increment checker's hypothesis n >= 5 beta^2 / sigma^2 = 5
+        ("all", "[check]\nincrement_ns = 3\n"),
         ("check", "[check]\nchain_refine = 1\n"),
         ("all", "[check]\nchain_refine = 100\n"),
         ("check", "[run]\nworkers = 0\n"),

@@ -18,7 +18,6 @@ from w2lab.qstats import (
     remainder_difference_batch,
 )
 from w2lab.samplers import (
-    SE_FACTOR,
     make_lattice_custom,
     make_rademacher_product,
     make_scaled_basis,
@@ -96,7 +95,7 @@ class TestMoments:
         # d=1, X = +-1, n=10: enumerate the four equally likely sign pairs
         s = make_rademacher_product(1, 1.0)
         n = 10
-        rep = estimate_q_moments(s, n, mode="exact")
+        rep = estimate_q_moments(s, n)
         vals = []
         for a in (-1.0, 1.0):
             for b in (-1.0, 1.0):
@@ -108,19 +107,11 @@ class TestMoments:
         assert rep.e_qi[0] == pytest.approx(-1.0 / 198.0 - r_of_n(10), abs=1e-12)
 
     def test_exact_bounds_pass(self):
-        rep = estimate_q_moments(make_rademacher_product(1, 1.0), 10, mode="exact")
+        rep = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
         assert [c.name for c in rep.checks] == RULES
         for c in rep.checks:
             assert c.lhs <= c.rhs + EXACT_TOL.get(c.name, 0.0), c
         assert rep.e_q2 <= 2.0 / 99.0
-
-    def test_mc_bounds_pass(self, rng):
-        s = make_scaled_basis(2, math.sqrt(2.0))
-        rep = estimate_q_moments(s, 20, mode="mc", m=200000, rng=rng)
-        assert rep.se_scale > 0
-        assert [c.name for c in rep.checks] == RULES
-        for c in rep.checks:
-            assert c.lhs <= c.rhs + SE_FACTOR * rep.se_scale, c
 
     def test_exact_moments_match_pair_loop(self):
         # every support pair visited explicitly, weights p_a p_b
@@ -128,7 +119,7 @@ class TestMoments:
             np.array([[-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]),
             np.full(4, 0.25))
         n = 30
-        rep = estimate_q_moments(s, n, mode="exact")
+        rep = estimate_q_moments(s, n)
         e_qiqj = np.zeros((2, 2))
         e_q2 = 0.0
         e_cross = np.zeros(2)
@@ -138,7 +129,6 @@ class TestMoments:
                 e_qiqj += pa * pb * np.outer(q, q)
                 e_q2 += pa * pb * q.sum() ** 2
                 e_cross += pa * pb * (q.sum() - q) * q
-        assert rep.se_scale == 0.0
         np.testing.assert_allclose(rep.e_qiqj, e_qiqj, rtol=0, atol=1e-16)
         assert rep.e_q2 == pytest.approx(e_q2, abs=1e-16)
         np.testing.assert_allclose(rep.e_qmqi_qi, e_cross, rtol=0, atol=1e-16)
@@ -146,13 +136,13 @@ class TestMoments:
     def test_hypothesis_violation_named(self):
         s = make_scaled_basis(2, math.sqrt(2.0))  # threshold n >= 10
         with pytest.raises(HypothesisError, match="5\\*beta\\^2/sigma_min\\^2"):
-            estimate_q_moments(s, 9, mode="exact")
+            estimate_q_moments(s, 9)
 
     def test_exact_requires_enumeration(self):
         from w2lab.samplers import make_sphere_uniform
 
         with pytest.raises(ValueError, match="enumerable"):
-            estimate_q_moments(make_sphere_uniform(2, 1.0), 40, mode="exact")
+            estimate_q_moments(make_sphere_uniform(2, 1.0), 40)
 
 
 class TestConditionalL2:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
@@ -16,6 +17,7 @@ from w2lab.transport import (
     w2_bruteforce,
     w2_discrete_lp,
     w2_exact,
+    w2_gaussian_mixture_1d,
     w2_projection_lower,
     w2_quantile_1d,
 )
@@ -101,6 +103,49 @@ class TestQuantile1d:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             w2_quantile_1d([], [])
+
+
+def _mixture_w2_oracle(atoms, probs, sd_mix, sd_ref):
+    """mpmath quantile integral: int f(x) (x - sd_ref Phi^-1(F(x)))^2 dx to 10 sd_mix."""
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(v) for v in atoms]
+        p = [mpmath.mpf(v) for v in probs]
+        s, r = mpmath.mpf(sd_mix), mpmath.mpf(sd_ref)
+
+        def integrand(x):
+            cdf = sum(pj * mpmath.ncdf((x - aj) / s) for aj, pj in zip(a, p))
+            pdf = sum(pj * mpmath.npdf((x - aj) / s) for aj, pj in zip(a, p)) / s
+            return pdf * (x - r * mpmath.sqrt(2) * mpmath.erfinv(2 * cdf - 1)) ** 2
+
+        edge = max(abs(v) for v in a) + 10 * s
+        return float(mpmath.sqrt(mpmath.quad(
+            integrand, mpmath.linspace(-edge, edge, 9), method="gauss-legendre")))
+
+
+class TestGaussianMixture1d:
+    @pytest.mark.parametrize("a", [-3.0, 0.5, 7.0])
+    def test_one_atom_is_a_shift(self, a):
+        assert w2_gaussian_mixture_1d([a], [1.0], 2.0, 2.0) == pytest.approx(abs(a), abs=1e-12)
+
+    @pytest.mark.parametrize("sd_mix,sd_ref", [(math.sqrt(24.0), 5.0), (3.0, 1.0), (1.0, 1.0)])
+    def test_one_atom_at_zero_is_a_scale_change(self, sd_mix, sd_ref):
+        w2 = w2_gaussian_mixture_1d([0.0], [1.0], sd_mix, sd_ref)
+        assert w2 == pytest.approx(abs(sd_ref - sd_mix), abs=1e-12)
+
+    def test_sign_flip_invariant(self):
+        atoms, probs = np.array([-1.0, 0.5, 3.0]), np.array([0.3, 0.6, 0.1])
+        w2 = w2_gaussian_mixture_1d(atoms, probs, 1.5, 2.0)
+        assert w2_gaussian_mixture_1d(-atoms, probs, 1.5, 2.0) == pytest.approx(w2, rel=1e-12)
+
+    @pytest.mark.parametrize("atoms,probs,sd_mix,sd_ref", [
+        *[([-2.0, 2.0], [0.5, 0.5], 2.0 * math.sqrt(n - 1), 2.0 * math.sqrt(n))
+          for n in (20, 40, 80)],
+        ([-1.0, 0.5, 3.0], [0.3, 0.6, 0.1], 1.5, 2.0),
+    ])
+    def test_matches_mpmath_quantile_integral(self, atoms, probs, sd_mix, sd_ref):
+        oracle = _mixture_w2_oracle(atoms, probs, sd_mix, sd_ref)
+        w2 = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref)
+        assert w2 == pytest.approx(oracle, rel=1e-10)
 
 
 def _reference_pair_cost(x, y):
