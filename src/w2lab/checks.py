@@ -2,11 +2,10 @@
 
 Each checker verifies one mathematical statement (an identity, an inequality
 suite, or a solver contract) and emits structured verdict records.  Checkers
-are pure functions of (config, root seed): a checker that draws takes its
-generator from ``rng_for(seed, _CHECK_JOB, k)`` with its own k, so the
-registry can be executed in any order, in parallel, with bit-identical
-results.  Codes k = 9, 10 and 13 are retired: the Q-statistic and increment
-checkers that drew on them now compute on the exact support.
+are pure functions of (config, generator): a checker that draws draws only
+from the generator its job passes in (:func:`w2lab.cli.run_job` keys it by
+the job id), so the registry can be executed in any order, in parallel, with
+bit-identical results.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
 functions it calls return measured quantities only, and the pass rule is
@@ -50,9 +49,7 @@ from .samplers import (
     VALIDATE_MIN_DRAWS,
     validate_sampler,
 )
-from .seeding import rng_for
 
-_CHECK_JOB = 100  # seed-path code for checker jobs
 # the increment checker's law (its hypothesis needs n >= 5), and the chain's
 # grid radius in standard deviations
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
@@ -158,8 +155,7 @@ def _se_units(dev, se) -> float:
     return float(np.max(np.abs(dev) / (SE_FACTOR * np.maximum(se, 1e-300))))
 
 
-def check_gauss_quad_expectation(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 1)
+def check_gauss_quad_expectation(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst = 0.0
     for i in range(cfg.gauss_quad_instances):
         k = int(rng.integers(1, 4))
@@ -183,8 +179,7 @@ def check_gauss_quad_expectation(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 2)
+def check_gauss_sampling(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     for t, sigmas in ((1.0, [1.0]), (4.0, [1.0]), (1.0, [2.0, 1.0, 0.5])):
         cov = CovarianceSpec(sigmas)
@@ -198,8 +193,7 @@ def check_gauss_sampling(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_w2_gaussian_metric(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 3)
+def check_w2_gaussian_metric(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst_tri = -math.inf
     for _ in range(cfg.metric_triples):
         d = int(rng.integers(1, 5))
@@ -214,8 +208,7 @@ def check_w2_gaussian_metric(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_ot_exact(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 4)
+def check_ot_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst = 0.0
     for _ in range(cfg.ot_instances):
         m = int(rng.integers(2, 8))
@@ -244,8 +237,7 @@ def check_ot_exact(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_sinkhorn(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 5)
+def check_sinkhorn(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     mu = tr.EmpiricalMeasure(np.array([[0.0], [1.0]]))
     nu = tr.EmpiricalMeasure(np.array([[1.0], [2.0]]))
@@ -264,8 +256,7 @@ def check_sinkhorn(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_projection_lower(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 6)
+def check_projection_lower(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst = -math.inf
     for _ in range(10):
         m, d = 500, 3
@@ -287,8 +278,7 @@ def _sampler_zoo():
     ]
 
 
-def check_sampler_zoo(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 7)
+def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     for s in _sampler_zoo():
         rep = validate_sampler(s, cfg.sampler_validate_m, rng)
@@ -308,8 +298,7 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_lattice_distance(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 8)
+def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst = 0.0
     worst_cell = -math.inf
     for _ in range(2000):
@@ -331,7 +320,7 @@ def check_lattice_distance(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_r_of_n(cfg: CheckSuiteConfig, seed: int):
+def check_r_of_n(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ns = [2, 3, 5, 10, 100, 10**4, 10**6, 10**8]
     worst_lo, worst_hi = 0.0, -math.inf
     for n in ns:
@@ -362,7 +351,7 @@ def _q_zoo():
     ]
 
 
-def check_q_abs_estimates(cfg: CheckSuiteConfig, seed: int):
+def check_q_abs_estimates(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst_qi, worst_q, worst_qmqi = -math.inf, -math.inf, -math.inf
     for s, n in _q_zoo():
         qs.check_hypothesis(n, s.bound, s.cov)
@@ -387,7 +376,7 @@ _Q_EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
 _Q_CASE = {"mean_identity": "exact mean identity"}  # other rules' cases are their names
 
 
-def check_q_moments(cfg: CheckSuiteConfig, seed: int):
+def check_q_moments(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     for s, n in _q_zoo():
         rep = qs.estimate_q_moments(s, n)
@@ -397,7 +386,7 @@ def check_q_moments(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_chi2_identity(cfg: CheckSuiteConfig, seed: int):
+def check_chi2_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     worst = 0.0
     for s, n in _q_zoo():
@@ -418,7 +407,7 @@ def check_chi2_identity(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_averaged_identity(cfg: CheckSuiteConfig, seed: int):
+def check_averaged_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     s1 = make_rademacher_product(1, 1.0)
     v1 = dens.averaged_second_moment(s1, 10, i=0)
@@ -439,8 +428,7 @@ def check_averaged_identity(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_conditional_l2(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 11)
+def check_conditional_l2(cfg: CheckSuiteConfig, rng: np.random.Generator):
     worst = -math.inf
     for _ in range(cfg.l2_tables):
         na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -458,8 +446,7 @@ def check_conditional_l2(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_remainder(cfg: CheckSuiteConfig, seed: int):
-    rng = rng_for(seed, _CHECK_JOB, 12)
+def check_remainder(cfg: CheckSuiteConfig, rng: np.random.Generator):
     a = rng.uniform(-1, 1, size=cfg.remainder_pairs)
     b = rng.uniform(-1, 1, size=cfg.remainder_pairs)
     lhs, rhs = qs.remainder_difference_batch(a, b)
@@ -480,7 +467,7 @@ def _chain_step(case, upper, lower, bound, inputs=None) -> Verdict:
     return Verdict(case, upper, bound, inputs or {}, inconclusive=lower <= bound < upper)
 
 
-def check_talagrand_1d(cfg: CheckSuiteConfig, seed: int):
+def check_talagrand_1d(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     cov = CovarianceSpec([1.0])
     for shift in (0.25, 0.5, 1.0):
@@ -523,7 +510,7 @@ def chain_models_2d():
     ]
 
 
-def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
+def check_talagrand_2d(cfg: CheckSuiteConfig, rng: np.random.Generator):
     grid = dens.ChainGrid(
         points_per_axis=cfg.chain_grid_2d,
         refine=cfg.chain_refine,
@@ -548,7 +535,7 @@ def check_talagrand_2d(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_increment(cfg: CheckSuiteConfig, seed: int):
+def check_increment(cfg: CheckSuiteConfig, rng: np.random.Generator):
     cov = CovarianceSpec([1.0])
     n0 = 25
     w2 = tr.w2_gaussian_mixture_1d([0.0], [1.0], math.sqrt(n0 - 1), math.sqrt(n0))
@@ -561,7 +548,7 @@ def check_increment(cfg: CheckSuiteConfig, seed: int):
     return out
 
 
-def check_naive_w2(cfg: CheckSuiteConfig, seed: int):
+def check_naive_w2(cfg: CheckSuiteConfig, rng: np.random.Generator):
     v = bnd.naive_w2_upper([1.0, 0.5], [1.0, 0.5], 2, 0.7)
     base = bnd.naive_w2_upper([0.5, 0.5], [0.5, 0.5], 0, 0.0)
     tail = bnd.naive_w2_upper([1.0, 4.0], [1.0, 4.0], 1, 0.0)
@@ -572,7 +559,7 @@ def check_naive_w2(cfg: CheckSuiteConfig, seed: int):
     ]
 
 
-def check_ank_schedule(cfg: CheckSuiteConfig, seed: int):
+def check_ank_schedule(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     for sigmas, beta in (([1.0], 1.0), ([1.0, 0.5], 1.3), ([2.0, 1.0, 0.25], 2.5)):
         cov = CovarianceSpec(sigmas)
@@ -597,7 +584,7 @@ def check_ank_schedule(cfg: CheckSuiteConfig, seed: int):
 class CheckerEntry:
     checker_id: str
     anchor: str
-    runner: Callable[[CheckSuiteConfig, int], list]
+    runner: Callable[[CheckSuiteConfig, np.random.Generator], list]
 
 
 REGISTRY: tuple[CheckerEntry, ...] = (

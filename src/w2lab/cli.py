@@ -11,10 +11,12 @@ list    print the checker registry (id and anchor)
 
 A job id is ``kind:name``; ``run_job`` finds its kind in one table.  A check
 job runs its ``REGISTRY`` entry, an experiment leg the settings field
-``{kind}_{name}`` under the one root seed, with its seed-path index from the
-id (``rate:d2`` is leg 2).  The experiment records are stated here, as
-``Verdict(case, lhs, rhs)``; each passes exactly when lhs <= rhs, so a
-window around a centre is recorded as ``(|x - centre|, half-width)``.  A
+``{kind}_{name}``.  Every job gets one generator, ``rng_for(root seed, *the
+UTF-8 bytes of its id)``: distinct ids are distinct seed paths, so a job's
+numbers depend on the root seed and its id alone, never on the worker count,
+the job order or which other jobs run.  The experiment records are stated
+here, as ``Verdict(case, lhs, rhs)``; each passes exactly when lhs <= rhs, so
+a window around a centre is recorded as ``(|x - centre|, half-width)``.  A
 record depends on the leg's config, never on its name: a rate leg gets the
 slope window exactly when its estimator is the quantile coupling.  Each
 job states its anchor once (a checker's ``REGISTRY`` entry, or one constant
@@ -54,6 +56,7 @@ from .reporting import (
     write_table_csv,
     write_verdicts_json,
 )
+from .seeding import rng_for
 
 # windows as (centre, half-width): a record is (|x - centre|, half-width)
 RATE_SLOPE_WINDOW = (-0.5, 0.15)
@@ -90,8 +93,8 @@ _CHECKERS = {entry.checker_id: entry for entry in REGISTRY}
 
 
 def _leg_config(settings: RunSettings, kind: str, leg: str):
-    """An experiment leg's config and seed-path index, from its job id: ``rate:d2`` -> 2."""
-    return getattr(settings, f"{kind}_{leg}"), int(leg.removeprefix("d"))
+    """An experiment leg's config, from its job id: ``rate:d2`` -> ``settings.rate_d2``."""
+    return getattr(settings, f"{kind}_{leg}")
 
 
 def _leg_meta(cfg, **sizes) -> dict:
@@ -112,15 +115,15 @@ def _series(points, column: str) -> tuple:
     return [p.n for p in points], [getattr(p, column) for p in points]
 
 
-def _check_job(settings: RunSettings, checker_id: str) -> JobResult:
+def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
     entry = _CHECKERS[checker_id]
     return JobResult(job_id=f"check:{checker_id}", anchor=entry.anchor,
-                     verdicts=entry.runner(settings.check, settings.seed))
+                     verdicts=entry.runner(settings.check, rng))
 
 
-def _rate_job(settings: RunSettings, leg: str) -> JobResult:
-    cfg, index = _leg_config(settings, "rate", leg)
-    rep = clt_rate_experiment(cfg, settings.seed, index)
+def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
+    cfg = _leg_config(settings, "rate", leg)
+    rep = clt_rate_experiment(cfg, rng)
     job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR,
                     meta=_leg_meta(cfg, m=cfg.m, replicas=cfg.replicas))
     worst = max(max(p.replica_values) - p.bound for p in rep.points)
@@ -143,9 +146,9 @@ def _rate_job(settings: RunSettings, leg: str) -> JobResult:
     return job
 
 
-def _lower_job(settings: RunSettings, leg: str) -> JobResult:
-    cfg, index = _leg_config(settings, "lower", leg)
-    rep = lattice_lower_experiment(cfg, settings.seed, index)
+def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
+    cfg = _leg_config(settings, "lower", leg)
+    rep = lattice_lower_experiment(cfg, rng)
     job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR,
                     meta=_leg_meta(cfg, m_w2=cfg.m_w2))
     last = rep.points[-1]
@@ -160,9 +163,9 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
     return job
 
 
-def _ci_job(settings: RunSettings, leg: str) -> JobResult:
+def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     if leg == "calibration":
-        res = ci_calibration(settings.calibration_m, settings.seed)
+        res = ci_calibration(settings.calibration_m, rng)
         job = JobResult(job_id="ci:calibration", anchor=CI_ANCHOR)
         slack = halfspace_slack(settings.calibration_m)
         job.verdicts.append(Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
@@ -171,8 +174,8 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
         job.verdicts.append(Verdict("conversion bound dominates the calibration instance",
                                     res.delta_hat, res.rhs + slack, {"rhs": res.rhs}))
         return job
-    cfg, index = _leg_config(settings, "ci", leg)
-    rep = ci_halfspace_experiment(cfg, settings.seed, index)
+    cfg = _leg_config(settings, "ci", leg)
+    rep = ci_halfspace_experiment(cfg, rng)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR,
                     meta=_leg_meta(cfg, m=cfg.m, w2_m=cfg.w2_cloud,
                                    directions=cfg.directions))
@@ -195,10 +198,11 @@ _JOB_KINDS = {"check": _check_job, "rate": _rate_job, "lower": _lower_job, "ci":
 
 
 def run_job(settings: RunSettings, job_id: str) -> JobResult:
+    """Run one job on its own generator, whose seed path is its id's UTF-8 bytes."""
     kind, _, name = job_id.partition(":")
     if kind not in _JOB_KINDS:
         raise ValueError(f"unknown job {job_id!r}")
-    return _JOB_KINDS[kind](settings, name)
+    return _JOB_KINDS[kind](settings, name, rng_for(settings.seed, *job_id.encode()))
 
 
 def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[str]:

@@ -1,12 +1,10 @@
 """End-to-end experiments: rate reproduction, lattice floor, halfspace distance.
 
-Each experiment takes its leg's dataclass config, the run's root seed and the
-leg's index (1 for the ``d1`` job, 2 for ``d2``), and draws every stream
-from ``rng_for(seed, <experiment code>, leg, <grid point>[, <replica>])``
-(the calibration, which has no leg, from ``rng_for(seed, <its code>)``).
-Distinct jobs therefore never share a stream, under one root seed or across
-seeds, and reports are bit-identical across runs and across worker counts.
-The lower experiment's lattice floor is exact and draws nothing.
+Each experiment takes its leg's dataclass config and its job's generator
+(:func:`w2lab.cli.run_job` keys it by the job id), and draws from it in grid
+order, so a report is bit-identical across runs and across worker counts.
+The lattice floor, on which the lower and ci verdicts rest, is exact and
+draws nothing.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
@@ -15,7 +13,7 @@ the sampler's dimension picks (:func:`w2lab.transport.estimate_w2`): the
 quantile coupling in one dimension, exact assignment otherwise.  A config
 checks at construction everything that depends on it alone (the sampler
 builds, the n grid, the cloud sizes against the exact-assignment cap, the
-lower leg's lattice support), so a bad config fails before any compute.
+lower and ci legs' lattice support), so a bad config fails before any compute.
 """
 
 from __future__ import annotations
@@ -38,20 +36,10 @@ from .samplers import (
     make_sphere_uniform,
     require_lattice_support,
 )
-from .seeding import rng_for
 from .transport import EXACT_CAP_DEFAULT, estimate_w2
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
 from .transport import w2_exact  # noqa: F401
 
-# job-path codes for the seed-splitting rule: distinct first components keep
-# every experiment's streams disjoint under one root seed; the second
-# component is the leg
-_RATE_JOB = 1
-_LOWER_W2_JOB = 2
-# code 3 (the retired lattice-distance Monte Carlo) is not reused
-_CI_JOB = 4
-_CI_W2_JOB = 5
-_CI_CALIBRATION_JOB = 6
 # mean shift of the ci calibration instance N(shift, 1) against N(0, 1)
 CALIBRATION_SHIFT = 0.5
 # the rate and ci legs' n grid: 16 to 4096 in powers of 2
@@ -209,17 +197,17 @@ def _w2_of_sum(s: BoundedSampler, n: int, m: int, rng: np.random.Generator) -> f
     return estimate_w2(sn, sample_gaussian(s.cov, m, rng))
 
 
-def clt_rate_experiment(cfg: RateExperimentConfig, seed: int, leg: int) -> RateReport:
+def clt_rate_experiment(cfg: RateExperimentConfig, rng: np.random.Generator) -> RateReport:
     """Estimate W2(S_n, Z) over the n grid, with the rate bound at each n.
 
-    Each replica draws a fresh (S_n cloud, Z cloud) pair.
+    Each replica draws a fresh (S_n cloud, Z cloud) pair from ``rng``, the
+    replicas of each n in turn.
     """
     s = cfg.sampler.build()
     points = []
-    for i_n, n in enumerate(cfg.n_grid):
+    for n in cfg.n_grid:
         bound = main_rate_bound(s.dim, s.bound, n)
-        vals = [_w2_of_sum(s, n, cfg.m, rng_for(seed, _RATE_JOB, leg, i_n, r))
-                for r in range(cfg.replicas)]
+        vals = [_w2_of_sum(s, n, cfg.m, rng) for _ in range(cfg.replicas)]
         arr = np.array(vals)
         lo, hi = _replica_ci(arr)
         points.append(
@@ -292,7 +280,7 @@ class LowerExperimentConfig(_ExperimentLeg):
 
 
 def lattice_lower_experiment(
-    cfg: LowerExperimentConfig, seed: int, leg: int
+    cfg: LowerExperimentConfig, rng: np.random.Generator
 ) -> LowerBoundReport:
     """Track sqrt(n) * W2 and the exact lattice floor along the n grid.
 
@@ -301,13 +289,14 @@ def lattice_lower_experiment(
     so :func:`expected_lattice_distance` with that spacing lower-bounds
     W2(S_n, Z).  Its sqrt(n)-scaled value tends to beta sqrt(d / 12), above
     the target sqrt(d) * beta / 4, and must stay below the main rate bound.
+    The reported W2 estimate, never asserted, draws its clouds from ``rng``.
     """
     s = cfg.sampler.build()
     points = []
-    for i_n, n in enumerate(cfg.n_grid):
+    for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
         floor = expected_lattice_distance(s.cov, LatticeSpec(spacing=ell, dim=s.dim))
-        w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng_for(seed, _LOWER_W2_JOB, leg, i_n))
+        w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng)
         rn = math.sqrt(n)
         points.append(LowerBoundPoint(
             n=n, ell_n=ell, sqrtn_w2_hat=rn * w2_hat, sqrtn_floor=rn * floor,
@@ -333,8 +322,9 @@ def ks_statistic_gaussian(proj: np.ndarray, sd: float) -> float:
 class HalfspacePoint:
     n: int
     delta_hat: float
-    w2_hat: float
-    conversion_rhs: float  # 5 d^{1/6} w2^{2/3}
+    w2_hat: float  # reported, never asserted: its positive bias favours the check
+    floor: float  # the exact lattice floor, a lower bound on W2(S_n, Z)
+    conversion_rhs: float  # 5 d^{1/6} floor^{2/3}
     slack: float  # statistical widening added before the verdict
 
 
@@ -352,7 +342,7 @@ class HalfspaceConfig(_ExperimentLeg):
         return self.m if self.w2_m is None else self.w2_m
 
     def __post_init__(self):
-        self._check_leg(self.w2_cloud)
+        require_lattice_support(self._check_leg(self.w2_cloud))
         if self.m < 1 or self.directions < 0:
             raise ValueError("need m >= 1 and directions >= 0")
 
@@ -394,26 +384,31 @@ def halfspace_distance(
 
 
 def ci_halfspace_experiment(
-    cfg: HalfspaceConfig, seed: int, leg: int
+    cfg: HalfspaceConfig, rng: np.random.Generator
 ) -> HalfspaceReport:
     """Measure the halfspace distance and the conversion bound along the n grid.
 
-    Each point carries :func:`halfspace_slack` for its m draws, by which the
-    verdict widens the conversion bound.
+    The conversion bound is evaluated at the exact lattice floor of S_n (the
+    sampler takes values in beta * Z^d, checked by the config), which lies
+    below W2(S_n, Z), so a pass is certified.  Each point carries
+    :func:`halfspace_slack` for its m draws, by which the verdict widens the
+    conversion bound.  For each n in turn, ``rng`` draws the halfspace
+    sample, then the random directions, then the W2 clouds.
     """
     s = cfg.sampler.build()
     slack = halfspace_slack(cfg.m)
     points = []
-    for i_n, n in enumerate(cfg.n_grid):
-        rng = rng_for(seed, _CI_JOB, leg, i_n)
+    for n in cfg.n_grid:
         sn = s.draw_sum(n, cfg.m, rng) / math.sqrt(n)
         dirs = _direction_set(s.dim, cfg.directions, rng)
         delta_hat = halfspace_distance(sn, s.cov, dirs)
-        w2_hat = _w2_of_sum(s, n, cfg.w2_cloud, rng_for(seed, _CI_W2_JOB, leg, i_n))
+        w2_hat = _w2_of_sum(s, n, cfg.w2_cloud, rng)
+        floor = expected_lattice_distance(
+            s.cov, LatticeSpec(spacing=s.bound / math.sqrt(n), dim=s.dim))
         points.append(
             HalfspacePoint(
-                n=n, delta_hat=delta_hat, w2_hat=w2_hat,
-                conversion_rhs=conversion_bound(s.dim, w2_hat), slack=slack,
+                n=n, delta_hat=delta_hat, w2_hat=w2_hat, floor=floor,
+                conversion_rhs=conversion_bound(s.dim, floor), slack=slack,
             )
         )
     fit = _loglog_fit(
@@ -430,15 +425,15 @@ class CalibrationResult:
     rhs: float
 
 
-def ci_calibration(m: int, seed: int) -> CalibrationResult:
+def ci_calibration(m: int, rng: np.random.Generator) -> CalibrationResult:
     """Shifted-Gaussian calibration of the halfspace machinery.
 
     N(shift, 1) against N(0, 1) with ``shift = CALIBRATION_SHIFT``: the exact
     halfspace supremum is 2 Phi(shift/2) - 1 at the midpoint threshold, W2
     equals shift, and the conversion bound is evaluated at the exact W2.
-    The m draws come from ``rng_for(seed, _CI_CALIBRATION_JOB)``.
+    The m draws come from ``rng``.
     """
-    x = rng_for(seed, _CI_CALIBRATION_JOB).standard_normal(m) + CALIBRATION_SHIFT
+    x = rng.standard_normal(m) + CALIBRATION_SHIFT
     w2 = CALIBRATION_SHIFT
     return CalibrationResult(
         delta_hat=ks_statistic_gaussian(x, 1.0),

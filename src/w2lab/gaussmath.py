@@ -12,6 +12,7 @@ per axis by default).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -153,10 +154,17 @@ def w2_gaussian_diag(
 # Gauss-Hermite quadrature oracle
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def gh_nodes_weights(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for E[g(T)], T ~ N(0,1): E[g] ~= sum w_i g(x_i)."""
+    """Nodes/weights for E[g(T)], T ~ N(0,1): E[g] ~= sum w_i g(x_i).
+
+    Each rule is built once and shared, so both arrays are read-only.
+    """
     x, w = roots_hermite(nodes)
-    return np.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    rule = (np.sqrt(2.0) * x, w / math.sqrt(math.pi))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def gh_grid(cov: CovarianceSpec, nodes: int = GH_NODES_DEFAULT):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def jsonable(obj):

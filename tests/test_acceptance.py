@@ -55,6 +55,11 @@ SEED = 20260810
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
 
 
+def job_rng(job_id: str):
+    """The generator ``cli.run_job`` hands the job ``job_id`` at the acceptance seed."""
+    return rng_for(SEED, *job_id.encode())
+
+
 @contextmanager
 def criterion(num: int, label: str):
     start = time.time()
@@ -68,7 +73,8 @@ def criterion(num: int, label: str):
 
 def test_criterion_01_closed_form_vs_quadrature():
     with criterion(1, "quadratic-exponential moment: closed form vs 200-node quadrature"):
-        verdicts = check_gauss_quad_expectation(CheckSuiteConfig(), SEED)
+        verdicts = check_gauss_quad_expectation(CheckSuiteConfig(),
+                                                job_rng("check:gauss-quad-expectation"))
         suite = verdicts[0]
         assert suite.inputs["instances"] == 50
         assert suite.lhs <= 1e-8
@@ -78,7 +84,7 @@ def test_criterion_01_closed_form_vs_quadrature():
 def test_criterion_02_ot_solver_correctness():
     with criterion(2, "assignment solver vs factorial brute force and 1-d quantile"):
         cfg = CheckSuiteConfig(ot_instances=200, quantile_instances=100)
-        verdicts = check_ot_exact(cfg, SEED)
+        verdicts = check_ot_exact(cfg, job_rng("check:ot-exact"))
         brute, quant = verdicts
         assert brute.lhs <= 1e-9
         assert quant.lhs <= 1e-9
@@ -177,10 +183,10 @@ def test_criterion_07_increment_lemma():
 def test_criterion_08_rate_experiments():
     with criterion(8, "rate bound pointwise (d=1 and d=2) and d=1 slope window"):
         settings = RunSettings(seed=SEED)
-        rep1 = clt_rate_experiment(settings.rate_d1, SEED, 1)
+        rep1 = clt_rate_experiment(settings.rate_d1, job_rng("rate:d1"))
         assert all(v <= p.bound for p in rep1.points for v in p.replica_values)
         assert -0.65 <= rep1.fit.slope <= -0.35, rep1.fit
-        rep2 = clt_rate_experiment(settings.rate_d2, SEED, 2)
+        rep2 = clt_rate_experiment(settings.rate_d2, job_rng("rate:d2"))
         assert all(v <= p.bound for p in rep2.points for v in p.replica_values)
 
 
@@ -189,7 +195,7 @@ def test_criterion_09_lattice_lower_bound():
         settings = RunSettings(seed=SEED)
         for leg, cfg in ((1, settings.lower_d1), (2, settings.lower_d2)):
             s = cfg.sampler.build()
-            rep = lattice_lower_experiment(cfg, SEED, leg)
+            rep = lattice_lower_experiment(cfg, job_rng(f"lower:d{leg}"))
             last = rep.points[-1]
             assert last.n == 4096
             assert rep.target == pytest.approx(math.sqrt(s.dim) * s.bound / 4.0)
@@ -204,7 +210,7 @@ def test_criterion_09_lattice_lower_bound():
 def test_criterion_10_ci_conversion():
     with criterion(10, "halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
         settings = RunSettings(seed=SEED)
-        cal = ci_calibration(settings.calibration_m, SEED)
+        cal = ci_calibration(settings.calibration_m, job_rng("ci:calibration"))
         assert cal.delta_exact == pytest.approx(0.19741265, abs=1e-7)
         assert cal.rhs == pytest.approx(3.1498, abs=5e-4)
         assert abs(cal.delta_hat - cal.delta_exact) <= 5 * 0.5 / math.sqrt(
@@ -212,7 +218,7 @@ def test_criterion_10_ci_conversion():
         )
         assert cal.delta_hat <= cal.rhs
         for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
-            rep = ci_halfspace_experiment(cfg, SEED, leg)
+            rep = ci_halfspace_experiment(cfg, job_rng(f"ci:d{leg}"))
             for p in rep.points:
                 assert p.delta_hat <= p.conversion_rhs + p.slack, (cfg.sampler, p)
 

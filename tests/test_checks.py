@@ -87,7 +87,8 @@ def corrupt_cov(s, factor):
 def test_wrong_covariance_fails_statistical_validation(monkeypatch):
     bad = corrupt_cov(make_scaled_basis(2, 2.0), 1.5)
     monkeypatch.setattr(checks, "_sampler_zoo", lambda: [bad])
-    out = checks.check_sampler_zoo(CheckSuiteConfig(sampler_validate_m=10**4), 3)
+    out = checks.check_sampler_zoo(CheckSuiteConfig(sampler_validate_m=10**4),
+                                   np.random.default_rng(3))
     [rec] = [v for v in out if v.case.endswith("statistical validation")]
     assert rec.verdict == "fail"
     assert rec.lhs > rec.rhs == 1.0
@@ -96,7 +97,8 @@ def test_wrong_covariance_fails_statistical_validation(monkeypatch):
 
 
 def test_q_moments_records_come_from_the_report():
-    out = {v.case: v for v in checks.check_q_moments(CheckSuiteConfig(), 11)}
+    records = checks.check_q_moments(CheckSuiteConfig(), np.random.default_rng(11))
+    out = {v.case: v for v in records}
     assert len(out) == 5 * len(checks._q_zoo())  # five exact rules per law, nothing sampled
     exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
     mean = out["rademacher_product d=1 n=10 exact mean identity"]

@@ -275,7 +275,7 @@ TABLE_HEADERS = {
     **{f"rate_{leg}": "n,w2_hat,ci_lo,ci_hi,bound" for leg in ("d1", "d2")},
     **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
     **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
-    **{f"ci_{leg}": "n,delta_hat,w2_hat,conversion_rhs,slack" for leg in ("d1", "d2")},
+    **{f"ci_{leg}": "n,delta_hat,w2_hat,floor,conversion_rhs,slack" for leg in ("d1", "d2")},
 }
 PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
               for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_floor", "_w2")),
@@ -284,56 +284,57 @@ PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
 
 
 class TestSeedPaths:
-    def test_no_two_jobs_share_a_stream_across_consecutive_seeds(
-            self, tmp_path, monkeypatch):
-        keys = []
+    def test_each_job_gets_one_generator_keyed_by_its_id(self, monkeypatch):
+        paths = []
 
         def recording_rng_for(root, *path):
-            keys.append((int(root), tuple(int(p) for p in path)))
+            paths.append((root, path))
             return seeding.rng_for(root, *path)
 
-        monkeypatch.setattr(experiments, "rng_for", recording_rng_for)
-        p = tmp_path / "tiny.ini"
-        p.write_text(TINY_EXPERIMENTS)
+        def job_stub(settings, name, rng):
+            return JobResult(job_id=name, anchor="")
+
+        monkeypatch.setattr(cli, "rng_for", recording_rng_for)
+        for kind in cli._JOB_KINDS:
+            monkeypatch.setitem(cli._JOB_KINDS, kind, job_stub)
         owner = {}
         for seed in (20260810, 20260811):
-            settings = load_settings(str(p), seed=seed)
-            for job in [j for sub in ("rate", "lower", "ci")
-                        for j in jobs_for(sub, settings)]:
-                keys.clear()
+            settings = RunSettings(seed=seed)
+            jobs = jobs_for("all", settings)
+            assert len(jobs) == 27
+            for job in jobs:
+                paths.clear()
                 cli.run_job(settings, job)
-                assert keys, job
-                for key in set(keys):
-                    assert owner.setdefault(key, (seed, job)) == (seed, job), (
-                        f"{(seed, job)} reuses the stream {key} of {owner[key]}"
-                    )
-        assert len(set(owner.values())) == 2 * 7
+                assert paths == [(seed, tuple(job.encode()))], job
+                assert owner.setdefault(paths[0], job) == job
+        assert len(owner) == 2 * 27
 
-    def test_checkers_draw_on_their_own_paths(self, monkeypatch):
-        keys = []
+    def test_only_the_job_runner_derives_generators(self):
+        assert not hasattr(checks, "rng_for")
+        assert not hasattr(experiments, "rng_for")
 
-        def recording_rng_for(root, *path):
-            keys.append(tuple(int(p) for p in path))
-            return seeding.rng_for(root, *path)
+    def test_jobs_draw_the_same_alone_as_under_all(self, tmp_path):
+        # the smoke run's checker sizes, so that "all" stays quick
+        smoke = open(SMOKE).read()
+        p = tmp_path / "tiny.ini"
+        p.write_text(TINY_EXPERIMENTS + smoke[smoke.index("[check]"):smoke.index("[rate_d1]")])
 
-        monkeypatch.setattr(checks, "rng_for", recording_rng_for)
-        cfg = load_settings(SMOKE).check
-        drawn = {}
-        for entry in REGISTRY:
-            keys.clear()
-            entry.runner(cfg, 20260810)
-            if keys:
-                drawn[entry.checker_id] = set(keys)
-        # 9, 10 and 13 are retired: q-abs-estimates, q-moments and
-        # increment-lemma compute exactly and draw nothing
-        code = checks._CHECK_JOB
-        assert drawn == {
-            "gauss-quad-expectation": {(code, 1)}, "gauss-sampling": {(code, 2)},
-            "w2-gaussian-metric": {(code, 3)}, "ot-exact": {(code, 4)},
-            "sinkhorn": {(code, 5)}, "projection-lower": {(code, 6)},
-            "sampler-zoo": {(code, 7)}, "lattice-distance": {(code, 8)},
-            "conditional-l2": {(code, 11)}, "exp-remainder": {(code, 12)},
-        }
+        def run(*argv):
+            out = tmp_path / argv[0]
+            assert cli.main([*argv, "--config", str(p), "--out", str(out),
+                             "--seed", "5"]) in (0, 1)
+            records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+            tables = {t.name: t.read_text() for t in (out / "tables").glob("rate_*.csv")}
+            return records, tables
+
+        everything, all_tables = run("all")
+        alone, _ = run("check", "--only", "gauss-sampling")
+        assert alone and alone == [r for r in everything
+                                   if r["job"] == "check:gauss-sampling"]
+        rate, rate_tables = run("rate")
+        assert rate == [r for r in everything if r["job"].startswith("rate:")]
+        # the metadata lines hold the config hash, which both runs share
+        assert len(rate_tables) == 4 and rate_tables == all_tables
 
 
 class TestMainEndToEnd:
@@ -378,6 +379,8 @@ class TestMainEndToEnd:
     @pytest.mark.parametrize("subcommand,ini", [
         ("rate", "[rate_d2]\nestimator = exactt\n"),
         ("lower", "[lower_d2]\nsampler = sphere_uniform\n"),
+        # the ci conversion bound is evaluated at the lattice floor, as the lower legs are
+        ("ci", "[ci_d2]\nsampler = sphere_uniform\n"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
         ("rate", "[rate_d1]\nm = 0\n"),

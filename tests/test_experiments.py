@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtr, stdtrit
@@ -16,6 +17,7 @@ from w2lab.experiments import (
     ci_calibration,
     ci_halfspace_experiment,
     clt_rate_experiment,
+    conversion_bound,
     estimate_w2,
     expected_lattice_distance,
     halfspace_slack,
@@ -63,7 +65,7 @@ class TestRate:
         cfg = RateExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
         )
-        rep = clt_rate_experiment(cfg, seed=5, leg=1)
+        rep = clt_rate_experiment(cfg, np.random.default_rng(5))
         assert [p.n for p in rep.points] == [16, 64, 256]
         assert all(v <= p.bound for p in rep.points for v in p.replica_values)
         assert rep.fit.slope < 0
@@ -82,8 +84,8 @@ class TestRate:
         cfg = RateExperimentConfig(
             sampler=RADEMACHER_1D, n_grid=(16, 64), replicas=3, m=2000,
         )
-        a = clt_rate_experiment(cfg, seed=11, leg=1)
-        b = clt_rate_experiment(cfg, seed=11, leg=1)
+        a = clt_rate_experiment(cfg, np.random.default_rng(11))
+        b = clt_rate_experiment(cfg, np.random.default_rng(11))
         assert a.points == b.points
 
     def test_config_validation(self):
@@ -175,7 +177,7 @@ class TestLatticeFloor:
 class TestLowerExperiment:
     def test_d1_small(self):
         cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(256, 1024), m_w2=10**5)
-        rep = lattice_lower_experiment(cfg, seed=3, leg=1)
+        rep = lattice_lower_experiment(cfg, np.random.default_rng(3))
         assert rep.target == pytest.approx(0.25)
         assert rep.points[-1].sqrtn_w2_hat >= 0.24
         for p in rep.points:
@@ -205,8 +207,8 @@ class TestHalfspace:
         ks = ks_statistic_gaussian(rng.standard_normal(10**5), 1.0)
         assert ks < 0.01
 
-    def test_calibration(self):
-        res = ci_calibration(10**5, seed=987654321)
+    def test_calibration(self, rng):
+        res = ci_calibration(10**5, rng)
         assert res.delta_exact == pytest.approx(0.19741265, abs=1e-7)
         assert res.w2 == 0.5
         assert res.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
@@ -219,11 +221,16 @@ class TestHalfspace:
             sampler=RADEMACHER_1D, n_grid=(16, 64, 256), m=20000,
             directions=8,
         )
-        rep = ci_halfspace_experiment(cfg, seed=9, leg=1)
+        rep = ci_halfspace_experiment(cfg, np.random.default_rng(9))
         assert rep.decay_slope <= -0.25
         for p in rep.points:
             assert p.slack == halfspace_slack(20000)
             assert p.delta_hat <= p.conversion_rhs + p.slack
+            # the bound is evaluated at the exact lattice floor, never at the estimate
+            assert p.floor == expected_lattice_distance(
+                CovarianceSpec([1.0]), LatticeSpec(1.0 / math.sqrt(p.n), 1))
+            assert p.conversion_rhs == conversion_bound(1, p.floor)
+            assert p.floor < p.w2_hat
 
     def test_slack_is_five_binomial_standard_errors(self):
         for m in (1, 20000, 10**5, 123457):
@@ -248,7 +255,7 @@ class TestHalfspace:
         cfg = HalfspaceConfig(
             sampler=RADEMACHER_1D, n_grid=(4096,), m=50000, directions=4,
         )
-        rep = ci_halfspace_experiment(cfg, seed=21, leg=1)
+        rep = ci_halfspace_experiment(cfg, np.random.default_rng(21))
         assert rep.points[0].delta_hat < 0.03
 
 

@@ -183,3 +183,12 @@ def test_gh_grid_second_moment():
     assert pts.shape == (60 * 60, 2) and wts.shape == (60 * 60,)
     val = float(wts @ (pts**2).sum(axis=1))
     assert val == pytest.approx(1.5**2 + 0.5**2, rel=1e-12)
+
+
+def test_gh_rule_is_built_once_and_read_only():
+    x, w = gh_nodes_weights(40)
+    assert gh_nodes_weights(40)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+    assert float(w @ x**2) == pytest.approx(1.0, rel=1e-12)
