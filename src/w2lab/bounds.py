@@ -2,10 +2,13 @@
 
 These are the assembly steps of the main convergence-rate argument: a single
 Gaussian replacement step obeys W2(Z_n, Z_{n-1} + X) <= 5 sqrt(k) beta / n
-once n >= 5 beta^2 / sigma_min^2; below that threshold the crude
-independent-coupling bound takes over; and alternating the two over (n, k)
-certifies A_{n,k} <= 5 sqrt(k) beta (1 + log n) for the unnormalized partial
-sums, which is the main rate bound after dividing by sqrt(n).
+(:func:`increment_bound`) once n >= 5 beta^2 / sigma_min^2; below that
+threshold the independent-coupling bound (:func:`naive_w2_upper`) takes
+over; and alternating the two over (n, k) certifies A_{n,k} <=
+:func:`rate_envelope` = 5 sqrt(k) beta (1 + log n) for the unnormalized
+partial sums, which is the main rate bound after dividing by sqrt(n).
+:func:`ank_bound_schedule` takes every step from those two functions, the
+ones the checkers certify.
 
 These functions measure (an exact W2 next to its bound, a table of certified
 bounds); the checkers in :mod:`w2lab.checks` decide pass or fail.
@@ -27,10 +30,18 @@ from .transport import w2_gaussian_mixture_1d
 from .transport import w2_exact  # noqa: F401
 
 
+def increment_bound(k: int, beta: float, n: int) -> float:
+    """The increment lemma's bound 5 sqrt(k) beta / n on W2(Z_n, Z_{n-1} + X)."""
+    return 5.0 * math.sqrt(k) * beta / n
+
+
+def rate_envelope(k: int, beta: float, n: int) -> float:
+    """The induction's envelope 5 sqrt(k) beta (1 + log n) on A_{n,k}."""
+    return 5.0 * math.sqrt(k) * beta * (1.0 + math.log(n))
+
+
 @dataclass(frozen=True)
 class IncrementCheck:
-    n: int
-    beta: float
     w2: float
     bound: float
 
@@ -50,7 +61,7 @@ def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
     w2 = w2_gaussian_mixture_1d(
         s.outcomes[:, 0], s.probs, sigma * math.sqrt(n - 1), sigma * math.sqrt(n)
     )
-    return IncrementCheck(n=n, beta=s.bound, w2=w2, bound=5.0 * s.bound / n)
+    return IncrementCheck(w2=w2, bound=increment_bound(1, s.bound, n))
 
 
 def naive_w2_upper(
@@ -80,50 +91,36 @@ def naive_w2_upper(
     return math.sqrt(head_w2**2 + tail)
 
 
-@dataclass(frozen=True)
-class ScheduleTable:
-    """Certified A_{n,k} bounds from replaying the double induction."""
+def ank_bound_schedule(n_max: int, cov: CovarianceSpec, beta: float) -> np.ndarray:
+    """Replay the (n, k) induction: the bound each cell A_{n,k} certifies.
 
-    n_max: int
-    dim: int
-    beta: float
-    bounds: np.ndarray  # (n_max + 1, dim + 1); row 0 unused
-
-    def envelope(self, n: int, k: int) -> float:
-        """The target envelope 5 sqrt(k) beta (1 + log n)."""
-        return 5.0 * math.sqrt(k) * self.beta * (1.0 + math.log(n))
-
-
-def ank_bound_schedule(
-    n_max: int, cov: CovarianceSpec, beta: float
-) -> ScheduleTable:
-    """Replay the (n, k) induction, recording the bound each cell certifies.
-
-    Cells with k = 0 are 0; n = 1 uses the independent-coupling base case
-    (sqrt of twice the head variance sum, itself <= 2 beta); for n > 1 the
-    increment step A_{n-1,k} + 5 sqrt(k) beta / n applies when
-    n > 5 beta^2 / sigma_k^2, and the naive step
-    sqrt(A_{n,k-1}^2 + 2 n sigma_k^2) otherwise.
+    Returns the (n_max + 1, d + 1) table; row 0 is unused and column k = 0
+    is 0.  Row n = 1 is the independent-coupling base case
+    :func:`naive_w2_upper` over the first k coordinates (sqrt of twice their
+    variance sum, itself <= 2 beta).  For n > 1 the increment step
+    A_{n-1,k} + :func:`increment_bound` applies when n > 5 beta^2 /
+    sigma_k^2; otherwise the naive step couples coordinate k independently,
+    adding its second moments n sigma_k^2 on both sides to A_{n,k-1}^2
+    under the root.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not beta > 0:
         raise ValueError("beta must be positive")
     d = cov.dim
-    var_prefix = np.concatenate([[0.0], np.cumsum(cov.variances)])
-    if var_prefix[-1] > beta**2 + 1e-9:
+    var = cov.variances
+    if var.sum() > beta**2 + 1e-9:
         raise ValueError(
             "total variance exceeds beta^2; no bounded law has these moments"
         )
     bounds = np.zeros((n_max + 1, d + 1))
     for k in range(1, d + 1):
-        bounds[1, k] = math.sqrt(2.0 * var_prefix[k])
+        bounds[1, k] = naive_w2_upper(var[:k], var[:k], 0, 0.0)
     for n in range(2, n_max + 1):
         for k in range(1, d + 1):
-            if n > 5.0 * beta**2 / cov.variances[k - 1]:
-                bounds[n, k] = bounds[n - 1, k] + 5.0 * math.sqrt(k) * beta / n
+            if n > 5.0 * beta**2 / var[k - 1]:
+                bounds[n, k] = bounds[n - 1, k] + increment_bound(k, beta, n)
             else:
-                bounds[n, k] = math.sqrt(
-                    bounds[n, k - 1] ** 2 + 2.0 * n * cov.variances[k - 1]
-                )
-    return ScheduleTable(n_max=n_max, dim=d, beta=beta, bounds=bounds)
+                moments = n * var[:k]
+                bounds[n, k] = naive_w2_upper(moments, moments, k - 1, bounds[n, k - 1])
+    return bounds

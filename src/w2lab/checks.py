@@ -32,6 +32,7 @@ from . import bounds as bnd
 from . import densities as dens
 from . import qstats as qs
 from . import transport as tr
+from .experiments import expected_lattice_distance
 from .gaussmath import (
     CovarianceSpec,
     gaussian_exp_quadratic,
@@ -50,10 +51,12 @@ from .samplers import (
     validate_sampler,
 )
 
-# the increment checker's law (its hypothesis needs n >= 5), and the chain's
-# grid radius in standard deviations
+# the increment checker's law (its hypothesis needs n >= 5), the chain's
+# grid radius in standard deviations, and the Gaussian draws per lattice
+# floor case
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 CHAIN_RADIUS = 5.0
+FLOOR_DRAWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,7 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
     s = make_rademacher_product(2, 1.0)
     n = 64
     sn = s.draw_sum(n, 20000, rng) / math.sqrt(n)
-    step = 1.0 / math.sqrt(n)
-    resid = float(np.max(np.abs(sn / step - np.round(sn / step))))
+    resid = float(np.max(lattice_distance(sn, LatticeSpec(1.0 / math.sqrt(n), s.dim))))
     out.append(Verdict("normalized rademacher sums live on (scale/sqrt n) Z^d",
                        resid, 1e-12, {"n": n}))
     return out
@@ -313,10 +315,22 @@ def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
         worst = max(worst, abs(fast - brute))
         worst_cell = max(worst_cell, fast - ell * math.sqrt(d) / 2.0)
     example = float(lattice_distance(np.array([0.3, 0.4]), LatticeSpec(1.0, 2)))
+    # the exact floor E d_L(Z)^2 against its Monte Carlo mean, in d = 1 and 2
+    # at spacing sigma_1 and sigma_1 / 64
+    worst_floor = 0.0
+    for cov in (CovarianceSpec([1.0]), CovarianceSpec([1.0, 0.5])):
+        for spacing in (cov.sigmas[0], cov.sigmas[0] / 64):
+            spec = LatticeSpec(spacing=float(spacing), dim=cov.dim)
+            sq = lattice_distance(sample_gaussian(cov, FLOOR_DRAWS, rng), spec) ** 2
+            se = sq.std(ddof=1) / math.sqrt(FLOOR_DRAWS)
+            dev = expected_lattice_distance(cov, spec) ** 2 - sq.mean()
+            worst_floor = max(worst_floor, _se_units(dev, se))
     return [
         Verdict("agrees with 3^d-neighbor brute force", worst, 1e-12),
         Verdict("never exceeds the half-diagonal", worst_cell, 1e-12),
         Verdict("d=2 point (0.3, 0.4) gives 1/2", abs(example - 0.5), 1e-12),
+        Verdict("exact floor^2 matches the Monte Carlo mean of d_L(Z)^2",
+                worst_floor, 1.0, {"draws": FLOOR_DRAWS}),
     ]
 
 
@@ -559,19 +573,23 @@ def check_naive_w2(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
+# (sigmas, beta) of each covariance the schedule checker replays
+SCHEDULE_CASES = (([1.0], 1.0), ([1.0, 0.5], 1.3), ([2.0, 1.0, 0.25], 2.5))
+
+
 def check_ank_schedule(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
-    for sigmas, beta in (([1.0], 1.0), ([1.0, 0.5], 1.3), ([2.0, 1.0, 0.25], 2.5)):
+    for sigmas, beta in SCHEDULE_CASES:
         cov = CovarianceSpec(sigmas)
         table = bnd.ank_bound_schedule(cfg.schedule_n_max, cov, beta)
         worst = -math.inf
         for n in range(1, cfg.schedule_n_max + 1):
             for k in range(1, cov.dim + 1):
-                worst = max(worst, table.bounds[n, k] - table.envelope(n, k))
+                worst = max(worst, table[n, k] - bnd.rate_envelope(k, beta, n))
         out.append(Verdict(f"sigmas={sigmas} beta={beta} envelope", worst, 1e-9))
-        first_row = float(np.max(table.bounds[1, 1:]))
+        first_row = float(np.max(table[1, 1:]))
         out.append(Verdict(f"sigmas={sigmas} base row below 2 beta", first_row, 2.0 * beta))
-        zero_col = float(np.max(np.abs(table.bounds[:, 0])))
+        zero_col = float(np.max(np.abs(table[:, 0])))
         out.append(Verdict(f"sigmas={sigmas} k=0 column is zero", zero_col, 0.0))
     return out
 
@@ -595,7 +613,7 @@ REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("sinkhorn", "entropic cost approaches the exact assignment cost", check_sinkhorn),
     CheckerEntry("projection-lower", "1-d projections lower-bound the full W2", check_projection_lower),
     CheckerEntry("sampler-zoo", "mean-zero, covariance, and norm-bound sampler hypotheses", check_sampler_zoo),
-    CheckerEntry("lattice-distance", "nearest-lattice-point distance: brute force and cell bound", check_lattice_distance),
+    CheckerEntry("lattice-distance", "nearest-lattice-point distance: brute force, cell bound and the exact Gaussian floor", check_lattice_distance),
     CheckerEntry("r-of-n", "log-correction constant bracket 0 <= r(n) <= 1/(n^2-1)^2", check_r_of_n),
     CheckerEntry("q-abs-estimates", "|Q_i|, |Q|, and |Q - Q_i| estimates under the n-hypothesis", check_q_abs_estimates),
     CheckerEntry("q-moments", "Q moment identity and bounds (mean, cross, square, total)", check_q_moments),

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, stdtrit
 
+from .bounds import rate_envelope
 from .gaussmath import CovarianceSpec, sample_gaussian
 from .samplers import (
     SE_FACTOR,
@@ -165,8 +166,8 @@ class RateReport:
 
 
 def main_rate_bound(d: int, beta: float, n: int) -> float:
-    """The main upper bound 5 sqrt(d) beta (1 + log n) / sqrt(n)."""
-    return 5.0 * math.sqrt(d) * beta * (1.0 + math.log(n)) / math.sqrt(n)
+    """The main upper bound: the envelope 5 sqrt(d) beta (1 + log n) over sqrt(n)."""
+    return rate_envelope(d, beta, n) / math.sqrt(n)
 
 
 def _loglog_fit(xs, ys) -> RateFit:

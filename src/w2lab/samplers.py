@@ -197,20 +197,21 @@ def make_sphere_uniform(d: int, beta: float) -> BoundedSampler:
 
 
 def require_lattice_support(s: BoundedSampler) -> LatticeSpec:
-    """Check support is contained in bound*Z^dim; return the unit-scale lattice.
+    """Check support is contained in bound*Z^dim; return that lattice.
 
-    The lower-bound experiment's hypothesis.  Rejects continuous samplers and
-    discrete supports with non-integer coordinates in units of beta.
+    The lower and ci experiments' hypothesis.  Rejects continuous samplers
+    and discrete supports with a point farther than 1e-9 * beta from the
+    lattice, measured by :func:`lattice_distance`.
     """
     if not s.enumerable:
         raise ValueError(f"sampler kind={s.kind!r} has no enumerable support")
-    ratio = s.outcomes / s.bound
-    if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
+    spec = LatticeSpec(spacing=s.bound, dim=s.dim)
+    if np.max(lattice_distance(s.outcomes, spec)) > 1e-9 * s.bound:
         raise ValueError(
             f"sampler kind={s.kind!r} support is not contained in beta*Z^d "
             f"(beta={s.bound})"
         )
-    return LatticeSpec(spacing=s.bound, dim=s.dim)
+    return spec
 
 
 @dataclass(frozen=True)

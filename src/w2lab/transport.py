@@ -23,14 +23,18 @@ Solver menu:
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
   1-d projections; only its checker runs it.
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport
-  between weighted atomic measures (1-d sweep / linear program), used by the
-  transportation-inequality chain on density grids.  The linear program is
-  solved by column generation: HiGHS solves it on a sparse candidate set of
-  pairs (each source's nearest targets plus a feasible north-west-corner
-  plan), and every pair whose reduced cost under the restricted duals is
-  negative joins the set for the next solve.  Once none is, the duals are
-  feasible for the full problem, so the restricted optimum is the full
-  optimum to the HiGHS feasibility tolerances (``LP_TOL`` = 1e-10).
+  between weighted atomic measures, used by the transportation-inequality
+  chain on density grids.  Both take their weights through one check
+  (non-negative, each summing to 1) and share the north-west-corner
+  plan :func:`_north_west_corner`.  On the line, that plan of the sorted
+  atoms is the monotone coupling, which is optimal, so :func:`w2_atomic_1d`
+  is its cost.  In any dimension it seeds the linear program, which
+  is solved by column generation: HiGHS solves it on a sparse candidate set
+  of pairs (each source's nearest targets plus the north-west-corner plan),
+  and every pair whose reduced cost under the restricted duals is negative
+  joins the set for the next solve.  Once none is, the duals are feasible
+  for the full problem, so the restricted optimum is the full optimum to the
+  HiGHS feasibility tolerances (``LP_TOL`` = 1e-10).
 """
 
 from __future__ import annotations
@@ -146,10 +150,7 @@ def w2_exact(
     m = 3000, 200 MB at ``EXACT_CAP_DEFAULT`` = 5000.
     """
     if mu.size != nu.size:
-        raise ValueError(
-            f"equal point counts required ({mu.size} vs {nu.size}); "
-            "use the sinkhorn path for unequal sizes"
-        )
+        raise ValueError(f"equal point counts required ({mu.size} vs {nu.size})")
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.size > cap:
@@ -338,50 +339,28 @@ def w2_projection_lower(
 # Weighted atomic measures (density-grid transport)
 # ---------------------------------------------------------------------------
 
-def w2_atomic_1d(
-    x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray
-) -> float:
-    """Exact squared-W2 between two weighted atomic measures on the line.
-
-    Sweeps the two quantile functions jointly; exact for atoms (the monotone
-    coupling is optimal in 1-d for any marginals).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+def _check_weights(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray):
+    """Both atomic measures' weights: one per atom, non-negative, each summing to 1."""
+    if len(x) != len(p) or len(y) != len(q):
+        raise ValueError(
+            f"atoms and weights differ in length ({len(x)} vs {len(p)}, "
+            f"{len(y)} vs {len(q)})"
+        )
+    if np.any(p < 0) or np.any(q < 0):
+        raise ValueError("weights must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("weights must each sum to 1")
-    ox = np.argsort(x, kind="stable")
-    oy = np.argsort(y, kind="stable")
-    x, p = x[ox], p[ox]
-    y, q = y[oy], q[oy]
-    i = j = 0
-    pi, qj = p[0], q[0]
-    terms = []
-    while i < len(x) and j < len(y):
-        m = min(pi, qj)
-        if m > 0:
-            terms.append(m * (x[i] - y[j]) ** 2)
-        pi -= m
-        qj -= m
-        if pi <= 1e-18:
-            i += 1
-            pi = p[i] if i < len(x) else 0.0
-        if qj <= 1e-18:
-            j += 1
-            qj = q[j] if j < len(y) else 0.0
-    return math.fsum(terms)
 
 
 def _north_west_corner(p: np.ndarray, q: np.ndarray):
-    """Support (rows, cols) of the north-west-corner plan of p and q.
+    """The north-west-corner plan of p and q: (rows, cols, masses).
 
     The plan couples the two weight vectors in index order, as the monotone
     coupling of their cumulative sums on [0, 1]: each interval between
-    consecutive cumulative breakpoints is one pair.  It is feasible for any
-    non-negative marginals of equal total mass and touches every atom of
-    positive mass.
+    consecutive cumulative breakpoints is one pair, carrying the interval's
+    length as its mass.  It is feasible for any non-negative marginals of
+    equal total mass and touches every atom of positive mass; atoms of zero
+    mass own no interval.
     """
     cp = np.cumsum(p)
     cq = np.cumsum(q)
@@ -389,7 +368,27 @@ def _north_west_corner(p: np.ndarray, q: np.ndarray):
     mids = 0.5 * (edges[:-1] + edges[1:])
     rows = np.minimum(np.searchsorted(cp, mids), len(p) - 1)
     cols = np.minimum(np.searchsorted(cq, mids), len(q) - 1)
-    return rows, cols
+    return rows, cols, np.diff(edges)
+
+
+def w2_atomic_1d(
+    x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray
+) -> float:
+    """Exact squared-W2 between two weighted atomic measures on the line.
+
+    The north-west-corner plan of the atoms in sorted order is the monotone
+    coupling, which is optimal in 1-d for any marginals; its cost is summed
+    exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    _check_weights(x, p, y, q)
+    ox = np.argsort(x, kind="stable")
+    oy = np.argsort(y, kind="stable")
+    rows, cols, mass = _north_west_corner(p[ox], q[oy])
+    return _fsum(mass * (x[ox][rows] - y[oy][cols]) ** 2)
 
 
 def w2_discrete_lp(
@@ -423,21 +422,13 @@ def w2_discrete_lp(
     y = np.atleast_2d(np.asarray(y, dtype=float))
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if len(x) != len(p) or len(y) != len(q):
-        raise ValueError(
-            f"atoms and weights differ in length ({len(x)} vs {len(p)}, "
-            f"{len(y)} vs {len(q)})"
-        )
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("weights must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must each sum to 1")
+    _check_weights(x, p, y, q)
     ns, nt = len(x), len(y)
     c = _pair_cost(x, y)
     k = min(LP_SEED_NEIGHBOURS, nt)
     cand = np.zeros((ns, nt), dtype=bool)
     np.put_along_axis(cand, np.argpartition(c, k - 1, axis=1)[:, :k], True, axis=1)
-    cand[_north_west_corner(p, q)] = True
+    cand[_north_west_corner(p, q)[:2]] = True
     b_eq = np.concatenate([p, q[:-1]])
     options = {
         "presolve": False,

@@ -18,8 +18,10 @@ from w2lab import cli
 from w2lab.checks import (
     CheckSuiteConfig,
     chain_models_2d,
+    check_conditional_l2,
     check_gauss_quad_expectation,
     check_ot_exact,
+    check_remainder,
 )
 from w2lab.config import RunSettings
 from w2lab.densities import (
@@ -38,12 +40,7 @@ from w2lab.experiments import (
 )
 from w2lab.bounds import increment_bound_check
 from w2lab.gaussmath import CovarianceSpec
-from w2lab.qstats import (
-    conditional_l2_check,
-    estimate_q_moments,
-    r_of_n,
-    remainder_difference_batch,
-)
+from w2lab.qstats import estimate_q_moments, r_of_n
 from w2lab.samplers import (
     make_lattice_custom,
     make_rademacher_product,
@@ -134,17 +131,14 @@ def test_criterion_04_q_moment_suite():
 
 def test_criterion_05_conditional_l2_and_remainder():
     with criterion(5, "conditional-L2 (1e4 tables) and Taylor remainder (1e6 pairs)"):
-        rng = rng_for(SEED, 500)
-        for _ in range(10**4):
-            na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            f = rng.normal(size=(na, nb)) * float(rng.uniform(0.2, 5.0))
-            res = conditional_l2_check(f, rng.dirichlet(np.ones(na)),
-                                       rng.dirichlet(np.ones(nb)))
-            assert res["rhs"] - res["lhs"] <= 1e-12
-        a = rng.uniform(-1, 1, size=10**6)
-        b = rng.uniform(-1, 1, size=10**6)
-        lhs, rhs = remainder_difference_batch(a, b)
-        assert float(np.max(lhs - rhs)) <= 1e-12
+        cfg = CheckSuiteConfig()
+        assert (cfg.l2_tables, cfg.remainder_pairs) == (10**4, 10**6)
+        l2 = check_conditional_l2(cfg, job_rng("check:conditional-l2"))
+        remainder = check_remainder(cfg, job_rng("check:exp-remainder"))
+        assert all(v.verdict == "pass" for v in l2 + remainder)
+        # the worst gap over the tables, and over the pairs
+        assert l2[0].lhs <= 1e-12 and l2[0].inputs["worst_gap"] == l2[0].lhs
+        assert remainder[0].lhs <= 1e-12
 
 
 def test_criterion_06_talagrand_chain():

@@ -6,9 +6,12 @@ import pytest
 from w2lab import transport
 from w2lab.bounds import (
     ank_bound_schedule,
+    increment_bound,
     increment_bound_check,
     naive_w2_upper,
+    rate_envelope,
 )
+from w2lab.checks import SCHEDULE_CASES
 from w2lab.gaussmath import CovarianceSpec, w2_gaussian_diag
 from w2lab.qstats import HypothesisError
 from w2lab.samplers import make_rademacher_product, make_scaled_basis, make_sphere_uniform
@@ -27,6 +30,7 @@ class TestIncrement:
         s = make_rademacher_product(1, 2.0)
         chk = increment_bound_check(s, 20)
         assert chk.bound == pytest.approx(0.5)
+        assert chk.bound == increment_bound(1, 2.0, 20)
         assert chk.w2 <= 0.5 * chk.bound
         assert chk.w2 <= chk.bound
 
@@ -85,17 +89,16 @@ class TestSchedule:
         cov = CovarianceSpec([1.0, 0.5])
         beta = 1.2
         table = ank_bound_schedule(512, cov, beta)
-        assert np.all(table.bounds[:, 0] == 0.0)
-        assert float(np.max(table.bounds[1, 1:])) <= 2.0 * beta
+        assert np.all(table[:, 0] == 0.0)
+        assert float(np.max(table[1, 1:])) <= 2.0 * beta
         for n in range(1, 513):
             for k in (1, 2):
-                assert table.bounds[n, k] <= table.envelope(n, k) + 1e-9
+                assert table[n, k] <= rate_envelope(k, beta, n) + 1e-9
 
     def test_branch_selection(self):
         cov = CovarianceSpec([1.0, 0.5])
         beta = 1.2
-        table = ank_bound_schedule(64, cov, beta)
-        a = table.bounds
+        a = ank_bound_schedule(64, cov, beta)
 
         def increment(n, k):
             return a[n - 1, k] + 5.0 * math.sqrt(k) * beta / n
@@ -120,5 +123,23 @@ class TestSchedule:
         # equal-variance case reproduces the d-independent envelope shape
         table = ank_bound_schedule(256, CovarianceSpec([1.0]), 1.0)
         # the increment branch certifies the last cell
-        assert table.bounds[256, 1] == table.bounds[255, 1] + 5.0 / 256
-        assert table.bounds[256, 1] > table.bounds[255, 1]
+        assert table[256, 1] == table[255, 1] + 5.0 / 256
+        assert table[256, 1] > table[255, 1]
+
+    @pytest.mark.parametrize("sigmas, beta", SCHEDULE_CASES)
+    def test_is_the_certified_steps(self, sigmas, beta):
+        # the recursion rebuilt from the two certified primitives, bitwise
+        cov = CovarianceSpec(sigmas)
+        n_max = 4096
+        var = cov.variances
+        a = np.zeros((n_max + 1, cov.dim + 1))
+        for k in range(1, cov.dim + 1):
+            a[1, k] = naive_w2_upper(var[:k], var[:k], 0, 0.0)
+        for n in range(2, n_max + 1):
+            for k in range(1, cov.dim + 1):
+                if n > 5.0 * beta**2 / var[k - 1]:
+                    a[n, k] = a[n - 1, k] + increment_bound(k, beta, n)
+                else:
+                    a[n, k] = naive_w2_upper(n * var[:k], n * var[:k], k - 1, a[n, k - 1])
+        table = ank_bound_schedule(n_max, cov, beta)
+        assert table.tobytes() == a.tobytes()

@@ -104,3 +104,15 @@ def test_q_moments_records_come_from_the_report():
     mean = out["rademacher_product d=1 n=10 exact mean identity"]
     assert mean.lhs == exact.checks[0].lhs
     assert mean.rhs == 1e-12
+
+
+def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):
+    floor = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
+    assert floor.case == "exact floor^2 matches the Monte Carlo mean of d_L(Z)^2"
+    assert floor.verdict == "pass" and floor.inputs == {"draws": checks.FLOOR_DRAWS}
+    # a floor 2% too high is caught
+    exact = checks.expected_lattice_distance
+    monkeypatch.setattr(checks, "expected_lattice_distance",
+                        lambda cov, spec: 1.02 * exact(cov, spec))
+    broken = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
+    assert broken.verdict == "fail"

@@ -185,6 +185,18 @@ class TestLatticeSupport:
         with pytest.raises(ValueError):
             require_lattice_support(make_sphere_uniform(2, 1.0))
 
+    def test_euclidean_distance_decides(self):
+        # (1 - e, e) is within 1e-9 of the lattice per coordinate, but
+        # sqrt(2) e > 1e-9 from it
+        e = 8e-10
+        s = make_lattice_custom(
+            np.array([[1 - e, e], [-(1 - e), -e], [1 - e, -e], [-(1 - e), e],
+                      [0.0, 1.0], [0.0, -1.0]]),
+            np.full(6, 1 / 6))
+        assert s.bound == 1.0
+        with pytest.raises(ValueError, match="not contained"):
+            require_lattice_support(s)
+
 
 class TestCustomLattice:
     def test_asymmetric_two_point(self):

@@ -55,7 +55,7 @@ class TestExact:
             assert cost == pytest.approx(w2_bruteforce(mu, nu), abs=1e-9)
 
     def test_unequal_sizes_rejected(self, rng):
-        with pytest.raises(ValueError, match="sinkhorn"):
+        with pytest.raises(ValueError, match=r"^equal point counts required \(3 vs 4\)$"):
             w2_exact(EmpiricalMeasure(rng.normal(size=(3, 1))),
                      EmpiricalMeasure(rng.normal(size=(4, 1))))
 
@@ -315,16 +315,30 @@ class TestAtomic:
                            np.array([0.0]), np.array([1.0]))
         assert val == pytest.approx(0.25)
 
+    def test_negative_weight_rejected(self):
+        x = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            w2_atomic_1d(x, np.array([1.5, -0.5]), x, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            w2_atomic_1d(x, np.array([0.5, 0.5]), x, np.array([-0.5, 1.5]))
+
 
 class TestDiscreteLP:
     def test_matches_atomic_1d(self, rng):
-        x = np.sort(rng.normal(size=12))
-        y = np.sort(rng.normal(size=9)) + 0.4
-        p = rng.dirichlet(np.ones(12))
-        q = rng.dirichlet(np.ones(9))
-        lp = w2_discrete_lp(x[:, None], p, y[:, None], q)
-        sweep = w2_atomic_1d(x, p, y, q)
-        assert lp == pytest.approx(sweep, rel=1e-8, abs=1e-10)
+        # unsorted atoms, some of zero mass on either side
+        for _ in range(20):
+            ns, nt = (int(v) for v in rng.integers(2, 15, size=2))
+            x = rng.normal(size=ns)
+            y = rng.normal(size=nt) + rng.normal()
+            p = rng.dirichlet(np.ones(ns))
+            q = rng.dirichlet(np.ones(nt))
+            p[rng.random(ns) < 0.3] = 0.0
+            q[rng.random(nt) < 0.3] = 0.0
+            p[0] = q[-1] = 0.5
+            p /= p.sum()
+            q /= q.sum()
+            lp = w2_discrete_lp(x[:, None], p, y[:, None], q)
+            assert lp == pytest.approx(w2_atomic_1d(x, p, y, q), rel=1e-8, abs=1e-10)
 
     def test_matches_assignment_2d(self, rng):
         m = 16
