@@ -1,7 +1,11 @@
 """Checker registry: every verifiable statement as a named, runnable check.
 
 Each checker verifies one mathematical statement (an identity, an inequality
-suite, or a solver contract) and emits structured verdict records.  Checkers
+suite, or a solver contract) and emits structured verdict records.  The
+registry holds the paper's statements and the primitives a verdict runs:
+exact assignment, the quantile coupling, Gauss-Hermite quadrature and the
+halfspace statistic (its shifted-Gaussian calibration); the library's
+Sinkhorn and projection solvers feed no verdict and have no checker.  Checkers
 are pure functions of (config, generator): a checker that draws draws only
 from the generator its job passes in (:func:`w2lab.cli.run_job` keys it by
 the job id), so the registry can be executed in any order, in parallel, with
@@ -27,12 +31,18 @@ from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import bounds as bnd
 from . import densities as dens
 from . import qstats as qs
 from . import transport as tr
-from .experiments import expected_lattice_distance
+from .experiments import (
+    conversion_bound,
+    expected_lattice_distance,
+    halfspace_slack,
+    ks_statistic_gaussian,
+)
 from .gaussmath import (
     CovarianceSpec,
     gaussian_exp_quadratic,
@@ -52,11 +62,12 @@ from .samplers import (
 )
 
 # the increment checker's law (its hypothesis needs n >= 5), the chain's
-# grid radius in standard deviations, and the Gaussian draws per lattice
-# floor case
+# grid radius in standard deviations, the Gaussian draws per lattice floor
+# case, and the mean shift of the halfspace calibration N(shift, 1)
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 CHAIN_RADIUS = 5.0
 FLOOR_DRAWS = 10**5
+CALIBRATION_SHIFT = 0.5
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,7 @@ class CheckSuiteConfig:
     l2_tables: int = 10**4
     remainder_pairs: int = 10**6
     increment_ns: tuple[int, ...] = (20, 40, 80)
+    calibration_m: int = 10**5
     chain_grid_2d: int = 24
     chain_refine: float = 1.42
     schedule_n_max: int = 4096
@@ -240,37 +252,21 @@ def check_ot_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_sinkhorn(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    out = []
-    mu = tr.EmpiricalMeasure(np.array([[0.0], [1.0]]))
-    nu = tr.EmpiricalMeasure(np.array([[1.0], [2.0]]))
-    cost, diag = tr.sinkhorn_w2(mu, nu, epsilon=1e-3)
-    out.append(Verdict("two-point instance within 1% of exact cost 1",
-                       abs(cost - 1.0), 0.01, {"iterations": diag.iterations}))
-    m, d = 200, 2
-    x = tr.EmpiricalMeasure(rng.normal(size=(m, d)))
-    y = tr.EmpiricalMeasure(rng.normal(size=(m, d)) + np.array([1.2, 0.5]))
-    exact = tr.w2_exact(x, y)[0]
-    pair = ((x.points[:, None, :] - y.points[None, :, :]) ** 2).sum(-1)
-    eps = 0.01 * float(np.median(pair))
-    ent = tr.sinkhorn_w2(x, y, epsilon=eps)[0]
-    rel = abs(ent - exact) / exact
-    out.append(Verdict("random m=200 d=2 within 3% relative", rel, 0.03, {"epsilon": eps}))
-    return out
-
-
-def check_projection_lower(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    worst = -math.inf
-    for _ in range(10):
-        m, d = 500, 3
-        mu = tr.EmpiricalMeasure(rng.normal(size=(m, d)))
-        nu = tr.EmpiricalMeasure(rng.normal(size=(m, d)) + rng.normal(size=d) * 0.3)
-        dirs = rng.normal(size=(8, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        low = tr.w2_projection_lower(mu, nu, dirs)
-        full = math.sqrt(tr.w2_exact(mu, nu)[0])
-        worst = max(worst, low - full)
-    return [Verdict("random rotations never exceed the exact value", worst, 1e-9)]
+def check_halfspace_calibration(cfg: CheckSuiteConfig, rng: np.random.Generator):
+    """N(shift, 1) against N(0, 1): W2 is the shift, and the halfspace sup is
+    2 Phi(shift/2) - 1, reached at the midpoint threshold."""
+    m = cfg.calibration_m
+    delta_hat = ks_statistic_gaussian(rng.standard_normal(m) + CALIBRATION_SHIFT, 1.0)
+    delta_exact = 2.0 * float(ndtr(CALIBRATION_SHIFT / 2.0)) - 1.0
+    rhs = conversion_bound(1, CALIBRATION_SHIFT)
+    slack = halfspace_slack(m)
+    return [
+        Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
+                abs(delta_hat - delta_exact), slack,
+                {"delta_exact": delta_exact, "w2": CALIBRATION_SHIFT}),
+        Verdict("conversion bound dominates the calibration instance",
+                delta_hat, rhs + slack, {"rhs": rhs}),
+    ]
 
 
 def _sampler_zoo():
@@ -610,8 +606,7 @@ REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("gauss-sampling", "Gaussian sampling matches t*Sigma within 5 SE", check_gauss_sampling),
     CheckerEntry("w2-gaussian-metric", "closed-form W2 between diagonal Gaussians is a metric", check_w2_gaussian_metric),
     CheckerEntry("ot-exact", "exact assignment equals factorial brute force", check_ot_exact),
-    CheckerEntry("sinkhorn", "entropic cost approaches the exact assignment cost", check_sinkhorn),
-    CheckerEntry("projection-lower", "1-d projections lower-bound the full W2", check_projection_lower),
+    CheckerEntry("halfspace-calibration", "shifted-Gaussian halfspace sup 2 Phi(1/4) - 1 under the 5 d^{1/6} W2^{2/3} conversion", check_halfspace_calibration),
     CheckerEntry("sampler-zoo", "mean-zero, covariance, and norm-bound sampler hypotheses", check_sampler_zoo),
     CheckerEntry("lattice-distance", "nearest-lattice-point distance: brute force, cell bound and the exact Gaussian floor", check_lattice_distance),
     CheckerEntry("r-of-n", "log-correction constant bracket 0 <= r(n) <= 1/(n^2-1)^2", check_r_of_n),

@@ -5,18 +5,20 @@ Subcommands
 check   run the checker registry (optionally one checker via --only)
 rate    rate experiments (d=1 quantile, d=2 exact transport)
 lower   lattice lower-bound experiments (exact lattice floor)
-ci      halfspace-distance experiments plus the shifted-Gaussian calibration
+ci      halfspace-distance experiments
 all     everything above
 list    print the checker registry (id and anchor)
 
 A job id is ``kind:name``; ``run_job`` finds its kind in one table.  A check
 job runs its ``REGISTRY`` entry, an experiment leg the settings field
-``{kind}_{name}``.  Every job gets one generator, ``rng_for(root seed, *the
-UTF-8 bytes of its id)``: distinct ids are distinct seed paths, so a job's
-numbers depend on the root seed and its id alone, never on the worker count,
-the job order or which other jobs run.  The experiment records are stated
-here, as ``Verdict(case, lhs, rhs)``; each passes exactly when lhs <= rhs, so
-a window around a centre is recorded as ``(|x - centre|, half-width)``.  A
+``{kind}_{name}``: the experiment jobs are those fields, in field order, so a
+new leg is one ``RunSettings`` field.  Every job gets one generator,
+``rng_for(root seed, *the UTF-8 bytes of its id)``: distinct ids are distinct
+seed paths, so a job's numbers depend on the root seed and its id alone,
+never on the worker count, the job order or which other jobs run.  The
+experiment records are stated here, as ``Verdict(case, lhs, rhs)``; each
+passes exactly when lhs <= rhs, so a window around a centre is recorded as
+``(|x - centre|, half-width)``.  A
 record depends on the leg's config, never on its name: a rate leg gets the
 slope window exactly when its estimator is the quantile coupling.  Each
 job states its anchor once (a checker's ``REGISTRY`` entry, or one constant
@@ -27,7 +29,8 @@ experiments ``tables/*.csv`` and ``plotdata/*.dat`` read from the named
 fields of each report's points, every file stamped with the config hash and
 root seed.  Exit status: 0 when nothing
 failed (inconclusive verdicts only warn), 1 on any failed verdict, 2 on
-usage or configuration errors.
+usage or configuration errors.  Every artifact is written before the first
+verdict line prints, so a closed standard output loses none.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from .checks import REGISTRY, Verdict
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     bentkus_reference_curve,
-    ci_calibration,
     ci_halfspace_experiment,
     clt_rate_experiment,
-    halfspace_slack,
     lattice_lower_experiment,
 )
 from .reporting import (
@@ -88,7 +89,6 @@ class JobResult:
 # jobs -> verdicts + artifacts
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_JOBS = ("rate:d1", "rate:d2", "lower:d1", "lower:d2", "ci:calibration", "ci:d1", "ci:d2")
 _CHECKERS = {entry.checker_id: entry for entry in REGISTRY}
 
 
@@ -164,16 +164,6 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 
 def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
-    if leg == "calibration":
-        res = ci_calibration(settings.calibration_m, rng)
-        job = JobResult(job_id="ci:calibration", anchor=CI_ANCHOR)
-        slack = halfspace_slack(settings.calibration_m)
-        job.verdicts.append(Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
-                                    abs(res.delta_hat - res.delta_exact), slack,
-                                    {"delta_exact": res.delta_exact, "w2": res.w2}))
-        job.verdicts.append(Verdict("conversion bound dominates the calibration instance",
-                                    res.delta_hat, res.rhs + slack, {"rhs": res.rhs}))
-        return job
     cfg = _leg_config(settings, "ci", leg)
     rep = ci_halfspace_experiment(cfg, rng)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR,
@@ -195,6 +185,10 @@ def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 
 _JOB_KINDS = {"check": _check_job, "rate": _rate_job, "lower": _lower_job, "ci": _ci_job}
+# the settings fields ``{kind}_{leg}`` of the experiment kinds, in field order
+EXPERIMENT_JOBS = tuple(f"{kind}:{leg}" for kind, _, leg in
+                        (f.name.partition("_") for f in fields(RunSettings))
+                        if leg and kind in _JOB_KINDS)
 
 
 def run_job(settings: RunSettings, job_id: str) -> JobResult:
@@ -260,8 +254,6 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
                 "verdict": v.verdict,
                 "inputs": jsonable(v.inputs),
             })
-            if verbose >= 2 or (verbose >= 1 and v.verdict != "pass"):
-                print(f"[{v.verdict:^12}] {res.checker}: {v.case}")
         fits.update(res.fits)
         job_meta = {**meta, **res.meta}
         for name, (cols, rows) in res.tables.items():
@@ -281,6 +273,10 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
         "verdicts": records,
     }
     write_verdicts_json(os.path.join(out, "verdicts.json"), payload)
+    # print only once every artifact is written, so a closed stdout loses none
+    for r in records:
+        if verbose >= 2 or (verbose >= 1 and r["verdict"] != "pass"):
+            print(f"[{r['verdict']:^12}] {r['checker']}: {r['case']}")
     if verbose >= 1:
         print(f"verdicts: {counts['pass']} pass, {counts['fail']} fail, "
               f"{counts['inconclusive']} inconclusive -> {out}/verdicts.json")

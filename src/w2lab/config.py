@@ -6,10 +6,13 @@ The config file is plain key = value under named sections: ``[run]`` sets
 section's dataclass or of its ``SamplerSpec``; only ``out`` (``out_dir``) and
 ``sampler`` (``kind``) are renamed.  One parser reads every section, each value
 as its field's declared type: a tuple splits on spaces or commas, a tuple of
-tuples (``outcomes``) into rows on ``|``.  Unknown sections or keys and values
-a config rejects when it is built are usage errors naming the offender, so
-they surface before any compute.  The one root seed is ``[run] seed`` (or
-``--seed``): every job derives its generators from it and its own job path.
+tuples (``outcomes``) into rows on ``|``; a ``%`` is a literal character.  A
+file that does not parse (no section header, a key or section given twice,
+bytes that are not UTF-8), unknown sections (a non-empty ``[DEFAULT]``
+included) or keys, and values a config rejects when it is built are usage
+errors naming the offender, so they surface before any compute.  The one
+root seed is ``[run] seed`` (or ``--seed``): every job derives its generators
+from it and its own job path.
 Running with no config file is the reference run.
 """
 
@@ -53,7 +56,6 @@ class RunSettings:
     workers: int = 1
     out_dir: str = "out"
     verbosity: int = 1
-    calibration_m: int = 10**5
     check: CheckSuiteConfig = field(default_factory=CheckSuiteConfig)
     rate_d1: RateExperimentConfig = _leg(RateExperimentConfig, _RADEMACHER_1D)
     rate_d2: RateExperimentConfig = _leg(RateExperimentConfig, _BASIS_2D, replicas=3, m=3000)
@@ -69,8 +71,6 @@ class RunSettings:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.calibration_m < 1:
-            raise ValueError(f"calibration_m must be >= 1, got {self.calibration_m}")
         if not self.out_dir:
             raise ValueError("the output directory (out, --out) must not be empty")
 
@@ -138,11 +138,18 @@ def load_settings(path: Optional[str] = None, seed: Optional[int] = None,
     """Resolve settings: defaults <- config file <- CLI flags (strongest)."""
     settings = RunSettings()
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
-            raise UsageError(f"config file not found or unreadable: {path}")
+        # no interpolation: a '%' in a value is a literal character
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise UsageError(f"config file not found or unreadable: {path}")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot parse config file {path}: {exc}") from exc
         sub_configs = {f.name for f in fields(settings)
                        if is_dataclass(getattr(settings, f.name))}
+        if parser.defaults():  # its keys would leak into every section
+            raise UsageError("unknown config section [DEFAULT]")
         for section in parser.sections():
             if section != "run" and section not in sub_configs:
                 raise UsageError(f"unknown config section [{section}]")

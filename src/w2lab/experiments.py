@@ -4,7 +4,9 @@ Each experiment takes its leg's dataclass config and its job's generator
 (:func:`w2lab.cli.run_job` keys it by the job id), and draws from it in grid
 order, so a report is bit-identical across runs and across worker counts.
 The lattice floor, on which the lower and ci verdicts rest, is exact and
-draws nothing.
+draws nothing.  The halfspace statistic, its slack and the conversion bound
+are calibrated on a shifted Gaussian by the ``halfspace-calibration`` checker
+(:mod:`w2lab.checks`), not by an experiment.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
@@ -41,8 +43,6 @@ from .transport import EXACT_CAP_DEFAULT, estimate_w2
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
 from .transport import w2_exact  # noqa: F401
 
-# mean shift of the ci calibration instance N(shift, 1) against N(0, 1)
-CALIBRATION_SHIFT = 0.5
 # the rate and ci legs' n grid: 16 to 4096 in powers of 2
 N_GRID_DEFAULT = tuple(2**k for k in range(4, 13))
 
@@ -416,32 +416,6 @@ def ci_halfspace_experiment(
         [p.n for p in points], [max(p.delta_hat, 1e-12) for p in points]
     )
     return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    delta_hat: float
-    delta_exact: float
-    w2: float
-    rhs: float
-
-
-def ci_calibration(m: int, rng: np.random.Generator) -> CalibrationResult:
-    """Shifted-Gaussian calibration of the halfspace machinery.
-
-    N(shift, 1) against N(0, 1) with ``shift = CALIBRATION_SHIFT``: the exact
-    halfspace supremum is 2 Phi(shift/2) - 1 at the midpoint threshold, W2
-    equals shift, and the conversion bound is evaluated at the exact W2.
-    The m draws come from ``rng``.
-    """
-    x = rng.standard_normal(m) + CALIBRATION_SHIFT
-    w2 = CALIBRATION_SHIFT
-    return CalibrationResult(
-        delta_hat=ks_statistic_gaussian(x, 1.0),
-        delta_exact=2.0 * float(ndtr(CALIBRATION_SHIFT / 2.0)) - 1.0,
-        w2=w2,
-        rhs=conversion_bound(1, w2),
-    )
 
 
 def bentkus_reference_curve(d: int, n: int, beta3: float) -> float:

@@ -19,9 +19,9 @@ Solver menu:
   Gauss-Hermite sum over bisected mixture quantiles; the increment step's
   distance.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
-  unequal sizes; only its checker runs it.
+  unequal sizes; no job runs it.
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
-  1-d projections; only its checker runs it.
+  1-d projections; no job runs it.
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport
   between weighted atomic measures, used by the transportation-inequality
   chain on density grids.  Both take their weights through one check

@@ -20,6 +20,7 @@ from w2lab.checks import (
     chain_models_2d,
     check_conditional_l2,
     check_gauss_quad_expectation,
+    check_halfspace_calibration,
     check_ot_exact,
     check_remainder,
 )
@@ -33,7 +34,6 @@ from w2lab.densities import (
     talagrand_chain,
 )
 from w2lab.experiments import (
-    ci_calibration,
     ci_halfspace_experiment,
     clt_rate_experiment,
     lattice_lower_experiment,
@@ -204,13 +204,15 @@ def test_criterion_09_lattice_lower_bound():
 def test_criterion_10_ci_conversion():
     with criterion(10, "halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
         settings = RunSettings(seed=SEED)
-        cal = ci_calibration(settings.calibration_m, job_rng("ci:calibration"))
-        assert cal.delta_exact == pytest.approx(0.19741265, abs=1e-7)
-        assert cal.rhs == pytest.approx(3.1498, abs=5e-4)
-        assert abs(cal.delta_hat - cal.delta_exact) <= 5 * 0.5 / math.sqrt(
-            settings.calibration_m
-        )
-        assert cal.delta_hat <= cal.rhs
+        check_cfg = CheckSuiteConfig()
+        match, dominated = check_halfspace_calibration(
+            check_cfg, job_rng("check:halfspace-calibration"))
+        delta_hat, rhs = dominated.lhs, dominated.inputs["rhs"]
+        assert match.inputs["delta_exact"] == pytest.approx(0.19741265, abs=1e-7)
+        assert rhs == pytest.approx(3.1498, abs=5e-4)
+        # the first record's lhs is |delta_hat - delta_exact|
+        assert match.lhs <= 5 * 0.5 / math.sqrt(check_cfg.calibration_m)
+        assert delta_hat <= rhs
         for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
             rep = ci_halfspace_experiment(cfg, job_rng(f"ci:d{leg}"))
             for p in rep.points:

@@ -7,6 +7,7 @@ import pytest
 from w2lab import checks
 from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
 from w2lab.densities import ChainGrid
+from w2lab.experiments import halfspace_slack
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
@@ -36,7 +37,7 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 @pytest.mark.parametrize("bad", [
     {"gauss_quad_instances": 0}, {"ot_instances": 0}, {"quantile_instances": 0},
-    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0},
+    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0}, {"calibration_m": 0},
     {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
     {"increment_ns": ()}, {"increment_ns": (20, 1)}, {"increment_ns": (20, 4)},
     {"chain_grid_2d": 0},
@@ -116,3 +117,17 @@ def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):
                         lambda cov, spec: 1.02 * exact(cov, spec))
     broken = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
     assert broken.verdict == "fail"
+
+
+def test_calibration(rng):
+    match, dominated = checks.check_halfspace_calibration(CheckSuiteConfig(), rng)
+    slack = halfspace_slack(10**5)
+    assert match.inputs["delta_exact"] == pytest.approx(0.19741265, abs=1e-7)
+    assert match.inputs["w2"] == 0.5
+    rhs = dominated.inputs["rhs"]
+    assert rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
+    assert rhs == pytest.approx(3.1498, abs=5e-4)
+    # the first record is |delta_hat - delta_exact|, the second delta_hat
+    assert match.lhs < 0.01 and match.rhs == slack
+    assert dominated.lhs <= rhs + slack and dominated.rhs == rhs + slack
+    assert match.verdict == dominated.verdict == "pass"

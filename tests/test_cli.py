@@ -1,5 +1,6 @@
 import dataclasses
 import glob
+import io
 import json
 import os
 import shlex
@@ -23,10 +24,11 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
-    "run": {"seed", "workers", "out", "verbosity", "calibration_m"},
+    "run": {"seed", "workers", "out", "verbosity"},
     "check": {"gauss_quad_instances", "ot_instances", "quantile_instances",
               "metric_triples", "sampler_validate_m", "l2_tables", "remainder_pairs",
-              "increment_ns", "chain_grid_2d", "chain_refine", "schedule_n_max"},
+              "increment_ns", "calibration_m", "chain_grid_2d", "chain_refine",
+              "schedule_n_max"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "m", "w2_m", "directions"}
@@ -175,6 +177,8 @@ class TestConfig:
         # so are the increment step and the Q statistics, and the chain's radius is fixed
         "[check]\nincrement_m = 1000000\n", "[check]\nq_mc_pairs = 100000\n",
         "[check]\nchain_radius = 5.0\n",
+        # the halfspace calibration is a checker: its draw count is a [check] key
+        "[run]\ncalibration_m = 20000\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -182,6 +186,33 @@ class TestConfig:
         assert cli.main(["list", "--config", str(p)]) == 2
         key = ini.split("\n")[1].split(" = ")[0]
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        (b"seed = 3\n", "no section headers"),
+        (b"[run]\nseed = 3\nseed = 4\n", "option 'seed' in section 'run' already exists"),
+        (b"[run]\nseed = 3\n[run]\nworkers = 1\n", "section 'run' already exists"),
+        (b"[run]\nout = caf\xe9\n", "can't decode byte 0xe9"),
+    ], ids=["no-section", "duplicate-key", "duplicate-section", "not-utf8"])
+    def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, content, message):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(content)
+        assert cli.main(["list", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot parse config file {p}" in err and message in err
+
+    def test_percent_is_a_literal(self, tmp_path):
+        p = tmp_path / "percent.ini"
+        p.write_text("[run]\nout = res%1\n")
+        assert load_settings(str(p)).out_dir == "res%1"
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        # its keys would otherwise reach every section as if written there
+        p = tmp_path / "default.ini"
+        p.write_text("[DEFAULT]\nseed = 3\n[check]\nl2_tables = 5\n")
+        assert cli.main(["list", "--config", str(p)]) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+        p.write_text("[DEFAULT]\n[check]\nl2_tables = 5\n")
+        assert load_settings(str(p)).check.l2_tables == 5
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
                              ids=lambda p: os.path.relpath(p, ROOT))
@@ -204,19 +235,18 @@ class TestConfig:
         assert built.bound == 1.0
 
 
-EXPERIMENT_JOBS = ["rate:d1", "rate:d2", "lower:d1", "lower:d2",
-                   "ci:calibration", "ci:d1", "ci:d2"]
+EXPERIMENT_JOBS = ["rate:d1", "rate:d2", "lower:d1", "lower:d2", "ci:d1", "ci:d2"]
 
 
 class TestJobs:
     def test_job_lists(self):
         s = RunSettings()
         check_jobs = [f"check:{e.checker_id}" for e in REGISTRY]
-        assert len(check_jobs) == 20
+        assert len(check_jobs) == 19
         assert jobs_for("check", s) == check_jobs
         assert jobs_for("rate", s) == ["rate:d1", "rate:d2"]
         assert jobs_for("lower", s) == ["lower:d1", "lower:d2"]
-        assert jobs_for("ci", s) == ["ci:calibration", "ci:d1", "ci:d2"]
+        assert jobs_for("ci", s) == ["ci:d1", "ci:d2"]
         assert jobs_for("all", s) == check_jobs + EXPERIMENT_JOBS
         assert jobs_for("all", s, only="r-of-n") == ["check:r-of-n"] + EXPERIMENT_JOBS
         with pytest.raises(UsageError, match="unknown subcommand"):
@@ -225,9 +255,9 @@ class TestJobs:
     def test_every_leg_job_names_its_settings_field(self):
         s = RunSettings()
         assert list(cli.EXPERIMENT_JOBS) == EXPERIMENT_JOBS
-        legs = {j.replace(":", "_") for j in EXPERIMENT_JOBS if j != "ci:calibration"}
-        leg_fields = {f.name for f in dataclasses.fields(s)
-                      if dataclasses.is_dataclass(getattr(s, f.name))} - {"check"}
+        legs = [j.replace(":", "_") for j in EXPERIMENT_JOBS]
+        leg_fields = [f.name for f in dataclasses.fields(s)
+                      if dataclasses.is_dataclass(getattr(s, f.name)) and f.name != "check"]
         assert legs == leg_fields
 
     def test_unknown_job_kind_raises(self):
@@ -244,8 +274,6 @@ class TestJobs:
 
 
 TINY_EXPERIMENTS = """
-[run]
-calibration_m = 1000
 [rate_d1]
 n_grid = 16 64
 replicas = 3
@@ -301,13 +329,13 @@ class TestSeedPaths:
         for seed in (20260810, 20260811):
             settings = RunSettings(seed=seed)
             jobs = jobs_for("all", settings)
-            assert len(jobs) == 27
+            assert len(jobs) == 25
             for job in jobs:
                 paths.clear()
                 cli.run_job(settings, job)
                 assert paths == [(seed, tuple(job.encode()))], job
                 assert owner.setdefault(paths[0], job) == job
-        assert len(owner) == 2 * 27
+        assert len(owner) == 2 * 25
 
     def test_only_the_job_runner_derives_generators(self):
         assert not hasattr(checks, "rng_for")
@@ -384,7 +412,7 @@ class TestMainEndToEnd:
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
         ("rate", "[rate_d1]\nm = 0\n"),
-        ("ci", "[run]\ncalibration_m = 0\n"),
+        ("check", "[check]\ncalibration_m = 0\n"),
         ("rate", "[run]\nseed = -1\n"),
         ("list", "[rate_d2]\nm = 6000\n"),
         ("check", "[check]\nsampler_validate_m = 0\n"),
@@ -518,6 +546,31 @@ class TestMainEndToEnd:
         assert rc == 1
         [rec] = json.loads((tmp_path / "o" / "verdicts.json").read_text())["verdicts"]
         assert (rec["checker"], rec["anchor"], rec["verdict"]) == ("fake", "anchor", "fail")
+
+    def test_closed_stdout_loses_no_artifact(self, tmp_path, monkeypatch):
+        # `w2lab all -vv | head -1`: the pipe closes while the records print
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        p = tmp_path / "tiny.ini"
+        p.write_text(TINY_EXPERIMENTS)
+        settings = load_settings(str(p))
+        results = cli.execute(settings, ["check:r-of-n", "lower:d1"])
+        trees = []
+        for tag, verbose in (("plain", 0), ("piped", 2)):
+            out = tmp_path / tag
+            run = dataclasses.replace(settings, out_dir=str(out))
+            if verbose:
+                monkeypatch.setattr(sys, "stdout", ClosedPipe())
+                with pytest.raises(BrokenPipeError):
+                    emit(run, results, verbose)
+            else:
+                assert emit(run, results, verbose) == 0
+            trees.append({f.relative_to(out): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
+        assert trees[0] == trees[1]
+        assert {str(f) for f in trees[0]} >= {"verdicts.json", "tables/lower_d1.csv"}
 
     def test_inconclusive_exits_0_with_warning(self, tmp_path, capsys):
         s = RunSettings()

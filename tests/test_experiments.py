@@ -14,7 +14,6 @@ from w2lab.experiments import (
     SamplerSpec,
     _replica_ci,
     bentkus_reference_curve,
-    ci_calibration,
     ci_halfspace_experiment,
     clt_rate_experiment,
     conversion_bound,
@@ -206,15 +205,6 @@ class TestHalfspace:
     def test_matched_sample_small(self, rng):
         ks = ks_statistic_gaussian(rng.standard_normal(10**5), 1.0)
         assert ks < 0.01
-
-    def test_calibration(self, rng):
-        res = ci_calibration(10**5, rng)
-        assert res.delta_exact == pytest.approx(0.19741265, abs=1e-7)
-        assert res.w2 == 0.5
-        assert res.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
-        assert res.rhs == pytest.approx(3.1498, abs=5e-4)
-        assert abs(res.delta_hat - res.delta_exact) < 0.01
-        assert res.delta_hat <= res.rhs + halfspace_slack(10**5)
 
     def test_experiment_small(self):
         cfg = HalfspaceConfig(

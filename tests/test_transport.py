@@ -249,6 +249,15 @@ class TestSinkhorn:
             ent = sinkhorn_w2(mu, nu, epsilon=eps)[0]
             assert ent >= exact - eps * math.log(60) - 1e-6
 
+    def test_random_instance_near_exact(self, rng):
+        # m = 200 in d = 2 at 1% of the median pair cost: within 3% relative
+        x = EmpiricalMeasure(rng.normal(size=(200, 2)))
+        y = EmpiricalMeasure(rng.normal(size=(200, 2)) + np.array([1.2, 0.5]))
+        exact = w2_exact(x, y)[0]
+        pair = ((x.points[:, None, :] - y.points[None, :, :]) ** 2).sum(-1)
+        ent = sinkhorn_w2(x, y, epsilon=0.01 * float(np.median(pair)))[0]
+        assert abs(ent - exact) / exact <= 0.03
+
     def test_monotone_in_eps(self, rng):
         mu, nu = clouds(rng, 50, 2, shift=0.6)
         es = (0.8, 0.3, 0.1, 0.03)
