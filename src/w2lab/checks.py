@@ -4,12 +4,12 @@ Each checker verifies one mathematical statement (an identity, an inequality
 suite, or a solver contract) and emits structured verdict records.  The
 registry holds the paper's statements and the primitives a verdict runs:
 exact assignment, the quantile coupling, Gauss-Hermite quadrature and the
-halfspace statistic (its shifted-Gaussian calibration); the library's
-Sinkhorn and projection solvers feed no verdict and have no checker.  Checkers
-are pure functions of (config, generator): a checker that draws draws only
-from the generator its job passes in (:func:`w2lab.cli.run_job` keys it by
-the job id), so the registry can be executed in any order, in parallel, with
-bit-identical results.
+exact halfspace statistic (against enumeration and the binomial CDF); the
+library's Sinkhorn and projection solvers feed no verdict and have no
+checker.  Checkers are pure functions of (config, generator): a checker that
+draws draws only from the generator its job passes in
+(:func:`w2lab.cli.run_job` keys it by the job id), so the registry can be
+executed in any order, in parallel, with bit-identical results.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
 functions it calls return measured quantities only, and the pass rule is
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import bdtr, ndtr
 
 from . import bounds as bnd
 from . import densities as dens
@@ -40,8 +40,9 @@ from . import transport as tr
 from .experiments import (
     conversion_bound,
     expected_lattice_distance,
-    halfspace_slack,
-    ks_statistic_gaussian,
+    halfspace_distance,
+    walk_cdf,
+    walk_gap,
 )
 from .gaussmath import (
     CovarianceSpec,
@@ -63,11 +64,11 @@ from .samplers import (
 
 # the increment checker's law (its hypothesis needs n >= 5), the chain's
 # grid radius in standard deviations, the Gaussian draws per lattice floor
-# case, and the mean shift of the halfspace calibration N(shift, 1)
+# case, and the mean shift of the halfspace instance N(shift, 1)
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 CHAIN_RADIUS = 5.0
 FLOOR_DRAWS = 10**5
-CALIBRATION_SHIFT = 0.5
+HALFSPACE_SHIFT = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,6 @@ class CheckSuiteConfig:
     l2_tables: int = 10**4
     remainder_pairs: int = 10**6
     increment_ns: tuple[int, ...] = (20, 40, 80)
-    calibration_m: int = 10**5
     chain_grid_2d: int = 24
     chain_refine: float = 1.42
     schedule_n_max: int = 4096
@@ -133,7 +133,7 @@ class CheckSuiteConfig:
             raise ValueError(f"increment_ns: {exc}") from None
         if not 1 < self.chain_refine < math.inf:
             raise ValueError(f"chain_refine must be finite and > 1, got {self.chain_refine}")
-        fine = math.ceil(self.chain_grid_2d * self.chain_refine)  # ChainGrid's fine pass
+        fine = dens.ChainGrid(self.chain_grid_2d, self.chain_refine, CHAIN_RADIUS).resolutions()[1]
         if fine**2 > tr.EXACT_CAP_DEFAULT:
             raise ValueError(
                 f"chain_grid_2d * chain_refine gives a {fine}x{fine} fine grid, past "
@@ -252,20 +252,45 @@ def check_ot_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_halfspace_calibration(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    """N(shift, 1) against N(0, 1): W2 is the shift, and the halfspace sup is
-    2 Phi(shift/2) - 1, reached at the midpoint threshold."""
-    m = cfg.calibration_m
-    delta_hat = ks_statistic_gaussian(rng.standard_normal(m) + CALIBRATION_SHIFT, 1.0)
-    delta_exact = 2.0 * float(ndtr(CALIBRATION_SHIFT / 2.0)) - 1.0
-    rhs = conversion_bound(1, CALIBRATION_SHIFT)
-    slack = halfspace_slack(m)
+def _enumerated_gap(outcomes: np.ndarray, probs: np.ndarray, n: int) -> float:
+    """The halfspace statistic of S_n from all len(probs)^n step sequences, in the
+    law's own frame over the d <= 2 family written out: F(t), F(t-) at each atom t."""
+    idx = np.indices((len(probs),) * n).reshape(n, -1).T
+    sums, mass = outcomes[idx].sum(axis=1) / math.sqrt(n), probs[idx].prod(axis=1)
+    gaps = [0.0]
+    for a in np.eye(1) if outcomes.shape[1] == 1 else np.array([[1, 0], [0, 1], [1, 1], [1, -1]]):
+        proj, sd = sums @ a, math.sqrt(probs @ (outcomes @ a) ** 2)
+        for t in np.unique(proj):
+            g = ndtr(t / sd)
+            gaps += [abs(mass[proj <= t + 1e-12].sum() - g), abs(mass[proj < t - 1e-12].sum() - g)]
+    return float(max(gaps))
+
+
+def check_halfspace_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
+    """The exact halfspace statistic against enumeration and the binomial CDF, and
+    the conversion bound at N(shift, 1) against N(0, 1), whose W2 is the shift and
+    whose halfspace sup is 2 Phi(shift/2) - 1; draws nothing."""
+    laws = [(np.array([[1.0], [-1.0]]), np.full(2, 0.5)),
+            (math.sqrt(2.0) * np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]), np.full(4, 0.25)),
+            # a zero atom, unequal masses, the larger variance on the second axis
+            (2.0 * np.array([[0.0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]),
+             np.array([0.4, 0.1, 0.1, 0.2, 0.2]))]
+    # laws on {0, +-beta e_i} are symmetric, so their left limits mirror their
+    # atoms; this drifting walk's supremum sits at a left limit
+    drift, steps = np.array([0.2, 0.3, 0.5]), np.array([[-1.0], [0.0], [1.0]])
+    errs = [abs(halfspace_distance(make_lattice_custom(o, p), n) - _enumerated_gap(o, p, n))
+            for n in range(1, 7) for o, p in laws]
+    errs += [abs(walk_gap(drift, n, math.sqrt(drift @ steps[:, 0] ** 2))
+                 - _enumerated_gap(steps, drift, n)) for n in range(1, 7)]
+    n = 4096
+    binomial = bdtr((np.arange(-n, n + 1) + n) // 2, n, 0.5)
     return [
-        Verdict("shifted-Gaussian halfspace sup matches 2 Phi(1/4) - 1",
-                abs(delta_hat - delta_exact), slack,
-                {"delta_exact": delta_exact, "w2": CALIBRATION_SHIFT}),
-        Verdict("conversion bound dominates the calibration instance",
-                delta_hat, rhs + slack, {"rhs": rhs}),
+        Verdict("halfspace_distance equals enumeration of S_n for n <= 6", max(errs), 1e-12),
+        Verdict(f"d=1 Rademacher walk CDF at n={n} equals the binomial CDF",
+                np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - binomial)), 1e-11),
+        Verdict("conversion bound dominates the shifted-Gaussian sup 2 Phi(1/4) - 1",
+                2.0 * ndtr(HALFSPACE_SHIFT / 2.0) - 1.0, conversion_bound(1, HALFSPACE_SHIFT),
+                {"w2": HALFSPACE_SHIFT}),
     ]
 
 
@@ -521,11 +546,7 @@ def chain_models_2d():
 
 
 def check_talagrand_2d(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    grid = dens.ChainGrid(
-        points_per_axis=cfg.chain_grid_2d,
-        refine=cfg.chain_refine,
-        radius_sigmas=CHAIN_RADIUS,
-    )
+    grid = dens.ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, CHAIN_RADIUS)
     out = []
     for name, model in chain_models_2d():
         try:
@@ -606,7 +627,7 @@ REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("gauss-sampling", "Gaussian sampling matches t*Sigma within 5 SE", check_gauss_sampling),
     CheckerEntry("w2-gaussian-metric", "closed-form W2 between diagonal Gaussians is a metric", check_w2_gaussian_metric),
     CheckerEntry("ot-exact", "exact assignment equals factorial brute force", check_ot_exact),
-    CheckerEntry("halfspace-calibration", "shifted-Gaussian halfspace sup 2 Phi(1/4) - 1 under the 5 d^{1/6} W2^{2/3} conversion", check_halfspace_calibration),
+    CheckerEntry("halfspace-exact", "exact halfspace statistic: enumeration, binomial CDF, and the 5 d^{1/6} W2^{2/3} conversion at a shifted Gaussian", check_halfspace_exact),
     CheckerEntry("sampler-zoo", "mean-zero, covariance, and norm-bound sampler hypotheses", check_sampler_zoo),
     CheckerEntry("lattice-distance", "nearest-lattice-point distance: brute force, cell bound and the exact Gaussian floor", check_lattice_distance),
     CheckerEntry("r-of-n", "log-correction constant bracket 0 <= r(n) <= 1/(n^2-1)^2", check_r_of_n),

@@ -372,25 +372,27 @@ def prefix_second_moments(
 # The transportation-inequality chain
 # ---------------------------------------------------------------------------
 
+# the factor scaling the difference of the chain's quadrature at GH_NODES_DEFAULT
+# nodes per axis and at half as many into its error budget
+CHAIN_BUDGET_FACTOR = 3.0
+
+
 @dataclass(frozen=True)
 class ChainGrid:
     """Discretization control for the chain's W2 computation.
 
-    ``points_per_axis`` is the coarse resolution (defaults: 2048 in 1-d, 24
-    in 2-d); the fine pass multiplies it by ``refine``.  The domain spans
-    ``radius_sigmas`` reference standard deviations per axis, widened by the
-    mixture shifts.  ``budget_factor`` scales the Richardson difference into
-    the error budget.
+    ``points_per_axis`` is the coarse resolution; the fine pass multiplies it
+    by ``refine``.  The domain spans ``radius_sigmas`` reference standard
+    deviations per axis, widened by the mixture shifts.
     """
 
-    points_per_axis: Optional[int] = None
-    refine: float = 1.5
-    radius_sigmas: float = 6.4
-    budget_factor: float = 3.0
-    quad_nodes: int = GH_NODES_DEFAULT
+    points_per_axis: int
+    refine: float
+    radius_sigmas: float
 
-    def resolutions(self, dim: int) -> tuple[int, int]:
-        base = self.points_per_axis or (2048 if dim == 1 else 24)
+    def resolutions(self) -> tuple[int, int]:
+        """(coarse, fine) points per axis."""
+        base = self.points_per_axis
         return base, max(base + 1, int(math.ceil(base * self.refine)))
 
 
@@ -398,16 +400,11 @@ class ChainGrid:
 class ChainReport:
     w2_sq: float  # Richardson-extrapolated estimate
     w2_sq_raw: float  # fine-grid value (upper edge of the error interval)
-    w2_sq_coarse: float
     rhs_entropy: float
     rhs_chi2: float
     budget_w2: float
     budget_quad: float
-    mass_loss: float
     equality_atol: float  # rounding allowance of both steps' bounds
-    entropy_terms: np.ndarray
-    chi2_terms: np.ndarray
-    grid_cells: tuple
 
 
 def _entropy_functional(model: _RatioBase, nodes: int) -> np.ndarray:
@@ -468,7 +465,7 @@ def _grid_w2_sq(model: _RatioBase, cells: int, radius_sigmas: float):
     return val, mass_loss
 
 
-def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainReport:
+def talagrand_chain(model: _RatioBase, grid: ChainGrid) -> ChainReport:
     """Evaluate the chain W2^2 <= entropy-RHS <= chi2-RHS for one model.
 
     Raises :class:`InconclusiveGridError` when the extrapolated W2^2 turns
@@ -480,7 +477,7 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
     if model.dim not in (1, 2):
         raise ValueError("the chain is computed for dim in {1, 2} only")
 
-    coarse_n, fine_n = grid.resolutions(model.dim)
+    coarse_n, fine_n = grid.resolutions()
     w2_coarse, _ = _grid_w2_sq(model, coarse_n, grid.radius_sigmas)
     w2_fine_raw, mass_loss = _grid_w2_sq(model, fine_n, grid.radius_sigmas)
     # first-order Richardson in the cell size h ~ 1/N: the same-grid atomic
@@ -497,36 +494,29 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid = ChainGrid()) -> ChainRe
         )
     w2_est = max(w2_extrap, 0.0)
 
-    ent_fine = _entropy_functional(model, grid.quad_nodes)
-    ent_coarse = _entropy_functional(model, grid.quad_nodes // 2)
-    chi_fine = _chi2_terms(model, grid.quad_nodes)
-    chi_coarse = _chi2_terms(model, grid.quad_nodes // 2)
+    ent_fine = _entropy_functional(model, GH_NODES_DEFAULT)
+    ent_coarse = _entropy_functional(model, GH_NODES_DEFAULT // 2)
+    chi_fine = _chi2_terms(model, GH_NODES_DEFAULT)
+    chi_coarse = _chi2_terms(model, GH_NODES_DEFAULT // 2)
 
     var = model.cov.variances
-    entropy_terms = 2.0 * var * np.diff(ent_fine)
-    rhs_entropy = float(entropy_terms.sum())
+    rhs_entropy = float((2.0 * var * np.diff(ent_fine)).sum())
     rhs_entropy_c = float((2.0 * var * np.diff(ent_coarse)).sum())
-    chi2_terms = 2.0 * var * chi_fine
-    rhs_chi2 = float(chi2_terms.sum())
+    rhs_chi2 = float((2.0 * var * chi_fine).sum())
     rhs_chi2_c = float((2.0 * var * chi_coarse).sum())
 
     scale = max(abs(w2_fine_raw), abs(rhs_entropy), abs(rhs_chi2), 1e-12)
     budget_w2 = abs(w2_fine_raw - w2_est) + 4.0 * mass_loss * scale
-    budget_quad = grid.budget_factor * max(
+    budget_quad = CHAIN_BUDGET_FACTOR * max(
         abs(rhs_entropy - rhs_entropy_c), abs(rhs_chi2 - rhs_chi2_c)
     )
     return ChainReport(
         w2_sq=w2_est,
         w2_sq_raw=w2_fine_raw,
-        w2_sq_coarse=w2_coarse,
         rhs_entropy=rhs_entropy,
         rhs_chi2=rhs_chi2,
         budget_w2=budget_w2,
         budget_quad=budget_quad,
-        mass_loss=mass_loss,
         equality_atol=max(1e-10, 1e-8 * scale),
-        entropy_terms=entropy_terms,
-        chi2_terms=chi2_terms,
-        grid_cells=(coarse_n, fine_n),
     )
 

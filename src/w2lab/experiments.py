@@ -4,9 +4,10 @@ Each experiment takes its leg's dataclass config and its job's generator
 (:func:`w2lab.cli.run_job` keys it by the job id), and draws from it in grid
 order, so a report is bit-identical across runs and across worker counts.
 The lattice floor, on which the lower and ci verdicts rest, is exact and
-draws nothing.  The halfspace statistic, its slack and the conversion bound
-are calibrated on a shifted Gaussian by the ``halfspace-calibration`` checker
-(:mod:`w2lab.checks`), not by an experiment.
+draws nothing; so is the halfspace statistic, the exact law of S_n along a
+fixed direction family, which the ``halfspace-exact`` checker
+(:mod:`w2lab.checks`) certifies against enumeration.  The ci legs draw only
+their reported W2 clouds.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
@@ -30,7 +31,6 @@ from scipy.special import ndtr, stdtrit
 from .bounds import rate_envelope
 from .gaussmath import CovarianceSpec, sample_gaussian
 from .samplers import (
-    SE_FACTOR,
     BoundedSampler,
     LatticeSpec,
     make_lattice_custom,
@@ -86,13 +86,6 @@ class SamplerSpec:
         raise ValueError(f"unknown sampler kind {self.kind!r}")
 
 
-def _direction_set(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The d coordinate axes followed by ``count`` random unit directions."""
-    dirs = rng.standard_normal((count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.concatenate([np.eye(d), dirs])
-
-
 class _ExperimentLeg:
     """The derived W2 estimator and the checks every experiment config shares."""
 
@@ -141,7 +134,7 @@ class RateExperimentConfig(_ExperimentLeg):
 class RateFit:
     """Least-squares line through (log n, log y), y the replica-mean W2.
 
-    The ci experiment fits its decay slope of log delta_hat the same way.
+    The ci experiment fits its decay slope of log delta the same way.
     """
 
     slope: float
@@ -309,58 +302,29 @@ def lattice_lower_experiment(
 # Halfspace (convex-indicator proxy) experiment
 # ---------------------------------------------------------------------------
 
-def ks_statistic_gaussian(proj: np.ndarray, sd: float) -> float:
-    """Exact sup_t |F_hat(t) - Phi(t/sd)| for a 1-d sample."""
-    x = np.sort(np.asarray(proj, dtype=float))
-    m = x.size
-    cdf = ndtr(x / sd)
-    hi = np.max(np.arange(1, m + 1) / m - cdf)
-    lo = np.max(cdf - np.arange(0, m) / m)
-    return float(max(hi, lo))
-
-
 @dataclass(frozen=True)
 class HalfspacePoint:
     n: int
-    delta_hat: float
+    delta: float  # the exact halfspace statistic of S_n
     w2_hat: float  # reported, never asserted: its positive bias favours the check
     floor: float  # the exact lattice floor, a lower bound on W2(S_n, Z)
     conversion_rhs: float  # 5 d^{1/6} floor^{2/3}
-    slack: float  # statistical widening added before the verdict
 
 
 @dataclass(frozen=True)
 class HalfspaceConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = N_GRID_DEFAULT
-    m: int = 10**5
-    w2_m: Optional[int] = None  # defaults to m
-    directions: int = 16
-
-    @property
-    def w2_cloud(self) -> int:
-        """Points per cloud in the W2 estimate: ``w2_m``, or ``m`` when unset."""
-        return self.m if self.w2_m is None else self.w2_m
+    w2_m: int = 10**5
 
     def __post_init__(self):
-        require_lattice_support(self._check_leg(self.w2_cloud))
-        if self.m < 1 or self.directions < 0:
-            raise ValueError("need m >= 1 and directions >= 0")
+        require_lattice_support(self._check_leg(self.w2_m))
 
 
 @dataclass(frozen=True)
 class HalfspaceReport:
     points: tuple
-    decay_slope: float  # slope of log delta_hat vs log n
-
-
-def halfspace_slack(m: int) -> float:
-    """Statistical widening of a halfspace-frequency check on m draws.
-
-    ``SE_FACTOR`` binomial standard errors at their largest, 0.5/sqrt(m):
-    the measured frequency is estimated while the Gaussian side is exact.
-    """
-    return SE_FACTOR * 0.5 / math.sqrt(m)
+    decay_slope: float  # slope of log delta vs log n
 
 
 def conversion_bound(d: int, w2: float) -> float:
@@ -368,20 +332,51 @@ def conversion_bound(d: int, w2: float) -> float:
     return 5.0 * d ** (1.0 / 6.0) * w2 ** (2.0 / 3.0)
 
 
-def halfspace_distance(
-    sn: np.ndarray, cov: CovarianceSpec, directions: np.ndarray
-) -> float:
-    """Sup over sampled halfspaces of |P_hat(S in A) - P(Z in A)|.
+def walk_cdf(kernel, n: int) -> np.ndarray:
+    """CDF at k = -n..n of a sum of n i.i.d. steps in {-1, 0, 1}, whose
+    probabilities ``kernel`` holds: its n-fold ``np.convolve`` power, by squaring."""
+    pmf, power = np.ones(1), np.asarray(kernel, dtype=float)
+    while n:
+        if n & 1:
+            pmf = np.convolve(pmf, power)
+        n >>= 1
+        if n:
+            power = np.convolve(power, power)
+    return np.cumsum(pmf)
 
-    Halfspaces {x : <x, u> <= t} scan all t for each direction u; the
-    Gaussian side is the exact 1-d normal CDF of <Z, u>.  A restricted
-    supremum, hence a certified lower bound on the full convex-set distance.
+
+def walk_gap(kernel, n: int, sd: float) -> float:
+    """Exact sup_t |P(W <= t) - Phi(t/sd)| for W = n^{-1/2} x the :func:`walk_cdf` sum.
+
+    Between the points x of n^{-1/2} {-n, ..., n} the CDF F of W is flat while
+    Phi rises, so the supremum is |F(x) - Phi(x/sd)| or |F(x-) - Phi(x/sd)|.
     """
-    best = 0.0
-    for u in directions:
-        sd = math.sqrt(float(np.sum(u * u * cov.variances)))
-        best = max(best, ks_statistic_gaussian(sn @ u, sd))
-    return best
+    cdf = walk_cdf(kernel, n)
+    gauss = ndtr(np.arange(-n, n + 1) / (math.sqrt(n) * sd))
+    left = np.concatenate(([0.0], cdf[:-1]))
+    return float(max(np.max(np.abs(cdf - gauss)), np.max(np.abs(left - gauss))))
+
+
+def halfspace_distance(s: BoundedSampler, n: int) -> float:
+    """Exact sup over the family's halfspaces of |P(S_n in A) - P(Z in A)|.
+
+    The support lies in beta Z^d with norms at most beta, so in {0, +-beta e_i}.
+    Along each direction a of the family {e_i} and {e_i +- e_j : i < j} (d^2
+    members), a step of S_n moves <S_n, a> by -1, 0 or 1 times beta / sqrt(n):
+    a :func:`walk_gap` walk against <Z, a> ~ N(0, sum_i a_i^2 sigma_i^2), in the
+    canonical sorted frame; directions with the same kernel and spread share
+    one walk.  A restricted supremum: a lower bound on the full convex-set
+    distance.
+    """
+    require_lattice_support(s)
+    eye = np.eye(s.dim)
+    dirs = np.array([*eye, *(eye[i] + sign * eye[j] for i in range(s.dim)
+                             for j in range(i + 1, s.dim) for sign in (1.0, -1.0))])
+    steps = np.rint(s.outcomes @ dirs.T / s.bound).astype(int) + 1  # in {0, 1, 2}
+    sds = np.sqrt(dirs**2 @ s.cov.variances) / s.bound
+    walks = {(tuple(np.bincount(col, weights=s.probs, minlength=3)), sd)
+             for col, sd in zip(steps.T, sds.tolist())}
+    return max(walk_gap(kernel, n, sd) for kernel, sd in walks)
 
 
 def ci_halfspace_experiment(
@@ -389,32 +384,20 @@ def ci_halfspace_experiment(
 ) -> HalfspaceReport:
     """Measure the halfspace distance and the conversion bound along the n grid.
 
-    The conversion bound is evaluated at the exact lattice floor of S_n (the
-    sampler takes values in beta * Z^d, checked by the config), which lies
-    below W2(S_n, Z), so a pass is certified.  Each point carries
-    :func:`halfspace_slack` for its m draws, by which the verdict widens the
-    conversion bound.  For each n in turn, ``rng`` draws the halfspace
-    sample, then the random directions, then the W2 clouds.
+    Both sides are exact: :func:`halfspace_distance`, and the conversion bound
+    at the exact lattice floor of S_n (the config checks the sampler's lattice
+    support), which lies below W2(S_n, Z), so a pass is certified.  ``rng``
+    draws only the reported W2 clouds, for each n in turn.
     """
     s = cfg.sampler.build()
-    slack = halfspace_slack(cfg.m)
     points = []
     for n in cfg.n_grid:
-        sn = s.draw_sum(n, cfg.m, rng) / math.sqrt(n)
-        dirs = _direction_set(s.dim, cfg.directions, rng)
-        delta_hat = halfspace_distance(sn, s.cov, dirs)
-        w2_hat = _w2_of_sum(s, n, cfg.w2_cloud, rng)
         floor = expected_lattice_distance(
             s.cov, LatticeSpec(spacing=s.bound / math.sqrt(n), dim=s.dim))
-        points.append(
-            HalfspacePoint(
-                n=n, delta_hat=delta_hat, w2_hat=w2_hat, floor=floor,
-                conversion_rhs=conversion_bound(s.dim, floor), slack=slack,
-            )
-        )
-    fit = _loglog_fit(
-        [p.n for p in points], [max(p.delta_hat, 1e-12) for p in points]
-    )
+        points.append(HalfspacePoint(
+            n=n, delta=halfspace_distance(s, n), w2_hat=_w2_of_sum(s, n, cfg.w2_m, rng),
+            floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))
+    fit = _loglog_fit([p.n for p in points], [max(p.delta, 1e-12) for p in points])
     return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)
 
 

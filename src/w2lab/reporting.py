@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def jsonable(obj):

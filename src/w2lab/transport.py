@@ -139,9 +139,7 @@ def _fsum(values: np.ndarray) -> float:
     ))
 
 
-def w2_exact(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = EXACT_CAP_DEFAULT
-) -> tuple[float, TransportPlan]:
+def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[float, TransportPlan]:
     """Exact squared-W2 and optimal plan between equal-size uniform clouds.
 
     Returns (cost, plan) with cost = W2^2; the distance is sqrt(cost).  The
@@ -153,8 +151,8 @@ def w2_exact(
         raise ValueError(f"equal point counts required ({mu.size} vs {nu.size})")
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.size > cap:
-        raise SolverCapacityError(f"cloud size {mu.size} exceeds cap {cap}")
+    if mu.size > EXACT_CAP_DEFAULT:
+        raise SolverCapacityError(f"cloud size {mu.size} exceeds cap {EXACT_CAP_DEFAULT}")
     c = _pair_cost(mu.points, nu.points)
     rows, cols = linear_sum_assignment(c)
     pairing = np.empty(mu.size, dtype=np.intp)

@@ -20,7 +20,7 @@ from w2lab.checks import (
     chain_models_2d,
     check_conditional_l2,
     check_gauss_quad_expectation,
-    check_halfspace_calibration,
+    check_halfspace_exact,
     check_ot_exact,
     check_remainder,
 )
@@ -202,21 +202,19 @@ def test_criterion_09_lattice_lower_bound():
 
 
 def test_criterion_10_ci_conversion():
-    with criterion(10, "halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
+    with criterion(10, "exact halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
         settings = RunSettings(seed=SEED)
-        check_cfg = CheckSuiteConfig()
-        match, dominated = check_halfspace_calibration(
-            check_cfg, job_rng("check:halfspace-calibration"))
-        delta_hat, rhs = dominated.lhs, dominated.inputs["rhs"]
-        assert match.inputs["delta_exact"] == pytest.approx(0.19741265, abs=1e-7)
-        assert rhs == pytest.approx(3.1498, abs=5e-4)
-        # the first record's lhs is |delta_hat - delta_exact|
-        assert match.lhs <= 5 * 0.5 / math.sqrt(check_cfg.calibration_m)
-        assert delta_hat <= rhs
+        enum, binomial, closed = check_halfspace_exact(CheckSuiteConfig(), None)
+        assert enum.lhs <= 1e-12 and binomial.lhs <= 1e-11
+        # 2 Phi(1/4) - 1 under 5 (1/2)^{2/3}, both in closed form
+        assert closed.lhs == pytest.approx(0.19741265, abs=1e-7)
+        assert closed.rhs == pytest.approx(3.1498, abs=5e-4)
+        assert closed.lhs <= closed.rhs
         for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
             rep = ci_halfspace_experiment(cfg, job_rng(f"ci:d{leg}"))
             for p in rep.points:
-                assert p.delta_hat <= p.conversion_rhs + p.slack, (cfg.sampler, p)
+                assert p.delta <= p.conversion_rhs, (cfg.sampler, p)
+            assert rep.decay_slope == pytest.approx(-0.5, abs=0.01), rep
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from w2lab import checks
+from w2lab import checks, experiments
 from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
 from w2lab.densities import ChainGrid
-from w2lab.experiments import halfspace_slack
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
@@ -37,7 +37,7 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 @pytest.mark.parametrize("bad", [
     {"gauss_quad_instances": 0}, {"ot_instances": 0}, {"quantile_instances": 0},
-    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0}, {"calibration_m": 0},
+    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0},
     {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
     {"increment_ns": ()}, {"increment_ns": (20, 1)}, {"increment_ns": (20, 4)},
     {"chain_grid_2d": 0},
@@ -55,7 +55,8 @@ def test_check_config_floor_accepted():
     assert cfg.sampler_validate_m == 10**4
     # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
     cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)
-    assert ChainGrid(cfg.chain_grid_2d, cfg.chain_refine).resolutions(2)[1] == 70
+    grid = ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, checks.CHAIN_RADIUS)
+    assert grid.resolutions()[1] == 70
 
 
 @pytest.mark.parametrize("lhs,rhs,verdict", [
@@ -119,15 +120,23 @@ def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):
     assert broken.verdict == "fail"
 
 
-def test_calibration(rng):
-    match, dominated = checks.check_halfspace_calibration(CheckSuiteConfig(), rng)
-    slack = halfspace_slack(10**5)
-    assert match.inputs["delta_exact"] == pytest.approx(0.19741265, abs=1e-7)
-    assert match.inputs["w2"] == 0.5
-    rhs = dominated.inputs["rhs"]
-    assert rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0))
-    assert rhs == pytest.approx(3.1498, abs=5e-4)
-    # the first record is |delta_hat - delta_exact|, the second delta_hat
-    assert match.lhs < 0.01 and match.rhs == slack
-    assert dominated.lhs <= rhs + slack and dominated.rhs == rhs + slack
-    assert match.verdict == dominated.verdict == "pass"
+def test_halfspace_exact_draws_nothing_and_passes():
+    enum, binomial, closed = checks.check_halfspace_exact(CheckSuiteConfig(), None)
+    assert enum.lhs <= 1e-14 and enum.rhs == 1e-12
+    assert binomial.lhs <= 1e-11 and binomial.rhs == 1e-11
+    # 2 Phi(1/4) - 1 against 5 (1/2)^{2/3}, both in closed form, with no slack
+    assert closed.lhs == pytest.approx(0.19741265, abs=1e-7)
+    assert closed.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0), rel=1e-15)
+    assert closed.inputs == {"w2": 0.5}
+    assert enum.verdict == binomial.verdict == closed.verdict == "pass"
+
+
+def test_halfspace_enumeration_fails_without_left_limits(monkeypatch):
+    def atoms_only(kernel, n, sd):
+        cdf = experiments.walk_cdf(kernel, n)
+        return float(np.max(np.abs(cdf - ndtr(np.arange(-n, n + 1) / (math.sqrt(n) * sd)))))
+
+    for module in (experiments, checks):
+        monkeypatch.setattr(module, "walk_gap", atoms_only)
+    enum = checks.check_halfspace_exact(CheckSuiteConfig(), None)[0]
+    assert enum.verdict == "fail" and enum.lhs > 0.1

@@ -27,12 +27,11 @@ ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
     "check": {"gauss_quad_instances", "ot_instances", "quantile_instances",
               "metric_triples", "sampler_validate_m", "l2_tables", "remainder_pairs",
-              "increment_ns", "calibration_m", "chain_grid_2d", "chain_refine",
+              "increment_ns", "chain_grid_2d", "chain_refine",
               "schedule_n_max"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
-    **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "m", "w2_m", "directions"}
-       for leg in ("d1", "d2")},
+    **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
 }
 
 
@@ -107,7 +106,7 @@ class TestConfig:
         assert "out_dir" not in d and "workers" not in d
         assert "seed" in d
 
-    def test_optional_int_coerced(self, tmp_path):
+    def test_w2_m_coerced_to_int(self, tmp_path):
         p = tmp_path / "w2m.ini"
         p.write_text("[ci_d1]\nw2_m = 5000\n")
         s = load_settings(str(p))
@@ -139,7 +138,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 64
+        assert sum(len(k) for k in keys.values()) == 59
 
     def test_every_key_parses_its_default_back(self, tmp_path):
         # writing each default under its key reads back the same settings,
@@ -177,8 +176,10 @@ class TestConfig:
         # so are the increment step and the Q statistics, and the chain's radius is fixed
         "[check]\nincrement_m = 1000000\n", "[check]\nq_mc_pairs = 100000\n",
         "[check]\nchain_radius = 5.0\n",
-        # the halfspace calibration is a checker: its draw count is a [check] key
-        "[run]\ncalibration_m = 20000\n",
+        # the halfspace statistic is exact: no checker or ci leg takes a sample
+        # size or a direction count for it
+        "[check]\ncalibration_m = 20000\n", "[ci_d1]\nm = 20000\n",
+        "[ci_d2]\ndirections = 16\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -290,20 +291,17 @@ n_grid = 64
 m_w2 = 50
 [ci_d1]
 n_grid = 16 64
-m = 500
-directions = 2
+w2_m = 500
 [ci_d2]
 n_grid = 16 64
-m = 500
 w2_m = 50
-directions = 2
 """
 
 TABLE_HEADERS = {
     **{f"rate_{leg}": "n,w2_hat,ci_lo,ci_hi,bound" for leg in ("d1", "d2")},
     **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
     **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
-    **{f"ci_{leg}": "n,delta_hat,w2_hat,floor,conversion_rhs,slack" for leg in ("d1", "d2")},
+    **{f"ci_{leg}": "n,delta,w2_hat,floor,conversion_rhs" for leg in ("d1", "d2")},
 }
 PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
               for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_floor", "_w2")),
@@ -412,7 +410,6 @@ class TestMainEndToEnd:
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
         ("rate", "[rate_d1]\nm = 0\n"),
-        ("check", "[check]\ncalibration_m = 0\n"),
         ("rate", "[run]\nseed = -1\n"),
         ("list", "[rate_d2]\nm = 6000\n"),
         ("check", "[check]\nsampler_validate_m = 0\n"),
@@ -571,6 +568,28 @@ class TestMainEndToEnd:
                           for f in out.rglob("*") if f.is_file()})
         assert trees[0] == trees[1]
         assert {str(f) for f in trees[0]} >= {"verdicts.json", "tables/lower_d1.csv"}
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-exit-flush", "in-print-loop"])
+    def test_closed_stdout_pipe_exits_with_the_verdict_status(self, tmp_path, unbuffered):
+        # `w2lab check -vv | head -0`: the pipe's read end is closed before the
+        # child prints; buffered, the write fails at the final flush, unbuffered
+        # at the first verdict line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "w2lab.cli", "check", "--only", "r-of-n", "-vv",
+                 "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr and b"BrokenPipe" not in proc.stderr
+        assert (out / "verdicts.json").is_file()
 
     def test_inconclusive_exits_0_with_warning(self, tmp_path, capsys):
         s = RunSettings()

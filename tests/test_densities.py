@@ -191,7 +191,7 @@ class TestChain1d:
         cov = CovarianceSpec([1.0])
         rep = talagrand_chain(
             ExplicitDensityRatio(lambda x: np.ones(len(x)), cov),
-            ChainGrid(points_per_axis=1024, refine=2.0),
+            ChainGrid(points_per_axis=1024, refine=2.0, radius_sigmas=6.4),
         )
         assert rep.w2_sq == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs_entropy == pytest.approx(0.0, abs=1e-10)
@@ -241,4 +241,5 @@ class TestChain2d:
     def test_rejects_higher_dims(self):
         cov = CovarianceSpec([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            talagrand_chain(ExplicitDensityRatio(lambda x: np.ones(len(x)), cov))
+            talagrand_chain(ExplicitDensityRatio(lambda x: np.ones(len(x)), cov),
+                            ChainGrid(points_per_axis=24, refine=1.5, radius_sigmas=6.4))

@@ -19,10 +19,10 @@ from w2lab.experiments import (
     conversion_bound,
     estimate_w2,
     expected_lattice_distance,
-    halfspace_slack,
-    ks_statistic_gaussian,
+    halfspace_distance,
     lattice_lower_experiment,
     main_rate_bound,
+    walk_cdf,
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
 from w2lab.samplers import LatticeSpec, lattice_distance
@@ -193,60 +193,84 @@ class TestLowerExperiment:
             )
 
 
-class TestHalfspace:
-    def test_ks_exact_for_shifted_gaussian(self, rng):
-        m = 2 * 10**5
-        x = rng.standard_normal(m) + 0.5
-        ks = ks_statistic_gaussian(x, 1.0)
-        exact = 2.0 * float(ndtr(0.25)) - 1.0
-        assert exact == pytest.approx(0.19741265, abs=1e-7)
-        assert ks == pytest.approx(exact, abs=0.01)
+def _convolved_law(outcomes, probs, n):
+    """The exact law of X_1 + ... + X_n as {lattice point: mass}, one convolution per term."""
+    law = {(0,) * outcomes.shape[1]: 1.0}
+    for _ in range(n):
+        step = {}
+        for point, mass in law.items():
+            for x, p in zip(outcomes, probs):
+                key = tuple(int(a + b) for a, b in zip(point, x))
+                step[key] = step.get(key, 0.0) + mass * p
+        law = step
+    return law
 
-    def test_matched_sample_small(self, rng):
-        ks = ks_statistic_gaussian(rng.standard_normal(10**5), 1.0)
-        assert ks < 0.01
+
+class TestHalfspace:
+    def test_walk_cdf_matches_mpmath_binomial(self):
+        n = 4096
+        with mpmath.workdps(40):
+            pmf = [mpmath.binomial(n, j) / mpmath.mpf(2) ** n for j in range(n + 1)]
+            cdf = np.array([float(c) for c in np.cumsum(pmf)])
+        k = np.arange(-n, n + 1)
+        assert np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - cdf[(k + n) // 2])) <= 1e-13
+
+    def test_zero_atom_law_in_d2_matches_brute_force(self):
+        # a zero atom, unequal masses, the larger variance on the second axis
+        outcomes = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+        probs = np.array([0.3, 0.1, 0.1, 0.25, 0.25])
+        s = SamplerSpec("lattice_custom", 2, outcomes=tuple(map(tuple, outcomes.astype(float))),
+                        probs=tuple(probs)).build()
+        sd2 = probs @ outcomes**2
+        for n in (1, 3, 8):
+            law = _convolved_law(outcomes, probs, n)
+            points = np.array(list(law), dtype=float) / math.sqrt(n)
+            mass = np.array(list(law.values()))
+            brute = 0.0
+            for a in ([1, 0], [0, 1], [1, 1], [1, -1]):
+                proj = points @ a
+                sd = math.sqrt(sd2 @ np.square(a))
+                for t in np.unique(proj):
+                    g = ndtr(t / sd)
+                    brute = max(brute, abs(mass[proj <= t + 1e-12].sum() - g),
+                                abs(mass[proj < t - 1e-12].sum() - g))
+            assert halfspace_distance(s, n) == pytest.approx(brute, abs=1e-14)
+
+    def test_rademacher_sup_is_half_the_central_atom(self):
+        s = RADEMACHER_1D.build()
+        for n in (16, 256, 4096):
+            half_atom = math.comb(n, n // 2) / 2**n / 2
+            assert halfspace_distance(s, n) == pytest.approx(half_atom, abs=1e-14)
+
+    def test_needs_lattice_support(self):
+        with pytest.raises(ValueError, match="beta\\*Z\\^d"):
+            halfspace_distance(SamplerSpec("rademacher_product", 2, 1.0).build(), 16)
 
     def test_experiment_small(self):
-        cfg = HalfspaceConfig(
-            sampler=RADEMACHER_1D, n_grid=(16, 64, 256), m=20000,
-            directions=8,
-        )
+        cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256), w2_m=20000)
         rep = ci_halfspace_experiment(cfg, np.random.default_rng(9))
-        assert rep.decay_slope <= -0.25
+        assert rep.decay_slope == pytest.approx(-0.5, abs=0.01)
         for p in rep.points:
-            assert p.slack == halfspace_slack(20000)
-            assert p.delta_hat <= p.conversion_rhs + p.slack
+            assert p.delta <= p.conversion_rhs
             # the bound is evaluated at the exact lattice floor, never at the estimate
             assert p.floor == expected_lattice_distance(
                 CovarianceSpec([1.0]), LatticeSpec(1.0 / math.sqrt(p.n), 1))
             assert p.conversion_rhs == conversion_bound(1, p.floor)
             assert p.floor < p.w2_hat
 
-    def test_slack_is_five_binomial_standard_errors(self):
-        for m in (1, 20000, 10**5, 123457):
-            assert halfspace_slack(m) == 5.0 * 0.5 / math.sqrt(m)
+    def test_delta_draws_nothing(self):
+        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5),
+                              n_grid=(16, 64), w2_m=200)
+        a, b = (ci_halfspace_experiment(cfg, np.random.default_rng(seed)) for seed in (1, 2))
+        assert [p.delta for p in a.points] == [p.delta for p in b.points]
+        assert [p.w2_hat for p in a.points] != [p.w2_hat for p in b.points]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="W2 cloud"):
-            HalfspaceConfig(sampler=RADEMACHER_1D, m=0)
-        with pytest.raises(ValueError, match="directions"):
-            HalfspaceConfig(sampler=RADEMACHER_1D, directions=-1)
-        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600)
-        assert cfg.w2_cloud == 600
+        with pytest.raises(ValueError, match="W2 cloud, got 0"):
+            HalfspaceConfig(sampler=RADEMACHER_1D, w2_m=0)
+        assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600).w2_m == 600
         with pytest.raises(ValueError, match="capped"):
             HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0))
-        # an explicit w2_m = 0 is a zero-point cloud, not "unset"
-        for sampler in (RADEMACHER_1D, SamplerSpec("scaled_basis", 2, 1.0)):
-            with pytest.raises(ValueError, match="W2 cloud, got 0"):
-                HalfspaceConfig(sampler=sampler, w2_m=0)
-
-    def test_gaussian_sample_near_zero_delta(self):
-        # replacing S_n by Z itself: delta_hat within binomial noise of zero
-        cfg = HalfspaceConfig(
-            sampler=RADEMACHER_1D, n_grid=(4096,), m=50000, directions=4,
-        )
-        rep = ci_halfspace_experiment(cfg, np.random.default_rng(21))
-        assert rep.points[0].delta_hat < 0.03
 
 
 class TestBentkus:

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from w2lab import transport
 from w2lab.samplers import make_scaled_basis
 from w2lab.transport import (
+    EXACT_CAP_DEFAULT,
     EmpiricalMeasure,
     SinkhornConvergenceError,
     SolverCapacityError,
@@ -60,9 +61,10 @@ class TestExact:
                      EmpiricalMeasure(rng.normal(size=(4, 1))))
 
     def test_cap(self, rng):
-        mu, nu = clouds(rng, 10, 1)
+        # past the cap it raises before the cost matrix is built
+        mu, nu = clouds(rng, EXACT_CAP_DEFAULT + 1, 1)
         with pytest.raises(SolverCapacityError):
-            w2_exact(mu, nu, cap=5)
+            w2_exact(mu, nu)
 
     def test_triangle_inequality(self, rng):
         for _ in range(15):
