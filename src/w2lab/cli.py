@@ -93,11 +93,6 @@ class JobResult:
 _CHECKERS = {entry.checker_id: entry for entry in REGISTRY}
 
 
-def _leg_config(settings: RunSettings, kind: str, leg: str):
-    """An experiment leg's config, from its job id: ``rate:d2`` -> ``settings.rate_d2``."""
-    return getattr(settings, f"{kind}_{leg}")
-
-
 def _leg_meta(cfg, **sizes) -> dict:
     """Artifact metadata of an experiment leg: its sample sizes, estimator and sampler."""
     s = cfg.sampler
@@ -123,7 +118,7 @@ def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
 
 
 def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
-    cfg = _leg_config(settings, "rate", leg)
+    cfg = getattr(settings, f"rate_{leg}")
     rep = clt_rate_experiment(cfg, rng)
     job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR,
                     meta=_leg_meta(cfg, m=cfg.m, replicas=cfg.replicas))
@@ -148,7 +143,7 @@ def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 
 def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
-    cfg = _leg_config(settings, "lower", leg)
+    cfg = getattr(settings, f"lower_{leg}")
     rep = lattice_lower_experiment(cfg, rng)
     job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR,
                     meta=_leg_meta(cfg, m_w2=cfg.m_w2))
@@ -165,7 +160,7 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 
 def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
-    cfg = _leg_config(settings, "ci", leg)
+    cfg = getattr(settings, f"ci_{leg}")
     rep = ci_halfspace_experiment(cfg, rng)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg, w2_m=cfg.w2_m))
     worst = max(p.delta - p.conversion_rhs for p in rep.points)
@@ -305,23 +300,23 @@ def main(argv=None) -> int:
             path=args.config, seed=args.seed, workers=args.workers,
             out_dir=args.out, verbosity=args.verbose,
         )
-        if args.subcommand == "list":
-            for entry in REGISTRY:
-                print(f"{entry.checker_id:24s} {entry.anchor}")
-            return 0
-        job_ids = jobs_for(args.subcommand, settings, only=args.only)
+        job_ids = [] if args.subcommand == "list" else jobs_for(
+            args.subcommand, settings, only=args.only)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    results = execute(settings, job_ids)
+    results = execute(settings, job_ids) if job_ids else []
+    status = 1 if any(v.verdict == "fail" for res in results for v in res.verdicts) else 0
     try:
-        status = emit(settings, results, settings.verbosity)
+        if args.subcommand == "list":
+            print("\n".join(f"{e.checker_id:24s} {e.anchor}" for e in REGISTRY))
+        else:
+            emit(settings, results, settings.verbosity)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout closed (``| head``) after every artifact was written: exit quietly, with
         # stdout on the null device so that the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 1 if any(v.verdict == "fail" for res in results for v in res.verdicts) else 0
     return status
 
 

@@ -292,23 +292,22 @@ def _second_moment_quad(model: _RatioBase, nodes: int) -> float:
 def density_second_moment_lhs(
     model: _RatioBase,
     nodes: int = GH_NODES_DEFAULT,
-    check_nodes: Optional[int] = None,
     check_tol: float = 1e-8,
 ) -> float:
     """E f(Z)^2 by Gauss-Hermite quadrature of f^2 against rho.
 
-    Recomputes at a coarser node count and raises if the two disagree beyond
+    Recomputes at half the node count and raises if the two disagree beyond
     ``check_tol`` relative, so an under-resolved grid reports itself instead
     of returning garbage.  Supported for dim <= 2.
     """
     if model.dim > 2:
         raise ValueError("quadrature second moment supported for dim <= 2")
     fine = _second_moment_quad(model, nodes)
-    coarse = _second_moment_quad(model, check_nodes or nodes // 2)
+    coarse = _second_moment_quad(model, nodes // 2)
     if abs(fine - coarse) > check_tol * max(1.0, abs(fine)):
         raise QuadratureResolutionError(
             f"quadrature self-check failed: {fine!r} vs {coarse!r} "
-            f"at {nodes}/{check_nodes or nodes // 2} nodes"
+            f"at {nodes}/{nodes // 2} nodes"
         )
     return fine
 

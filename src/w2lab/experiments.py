@@ -94,12 +94,14 @@ class _ExperimentLeg:
         """``quantile_1d`` for a one-dimensional sampler, ``exact`` otherwise."""
         return "quantile_1d" if self.sampler.dim == 1 else "exact"
 
-    def _check_leg(self, cloud: int) -> BoundedSampler:
+    def _check_leg(self, cloud: int, fits_slope: bool = True) -> BoundedSampler:
         """Check the n grid (stored as ints) and the W2 cloud size; return the sampler."""
         s = self.sampler.build()
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or grid[0] < 1:
             raise ValueError("n grid must be non-empty with every n >= 1")
+        if fits_slope and len(grid) < 2:
+            raise ValueError(f"n_grid must hold at least 2 values to fit a slope, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
@@ -270,7 +272,7 @@ class LowerExperimentConfig(_ExperimentLeg):
     m_w2: int = 10**5
 
     def __post_init__(self):
-        require_lattice_support(self._check_leg(self.m_w2))
+        require_lattice_support(self._check_leg(self.m_w2, fits_slope=False))
 
 
 def lattice_lower_experiment(

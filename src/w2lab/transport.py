@@ -9,6 +9,9 @@ Solver menu:
   :class:`SolverCapacityError`.  The experiments' estimator in d >= 2.  A
   solve holds one m x m float64 cost matrix (72 MB at m = 3000, 200 MB at
   the cap), built in place by :func:`_pair_cost`.
+* :func:`w2_bruteforce` -- the oracle that certifies :func:`w2_exact` on at
+  most ``BRUTEFORCE_CAP`` points: all m! pairings scored in one indexed sum
+  over a cached permutation array; independent of the assignment solver.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
   dimension; the experiments' estimator in d = 1.
 * :func:`estimate_w2` -- the estimator rule: the quantile coupling for 1-d
@@ -39,6 +42,7 @@ Solver menu:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,23 +165,27 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[float, Transpo
     return cost, TransportPlan(pairing=pairing, cost=cost)
 
 
+@functools.cache
+def _permutations(m: int) -> np.ndarray:
+    """All m! orderings of range(m), one per row, as a cached read-only array."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.uint8)
+    perms.flags.writeable = False
+    return perms
+
+
 def w2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Reference oracle: minimum cost over all m! pairings (m <= 8 only).
 
-    Kept deliberately independent of the assignment solver; used to certify
-    :func:`w2_exact` on small random instances.
+    Each pairing's cost is a row sum of the cost matrix indexed by
+    :func:`_permutations`, the float sum a loop over the pairings computes.
+    Kept independent of the assignment solver, to certify :func:`w2_exact`.
     """
     if mu.size != nu.size:
         raise ValueError("equal point counts required")
     if mu.size > BRUTEFORCE_CAP:
         raise SolverCapacityError(f"brute force capped at {BRUTEFORCE_CAP} points")
     c = _pair_cost(mu.points, nu.points)
-    m = mu.size
-    best = math.inf
-    rows = np.arange(m)
-    for perm in itertools.permutations(range(m)):
-        best = min(best, float(c[rows, list(perm)].sum()))
-    return best / m
+    return float(c[np.arange(mu.size), _permutations(mu.size)].sum(axis=1).min()) / mu.size
 
 
 def w2_quantile_1d(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -80,8 +80,7 @@ def test_criterion_01_closed_form_vs_quadrature():
 
 def test_criterion_02_ot_solver_correctness():
     with criterion(2, "assignment solver vs factorial brute force and 1-d quantile"):
-        cfg = CheckSuiteConfig(ot_instances=200, quantile_instances=100)
-        verdicts = check_ot_exact(cfg, job_rng("check:ot-exact"))
+        verdicts = check_ot_exact(CheckSuiteConfig(), job_rng("check:ot-exact"))
         brute, quant = verdicts
         assert brute.lhs <= 1e-9
         assert quant.lhs <= 1e-9

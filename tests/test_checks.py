@@ -36,10 +36,7 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 
 @pytest.mark.parametrize("bad", [
-    {"gauss_quad_instances": 0}, {"ot_instances": 0}, {"quantile_instances": 0},
-    {"metric_triples": 0}, {"l2_tables": 0}, {"remainder_pairs": 0},
-    {"schedule_n_max": 0}, {"sampler_validate_m": 9999},
-    {"increment_ns": ()}, {"increment_ns": (20, 1)}, {"increment_ns": (20, 4)},
+    {"l2_tables": 0}, {"remainder_pairs": 0}, {"sampler_validate_m": 9999},
     {"chain_grid_2d": 0},
     {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
     {"chain_refine": 100.0}, {"chain_grid_2d": 80},
@@ -51,7 +48,7 @@ def test_check_config_sizes_validated(bad):
 
 def test_check_config_floor_accepted():
     # n = 5 is the increment checker's hypothesis floor, 5 beta^2 / sigma^2
-    cfg = CheckSuiteConfig(sampler_validate_m=10**4, increment_ns=(5,))
+    cfg = CheckSuiteConfig(sampler_validate_m=10**4)
     assert cfg.sampler_validate_m == 10**4
     # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
     cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)

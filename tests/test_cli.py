@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import glob
 import io
@@ -25,10 +26,8 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
-    "check": {"gauss_quad_instances", "ot_instances", "quantile_instances",
-              "metric_triples", "sampler_validate_m", "l2_tables", "remainder_pairs",
-              "increment_ns", "chain_grid_2d", "chain_refine",
-              "schedule_n_max"},
+    "check": {"sampler_validate_m", "l2_tables", "remainder_pairs", "chain_grid_2d",
+              "chain_refine"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
@@ -138,7 +137,17 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 59
+        assert sum(len(k) for k in keys.values()) == 53
+
+    def test_smoke_sets_every_check_knob_off_its_default(self):
+        # a [check] key exists only for a workload that needs another value
+        # than its default: a knob that every config leaves alone is a constant
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read(SMOKE, encoding="utf-8")
+        assert set(parser["check"]) == ACCEPTED_KEYS["check"]
+        smoke, default = load_settings(SMOKE).check, checks.CheckSuiteConfig()
+        for f in dataclasses.fields(default):
+            assert getattr(smoke, f.name) != getattr(default, f.name), f.name
 
     def test_every_key_parses_its_default_back(self, tmp_path):
         # writing each default under its key reads back the same settings,
@@ -180,6 +189,10 @@ class TestConfig:
         # size or a direction count for it
         "[check]\ncalibration_m = 20000\n", "[ci_d1]\nm = 20000\n",
         "[ci_d2]\ndirections = 16\n",
+        # the checker sizes no workload needs to change are constants
+        "[check]\ngauss_quad_instances = 12\n", "[check]\not_instances = 40\n",
+        "[check]\nquantile_instances = 25\n", "[check]\nmetric_triples = 20\n",
+        "[check]\nincrement_ns = 20 40\n", "[check]\nschedule_n_max = 512\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -423,7 +436,8 @@ class TestMainEndToEnd:
         ("check", "[check]\nchain_radius = inf\n"),
         ("check", "[check]\nchain_radius = 0\n"),
         ("check", "[check]\nchain_refine = 0.5\n"),
-        # below the increment checker's hypothesis n >= 5 beta^2 / sigma^2 = 5
+        # a retired size key, here one below the increment checker's hypothesis
+        # n >= 5 beta^2 / sigma^2 = 5, is an unknown key
         ("all", "[check]\nincrement_ns = 3\n"),
         ("check", "[check]\nchain_refine = 1\n"),
         ("all", "[check]\nchain_refine = 100\n"),
@@ -453,6 +467,25 @@ class TestMainEndToEnd:
         argv = ["--config", str(p), "--out", str(out)] + shlex.split(subcommand)
         assert cli.main(argv) == 2
         assert not (out / "verdicts.json").exists()
+
+    @pytest.mark.parametrize("subcommand,ini", [
+        ("ci", "[ci_d1]\nn_grid = 64\n[ci_d2]\nn_grid = 64\n"),
+        ("ci", "[ci_d2]\nn_grid = 256\n"),
+        ("rate", "[rate_d1]\nn_grid = 64\n"),
+        ("all", "[rate_d2]\nn_grid = 16\n"),
+    ])
+    def test_one_point_slope_grid_exits_2_naming_n_grid(
+            self, tmp_path, capsys, monkeypatch, subcommand, ini):
+        # a slope verdict on one point would read lstsq's minimum-norm answer
+        monkeypatch.setattr(cli, "execute", None)
+        p = tmp_path / "one.ini"
+        p.write_text(ini)
+        assert cli.main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "n_grid must hold at least 2 values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # the lower legs fit no slope and keep one-point grids
+        p.write_text("[lower_d1]\nn_grid = 64\n")
+        assert load_settings(str(p)).lower_d1.n_grid == (64,)
 
     def test_check_records_carry_registry_labels(self, tmp_path):
         out = tmp_path / "out"
@@ -569,27 +602,37 @@ class TestMainEndToEnd:
         assert trees[0] == trees[1]
         assert {str(f) for f in trees[0]} >= {"verdicts.json", "tables/lower_d1.csv"}
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-exit-flush", "in-print-loop"])
-    def test_closed_stdout_pipe_exits_with_the_verdict_status(self, tmp_path, unbuffered):
-        # `w2lab check -vv | head -0`: the pipe's read end is closed before the
-        # child prints; buffered, the write fails at the final flush, unbuffered
-        # at the first verdict line
+    @staticmethod
+    def _run_into_closed_pipe(args, unbuffered):
+        """The CLI run with a stdout pipe whose read end is closed before it prints:
+        buffered, the write fails at the final flush, unbuffered at the first line."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
         env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = tmp_path / "out"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "w2lab.cli", "check", "--only", "r-of-n", "-vv",
-                 "--out", str(out)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = subprocess.run([sys.executable, "-m", "w2lab.cli", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
-        assert proc.returncode == 0, proc.stderr
         assert b"Traceback" not in proc.stderr and b"BrokenPipe" not in proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-exit-flush", "in-print-loop"])
+    def test_closed_stdout_pipe_exits_with_the_verdict_status(self, tmp_path, unbuffered):
+        # `w2lab check -vv | head -0`
+        out = tmp_path / "out"
+        proc = self._run_into_closed_pipe(
+            ["check", "--only", "r-of-n", "-vv", "--out", str(out)], unbuffered)
+        assert proc.returncode == 0, proc.stderr
         assert (out / "verdicts.json").is_file()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-exit-flush", "in-print-loop"])
+    def test_list_into_closed_stdout_exits_0_quietly(self, unbuffered):
+        # `w2lab list | head -0`: the registry lines print through the same guard
+        proc = self._run_into_closed_pipe(["list"], unbuffered)
+        assert proc.returncode == 0, proc.stderr
 
     def test_inconclusive_exits_0_with_warning(self, tmp_path, capsys):
         s = RunSettings()

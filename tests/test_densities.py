@@ -112,8 +112,7 @@ class TestSecondMoments:
         s = make_scaled_basis(2, 3.0)
         model = DensityRatioModel(s, 2)  # strong perturbation
         with pytest.raises(QuadratureResolutionError):
-            density_second_moment_lhs(model, nodes=8, check_nodes=4,
-                                      check_tol=1e-12)
+            density_second_moment_lhs(model, nodes=8, check_tol=1e-12)
 
     def test_averaged_d1_is_one(self):
         assert averaged_second_moment(

@@ -94,6 +94,9 @@ class TestRate:
             RateExperimentConfig(sampler=RADEMACHER_1D, replicas=2)
         with pytest.raises(ValueError, match="non-empty"):
             RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=())
+        # one point fits no slope: lstsq's minimum-norm answer would read as one
+        with pytest.raises(ValueError, match=r"n_grid must hold at least 2 values"):
+            RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(64,))
         with pytest.raises(ValueError, match="W2 cloud"):
             RateExperimentConfig(sampler=RADEMACHER_1D, m=0)
 
@@ -185,6 +188,11 @@ class TestLowerExperiment:
             assert p.sqrtn_bound == pytest.approx(math.sqrt(p.n) * main_rate_bound(1, 1.0, p.n))
             assert rep.target < p.sqrtn_floor < p.sqrtn_bound
 
+    def test_one_point_grid_accepted(self):
+        # the lower leg fits no slope
+        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(64,), m_w2=100)
+        assert cfg.n_grid == (64,)
+
     def test_rejects_non_lattice_sampler(self):
         with pytest.raises(ValueError, match="beta\\*Z"):
             LowerExperimentConfig(
@@ -268,6 +276,8 @@ class TestHalfspace:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="W2 cloud, got 0"):
             HalfspaceConfig(sampler=RADEMACHER_1D, w2_m=0)
+        with pytest.raises(ValueError, match=r"n_grid must hold at least 2 values"):
+            HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(64,))
         assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600).w2_m == 600
         with pytest.raises(ValueError, match="capped"):
             HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0))

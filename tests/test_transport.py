@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -54,6 +55,20 @@ class TestExact:
             mu, nu = clouds(rng, m, d, shift=rng.normal() * 0.5)
             cost, _ = w2_exact(mu, nu)
             assert cost == pytest.approx(w2_bruteforce(mu, nu), abs=1e-9)
+
+    def test_bruteforce_equals_a_loop_over_the_pairings(self, rng):
+        def loop(mu, nu):
+            c = transport._pair_cost(mu.points, nu.points)
+            rows = np.arange(mu.size)
+            return min(float(c[rows, list(perm)].sum())
+                       for perm in itertools.permutations(range(mu.size))) / mu.size
+
+        for m in range(2, 9):
+            for _ in range(3):
+                mu, nu = clouds(rng, m, int(rng.integers(1, 4)), shift=rng.normal())
+                assert w2_bruteforce(mu, nu) == loop(mu, nu)
+        with pytest.raises(ValueError, match="read-only"):
+            transport._permutations(4)[0, 0] = 1
 
     def test_unequal_sizes_rejected(self, rng):
         with pytest.raises(ValueError, match=r"^equal point counts required \(3 vs 4\)$"):
