@@ -51,11 +51,10 @@ def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
 
     Z_{n-1} + X is the mixture sum_j p_j N(a_j, sigma^2 (n-1)) over the
     support points a_j of X, and Z_n is N(0, sigma^2 n), so the distance is
-    :func:`~w2lab.transport.w2_gaussian_mixture_1d`.  Needs a 1-d sampler
-    with an enumerable support.
+    :func:`~w2lab.transport.w2_gaussian_mixture_1d`.  Needs a 1-d sampler.
     """
-    if s.dim != 1 or not s.enumerable:
-        raise ValueError("the exact increment step needs k = 1 and an enumerable support")
+    if s.dim != 1:
+        raise ValueError("the exact increment step needs k = 1")
     check_hypothesis(n, s.bound, s.cov)
     sigma = float(s.cov.sigmas[0])
     w2 = w2_gaussian_mixture_1d(

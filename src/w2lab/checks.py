@@ -56,7 +56,6 @@ from .samplers import (
     make_rademacher_product,
     make_scaled_basis,
     lattice_distance,
-    LatticeSpec,
     SE_FACTOR,
     VALIDATE_MIN_DRAWS,
     validate_sampler,
@@ -310,7 +309,7 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
     s = make_rademacher_product(2, 1.0)
     n = 64
     sn = s.draw_sum(n, 20000, rng) / math.sqrt(n)
-    resid = float(np.max(lattice_distance(sn, LatticeSpec(1.0 / math.sqrt(n), s.dim))))
+    resid = float(np.max(lattice_distance(sn, 1.0 / math.sqrt(n))))
     out.append(Verdict("normalized rademacher sums live on (scale/sqrt n) Z^d",
                        resid, 1e-12, {"n": n}))
     return out
@@ -322,24 +321,23 @@ def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
     for _ in range(2000):
         d = int(rng.integers(1, 4))
         ell = float(rng.uniform(0.3, 2.5))
-        spec = LatticeSpec(spacing=ell, dim=d)
         x = rng.uniform(-3, 3, size=d)
-        fast = float(lattice_distance(x, spec))
+        fast = float(lattice_distance(x, ell))
         base = ell * np.round(x / ell)
         offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij"), -1).reshape(-1, d)
         brute = float(np.min(np.linalg.norm(base + ell * offs - x, axis=1)))
         worst = max(worst, abs(fast - brute))
         worst_cell = max(worst_cell, fast - ell * math.sqrt(d) / 2.0)
-    example = float(lattice_distance(np.array([0.3, 0.4]), LatticeSpec(1.0, 2)))
+    example = float(lattice_distance(np.array([0.3, 0.4]), 1.0))
     # the exact floor E d_L(Z)^2 against its Monte Carlo mean, in d = 1 and 2
     # at spacing sigma_1 and sigma_1 / 64
     worst_floor = 0.0
     for cov in (CovarianceSpec([1.0]), CovarianceSpec([1.0, 0.5])):
-        for spacing in (cov.sigmas[0], cov.sigmas[0] / 64):
-            spec = LatticeSpec(spacing=float(spacing), dim=cov.dim)
-            sq = lattice_distance(sample_gaussian(cov, FLOOR_DRAWS, rng), spec) ** 2
+        sigma = float(cov.sigmas[0])
+        for spacing in (sigma, sigma / 64):
+            sq = lattice_distance(sample_gaussian(cov, FLOOR_DRAWS, rng), spacing) ** 2
             se = sq.std(ddof=1) / math.sqrt(FLOOR_DRAWS)
-            dev = expected_lattice_distance(cov, spec) ** 2 - sq.mean()
+            dev = expected_lattice_distance(cov, spacing) ** 2 - sq.mean()
             worst_floor = max(worst_floor, _se_units(dev, se))
     return [
         Verdict("agrees with 3^d-neighbor brute force", worst, 1e-12),

@@ -194,6 +194,9 @@ def run_job(settings: RunSettings, job_id: str) -> JobResult:
 
 
 def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[str]:
+    """The job ids a subcommand runs, in order; ``list`` runs none."""
+    if only is not None and subcommand not in ("check", "all"):
+        raise UsageError("--only applies to the check/all subcommands")
     if only is not None and only not in _CHECKERS:
         raise UsageError(f"unknown checker {only!r}; run the list subcommand for ids")
     check_jobs = [f"check:{cid}" for cid in _CHECKERS if only in (None, cid)]
@@ -202,10 +205,8 @@ def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[s
     if subcommand == "all":
         return check_jobs + list(EXPERIMENT_JOBS)
     exp_jobs = [j for j in EXPERIMENT_JOBS if j.startswith(f"{subcommand}:")]
-    if not exp_jobs:
+    if not exp_jobs and subcommand != "list":
         raise UsageError(f"unknown subcommand {subcommand!r}")
-    if only is not None:
-        raise UsageError("--only applies to the check/all subcommands")
     return exp_jobs
 
 
@@ -300,8 +301,7 @@ def main(argv=None) -> int:
             path=args.config, seed=args.seed, workers=args.workers,
             out_dir=args.out, verbosity=args.verbose,
         )
-        job_ids = [] if args.subcommand == "list" else jobs_for(
-            args.subcommand, settings, only=args.only)
+        job_ids = jobs_for(args.subcommand, settings, only=args.only)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -89,8 +89,6 @@ def _support(
         cov = sampler.cov
     if sampler is None:
         return np.zeros((1, cov.dim)), np.ones(1), cov
-    if not sampler.enumerable:
-        raise ValueError("exact evaluation requires an enumerable support")
     return sampler.outcomes / math.sqrt(n), sampler.probs, cov
 
 
@@ -220,7 +218,7 @@ class DensityRatioModel(_RatioBase):
     ``sampler=None`` means Y = 0 (the pure time-change ratio); ``cov``
     defaults to the sampler's covariance but may be supplied explicitly, in
     which case no moment identities are implied, only the density algebra.
-    Requires an enumerable sampler: f is a finite mixture over its support.
+    f is a finite mixture over the sampler's support.
     """
 
     sampler: Optional[BoundedSampler]

@@ -32,11 +32,9 @@ from .bounds import rate_envelope
 from .gaussmath import CovarianceSpec, sample_gaussian
 from .samplers import (
     BoundedSampler,
-    LatticeSpec,
     make_lattice_custom,
     make_rademacher_product,
     make_scaled_basis,
-    make_sphere_uniform,
     require_lattice_support,
 )
 from .transport import EXACT_CAP_DEFAULT, estimate_w2
@@ -58,14 +56,13 @@ class SamplerSpec:
 
     kind: str
     dim: int
-    scale: float = 1.0  # rademacher scale, or beta for basis/sphere kinds
+    scale: float = 1.0  # rademacher scale, or beta for the basis kind
     outcomes: Optional[tuple[tuple[float, ...], ...]] = None
     probs: Optional[tuple[float, ...]] = None
 
     def build(self) -> BoundedSampler:
         parametric = {"rademacher_product": make_rademacher_product,
-                      "scaled_basis": make_scaled_basis,
-                      "sphere_uniform": make_sphere_uniform}
+                      "scaled_basis": make_scaled_basis}
         if self.kind in parametric:
             if self.outcomes is not None or self.probs is not None:
                 raise ValueError(f"sampler {self.kind!r} takes no outcomes or probs")
@@ -166,12 +163,13 @@ def main_rate_bound(d: int, beta: float, n: int) -> float:
 
 
 def _loglog_fit(xs, ys) -> RateFit:
-    """Least-squares line through (log x, log y); one point has no correlation."""
+    """Least-squares line through (log x, log y) of at least two points (the
+    rate and ci legs reject shorter grids)."""
     log_x = np.log(xs)
     log_y = np.log(ys)
     a = np.vstack([log_x, np.ones_like(log_x)]).T
     slope, intercept = np.linalg.lstsq(a, log_y, rcond=None)[0]
-    corr = np.corrcoef(log_x, log_y)[0, 1] if log_x.size > 1 else math.nan
+    corr = np.corrcoef(log_x, log_y)[0, 1]
     return RateFit(
         slope=float(slope), intercept=float(intercept), correlation=float(corr)
     )
@@ -238,15 +236,15 @@ def _lattice_sq_distance_1d(sigma: float, ell: float) -> float:
     return sigma * sigma * math.fsum(cells)
 
 
-def expected_lattice_distance(cov: CovarianceSpec, spec: LatticeSpec) -> float:
-    """The exact lattice floor sqrt(E d_L(Z)^2), Z ~ N(0, Sigma), L = spec.
+def expected_lattice_distance(cov: CovarianceSpec, spacing: float) -> float:
+    """The exact lattice floor sqrt(E d_L(Z)^2), Z ~ N(0, Sigma), L = spacing * Z^d.
 
     A law supported on L is at distance at least d_L(Z) from Z under every
     coupling, so W2(., Z) >= sqrt(E d_L(Z)^2).  With Sigma diagonal,
     E d_L(Z)^2 is the sum over the coordinates of E dist(Z_i, spacing Z)^2,
     each an exact sum of Gaussian partial moments over the lattice cells.
     """
-    return math.sqrt(math.fsum(_lattice_sq_distance_1d(float(sd), spec.spacing)
+    return math.sqrt(math.fsum(_lattice_sq_distance_1d(float(sd), spacing)
                                for sd in cov.sigmas))
 
 
@@ -291,7 +289,7 @@ def lattice_lower_experiment(
     points = []
     for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
-        floor = expected_lattice_distance(s.cov, LatticeSpec(spacing=ell, dim=s.dim))
+        floor = expected_lattice_distance(s.cov, ell)
         w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng)
         rn = math.sqrt(n)
         points.append(LowerBoundPoint(
@@ -394,8 +392,7 @@ def ci_halfspace_experiment(
     s = cfg.sampler.build()
     points = []
     for n in cfg.n_grid:
-        floor = expected_lattice_distance(
-            s.cov, LatticeSpec(spacing=s.bound / math.sqrt(n), dim=s.dim))
+        floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))
         points.append(HalfspacePoint(
             n=n, delta=halfspace_distance(s, n), w2_hat=_w2_of_sum(s, n, cfg.w2_m, rng),
             floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))

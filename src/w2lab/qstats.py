@@ -10,7 +10,7 @@ with the log-correction constant r(n) = 1/(2(n^2-1)) - (1/2) log(1 + 1/(n^2-1)).
 The exponential moment of Q equals the chi-square-type second moment of the
 density ratio handled in :mod:`w2lab.densities`; this module evaluates the Q
 moments themselves, exactly, by one weighted sum over every ordered pair of
-support points of an enumerable law, and both sides of their closed-form
+support points of the sampler's finite law, and both sides of their closed-form
 bounds.
 
 Under the standing hypothesis n >= 5 beta^2 / sigma_min^2 the statistics obey
@@ -87,8 +87,6 @@ def q_abs_bound_rhs(y: np.ndarray, yp: np.ndarray, cov: CovarianceSpec, n: int) 
 
 def support_pairs(s: BoundedSampler, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered pair (Y, Y') of support points scaled by 1/sqrt(n), with weight p x p."""
-    if not s.enumerable:
-        raise ValueError("pair enumeration requires an enumerable support")
     size = len(s.probs)
     y = np.repeat(s.outcomes, size, axis=0) / math.sqrt(n)
     yp = np.tile(s.outcomes, (size, 1)) / math.sqrt(n)
@@ -124,7 +122,7 @@ class QMomentReport:
 def estimate_q_moments(s: BoundedSampler, n: int) -> QMomentReport:
     """Exact Q moments over :func:`support_pairs`, with the five rules' two sides.
 
-    Requires an enumerable sampler; the caller decides each rule.
+    The caller decides each rule.
     """
     check_hypothesis(n, s.bound, s.cov)
     y, yp, w = support_pairs(s, n)

@@ -1,14 +1,13 @@
 """Bounded, mean-zero random-vector families.
 
-Every sampler describes a law with E X = 0, a declared covariance, and a hard
-almost-sure norm bound ||X|| <= beta.  Discrete families expose their full
-outcome enumeration (outcomes + probabilities) whenever the support has at
-most 2**16 points, so downstream moment identities can be evaluated exactly
-instead of by Monte Carlo.
+Every sampler is a finite law: E X = 0, a declared covariance, a hard
+almost-sure norm bound ||X|| <= beta, and its full outcome enumeration
+(outcomes + probabilities, at most 2**16 points), so downstream moment
+identities are evaluated exactly instead of by Monte Carlo.
 
-Sums of n i.i.d. draws are sampled in O(1)-per-n time for enumerable
-families via multinomial outcome counts; this is an exact distributional
-identity, not an approximation.
+Sums of n i.i.d. draws are sampled in O(1)-per-n time via multinomial
+outcome counts; this is an exact distributional identity, not an
+approximation.
 
 :func:`validate_sampler` measures a sampler's moments against its
 declarations; the checker that calls it decides, with ``SE_FACTOR``
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,77 +34,44 @@ class SamplerInvariantError(RuntimeError):
     """A draw violated a declared sampler invariant (hard failure)."""
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """The scaled integer lattice spacing * Z^dim."""
+def lattice_distance(x: np.ndarray, spacing: float) -> np.ndarray:
+    """Euclidean distance from x to the nearest point of spacing * Z^dim.
 
-    spacing: float
-    dim: int
-
-    def __post_init__(self):
-        if not self.spacing > 0:
-            raise ValueError("lattice spacing must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-
-def lattice_distance(x: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Euclidean distance from x to the nearest point of spacing*Z^dim.
-
-    Accepts a single point (dim,) or a batch (..., dim).
+    Accepts a single point (dim,) or a batch (..., dim); dim is x's last axis.
     """
     x = np.asarray(x, dtype=float)
-    resid = x - spec.spacing * np.round(x / spec.spacing)
+    resid = x - spacing * np.round(x / spacing)
     return np.sqrt(np.sum(resid**2, axis=-1))
 
 
 @dataclass(frozen=True)
 class BoundedSampler:
-    """A mean-zero law with covariance ``cov`` and ||X|| <= ``bound`` a.s.
+    """A mean-zero finite law with covariance ``cov`` and ||X|| <= ``bound`` a.s.
 
-    ``outcomes``/``probs`` enumerate the support when it is small enough
-    (discrete families); both are None for continuous families.
+    ``outcomes`` (support, dim) and ``probs`` enumerate its support.
     """
 
     kind: str
     dim: int
     bound: float
     cov: CovarianceSpec
-    outcomes: Optional[np.ndarray] = None
-    probs: Optional[np.ndarray] = None
-
-    @property
-    def enumerable(self) -> bool:
-        return self.outcomes is not None
+    outcomes: np.ndarray
+    probs: np.ndarray
 
     def draw(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """(size, dim) array of i.i.d. draws."""
-        if self.kind == "sphere_uniform":
-            g = rng.standard_normal((size, self.dim))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            return self.bound * g
         idx = rng.choice(len(self.outcomes), size=size, p=self.probs)
         return self.outcomes[idx]
 
     def draw_sum(self, n_terms: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """(size, dim) array of i.i.d. samples of X_1 + ... + X_{n_terms}.
 
-        Enumerable families use multinomial outcome counts (exact in
-        distribution); continuous families fall back to chunked summation.
+        Uses multinomial outcome counts (exact in distribution).
         """
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
-        if self.enumerable:
-            counts = rng.multinomial(n_terms, self.probs, size=size)
-            return counts.astype(float) @ self.outcomes
-        total = np.zeros((size, self.dim))
-        chunk = max(1, int(2**22 // max(size, 1)))
-        done = 0
-        while done < n_terms:
-            step = min(chunk, n_terms - done)
-            total += self.draw(rng, size=size * step).reshape(size, step, self.dim).sum(axis=1)
-            done += step
-        return total
+        counts = rng.multinomial(n_terms, self.probs, size=size)
+        return counts.astype(float) @ self.outcomes
 
 
 def _enumerated(kind: str, outcomes: np.ndarray, probs: np.ndarray) -> BoundedSampler:
@@ -181,37 +146,18 @@ def make_lattice_custom(outcomes: np.ndarray, probs: np.ndarray) -> BoundedSampl
     return _enumerated("lattice_custom", outcomes, probs)
 
 
-def make_sphere_uniform(d: int, beta: float) -> BoundedSampler:
-    """Uniform on the sphere of radius beta: continuous, no enumeration."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    sigma = beta / math.sqrt(d)
-    return BoundedSampler(
-        kind="sphere_uniform",
-        dim=d,
-        bound=beta,
-        cov=CovarianceSpec(np.full(d, sigma)),
-    )
+def require_lattice_support(s: BoundedSampler) -> None:
+    """Check the support is contained in bound * Z^dim.
 
-
-def require_lattice_support(s: BoundedSampler) -> LatticeSpec:
-    """Check support is contained in bound*Z^dim; return that lattice.
-
-    The lower and ci experiments' hypothesis.  Rejects continuous samplers
-    and discrete supports with a point farther than 1e-9 * beta from the
-    lattice, measured by :func:`lattice_distance`.
+    The lower and ci experiments' hypothesis.  Rejects a support with a point
+    farther than 1e-9 * beta from the lattice, measured by
+    :func:`lattice_distance`.
     """
-    if not s.enumerable:
-        raise ValueError(f"sampler kind={s.kind!r} has no enumerable support")
-    spec = LatticeSpec(spacing=s.bound, dim=s.dim)
-    if np.max(lattice_distance(s.outcomes, spec)) > 1e-9 * s.bound:
+    if np.max(lattice_distance(s.outcomes, s.bound)) > 1e-9 * s.bound:
         raise ValueError(
             f"sampler kind={s.kind!r} support is not contained in beta*Z^d "
             f"(beta={s.bound})"
         )
-    return spec
 
 
 @dataclass(frozen=True)

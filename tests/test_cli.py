@@ -59,6 +59,14 @@ class TestRegistry:
         for entry in REGISTRY:
             assert entry.checker_id in out
 
+    @pytest.mark.parametrize("only", ["bogus", "ot-exact"])
+    def test_list_rejects_only(self, capsys, only):
+        # list runs no checker, so --only has nothing to pick, known id or not
+        assert cli.main(["list", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert "--only applies to the check/all subcommands" in captured.err
+        assert captured.out == ""
+
 
 class TestConfig:
     def test_defaults_resolve(self):
@@ -417,9 +425,11 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize("subcommand,ini", [
         ("rate", "[rate_d2]\nestimator = exactt\n"),
-        ("lower", "[lower_d2]\nsampler = sphere_uniform\n"),
-        # the ci conversion bound is evaluated at the lattice floor, as the lower legs are
-        ("ci", "[ci_d2]\nsampler = sphere_uniform\n"),
+        # corners (+-1, +-1) are finite but not in beta Z^2 = sqrt(2) Z^2
+        ("lower", "[lower_d2]\nsampler = rademacher_product\n"),
+        # the ci conversion bound is evaluated at the lattice floor, as the lower legs
+        # are: corners (+-sqrt 2, +-sqrt 2) are not in 2 Z^2
+        ("ci", "[ci_d2]\nsampler = rademacher_product\n"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
         ("rate", "[rate_d1]\nm = 0\n"),
@@ -467,6 +477,18 @@ class TestMainEndToEnd:
         argv = ["--config", str(p), "--out", str(out)] + shlex.split(subcommand)
         assert cli.main(argv) == 2
         assert not (out / "verdicts.json").exists()
+
+    @pytest.mark.parametrize("leg", EXPERIMENT_JOBS)
+    def test_continuous_sampler_exits_2_naming_the_kind(
+            self, tmp_path, capsys, monkeypatch, leg):
+        # every sampler is a finite law: a continuous kind is an unknown kind in any leg
+        monkeypatch.setattr(cli, "execute", None)
+        p = tmp_path / "sphere.ini"
+        p.write_text(f"[{leg.replace(':', '_')}]\nsampler = sphere_uniform\n")
+        kind = leg.partition(":")[0]
+        assert cli.main([kind, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown sampler kind 'sphere_uniform'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand,ini", [
         ("ci", "[ci_d1]\nn_grid = 64\n[ci_d2]\nn_grid = 64\n"),

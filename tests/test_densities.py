@@ -74,12 +74,6 @@ class TestMixtureRepresentation:
         numeric_p = generic.f_prefix(1, pts)
         assert np.allclose(exact_p, numeric_p, rtol=1e-8)
 
-    def test_requires_enumerable(self):
-        from w2lab.samplers import make_sphere_uniform
-
-        with pytest.raises(ValueError, match="enumerable"):
-            DensityRatioModel(make_sphere_uniform(2, 1.0), 10)
-
     def test_zero_sampler_needs_cov(self):
         with pytest.raises(ValueError, match="cov"):
             DensityRatioModel(None, 10)

@@ -25,7 +25,7 @@ from w2lab.experiments import (
     walk_cdf,
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
-from w2lab.samplers import LatticeSpec, lattice_distance
+from w2lab.samplers import lattice_distance
 from w2lab.transport import EmpiricalMeasure, w2_exact, w2_quantile_1d
 
 
@@ -36,7 +36,6 @@ class TestSamplerSpec:
     def test_builds_each_kind(self):
         assert SamplerSpec("rademacher_product", 2, 1.0).build().dim == 2
         assert SamplerSpec("scaled_basis", 3, 1.5).build().bound == 1.5
-        assert SamplerSpec("sphere_uniform", 2, 1.0).build().kind == "sphere_uniform"
 
     def test_lattice_custom_spec(self):
         spec = SamplerSpec(
@@ -144,19 +143,19 @@ class TestLatticeFloor:
     @pytest.mark.parametrize("sigma,ell", [(0.7, 0.05), (2.0, 0.3), (1.0, 1.0), (1.0, 3.0)])
     def test_matches_quadrature(self, sigma, ell):
         # ell below, near and above sigma
-        floor = expected_lattice_distance(CovarianceSpec([sigma]), LatticeSpec(ell, 1))
+        floor = expected_lattice_distance(CovarianceSpec([sigma]), ell)
         assert floor**2 == pytest.approx(_lattice_sq_distance_oracle(sigma, ell), rel=1e-10)
 
     def test_sums_the_coordinates(self):
         cov = CovarianceSpec([2.0, 1.0, 0.7])
-        floor = expected_lattice_distance(cov, LatticeSpec(1.5, 3))
+        floor = expected_lattice_distance(cov, 1.5)
         oracle = sum(_lattice_sq_distance_oracle(sd, 1.5) for sd in (2.0, 1.0, 0.7))
         assert floor**2 == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_huge_spacing_gives_sigma(self, sigma):
         # the nearest lattice point is the origin, so E d_L(Z)^2 = E Z^2
-        assert expected_lattice_distance(CovarianceSpec([sigma]), LatticeSpec(1e6, 1)) == sigma
+        assert expected_lattice_distance(CovarianceSpec([sigma]), 1e6) == sigma
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_small_spacing_limit(self, d):
@@ -164,16 +163,15 @@ class TestLatticeFloor:
         # coordinate's squared distance tends to ell^2 / 12
         beta, n = 1.5, 4096
         cov = CovarianceSpec([beta / math.sqrt(d)] * d)
-        floor = expected_lattice_distance(cov, LatticeSpec(beta / math.sqrt(n), d))
+        floor = expected_lattice_distance(cov, beta / math.sqrt(n))
         assert abs(math.sqrt(n) * floor - beta * math.sqrt(d / 12)) <= 1e-9
         assert beta * math.sqrt(d / 12) > math.sqrt(d) * beta / 4
 
     def test_matches_monte_carlo_of_the_lattice_distance(self, rng):
         cov = CovarianceSpec([1.0, 0.5])
-        spec = LatticeSpec(0.8, 2)
-        sq = lattice_distance(sample_gaussian(cov, 2 * 10**5, rng), spec) ** 2
+        sq = lattice_distance(sample_gaussian(cov, 2 * 10**5, rng), 0.8) ** 2
         se = sq.std(ddof=1) / math.sqrt(sq.size)
-        assert abs(sq.mean() - expected_lattice_distance(cov, spec) ** 2) <= 5 * se
+        assert abs(sq.mean() - expected_lattice_distance(cov, 0.8) ** 2) <= 5 * se
 
 
 class TestLowerExperiment:
@@ -261,8 +259,7 @@ class TestHalfspace:
         for p in rep.points:
             assert p.delta <= p.conversion_rhs
             # the bound is evaluated at the exact lattice floor, never at the estimate
-            assert p.floor == expected_lattice_distance(
-                CovarianceSpec([1.0]), LatticeSpec(1.0 / math.sqrt(p.n), 1))
+            assert p.floor == expected_lattice_distance(CovarianceSpec([1.0]), 1.0 / math.sqrt(p.n))
             assert p.conversion_rhs == conversion_bound(1, p.floor)
             assert p.floor < p.w2_hat
 

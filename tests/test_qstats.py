@@ -138,12 +138,6 @@ class TestMoments:
         with pytest.raises(HypothesisError, match="5\\*beta\\^2/sigma_min\\^2"):
             estimate_q_moments(s, 9)
 
-    def test_exact_requires_enumeration(self):
-        from w2lab.samplers import make_sphere_uniform
-
-        with pytest.raises(ValueError, match="enumerable"):
-            estimate_q_moments(make_sphere_uniform(2, 1.0), 40)
-
 
 class TestConditionalL2:
     def test_constant_equality(self):

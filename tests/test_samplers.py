@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from w2lab.samplers import (
     BoundedSampler,
-    LatticeSpec,
     SE_FACTOR,
     SamplerInvariantError,
     lattice_distance,
     make_lattice_custom,
     make_rademacher_product,
     make_scaled_basis,
-    make_sphere_uniform,
     require_lattice_support,
     validate_sampler,
 )
@@ -104,12 +102,6 @@ class TestDrawSum:
         resid = np.abs(sn / step - np.round(sn / step))
         assert float(resid.max()) < 1e-12
 
-    def test_continuous_fallback(self, rng):
-        s = make_sphere_uniform(3, 1.0)
-        total = s.draw_sum(10, 100, rng)
-        assert total.shape == (100, 3)
-        assert np.all(np.linalg.norm(total, axis=1) <= 10.0 + 1e-9)
-
 
 class TestValidate:
     def test_rademacher_max_norm_exact(self, rng):
@@ -134,14 +126,12 @@ class TestValidate:
 
 class TestLatticeDistance:
     def test_on_lattice_zero(self):
-        spec = LatticeSpec(0.5, 2)
-        assert lattice_distance(np.array([1.0, -1.5]), spec) == 0.0
+        assert lattice_distance(np.array([1.0, -1.5]), 0.5) == 0.0
 
     def test_cell_boundary_midpoint(self):
-        assert lattice_distance(np.array([0.5]), LatticeSpec(1.0, 1)) == 0.5
+        assert lattice_distance(np.array([0.5]), 1.0) == 0.5
 
     def test_2d_example_vs_bruteforce(self):
-        spec = LatticeSpec(1.0, 2)
         x = np.array([0.3, 0.4])
         # oracle: the 9 nearest lattice points
         cands = [
@@ -149,8 +139,8 @@ class TestLatticeDistance:
             for i in (-1, 0, 1)
             for j in (-1, 0, 1)
         ]
-        assert lattice_distance(x, spec) == pytest.approx(min(cands))
-        assert lattice_distance(x, spec) == pytest.approx(0.5)
+        assert lattice_distance(x, 1.0) == pytest.approx(min(cands))
+        assert lattice_distance(x, 1.0) == pytest.approx(0.5)
 
     @given(
         st.integers(1, 3),
@@ -158,20 +148,17 @@ class TestLatticeDistance:
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
     )
     def test_cell_diameter_bound(self, d, ell, coords):
-        spec = LatticeSpec(ell, d)
         x = np.array(coords[:d])
-        assert lattice_distance(x, spec) <= ell * math.sqrt(d) / 2 + 1e-12
+        assert lattice_distance(x, ell) <= ell * math.sqrt(d) / 2 + 1e-12
 
     def test_batch_shape(self, rng):
-        spec = LatticeSpec(1.0, 3)
         pts = rng.normal(size=(50, 3))
-        assert lattice_distance(pts, spec).shape == (50,)
+        assert lattice_distance(pts, 1.0).shape == (50,)
 
 
 class TestLatticeSupport:
     def test_scaled_basis_accepted(self):
-        spec = require_lattice_support(make_scaled_basis(2, 1.0))
-        assert spec.spacing == 1.0
+        require_lattice_support(make_scaled_basis(2, 1.0))
 
     def test_rademacher_d2_rejected(self):
         # corners (+-1, +-1) have norm sqrt(2) = beta but are not in sqrt(2)*Z^2
@@ -179,11 +166,7 @@ class TestLatticeSupport:
             require_lattice_support(make_rademacher_product(2, 1.0))
 
     def test_rademacher_d1_accepted(self):
-        assert require_lattice_support(make_rademacher_product(1, 1.0)).spacing == 1.0
-
-    def test_continuous_rejected(self):
-        with pytest.raises(ValueError):
-            require_lattice_support(make_sphere_uniform(2, 1.0))
+        require_lattice_support(make_rademacher_product(1, 1.0))
 
     def test_euclidean_distance_decides(self):
         # (1 - e, e) is within 1e-9 of the lattice per coordinate, but
@@ -221,12 +204,3 @@ class TestCustomLattice:
         assert s.cov.sigmas[0] == pytest.approx(2.0)
         assert np.allclose(np.abs(s.outcomes[:, 0]), 2.0)
 
-
-class TestSphere:
-    def test_norms_and_cov(self, rng):
-        s = make_sphere_uniform(3, 2.0)
-        draws = s.draw(rng, size=10**5)
-        assert np.allclose(np.linalg.norm(draws, axis=1), 2.0)
-        emp = (draws**2).mean(axis=0)
-        assert np.all(np.abs(emp - 4.0 / 3.0) < 0.02)
-        assert not s.enumerable
