@@ -69,12 +69,19 @@ INCREMENT_NS = (20, 40, 80)
 CHAIN_RADIUS = 5.0
 FLOOR_DRAWS = 10**5
 HALFSPACE_SHIFT = 0.5
-# random instances of the quadrature, assignment and quantile records, the
-# metric's random triples, and the largest n the schedule replays
+# random instances of the quadrature, assignment, quantile and lattice records,
+# the metric's random triples, the conditional-L2 tables (each at most
+# L2_SIDE x L2_SIDE), the remainder pairs and the chunk they are drawn in, and
+# the largest n the schedule replays
 GAUSS_QUAD_INSTANCES = 50
 OT_INSTANCES = 200
 QUANTILE_INSTANCES = 100
+LATTICE_INSTANCES = 2000
 METRIC_TRIPLES = 50
+L2_TABLES = 10**4
+L2_SIDE = 8
+REMAINDER_PAIRS = 10**6
+REMAINDER_CHUNK = 10**5
 SCHEDULE_N_MAX = 4096
 
 
@@ -111,12 +118,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CheckSuiteConfig:
-    """The checker sizes a reduced run shrinks, for time (validator draws, L2 tables,
-    chain grid) or memory (remainder pairs); defaults match the acceptance runs."""
+    """The checker sizes a reduced run shrinks for time: the validator draws and
+    the chain grid; defaults match the acceptance runs.  Every other checker
+    size is a constant of this module."""
 
     sampler_validate_m: int = 10**6
-    l2_tables: int = 10**4
-    remainder_pairs: int = 10**6
     chain_grid_2d: int = 24
     chain_refine: float = 1.42
 
@@ -316,18 +322,19 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
 
 
 def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    worst = 0.0
-    worst_cell = -math.inf
-    for _ in range(2000):
-        d = int(rng.integers(1, 4))
-        ell = float(rng.uniform(0.3, 2.5))
-        x = rng.uniform(-3, 3, size=d)
-        fast = float(lattice_distance(x, ell))
-        base = ell * np.round(x / ell)
+    # every instance draws three coordinates and uses its first d
+    dims = rng.integers(1, 4, size=LATTICE_INSTANCES)
+    ells = rng.uniform(0.3, 2.5, size=(LATTICE_INSTANCES, 1))
+    xs = rng.uniform(-3, 3, size=(LATTICE_INSTANCES, 3))
+    worst, worst_cell = 0.0, -math.inf
+    for d in np.unique(dims):
+        x, ell = xs[dims == d, :d], ells[dims == d]
+        fast = lattice_distance(x, ell)
         offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij"), -1).reshape(-1, d)
-        brute = float(np.min(np.linalg.norm(base + ell * offs - x, axis=1)))
-        worst = max(worst, abs(fast - brute))
-        worst_cell = max(worst_cell, fast - ell * math.sqrt(d) / 2.0)
+        near = (ell * np.round(x / ell))[:, None, :] + ell[:, None] * offs - x[:, None, :]
+        brute = np.min(np.linalg.norm(near, axis=2), axis=1)
+        worst = max(worst, float(np.max(np.abs(fast - brute))))
+        worst_cell = max(worst_cell, float(np.max(fast - ell[:, 0] * math.sqrt(d) / 2.0)))
     example = float(lattice_distance(np.array([0.3, 0.4]), 1.0))
     # the exact floor E d_L(Z)^2 against its Monte Carlo mean, in d = 1 and 2
     # at spacing sigma_1 and sigma_1 / 64
@@ -456,32 +463,45 @@ def check_averaged_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
+def _flat_dirichlet_padded(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One flat Dirichlet law on ``sizes[t]`` coordinates per row, zero past them.
+
+    A flat Dirichlet on L2_SIDE coordinates, restricted to its first k and
+    renormalised, is the flat Dirichlet on k.
+    """
+    p = rng.dirichlet(np.ones(L2_SIDE), size=len(sizes))
+    p = np.where(np.arange(L2_SIDE) < sizes[:, None], p, 0.0)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def check_conditional_l2(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    worst = -math.inf
-    for _ in range(cfg.l2_tables):
-        na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        f = rng.normal(size=(na, nb)) * float(rng.uniform(0.2, 5.0))
-        pa = rng.dirichlet(np.ones(na))
-        pb = rng.dirichlet(np.ones(nb))
-        res = qs.conditional_l2_check(f, pa, pb)
-        worst = max(worst, res["rhs"] - res["lhs"])
+    # each (na, nb) table sits in an L2_SIDE x L2_SIDE slot whose extra rows and
+    # columns carry zero mass, which adds nothing to either side
+    sizes = rng.integers(1, L2_SIDE + 1, size=(2, L2_TABLES))
+    f = rng.normal(size=(L2_TABLES, L2_SIDE, L2_SIDE))
+    f *= rng.uniform(0.2, 5.0, size=(L2_TABLES, 1, 1))
+    res = qs.conditional_l2_check(f, _flat_dirichlet_padded(sizes[0], rng),
+                                  _flat_dirichlet_padded(sizes[1], rng))
+    worst = float(np.max(res["rhs"] - res["lhs"]))
     const = qs.conditional_l2_check(np.full((3, 4), 2.5), np.full(3, 1 / 3), np.full(4, 0.25))
     eq_gap = abs(const["lhs"] - const["rhs"])
     return [
-        Verdict(f"zero violations over {cfg.l2_tables} random tables",
+        Verdict(f"zero violations over {L2_TABLES} random tables",
                 worst, 1e-12, {"worst_gap": worst}),
         Verdict("constant table is the equality case", eq_gap, 1e-12),
     ]
 
 
 def check_remainder(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    a = rng.uniform(-1, 1, size=cfg.remainder_pairs)
-    b = rng.uniform(-1, 1, size=cfg.remainder_pairs)
-    lhs, rhs = qs.remainder_difference_batch(a, b)
-    worst = float(np.max(lhs - rhs))
+    # one chunk's arrays at a time: all the pairs in one piece would lift the
+    # process's peak memory by about 45 MB
+    worst = -math.inf
+    for _ in range(REMAINDER_PAIRS // REMAINDER_CHUNK):
+        lhs, rhs = qs.remainder_difference_batch(*rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK)))
+        worst = max(worst, float(np.max(lhs - rhs)))
     ex_lhs, ex_rhs = qs.remainder_difference_batch(1.0, 0.0)
     return [
-        Verdict(f"zero violations over {cfg.remainder_pairs} random pairs", worst, 1e-12),
+        Verdict(f"zero violations over {REMAINDER_PAIRS} random pairs", worst, 1e-12),
         Verdict("endpoint example |R(1)| <= 2.5", ex_lhs, ex_rhs + 1e-12),
     ]
 

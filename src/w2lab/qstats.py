@@ -168,27 +168,47 @@ def estimate_q_moments(s: BoundedSampler, n: int) -> QMomentReport:
 # Elementary inequality checkers
 # ---------------------------------------------------------------------------
 
+def _expect(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j p[..., j] x[..., j], one term at a time, left to right.
+
+    A zero-mass term then leaves every partial sum bitwise unchanged, so a
+    table padded with zero-mass rows and columns averages exactly as the
+    table itself, and no product of a law with a table is built.
+    """
+    return sum(p[..., j] * x[..., j] for j in range(p.shape[-1]))
+
+
 def conditional_l2_check(
     f_table: np.ndarray, p_a: np.ndarray, p_b: np.ndarray
 ) -> dict:
     """Both sides of E f(A,B)^2 + (E f)^2 >= E f_A(B)^2 + E f_B(A)^2, exactly.
 
-    ``f_table[a, b]`` holds f on the product of two finite independent
-    variables with laws p_a, p_b; f_A(b) averages over A and f_B(a) over B.
-    Returns ``{"lhs": ..., "rhs": ...}``; the caller decides.
+    ``f_table[..., a, b]`` holds f on the product of two finite independent
+    variables with laws ``p_a[..., a]`` and ``p_b[..., b]``; f_A(b) averages
+    over A and f_B(a) over B.  Leading axes stack tables, each with its own
+    pair of laws.  Every average runs term by term, so a table's sides do not
+    depend on the stack it sits in, nor on zero-mass rows or columns padding
+    it.  Returns ``{"lhs": ..., "rhs": ...}``, each of the stack's shape; the
+    caller decides.
     """
     f = np.asarray(f_table, dtype=float)
     p_a = np.asarray(p_a, dtype=float)
     p_b = np.asarray(p_b, dtype=float)
-    for name, p, size in (("p_a", p_a, f.shape[0]), ("p_b", p_b, f.shape[1])):
-        if p.ndim != 1 or p.size != size or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a probability vector matching the table")
-    w = np.outer(p_a, p_b)
-    e_f = float(np.sum(w * f))
-    e_f2 = float(np.sum(w * f * f))
-    f_a = p_a @ f  # function of b
-    f_b = f @ p_b  # function of a
-    rhs = float(p_b @ f_a**2 + p_a @ f_b**2)
+    if f.ndim < 2:
+        raise ValueError(f"f_table must have shape (..., na, nb), got {f.shape}")
+    for name, p, shape in (("p_a", p_a, f.shape[:-1]),
+                           ("p_b", p_b, f.shape[:-2] + f.shape[-1:])):
+        if p.shape != shape:
+            raise ValueError(f"{name} has shape {p.shape}, the table needs {shape}")
+        bad = np.any(p < 0, axis=-1) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-9)
+        if np.any(bad):
+            where = f" of table {tuple(int(i) for i in np.argwhere(bad)[0])}" if bad.ndim else ""
+            raise ValueError(f"{name}{where} is not a probability vector")
+    f_b = _expect(p_b[..., None, :], f)  # function of a
+    f_a = _expect(p_a[..., None, :], np.swapaxes(f, -1, -2))  # function of b
+    e_f = _expect(p_a, f_b)
+    e_f2 = _expect(p_a, _expect(p_b[..., None, :], f * f))
+    rhs = _expect(p_b, f_a**2) + _expect(p_a, f_b**2)
     lhs = e_f2 + e_f**2
     return {"lhs": lhs, "rhs": rhs}
 

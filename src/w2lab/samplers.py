@@ -34,10 +34,14 @@ class SamplerInvariantError(RuntimeError):
     """A draw violated a declared sampler invariant (hard failure)."""
 
 
-def lattice_distance(x: np.ndarray, spacing: float) -> np.ndarray:
+def lattice_distance(x: np.ndarray, spacing: float | np.ndarray) -> np.ndarray:
     """Euclidean distance from x to the nearest point of spacing * Z^dim.
 
     Accepts a single point (dim,) or a batch (..., dim); dim is x's last axis.
+    ``spacing`` is a scalar or an array that broadcasts against x: a (k, 1)
+    column gives each row of a (k, dim) batch its own spacing, and row i then
+    equals the scalar call with ``spacing[i, 0]`` exactly (the vectorised
+    ``lattice-distance`` checker relies on this).
     """
     x = np.asarray(x, dtype=float)
     resid = x - spacing * np.round(x / spacing)

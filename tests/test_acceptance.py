@@ -16,6 +16,8 @@ import pytest
 
 from w2lab import cli
 from w2lab.checks import (
+    L2_TABLES,
+    REMAINDER_PAIRS,
     CheckSuiteConfig,
     chain_models_2d,
     check_conditional_l2,
@@ -131,10 +133,12 @@ def test_criterion_04_q_moment_suite():
 def test_criterion_05_conditional_l2_and_remainder():
     with criterion(5, "conditional-L2 (1e4 tables) and Taylor remainder (1e6 pairs)"):
         cfg = CheckSuiteConfig()
-        assert (cfg.l2_tables, cfg.remainder_pairs) == (10**4, 10**6)
+        assert (L2_TABLES, REMAINDER_PAIRS) == (10**4, 10**6)
         l2 = check_conditional_l2(cfg, job_rng("check:conditional-l2"))
         remainder = check_remainder(cfg, job_rng("check:exp-remainder"))
         assert all(v.verdict == "pass" for v in l2 + remainder)
+        assert l2[0].case == "zero violations over 10000 random tables"
+        assert remainder[0].case == "zero violations over 1000000 random pairs"
         # the worst gap over the tables, and over the pairs
         assert l2[0].lhs <= 1e-12 and l2[0].inputs["worst_gap"] == l2[0].lhs
         assert remainder[0].lhs <= 1e-12

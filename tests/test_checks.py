@@ -36,7 +36,8 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 
 @pytest.mark.parametrize("bad", [
-    {"l2_tables": 0}, {"remainder_pairs": 0}, {"sampler_validate_m": 9999},
+    # a zero count fails the validator's floor, a NaN refinement the (1, inf) range
+    {"sampler_validate_m": 0}, {"chain_refine": math.nan}, {"sampler_validate_m": 9999},
     {"chain_grid_2d": 0},
     {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
     {"chain_refine": 100.0}, {"chain_grid_2d": 80},

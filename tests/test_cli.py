@@ -26,8 +26,7 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
-    "check": {"sampler_validate_m", "l2_tables", "remainder_pairs", "chain_grid_2d",
-              "chain_refine"},
+    "check": {"sampler_validate_m", "chain_grid_2d", "chain_refine"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
@@ -77,7 +76,7 @@ class TestConfig:
 
     def test_smoke_file_overrides(self):
         s = load_settings(SMOKE)
-        assert s.check.l2_tables == 1000
+        assert s.check.sampler_validate_m == 100000
         assert s.rate_d1.m == 20000
         assert s.rate_d1.n_grid == (16, 64, 256, 1024)
 
@@ -145,7 +144,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 53
+        assert sum(len(k) for k in keys.values()) == 51
 
     def test_smoke_sets_every_check_knob_off_its_default(self):
         # a [check] key exists only for a workload that needs another value
@@ -230,11 +229,11 @@ class TestConfig:
     def test_default_section_rejected(self, tmp_path, capsys):
         # its keys would otherwise reach every section as if written there
         p = tmp_path / "default.ini"
-        p.write_text("[DEFAULT]\nseed = 3\n[check]\nl2_tables = 5\n")
+        p.write_text("[DEFAULT]\nseed = 3\n[check]\nchain_grid_2d = 5\n")
         assert cli.main(["list", "--config", str(p)]) == 2
         assert "unknown config section [DEFAULT]" in capsys.readouterr().err
-        p.write_text("[DEFAULT]\n[check]\nl2_tables = 5\n")
-        assert load_settings(str(p)).check.l2_tables == 5
+        p.write_text("[DEFAULT]\n[check]\nchain_grid_2d = 5\n")
+        assert load_settings(str(p)).check.chain_grid_2d == 5
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
                              ids=lambda p: os.path.relpath(p, ROOT))
@@ -423,49 +422,66 @@ class TestMainEndToEnd:
         assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 2
         assert not (out / "verdicts.json").exists()
 
-    @pytest.mark.parametrize("subcommand,ini", [
-        ("rate", "[rate_d2]\nestimator = exactt\n"),
+    @pytest.mark.parametrize("subcommand,ini,message", [
         # corners (+-1, +-1) are finite but not in beta Z^2 = sqrt(2) Z^2
-        ("lower", "[lower_d2]\nsampler = rademacher_product\n"),
+        ("lower", "[lower_d2]\nsampler = rademacher_product\n",
+         "[lower_d2]: sampler kind='rademacher_product' support is not contained in beta*Z^d"),
         # the ci conversion bound is evaluated at the lattice floor, as the lower legs
         # are: corners (+-sqrt 2, +-sqrt 2) are not in 2 Z^2
-        ("ci", "[ci_d2]\nsampler = rademacher_product\n"),
+        ("ci", "[ci_d2]\nsampler = rademacher_product\n",
+         "[ci_d2]: sampler kind='rademacher_product' support is not contained in beta*Z^d"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
-                  "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n"),
-        ("rate", "[rate_d1]\nm = 0\n"),
-        ("rate", "[run]\nseed = -1\n"),
-        ("list", "[rate_d2]\nm = 6000\n"),
-        ("check", "[check]\nsampler_validate_m = 0\n"),
-        ("check", "[check]\nq_random_pairs = 0\n"),
-        ("check", "[check]\not_instances = 0\n"),
-        ("ci", "[ci_d1]\nw2_m = 0\n"),
-        ("ci", "[ci_d2]\nw2_m = 0\n"),
-        ("rate", "[rate_d1]\nscale = inf\n"),
-        ("list", "[lower_d1]\nscale = inf\n"),
-        ("check", "[check]\nchain_grid_2d = 0\n"),
-        ("check", "[check]\nchain_radius = inf\n"),
-        ("check", "[check]\nchain_radius = 0\n"),
-        ("check", "[check]\nchain_refine = 0.5\n"),
-        # a retired size key, here one below the increment checker's hypothesis
-        # n >= 5 beta^2 / sigma^2 = 5, is an unknown key
-        ("all", "[check]\nincrement_ns = 3\n"),
-        ("check", "[check]\nchain_refine = 1\n"),
-        ("all", "[check]\nchain_refine = 100\n"),
-        ("check", "[run]\nworkers = 0\n"),
-        ("check --workers 0", ""),
-        ("check --workers -3", ""),
-        ("rate", "[rate_d1]\noutcomes = 5 | -5\nprobs = 0.5 0.5\n"),
-        ("check --only naive-w2", "[run]\nout =\n"),
-        ("check --only naive-w2 --out ''", ""),
+                  "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n",
+         "[lower_d1]: sampler kind='lattice_custom' support is not contained in beta*Z^d"),
+        ("rate", "[rate_d1]\nm = 0\n", "[rate_d1]: need at least 1 point per W2 cloud, got 0"),
+        ("rate", "[run]\nseed = -1\n", "[run]: seed must be >= 0, got -1"),
+        ("list", "[rate_d2]\nm = 6000\n",
+         "[rate_d2]: exact assignment is capped at 5000 points per cloud, got 6000"),
+        ("check", "[check]\nsampler_validate_m = 0\n",
+         "[check]: sampler_validate_m must be >= 10000, got 0"),
+        ("ci", "[ci_d1]\nw2_m = 0\n", "[ci_d1]: need at least 1 point per W2 cloud, got 0"),
+        ("ci", "[ci_d2]\nw2_m = 0\n", "[ci_d2]: need at least 1 point per W2 cloud, got 0"),
+        ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes and probabilities must be finite"),
+        ("list", "[lower_d1]\nscale = inf\n", "[lower_d1]: outcomes and probabilities must be finite"),
+        ("check", "[check]\nchain_grid_2d = 0\n", "[check]: chain_grid_2d must be >= 1, got 0"),
+        ("check", "[check]\nchain_refine = 0.5\n",
+         "[check]: chain_refine must be finite and > 1, got 0.5"),
+        ("check", "[check]\nchain_refine = 1\n", "[check]: chain_refine must be finite and > 1, got 1.0"),
+        ("all", "[check]\nchain_refine = 100\n",
+         "[check]: chain_grid_2d * chain_refine gives a 2400x2400 fine grid, past the 5000-atom cap"),
+        ("check", "[run]\nworkers = 0\n", "[run]: workers must be >= 1, got 0"),
+        ("check --workers 0", "", "bad command-line value: workers must be >= 1, got 0"),
+        ("check --workers -3", "", "bad command-line value: workers must be >= 1, got -3"),
+        ("rate", "[rate_d1]\noutcomes = 5 | -5\nprobs = 0.5 0.5\n",
+         "[rate_d1]: sampler 'rademacher_product' takes no outcomes or probs"),
+        ("check --only naive-w2", "[run]\nout =\n",
+         "[run]: the output directory (out, --out) must not be empty"),
+        ("check --only naive-w2 --out ''", "",
+         "bad command-line value: the output directory (out, --out) must not be empty"),
         # lattice_custom takes its scale from its outcomes: any other scale,
         # written or inherited from the leg's default sampler, is an error
         ("rate", "[rate_d1]\nsampler = lattice_custom\noutcomes = -1 | 1\n"
-                 "probs = 0.5 0.5\nscale = 7\n"),
+                 "probs = 0.5 0.5\nscale = 7\n",
+         "[rate_d1]: lattice_custom takes its scale from its outcomes, got scale = 7.0"),
         ("rate", "[rate_d2]\nsampler = lattice_custom\n"
-                 "outcomes = -1 -1 | 1 1 | -1 1 | 1 -1\nprobs = 0.25 0.25 0.25 0.25\n"),
+                 "outcomes = -1 -1 | 1 1 | -1 1 | 1 -1\nprobs = 0.25 0.25 0.25 0.25\n",
+         "[rate_d2]: lattice_custom takes its scale from its outcomes, got scale = 1.4142135623730951"),
+        # retired keys are unknown keys: the estimator follows the sampler's
+        # dimension, and the checker sizes no workload changes are constants
+        # in w2lab.checks (increment_ns = 3 would also break the increment
+        # checker's hypothesis n >= 5 beta^2 / sigma^2 = 5)
+        ("rate", "[rate_d2]\nestimator = exactt\n", "unknown key 'estimator' in section [rate_d2]"),
+        ("check", "[check]\nq_random_pairs = 0\n", "unknown key 'q_random_pairs' in section [check]"),
+        ("check", "[check]\not_instances = 0\n", "unknown key 'ot_instances' in section [check]"),
+        ("check", "[check]\nchain_radius = inf\n", "unknown key 'chain_radius' in section [check]"),
+        ("check", "[check]\nchain_radius = 0\n", "unknown key 'chain_radius' in section [check]"),
+        ("all", "[check]\nincrement_ns = 3\n", "unknown key 'increment_ns' in section [check]"),
+        ("check", "[check]\nl2_tables = 5\n", "unknown key 'l2_tables' in section [check]"),
+        ("check", "[check]\nremainder_pairs = 5\n",
+         "unknown key 'remainder_pairs' in section [check]"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
-            self, tmp_path, monkeypatch, subcommand, ini):
+            self, tmp_path, capsys, monkeypatch, subcommand, ini, message):
         def no_compute(*args, **kwargs):
             raise AssertionError("a job ran before the config error was reported")
 
@@ -476,6 +492,8 @@ class TestMainEndToEnd:
         # the case's own arguments come last, so its --out is the one that holds
         argv = ["--config", str(p), "--out", str(out)] + shlex.split(subcommand)
         assert cli.main(argv) == 2
+        # the message pins the rejection to the cause the case names
+        assert message in capsys.readouterr().err
         assert not (out / "verdicts.json").exists()
 
     @pytest.mark.parametrize("leg", EXPERIMENT_JOBS)

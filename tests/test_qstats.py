@@ -170,6 +170,53 @@ class TestConditionalL2:
         with pytest.raises(ValueError):
             conditional_l2_check(f, np.array([-0.5, 1.5]), np.array([0.5, 0.5]))
 
+    @staticmethod
+    def _padded_stack(rng, count=200, side=8):
+        """Random tables in side x side slots: f is drawn everywhere, mass only
+        on each table's own (na, nb) corner."""
+        sizes = rng.integers(1, side + 1, size=(count, 2))
+        f = rng.normal(size=(count, side, side)) * rng.uniform(0.2, 5.0, size=(count, 1, 1))
+        p_a, p_b = np.zeros((count, side)), np.zeros((count, side))
+        for t, (na, nb) in enumerate(sizes):
+            p_a[t, :na] = rng.dirichlet(np.ones(na))
+            p_b[t, :nb] = rng.dirichlet(np.ones(nb))
+        return sizes, f, p_a, p_b
+
+    def test_stack_equals_per_table_calls_exactly(self, rng):
+        # zero-mass padding adds nothing: each stacked side is bitwise the
+        # side of the table's own unpadded call
+        sizes, f, p_a, p_b = self._padded_stack(rng)
+        res = conditional_l2_check(f, p_a, p_b)
+        assert res["lhs"].shape == res["rhs"].shape == (len(sizes),)
+        for t, (na, nb) in enumerate(sizes):
+            one = conditional_l2_check(f[t, :na, :nb], p_a[t, :na], p_b[t, :nb])
+            assert (res["lhs"][t], res["rhs"][t]) == (one["lhs"], one["rhs"])
+            padded = conditional_l2_check(f[t], p_a[t], p_b[t])
+            assert (res["lhs"][t], res["rhs"][t]) == (padded["lhs"], padded["rhs"])
+        # more leading axes stack the same way
+        grid = conditional_l2_check(f.reshape(20, 10, 8, 8), p_a.reshape(20, 10, 8),
+                                    p_b.reshape(20, 10, 8))
+        assert np.array_equal(grid["lhs"].ravel(), res["lhs"])
+        assert np.array_equal(grid["rhs"].ravel(), res["rhs"])
+
+    @pytest.mark.parametrize("name", ["p_a", "p_b"])
+    @pytest.mark.parametrize("bad", [np.array([0.6, 0.6, 0, 0, 0, 0, 0, 0]),
+                                     np.array([-0.5, 1.5, 0, 0, 0, 0, 0, 0])],
+                             ids=["mass-1.2", "negative"])
+    def test_stack_with_one_bad_law_names_it(self, rng, name, bad):
+        _, f, p_a, p_b = self._padded_stack(rng, count=12)
+        laws = {"p_a": p_a.reshape(3, 4, 8), "p_b": p_b.reshape(3, 4, 8)}
+        laws[name][2, 1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} of table \(2, 1\) is not a probability"):
+            conditional_l2_check(f.reshape(3, 4, 8, 8), laws["p_a"], laws["p_b"])
+
+    def test_stack_law_shapes_must_match_the_tables(self, rng):
+        _, f, p_a, p_b = self._padded_stack(rng, count=4)
+        with pytest.raises(ValueError, match=r"p_a has shape \(4, 7\), the table needs \(4, 8\)"):
+            conditional_l2_check(f, p_a[:, :7], p_b)
+        with pytest.raises(ValueError, match=r"p_b has shape \(8,\), the table needs \(4, 8\)"):
+            conditional_l2_check(f, p_a, p_b[0])
+
 
 class TestRemainder:
     def test_equal_arguments(self):

@@ -155,6 +155,16 @@ class TestLatticeDistance:
         pts = rng.normal(size=(50, 3))
         assert lattice_distance(pts, 1.0).shape == (50,)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_per_row_spacing_column_equals_scalar_calls(self, rng, d):
+        # the lattice-distance checker gives every instance its own spacing
+        pts = rng.uniform(-3, 3, size=(200, d))
+        spacing = rng.uniform(0.3, 2.5, size=(200, 1))
+        batch = lattice_distance(pts, spacing)
+        assert batch.shape == (200,)
+        for x, ell, got in zip(pts, spacing[:, 0], batch):
+            assert got == lattice_distance(x, float(ell))
+
 
 class TestLatticeSupport:
     def test_scaled_basis_accepted(self):
