@@ -12,14 +12,14 @@ draws draws only from the generator its job passes in
 executed in any order, in parallel, with bit-identical results.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
-functions it calls return measured quantities only, and the pass rule is
-written once, in :class:`Verdict`: a record passes exactly when lhs <= rhs,
-with margin rhs - lhs.  A checker folds its tolerance into the record: an
+functions it calls return measured quantities only, and the verdict rule is
+written once, in :class:`Verdict`, on sides that are points or intervals:
+pass when the left side lies at or below the right, inconclusive while the
+two overlap, else fail.  A checker folds its tolerance into the record: an
 equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
 tol)``.  Statistical checks widen inequalities by ``SE_FACTOR`` standard
-errors; exact enumerations allow 1e-12.  Only the transportation chain flags
-a record ``inconclusive``: when a step's error interval straddles its bound,
-or when its two grid resolutions disagree.
+errors; exact enumerations allow 1e-12.  The chain's steps are intervals, an
+estimate +- its error budget.
 A checker's records carry no labels: the job that runs it stamps them with
 the checker id and the anchor written in its ``REGISTRY`` entry.
 """
@@ -62,12 +62,12 @@ from .samplers import (
 )
 
 # the increment checker's law and its n values (its hypothesis needs n >= 5),
-# the chain's grid radius in standard deviations, the Gaussian draws per
-# lattice floor case, and the mean shift of the halfspace instance N(shift, 1)
+# the chain's grid radius in standard deviations, the terms of the lattice
+# floor's Poisson series, and the mean shift of the halfspace instance N(shift, 1)
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 INCREMENT_NS = (20, 40, 80)
 CHAIN_RADIUS = 5.0
-FLOOR_DRAWS = 10**5
+FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
 # random instances of the quadrature, assignment, quantile and lattice records,
 # the metric's random triples, the conditional-L2 tables (each at most
@@ -87,23 +87,30 @@ SCHEDULE_N_MAX = 4096
 
 @dataclass(frozen=True)
 class Verdict:
-    """One checked statement instance: it passes exactly when lhs <= rhs.
+    """One checked statement instance ``lhs <= rhs``, each side a point or a
+    ``(lo, hi)`` interval known to hold it (an unknown end is an infinite edge).
 
-    ``margin`` (rhs - lhs) and ``verdict`` derive from the record, so a NaN
-    lhs fails; only a chain step whose error interval straddles its bound is
-    flagged ``inconclusive``.  The job that records it supplies its checker
-    id and anchor.
+    It keeps the left side's upper edge as ``lhs`` and the right side's lower
+    edge as ``rhs`` (``margin`` is rhs - lhs), the others as ``lhs_lo`` and
+    ``rhs_hi``.  The one rule: pass when lhs <= rhs, else inconclusive when
+    lhs_lo <= rhs_hi, else fail; a NaN on any edge fails.  The job that records
+    it supplies its checker id and anchor.
     """
 
     case: str
-    lhs: float
-    rhs: float
+    lhs: float  # given as a point or an interval, kept as its upper edge
+    rhs: float  # given as a point or an interval, kept as its lower edge
     inputs: dict = field(default_factory=dict)
-    inconclusive: bool = False
+    lhs_lo: float = field(init=False)
+    rhs_hi: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", float(self.lhs))
-        object.__setattr__(self, "rhs", float(self.rhs))
+        edges = [float(e) for side in (self.lhs, self.rhs)
+                 for e in (side if isinstance(side, tuple) else (side, side))]
+        if edges[0] > edges[1] or edges[2] > edges[3]:
+            raise ValueError(f"interval edges out of order: {edges}")
+        for name, edge in zip(("lhs_lo", "lhs", "rhs", "rhs_hi"), edges):
+            object.__setattr__(self, name, edge)
 
     @property
     def margin(self) -> float:
@@ -111,9 +118,11 @@ class Verdict:
 
     @property
     def verdict(self) -> str:  # "pass" | "fail" | "inconclusive"
-        if self.inconclusive:
-            return "inconclusive"
-        return "pass" if self.lhs <= self.rhs else "fail"
+        if any(math.isnan(e) for e in (self.lhs_lo, self.lhs, self.rhs, self.rhs_hi)):
+            return "fail"
+        if self.lhs <= self.rhs:
+            return "pass"
+        return "inconclusive" if self.lhs_lo <= self.rhs_hi else "fail"
 
 
 @dataclass(frozen=True)
@@ -321,6 +330,18 @@ def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
+def _poisson_floor_sq(cov: CovarianceSpec, spacing: float) -> float:
+    """E d_L(Z)^2, L = spacing * Z^d, by Poisson summation of each coordinate's
+    squared distance to the lattice: h^2/12 + (h^2/pi^2) sum_k (-1)^k k^-2
+    exp(-2 pi^2 k^2 sigma^2 / h^2), h the spacing.  An oracle independent of the
+    floor's cell sum; ``FLOOR_SERIES_TERMS`` terms reach rounding for h <= 3 sigma.
+    """
+    k = np.arange(1, FLOOR_SERIES_TERMS + 1)[:, None]
+    h2 = spacing**2
+    terms = (-1.0) ** k / k**2 * np.exp(-2.0 * math.pi**2 * k**2 * cov.variances / h2)
+    return math.fsum(h2 / 12.0 + h2 / math.pi**2 * terms.sum(axis=0))
+
+
 def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
     # every instance draws three coordinates and uses its first d
     dims = rng.integers(1, 4, size=LATTICE_INSTANCES)
@@ -336,22 +357,18 @@ def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
         worst = max(worst, float(np.max(np.abs(fast - brute))))
         worst_cell = max(worst_cell, float(np.max(fast - ell[:, 0] * math.sqrt(d) / 2.0)))
     example = float(lattice_distance(np.array([0.3, 0.4]), 1.0))
-    # the exact floor E d_L(Z)^2 against its Monte Carlo mean, in d = 1 and 2
-    # at spacing sigma_1 and sigma_1 / 64
-    worst_floor = 0.0
-    for cov in (CovarianceSpec([1.0]), CovarianceSpec([1.0, 0.5])):
-        sigma = float(cov.sigmas[0])
-        for spacing in (sigma, sigma / 64):
-            sq = lattice_distance(sample_gaussian(cov, FLOOR_DRAWS, rng), spacing) ** 2
-            se = sq.std(ddof=1) / math.sqrt(FLOOR_DRAWS)
-            dev = expected_lattice_distance(cov, spacing) ** 2 - sq.mean()
-            worst_floor = max(worst_floor, _se_units(dev, se))
+    # the exact floor E d_L(Z)^2 against its Poisson series, in d = 1 and 2 at
+    # spacing sigma_1 and sigma_1 / 64
+    worst_floor = max(
+        abs(expected_lattice_distance(cov, spacing) ** 2 / _poisson_floor_sq(cov, spacing) - 1.0)
+        for cov in (CovarianceSpec([1.0]), CovarianceSpec([1.0, 0.5]))
+        for spacing in (cov.sigmas[0], cov.sigmas[0] / 64))
     return [
         Verdict("agrees with 3^d-neighbor brute force", worst, 1e-12),
         Verdict("never exceeds the half-diagonal", worst_cell, 1e-12),
         Verdict("d=2 point (0.3, 0.4) gives 1/2", abs(example - 0.5), 1e-12),
-        Verdict("exact floor^2 matches the Monte Carlo mean of d_L(Z)^2",
-                worst_floor, 1.0, {"draws": FLOOR_DRAWS}),
+        Verdict("exact floor^2 matches the Poisson series of E d_L(Z)^2 to 1e-10 relative",
+                worst_floor, 1e-10),
     ]
 
 
@@ -506,15 +523,6 @@ def check_remainder(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def _chain_step(case, upper, lower, bound, inputs=None) -> Verdict:
-    """A chain step recorded at the upper edge of its error interval.
-
-    It is inconclusive while the interval straddles the bound (lower <= bound
-    < upper), so it fails only when even the lower edge exceeds the bound.
-    """
-    return Verdict(case, upper, bound, inputs or {}, inconclusive=lower <= bound < upper)
-
-
 def check_talagrand_1d(cfg: CheckSuiteConfig, rng: np.random.Generator):
     out = []
     cov = CovarianceSpec([1.0])
@@ -525,16 +533,11 @@ def check_talagrand_1d(cfg: CheckSuiteConfig, rng: np.random.Generator):
         rep = dens.talagrand_chain(
             model, dens.ChainGrid(points_per_axis=4096, refine=2.0, radius_sigmas=12.8)
         )
-        # each step's excess over its bound, with its error budget; the record
-        # keeps the worse of the two steps at each edge
-        steps = ((rep.w2_sq - rep.rhs_entropy, rep.budget_w2 + rep.budget_quad),
-                 (rep.rhs_entropy - rep.rhs_chi2, rep.budget_quad))
         out += [
             Verdict(f"shift {shift}: W2^2 equals shift^2", abs(rep.w2_sq - shift**2), 1e-6),
             Verdict(f"shift {shift}: entropy RHS equals shift^2",
                     abs(rep.rhs_entropy - shift**2), 1e-6),
-            _chain_step(f"shift {shift}: chain ordering", max(v + b for v, b in steps),
-                        max(v - b for v, b in steps), rep.equality_atol),
+            *(Verdict(f"shift {shift}: {step}", est, bound) for step, est, bound in rep.steps()),
         ]
     return out
 
@@ -560,23 +563,9 @@ def chain_models_2d():
 
 def check_talagrand_2d(cfg: CheckSuiteConfig, rng: np.random.Generator):
     grid = dens.ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, CHAIN_RADIUS)
-    out = []
-    for name, model in chain_models_2d():
-        try:
-            rep = dens.talagrand_chain(model, grid)
-        except dens.InconclusiveGridError:
-            out.append(Verdict(f"{name}: grid resolution", 1.0, 0.0, inconclusive=True))
-            continue
-        out.append(_chain_step(f"{name}: W2^2 <= entropy RHS",
-                               rep.w2_sq + rep.budget_w2 + rep.budget_quad,
-                               rep.w2_sq - rep.budget_w2 - rep.budget_quad,
-                               rep.rhs_entropy + rep.equality_atol,
-                               {"raw": rep.w2_sq_raw, "budget": rep.budget_w2}))
-        out.append(_chain_step(f"{name}: entropy RHS <= chi-square RHS",
-                               rep.rhs_entropy + rep.budget_quad,
-                               rep.rhs_entropy - rep.budget_quad,
-                               rep.rhs_chi2 + rep.equality_atol))
-    return out
+    return [Verdict(f"{name}: {step}", est, bound)
+            for name, model in chain_models_2d()
+            for step, est, bound in dens.talagrand_chain(model, grid).steps()]
 
 
 def check_increment(cfg: CheckSuiteConfig, rng: np.random.Generator):

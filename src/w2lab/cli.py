@@ -16,18 +16,18 @@ new leg is one ``RunSettings`` field.  Every job gets one generator,
 ``rng_for(root seed, *the UTF-8 bytes of its id)``: distinct ids are distinct
 seed paths, so a job's numbers depend on the root seed and its id alone,
 never on the worker count, the job order or which other jobs run.  The
-experiment records are stated here, as ``Verdict(case, lhs, rhs)``; each
-passes exactly when lhs <= rhs, so a window around a centre is recorded as
-``(|x - centre|, half-width)``.  A
+experiment records are stated here, as ``Verdict(case, lhs, rhs)``: a window
+around a centre as ``(|x - centre|, half-width)``, a side resting on W2(S_n, Z),
+known only from below by the lattice floor, with an infinite edge.  A
 record depends on the leg's config, never on its name: a rate leg gets the
 slope window exactly when its estimator is the quantile coupling.  Each
 job states its anchor once (a checker's ``REGISTRY`` entry, or one constant
 per experiment kind here) and stamps it, with its checker id, on every record.
 
-Artifacts land in the output directory: ``verdicts.json``, plus for the
-experiments ``tables/*.csv`` and ``plotdata/*.dat`` read from the named
-fields of each report's points, every file stamped with the config hash and
-root seed.  Exit status: 0 when nothing
+Artifacts land in the output directory: ``verdicts.json`` (an unbounded edge
+as ``null``), plus for the experiments ``tables/*.csv`` and ``plotdata/*.dat``
+read from the named fields of each report's points, every file stamped with
+the config hash and root seed.  Exit status: 0 when nothing
 failed (inconclusive verdicts only warn), 1 on any failed verdict, 2 on
 usage or configuration errors.  Every artifact is written before the first
 verdict line prints, so a closed standard output loses none, and ``main``
@@ -37,6 +37,7 @@ then exits quietly with the same verdict status.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -149,7 +150,7 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
                     meta=_leg_meta(cfg, m_w2=cfg.m_w2))
     last = rep.points[-1]
     job.verdicts.append(Verdict("sqrt(n) x exact lattice floor at the largest n reaches the target",
-                                rep.target, last.sqrtn_floor, {"n": last.n}))
+                                rep.target, (last.sqrtn_floor, math.inf), {"n": last.n}))
     worst = max(p.sqrtn_floor - p.sqrtn_bound for p in rep.points)
     job.verdicts.append(Verdict("exact lattice floor below the rate bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
@@ -163,9 +164,10 @@ def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     cfg = getattr(settings, f"ci_{leg}")
     rep = ci_halfspace_experiment(cfg, rng)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg, w2_m=cfg.w2_m))
+    # W2 >= floor: delta's excess over the bound at W2 is at most its excess at the floor
     worst = max(p.delta - p.conversion_rhs for p in rep.points)
     job.verdicts.append(Verdict("exact delta below the conversion bound at every grid point",
-                                worst, 0.0, {"n_grid": list(cfg.n_grid)}))
+                                (-math.inf, worst), 0.0, {"n_grid": list(cfg.n_grid)}))
     job.verdicts.append(Verdict(f"log delta decay slope at most {CI_DECAY_SLOPE_MAX}",
                                 rep.decay_slope, CI_DECAY_SLOPE_MAX))
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}
@@ -224,6 +226,11 @@ def execute(settings: RunSettings, job_ids: list[str]) -> list[JobResult]:
     return sorted(results, key=lambda r: r.job_id)
 
 
+def _bounded(x: float):
+    """A record's number as JSON, which has no infinity: an unbounded edge is null."""
+    return None if math.isinf(x) else x
+
+
 def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
     cfg_dict = settings.semantic_dict()
     chash = config_hash(cfg_dict)
@@ -243,9 +250,11 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
                 "checker": res.checker,
                 "anchor": res.anchor,
                 "case": v.case,
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-                "margin": v.margin,
+                "lhs": _bounded(v.lhs),
+                "lhs_lo": _bounded(v.lhs_lo),
+                "rhs": _bounded(v.rhs),
+                "rhs_hi": _bounded(v.rhs_hi),
+                "margin": _bounded(v.margin),
                 "verdict": v.verdict,
                 "inputs": jsonable(v.inputs),
             })

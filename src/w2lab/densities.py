@@ -26,9 +26,9 @@ where the middle term is 2 * sum_k sigma_k^2 * E(f_[k] log f_[k] -
 f_[k-1] log f_[k-1]) and the right term 2 * sum_i sigma_i^2 * (E f^2 -
 E f_(i)^2).  W2 is computed by discretizing both densities onto a grid and
 solving exact discrete transport; the report carries Richardson-style error
-budgets, from which :mod:`w2lab.checks` decides each step as pass, fail or
-inconclusive: a step passes only when the upper edge of its error interval
-meets its bound.  The budget is a first-order error model, not a certificate.
+budgets and states each step once, as an error interval against its bound
+(:meth:`ChainReport.steps`).  The budget is a first-order error model, not a
+certificate.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ from .transport import w2_atomic_1d, w2_discrete_lp
 
 class QuadratureResolutionError(RuntimeError):
     """Self-reported quadrature failure: node counts disagree too much."""
-
-
-class InconclusiveGridError(RuntimeError):
-    """Grid resolutions disagree too much for any verdict on the chain."""
 
 
 def _mixture_eval(
@@ -396,12 +392,21 @@ class ChainGrid:
 @dataclass(frozen=True)
 class ChainReport:
     w2_sq: float  # Richardson-extrapolated estimate
-    w2_sq_raw: float  # fine-grid value (upper edge of the error interval)
+    w2_sq_raw: float  # fine-grid value
     rhs_entropy: float
     rhs_chi2: float
-    budget_w2: float
+    budget_w2: float  # infinite when the extrapolation collapsed
     budget_quad: float
     equality_atol: float  # rounding allowance of both steps' bounds
+
+    def steps(self) -> tuple:
+        """The two steps as (statement, (lo, hi), bound): an estimate +- its budget
+        against the next term plus ``equality_atol``; W2^2 >= 0 clips its lower edge."""
+        w2, quad = self.budget_w2 + self.budget_quad, self.budget_quad
+        return (("W2^2 <= entropy RHS", (max(self.w2_sq - w2, 0.0), self.w2_sq + w2),
+                 self.rhs_entropy + self.equality_atol),
+                ("entropy RHS <= chi-square RHS", (self.rhs_entropy - quad, self.rhs_entropy + quad),
+                 self.rhs_chi2 + self.equality_atol))
 
 
 def _entropy_functional(model: _RatioBase, nodes: int) -> np.ndarray:
@@ -465,11 +470,9 @@ def _grid_w2_sq(model: _RatioBase, cells: int, radius_sigmas: float):
 def talagrand_chain(model: _RatioBase, grid: ChainGrid) -> ChainReport:
     """Evaluate the chain W2^2 <= entropy-RHS <= chi2-RHS for one model.
 
-    Raises :class:`InconclusiveGridError` when the extrapolated W2^2 turns
-    substantially negative (the first-order error model has collapsed, so no
-    verdict is defensible); otherwise returns the estimates with the
-    Richardson correction as the conservative error budget, from which
-    :mod:`w2lab.checks` decides each step.
+    Returns the estimates with the Richardson correction as the W2^2 error
+    budget, which is infinite (the step's interval [0, inf)) when the
+    extrapolated W2^2 turns substantially negative: the error model collapsed.
     """
     if model.dim not in (1, 2):
         raise ValueError("the chain is computed for dim in {1, 2} only")
@@ -483,12 +486,7 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid) -> ChainReport:
     # then the upper edge of the reported interval).
     ratio = coarse_n / (fine_n - coarse_n)
     w2_extrap = w2_fine_raw - ratio * (w2_coarse - w2_fine_raw)
-    if w2_extrap < -0.25 * max(w2_fine_raw, 1e-12):
-        raise InconclusiveGridError(
-            f"grid resolutions disagree beyond the first-order error model: "
-            f"W2^2 = {w2_fine_raw!r} (fine) vs {w2_coarse!r} (coarse); "
-            "refine the grid"
-        )
+    collapsed = w2_extrap < -0.25 * max(w2_fine_raw, 1e-12)
     w2_est = max(w2_extrap, 0.0)
 
     ent_fine = _entropy_functional(model, GH_NODES_DEFAULT)
@@ -503,7 +501,7 @@ def talagrand_chain(model: _RatioBase, grid: ChainGrid) -> ChainReport:
     rhs_chi2_c = float((2.0 * var * chi_coarse).sum())
 
     scale = max(abs(w2_fine_raw), abs(rhs_entropy), abs(rhs_chi2), 1e-12)
-    budget_w2 = abs(w2_fine_raw - w2_est) + 4.0 * mass_loss * scale
+    budget_w2 = math.inf if collapsed else abs(w2_fine_raw - w2_est) + 4.0 * mass_loss * scale
     budget_quad = CHAIN_BUDGET_FACTOR * max(
         abs(rhs_entropy - rhs_entropy_c), abs(rhs_chi2 - rhs_chi2_c)
     )

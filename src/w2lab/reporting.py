@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def jsonable(obj):

@@ -11,43 +11,34 @@ import os
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from w2lab import cli
 from w2lab.checks import (
     L2_TABLES,
     REMAINDER_PAIRS,
+    _Q_EXACT_TOL,
     CheckSuiteConfig,
+    _q_zoo,
     chain_models_2d,
+    check_chi2_identity,
     check_conditional_l2,
     check_gauss_quad_expectation,
     check_halfspace_exact,
     check_ot_exact,
+    check_q_moments,
     check_remainder,
+    check_talagrand_1d,
+    check_talagrand_2d,
 )
 from w2lab.config import RunSettings
-from w2lab.densities import (
-    ChainGrid,
-    DensityRatioModel,
-    ExplicitDensityRatio,
-    density_second_moment_lhs,
-    density_second_moment_rhs,
-    talagrand_chain,
-)
 from w2lab.experiments import (
     ci_halfspace_experiment,
     clt_rate_experiment,
     lattice_lower_experiment,
 )
 from w2lab.bounds import increment_bound_check
-from w2lab.gaussmath import CovarianceSpec
-from w2lab.qstats import estimate_q_moments, r_of_n
-from w2lab.samplers import (
-    make_lattice_custom,
-    make_rademacher_product,
-    make_scaled_basis,
-)
+from w2lab.samplers import make_rademacher_product
 from w2lab.seeding import rng_for
 
 SEED = 20260810
@@ -90,44 +81,29 @@ def test_criterion_02_ot_solver_correctness():
 
 def test_criterion_03_chi_square_identity():
     with criterion(3, "density-ratio second moment: quadrature vs enumeration, 5 samplers"):
-        cases = [
-            (make_rademacher_product(1, 1.0), 10),
-            (make_rademacher_product(2, 1.0), 12),
-            (make_scaled_basis(2, math.sqrt(2.0)), 20),
-            (make_lattice_custom(np.array([[-1.0], [2.0]]),
-                                 np.array([2 / 3, 1 / 3])), 16),
-            (make_lattice_custom(
-                np.array([[-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]),
-                np.full(4, 0.25)), 30),
-        ]
-        assert len(cases) >= 5
-        for s, n in cases:
+        zoo = _q_zoo()
+        assert len(zoo) >= 5
+        for s, n in zoo:
             assert n >= 5.0 * s.bound**2 / s.cov.sigma_min**2 * (1 - 1e-9)
-            lhs = density_second_moment_lhs(DensityRatioModel(s, n))
-            rhs = density_second_moment_rhs(s, n)
-            assert abs(lhs - rhs) <= 1e-6, (s.kind, s.dim, n, lhs, rhs)
+        records = {v.case: v for v in check_chi2_identity(CheckSuiteConfig(),
+                                                          job_rng("check:chi2-identity"))}
+        assert all(v.verdict == "pass" for v in records.values())
+        for s, n in zoo:
+            # |quadrature - enumeration|, one record per law of the zoo
+            identity = records[f"{s.kind} d={s.dim} n={n}"]
+            assert identity.rhs == 1e-6 and identity.lhs <= 1e-6
 
 
 def test_criterion_04_q_moment_suite():
     with criterion(4, "Q-moment identity to 1e-12 and all moment bounds on the zoo"):
-        zoo = [
-            (make_rademacher_product(1, 1.0), 10),
-            (make_rademacher_product(2, 1.0), 12),
-            (make_scaled_basis(2, math.sqrt(2.0)), 20),
-            (make_lattice_custom(np.array([[-1.0], [2.0]]),
-                                 np.array([2 / 3, 1 / 3])), 16),
-        ]
-        rules = ["mean_identity", "cross_moment", "square_moment",
+        # the mean identity's record is max_i |E Q_i + 1/(2(n^2-1)) + r(n)|
+        rules = ["exact mean identity", "cross_moment", "square_moment",
                  "coupled_moment", "total_square"]
-        # rounding allowance of the exact rules: the mean identity is an equality
-        exact_tol = {"mean_identity": 1e-12, "cross_moment": 1e-15}
-        for s, n in zoo:
-            rep = estimate_q_moments(s, n)
-            target = -1.0 / (2.0 * (n * n - 1.0)) - r_of_n(n)
-            assert float(np.max(np.abs(rep.e_qi - target))) <= 1e-12
-            assert [c.name for c in rep.checks] == rules
-            for c in rep.checks:
-                assert c.lhs <= c.rhs + exact_tol.get(c.name, 0.0), (s.kind, c)
+        assert _Q_EXACT_TOL["mean_identity"] <= 1e-12
+        records = check_q_moments(CheckSuiteConfig(), job_rng("check:q-moments"))
+        assert [v.case for v in records] == [f"{s.kind} d={s.dim} n={n} {rule}"
+                                             for s, n in _q_zoo() for rule in rules]
+        assert all(v.verdict == "pass" for v in records)
 
 
 def test_criterion_05_conditional_l2_and_remainder():
@@ -146,26 +122,22 @@ def test_criterion_05_conditional_l2_and_remainder():
 
 def test_criterion_06_talagrand_chain():
     with criterion(6, "transportation chain: d=1 equality cases and three d=2 models"):
-        cov = CovarianceSpec([1.0])
+        cfg = CheckSuiteConfig()
+        d1 = check_talagrand_1d(cfg, job_rng("check:talagrand-1d"))
+        d2 = check_talagrand_2d(cfg, job_rng("check:talagrand-2d"))
+        steps = ("W2^2 <= entropy RHS", "entropy RHS <= chi-square RHS")
+        # both steps of every model pass at the upper edge of their error
+        # intervals: nothing is inconclusive at the default grid
+        assert all(v.verdict == "pass" for v in d1 + d2), d1 + d2
+        assert all(v.margin > 0 for v in d2), d2
+        assert [v.case for v in d2] == [f"{name}: {step}" for name, _ in chain_models_2d()
+                                        for step in steps]
         for shift in (0.25, 0.5, 1.0):
-            def f(x, s=shift):
-                return np.exp(s * x[:, 0] - 0.5 * s * s)
-            rep = talagrand_chain(
-                ExplicitDensityRatio(f, cov),
-                ChainGrid(points_per_axis=4096, refine=2.0, radius_sigmas=12.8),
-            )
-            assert abs(rep.w2_sq - shift**2) <= 1e-6
-            assert abs(rep.rhs_entropy - shift**2) <= 1e-6
-        grid = ChainGrid(points_per_axis=24, refine=1.42, radius_sigmas=5.0)
-        for name, model in chain_models_2d():
-            rep = talagrand_chain(model, grid)
-            # both steps pass at the upper edge of their error intervals
-            assert (rep.w2_sq + rep.budget_w2 + rep.budget_quad
-                    <= rep.rhs_entropy + rep.equality_atol), (name, rep)
-            assert (rep.rhs_entropy + rep.budget_quad
-                    <= rep.rhs_chi2 + rep.equality_atol), (name, rep)
-            assert rep.rhs_entropy - rep.w2_sq > 0
-            assert rep.rhs_chi2 - rep.rhs_entropy > 0
+            records = {v.case.removeprefix(f"shift {shift}: "): v for v in d1
+                       if v.case.startswith(f"shift {shift}: ")}
+            assert set(records) == {"W2^2 equals shift^2", "entropy RHS equals shift^2", *steps}
+            for equality in ("W2^2 equals shift^2", "entropy RHS equals shift^2"):
+                assert records[equality].rhs == 1e-6 and records[equality].lhs <= 1e-6
 
 
 def test_criterion_07_increment_lemma():

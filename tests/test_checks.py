@@ -1,13 +1,14 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from w2lab import checks, experiments
 from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
-from w2lab.densities import ChainGrid
+from w2lab.densities import ChainGrid, ChainReport
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
@@ -57,26 +58,78 @@ def test_check_config_floor_accepted():
     assert grid.resolutions()[1] == 70
 
 
+INF, NAN = math.inf, math.nan
+
+
 @pytest.mark.parametrize("lhs,rhs,verdict", [
     (1.0, 2.0, "pass"), (2.0, 2.0, "pass"), (2.0, 1.0, "fail"),
-    (math.nan, 1.0, "fail"), (0.0, math.nan, "fail"), (-math.inf, 0.0, "pass"),
+    (NAN, 1.0, "fail"), (0.0, NAN, "fail"), (-INF, 0.0, "pass"),
 ])
 def test_verdict_is_lhs_at_most_rhs(lhs, rhs, verdict):
+    # a point on both sides is both edges of its side
     v = checks.Verdict("case", np.float64(lhs), rhs)
     assert v.verdict == verdict
-    assert type(v.lhs) is float and type(v.rhs) is float
-    assert checks.Verdict("case", lhs, rhs, inconclusive=True).verdict == "inconclusive"
+    assert all(type(e) is float for e in (v.lhs_lo, v.lhs, v.rhs, v.rhs_hi))
+    np.testing.assert_array_equal([v.lhs_lo, v.lhs, v.rhs, v.rhs_hi], [lhs, lhs, rhs, rhs])
     if verdict == "pass" and math.isfinite(lhs):
         assert v.margin == rhs - lhs >= 0
 
 
-@pytest.mark.parametrize("lower,upper,verdict", [
-    (0.0, 1.0, "pass"), (0.0, 1.5, "inconclusive"), (1.0, 1.5, "inconclusive"),
-    (1.2, 1.5, "fail"),
+@pytest.mark.parametrize("lhs,rhs,verdict", [
+    # an interval decides when it clears the other side and is inconclusive
+    # while it straddles it, on either side or both
+    ((0.0, 1.0), 1.0, "pass"), ((0.0, 1.5), 1.0, "inconclusive"),
+    ((1.0, 1.5), 1.0, "inconclusive"), ((1.2, 1.5), 1.0, "fail"),
+    (2.0, (2.0, 3.0), "pass"), (2.0, (1.0, 3.0), "inconclusive"),
+    (2.0, (1.0, 2.0), "inconclusive"), (2.0, (0.5, 1.5), "fail"),
+    ((1.0, 2.0), (1.5, 3.0), "inconclusive"), ((2.5, 3.0), (1.0, 2.0), "fail"),
+    # unbounded edges: a side unknown from above cannot pass, one unknown from
+    # the far side cannot fail, and the infinite edges compare as infinities
+    ((0.0, INF), 1.0, "inconclusive"), ((2.0, INF), 1.0, "fail"),
+    ((-INF, 2.0), 1.0, "inconclusive"), ((-INF, 0.5), 1.0, "pass"),
+    (2.0, (1.0, INF), "inconclusive"), (0.5, (1.0, INF), "pass"),
+    (2.0, (-INF, 1.0), "fail"), ((-INF, INF), (-INF, INF), "inconclusive"),
+    # a NaN on any of the four edges fails
+    ((NAN, 0.0), 1.0, "fail"), ((0.0, NAN), 1.0, "fail"),
+    (0.0, (NAN, 1.0), "fail"), (0.0, (1.0, NAN), "fail"),
+    ((NAN, 0.0), (1.0, INF), "fail"), ((-INF, 0.0), (1.0, NAN), "fail"),
 ])
-def test_chain_step_inconclusive_only_while_straddling(lower, upper, verdict):
-    v = checks._chain_step("step", upper, lower, 1.0)
-    assert (v.lhs, v.rhs, v.verdict) == (upper, 1.0, verdict)
+def test_verdict_rule_on_intervals(lhs, rhs, verdict):
+    v = checks.Verdict("case", lhs, rhs)
+    assert v.verdict == verdict
+    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = (s if isinstance(s, tuple) else (s, s) for s in (lhs, rhs))
+    # lhs and rhs are the inner edges, so the margin keeps its meaning
+    np.testing.assert_array_equal([v.lhs_lo, v.lhs, v.rhs, v.rhs_hi],
+                                  [lhs_lo, lhs_hi, rhs_lo, rhs_hi])
+    if verdict == "pass" and math.isfinite(lhs_hi):
+        assert v.margin == rhs_lo - lhs_hi >= 0
+
+
+def test_verdict_edges_are_floats_in_order():
+    v = checks.Verdict("case", (np.float64(0.5), np.float64(1.0)), (np.float64(2.0), INF))
+    assert all(type(e) is float for e in (v.lhs_lo, v.lhs, v.rhs, v.rhs_hi))
+    with pytest.raises(ValueError, match="out of order"):
+        checks.Verdict("case", (1.0, 0.5), 2.0)
+
+
+@pytest.mark.parametrize("w2_sq,budget_w2,verdict", [
+    (0.8, 0.0, "pass"), (0.8, 0.3, "inconclusive"), (1.5, 0.1, "fail"),
+    # a collapsed grid extrapolation: W2^2 is only known to lie in [0, inf)
+    (0.0, INF, "inconclusive"),
+])
+def test_chain_step_inconclusive_only_while_straddling(w2_sq, budget_w2, verdict):
+    rep = ChainReport(w2_sq=w2_sq, w2_sq_raw=w2_sq, rhs_entropy=1.0, rhs_chi2=2.0,
+                      budget_w2=budget_w2, budget_quad=0.1, equality_atol=0.0)
+    w2_step, quad_step = (checks.Verdict(*step) for step in rep.steps())
+    assert w2_step.case == "W2^2 <= entropy RHS" and w2_step.rhs == w2_step.rhs_hi == 1.0
+    # the grid and quadrature budgets both widen it, and W2^2 >= 0 clips its lower edge
+    budget = budget_w2 + 0.1
+    assert (w2_step.lhs_lo, w2_step.lhs) == (max(w2_sq - budget, 0.0), w2_sq + budget)
+    assert w2_step.verdict == verdict
+    # the quadrature step does not depend on the grid
+    assert quad_step.case == "entropy RHS <= chi-square RHS"
+    assert (quad_step.lhs_lo, quad_step.lhs, quad_step.rhs) == (0.9, 1.1, 2.0)
+    assert quad_step.verdict == "pass"
 
 
 def corrupt_cov(s, factor):
@@ -107,15 +160,33 @@ def test_q_moments_records_come_from_the_report():
 
 
 def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):
-    floor = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
-    assert floor.case == "exact floor^2 matches the Monte Carlo mean of d_L(Z)^2"
-    assert floor.verdict == "pass" and floor.inputs == {"draws": checks.FLOOR_DRAWS}
-    # a floor 2% too high is caught
     exact = checks.expected_lattice_distance
-    monkeypatch.setattr(checks, "expected_lattice_distance",
-                        lambda cov, spec: 1.02 * exact(cov, spec))
-    broken = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
-    assert broken.verdict == "fail"
+    # a floor off by 2%, or by 1e-9 relative, is caught
+    for factor, verdict in ((1.0, "pass"), (1.02, "fail"), (1 + 1e-9, "fail")):
+        monkeypatch.setattr(checks, "expected_lattice_distance",
+                            lambda cov, spacing: factor * exact(cov, spacing))
+        floor = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
+        assert floor.case == ("exact floor^2 matches the Poisson series of E d_L(Z)^2 "
+                              "to 1e-10 relative")
+        assert floor.rhs == 1e-10 and floor.inputs == {}
+        assert floor.verdict == verdict, factor
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("ratio", [1 / 64, 0.05, 0.2, 0.5, 1.0, 2.0, 3.0])
+def test_poisson_floor_series_matches_mpmath(sigma, ratio):
+    # the series to convergence at 40 digits; the checker's series stops at
+    # FLOOR_SERIES_TERMS terms
+    h = ratio * sigma
+    with mpmath.workdps(40):
+        ref = h**2 / 12 + h**2 / mpmath.pi**2 * mpmath.nsum(
+            lambda k: (-1) ** k / k**2 * mpmath.exp(-2 * mpmath.pi**2 * k**2 * sigma**2 / h**2),
+            [1, mpmath.inf])
+        assert checks._poisson_floor_sq(CovarianceSpec([sigma]), h) == pytest.approx(
+            float(ref), rel=1e-14)
+        cov = CovarianceSpec([sigma, 0.5 * sigma])
+        assert checks._poisson_floor_sq(cov, h) == pytest.approx(
+            sum(checks._poisson_floor_sq(CovarianceSpec([s]), h) for s in cov.sigmas), rel=1e-15)
 
 
 def test_halfspace_exact_draws_nothing_and_passes():

@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -33,12 +34,23 @@ ACCEPTED_KEYS = {
 }
 
 
-def assert_verdicts_follow_margins(records):
-    """Every decided record passes exactly when its margin rhs - lhs is >= 0."""
+# the infinity a null edge stands for, by key
+UNBOUNDED = {"lhs_lo": -math.inf, "lhs": math.inf, "rhs": -math.inf, "rhs_hi": math.inf}
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in verdicts.json")
+
+
+def assert_verdicts_follow_the_rule(records):
+    """Every record's margin is rhs - lhs, and its verdict is the one rule on its
+    four edges: pass when lhs <= rhs, else inconclusive when lhs_lo <= rhs_hi."""
     for r in records:
-        assert r["margin"] == r["rhs"] - r["lhs"], r
-        if r["verdict"] != "inconclusive":
-            assert (r["verdict"] == "pass") == (r["margin"] >= 0), r
+        lhs_lo, lhs, rhs, rhs_hi = (UNBOUNDED[k] if r[k] is None else r[k] for k in UNBOUNDED)
+        margin = rhs - lhs
+        assert r["margin"] == (None if math.isinf(margin) else margin), r
+        rule = "pass" if lhs <= rhs else "inconclusive" if lhs_lo <= rhs_hi else "fail"
+        assert r["verdict"] == rule, r
 
 
 class TestRegistry:
@@ -531,14 +543,15 @@ class TestMainEndToEnd:
         out = tmp_path / "out"
         rc = cli.main(["check", "--config", SMOKE, "--workers", "1", "--out", str(out)])
         assert rc == 0
-        records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        records = json.loads((out / "verdicts.json").read_text(),
+                             parse_constant=refuse_constant)["verdicts"]
         anchors = {e.checker_id: e.anchor for e in REGISTRY}
         assert {r["job"] for r in records} == {f"check:{cid}" for cid in anchors}
         for r in records:
             cid = r["job"].removeprefix("check:")
             assert r["checker"] == cid, r
             assert r["anchor"] == anchors[cid], r
-        assert_verdicts_follow_margins(records)
+        assert_verdicts_follow_the_rule(records)
 
     @pytest.mark.parametrize("ini,subcommands,all_pass", [
         # grid wide enough for the slope window to apply meaningfully
@@ -572,7 +585,7 @@ class TestMainEndToEnd:
             for r in records:
                 assert r["checker"] == r["job"].replace(":", "-")
                 assert r["anchor"] == anchors[sub]
-            assert_verdicts_follow_margins(records)
+            assert_verdicts_follow_the_rule(records)
         lines = open(os.path.join(tmp_path, "rate", "tables", "rate_d1.csv")).read().splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert any("config_hash=" in l for l in meta)
@@ -678,11 +691,55 @@ class TestMainEndToEnd:
         s = RunSettings()
         j = JobResult(
             job_id="check:fake", anchor="anchor",
-            verdicts=[Verdict("case", 0.0, 0.0, inconclusive=True)],
+            verdicts=[Verdict("case", (0.0, 2.0), 1.0)],  # straddles its bound
         )
         rc = emit(dataclasses.replace(s, out_dir=str(tmp_path / "o")), [j], verbose=1)
         assert rc == 0
         assert "warning" in capsys.readouterr().out
+        [rec] = json.loads((tmp_path / "o" / "verdicts.json").read_text())["verdicts"]
+        assert [rec[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")] == [
+            0.0, 2.0, 1.0, 1.0, -1.0, "inconclusive"]
+
+    def test_unbounded_edges_are_written_as_null(self, tmp_path):
+        j = JobResult(job_id="check:fake", anchor="anchor", verdicts=[
+            Verdict("open above", (0.0, math.inf), 1.0),
+            Verdict("open at both outer edges", (-math.inf, 0.5), (1.0, math.inf)),
+        ])
+        out = tmp_path / "o"
+        assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 0
+        payload = json.loads((out / "verdicts.json").read_text(), parse_constant=refuse_constant)
+        assert payload["schema_version"] == 5
+        assert [[r[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")]
+                for r in payload["verdicts"]] == [
+            [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"]]
+        assert_verdicts_follow_the_rule(payload["verdicts"])
+
+    def test_one_sided_w2_records_read_inconclusive_when_the_floor_falls_short(
+            self, tmp_path, monkeypatch):
+        # W2(S_n, Z) is known only from below, by the lattice floor: a floor short of
+        # the lower target, or a conversion bound at the floor below delta, refutes nothing
+        p = tmp_path / "tiny.ini"
+        p.write_text(TINY_EXPERIMENTS)
+        settings = load_settings(str(p))
+        lower, ci = experiments.lattice_lower_experiment, experiments.ci_halfspace_experiment
+
+        def high_target(cfg, rng):
+            return dataclasses.replace(lower(cfg, rng), target=10.0)
+
+        def low_conversion(cfg, rng):
+            rep = ci(cfg, rng)
+            return dataclasses.replace(rep, points=tuple(
+                dataclasses.replace(q, conversion_rhs=0.5 * q.delta) for q in rep.points))
+
+        monkeypatch.setattr(cli, "lattice_lower_experiment", high_target)
+        monkeypatch.setattr(cli, "ci_halfspace_experiment", low_conversion)
+        reach = cli.run_job(settings, "lower:d1").verdicts[0]
+        below = cli.run_job(settings, "ci:d1").verdicts[0]
+        assert reach.case == "sqrt(n) x exact lattice floor at the largest n reaches the target"
+        assert below.case == "exact delta below the conversion bound at every grid point"
+        assert reach.lhs > reach.rhs and below.lhs > below.rhs  # the floor falls short
+        assert (reach.rhs_hi, below.lhs_lo) == (math.inf, -math.inf)
+        assert reach.verdict == below.verdict == "inconclusive"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from w2lab import densities, transport
+from w2lab.checks import CHAIN_RADIUS, Verdict, chain_models_2d
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.densities import (
     ChainGrid,
     DensityRatioModel,
     ExplicitDensityRatio,
-    InconclusiveGridError,
     QuadratureResolutionError,
     averaged_second_moment,
     density_normalization,
@@ -145,19 +146,10 @@ class TestSecondMoments:
                 assert lhs <= rhs + 1e-9
 
 
-def chain_step_edges(rep):
-    """Each chain step's error interval minus its bound, as (lower, upper).
-
-    The steps are W2^2 against the entropy RHS (budget: grid plus
-    quadrature) and the entropy RHS against the chi-square RHS (budget:
-    quadrature).  A step passes when upper <= ``rep.equality_atol``, fails
-    when lower > it, and is inconclusive in between.
-    """
-    budget = rep.budget_w2 + rep.budget_quad
-    step_w2 = rep.w2_sq - rep.rhs_entropy
-    step_chi2 = rep.rhs_entropy - rep.rhs_chi2
-    return ((step_w2 - budget, step_w2 + budget),
-            (step_chi2 - rep.budget_quad, step_chi2 + rep.budget_quad))
+def chain_verdicts(rep):
+    """The verdicts of the chain's two steps, W2^2 <= entropy RHS and entropy
+    RHS <= chi-square RHS, as both chain checkers record them."""
+    return [Verdict(*step).verdict for step in rep.steps()]
 
 
 class TestChain1d:
@@ -177,8 +169,7 @@ class TestChain1d:
         assert rep.rhs_chi2 == pytest.approx(
             2.0 * (math.exp(shift**2) - 1.0), abs=1e-6
         )
-        for _, upper in chain_step_edges(rep):
-            assert upper <= rep.equality_atol
+        assert chain_verdicts(rep) == ["pass", "pass"]
 
     def test_identity_ratio_all_zero(self):
         cov = CovarianceSpec([1.0])
@@ -189,8 +180,7 @@ class TestChain1d:
         assert rep.w2_sq == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs_entropy == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs_chi2 == pytest.approx(0.0, abs=1e-10)
-        for _, upper in chain_step_edges(rep):
-            assert upper <= rep.equality_atol
+        assert chain_verdicts(rep) == ["pass", "pass"]
 
 
 class TestChain2d:
@@ -199,37 +189,51 @@ class TestChain2d:
         rep = talagrand_chain(
             model, ChainGrid(points_per_axis=20, refine=1.5, radius_sigmas=5.0)
         )
-        (w2_lower, _), (_, chi2_upper) = chain_step_edges(rep)
-        assert chi2_upper <= rep.equality_atol  # pass
-        assert w2_lower <= rep.equality_atol  # pass or inconclusive
+        w2_step, chi2_step = chain_verdicts(rep)
+        assert w2_step in ("pass", "inconclusive") and chi2_step == "pass"
         assert rep.w2_sq_raw >= rep.w2_sq
         assert rep.rhs_entropy <= rep.rhs_chi2 + 1e-9
 
     def test_under_resolved_never_false_verdict(self):
-        # weak perturbation far below grid resolution: must not claim pass/fail
+        # weak perturbation far below grid resolution: the W2^2 step must not
+        # claim pass or fail; the quadrature step still decides
         model = DensityRatioModel(make_scaled_basis(2, math.sqrt(2.0)), 12)
-        try:
-            rep = talagrand_chain(
-                model, ChainGrid(points_per_axis=12, refine=1.5, radius_sigmas=5.0)
-            )
-        except InconclusiveGridError:
-            return
-        (w2_lower, w2_upper), _ = chain_step_edges(rep)
-        assert w2_lower <= rep.equality_atol < w2_upper  # inconclusive
+        rep = talagrand_chain(
+            model, ChainGrid(points_per_axis=12, refine=1.5, radius_sigmas=5.0)
+        )
+        assert chain_verdicts(rep) == ["inconclusive", "pass"]
 
     def test_mismatched_cov_model_runs(self):
         # sigmas (2, 1) with an independent scaled-basis perturbation
         s = make_scaled_basis(2, 5.0)
         model = DensityRatioModel(s, 50, cov=CovarianceSpec([2.0, 1.0]))
-        try:
-            rep = talagrand_chain(
-                model, ChainGrid(points_per_axis=16, refine=1.4, radius_sigmas=5.0)
-            )
-        except InconclusiveGridError:
-            return
-        (w2_lower, _), _ = chain_step_edges(rep)
-        assert w2_lower <= rep.equality_atol  # not a fail
+        rep = talagrand_chain(
+            model, ChainGrid(points_per_axis=16, refine=1.4, radius_sigmas=5.0)
+        )
+        w2_step, chi2_step = chain_verdicts(rep)
+        assert w2_step != "fail" and chi2_step == "pass"
         assert rep.rhs_entropy <= rep.rhs_chi2 + 1e-9
+
+    def test_collapsed_grid_leaves_the_w2_step_open(self, monkeypatch):
+        # smoke's grid on the asymmetric product model: the two resolutions
+        # disagree beyond the first-order error model
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return transport.w2_discrete_lp(*args)
+
+        monkeypatch.setattr(densities, "w2_discrete_lp", counted)
+        [model] = [m for name, m in chain_models_2d() if name == "asymmetric product n=2"]
+        rep = talagrand_chain(model, ChainGrid(16, 1.5, CHAIN_RADIUS))
+        assert len(solves) == 2  # one LP per grid resolution
+        assert rep.budget_w2 == math.inf
+        w2_step, chi2_step = (Verdict(*step) for step in rep.steps())
+        assert (w2_step.lhs_lo, w2_step.lhs) == (0.0, math.inf)
+        assert w2_step.verdict == "inconclusive"
+        # the quadrature step does not depend on the grid and gets a real verdict
+        assert math.isfinite(chi2_step.lhs) and chi2_step.lhs - chi2_step.lhs_lo < 1e-8
+        assert chi2_step.verdict == "pass"
 
     def test_rejects_higher_dims(self):
         cov = CovarianceSpec([1.0, 1.0, 1.0])
