@@ -133,7 +133,7 @@ def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
                                     {"slope": rep.fit.slope,
                                      "correlation": rep.fit.correlation}))
     job.fits[f"rate_{leg}"] = asdict(rep.fit)
-    job.tables[f"rate_{leg}"] = _table(rep.points, "n", "w2_hat", "ci_lo", "ci_hi", "bound")
+    job.tables[f"rate_{leg}"] = _table(rep.points, "n", "w2_hat", "bound")
     job.tables[f"rate_{leg}_replicas"] = (
         ("n", "replica", "w2_hat"),
         [(p.n, r, v) for p in rep.points for r, v in enumerate(p.replica_values)],

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def jsonable(obj):

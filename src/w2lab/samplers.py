@@ -9,9 +9,11 @@ Sums of n i.i.d. draws are sampled in O(1)-per-n time via multinomial
 outcome counts; this is an exact distributional identity, not an
 approximation.
 
-:func:`validate_sampler` measures a sampler's moments against its
-declarations; the checker that calls it decides, with ``SE_FACTOR``
-standard errors of slack.
+The ``sampler-zoo`` checker (:mod:`w2lab.checks`) verifies each law's
+hypotheses exactly from its outcomes and probabilities.
+:func:`validate_sampler` and :meth:`BoundedSampler.draw` feed no job; they
+stay because ``perfbench/tracing.py`` pins them, until the benchmark's
+revision (ROADMAP item 1) releases them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .gaussmath import CovarianceSpec
 ENUMERATION_CAP = 2**16
 NORM_SLACK = 1e-12
 VALIDATE_MIN_DRAWS = 10**4  # fewest draws validate_sampler accepts
-# standard errors a Monte Carlo check widens its inequality by before failing
-SE_FACTOR = 5.0
 
 
 class SamplerInvariantError(RuntimeError):

@@ -22,7 +22,9 @@ Solver menu:
   Gauss-Hermite sum over bisected mixture quantiles; the increment step's
   distance.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
-  unequal sizes; no job runs it.
+  unequal sizes; no job runs it, and it stays because
+  ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
+  item 1) releases it.
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
   1-d projections; no job runs it.
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport

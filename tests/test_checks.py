@@ -37,9 +37,8 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
 
 
 @pytest.mark.parametrize("bad", [
-    # a zero count fails the validator's floor, a NaN refinement the (1, inf) range
-    {"sampler_validate_m": 0}, {"chain_refine": math.nan}, {"sampler_validate_m": 9999},
-    {"chain_grid_2d": 0},
+    # a zero count fails the count floor, a NaN refinement the (1, inf) range
+    {"chain_grid_2d": 0}, {"chain_refine": math.nan},
     {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
     {"chain_refine": 100.0}, {"chain_grid_2d": 80},
 ])
@@ -49,9 +48,9 @@ def test_check_config_sizes_validated(bad):
 
 
 def test_check_config_floor_accepted():
-    # n = 5 is the increment checker's hypothesis floor, 5 beta^2 / sigma^2
-    cfg = CheckSuiteConfig(sampler_validate_m=10**4)
-    assert cfg.sampler_validate_m == 10**4
+    # a count of 1 is the floor
+    cfg = CheckSuiteConfig(chain_grid_2d=1)
+    assert cfg.chain_grid_2d == 1
     # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
     cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)
     grid = ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, checks.CHAIN_RADIUS)
@@ -132,21 +131,59 @@ def test_chain_step_inconclusive_only_while_straddling(w2_sq, budget_w2, verdict
     assert quad_step.verdict == "pass"
 
 
+def _zoo_records(monkeypatch, entry):
+    """The moment and norm records of a zoo holding only ``entry``."""
+    monkeypatch.setattr(checks, "_sampler_zoo", lambda: [entry])
+    moments, norm, _ = checks.check_sampler_zoo(CheckSuiteConfig(), np.random.default_rng(3))
+    return moments, norm
+
+
 def corrupt_cov(s, factor):
     """A copy of ``s`` whose declared standard deviations are scaled by ``factor``."""
     return replace(s, cov=CovarianceSpec(factor * s.cov.sigmas))
 
 
-def test_wrong_covariance_fails_statistical_validation(monkeypatch):
+def test_wrong_covariance_fails_the_moment_record(monkeypatch):
+    # scaled_basis(2, 2) has Sigma = 2 I; its declared Sigma scaled to 4.5 I fails
     bad = corrupt_cov(make_scaled_basis(2, 2.0), 1.5)
-    monkeypatch.setattr(checks, "_sampler_zoo", lambda: [bad])
-    out = checks.check_sampler_zoo(CheckSuiteConfig(sampler_validate_m=10**4),
-                                   np.random.default_rng(3))
-    [rec] = [v for v in out if v.case.endswith("statistical validation")]
-    assert rec.verdict == "fail"
-    assert rec.lhs > rec.rhs == 1.0
-    [norm] = [v for v in out if v.case.endswith("hard norm bound")]
+    moments, norm = _zoo_records(monkeypatch, (bad, 2.0, 2.0))
+    assert moments.verdict == "fail"
+    assert moments.lhs == pytest.approx(2.5, rel=1e-12) and moments.rhs == 1e-12
+    assert norm.verdict == "pass" and norm.lhs == 0.0
+
+
+def test_correlated_outcomes_fail_the_moment_record(monkeypatch):
+    # all mass on (-1, -1) and (1, 1): mean zero, norms sqrt 2, the declared Sigma
+    # still I, but E X X^T has off-diagonal 1
+    s = make_rademacher_product(2, 1.0)
+    bad = replace(s, probs=np.array([0.5, 0.0, 0.0, 0.5]))
+    moments, norm = _zoo_records(monkeypatch, (bad, 1.0, math.sqrt(2.0)))
+    assert moments.verdict == "fail" and moments.lhs == pytest.approx(1.0, rel=1e-12)
     assert norm.verdict == "pass"
+
+
+def test_bound_below_an_outcome_norm_fails_the_norm_record(monkeypatch):
+    short = replace(make_scaled_basis(2, 2.0), bound=1.5)
+    moments, norm = _zoo_records(monkeypatch, (short, 2.0, 2.0))
+    assert moments.verdict == "pass"
+    assert norm.verdict == "fail" and norm.lhs == pytest.approx(0.5, rel=1e-12)
+
+
+def test_gauss_sampling_scaled_by_variances_fails(monkeypatch):
+    def by_variances(cov, count, rng, time_scale=1.0):
+        return rng.standard_normal((count, cov.dim)) * (math.sqrt(time_scale) * cov.variances)
+
+    monkeypatch.setattr(checks, "sample_gaussian", by_variances)
+    out = checks.check_gauss_sampling(CheckSuiteConfig(), np.random.default_rng(3))
+    # variances equal sigmas only at sigma = 1: the sigma = (2, 1, 0.5) case catches it
+    assert [v.verdict for v in out] == ["pass", "pass", "fail"]
+
+
+@pytest.mark.parametrize("checker", [checks.check_gauss_sampling, checks.check_sampler_zoo])
+def test_exact_sampling_records_do_not_depend_on_the_generator(checker):
+    first, second = (checker(CheckSuiteConfig(), np.random.default_rng(seed)) for seed in (1, 2))
+    assert first == second
+    assert all(v.verdict == "pass" for v in first)
 
 
 def test_q_moments_records_come_from_the_report():

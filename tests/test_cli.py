@@ -27,7 +27,7 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
-    "check": {"sampler_validate_m", "chain_grid_2d", "chain_refine"},
+    "check": {"chain_grid_2d", "chain_refine"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
@@ -88,7 +88,7 @@ class TestConfig:
 
     def test_smoke_file_overrides(self):
         s = load_settings(SMOKE)
-        assert s.check.sampler_validate_m == 100000
+        assert s.check.chain_grid_2d == 16
         assert s.rate_d1.m == 20000
         assert s.rate_d1.n_grid == (16, 64, 256, 1024)
 
@@ -156,7 +156,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 51
+        assert sum(len(k) for k in keys.values()) == 50
 
     def test_smoke_sets_every_check_knob_off_its_default(self):
         # a [check] key exists only for a workload that needs another value
@@ -330,7 +330,7 @@ w2_m = 50
 """
 
 TABLE_HEADERS = {
-    **{f"rate_{leg}": "n,w2_hat,ci_lo,ci_hi,bound" for leg in ("d1", "d2")},
+    **{f"rate_{leg}": "n,w2_hat,bound" for leg in ("d1", "d2")},
     **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
     **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
     **{f"ci_{leg}": "n,delta,w2_hat,floor,conversion_rhs" for leg in ("d1", "d2")},
@@ -449,8 +449,6 @@ class TestMainEndToEnd:
         ("rate", "[run]\nseed = -1\n", "[run]: seed must be >= 0, got -1"),
         ("list", "[rate_d2]\nm = 6000\n",
          "[rate_d2]: exact assignment is capped at 5000 points per cloud, got 6000"),
-        ("check", "[check]\nsampler_validate_m = 0\n",
-         "[check]: sampler_validate_m must be >= 10000, got 0"),
         ("ci", "[ci_d1]\nw2_m = 0\n", "[ci_d1]: need at least 1 point per W2 cloud, got 0"),
         ("ci", "[ci_d2]\nw2_m = 0\n", "[ci_d2]: need at least 1 point per W2 cloud, got 0"),
         ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes and probabilities must be finite"),
@@ -491,6 +489,9 @@ class TestMainEndToEnd:
         ("check", "[check]\nl2_tables = 5\n", "unknown key 'l2_tables' in section [check]"),
         ("check", "[check]\nremainder_pairs = 5\n",
          "unknown key 'remainder_pairs' in section [check]"),
+        # the sampling checkers are exact and take no draw count
+        ("check", "[check]\nsampler_validate_m = 0\n",
+         "unknown key 'sampler_validate_m' in section [check]"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, capsys, monkeypatch, subcommand, ini, message):
@@ -708,7 +709,7 @@ class TestMainEndToEnd:
         out = tmp_path / "o"
         assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 0
         payload = json.loads((out / "verdicts.json").read_text(), parse_constant=refuse_constant)
-        assert payload["schema_version"] == 5
+        assert payload["schema_version"] == 6
         assert [[r[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")]
                 for r in payload["verdicts"]] == [
             [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"]]
