@@ -6,17 +6,24 @@ order, so a report is bit-identical across runs and across worker counts.
 The lattice floor, on which the lower and ci verdicts rest, is exact and
 draws nothing; so is the halfspace statistic, the exact law of S_n along a
 fixed direction family, which the ``halfspace-exact`` checker
-(:mod:`w2lab.checks`) certifies against enumeration.  The ci legs draw only
-their reported W2 clouds.
+(:mod:`w2lab.checks`) certifies against enumeration.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
 
-Every W2(S_n, Z) estimate is one :func:`_w2_of_sum` draw, whose estimator
+W2(S_n, Z) is exact wherever the sampler's law factorises into independent
+one-dimensional lattice walks (:func:`lattice_factors`): in the canonical
+frame, or in d = 2 in the frame turned by 45 degrees.  That covers every
+default leg.  Each walk's law of S_n is a :func:`walk_pmf` convolution
+power, the one law engine that the halfspace statistic reads too, and its
+W2 to the Gaussian coordinate is the closed-form quantile-cell sum
+:func:`w2lab.transport.w2_atoms_gaussian_1d`; such a leg draws nothing.  Any
+other law keeps one :func:`_w2_of_sum` draw per estimate, whose estimator
 the sampler's dimension picks (:func:`w2lab.transport.estimate_w2`): the
 quantile coupling in one dimension, exact assignment otherwise.  A config
 checks at construction everything that depends on it alone (the sampler
-builds, the n grid, the cloud sizes against the exact-assignment cap, the
-lower and ci legs' lattice support), so a bad config fails before any compute.
+builds, the n grid, the cloud sizes against the exact-assignment cap on a
+leg that runs assignment, the lower and ci legs' lattice support), so a bad
+config fails before any compute.
 """
 
 from __future__ import annotations
@@ -37,12 +44,20 @@ from .samplers import (
     make_scaled_basis,
     require_lattice_support,
 )
-from .transport import EXACT_CAP_DEFAULT, estimate_w2
+from .transport import EXACT_CAP_DEFAULT, estimate_w2, w2_atoms_gaussian_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
 from .transport import w2_exact  # noqa: F401
 
 # the rate and ci legs' n grid: 16 to 4096 in powers of 2
 N_GRID_DEFAULT = tuple(2**k for k in range(4, 13))
+# the most lattice steps one draw may span along a coordinate of an exact law:
+# the pmf of S_n there has at most WALK_SPAN_CAP n + 1 points
+WALK_SPAN_CAP = 16
+# how far, in lattice steps, an outcome may lie from its lattice point
+_LATTICE_TOL = 1e-9
+# the d = 2 frame turned by 45 degrees: scaled_basis(2, beta) read in it is
+# rademacher_product(2, beta / sqrt(2))
+_DIAGONAL_FRAME = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,103 @@ class SamplerSpec:
         raise ValueError(f"unknown sampler kind {self.kind!r}")
 
 
+# ---------------------------------------------------------------------------
+# The exact law of S_n
+# ---------------------------------------------------------------------------
+
+def walk_pmf(kernel, n: int) -> np.ndarray:
+    """pmf at k = 0..n (len(kernel) - 1) of a sum of n i.i.d. steps in {0, ...,
+    len(kernel) - 1}, whose probabilities ``kernel`` holds: its n-fold
+    ``np.convolve`` power, by squaring.  The one law engine of this module."""
+    pmf, power = np.ones(1), np.asarray(kernel, dtype=float)
+    while n:
+        if n & 1:
+            pmf = np.convolve(pmf, power)
+        n >>= 1
+        if n:
+            power = np.convolve(power, power)
+    return pmf
+
+
+@dataclass(frozen=True)
+class LatticeWalk:
+    """A coordinate's law, ``start + span * k`` with k ~ ``kernel`` on {0, ...,
+    len(kernel) - 1}, with its Gaussian counterpart N(0, sd^2)."""
+
+    start: float
+    span: float
+    kernel: tuple
+    sd: float
+
+    def w2(self, n: int) -> float:
+        """Exact W2(n^{-1/2} (X_1 + ... + X_n), N(0, sd^2)), whose law is the
+        :func:`walk_pmf` power on the points ``n start + span k``."""
+        pmf = walk_pmf(self.kernel, n)
+        atoms = (n * self.start + self.span * np.arange(len(pmf))) / math.sqrt(n)
+        return w2_atoms_gaussian_1d(atoms, pmf, self.sd)
+
+
+def _lattice_walk(values: np.ndarray, probs: np.ndarray, sd: float) -> Optional[LatticeWalk]:
+    """Values (of positive masses ``probs``) as a :class:`LatticeWalk`, on the
+    coarsest lattice through them, or None past ``WALK_SPAN_CAP`` steps."""
+    start = float(values.min())
+    width = float(values.max()) - start
+    for steps in range(1, WALK_SPAN_CAP + 1):
+        k = (values - start) * (steps / width)
+        if np.all(np.abs(k - np.rint(k)) <= _LATTICE_TOL):
+            kernel = np.bincount(np.rint(k).astype(int), weights=probs, minlength=steps + 1)
+            return LatticeWalk(start, width / steps, tuple(kernel.tolist()), sd)
+    return None
+
+
+def lattice_factors(s: BoundedSampler) -> Optional[tuple]:
+    """The sampler's law as independent :class:`LatticeWalk` coordinates of an
+    orthonormal frame, or None when it has no such form.
+
+    The frames tried are the canonical one and, in d = 2, the one turned by
+    45 degrees.  A frame serves when each coordinate is a lattice walk and the
+    joint law is their product: as many support points as the product of the
+    kernels' supports, each with the product of its coordinates' masses (to
+    1e-12).  The law of S_n is then the product of the walks' laws, and so is
+    N(0, Sigma): each coordinate's variance is its own, ``sd^2``.
+    """
+    live = s.probs > 0
+    probs = s.probs[live]
+    for frame in [np.eye(s.dim)] + ([_DIAGONAL_FRAME] if s.dim == 2 else []):
+        coords = s.outcomes[live] @ frame.T
+        sds = np.sqrt(frame**2 @ s.cov.variances)
+        walks = [_lattice_walk(col, probs, float(sd)) for col, sd in zip(coords.T, sds)]
+        if any(w is None for w in walks):
+            continue
+        index = np.rint((coords - [w.start for w in walks]) / [w.span for w in walks]).astype(int)
+        order = np.lexsort(index.T)  # equal cells adjacent; np.unique(axis=0) is 20x slower
+        index = index[order]
+        first = np.r_[True, np.any(index[1:] != index[:-1], axis=1)]
+        cells, mass = index[first], np.add.reduceat(probs[order], np.flatnonzero(first))
+        product = np.prod([np.asarray(w.kernel)[col] for w, col in zip(walks, cells.T)], axis=0)
+        support = math.prod(np.count_nonzero(w.kernel) for w in walks)
+        if len(cells) == support and np.max(np.abs(mass - product)) <= 1e-12:
+            return tuple(walks)
+    return None
+
+
+def exact_w2_of_sum(factors: tuple, n: int) -> float:
+    """Exact W2(S_n, Z) of a law given by its :func:`lattice_factors`: the
+    root of the sum of the coordinates' squared values (the product of the
+    coordinates' optimal couplings is optimal, and W2 is rotation-invariant)."""
+    return math.sqrt(math.fsum(walk.w2(n) ** 2 for walk in factors))
+
+
 class _ExperimentLeg:
     """The derived W2 estimator and the checks every experiment config shares."""
 
     @property
     def estimator(self) -> str:
-        """``quantile_1d`` for a one-dimensional sampler, ``exact`` otherwise."""
+        """``exact_law`` for a law with :func:`lattice_factors`; otherwise the
+        sampled estimator the dimension picks, ``quantile_1d`` in one dimension
+        and ``exact`` (assignment) in more."""
+        if lattice_factors(self.sampler.build()) is not None:
+            return "exact_law"
         return "quantile_1d" if self.sampler.dim == 1 else "exact"
 
     def _check_leg(self, cloud: int, fits_slope: bool = True) -> BoundedSampler:
@@ -144,7 +250,7 @@ class RateFit:
 @dataclass(frozen=True)
 class RatePoint:
     n: int
-    w2_hat: float  # replica mean
+    w2_hat: float  # replica mean: the exact value on an exact_law leg
     bound: float
     replica_values: tuple
 
@@ -180,17 +286,30 @@ def _w2_of_sum(s: BoundedSampler, n: int, m: int, rng: np.random.Generator) -> f
     return estimate_w2(sn, sample_gaussian(s.cov, m, rng))
 
 
-def clt_rate_experiment(cfg: RateExperimentConfig, rng: np.random.Generator) -> RateReport:
-    """Estimate W2(S_n, Z) over the n grid, with the rate bound at each n.
+def _w2_values(s: BoundedSampler, factors, n: int, m: int, rng: np.random.Generator,
+               replicas: int = 1) -> list:
+    """W2(S_n, Z): the one exact value when the law has lattice ``factors``
+    (drawing nothing), else ``replicas`` :func:`_w2_of_sum` estimates on
+    m-point clouds."""
+    if factors is not None:
+        return [exact_w2_of_sum(factors, n)]
+    return [_w2_of_sum(s, n, m, rng) for _ in range(replicas)]
 
-    Each replica draws a fresh (S_n cloud, Z cloud) pair from ``rng``, the
-    replicas of each n in turn.
+
+def clt_rate_experiment(cfg: RateExperimentConfig, rng: np.random.Generator) -> RateReport:
+    """W2(S_n, Z) over the n grid, with the rate bound at each n.
+
+    A law with :func:`lattice_factors` gets its exact value at each n, as a
+    one-element ``replica_values``, and draws nothing.  Any other law gets
+    ``replicas`` estimates at each n, each a fresh (S_n cloud, Z cloud) pair
+    from ``rng``, the replicas of each n in turn.
     """
     s = cfg.sampler.build()
+    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         bound = main_rate_bound(s.dim, s.bound, n)
-        vals = [_w2_of_sum(s, n, cfg.m, rng) for _ in range(cfg.replicas)]
+        vals = _w2_values(s, factors, n, cfg.m, rng, cfg.replicas)
         points.append(RatePoint(n=n, w2_hat=float(np.mean(vals)), bound=bound,
                                 replica_values=tuple(vals)))
     fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
@@ -266,14 +385,17 @@ def lattice_lower_experiment(
     so :func:`expected_lattice_distance` with that spacing lower-bounds
     W2(S_n, Z).  Its sqrt(n)-scaled value tends to beta sqrt(d / 12), above
     the target sqrt(d) * beta / 4, and must stay below the main rate bound.
-    The reported W2 estimate, never asserted, draws its clouds from ``rng``.
+    The W2 column is exact for a law with :func:`lattice_factors`, and then
+    lies above the floor; any other law's is an estimate, never asserted,
+    whose clouds ``rng`` draws.
     """
     s = cfg.sampler.build()
+    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
         floor = expected_lattice_distance(s.cov, ell)
-        w2_hat = _w2_of_sum(s, n, cfg.m_w2, rng)
+        [w2_hat] = _w2_values(s, factors, n, cfg.m_w2, rng)
         rn = math.sqrt(n)
         points.append(LowerBoundPoint(
             n=n, ell_n=ell, sqrtn_w2_hat=rn * w2_hat, sqrtn_floor=rn * floor,
@@ -289,7 +411,7 @@ def lattice_lower_experiment(
 class HalfspacePoint:
     n: int
     delta: float  # the exact halfspace statistic of S_n
-    w2_hat: float  # reported, never asserted: its positive bias favours the check
+    w2_hat: float  # reported, never asserted: exact, or an estimate whose bias favours the check
     floor: float  # the exact lattice floor, a lower bound on W2(S_n, Z)
     conversion_rhs: float  # 5 d^{1/6} floor^{2/3}
 
@@ -317,15 +439,8 @@ def conversion_bound(d: int, w2: float) -> float:
 
 def walk_cdf(kernel, n: int) -> np.ndarray:
     """CDF at k = -n..n of a sum of n i.i.d. steps in {-1, 0, 1}, whose
-    probabilities ``kernel`` holds: its n-fold ``np.convolve`` power, by squaring."""
-    pmf, power = np.ones(1), np.asarray(kernel, dtype=float)
-    while n:
-        if n & 1:
-            pmf = np.convolve(pmf, power)
-        n >>= 1
-        if n:
-            power = np.convolve(power, power)
-    return np.cumsum(pmf)
+    probabilities ``kernel`` holds: the running sum of :func:`walk_pmf`."""
+    return np.cumsum(walk_pmf(kernel, n))
 
 
 def walk_gap(kernel, n: int, sd: float) -> float:
@@ -369,15 +484,18 @@ def ci_halfspace_experiment(
 
     Both sides are exact: :func:`halfspace_distance`, and the conversion bound
     at the exact lattice floor of S_n (the config checks the sampler's lattice
-    support), which lies below W2(S_n, Z), so a pass is certified.  ``rng``
-    draws only the reported W2 clouds, for each n in turn.
+    support), which lies below W2(S_n, Z), so a pass is certified.  The
+    reported W2 column is exact for a law with :func:`lattice_factors`; for
+    any other law ``rng`` draws its clouds, for each n in turn.
     """
     s = cfg.sampler.build()
+    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))
+        [w2_hat] = _w2_values(s, factors, n, cfg.w2_m, rng)
         points.append(HalfspacePoint(
-            n=n, delta=halfspace_distance(s, n), w2_hat=_w2_of_sum(s, n, cfg.w2_m, rng),
+            n=n, delta=halfspace_distance(s, n), w2_hat=w2_hat,
             floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))
     fit = _loglog_fit([p.n for p in points], [max(p.delta, 1e-12) for p in points])
     return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)

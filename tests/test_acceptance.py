@@ -150,13 +150,15 @@ def test_criterion_07_increment_lemma():
 
 
 def test_criterion_08_rate_experiments():
-    with criterion(8, "rate bound pointwise (d=1 and d=2) and d=1 slope window"):
+    with criterion(8, "rate bound pointwise and slope window (d=1 and d=2)"):
         settings = RunSettings(seed=SEED)
         rep1 = clt_rate_experiment(settings.rate_d1, job_rng("rate:d1"))
         assert all(v <= p.bound for p in rep1.points for v in p.replica_values)
         assert -0.65 <= rep1.fit.slope <= -0.35, rep1.fit
         rep2 = clt_rate_experiment(settings.rate_d2, job_rng("rate:d2"))
         assert all(v <= p.bound for p in rep2.points for v in p.replica_values)
+        # both default legs rest on the exact law, so d=2 gets the window too
+        assert -0.65 <= rep2.fit.slope <= -0.35, rep2.fit
 
 
 def test_criterion_09_lattice_lower_bound():
@@ -172,6 +174,8 @@ def test_criterion_09_lattice_lower_bound():
             for p in rep.points:
                 assert abs(p.sqrtn_floor - s.bound * math.sqrt(s.dim / 12)) <= 1e-9, p
                 assert p.sqrtn_floor <= p.sqrtn_bound, p
+                # the W2 column is exact on both default legs, and above the floor
+                assert p.sqrtn_floor <= p.sqrtn_w2_hat, p
             if leg == 1:
                 assert last.sqrtn_w2_hat >= 0.24, last
 

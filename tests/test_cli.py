@@ -84,7 +84,7 @@ class TestConfig:
         s = RunSettings(seed=1)
         assert s.seed == 1
         assert s.rate_d1.sampler.kind == "rademacher_product"
-        assert s.rate_d2.estimator == "exact"
+        assert s.rate_d2.estimator == "exact_law"
 
     def test_smoke_file_overrides(self):
         s = load_settings(SMOKE)
@@ -423,14 +423,16 @@ class TestMainEndToEnd:
         assert cli.main(["check", "--config", "/no/such/file.ini"]) == 2
 
     def test_estimator_dim_mismatch_exits_2(self, tmp_path):
+        # [rate_d1]'s m = 10^5 is past the assignment cap, which a 3-d basis runs
         p = tmp_path / "bad.ini"
-        p.write_text("[rate_d1]\nsampler = scaled_basis\ndim = 2\n")
+        p.write_text("[rate_d1]\nsampler = scaled_basis\ndim = 3\n")
         assert cli.main(["rate", "--config", str(p)]) == 2
 
     def test_exact_cap_exits_2_before_compute(self, tmp_path):
+        # scaled_basis(3) has no exact law, so its leg runs assignment
         out = tmp_path / "out"
         p = tmp_path / "cap.ini"
-        p.write_text("[rate_d2]\nm = 6000\n")
+        p.write_text("[rate_d2]\ndim = 3\nm = 6000\n")
         assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 2
         assert not (out / "verdicts.json").exists()
 
@@ -447,7 +449,7 @@ class TestMainEndToEnd:
          "[lower_d1]: sampler kind='lattice_custom' support is not contained in beta*Z^d"),
         ("rate", "[rate_d1]\nm = 0\n", "[rate_d1]: need at least 1 point per W2 cloud, got 0"),
         ("rate", "[run]\nseed = -1\n", "[run]: seed must be >= 0, got -1"),
-        ("list", "[rate_d2]\nm = 6000\n",
+        ("list", "[rate_d2]\ndim = 3\nm = 6000\n",
          "[rate_d2]: exact assignment is capped at 5000 points per cloud, got 6000"),
         ("ci", "[ci_d1]\nw2_m = 0\n", "[ci_d1]: need at least 1 point per W2 cloud, got 0"),
         ("ci", "[ci_d2]\nw2_m = 0\n", "[ci_d2]: need at least 1 point per W2 cloud, got 0"),
@@ -558,9 +560,9 @@ class TestMainEndToEnd:
         # grid wide enough for the slope window to apply meaningfully
         ("[rate_d1]\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n"
          "[rate_d2]\nn_grid = 16 64\nreplicas = 3\nm = 400\n", ("rate",), True),
-        # a 2-d sampler in [rate_d1] and a 1-d one in [rate_d2]: the estimator,
+        # a 3-d sampler in [rate_d1] and a 1-d one in [rate_d2]: the estimator,
         # not the leg name, decides which leg gets the slope window
-        ("[rate_d1]\nsampler = scaled_basis\ndim = 2\nscale = 1.0\nn_grid = 16 64 256\n"
+        ("[rate_d1]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\nn_grid = 16 64 256\n"
          "replicas = 3\nm = 600\n[rate_d2]\nsampler = rademacher_product\ndim = 1\n"
          "scale = 1.0\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n", ("rate",), True),
         # sizes too small for the verdicts to mean anything: only the schema counts
@@ -579,10 +581,11 @@ class TestMainEndToEnd:
             assert rc == 0 or not all_pass
             settings = load_settings(str(p))
             assert {r["job"] for r in records} == set(jobs_for(sub, settings))
+            # every rate leg but an assignment one gets the window
             windows = {r["job"] for r in records if r["case"].startswith("log-log slope")}
             assert windows == {j for j in jobs_for(sub, settings) if j.startswith("rate:")
                                and getattr(settings, j.replace(":", "_")).estimator
-                               == "quantile_1d"}
+                               != "exact"}
             for r in records:
                 assert r["checker"] == r["job"].replace(":", "-")
                 assert r["anchor"] == anchors[sub]
@@ -614,8 +617,9 @@ class TestMainEndToEnd:
         out = tmp_path / "out"
         assert cli.main(["lower", "--config", str(p), "--out", str(out)]) == 0
         records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        # the exact-law d1 leg adds its floor <= W2 record; the sampled 3-d leg cannot
         assert [(r["job"], r["verdict"]) for r in records] == (
-            [("lower:d1", "pass")] * 2 + [("lower:d2", "pass")] * 2)
+            [("lower:d1", "pass")] * 3 + [("lower:d2", "pass")] * 2)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()
@@ -741,6 +745,65 @@ class TestMainEndToEnd:
         assert reach.lhs > reach.rhs and below.lhs > below.rhs  # the floor falls short
         assert (reach.rhs_hi, below.lhs_lo) == (math.inf, -math.inf)
         assert reach.verdict == below.verdict == "inconclusive"
+
+
+class TestExactLegs:
+    def test_default_legs_draw_nothing(self, monkeypatch):
+        # every default sampler factorises into lattice walks: a generator that
+        # raises on any use goes untouched
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"an exact leg used its generator ({name})")
+
+        monkeypatch.setattr(cli, "rng_for", lambda *args: NoDraws())
+        settings = RunSettings()
+        for job in cli.EXPERIMENT_JOBS:
+            result = cli.run_job(settings, job)
+            cfg = getattr(settings, job.replace(":", "_"))
+            assert cfg.estimator == "exact_law"
+            # no cloud size or replica count: none applies
+            assert set(result.meta) == {"estimator", "sampler"}, result.meta
+            assert result.meta["estimator"] == "exact_law"
+            assert all(v.verdict == "pass" for v in result.verdicts), job
+
+    def test_exact_rate_records_say_what_they_rest_on(self):
+        result = cli.run_job(RunSettings(), "rate:d2")
+        assert [v.case for v in result.verdicts] == [
+            "exact W2(S_n, Z) below the bound at every grid point",
+            "log-log slope of exact W2 within [-0.65, -0.35]"]
+        assert result.verdicts[0].inputs == {"n_grid": list(experiments.N_GRID_DEFAULT)}
+        _, replicas = result.tables["rate_d2_replicas"]
+        assert [r[:2] for r in replicas] == [(n, 0) for n in experiments.N_GRID_DEFAULT]
+
+    def test_sampled_rate_records_keep_the_replicas(self, tmp_path):
+        p = tmp_path / "d3.ini"
+        p.write_text("[rate_d2]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\n"
+                     "n_grid = 16 64\nreplicas = 2\nm = 100\n")
+        settings = load_settings(str(p))
+        result = cli.run_job(settings, "rate:d2")
+        assert [v.case for v in result.verdicts] == ["every replica below the bound"]
+        assert result.verdicts[0].inputs == {"n_grid": [16, 64], "m": 100}
+        assert result.meta["estimator"] == "exact" and result.meta["m"] == 100
+        assert len(result.tables["rate_d2_replicas"][1]) == 4
+
+    @pytest.mark.parametrize("leg", ["lower:d1", "lower:d2"])
+    def test_floor_below_exact_w2(self, leg):
+        [record] = [v for v in cli.run_job(RunSettings(), leg).verdicts
+                    if v.case == "exact lattice floor <= exact W2(S_n, Z) at every grid point"]
+        assert record.verdict == "pass" and record.inputs == {"n_grid": [64, 256, 1024, 4096]}
+
+    def test_floor_twice_too_high_fails_the_cross_check(self, monkeypatch):
+        # scaled_basis(2, 1): sqrt(n) floor = sqrt(1/6) = 0.408, sqrt(n) W2 -> 0.577, so a
+        # floor twice too high (0.816) breaks the theorem.  (For Rademacher in d = 1 the
+        # exact value tends to twice the floor on Z / sqrt(n) from above, as S_n lives
+        # on the coset 2Z / sqrt(n), so doubling it there breaks nothing.)
+        floor = experiments.expected_lattice_distance
+        monkeypatch.setattr(experiments, "expected_lattice_distance",
+                            lambda cov, spacing: 2 * floor(cov, spacing))
+        [record] = [v for v in cli.run_job(RunSettings(), "lower:d2").verdicts
+                    if v.case.startswith("exact lattice floor <= exact W2")]
+        assert record.verdict == "fail"
+        assert record.lhs == pytest.approx(2 * math.sqrt(1 / 6) - 1 / math.sqrt(3), abs=1e-3)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

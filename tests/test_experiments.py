@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 from w2lab.experiments import (
     HalfspaceConfig,
+    LatticeWalk,
     LowerExperimentConfig,
     RateExperimentConfig,
     SamplerSpec,
@@ -16,18 +17,25 @@ from w2lab.experiments import (
     clt_rate_experiment,
     conversion_bound,
     estimate_w2,
+    exact_w2_of_sum,
     expected_lattice_distance,
     halfspace_distance,
+    lattice_factors,
     lattice_lower_experiment,
     main_rate_bound,
     walk_cdf,
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
-from w2lab.samplers import lattice_distance
+from w2lab.samplers import lattice_distance, make_rademacher_product, make_scaled_basis
 from w2lab.transport import EmpiricalMeasure, w2_exact, w2_quantile_1d
 
 
 RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
+# a 1-d law on no lattice (its points -1, 0, sqrt 2 lie 1 and sqrt 2 apart), so its legs sample
+IRRATIONAL_1D = SamplerSpec(
+    "lattice_custom", 1, outcomes=((-1.0,), (0.0,), (2.0**0.5,)),
+    probs=(0.2 * 2.0**0.5, 0.8 - 0.2 * 2.0**0.5, 0.2),
+)
 
 
 class TestSamplerSpec:
@@ -58,16 +66,33 @@ class TestSamplerSpec:
 
 class TestRate:
     def test_small_run_structure(self):
+        # a law off every lattice keeps its sampled replicas
         cfg = RateExperimentConfig(
-            sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
+            sampler=IRRATIONAL_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
         )
+        assert cfg.estimator == "quantile_1d"
         rep = clt_rate_experiment(cfg, np.random.default_rng(5))
         assert [p.n for p in rep.points] == [16, 64, 256]
         assert all(v <= p.bound for p in rep.points for v in p.replica_values)
         assert rep.fit.slope < 0
+        beta = 2.0**0.5
         for p in rep.points:
-            assert p.bound == pytest.approx(main_rate_bound(1, 1.0, p.n))
+            assert p.bound == pytest.approx(main_rate_bound(1, beta, p.n))
             assert len(p.replica_values) == 3
+            assert p.w2_hat == np.mean(p.replica_values)
+
+    def test_exact_law_run_structure(self):
+        # a lattice law: one exact value per n, whatever replicas and m say
+        cfg = RateExperimentConfig(
+            sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
+        )
+        rep = clt_rate_experiment(cfg, np.random.default_rng(5))
+        factors = lattice_factors(cfg.sampler.build())
+        for p in rep.points:
+            assert p.replica_values == (p.w2_hat,)
+            assert p.w2_hat == exact_w2_of_sum(factors, p.n)
+            assert p.w2_hat <= p.bound
+        assert rep.fit.slope == pytest.approx(-0.5, abs=0.01)
 
     def test_bound_formula(self):
         assert main_rate_bound(1, 1.0, 16) == pytest.approx(
@@ -77,7 +102,7 @@ class TestRate:
 
     def test_deterministic(self):
         cfg = RateExperimentConfig(
-            sampler=RADEMACHER_1D, n_grid=(16, 64), replicas=3, m=2000,
+            sampler=IRRATIONAL_1D, n_grid=(16, 64), replicas=3, m=2000,
         )
         a = clt_rate_experiment(cfg, np.random.default_rng(11))
         b = clt_rate_experiment(cfg, np.random.default_rng(11))
@@ -96,14 +121,20 @@ class TestRate:
         with pytest.raises(ValueError, match="W2 cloud"):
             RateExperimentConfig(sampler=RADEMACHER_1D, m=0)
 
-    def test_estimator_follows_dimension(self):
-        assert RateExperimentConfig(sampler=RADEMACHER_1D).estimator == "quantile_1d"
-        cfg = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=5000)
+    def test_estimator_follows_the_law(self):
+        # the exact law wherever the law factorises into lattice walks, else the
+        # sampled estimator the dimension picks
+        assert RateExperimentConfig(sampler=RADEMACHER_1D).estimator == "exact_law"
+        basis_2d = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=10**5)
+        assert basis_2d.estimator == "exact_law"
+        assert RateExperimentConfig(sampler=IRRATIONAL_1D).estimator == "quantile_1d"
+        cfg = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0), m=5000)
         assert cfg.estimator == "exact"
 
     def test_exact_cap_rejected_at_construction(self):
+        # the cap binds only a leg that runs assignment
         with pytest.raises(ValueError, match="capped at 5000"):
-            RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=6000)
+            RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0), m=6000)
 
     def test_zero_variance_rejected_upstream(self):
         with pytest.raises(ValueError):
@@ -248,7 +279,18 @@ class TestHalfspace:
             assert p.floor < p.w2_hat
 
     def test_delta_draws_nothing(self):
+        # scaled_basis(2) has the exact law: the whole report is equal under any generator
         cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5),
+                              n_grid=(16, 64), w2_m=200)
+        a, b = (ci_halfspace_experiment(cfg, np.random.default_rng(seed)) for seed in (1, 2))
+        assert a == b
+        s = cfg.sampler.build()
+        assert [p.w2_hat for p in a.points] == [
+            exact_w2_of_sum(lattice_factors(s), n) for n in cfg.n_grid]
+
+    def test_sampled_w2_column_draws_from_the_generator(self):
+        # scaled_basis(3) has no lattice factors: its W2 column is sampled, delta is not
+        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0),
                               n_grid=(16, 64), w2_m=200)
         a, b = (ci_halfspace_experiment(cfg, np.random.default_rng(seed)) for seed in (1, 2))
         assert [p.delta for p in a.points] == [p.delta for p in b.points]
@@ -260,8 +302,10 @@ class TestHalfspace:
         with pytest.raises(ValueError, match=r"n_grid must hold at least 2 values"):
             HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(64,))
         assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600).w2_m == 600
+        # the exact law runs no assignment, so no cap applies to it
+        assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0)).w2_m == 10**5
         with pytest.raises(ValueError, match="capped"):
-            HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0))
+            HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0))
 
 
 class TestBentkus:
@@ -290,3 +334,147 @@ class TestEstimatorDispatch:
         z = rng.normal(size=(80, 2))
         cost, _ = w2_exact(EmpiricalMeasure(sn), EmpiricalMeasure(z))
         assert estimate_w2(sn, z) == math.sqrt(cost)
+
+
+def _lower_quantile(v):
+    """Phi^-1(v) for 0 < v <= 1/2 by ``mpmath.erfinv``, with the bits 2v - 1 needs near -1."""
+    with mpmath.extraprec(int(-mpmath.log(v, 2)) + 16):
+        return mpmath.sqrt(2) * mpmath.erfinv(2 * v - 1)
+
+
+def _quantile_integral_w2(outcomes, probs, n):
+    """W2(n^{-1/2} (X_1 + ... + X_n), N(0, sigma^2)) at 20 digits: the exact law by
+    convolution, then int_0^1 (F_S^-1(u) - sigma Phi^-1(u))^2 du cell by cell, the cells
+    above the median in the upper-tail variable 1 - u."""
+    with mpmath.workdps(20):
+        probs = [mpmath.mpf(p) for p in probs]
+        law = {0: mpmath.mpf(1)}
+        for _ in range(n):
+            step = {}
+            for point, mass in law.items():
+                for x, p in zip(outcomes, probs):
+                    step[point + x] = step.get(point + x, 0) + mass * p
+            law = step
+        points = sorted(law)
+        masses = [law[x] for x in points]
+        sigma = mpmath.sqrt(mpmath.fsum(p * x * x for x, p in zip(outcomes, probs)))
+        half = mpmath.mpf(1) / 2
+        total = mpmath.mpf(0)
+        for k, (x, p) in enumerate(zip(points, masses)):
+            below, above = mpmath.fsum(masses[:k]), mpmath.fsum(masses[k + 1:])
+            a = x / mpmath.sqrt(n)
+            if below < half:
+                total += mpmath.quad(lambda u: (a - sigma * _lower_quantile(u)) ** 2,
+                                     [below, min(below + p, half)])
+            if above < half:
+                total += mpmath.quad(lambda v: (a + sigma * _lower_quantile(v)) ** 2,
+                                     [above, min(above + p, half)])
+        return float(mpmath.sqrt(total))
+
+
+# each law's outcomes, on consecutive points of their lattice, and exact masses
+EXACT_LAWS = {
+    "rademacher": ((-1, 1), ((1, 2), (1, 2))),
+    "skewed": ((-1, 2), ((2, 3), (1, 3))),
+    "lazy": ((-1, 0, 1), ((1, 4), (1, 2), (1, 4))),
+}
+
+
+def _walk(law: str) -> LatticeWalk:
+    outcomes, masses = EXACT_LAWS[law]
+    kernel = tuple(a / b for a, b in masses)
+    sd = math.sqrt(sum(p * x * x for x, p in zip(outcomes, kernel)))
+    return LatticeWalk(outcomes[0], outcomes[1] - outcomes[0], kernel, sd)
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("law", EXACT_LAWS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_matches_the_mpmath_quantile_integral(self, law, n):
+        outcomes, masses = EXACT_LAWS[law]
+        with mpmath.workdps(20):
+            probs = [mpmath.mpf(a) / b for a, b in masses]
+        oracle = _quantile_integral_w2(outcomes, probs, n)
+        assert _walk(law).w2(n) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("law", EXACT_LAWS)
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_approaches_the_asymptotic_constant(self, law, n):
+        # sqrt(n) W2 -> sigma sqrt(h^2/12 + kappa_3^2/18) (Rio 2009), h the span and
+        # kappa_3 the skewness in sigma units; the tolerance 1/n was fixed in advance
+        walk = _walk(law)
+        outcomes = np.array(EXACT_LAWS[law][0], dtype=float)
+        skew = float(np.array(walk.kernel) @ outcomes**3) / walk.sd**3
+        limit = walk.sd * math.sqrt((walk.span / walk.sd) ** 2 / 12 + skew**2 / 18)
+        assert abs(math.sqrt(n) * walk.w2(n) - limit) <= 1 / n
+
+    def test_rademacher_product_is_the_root_sum_of_its_coordinates(self):
+        [line] = lattice_factors(make_rademacher_product(1))
+        factors = lattice_factors(make_rademacher_product(2))
+        assert len(factors) == 2
+        for n in (1, 16, 256):
+            assert exact_w2_of_sum(factors, n) == pytest.approx(
+                math.sqrt(2 * line.w2(n) ** 2), rel=1e-15)
+
+    def test_scaled_basis_is_rademacher_in_the_diagonal_frame(self):
+        # scaled_basis(2, beta) turned by 45 degrees is rademacher_product(2, beta / sqrt 2)
+        factors = lattice_factors(make_scaled_basis(2, 2.0))
+        assert len(factors) == 2
+        for walk in factors:
+            assert walk.kernel == pytest.approx((0.5, 0.5), abs=1e-15)
+            assert walk.span == pytest.approx(2.0 * 2.0**0.5, rel=1e-15)
+            assert walk.sd == pytest.approx(2.0**0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 256, 4096])
+    def test_scaled_basis_at_least_its_canonical_marginals(self, n):
+        # each canonical coordinate of scaled_basis(2, 1) is a lazy {-1, 0, 1} walk, and
+        # a coupling of the joint laws couples the marginals: W2^2 >= their sum
+        joint = exact_w2_of_sum(lattice_factors(make_scaled_basis(2, 1.0)), n)
+        lazy = _walk("lazy").w2(n)
+        assert joint >= math.sqrt(2) * lazy
+        # and it is rademacher_product(2, 1 / sqrt 2): twice a Rademacher walk scaled
+        assert joint == pytest.approx(_walk("rademacher").w2(n), rel=1e-14)
+
+    def test_laws_without_lattice_factors(self):
+        assert lattice_factors(make_scaled_basis(3, 1.0)) is None
+        assert lattice_factors(IRRATIONAL_1D.build()) is None
+        # a zero atom, unequal masses: neither frame makes the coordinates independent
+        outcomes = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+        spec = SamplerSpec("lattice_custom", 2, outcomes=outcomes,
+                           probs=(0.3, 0.1, 0.1, 0.25, 0.25))
+        assert lattice_factors(spec.build()) is None
+
+    def test_product_masses_decide(self):
+        # two lazy coordinates on the full 3 x 3 grid: the product masses factorise;
+        # adding eps f(x) f(y), f = (1, -2, 1), keeps the support, both marginals and
+        # a diagonal covariance, but the coordinates are no longer independent
+        lazy = np.array([0.25, 0.5, 0.25])
+        f = np.array([1.0, -2.0, 1.0])
+        outcomes = tuple((float(x), float(y)) for x in (-1, 0, 1) for y in (-1, 0, 1))
+        product, dependent = (
+            lattice_factors(SamplerSpec("lattice_custom", 2, outcomes=outcomes, probs=tuple(
+                (np.outer(lazy, lazy) + eps * np.outer(f, f)).ravel())).build())
+            for eps in (0.0, 0.01))
+        assert dependent is None
+        expected = math.sqrt(2) * _walk("lazy").w2(64)
+        assert exact_w2_of_sum(product, 64) == pytest.approx(expected, rel=1e-14)
+
+    def test_product_law_factorises_in_the_canonical_frame(self):
+        # the skewed law times a Rademacher coordinate, with its product masses
+        outcomes = tuple((x, y) for x in (-1.0, 2.0) for y in (-1.0, 1.0))
+        probs = tuple(p * 0.5 for p in (2 / 3, 1 / 3) for _ in range(2))
+        factors = lattice_factors(
+            SamplerSpec("lattice_custom", 2, outcomes=outcomes, probs=probs).build())
+        assert sorted(w.span for w in factors) == [2.0, 3.0]
+        expected = math.sqrt(_walk("skewed").w2(64) ** 2 + _walk("rademacher").w2(64) ** 2)
+        assert exact_w2_of_sum(factors, 64) == pytest.approx(expected, rel=1e-14)
+
+    def test_span_cap(self):
+        # a two-point law is always one step; three points 1 and 16 steps apart span
+        # 17 steps, one more than an exact law may
+        two = SamplerSpec("lattice_custom", 1, outcomes=((-1.0,), (16.0,)),
+                          probs=(16 / 17, 1 / 17))
+        assert lattice_factors(two.build()) is not None
+        three = SamplerSpec("lattice_custom", 1, outcomes=((-1.0,), (0.0,), (16.0,)),
+                            probs=(0.5, 0.5 - 1 / 32, 1 / 32))
+        assert lattice_factors(three.build()) is None

@@ -16,6 +16,7 @@ from w2lab.transport import (
     SolverCapacityError,
     sinkhorn_w2,
     w2_atomic_1d,
+    w2_atoms_gaussian_1d,
     w2_bruteforce,
     w2_discrete_lp,
     w2_exact,
@@ -180,6 +181,53 @@ def _peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestAtomsGaussian1d:
+    @pytest.mark.parametrize("atom,sd", [(0.0, 1.0), (0.7, 1.0), (-2.0, 0.3)])
+    def test_point_mass(self, atom, sd):
+        # the only coupling: W2^2 = E (a - Z)^2 = a^2 + sd^2
+        assert w2_atoms_gaussian_1d(np.array([atom]), np.array([1.0]), sd) == pytest.approx(
+            math.hypot(atom, sd), rel=1e-15)
+
+    def test_zero_mass_atoms_own_no_cell(self):
+        atoms, probs = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 0.3, 0.2])
+        padded = w2_atoms_gaussian_1d(np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 9.0]),
+                                      np.array([0.0, 0.5, 0.0, 0.3, 0.2, 0.0]), 1.3)
+        assert padded == w2_atoms_gaussian_1d(atoms, probs, 1.3)
+
+    def test_mirror_image(self):
+        atoms, probs = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 0.3, 0.2])
+        assert w2_atoms_gaussian_1d(-atoms[::-1], probs[::-1], 0.8) == pytest.approx(
+            w2_atoms_gaussian_1d(atoms, probs, 0.8), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_mpmath_cells(self, seed):
+        # int (a_k - sd t)^2 phi(t) dt over each quantile cell, at 30 digits, the
+        # breakpoints by mpmath.erfinv
+        r = np.random.default_rng(seed)
+        atoms = np.sort(r.normal(size=6))
+        probs = r.dirichlet(np.ones(6))
+        sd = 0.9
+        with mpmath.workdps(30):
+            edges = [-mpmath.inf] + [mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.fsum(probs[:k]) - 1)
+                                     for k in range(1, 6)] + [mpmath.inf]
+            oracle = mpmath.fsum(
+                mpmath.quad(lambda t: (a - sd * t) ** 2 * mpmath.npdf(t), [lo, hi])
+                for a, lo, hi in zip(atoms.tolist(), edges, edges[1:]))
+            oracle = float(mpmath.sqrt(oracle))
+        assert w2_atoms_gaussian_1d(atoms, probs, sd) == pytest.approx(oracle, rel=1e-13)
+
+    def test_underflowed_tail_masses(self):
+        # a 4096-step Rademacher walk: thousands of atoms at the ends have mass 0.0 in
+        # float and the outer breakpoints sit far in the tails; no warning, a finite value
+        n = 4096
+        pmf = np.ones(1)
+        for _ in range(n):
+            pmf = np.convolve(pmf, [0.5, 0.5])
+        assert (pmf == 0).sum() > 1000
+        w2 = w2_atoms_gaussian_1d((2 * np.arange(n + 1) - n) / math.sqrt(n), pmf, 1.0)
+        assert abs(math.sqrt(n) * w2 - 1 / math.sqrt(3)) < 1e-4
 
 
 class TestBitIdentity:
