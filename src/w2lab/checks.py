@@ -3,13 +3,16 @@
 Each checker verifies one mathematical statement (an identity, an inequality
 suite, or a solver contract) and emits structured verdict records.  The
 registry holds the paper's statements and the primitives a verdict runs:
-exact assignment, the quantile coupling, Gauss-Hermite quadrature and the
-exact halfspace statistic (against enumeration and the binomial CDF); the
+exact assignment, the quantile coupling, Gauss-Hermite quadrature, the
+Gaussian-mixture transport of the chain and the increment step, and the
+exact halfspace statistic (against enumeration and the binomial CDF).  The
 library's Sinkhorn and projection solvers feed no verdict and have no
-checker.  Checkers are pure functions of (config, generator): a checker that
-draws draws only from the generator its job passes in
-(:func:`w2lab.cli.run_job` keys it by the job id), so the registry can be
-executed in any order, in parallel, with bit-identical results.
+checker; nor do the atomic and LP solvers and the density cell masses: no
+job runs them; kept for perfbench's pin (ROADMAP item 1).  Checkers are
+pure functions of their generator: a checker that draws draws only from the
+generator its job passes in (:func:`w2lab.cli.run_job` keys it by the job
+id), so the registry can be executed in any order, in parallel, with
+bit-identical results.  Every checker size is a constant of this module.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
 functions it calls return measured quantities only, and the verdict rule is
@@ -19,7 +22,7 @@ two overlap, else fail.  A checker folds its tolerance into the record: an
 equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
 tol)``.  No record rests on a standard error: exact enumerations allow
 1e-12, and the sampling record asks for bitwise equality.  The chain's steps
-are intervals, an estimate +- its error budget.
+are intervals, a quadrature value +- its error budget.
 A checker's records carry no labels: the job that runs it stamps them with
 the checker id and the anchor written in its ``REGISTRY`` entry.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, get_type_hints
+from typing import Callable
 
 import numpy as np
 from scipy.special import bdtr, ndtr
@@ -39,6 +42,7 @@ from . import densities as dens
 from . import qstats as qs
 from . import transport as tr
 from .experiments import (
+    DIAGONAL_FRAME,
     conversion_bound,
     expected_lattice_distance,
     halfspace_distance,
@@ -60,11 +64,10 @@ from .samplers import (
 )
 
 # the increment checker's law and its n values (its hypothesis needs n >= 5),
-# the chain's grid radius in standard deviations, the terms of the lattice
-# floor's Poisson series, and the mean shift of the halfspace instance N(shift, 1)
+# the terms of the lattice floor's Poisson series, and the mean shift of the
+# halfspace instance N(shift, 1)
 INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 INCREMENT_NS = (20, 40, 80)
-CHAIN_RADIUS = 5.0
 FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
 # the Gaussian draws of each sampling case, the random instances of the
@@ -125,30 +128,6 @@ class Verdict:
         return "inconclusive" if self.lhs_lo <= self.rhs_hi else "fail"
 
 
-@dataclass(frozen=True)
-class CheckSuiteConfig:
-    """The checker sizes a reduced run shrinks for time: the chain grid;
-    defaults match the acceptance runs.  Every other checker size is a
-    constant of this module."""
-
-    chain_grid_2d: int = 24
-    chain_refine: float = 1.42
-
-    def __post_init__(self):
-        # every int field is a count of at least 1
-        for name, declared in get_type_hints(type(self)).items():
-            if declared is int and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 1 < self.chain_refine < math.inf:
-            raise ValueError(f"chain_refine must be finite and > 1, got {self.chain_refine}")
-        fine = dens.ChainGrid(self.chain_grid_2d, self.chain_refine, CHAIN_RADIUS).resolutions()[1]
-        if fine**2 > tr.EXACT_CAP_DEFAULT:
-            raise ValueError(
-                f"chain_grid_2d * chain_refine gives a {fine}x{fine} fine grid, past "
-                f"the {tr.EXACT_CAP_DEFAULT}-atom cap of exact transport"
-            )
-
-
 # ---------------------------------------------------------------------------
 # individual checkers
 # ---------------------------------------------------------------------------
@@ -173,7 +152,7 @@ def _tensor_gh_quadratic(a, b, v, cov, nodes=200):
     return math.prod(float(np.exp(e).sum()) for e in axis_exponents)
 
 
-def check_gauss_quad_expectation(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_gauss_quad_expectation(rng: np.random.Generator):
     worst = 0.0
     for i in range(GAUSS_QUAD_INSTANCES):
         k = int(rng.integers(1, 4))
@@ -197,7 +176,7 @@ def check_gauss_quad_expectation(cfg: CheckSuiteConfig, rng: np.random.Generator
     ]
 
 
-def check_gauss_sampling(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_gauss_sampling(rng: np.random.Generator):
     """``sample_gaussian(cov, m, rng, t)`` equals sqrt(t) sigma_i times the standard
     normals of a copy of ``rng``, bitwise: given numpy's normals, the law N(0, t Sigma).
     The twin pins the implementation's draw order, so a correct rewrite that draws
@@ -213,7 +192,7 @@ def check_gauss_sampling(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
-def check_w2_gaussian_metric(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_w2_gaussian_metric(rng: np.random.Generator):
     worst_tri = -math.inf
     for _ in range(METRIC_TRIPLES):
         d = int(rng.integers(1, 5))
@@ -228,7 +207,7 @@ def check_w2_gaussian_metric(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_ot_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_ot_exact(rng: np.random.Generator):
     worst = 0.0
     for _ in range(OT_INSTANCES):
         m = int(rng.integers(2, 8))
@@ -270,7 +249,7 @@ def _enumerated_gap(outcomes: np.ndarray, probs: np.ndarray, n: int) -> float:
     return float(max(gaps))
 
 
-def check_halfspace_exact(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_halfspace_exact(rng: np.random.Generator):
     """The exact halfspace statistic against enumeration and the binomial CDF, and
     the conversion bound at N(shift, 1) against N(0, 1), whose W2 is the shift and
     whose halfspace sup is 2 Phi(shift/2) - 1; draws nothing."""
@@ -307,7 +286,7 @@ def _sampler_zoo():
             (make_scaled_basis(3, math.sqrt(3.0)), math.sqrt(3.0)**2 / 3, math.sqrt(3.0))]
 
 
-def check_sampler_zoo(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_sampler_zoo(rng: np.random.Generator):
     """E X = 0, E X X^T and the declared Sigma equal the closed-form Sigma, and the
     declared bound and every outcome's norm equal beta, from each law's outcomes and
     probabilities against its closed form."""
@@ -344,7 +323,7 @@ def _poisson_floor_sq(cov: CovarianceSpec, spacing: float) -> float:
     return math.fsum(h2 / 12.0 + h2 / math.pi**2 * terms.sum(axis=0))
 
 
-def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_lattice_distance(rng: np.random.Generator):
     # every instance draws three coordinates and uses its first d
     dims = rng.integers(1, 4, size=LATTICE_INSTANCES)
     ells = rng.uniform(0.3, 2.5, size=(LATTICE_INSTANCES, 1))
@@ -374,7 +353,7 @@ def check_lattice_distance(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_r_of_n(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_r_of_n(rng: np.random.Generator):
     ns = [2, 3, 5, 10, 100, 10**4, 10**6, 10**8]
     worst_lo, worst_hi = 0.0, -math.inf
     for n in ns:
@@ -405,7 +384,7 @@ def _q_zoo():
     ]
 
 
-def check_q_abs_estimates(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_q_abs_estimates(rng: np.random.Generator):
     worst_qi, worst_q, worst_qmqi = -math.inf, -math.inf, -math.inf
     for s, n in _q_zoo():
         qs.check_hypothesis(n, s.bound, s.cov)
@@ -430,7 +409,7 @@ _Q_EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
 _Q_CASE = {"mean_identity": "exact mean identity"}  # other rules' cases are their names
 
 
-def check_q_moments(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_q_moments(rng: np.random.Generator):
     out = []
     for s, n in _q_zoo():
         rep = qs.estimate_q_moments(s, n)
@@ -440,7 +419,7 @@ def check_q_moments(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
-def check_chi2_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_chi2_identity(rng: np.random.Generator):
     out = []
     worst = 0.0
     for s, n in _q_zoo():
@@ -461,7 +440,7 @@ def check_chi2_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
-def check_averaged_identity(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_averaged_identity(rng: np.random.Generator):
     out = []
     s1 = make_rademacher_product(1, 1.0)
     v1 = dens.averaged_second_moment(s1, 10, i=0)
@@ -493,7 +472,7 @@ def _flat_dirichlet_padded(sizes: np.ndarray, rng: np.random.Generator) -> np.nd
     return p / p.sum(axis=1, keepdims=True)
 
 
-def check_conditional_l2(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_conditional_l2(rng: np.random.Generator):
     # each (na, nb) table sits in an L2_SIDE x L2_SIDE slot whose extra rows and
     # columns carry zero mass, which adds nothing to either side
     sizes = rng.integers(1, L2_SIDE + 1, size=(2, L2_TABLES))
@@ -511,7 +490,7 @@ def check_conditional_l2(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_remainder(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_remainder(rng: np.random.Generator):
     # one chunk's arrays at a time: all the pairs in one piece would lift the
     # process's peak memory by about 45 MB
     worst = -math.inf
@@ -525,20 +504,16 @@ def check_remainder(cfg: CheckSuiteConfig, rng: np.random.Generator):
     ]
 
 
-def check_talagrand_1d(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_talagrand_1d(rng: np.random.Generator):
     out = []
     cov = CovarianceSpec([1.0])
     for shift in (0.25, 0.5, 1.0):
-        def f(x, s=shift):
-            return np.exp(s * x[:, 0] - 0.5 * s * s)
-        model = dens.ExplicitDensityRatio(f, cov)
-        rep = dens.talagrand_chain(
-            model, dens.ChainGrid(points_per_axis=4096, refine=2.0, radius_sigmas=12.8)
-        )
+        # N(shift, 1) against N(0, 1): a one-atom mixture with the reference's variance
+        rep = dens.talagrand_chain(dens.DensityRatioModel.mixture([[shift]], [1.0], cov, 1.0))
         out += [
-            Verdict(f"shift {shift}: W2^2 equals shift^2", abs(rep.w2_sq - shift**2), 1e-6),
+            Verdict(f"shift {shift}: W2^2 equals shift^2", abs(rep.kr - shift**2), 1e-12),
             Verdict(f"shift {shift}: entropy RHS equals shift^2",
-                    abs(rep.rhs_entropy - shift**2), 1e-6),
+                    abs(rep.rhs_entropy - shift**2), 1e-12),
             *(Verdict(f"shift {shift}: {step}", est, bound) for step, est, bound in rep.steps()),
         ]
     return out
@@ -563,14 +538,28 @@ def chain_models_2d():
     ]
 
 
-def check_talagrand_2d(cfg: CheckSuiteConfig, rng: np.random.Generator):
-    grid = dens.ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, CHAIN_RADIUS)
-    return [Verdict(f"{name}: {step}", est, bound)
-            for name, model in chain_models_2d()
-            for step, est, bound in dens.talagrand_chain(model, grid).steps()]
+def check_talagrand_2d(rng: np.random.Generator):
+    """Both chain steps for each model, then two oracles of KR: for the rademacher
+    product law KR is exact, the sum of its coordinates' 1-d distances; the
+    scaled_basis law is that product law turned by 45 degrees, so its exact W2^2,
+    the same sum in the turned frame, lies at or below KR."""
+    models = dict(chain_models_2d())
+    reports = {name: dens.talagrand_chain(model) for name, model in models.items()}
+    out = [Verdict(f"{name}: {step}", est, bound)
+           for name, rep in reports.items() for step, est, bound in rep.steps()]
+    name = "rademacher scale=1 n=2"
+    exact = dens.marginal_w2_sq(models[name], np.eye(2))
+    out.append(Verdict(f"{name}: KR equals the exact product W2^2 to 1e-10 relative",
+                       abs(reports[name].kr / exact - 1.0), 1e-10))
+    name = "scaled_basis beta=sqrt2 n=2"
+    rep = reports[name]
+    out.append(Verdict(f"{name}: exact W2^2 in the 45-degree frame <= KR",
+                       dens.marginal_w2_sq(models[name], DIAGONAL_FRAME),
+                       (rep.kr - rep.budget_kr, rep.kr + rep.budget_kr)))
+    return out
 
 
-def check_increment(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_increment(rng: np.random.Generator):
     cov = CovarianceSpec([1.0])
     n0 = 25
     w2 = tr.w2_gaussian_mixture_1d([0.0], [1.0], math.sqrt(n0 - 1), math.sqrt(n0))
@@ -583,7 +572,7 @@ def check_increment(cfg: CheckSuiteConfig, rng: np.random.Generator):
     return out
 
 
-def check_naive_w2(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_naive_w2(rng: np.random.Generator):
     v = bnd.naive_w2_upper([1.0, 0.5], [1.0, 0.5], 2, 0.7)
     base = bnd.naive_w2_upper([0.5, 0.5], [0.5, 0.5], 0, 0.0)
     tail = bnd.naive_w2_upper([1.0, 4.0], [1.0, 4.0], 1, 0.0)
@@ -598,7 +587,7 @@ def check_naive_w2(cfg: CheckSuiteConfig, rng: np.random.Generator):
 SCHEDULE_CASES = (([1.0], 1.0), ([1.0, 0.5], 1.3), ([2.0, 1.0, 0.25], 2.5))
 
 
-def check_ank_schedule(cfg: CheckSuiteConfig, rng: np.random.Generator):
+def check_ank_schedule(rng: np.random.Generator):
     out = []
     for sigmas, beta in SCHEDULE_CASES:
         cov = CovarianceSpec(sigmas)
@@ -623,7 +612,7 @@ def check_ank_schedule(cfg: CheckSuiteConfig, rng: np.random.Generator):
 class CheckerEntry:
     checker_id: str
     anchor: str
-    runner: Callable[[CheckSuiteConfig, np.random.Generator], list]
+    runner: Callable[[np.random.Generator], list]
 
 
 REGISTRY: tuple[CheckerEntry, ...] = (

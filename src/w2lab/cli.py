@@ -119,7 +119,7 @@ def _series(points, column: str) -> tuple:
 def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
     entry = _CHECKERS[checker_id]
     return JobResult(job_id=f"check:{checker_id}", anchor=entry.anchor,
-                     verdicts=entry.runner(settings.check, rng))
+                     verdicts=entry.runner(rng))
 
 
 def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:

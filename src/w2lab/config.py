@@ -2,7 +2,7 @@
 
 The config file is plain key = value under named sections: ``[run]`` sets
 :class:`RunSettings` itself and every other section one of its config fields
-(``[check]``, ``[rate_d1]``, ...).  A key names a non-nested field of the
+(``[rate_d1]``, ``[ci_d2]``, ...).  A key names a non-nested field of the
 section's dataclass or of its ``SamplerSpec``; only ``out`` (``out_dir``) and
 ``sampler`` (``kind``) are renamed.  One parser reads every section, each value
 as its field's declared type: a tuple splits on spaces or commas, a tuple of
@@ -24,7 +24,6 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Union
 
-from .checks import CheckSuiteConfig
 from .experiments import (
     HalfspaceConfig,
     LowerExperimentConfig,
@@ -56,7 +55,6 @@ class RunSettings:
     workers: int = 1
     out_dir: str = "out"
     verbosity: int = 1
-    check: CheckSuiteConfig = field(default_factory=CheckSuiteConfig)
     rate_d1: RateExperimentConfig = _leg(RateExperimentConfig, _RADEMACHER_1D)
     rate_d2: RateExperimentConfig = _leg(RateExperimentConfig, _BASIS_2D, replicas=3, m=3000)
     lower_d1: LowerExperimentConfig = _leg(LowerExperimentConfig, _RADEMACHER_1D)

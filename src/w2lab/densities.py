@@ -1,12 +1,13 @@
 """Density ratios f = tau/rho and the transportation-inequality chain.
 
 ``rho`` is the density of the reference Gaussian Z ~ N(0, Sigma) and ``tau``
-the density of Z_{1-1/n} + Y, with Y = X/sqrt(n) a rescaled bounded draw.
-Dividing two near-zero tails is hopeless numerically, so f is always
-evaluated through its mixture representation
+the density of Z_{1-1/n} + Y, with Y = X/sqrt(n) a rescaled bounded draw:
+the Gaussian mixture sum_j p_j N(y_j, c Sigma) over the support of Y, with
+the variance ratio c = 1 - 1/n (any mixture of that form, any c > 0, is a
+:meth:`DensityRatioModel.mixture`).  Dividing two near-zero tails is hopeless
+numerically, so f is always evaluated through its mixture representation
 
-    f(x) = E_Y[ (1-1/n)^{-k/2} exp( -|x|_w^2/(2n-2) + n<x,Y>_w/(n-1)
-                                     - n|Y|_w^2/(2n-2) ) ],
+    f(x) = E_Y[ c^{-k/2} exp( -(1-c)|x|_w^2/(2c) + <x,Y>_w/c - |Y|_w^2/(2c) ) ],
 
 with w the inverse-covariance weights; every term is bounded above, so the
 evaluation is stable everywhere.  Coordinate averagings f_(i) (average along
@@ -14,21 +15,28 @@ axis i) and prefix averagings f_[k] (average over all but the first k axes)
 reduce to the same formula on projected data.
 
 Every integral against rho or one of its marginals (second moments,
-normalization, the entropy and chi-square terms, the generic averagings) is
+normalization, the entropy and chi-square terms) is
 the one Gauss-Hermite tensor rule :func:`w2lab.gaussmath.gh_grid`, over all
 of its nodes; the mixture form keeps f finite at the outermost ones.
 
 The chain report compares, for one model,
 
-    W2(Y-law, Z)^2   <=   entropy telescope RHS   <=   chi-square RHS,
+    W2(tau, rho)^2  <=  KR  <=  entropy telescope RHS  <=  chi-square RHS,
 
 where the middle term is 2 * sum_k sigma_k^2 * E(f_[k] log f_[k] -
 f_[k-1] log f_[k-1]) and the right term 2 * sum_i sigma_i^2 * (E f^2 -
-E f_(i)^2).  W2 is computed by discretizing both densities onto a grid and
-solving exact discrete transport; the report carries Richardson-style error
-budgets and states each step once, as an error interval against its bound
-(:meth:`ChainReport.steps`).  The budget is a first-order error model, not a
-certificate.
+E f_(i)^2).  KR is the Knothe-Rosenblatt cost (:func:`kr_terms`): the cost of
+a feasible coupling, so an upper bound on W2^2, exact in d = 1, and each of
+its coordinate terms is at most 2 sigma_k^2 times that coordinate's entropy
+increment (Talagrand's inequality in 1-d and the chain rule of relative
+entropy).  Each quantity is a Gauss-Hermite sum whose error budget is one
+rule, :func:`_budget`; the report states each step once, as an error
+interval against its bound (:meth:`ChainReport.steps`).  The budget is a
+first-order error model, not a certificate.
+
+The cell masses (``rho_cell_masses`` and both ``tau_cell_masses``) and the
+atomic solvers imported here from :mod:`w2lab.transport` fed the chain's old
+density grid: no job runs them; kept for perfbench's pin (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ from scipy.special import ndtr, roots_legendre, xlogy
 from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid
 from .samplers import BoundedSampler
 from .qstats import q_values
-from .transport import w2_atomic_1d, w2_discrete_lp
+from .transport import w2_gaussian_mixture_1d
+# perfbench/test_perfbench.py checks that its tracer rebinds these names here
+from .transport import w2_atomic_1d, w2_discrete_lp  # noqa: F401
 
 class QuadratureResolutionError(RuntimeError):
     """Self-reported quadrature failure: node counts disagree too much."""
@@ -54,21 +64,16 @@ def _mixture_eval(
     ys: np.ndarray,
     probs: np.ndarray,
     cov: CovarianceSpec,
-    n: int,
+    c: float,
 ) -> np.ndarray:
-    """The mixture representation of f on points (N, k)."""
+    """The mixture representation of f on points (N, k), c the variance ratio."""
     w = 1.0 / cov.variances
     k = cov.dim
     xn2 = (pts**2 * w).sum(axis=-1)  # |x|_w^2, (N,)
     yn2 = (ys**2 * w).sum(axis=-1)  # (s,)
     cross = (pts * w) @ ys.T  # <x, y>_w, (N, s)
-    expo = (
-        -xn2[:, None] / (2.0 * n - 2.0)
-        + n * cross / (n - 1.0)
-        - n * yn2[None, :] / (2.0 * n - 2.0)
-    )
-    pref = (1.0 - 1.0 / n) ** (-k / 2.0)
-    return pref * (np.exp(expo) @ probs)
+    expo = (-(1.0 - c) * xn2[:, None] + 2.0 * cross - yn2[None, :]) / (2.0 * c)
+    return c ** (-k / 2.0) * (np.exp(expo) @ probs)
 
 
 def _support(
@@ -95,57 +100,15 @@ def _gauss_cell_masses_1d(edges: np.ndarray, mean: float, sd: float) -> np.ndarr
 
 
 class _RatioBase:
-    """Shared quadrature plumbing for density-ratio objects.
-
-    Subclasses provide ``f`` plus (optionally faster) averagings and cell
-    masses; the generic versions here integrate numerically with
-    Gauss-Hermite replacement of the averaged-out coordinates.
-    """
+    """The reference Gaussian of :class:`DensityRatioModel`, and the cell masses
+    of the chain's old density grid: no job runs them; kept for perfbench's pin
+    (ROADMAP item 1)."""
 
     cov: CovarianceSpec
 
     @property
     def dim(self) -> int:
         return self.cov.dim
-
-    # -- evaluation interface ------------------------------------------------
-    def f(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def f_prefix(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """f_[k] on k-dim points: average f over coordinates k+1..d.
-
-        Averaging against the conditional reference Gaussian is the same as
-        replacing each dropped coordinate by an independent N(0, sigma_j^2)
-        draw, which is what the generic quadrature below does.
-        """
-        if k == self.dim:
-            return self.f(pts)
-        if k == 0:
-            return np.ones(np.atleast_2d(pts).shape[0])
-        return self._avg_over(pts, axes=tuple(range(k, self.dim)))
-
-    def f_avg_coord(self, i: int, pts: np.ndarray) -> np.ndarray:
-        """f_(i) on (d-1)-dim points (coordinate i removed)."""
-        if self.dim == 1:
-            return np.ones(np.atleast_2d(pts).shape[0])
-        return self._avg_over(pts, axes=(i,))
-
-    def _avg_over(self, pts: np.ndarray, axes: tuple, nodes: int = 80) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        keep = [j for j in range(self.dim) if j not in axes]
-        if pts.shape[1] != len(keep):
-            raise ValueError(
-                f"expected points of dim {len(keep)}, got {pts.shape[1]}"
-            )
-        sub, wts = gh_grid(CovarianceSpec(self.cov.sigmas[list(axes)]), nodes=nodes)
-        full = np.empty((pts.shape[0], sub.shape[0], self.dim))
-        for col, j in enumerate(keep):
-            full[:, :, j] = pts[:, col][:, None]
-        for col, j in enumerate(axes):
-            full[:, :, j] = sub[:, col][None, :]
-        vals = self.f(full.reshape(-1, self.dim)).reshape(pts.shape[0], -1)
-        return vals @ wts
 
     # -- reference Gaussian --------------------------------------------------
     def rho(self, pts: np.ndarray) -> np.ndarray:
@@ -195,26 +158,16 @@ class _RatioBase:
         return shaped
 
 
-@dataclass
-class ExplicitDensityRatio(_RatioBase):
-    """Density ratio given directly as a callable f(points) -> values."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    cov: CovarianceSpec
-
-    def f(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.func(pts), dtype=float)
-
-
-@dataclass
+@dataclass(eq=False)  # a mixture() model has no sampler or n to compare
 class DensityRatioModel(_RatioBase):
     """The ratio of law(Z_{1-1/n} + Y) to law(Z) for a bounded sampler.
 
     ``sampler=None`` means Y = 0 (the pure time-change ratio); ``cov``
     defaults to the sampler's covariance but may be supplied explicitly, in
     which case no moment identities are implied, only the density algebra.
-    f is a finite mixture over the sampler's support.
+    tau is the Gaussian mixture of the atoms ``_ys`` (the support of Y) with
+    masses ``_probs`` and covariance ``_c`` Sigma, the variance ratio c being
+    1 - 1/n; :meth:`mixture` builds the ratio of any such mixture.
     """
 
     sampler: Optional[BoundedSampler]
@@ -225,8 +178,22 @@ class DensityRatioModel(_RatioBase):
         if self.n < 2:
             raise ValueError("n must be >= 2")
         self._ys, self._probs, self.cov = _support(self.sampler, self.n, self.cov)
+        self._c = 1.0 - 1.0 / self.n
         if self.sampler is not None and self.sampler.dim != self.cov.dim:
             raise ValueError("sampler and covariance dims differ")
+
+    @classmethod
+    def mixture(cls, ys, probs, cov: CovarianceSpec, c: float) -> "DensityRatioModel":
+        """The ratio of sum_j p_j N(y_j, c Sigma) to N(0, Sigma), from the atoms
+        (rows of ``ys``), their masses and the variance ratio c > 0; it has no
+        sampler and no n."""
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        if ys.shape[1] != cov.dim or not c > 0:
+            raise ValueError(f"need atoms of dim {cov.dim} and c > 0, got {ys.shape[1]} and {c}")
+        model = object.__new__(cls)
+        model.sampler, model.n, model.cov = None, None, cov
+        model._ys, model._probs, model._c = ys, np.asarray(probs, dtype=float), float(c)
+        return model
 
     # scaled supports for a projection onto an index subset
     def _proj(self, idx: list[int]):
@@ -234,7 +201,7 @@ class DensityRatioModel(_RatioBase):
 
     def f(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _mixture_eval(pts, self._ys, self._probs, self.cov, self.n)
+        return _mixture_eval(pts, self._ys, self._probs, self.cov, self._c)
 
     def f_prefix(self, k: int, pts: np.ndarray) -> np.ndarray:
         if not 0 <= k <= self.dim:
@@ -243,7 +210,7 @@ class DensityRatioModel(_RatioBase):
             return np.ones(np.atleast_2d(pts).shape[0])
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ys, cov = self._proj(list(range(k)))
-        return _mixture_eval(pts, ys, self._probs, cov, self.n)
+        return _mixture_eval(pts, ys, self._probs, cov, self._c)
 
     def f_avg_coord(self, i: int, pts: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.dim:
@@ -253,14 +220,14 @@ class DensityRatioModel(_RatioBase):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         idx = [j for j in range(self.dim) if j != i]
         ys, cov = self._proj(idx)
-        return _mixture_eval(pts, ys, self._probs, cov, self.n)
+        return _mixture_eval(pts, ys, self._probs, cov, self._c)
 
     def tau(self, pts: np.ndarray) -> np.ndarray:
         return self.f(pts) * self.rho(pts)
 
     def tau_cell_masses(self, edges: list[np.ndarray]) -> np.ndarray:
         """Exact cell masses: the law is a finite mixture of Gaussians."""
-        sd = self.cov.sigmas * math.sqrt(1.0 - 1.0 / self.n)
+        sd = self.cov.sigmas * math.sqrt(self._c)
         total = None
         for y, p in zip(self._ys, self._probs):
             per_axis = [
@@ -278,13 +245,13 @@ class DensityRatioModel(_RatioBase):
 # Second-moment identities
 # ---------------------------------------------------------------------------
 
-def _second_moment_quad(model: _RatioBase, nodes: int) -> float:
+def _second_moment_quad(model: DensityRatioModel, nodes: int) -> float:
     pts, wts = gh_grid(model.cov, nodes=nodes)
     return float(wts @ model.f(pts) ** 2)
 
 
 def density_second_moment_lhs(
-    model: _RatioBase,
+    model: DensityRatioModel,
     nodes: int = GH_NODES_DEFAULT,
     check_tol: float = 1e-8,
 ) -> float:
@@ -306,7 +273,7 @@ def density_second_moment_lhs(
     return fine
 
 
-def density_normalization(model: _RatioBase, nodes: int = GH_NODES_DEFAULT) -> float:
+def density_normalization(model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z), which must equal 1 (tau integrates to one)."""
     pts, wts = gh_grid(model.cov, nodes=nodes)
     return float(wts @ model.f(pts))
@@ -344,7 +311,7 @@ def averaged_second_moment(
 
 
 def _prefix_integrals(
-    model: _RatioBase, nodes: int, integrand: Callable[[np.ndarray], np.ndarray]
+    model: DensityRatioModel, nodes: int, integrand: Callable[[np.ndarray], np.ndarray]
 ) -> list:
     """[E integrand(f_[k](Z)) for k = 1..d] by quadrature on the k-dim marginals."""
     out = []
@@ -355,7 +322,7 @@ def _prefix_integrals(
 
 
 def prefix_second_moments(
-    model: _RatioBase, nodes: int = GH_NODES_DEFAULT
+    model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT
 ) -> np.ndarray:
     """[E f_[k](Z)^2 for k = 0..d]; f_[0] = 1."""
     return np.array([1.0] + _prefix_integrals(model, nodes, lambda v: v**2))
@@ -365,56 +332,45 @@ def prefix_second_moments(
 # The transportation-inequality chain
 # ---------------------------------------------------------------------------
 
-# the factor scaling the difference of the chain's quadrature at GH_NODES_DEFAULT
-# nodes per axis and at half as many into its error budget
+# the factor scaling the difference of a chain quantity at its node count and at
+# half as many into its error budget, and the Gauss-Hermite nodes per axis of the
+# Knothe-Rosenblatt cost's outer expectation
 CHAIN_BUDGET_FACTOR = 3.0
-
-
-@dataclass(frozen=True)
-class ChainGrid:
-    """Discretization control for the chain's W2 computation.
-
-    ``points_per_axis`` is the coarse resolution; the fine pass multiplies it
-    by ``refine``.  The domain spans ``radius_sigmas`` reference standard
-    deviations per axis, widened by the mixture shifts.
-    """
-
-    points_per_axis: int
-    refine: float
-    radius_sigmas: float
-
-    def resolutions(self) -> tuple[int, int]:
-        """(coarse, fine) points per axis."""
-        base = self.points_per_axis
-        return base, max(base + 1, int(math.ceil(base * self.refine)))
+CHAIN_KR_NODES = 32
 
 
 @dataclass(frozen=True)
 class ChainReport:
-    w2_sq: float  # Richardson-extrapolated estimate
-    w2_sq_raw: float  # fine-grid value
+    kr: float  # Knothe-Rosenblatt cost: >= W2^2, equal to it in d = 1
     rhs_entropy: float
     rhs_chi2: float
-    budget_w2: float  # infinite when the extrapolation collapsed
+    budget_kr: float
     budget_quad: float
     equality_atol: float  # rounding allowance of both steps' bounds
 
     def steps(self) -> tuple:
         """The two steps as (statement, (lo, hi), bound): an estimate +- its budget
-        against the next term plus ``equality_atol``; W2^2 >= 0 clips its lower edge."""
-        w2, quad = self.budget_w2 + self.budget_quad, self.budget_quad
-        return (("W2^2 <= entropy RHS", (max(self.w2_sq - w2, 0.0), self.w2_sq + w2),
+        against the next term plus ``equality_atol``; the W2^2 step's estimate is
+        KR, which bounds W2^2 from above, and W2^2 >= 0 clips its lower edge."""
+        kr, quad = self.budget_kr + self.budget_quad, self.budget_quad
+        return (("W2^2 <= entropy RHS", (max(self.kr - kr, 0.0), self.kr + kr),
                  self.rhs_entropy + self.equality_atol),
                 ("entropy RHS <= chi-square RHS", (self.rhs_entropy - quad, self.rhs_entropy + quad),
                  self.rhs_chi2 + self.equality_atol))
 
 
-def _entropy_functional(model: _RatioBase, nodes: int) -> np.ndarray:
+def _budget(fine, coarse) -> float:
+    """The chain's one error budget: ``CHAIN_BUDGET_FACTOR`` times the largest change
+    of a quantity between its node count and half as many."""
+    return CHAIN_BUDGET_FACTOR * float(np.max(np.abs(np.subtract(fine, coarse))))
+
+
+def _entropy_functional(model: DensityRatioModel, nodes: int) -> np.ndarray:
     """[E f_[k] log f_[k] for k = 0..d]; the k = 0 term is 0."""
     return np.array([0.0] + _prefix_integrals(model, nodes, lambda v: xlogy(v, v)))
 
 
-def _chi2_terms(model: _RatioBase, nodes: int) -> np.ndarray:
+def _chi2_terms(model: DensityRatioModel, nodes: int) -> np.ndarray:
     """[E f^2 - E f_(i)^2 for each i] by quadrature."""
     ef2 = _second_moment_quad(model, nodes)
     if model.dim == 1:
@@ -426,92 +382,79 @@ def _chi2_terms(model: _RatioBase, nodes: int) -> np.ndarray:
     return np.array(terms)
 
 
-def _grid_edges(model: _RatioBase, cells: int, radius_sigmas: float):
-    shifts = np.zeros(model.dim)
-    ys = getattr(model, "_ys", None)
-    if ys is not None:
-        shifts = np.abs(ys).max(axis=0)
-    edges = []
-    for i in range(model.dim):
-        half = radius_sigmas * model.cov.sigmas[i] + shifts[i]
-        edges.append(np.linspace(-half, half, cells + 1))
-    return edges
+def kr_terms(model: DensityRatioModel, nodes: int = CHAIN_KR_NODES) -> list:
+    """[KR_k for each coordinate k]: the Knothe-Rosenblatt cost of tau against rho,
+    coordinate by coordinate in the canonical order.
+
+    KR_k = E_{x<k ~ tau} W2^2(tau_k(. | x<k), N(0, sigma_k^2)).  Given x<k, the
+    k-th coordinate of tau = sum_j p_j N(y_j, c Sigma) is the mixture of
+    N(y_jk, c sigma_k^2) with masses p_j times atom j's Gaussian density at x<k,
+    so every outer node is one row of masses and one bisection
+    (:func:`w2lab.transport.w2_gaussian_mixture_1d`) serves them all.  x<k ~ tau
+    is a mixture too: the expectation is a tensor Gauss-Hermite sum of
+    ``nodes`` per axis about each distinct prefix of the atoms.  Coupling the
+    coordinates in turn is feasible, so sum_k KR_k >= W2^2(tau, rho), with
+    equality in d = 1 and for a product law.
+
+    Refs: Villani, *Optimal Transport: Old and New* (2009), ch. 1;
+    Santambrogio, *Optimal Transport for Applied Mathematicians* (2015), 2.3.
+    """
+    live = model._probs > 0
+    ys, probs = model._ys[live], model._probs[live]
+    sd = model.cov.sigmas * math.sqrt(model._c)
+    terms = []
+    for k in range(model.dim):
+        prefixes, owner = np.unique(ys[:, :k], axis=0, return_inverse=True)
+        # sd is non-increasing, so the grid keeps the axes in order
+        z, w = gh_grid(CovarianceSpec(sd[:k]), nodes) if k else (np.zeros((1, 0)), np.ones(1))
+        x = (prefixes[:, None, :] + z).reshape(len(prefixes) * len(w), k)
+        weight = np.outer(np.bincount(owner.ravel(), weights=probs), w).ravel()
+        log_m = np.log(probs) - 0.5 * (((x[:, None, :] - ys[:, :k]) / sd[:k]) ** 2).sum(axis=-1)
+        masses = np.exp(log_m - log_m.max(axis=1, keepdims=True))
+        masses /= masses.sum(axis=1, keepdims=True)
+        # atoms that share coordinate k share one inner component
+        values, col = np.unique(ys[:, k], return_inverse=True)
+        masses = masses @ (col.ravel()[:, None] == np.arange(len(values)))
+        w2 = w2_gaussian_mixture_1d(values, masses, sd[k], model.cov.sigmas[k])
+        terms.append(math.fsum(weight * w2**2))
+    return terms
 
 
-def _grid_w2_sq(model: _RatioBase, cells: int, radius_sigmas: float):
-    """Exact discrete W2^2 between the gridded reference and perturbed laws."""
-    edges = _grid_edges(model, cells, radius_sigmas)
-    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    p = model.rho_cell_masses(edges)
-    q = model.tau_cell_masses(edges)
-    mass_loss = float(max(1.0 - p.sum(), 1.0 - q.sum(), 0.0))
-    if model.dim == 1:
-        x = centers[0]
-        keep_p = p > 1e-17
-        keep_q = q > 1e-17
-        val = w2_atomic_1d(
-            x[keep_p], p[keep_p] / p[keep_p].sum(),
-            x[keep_q], q[keep_q] / q[keep_q].sum(),
-        )
-        return val, mass_loss
-    mesh = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pf = p.ravel()
-    qf = q.ravel()
-    keep_p = pf > 1e-13
-    keep_q = qf > 1e-13
-    val = w2_discrete_lp(
-        pts[keep_p], pf[keep_p] / pf[keep_p].sum(),
-        pts[keep_q], qf[keep_q] / qf[keep_q].sum(),
-    )
-    return val, mass_loss
+def marginal_w2_sq(model: DensityRatioModel, frame: np.ndarray) -> float:
+    """sum_i W2^2 of tau's and rho's i-th coordinates in an orthonormal ``frame``
+    (its rows): a lower bound on W2^2(tau, rho), since a coupling's cost is the
+    sum of its coordinates' costs, and equal to it where tau and rho are both
+    products in that frame."""
+    frame = np.asarray(frame, dtype=float)
+    ys = model._ys @ frame.T
+    sd_ref = np.sqrt(frame**2 @ model.cov.variances)
+    return math.fsum(
+        w2_gaussian_mixture_1d(col, model._probs, math.sqrt(model._c) * sd, sd) ** 2
+        for col, sd in zip(ys.T, sd_ref))
 
 
-def talagrand_chain(model: _RatioBase, grid: ChainGrid) -> ChainReport:
-    """Evaluate the chain W2^2 <= entropy-RHS <= chi2-RHS for one model.
+def talagrand_chain(model: DensityRatioModel) -> ChainReport:
+    """Evaluate the chain W2^2 <= KR <= entropy-RHS <= chi2-RHS for one model.
 
-    Returns the estimates with the Richardson correction as the W2^2 error
-    budget, which is infinite (the step's interval [0, inf)) when the
-    extrapolated W2^2 turns substantially negative: the error model collapsed.
+    KR (:func:`kr_terms`) at ``CHAIN_KR_NODES`` outer nodes and the two right
+    sides at ``GH_NODES_DEFAULT`` nodes per axis each get the one budget rule
+    :func:`_budget` against half as many nodes.
     """
     if model.dim not in (1, 2):
         raise ValueError("the chain is computed for dim in {1, 2} only")
-
-    coarse_n, fine_n = grid.resolutions()
-    w2_coarse, _ = _grid_w2_sq(model, coarse_n, grid.radius_sigmas)
-    w2_fine_raw, mass_loss = _grid_w2_sq(model, fine_n, grid.radius_sigmas)
-    # first-order Richardson in the cell size h ~ 1/N: the same-grid atomic
-    # cost overshoots the continuous value by ~C*h, so extrapolate downward
-    # and keep the full correction as the error budget (the raw fine value is
-    # then the upper edge of the reported interval).
-    ratio = coarse_n / (fine_n - coarse_n)
-    w2_extrap = w2_fine_raw - ratio * (w2_coarse - w2_fine_raw)
-    collapsed = w2_extrap < -0.25 * max(w2_fine_raw, 1e-12)
-    w2_est = max(w2_extrap, 0.0)
-
-    ent_fine = _entropy_functional(model, GH_NODES_DEFAULT)
-    ent_coarse = _entropy_functional(model, GH_NODES_DEFAULT // 2)
-    chi_fine = _chi2_terms(model, GH_NODES_DEFAULT)
-    chi_coarse = _chi2_terms(model, GH_NODES_DEFAULT // 2)
-
     var = model.cov.variances
-    rhs_entropy = float((2.0 * var * np.diff(ent_fine)).sum())
-    rhs_entropy_c = float((2.0 * var * np.diff(ent_coarse)).sum())
-    rhs_chi2 = float((2.0 * var * chi_fine).sum())
-    rhs_chi2_c = float((2.0 * var * chi_coarse).sum())
 
-    scale = max(abs(w2_fine_raw), abs(rhs_entropy), abs(rhs_chi2), 1e-12)
-    budget_w2 = math.inf if collapsed else abs(w2_fine_raw - w2_est) + 4.0 * mass_loss * scale
-    budget_quad = CHAIN_BUDGET_FACTOR * max(
-        abs(rhs_entropy - rhs_entropy_c), abs(rhs_chi2 - rhs_chi2_c)
-    )
+    def sides(nodes: int) -> tuple:  # (entropy RHS, chi-square RHS)
+        return (float((2.0 * var * np.diff(_entropy_functional(model, nodes))).sum()),
+                float((2.0 * var * _chi2_terms(model, nodes)).sum()))
+
+    kr, kr_coarse = (math.fsum(kr_terms(model, m)) for m in (CHAIN_KR_NODES, CHAIN_KR_NODES // 2))
+    (rhs_entropy, rhs_chi2), coarse = sides(GH_NODES_DEFAULT), sides(GH_NODES_DEFAULT // 2)
     return ChainReport(
-        w2_sq=w2_est,
-        w2_sq_raw=w2_fine_raw,
+        kr=kr,
         rhs_entropy=rhs_entropy,
         rhs_chi2=rhs_chi2,
-        budget_w2=budget_w2,
-        budget_quad=budget_quad,
-        equality_atol=max(1e-10, 1e-8 * scale),
+        budget_kr=_budget(kr, kr_coarse),
+        budget_quad=_budget((rhs_entropy, rhs_chi2), coarse),
+        equality_atol=max(1e-10, 1e-8 * max(abs(kr), abs(rhs_entropy), abs(rhs_chi2))),
     )
-

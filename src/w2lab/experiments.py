@@ -28,6 +28,7 @@ config fails before any compute.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,7 +58,7 @@ WALK_SPAN_CAP = 16
 _LATTICE_TOL = 1e-9
 # the d = 2 frame turned by 45 degrees: scaled_basis(2, beta) read in it is
 # rademacher_product(2, beta / sqrt(2))
-_DIAGONAL_FRAME = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+DIAGONAL_FRAME = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def lattice_factors(s: BoundedSampler) -> Optional[tuple]:
     """
     live = s.probs > 0
     probs = s.probs[live]
-    for frame in [np.eye(s.dim)] + ([_DIAGONAL_FRAME] if s.dim == 2 else []):
+    for frame in [np.eye(s.dim)] + ([DIAGONAL_FRAME] if s.dim == 2 else []):
         coords = s.outcomes[live] @ frame.T
         sds = np.sqrt(frame**2 @ s.cov.variances)
         walks = [_lattice_walk(col, probs, float(sd)) for col, sd in zip(coords.T, sds)]
@@ -186,14 +187,21 @@ def exact_w2_of_sum(factors: tuple, n: int) -> float:
 
 
 class _ExperimentLeg:
-    """The derived W2 estimator and the checks every experiment config shares."""
+    """The derived lattice factors and W2 estimator, and the checks every
+    experiment config shares."""
+
+    @functools.cached_property
+    def factors(self) -> Optional[tuple]:
+        """The sampler's :func:`lattice_factors`, derived once per config object
+        and kept out of its fields, so the config echo and hash ignore it."""
+        return lattice_factors(self.sampler.build())
 
     @property
     def estimator(self) -> str:
         """``exact_law`` for a law with :func:`lattice_factors`; otherwise the
         sampled estimator the dimension picks, ``quantile_1d`` in one dimension
         and ``exact`` (assignment) in more."""
-        if lattice_factors(self.sampler.build()) is not None:
+        if self.factors is not None:
             return "exact_law"
         return "quantile_1d" if self.sampler.dim == 1 else "exact"
 
@@ -305,11 +313,10 @@ def clt_rate_experiment(cfg: RateExperimentConfig, rng: np.random.Generator) -> 
     from ``rng``, the replicas of each n in turn.
     """
     s = cfg.sampler.build()
-    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         bound = main_rate_bound(s.dim, s.bound, n)
-        vals = _w2_values(s, factors, n, cfg.m, rng, cfg.replicas)
+        vals = _w2_values(s, cfg.factors, n, cfg.m, rng, cfg.replicas)
         points.append(RatePoint(n=n, w2_hat=float(np.mean(vals)), bound=bound,
                                 replica_values=tuple(vals)))
     fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
@@ -390,12 +397,11 @@ def lattice_lower_experiment(
     whose clouds ``rng`` draws.
     """
     s = cfg.sampler.build()
-    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
         floor = expected_lattice_distance(s.cov, ell)
-        [w2_hat] = _w2_values(s, factors, n, cfg.m_w2, rng)
+        [w2_hat] = _w2_values(s, cfg.factors, n, cfg.m_w2, rng)
         rn = math.sqrt(n)
         points.append(LowerBoundPoint(
             n=n, ell_n=ell, sqrtn_w2_hat=rn * w2_hat, sqrtn_floor=rn * floor,
@@ -489,11 +495,10 @@ def ci_halfspace_experiment(
     any other law ``rng`` draws its clouds, for each n in turn.
     """
     s = cfg.sampler.build()
-    factors = lattice_factors(s)
     points = []
     for n in cfg.n_grid:
         floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))
-        [w2_hat] = _w2_values(s, factors, n, cfg.w2_m, rng)
+        [w2_hat] = _w2_values(s, cfg.factors, n, cfg.w2_m, rng)
         points.append(HalfspacePoint(
             n=n, delta=halfspace_distance(s, n), w2_hat=w2_hat,
             floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))

@@ -24,7 +24,8 @@ Solver menu:
 * :func:`w2_gaussian_mixture_1d` -- exact W2 between a 1-d Gaussian mixture
   with a common variance and a centred Gaussian: the monotone coupling as a
   Gauss-Hermite sum over bisected mixture quantiles; the increment step's
-  distance.
+  distance, and, for a stack of mass rows in one bisection, every inner term
+  of the transportation chain's Knothe-Rosenblatt cost.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
   unequal sizes; no job runs it, and it stays because
   ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
@@ -32,8 +33,9 @@ Solver menu:
 * :func:`w2_projection_lower` -- certified lower bound in any dimension via
   1-d projections; no job runs it.
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport
-  between weighted atomic measures, used by the transportation-inequality
-  chain on density grids.  Both take their weights through one check
+  between weighted atomic measures, which the transportation-inequality
+  chain's density grids used: no job runs it; kept for perfbench's pin
+  (ROADMAP item 1).  Both take their weights through one check
   (non-negative, each summing to 1) and share the north-west-corner
   plan :func:`_north_west_corner`.  On the line, that plan of the sorted
   atoms is the monotone coupling, which is optimal, so :func:`w2_atomic_1d`
@@ -269,23 +271,31 @@ def w2_gaussian_mixture_1d(
     min a, sd_mix t + max a] and is bisected until no float lies between the
     two ends.  For t > 0 the upper tails are compared, which keeps the
     right-hand nodes' tail probabilities at full relative precision.
+
+    ``probs`` may be a stack of mass rows (R, J) over the same atoms: the
+    result is then the (R,) array of the rows' distances, all from one
+    bisection.
     """
     a = np.asarray(atoms, dtype=float).ravel()
-    p = np.asarray(probs, dtype=float).ravel()
+    p = np.asarray(probs, dtype=float)
+    rows = p.reshape(-1, a.size, 1)  # (R, J, 1)
     t, w = gh_nodes_weights(GH_NODES_DEFAULT)
     side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
     target = ndtr(side * t)
-    lo, hi = sd_mix * t + a.min(), sd_mix * t + a.max()
+    shift = side[:, None] * a / sd_mix  # (T, J)
+    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
+    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
     while True:
         mid = 0.5 * (lo + hi)
         open_ = (lo < mid) & (mid < hi)
         if not open_.any():
             break
-        tail = ndtr(side[:, None] * (mid[:, None] - a) / sd_mix) @ p
+        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
         below = open_ & (side * (tail - target) < 0)  # mid lies below the quantile
         lo = np.where(below, mid, lo)
         hi = np.where(open_ & ~below, mid, hi)
-    return math.sqrt(float(w @ (lo - sd_ref * t) ** 2))
+    w2 = np.sqrt((lo - sd_ref * t) ** 2 @ w)
+    return float(w2[0]) if p.ndim == 1 else w2
 
 
 @dataclass(frozen=True)

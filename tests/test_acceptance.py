@@ -18,7 +18,6 @@ from w2lab.checks import (
     L2_TABLES,
     REMAINDER_PAIRS,
     _Q_EXACT_TOL,
-    CheckSuiteConfig,
     _q_zoo,
     chain_models_2d,
     check_chi2_identity,
@@ -63,8 +62,7 @@ def criterion(num: int, label: str):
 
 def test_criterion_01_closed_form_vs_quadrature():
     with criterion(1, "quadratic-exponential moment: closed form vs 200-node quadrature"):
-        verdicts = check_gauss_quad_expectation(CheckSuiteConfig(),
-                                                job_rng("check:gauss-quad-expectation"))
+        verdicts = check_gauss_quad_expectation(job_rng("check:gauss-quad-expectation"))
         suite = verdicts[0]
         assert suite.inputs["instances"] == 50
         assert suite.lhs <= 1e-8
@@ -73,7 +71,7 @@ def test_criterion_01_closed_form_vs_quadrature():
 
 def test_criterion_02_ot_solver_correctness():
     with criterion(2, "assignment solver vs factorial brute force and 1-d quantile"):
-        verdicts = check_ot_exact(CheckSuiteConfig(), job_rng("check:ot-exact"))
+        verdicts = check_ot_exact(job_rng("check:ot-exact"))
         brute, quant = verdicts
         assert brute.lhs <= 1e-9
         assert quant.lhs <= 1e-9
@@ -85,8 +83,7 @@ def test_criterion_03_chi_square_identity():
         assert len(zoo) >= 5
         for s, n in zoo:
             assert n >= 5.0 * s.bound**2 / s.cov.sigma_min**2 * (1 - 1e-9)
-        records = {v.case: v for v in check_chi2_identity(CheckSuiteConfig(),
-                                                          job_rng("check:chi2-identity"))}
+        records = {v.case: v for v in check_chi2_identity(job_rng("check:chi2-identity"))}
         assert all(v.verdict == "pass" for v in records.values())
         for s, n in zoo:
             # |quadrature - enumeration|, one record per law of the zoo
@@ -100,7 +97,7 @@ def test_criterion_04_q_moment_suite():
         rules = ["exact mean identity", "cross_moment", "square_moment",
                  "coupled_moment", "total_square"]
         assert _Q_EXACT_TOL["mean_identity"] <= 1e-12
-        records = check_q_moments(CheckSuiteConfig(), job_rng("check:q-moments"))
+        records = check_q_moments(job_rng("check:q-moments"))
         assert [v.case for v in records] == [f"{s.kind} d={s.dim} n={n} {rule}"
                                              for s, n in _q_zoo() for rule in rules]
         assert all(v.verdict == "pass" for v in records)
@@ -108,10 +105,9 @@ def test_criterion_04_q_moment_suite():
 
 def test_criterion_05_conditional_l2_and_remainder():
     with criterion(5, "conditional-L2 (1e4 tables) and Taylor remainder (1e6 pairs)"):
-        cfg = CheckSuiteConfig()
         assert (L2_TABLES, REMAINDER_PAIRS) == (10**4, 10**6)
-        l2 = check_conditional_l2(cfg, job_rng("check:conditional-l2"))
-        remainder = check_remainder(cfg, job_rng("check:exp-remainder"))
+        l2 = check_conditional_l2(job_rng("check:conditional-l2"))
+        remainder = check_remainder(job_rng("check:exp-remainder"))
         assert all(v.verdict == "pass" for v in l2 + remainder)
         assert l2[0].case == "zero violations over 10000 random tables"
         assert remainder[0].case == "zero violations over 1000000 random pairs"
@@ -122,22 +118,26 @@ def test_criterion_05_conditional_l2_and_remainder():
 
 def test_criterion_06_talagrand_chain():
     with criterion(6, "transportation chain: d=1 equality cases and three d=2 models"):
-        cfg = CheckSuiteConfig()
-        d1 = check_talagrand_1d(cfg, job_rng("check:talagrand-1d"))
-        d2 = check_talagrand_2d(cfg, job_rng("check:talagrand-2d"))
+        d1 = check_talagrand_1d(job_rng("check:talagrand-1d"))
+        d2 = check_talagrand_2d(job_rng("check:talagrand-2d"))
         steps = ("W2^2 <= entropy RHS", "entropy RHS <= chi-square RHS")
         # both steps of every model pass at the upper edge of their error
-        # intervals: nothing is inconclusive at the default grid
+        # intervals, the W2^2 step on the Knothe-Rosenblatt cost, and so do
+        # KR's two oracles: nothing is inconclusive
         assert all(v.verdict == "pass" for v in d1 + d2), d1 + d2
         assert all(v.margin > 0 for v in d2), d2
         assert [v.case for v in d2] == [f"{name}: {step}" for name, _ in chain_models_2d()
-                                        for step in steps]
+                                        for step in steps] + [
+            "rademacher scale=1 n=2: KR equals the exact product W2^2 to 1e-10 relative",
+            "scaled_basis beta=sqrt2 n=2: exact W2^2 in the 45-degree frame <= KR"]
+        assert d2[-2].rhs == 1e-10
         for shift in (0.25, 0.5, 1.0):
             records = {v.case.removeprefix(f"shift {shift}: "): v for v in d1
                        if v.case.startswith(f"shift {shift}: ")}
             assert set(records) == {"W2^2 equals shift^2", "entropy RHS equals shift^2", *steps}
             for equality in ("W2^2 equals shift^2", "entropy RHS equals shift^2"):
-                assert records[equality].rhs == 1e-6 and records[equality].lhs <= 1e-6
+                # at least as strict as 1e-6: KR is exact in d = 1
+                assert records[equality].rhs == 1e-12 and records[equality].lhs <= 1e-12
 
 
 def test_criterion_07_increment_lemma():
@@ -183,7 +183,7 @@ def test_criterion_09_lattice_lower_bound():
 def test_criterion_10_ci_conversion():
     with criterion(10, "exact halfspace distance vs the 5 d^{1/6} W2^{2/3} conversion"):
         settings = RunSettings(seed=SEED)
-        enum, binomial, closed = check_halfspace_exact(CheckSuiteConfig(), None)
+        enum, binomial, closed = check_halfspace_exact(None)
         assert enum.lhs <= 1e-12 and binomial.lhs <= 1e-11
         # 2 Phi(1/4) - 1 under 5 (1/2)^{2/3}, both in closed form
         assert closed.lhs == pytest.approx(0.19741265, abs=1e-7)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from w2lab import checks, experiments
-from w2lab.checks import CheckSuiteConfig, _tensor_gh_quadratic
-from w2lab.densities import ChainGrid, ChainReport
+from w2lab import checks, densities, experiments
+from w2lab.checks import _tensor_gh_quadratic
+from w2lab.densities import ChainReport
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
@@ -36,25 +37,11 @@ def test_factored_quadrature_matches_outer_tensor(rng, k):
         assert _tensor_gh_quadratic(a, b, v, cov) == pytest.approx(explicit, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [
-    # a zero count fails the count floor, a NaN refinement the (1, inf) range
-    {"chain_grid_2d": 0}, {"chain_refine": math.nan},
-    {"chain_refine": 1.0}, {"chain_refine": 0.5}, {"chain_refine": math.inf},
-    {"chain_refine": 100.0}, {"chain_grid_2d": 80},
-])
-def test_check_config_sizes_validated(bad):
-    with pytest.raises(ValueError, match=next(iter(bad))):
-        CheckSuiteConfig(**bad)
-
-
-def test_check_config_floor_accepted():
-    # a count of 1 is the floor
-    cfg = CheckSuiteConfig(chain_grid_2d=1)
-    assert cfg.chain_grid_2d == 1
-    # a 70 x 70 fine chain grid is 4900 atoms, inside the 5000-atom cap
-    cfg = CheckSuiteConfig(chain_grid_2d=50, chain_refine=1.4)
-    grid = ChainGrid(cfg.chain_grid_2d, cfg.chain_refine, checks.CHAIN_RADIUS)
-    assert grid.resolutions()[1] == 70
+def test_every_checker_takes_only_its_generator():
+    # no checker reads a config: its sizes are constants of the module
+    for entry in checks.REGISTRY:
+        assert list(inspect.signature(entry.runner).parameters) == ["rng"], entry.checker_id
+    assert not hasattr(checks, "CheckSuiteConfig") and not hasattr(checks, "CHAIN_RADIUS")
 
 
 INF, NAN = math.inf, math.nan
@@ -111,21 +98,21 @@ def test_verdict_edges_are_floats_in_order():
         checks.Verdict("case", (1.0, 0.5), 2.0)
 
 
-@pytest.mark.parametrize("w2_sq,budget_w2,verdict", [
+@pytest.mark.parametrize("kr,budget_kr,verdict", [
     (0.8, 0.0, "pass"), (0.8, 0.3, "inconclusive"), (1.5, 0.1, "fail"),
-    # a collapsed grid extrapolation: W2^2 is only known to lie in [0, inf)
-    (0.0, INF, "inconclusive"),
+    # KR's budget reaching below zero: W2^2 >= 0 clips the lower edge
+    (0.05, 0.0, "pass"), (0.0, 2.0, "inconclusive"),
 ])
-def test_chain_step_inconclusive_only_while_straddling(w2_sq, budget_w2, verdict):
-    rep = ChainReport(w2_sq=w2_sq, w2_sq_raw=w2_sq, rhs_entropy=1.0, rhs_chi2=2.0,
-                      budget_w2=budget_w2, budget_quad=0.1, equality_atol=0.0)
+def test_chain_step_inconclusive_only_while_straddling(kr, budget_kr, verdict):
+    rep = ChainReport(kr=kr, rhs_entropy=1.0, rhs_chi2=2.0,
+                      budget_kr=budget_kr, budget_quad=0.1, equality_atol=0.0)
     w2_step, quad_step = (checks.Verdict(*step) for step in rep.steps())
     assert w2_step.case == "W2^2 <= entropy RHS" and w2_step.rhs == w2_step.rhs_hi == 1.0
-    # the grid and quadrature budgets both widen it, and W2^2 >= 0 clips its lower edge
-    budget = budget_w2 + 0.1
-    assert (w2_step.lhs_lo, w2_step.lhs) == (max(w2_sq - budget, 0.0), w2_sq + budget)
+    # the KR and quadrature budgets both widen it, and W2^2 >= 0 clips its lower edge
+    budget = budget_kr + 0.1
+    assert (w2_step.lhs_lo, w2_step.lhs) == (max(kr - budget, 0.0), kr + budget)
     assert w2_step.verdict == verdict
-    # the quadrature step does not depend on the grid
+    # the quadrature step does not depend on KR
     assert quad_step.case == "entropy RHS <= chi-square RHS"
     assert (quad_step.lhs_lo, quad_step.lhs, quad_step.rhs) == (0.9, 1.1, 2.0)
     assert quad_step.verdict == "pass"
@@ -134,7 +121,7 @@ def test_chain_step_inconclusive_only_while_straddling(w2_sq, budget_w2, verdict
 def _zoo_records(monkeypatch, entry):
     """The moment and norm records of a zoo holding only ``entry``."""
     monkeypatch.setattr(checks, "_sampler_zoo", lambda: [entry])
-    moments, norm, _ = checks.check_sampler_zoo(CheckSuiteConfig(), np.random.default_rng(3))
+    moments, norm, _ = checks.check_sampler_zoo(np.random.default_rng(3))
     return moments, norm
 
 
@@ -174,20 +161,20 @@ def test_gauss_sampling_scaled_by_variances_fails(monkeypatch):
         return rng.standard_normal((count, cov.dim)) * (math.sqrt(time_scale) * cov.variances)
 
     monkeypatch.setattr(checks, "sample_gaussian", by_variances)
-    out = checks.check_gauss_sampling(CheckSuiteConfig(), np.random.default_rng(3))
+    out = checks.check_gauss_sampling(np.random.default_rng(3))
     # variances equal sigmas only at sigma = 1: the sigma = (2, 1, 0.5) case catches it
     assert [v.verdict for v in out] == ["pass", "pass", "fail"]
 
 
 @pytest.mark.parametrize("checker", [checks.check_gauss_sampling, checks.check_sampler_zoo])
 def test_exact_sampling_records_do_not_depend_on_the_generator(checker):
-    first, second = (checker(CheckSuiteConfig(), np.random.default_rng(seed)) for seed in (1, 2))
+    first, second = (checker(np.random.default_rng(seed)) for seed in (1, 2))
     assert first == second
     assert all(v.verdict == "pass" for v in first)
 
 
 def test_q_moments_records_come_from_the_report():
-    records = checks.check_q_moments(CheckSuiteConfig(), np.random.default_rng(11))
+    records = checks.check_q_moments(np.random.default_rng(11))
     out = {v.case: v for v in records}
     assert len(out) == 5 * len(checks._q_zoo())  # five exact rules per law, nothing sampled
     exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
@@ -202,7 +189,7 @@ def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):
     for factor, verdict in ((1.0, "pass"), (1.02, "fail"), (1 + 1e-9, "fail")):
         monkeypatch.setattr(checks, "expected_lattice_distance",
                             lambda cov, spacing: factor * exact(cov, spacing))
-        floor = checks.check_lattice_distance(CheckSuiteConfig(), np.random.default_rng(5))[-1]
+        floor = checks.check_lattice_distance(np.random.default_rng(5))[-1]
         assert floor.case == ("exact floor^2 matches the Poisson series of E d_L(Z)^2 "
                               "to 1e-10 relative")
         assert floor.rhs == 1e-10 and floor.inputs == {}
@@ -227,7 +214,7 @@ def test_poisson_floor_series_matches_mpmath(sigma, ratio):
 
 
 def test_halfspace_exact_draws_nothing_and_passes():
-    enum, binomial, closed = checks.check_halfspace_exact(CheckSuiteConfig(), None)
+    enum, binomial, closed = checks.check_halfspace_exact(None)
     assert enum.lhs <= 1e-14 and enum.rhs == 1e-12
     assert binomial.lhs <= 1e-11 and binomial.rhs == 1e-11
     # 2 Phi(1/4) - 1 against 5 (1/2)^{2/3}, both in closed form, with no slack
@@ -244,5 +231,23 @@ def test_halfspace_enumeration_fails_without_left_limits(monkeypatch):
 
     for module in (experiments, checks):
         monkeypatch.setattr(module, "walk_gap", atoms_only)
-    enum = checks.check_halfspace_exact(CheckSuiteConfig(), None)[0]
+    enum = checks.check_halfspace_exact(None)[0]
     assert enum.verdict == "fail" and enum.lhs > 0.1
+
+
+def test_talagrand_2d_oracles_certify_kr(monkeypatch):
+    cases = ["rademacher scale=1 n=2: KR equals the exact product W2^2 to 1e-10 relative",
+             "scaled_basis beta=sqrt2 n=2: exact W2^2 in the 45-degree frame <= KR"]
+    records = {v.case: v for v in checks.check_talagrand_2d(None)}
+    assert list(records)[-2:] == cases
+    assert all(v.verdict == "pass" for v in records.values())
+    # a KR that comes out too small fails both oracles; one too large fails the
+    # W2^2 step of the scaled_basis model and the product oracle
+    kr_terms = densities.kr_terms
+    for factor, failing in ((0.5, cases), (3.0, ["scaled_basis beta=sqrt2 n=2: W2^2 <= entropy RHS",
+                                               cases[0]])):
+        monkeypatch.setattr(densities, "kr_terms",
+                            lambda model, nodes=densities.CHAIN_KR_NODES:
+                            [factor * t for t in kr_terms(model, nodes)])
+        records = {v.case: v for v in checks.check_talagrand_2d(None)}
+        assert [c for c, v in records.items() if v.verdict == "fail"] == failing, factor

@@ -27,7 +27,6 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
-    "check": {"chain_grid_2d", "chain_refine"},
     **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
     **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
     **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
@@ -88,7 +87,6 @@ class TestConfig:
 
     def test_smoke_file_overrides(self):
         s = load_settings(SMOKE)
-        assert s.check.chain_grid_2d == 16
         assert s.rate_d1.m == 20000
         assert s.rate_d1.n_grid == (16, 64, 256, 1024)
 
@@ -132,7 +130,7 @@ class TestConfig:
         assert isinstance(s.ci_d1.w2_m, int)
 
     @pytest.mark.parametrize("ini", ["[rate_d1]\nroot_seed = 5\n",
-                                     "[check]\nroot_seed = 9\n"])
+                                     "[ci_d2]\nroot_seed = 9\n"])
     def test_root_seed_in_section_rejected(self, tmp_path, ini):
         # the root seed is [run] seed / --seed; no section has a seed field
         p = tmp_path / "seed.ini"
@@ -156,17 +154,33 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 50
+        assert sum(len(k) for k in keys.values()) == 48
 
-    def test_smoke_sets_every_check_knob_off_its_default(self):
-        # a [check] key exists only for a workload that needs another value
-        # than its default: a knob that every config leaves alone is a constant
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        parser.read(SMOKE, encoding="utf-8")
-        assert set(parser["check"]) == ACCEPTED_KEYS["check"]
-        smoke, default = load_settings(SMOKE).check, checks.CheckSuiteConfig()
-        for f in dataclasses.fields(default):
-            assert getattr(smoke, f.name) != getattr(default, f.name), f.name
+    def test_no_config_shrinks_a_checker(self):
+        # every checker size is a constant: no shipped config has a [check] section
+        # and the settings have no checker field
+        for path in SHIPPED_CONFIGS:
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read(path, encoding="utf-8")
+            assert "check" not in parser, path
+        assert "check" not in {f.name for f in dataclasses.fields(RunSettings)}
+
+    @pytest.mark.parametrize("ini", [
+        # the chain has no grid: its keys went with the section
+        "[check]\nchain_grid_2d = 16\n", "[check]\nchain_refine = 1.5\n",
+        "[check]\nroot_seed = 9\n", "[check]\nsampler = scaled_basis\n",
+        "[check]\nincrement_m = 1000000\n", "[check]\nq_mc_pairs = 100000\n",
+        "[check]\nchain_radius = 5.0\n", "[check]\ncalibration_m = 20000\n",
+        "[check]\ngauss_quad_instances = 12\n", "[check]\not_instances = 40\n",
+        "[check]\nquantile_instances = 25\n", "[check]\nmetric_triples = 20\n",
+        "[check]\nincrement_ns = 20 40\n", "[check]\nschedule_n_max = 512\n",
+        "[check]\n",
+    ])
+    def test_check_section_exits_2(self, tmp_path, capsys, ini):
+        p = tmp_path / "bad.ini"
+        p.write_text(ini)
+        assert cli.main(["list", "--config", str(p)]) == 2
+        assert "unknown config section [check]" in capsys.readouterr().err
 
     def test_every_key_parses_its_default_back(self, tmp_path):
         # writing each default under its key reads back the same settings,
@@ -198,20 +212,12 @@ class TestConfig:
     @pytest.mark.parametrize("ini", [
         "[rate_d1]\nkind = scaled_basis\n", "[rate_d1]\nbeta = 2.0\n",
         "[run]\nout_dir = x\n", "[rate_d1]\nroot_seed = 5\n", "[run]\nroot_seed = 5\n",
-        "[run]\ncheck = 1\n", "[check]\nsampler = scaled_basis\n",
+        "[run]\ncheck = 1\n",
         # the lattice floor is exact: the retired Monte Carlo size is unknown
         "[lower_d1]\nm_proxy = 50000\n",
-        # so are the increment step and the Q statistics, and the chain's radius is fixed
-        "[check]\nincrement_m = 1000000\n", "[check]\nq_mc_pairs = 100000\n",
-        "[check]\nchain_radius = 5.0\n",
-        # the halfspace statistic is exact: no checker or ci leg takes a sample
-        # size or a direction count for it
-        "[check]\ncalibration_m = 20000\n", "[ci_d1]\nm = 20000\n",
-        "[ci_d2]\ndirections = 16\n",
-        # the checker sizes no workload needs to change are constants
-        "[check]\ngauss_quad_instances = 12\n", "[check]\not_instances = 40\n",
-        "[check]\nquantile_instances = 25\n", "[check]\nmetric_triples = 20\n",
-        "[check]\nincrement_ns = 20 40\n", "[check]\nschedule_n_max = 512\n",
+        # the halfspace statistic is exact: no ci leg takes a sample size or a
+        # direction count for it
+        "[ci_d1]\nm = 20000\n", "[ci_d2]\ndirections = 16\n",
     ])
     def test_unaccepted_keys_exit_2(self, tmp_path, capsys, ini):
         p = tmp_path / "bad.ini"
@@ -241,11 +247,11 @@ class TestConfig:
     def test_default_section_rejected(self, tmp_path, capsys):
         # its keys would otherwise reach every section as if written there
         p = tmp_path / "default.ini"
-        p.write_text("[DEFAULT]\nseed = 3\n[check]\nchain_grid_2d = 5\n")
+        p.write_text("[DEFAULT]\nseed = 3\n[rate_d1]\nm = 5\n")
         assert cli.main(["list", "--config", str(p)]) == 2
         assert "unknown config section [DEFAULT]" in capsys.readouterr().err
-        p.write_text("[DEFAULT]\n[check]\nchain_grid_2d = 5\n")
-        assert load_settings(str(p)).check.chain_grid_2d == 5
+        p.write_text("[DEFAULT]\n[rate_d1]\nm = 5\n")
+        assert load_settings(str(p)).rate_d1.m == 5
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
                              ids=lambda p: os.path.relpath(p, ROOT))
@@ -372,10 +378,8 @@ class TestSeedPaths:
         assert not hasattr(experiments, "rng_for")
 
     def test_jobs_draw_the_same_alone_as_under_all(self, tmp_path):
-        # the smoke run's checker sizes, so that "all" stays quick
-        smoke = open(SMOKE).read()
         p = tmp_path / "tiny.ini"
-        p.write_text(TINY_EXPERIMENTS + smoke[smoke.index("[check]"):smoke.index("[rate_d1]")])
+        p.write_text(TINY_EXPERIMENTS)
 
         def run(*argv):
             out = tmp_path / argv[0]
@@ -455,12 +459,10 @@ class TestMainEndToEnd:
         ("ci", "[ci_d2]\nw2_m = 0\n", "[ci_d2]: need at least 1 point per W2 cloud, got 0"),
         ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes and probabilities must be finite"),
         ("list", "[lower_d1]\nscale = inf\n", "[lower_d1]: outcomes and probabilities must be finite"),
-        ("check", "[check]\nchain_grid_2d = 0\n", "[check]: chain_grid_2d must be >= 1, got 0"),
-        ("check", "[check]\nchain_refine = 0.5\n",
-         "[check]: chain_refine must be finite and > 1, got 0.5"),
-        ("check", "[check]\nchain_refine = 1\n", "[check]: chain_refine must be finite and > 1, got 1.0"),
-        ("all", "[check]\nchain_refine = 100\n",
-         "[check]: chain_grid_2d * chain_refine gives a 2400x2400 fine grid, past the 5000-atom cap"),
+        # the checkers take no config: a [check] section, with any key, is unknown
+        ("check", "[check]\nchain_grid_2d = 0\n", "unknown config section [check]"),
+        ("check", "[check]\nchain_refine = 0.5\n", "unknown config section [check]"),
+        ("all", "[check]\nchain_refine = 100\n", "unknown config section [check]"),
         ("check", "[run]\nworkers = 0\n", "[run]: workers must be >= 1, got 0"),
         ("check --workers 0", "", "bad command-line value: workers must be >= 1, got 0"),
         ("check --workers -3", "", "bad command-line value: workers must be >= 1, got -3"),
@@ -478,22 +480,17 @@ class TestMainEndToEnd:
         ("rate", "[rate_d2]\nsampler = lattice_custom\n"
                  "outcomes = -1 -1 | 1 1 | -1 1 | 1 -1\nprobs = 0.25 0.25 0.25 0.25\n",
          "[rate_d2]: lattice_custom takes its scale from its outcomes, got scale = 1.4142135623730951"),
-        # retired keys are unknown keys: the estimator follows the sampler's
-        # dimension, and the checker sizes no workload changes are constants
-        # in w2lab.checks (increment_ns = 3 would also break the increment
-        # checker's hypothesis n >= 5 beta^2 / sigma^2 = 5)
+        # retired keys are unknown keys: the estimator follows the sampler's law
         ("rate", "[rate_d2]\nestimator = exactt\n", "unknown key 'estimator' in section [rate_d2]"),
-        ("check", "[check]\nq_random_pairs = 0\n", "unknown key 'q_random_pairs' in section [check]"),
-        ("check", "[check]\not_instances = 0\n", "unknown key 'ot_instances' in section [check]"),
-        ("check", "[check]\nchain_radius = inf\n", "unknown key 'chain_radius' in section [check]"),
-        ("check", "[check]\nchain_radius = 0\n", "unknown key 'chain_radius' in section [check]"),
-        ("all", "[check]\nincrement_ns = 3\n", "unknown key 'increment_ns' in section [check]"),
-        ("check", "[check]\nl2_tables = 5\n", "unknown key 'l2_tables' in section [check]"),
-        ("check", "[check]\nremainder_pairs = 5\n",
-         "unknown key 'remainder_pairs' in section [check]"),
-        # the sampling checkers are exact and take no draw count
-        ("check", "[check]\nsampler_validate_m = 0\n",
-         "unknown key 'sampler_validate_m' in section [check]"),
+        # every checker size is a constant in w2lab.checks (increment_ns = 3 would
+        # also break the increment checker's hypothesis n >= 5 beta^2 / sigma^2 = 5)
+        ("check", "[check]\nq_random_pairs = 0\n", "unknown config section [check]"),
+        ("check", "[check]\not_instances = 0\n", "unknown config section [check]"),
+        ("check", "[check]\nchain_radius = inf\n", "unknown config section [check]"),
+        ("all", "[check]\nincrement_ns = 3\n", "unknown config section [check]"),
+        ("check", "[check]\nl2_tables = 5\n", "unknown config section [check]"),
+        ("check", "[check]\nremainder_pairs = 5\n", "unknown config section [check]"),
+        ("check", "[check]\nsampler_validate_m = 0\n", "unknown config section [check]"),
     ])
     def test_bad_estimator_or_lattice_exits_2_before_compute(
             self, tmp_path, capsys, monkeypatch, subcommand, ini, message):
@@ -765,6 +762,23 @@ class TestExactLegs:
             assert set(result.meta) == {"estimator", "sampler"}, result.meta
             assert result.meta["estimator"] == "exact_law"
             assert all(v.verdict == "pass" for v in result.verdicts), job
+
+    @pytest.mark.parametrize("job", EXPERIMENT_JOBS)
+    def test_a_leg_derives_its_lattice_factors_once(self, monkeypatch, job):
+        # the config's validation, the estimator, the record rules, the artifact
+        # metadata and the experiment all read one cached derivation
+        calls = []
+        real = experiments.lattice_factors
+        monkeypatch.setattr(experiments, "lattice_factors",
+                            lambda s: calls.append(s.kind) or real(s))
+        field = job.replace(":", "_")
+        settings = RunSettings()
+        default = getattr(settings, field)
+        calls.clear()
+        cfg = dataclasses.replace(default, n_grid=default.n_grid[:3])
+        result = cli.run_job(dataclasses.replace(settings, **{field: cfg}), job)
+        assert cfg.estimator == result.meta["estimator"] == "exact_law"
+        assert calls == [cfg.sampler.kind]
 
     def test_exact_rate_records_say_what_they_rest_on(self):
         result = cli.run_job(RunSettings(), "rate:d2")

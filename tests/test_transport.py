@@ -165,6 +165,19 @@ class TestGaussianMixture1d:
         w2 = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref)
         assert w2 == pytest.approx(oracle, rel=1e-10)
 
+    def test_stack_of_rows_is_each_row_alone(self, rng):
+        # one bisection over a stack of mass rows gives each row's own distance,
+        # zero masses included
+        atoms = np.array([-1.0, 0.5, 3.0])
+        rows = rng.dirichlet(np.ones(3), size=6)
+        rows[0] = [0.0, 1.0, 0.0]
+        stacked = w2_gaussian_mixture_1d(atoms, rows, 1.5, 2.0)
+        assert stacked.shape == (6,)
+        alone = [w2_gaussian_mixture_1d(atoms, row, 1.5, 2.0) for row in rows]
+        np.testing.assert_allclose(stacked, alone, rtol=1e-15, atol=0)
+        assert stacked[0] == pytest.approx(math.hypot(0.5, 0.5), rel=1e-12)
+        assert type(w2_gaussian_mixture_1d(atoms, rows[1], 1.5, 2.0)) is float
+
 
 def _reference_pair_cost(x, y):
     """The two-temporary expression ``_pair_cost`` must reproduce bit for bit."""
