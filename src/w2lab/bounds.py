@@ -30,14 +30,24 @@ from .transport import w2_gaussian_mixture_1d
 from .transport import w2_exact  # noqa: F401
 
 
-def increment_bound(k: int, beta: float, n: int) -> float:
-    """The increment lemma's bound 5 sqrt(k) beta / n on W2(Z_n, Z_{n-1} + X)."""
+def increment_bound(k: int, beta: float, n):
+    """The increment lemma's bound 5 sqrt(k) beta / n on W2(Z_n, Z_{n-1} + X);
+    ``n`` may be an array."""
     return 5.0 * math.sqrt(k) * beta / n
 
 
-def rate_envelope(k: int, beta: float, n: int) -> float:
-    """The induction's envelope 5 sqrt(k) beta (1 + log n) on A_{n,k}."""
-    return 5.0 * math.sqrt(k) * beta * (1.0 + math.log(n))
+def rate_envelope(k: int, beta: float, n):
+    """The induction's envelope 5 sqrt(k) beta (1 + log n) on A_{n,k}.
+
+    ``n`` may be an array of integers.  The log is ``math.log`` of each n in
+    either case: ``np.log`` differs from it in the last bit on a few n past
+    4096, so the array and the scalar would disagree there.
+    """
+    if np.ndim(n) == 0:
+        log_n = math.log(n)
+    else:
+        log_n = np.array([math.log(v) for v in np.asarray(n).tolist()])
+    return 5.0 * math.sqrt(k) * beta * (1.0 + log_n)
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,8 @@ def naive_w2_upper(
     if np.any(x_m < 0) or np.any(y_m < 0):
         raise ValueError("second moments must be nonnegative")
     tail = float(np.sum(x_m[k:]) + np.sum(y_m[k:]))
-    return math.sqrt(head_w2**2 + tail)
+    # squared by one multiplication, which rounds as the schedule's columns do
+    return math.sqrt(head_w2 * head_w2 + tail)
 
 
 def ank_bound_schedule(n_max: int, cov: CovarianceSpec, beta: float) -> np.ndarray:
@@ -101,6 +112,13 @@ def ank_bound_schedule(n_max: int, cov: CovarianceSpec, beta: float) -> np.ndarr
     sigma_k^2; otherwise the naive step couples coordinate k independently,
     adding its second moments n sigma_k^2 on both sides to A_{n,k-1}^2
     under the root.
+
+    The threshold is fixed per column, so each column k is filled at once:
+    the naive rows 2 <= n <= 5 beta^2 / sigma_k^2 as one array expression
+    over column k - 1, then the increment rows as one ``np.cumsum`` of the
+    steps.  The cumulative sum adds in sequence, and the naive expression
+    rounds as :func:`naive_w2_upper` does, so the table is bitwise the one
+    a loop over (n, k) builds.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -112,14 +130,15 @@ def ank_bound_schedule(n_max: int, cov: CovarianceSpec, beta: float) -> np.ndarr
         raise ValueError(
             "total variance exceeds beta^2; no bounded law has these moments"
         )
+    n = np.arange(n_max + 1, dtype=float)
     bounds = np.zeros((n_max + 1, d + 1))
     for k in range(1, d + 1):
-        bounds[1, k] = naive_w2_upper(var[:k], var[:k], 0, 0.0)
-    for n in range(2, n_max + 1):
-        for k in range(1, d + 1):
-            if n > 5.0 * beta**2 / var[k - 1]:
-                bounds[n, k] = bounds[n - 1, k] + increment_bound(k, beta, n)
-            else:
-                moments = n * var[:k]
-                bounds[n, k] = naive_w2_upper(moments, moments, k - 1, bounds[n, k - 1])
+        col = bounds[:, k]
+        col[1] = naive_w2_upper(var[:k], var[:k], 0, 0.0)
+        # the naive step holds on rows 2..last, the increment step past them
+        last = 1 + int(np.count_nonzero(n[2:] <= 5.0 * beta**2 / var[k - 1]))
+        m = n[2:last + 1] * var[k - 1]
+        col[2:last + 1] = np.sqrt(bounds[2:last + 1, k - 1] ** 2 + (m + m))
+        col[last:] = np.cumsum(np.concatenate(
+            ([col[last]], increment_bound(k, beta, n[last + 1:]))))
     return bounds

@@ -46,6 +46,12 @@ Solver menu:
   joins the set for the next solve.  Once none is, the duals are feasible
   for the full problem, so the restricted optimum is the full optimum to the
   HiGHS feasibility tolerances (``LP_TOL`` = 1e-10).
+
+:func:`w2_exact` and :func:`w2_discrete_lp` import SciPy's optimizer (and
+the LP's ``scipy.sparse``) on their first call, not with this module: no
+experiment leg calls either, and the import costs about 0.2 s of each run's
+start-up (``scipy.optimize`` with the ``scipy.sparse`` and ``scipy.linalg``
+it pulls in).
 """
 
 from __future__ import annotations
@@ -56,8 +62,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp, ndtr, ndtri
 
 from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights
@@ -73,6 +77,10 @@ _FSUM_CHUNK = 65536
 LP_SEED_NEIGHBOURS = 16
 LP_TOL = 1e-10
 LP_PRICING_TOL = 1e-12
+# w2_gaussian_mixture_1d bisects only the Gauss-Hermite nodes of at least this
+# weight, while their dropped terms' bound stays below TRIM_REL_TOL of the sum
+GH_WEIGHT_FLOOR = 1e-30
+TRIM_REL_TOL = 2.0**-60
 
 
 class SolverCapacityError(ValueError):
@@ -165,6 +173,8 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[float, Transpo
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.size > EXACT_CAP_DEFAULT:
         raise SolverCapacityError(f"cloud size {mu.size} exceeds cap {EXACT_CAP_DEFAULT}")
+    from scipy.optimize import linear_sum_assignment
+
     c = _pair_cost(mu.points, nu.points)
     rows, cols = linear_sum_assignment(c)
     pairing = np.empty(mu.size, dtype=np.intp)
@@ -260,6 +270,32 @@ def w2_atoms_gaussian_1d(atoms: np.ndarray, probs: np.ndarray, sd: float) -> flo
     return sd * math.sqrt(_fsum(cells))
 
 
+def _mixture_quantiles(a, rows, sd_mix, t) -> np.ndarray:
+    """(R, T): each mass row's mixture quantile F^-1(Phi(t)) at each node t,
+    bisected until no float lies between the two ends of its bracket."""
+    side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
+    target = ndtr(side * t)
+    shift = side[:, None] * a / sd_mix  # (T, J)
+    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
+    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return lo
+        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
+        below = open_ & (side * (tail - target) < 0)  # mid lies below the quantile
+        lo = np.where(below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def _dropped_remainder(a, sd_mix, sd_ref, t, w) -> float:
+    """Bound on the terms of the nodes t, weights w, left out of the sum: each
+    quantile lies in [sd_mix t + min a, sd_mix t + max a], so its term is at
+    most w (max|a| + |sd_mix - sd_ref| |t|)^2."""
+    return float(w @ (np.abs(a).max() + abs(sd_mix - sd_ref) * np.abs(t)) ** 2)
+
+
 def w2_gaussian_mixture_1d(
     atoms: np.ndarray, probs: np.ndarray, sd_mix: float, sd_ref: float
 ) -> float:
@@ -272,6 +308,14 @@ def w2_gaussian_mixture_1d(
     two ends.  For t > 0 the upper tails are compared, which keeps the
     right-hand nodes' tail probabilities at full relative precision.
 
+    Only the nodes of weight at least ``GH_WEIGHT_FLOOR`` are bisected (102
+    of the 200); the others enter the 200-node sum as 0, so the kept terms
+    are added in the untrimmed sum's order.  By the bracket above, the
+    dropped nodes' terms sum to at most ``sum w (max|a| + |sd_mix - sd_ref|
+    |t|)^2``.  If that remainder exceeds ``TRIM_REL_TOL`` = 2^-60 of the
+    kept sum on any row, far below one rounding of the sum, every node is
+    bisected instead, so no input loses accuracy to the trim.
+
     ``probs`` may be a stack of mass rows (R, J) over the same atoms: the
     result is then the (R,) array of the rows' distances, all from one
     bisection.
@@ -280,21 +324,14 @@ def w2_gaussian_mixture_1d(
     p = np.asarray(probs, dtype=float)
     rows = p.reshape(-1, a.size, 1)  # (R, J, 1)
     t, w = gh_nodes_weights(GH_NODES_DEFAULT)
-    side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
-    target = ndtr(side * t)
-    shift = side[:, None] * a / sd_mix  # (T, J)
-    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
-    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            break
-        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
-        below = open_ & (side * (tail - target) < 0)  # mid lies below the quantile
-        lo = np.where(below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-    w2 = np.sqrt((lo - sd_ref * t) ** 2 @ w)
+    live = w >= GH_WEIGHT_FLOOR
+    err = np.zeros((len(rows), len(t)))  # a dropped node's term counts as 0
+    err[:, live] = _mixture_quantiles(a, rows, sd_mix, t[live]) - sd_ref * t[live]
+    w2_sq = err**2 @ w
+    if np.any(_dropped_remainder(a, sd_mix, sd_ref, t[~live], w[~live])
+              > TRIM_REL_TOL * w2_sq):
+        w2_sq = (_mixture_quantiles(a, rows, sd_mix, t) - sd_ref * t) ** 2 @ w
+    w2 = np.sqrt(w2_sq)
     return float(w2[0]) if p.ndim == 1 else w2
 
 
@@ -473,6 +510,9 @@ def w2_discrete_lp(
     Ref: Schmitzer, *A sparse multiscale algorithm for dense optimal
     transport*, J. Math. Imaging Vis. 56 (2016), in its single-scale form.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     p = np.asarray(p, dtype=float)

@@ -110,6 +110,13 @@ class TestSchedule:
         assert a[7, 1] == naive(7, 1) != increment(7, 1)
         assert a[1, 1] == math.sqrt(2.0 * cov.variances[0])
 
+    def test_envelope_of_an_array_is_the_scalar_envelope(self):
+        # one log per integer n: np.log differs from math.log on a few n here
+        ns = np.arange(1, 200_001)
+        for k, beta in ((1, 1.0), (3, 2.5)):
+            scalar = np.array([rate_envelope(k, beta, n) for n in range(1, 200_001)])
+            assert rate_envelope(k, beta, ns).tobytes() == scalar.tobytes()
+
     def test_moment_consistency_guard(self):
         # total variance above beta^2 is impossible for a bounded law
         with pytest.raises(ValueError, match="beta"):
@@ -122,9 +129,12 @@ class TestSchedule:
         assert table[256, 1] == table[255, 1] + 5.0 / 256
         assert table[256, 1] > table[255, 1]
 
-    @pytest.mark.parametrize("sigmas, beta", SCHEDULE_CASES)
+    # the last case's k = 4 column is naive on every row: its squares must
+    # round as naive_w2_upper's do
+    @pytest.mark.parametrize("sigmas, beta", SCHEDULE_CASES + (([1.3, 0.7, 0.2, 0.05], 3.0),))
     def test_is_the_certified_steps(self, sigmas, beta):
-        # the recursion rebuilt from the two certified primitives, bitwise
+        # the recursion rebuilt from the two certified primitives by a loop over
+        # (n, k), bitwise
         cov = CovarianceSpec(sigmas)
         n_max = 4096
         var = cov.variances

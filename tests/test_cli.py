@@ -820,9 +820,22 @@ class TestExactLegs:
         assert record.lhs == pytest.approx(2 * math.sqrt(1 / 6) - 1 / math.sqrt(3), abs=1e-3)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_and_experiments_leave_scipy_stats_optimize_and_sparse_unloaded():
+    # start-up cost: importing the CLI loads none of the three, and neither does
+    # any default experiment job; only the assignment and LP solvers import the
+    # optimizer, on first call
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, w2lab.cli; assert 'scipy.stats' not in sys.modules"
+    code = (
+        "import sys, w2lab.cli as cli\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.sparse')\n"
+        "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+        "settings = cli.RunSettings()\n"
+        "jobs = [j for j in cli.EXPERIMENT_JOBS if j.partition(':')[0] in ('rate', 'lower', 'ci')]\n"
+        "assert len(jobs) == 6, jobs\n"
+        "for job in jobs:\n"
+        "    cli.run_job(settings, job)\n"
+        "    assert not [m for m in heavy if m in sys.modules], job\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -5,9 +5,12 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.special import ndtr
 
-from w2lab import transport
+from w2lab import bounds, checks, densities, transport
+from w2lab.gaussmath import GH_NODES_DEFAULT, gh_nodes_weights
 from w2lab.samplers import make_scaled_basis
 from w2lab.transport import (
     EXACT_CAP_DEFAULT,
@@ -177,6 +180,108 @@ class TestGaussianMixture1d:
         np.testing.assert_allclose(stacked, alone, rtol=1e-15, atol=0)
         assert stacked[0] == pytest.approx(math.hypot(0.5, 0.5), rel=1e-12)
         assert type(w2_gaussian_mixture_1d(atoms, rows[1], 1.5, 2.0)) is float
+
+
+def _untrimmed_quantiles(atoms, rows, sd_mix):
+    """The mixture quantiles at all 200 Gauss-Hermite nodes, each bisected to
+    adjacent floats, with no node dropped: the primitive before its trim."""
+    a = np.asarray(atoms, dtype=float).ravel()
+    rows = np.asarray(rows, dtype=float).reshape(-1, a.size, 1)
+    t, _ = gh_nodes_weights(GH_NODES_DEFAULT)
+    side = np.where(t > 0, -1.0, 1.0)
+    target = ndtr(side * t)
+    shift = side[:, None] * a / sd_mix
+    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
+    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            break
+        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
+        below = open_ & (side * (tail - target) < 0)
+        lo = np.where(below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    return lo
+
+
+def _untrimmed_w2(atoms, rows, sd_mix, sd_ref):
+    t, w = gh_nodes_weights(GH_NODES_DEFAULT)
+    return np.sqrt((_untrimmed_quantiles(atoms, rows, sd_mix) - sd_ref * t) ** 2 @ w)
+
+
+def _chain_and_increment_calls(monkeypatch):
+    """Every (atoms, probs, sd_mix, sd_ref) the chain's KR and marginal terms and
+    the increment step hand the primitive."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return w2_gaussian_mixture_1d(*args)
+
+    monkeypatch.setattr(densities, "w2_gaussian_mixture_1d", record)
+    monkeypatch.setattr(bounds, "w2_gaussian_mixture_1d", record)
+    for _, model in checks.chain_models_2d():
+        densities.kr_terms(model)
+        densities.marginal_w2_sq(model, np.eye(2))
+    for n in checks.INCREMENT_NS:
+        bounds.increment_bound_check(checks.INCREMENT_SAMPLER, n)
+    return calls
+
+
+def _random_mixtures(rng, count=40):
+    """Stacks of mass rows over random atoms, at scales from 1e-3 to 1e4."""
+    cases = []
+    for _ in range(count):
+        j = int(rng.integers(1, 6))
+        cases.append((rng.normal(scale=10.0 ** rng.integers(-3, 5), size=j),
+                      rng.dirichlet(np.ones(j), size=int(rng.integers(1, 8))),
+                      float(rng.uniform(0.05, 10.0)), float(rng.uniform(0.05, 10.0))))
+    return cases
+
+
+class TestNodeTrim:
+    def test_bitwise_the_untrimmed_sum(self, monkeypatch, rng):
+        # the chain's stacked rows, the increment step and random mixtures
+        cases = _chain_and_increment_calls(monkeypatch)
+        assert any(np.ndim(args[1]) == 2 and len(args[1]) > 1 for args in cases)
+        cases += _random_mixtures(rng)
+        for atoms, probs, sd_mix, sd_ref in cases:
+            trimmed = np.atleast_1d(w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref))
+            reference = _untrimmed_w2(atoms, probs, sd_mix, sd_ref)
+            assert trimmed.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("atoms,probs,sd_mix,sd_ref", [
+        # a far atom of tiny mass, whose share lives on the dropped tail nodes
+        ([0.0, 1e8], [[1.0, 1e-20]], 1.0, 1.0),
+        ([0.0, 1e8], [[1.0, 1e-30]], 1.0, 1.0),
+        # one row needs every node, so the whole stack keeps them
+        ([-2.0, 2.0, 1e8], [[0.5, 0.5, 0.0], [0.5, 0.5, 1e-24]], 1.0, 3.0),
+    ])
+    def test_guard_keeps_every_node_where_the_trim_would_lose_digits(
+            self, atoms, probs, sd_mix, sd_ref):
+        a = np.array(atoms)
+        t, w = gh_nodes_weights(GH_NODES_DEFAULT)
+        live = w >= transport.GH_WEIGHT_FLOOR
+        terms = (_untrimmed_quantiles(a, probs, sd_mix) - sd_ref * t) ** 2
+        kept = np.where(live, terms, 0.0) @ w
+        reference = _untrimmed_w2(a, probs, sd_mix, sd_ref)
+        assert np.sqrt(kept[-1]) != reference[-1]  # the live nodes alone fall short
+        remainder = transport._dropped_remainder(a, sd_mix, sd_ref, t[~live], w[~live])
+        assert remainder > transport.TRIM_REL_TOL * kept[-1]
+        assert w2_gaussian_mixture_1d(a, probs, sd_mix, sd_ref).tobytes() == reference.tobytes()
+
+    def test_remainder_bounds_the_dropped_terms(self, monkeypatch, rng):
+        cases = _chain_and_increment_calls(monkeypatch) + _random_mixtures(rng)
+        t, w = gh_nodes_weights(GH_NODES_DEFAULT)
+        dead = w < transport.GH_WEIGHT_FLOOR
+        assert dead.sum() == 98
+        for atoms, probs, sd_mix, sd_ref in cases:
+            q = _untrimmed_quantiles(atoms, probs, sd_mix)
+            dropped = (q[:, dead] - sd_ref * t[dead]) ** 2 @ w[dead]
+            bound = transport._dropped_remainder(
+                np.asarray(atoms, dtype=float), sd_mix, sd_ref, t[dead], w[dead])
+            assert np.all(dropped <= bound)
 
 
 def _reference_pair_cost(x, y):
@@ -501,7 +606,8 @@ class TestColumnGeneration:
             solves.append(1)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(transport, "linprog", counting_linprog)
+        # the solver imports linprog from scipy.optimize on each call
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
         cost = w2_discrete_lp(x, p, y, q)
         assert len(solves) >= 2
         assert cost == pytest.approx(_dense_lp_oracle(x, p, y, q), abs=1e-10)
