@@ -42,7 +42,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 from .checks import REGISTRY, Verdict
@@ -231,6 +230,8 @@ def execute(settings: RunSettings, job_ids: list[str]) -> list[JobResult]:
     if settings.workers <= 1 or len(job_ids) == 1:
         results = [run_job(settings, j) for j in job_ids]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a 1-worker run skips its 16 ms
+
         with ProcessPoolExecutor(max_workers=settings.workers) as pool:
             futures = {pool.submit(run_job, settings, j): j for j in job_ids}
             results = [f.result() for f in futures]

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre, xlogy
 
-from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid
+from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid, norm_cdf
 from .samplers import BoundedSampler
 from .qstats import q_values
 from .transport import w2_gaussian_mixture_1d
@@ -95,8 +94,7 @@ def _support(
 
 def _gauss_cell_masses_1d(edges: np.ndarray, mean: float, sd: float) -> np.ndarray:
     z = (edges - mean) / sd
-    cdf = ndtr(z)
-    return np.diff(cdf)
+    return np.diff(norm_cdf(z))
 
 
 class _RatioBase:
@@ -129,6 +127,8 @@ class _RatioBase:
 
     def tau_cell_masses(self, edges: list[np.ndarray]) -> np.ndarray:
         """Cell masses of the perturbed law, generic per-cell quadrature."""
+        from scipy.special import roots_legendre
+
         g = 8
         xg, wg = roots_legendre(g)
         axis_pts, axis_wts = [], []
@@ -366,8 +366,9 @@ def _budget(fine, coarse) -> float:
 
 
 def _entropy_functional(model: DensityRatioModel, nodes: int) -> np.ndarray:
-    """[E f_[k] log f_[k] for k = 0..d]; the k = 0 term is 0."""
-    return np.array([0.0] + _prefix_integrals(model, nodes, lambda v: xlogy(v, v)))
+    """[E f_[k] log f_[k] for k = 0..d]; the k = 0 term is 0, and so is v log v at v = 0."""
+    return np.array([0.0] + _prefix_integrals(
+        model, nodes, lambda v: v * np.log(np.where(v > 0, v, 1.0))))
 
 
 def _chi2_terms(model: DensityRatioModel, nodes: int) -> np.ndarray:

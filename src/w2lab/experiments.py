@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import rate_envelope
-from .gaussmath import CovarianceSpec, sample_gaussian
+from .gaussmath import CovarianceSpec, norm_cdf, sample_gaussian
 from .samplers import (
     BoundedSampler,
     make_lattice_custom,
@@ -339,7 +338,7 @@ def _lattice_sq_distance_1d(sigma: float, ell: float) -> float:
     t = h * np.arange(int(12.0 / h + 0.5) + 1)
     a, b = t - h / 2, t + h / 2
     phi_a, phi_b = np.exp(-a * a / 2), np.exp(-b * b / 2)
-    cells = ((1 + t * t) * (ndtr(-a) - ndtr(-b))
+    cells = ((1 + t * t) * (norm_cdf(-a) - norm_cdf(-b))
              + (-2 * t * (phi_a - phi_b) + a * phi_a - b * phi_b) / math.sqrt(2 * math.pi))
     cells[1:] *= 2
     return sigma * sigma * math.fsum(cells)
@@ -456,7 +455,7 @@ def walk_gap(kernel, n: int, sd: float) -> float:
     Phi rises, so the supremum is |F(x) - Phi(x/sd)| or |F(x-) - Phi(x/sd)|.
     """
     cdf = walk_cdf(kernel, n)
-    gauss = ndtr(np.arange(-n, n + 1) / (math.sqrt(n) * sd))
+    gauss = norm_cdf(np.arange(-n, n + 1) / (math.sqrt(n) * sd))
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(max(np.max(np.abs(cdf - gauss)), np.max(np.abs(left - gauss))))
 

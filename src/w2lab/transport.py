@@ -47,11 +47,20 @@ Solver menu:
   for the full problem, so the restricted optimum is the full optimum to the
   HiGHS feasibility tolerances (``LP_TOL`` = 1e-10).
 
-:func:`w2_exact` and :func:`w2_discrete_lp` import SciPy's optimizer (and
-the LP's ``scipy.sparse``) on their first call, not with this module: no
-experiment leg calls either, and the import costs about 0.2 s of each run's
-start-up (``scipy.optimize`` with the ``scipy.sparse`` and ``scipy.linalg``
-it pulls in).
+This module imports no SciPy at load time.  The experiments' solver,
+:func:`w2_atoms_gaussian_1d`, takes Phi^-1 from
+:func:`w2lab.gaussmath.norm_ppf`; each SciPy user imports what it needs
+on its first call:
+
+* :func:`w2_exact` and :func:`w2_discrete_lp`: ``scipy.optimize`` (and the
+  LP's ``scipy.sparse``), with the ``scipy.linalg`` they pull in, about
+  0.2 s;
+* the mixture bisection of :func:`w2_gaussian_mixture_1d`:
+  ``scipy.special.ndtr`` (see :func:`_mixture_quantiles` for why);
+* :func:`sinkhorn_w2`: ``scipy.special.logsumexp``.
+
+``scipy.special`` alone costs about 0.23 s of start-up, and no experiment
+leg calls any of these, so ``rate``, ``lower`` and ``ci`` never load SciPy.
 """
 
 from __future__ import annotations
@@ -62,9 +71,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
 
-from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights
+from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights, norm_ppf
 
 EXACT_CAP_DEFAULT = 5000
 BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
@@ -261,7 +269,7 @@ def w2_atoms_gaussian_1d(atoms: np.ndarray, probs: np.ndarray, sd: float) -> flo
     below = np.cumsum(p)[:-1]  # P(X <= a_k), for every cell but the last
     above = np.cumsum(p[::-1])[::-1][1:]  # P(X > a_k)
     # each side clamped to its own half, where its tail sum is below 1 + rounding
-    t = np.where(below <= 0.5, ndtri(np.minimum(below, 0.5)), -ndtri(np.minimum(above, 0.5)))
+    t = np.where(below <= 0.5, norm_ppf(np.minimum(below, 0.5)), -norm_ppf(np.minimum(above, 0.5)))
     phi = np.zeros(len(p) + 1)  # phi(t) at the breakpoints, the outer ends included
     phi[1:-1] = np.exp(-t * t / 2) / math.sqrt(2 * math.pi)
     t_phi = np.zeros(len(p) + 1)
@@ -272,7 +280,18 @@ def w2_atoms_gaussian_1d(atoms: np.ndarray, probs: np.ndarray, sd: float) -> flo
 
 def _mixture_quantiles(a, rows, sd_mix, t) -> np.ndarray:
     """(R, T): each mass row's mixture quantile F^-1(Phi(t)) at each node t,
-    bisected until no float lies between the two ends of its bracket."""
+    bisected until no float lies between the two ends of its bracket.
+
+    Phi here is SciPy's ``ndtr`` ufunc, the package's one Phi besides
+    :func:`w2lab.gaussmath.norm_cdf`, on purpose: a smoke run evaluates 5.0M
+    values in this loop.  On one 5M array the ufunc takes 0.12 s and
+    ``norm_cdf``, one ``math.erfc`` call per element, 0.54 s; a numpy port
+    of Cephes ``erfc`` took 0.80 s against 0.11 s, and lost 1.2e-8 relative
+    accuracy in the far tail.  It is imported here, so only the checkers
+    that bisect load SciPy.
+    """
+    from scipy.special import ndtr
+
     side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
     target = ndtr(side * t)
     shift = side[:, None] * a / sd_mix  # (T, J)
@@ -362,6 +381,8 @@ def sinkhorn_w2(
         raise ValueError("epsilon must be positive")
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    from scipy.special import logsumexp
+
     c = _pair_cost(mu.points, nu.points)
     a = np.full(mu.size, 1.0 / mu.size)
     b = np.full(nu.size, 1.0 / nu.size)

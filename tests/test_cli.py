@@ -820,22 +820,28 @@ class TestExactLegs:
         assert record.lhs == pytest.approx(2 * math.sqrt(1 / 6) - 1 / math.sqrt(3), abs=1e-3)
 
 
-def test_cli_and_experiments_leave_scipy_stats_optimize_and_sparse_unloaded():
-    # start-up cost: importing the CLI loads none of the three, and neither does
-    # any default experiment job; only the assignment and LP solvers import the
-    # optimizer, on first call
+def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
+    # start-up cost: importing the CLI loads no SciPy module, and neither does any
+    # experiment job, at the default config or at smoke, nor `rate`, `lower` and
+    # `ci` run through main; only the checkers that call SciPy import it
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
-        "import sys, w2lab.cli as cli\n"
-        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.sparse')\n"
-        "assert not [m for m in heavy if m in sys.modules], 'import'\n"
-        "settings = cli.RunSettings()\n"
+        "import os, sys, w2lab.cli as cli\n"
+        "def scipy_loaded(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
         "jobs = [j for j in cli.EXPERIMENT_JOBS if j.partition(':')[0] in ('rate', 'lower', 'ci')]\n"
         "assert len(jobs) == 6, jobs\n"
-        "for job in jobs:\n"
-        "    cli.run_job(settings, job)\n"
-        "    assert not [m for m in heavy if m in sys.modules], job\n"
+        "for settings in (cli.RunSettings(), cli.load_settings(sys.argv[1])):\n"
+        "    for job in jobs:\n"
+        "        cli.run_job(settings, job)\n"
+        "        assert not scipy_loaded(), (job, scipy_loaded())\n"
+        "for sub in ('rate', 'lower', 'ci'):\n"
+        "    out = os.path.join(sys.argv[2], sub)\n"
+        "    assert cli.main([sub, '--workers', '1', '--out', out]) == 0, sub\n"
+        "    assert os.path.exists(os.path.join(out, 'verdicts.json')), sub\n"
+        "    assert not scipy_loaded(), (sub, scipy_loaded())\n"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", code, SMOKE, str(tmp_path)], env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=120)

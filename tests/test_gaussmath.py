@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from w2lab.gaussmath import (
     gaussian_exp_quadratic,
     gh_grid,
     gh_nodes_weights,
+    norm_cdf,
+    norm_ppf,
     sample_gaussian,
     w2_gaussian_diag,
 )
@@ -192,3 +196,64 @@ def test_gh_rule_is_built_once_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a *= 2.0
     assert float(w @ x**2) == pytest.approx(1.0, rel=1e-12)
+
+
+def _rel_errors(got, exact) -> float:
+    """The largest |got / exact - 1| over the pairs, exact an mpmath value."""
+    return max(float(abs(mpmath.mpf(float(g)) / e - 1)) for g, e in zip(got, exact))
+
+
+class TestNormalKernels:
+    # the lower half's quantiles at 40 digits: Newton on mpmath's Phi from the
+    # kernel's own value, three steps past its 16 digits.  The grid spans 1e-300
+    # to 1/2, adds subnormals down to the smallest, both ends of the normal range,
+    # and AS 241's branch points: |p - 1/2| = 0.425 and r = 5 (p = e^-25)
+    P_GRID = np.concatenate([np.logspace(-300, math.log10(0.5), 301)[:-1],
+                             [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-307,
+                              0.075, np.nextafter(0.075, 0), np.nextafter(0.075, 1),
+                              math.exp(-25.0), np.nextafter(math.exp(-25.0), 1), 0.3, 0.4999]])
+
+    def test_ppf_matches_mpmath(self):
+        got = norm_ppf(self.P_GRID)
+        exact = []
+        with mpmath.workdps(40):
+            for p, x in zip(self.P_GRID, got):
+                p, x = mpmath.mpf(float(p)), mpmath.mpf(float(x))
+                for _ in range(3):
+                    x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+                exact.append(x)
+            assert _rel_errors(got, exact) <= 1e-15
+
+    def test_cdf_matches_mpmath(self):
+        # both tails and the centre, to 12 standard deviations: rounding x / sqrt 2
+        # costs about x^2 ulps, so the bound is 2e-13
+        xs = np.concatenate([np.linspace(-12.0, 12.0, 1201), [-11.987, -7.5e-3, 1e-300, 0.7071]])
+        with mpmath.workdps(40):
+            assert _rel_errors(norm_cdf(xs), [mpmath.ncdf(mpmath.mpf(float(x))) for x in xs]) <= 2e-13
+
+    def test_edges_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = norm_ppf(np.array([0.0, 0.5, 1.0, 1e-300, 0.9]))
+            assert ends[0] == -math.inf and ends[1] == 0.0 and ends[2] == math.inf
+            assert np.all(np.isfinite(ends[3:]))
+            assert norm_ppf(0.0) == -math.inf and norm_ppf(1.0) == math.inf
+            assert norm_ppf(0.5) == 0.0 and not math.copysign(1.0, norm_ppf(0.5)) < 0
+            assert np.array_equal(norm_cdf(np.array([-math.inf, 0.0, math.inf])), [0.0, 0.5, 1.0])
+            assert np.isnan(norm_ppf(math.nan)) and np.isnan(norm_cdf(math.nan))
+
+    def test_symmetry(self):
+        # p = k / 2^11 and 1 - p are exact, and so is p - 1/2: the two halves
+        # mirror each other bitwise
+        p = np.arange(1, 1025) / 2048.0
+        assert np.array_equal(norm_ppf(1.0 - p), -norm_ppf(p))
+        x = np.linspace(-9.0, 9.0, 721)
+        assert np.max(np.abs(norm_cdf(x) + norm_cdf(-x) - 1.0)) <= 2.0**-53
+        assert np.max(np.abs(norm_cdf(norm_ppf(p)) / p - 1.0)) <= 1e-14
+
+    def test_shapes_and_scalars(self):
+        p = np.full((2, 3), 0.2)
+        assert norm_ppf(p).shape == (2, 3) and norm_cdf(p).shape == (2, 3)
+        assert norm_ppf(np.empty(0)).shape == (0,) and norm_cdf(np.empty(0)).shape == (0,)
+        assert np.ndim(norm_ppf(0.2)) == 0 and np.ndim(norm_cdf(0.2)) == 0
+        assert norm_cdf(1.0) == pytest.approx(0.8413447460685429, rel=1e-15)
