@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .gaussmath import CovarianceSpec
-from .qstats import check_hypothesis
 from .samplers import BoundedSampler
 from .transport import w2_gaussian_mixture_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
@@ -63,6 +62,8 @@ def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
     support points a_j of X, and Z_n is N(0, sigma^2 n), so the distance is
     :func:`~w2lab.transport.w2_gaussian_mixture_1d`.  Needs a 1-d sampler.
     """
+    from .qstats import check_hypothesis  # here, so the experiment legs never load qstats
+
     if s.dim != 1:
         raise ValueError("the exact increment step needs k = 1")
     check_hypothesis(n, s.bound, s.cov)

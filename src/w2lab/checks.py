@@ -16,7 +16,8 @@ bit-identical results.  Every checker size is a constant of this module.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
 functions it calls return measured quantities only, and the verdict rule is
-written once, in :class:`Verdict`, on sides that are points or intervals:
+written once, in :class:`w2lab.reporting.Verdict` (imported here, so
+``checks.Verdict`` names it too), on sides that are points or intervals:
 pass when the left side lies at or below the right, inconclusive while the
 two overlap, else fail.  A checker folds its tolerance into the record: an
 equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,6 +57,7 @@ from .gaussmath import (
     sample_gaussian,
     w2_gaussian_diag,
 )
+from .reporting import Verdict
 from .samplers import (
     make_lattice_custom,
     make_rademacher_product,
@@ -86,46 +88,6 @@ L2_SIDE = 8
 REMAINDER_PAIRS = 10**6
 REMAINDER_CHUNK = 10**5
 SCHEDULE_N_MAX = 4096
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """One checked statement instance ``lhs <= rhs``, each side a point or a
-    ``(lo, hi)`` interval known to hold it (an unknown end is an infinite edge).
-
-    It keeps the left side's upper edge as ``lhs`` and the right side's lower
-    edge as ``rhs`` (``margin`` is rhs - lhs), the others as ``lhs_lo`` and
-    ``rhs_hi``.  The one rule: pass when lhs <= rhs, else inconclusive when
-    lhs_lo <= rhs_hi, else fail; a NaN on any edge fails.  The job that records
-    it supplies its checker id and anchor.
-    """
-
-    case: str
-    lhs: float  # given as a point or an interval, kept as its upper edge
-    rhs: float  # given as a point or an interval, kept as its lower edge
-    inputs: dict = field(default_factory=dict)
-    lhs_lo: float = field(init=False)
-    rhs_hi: float = field(init=False)
-
-    def __post_init__(self):
-        edges = [float(e) for side in (self.lhs, self.rhs)
-                 for e in (side if isinstance(side, tuple) else (side, side))]
-        if edges[0] > edges[1] or edges[2] > edges[3]:
-            raise ValueError(f"interval edges out of order: {edges}")
-        for name, edge in zip(("lhs_lo", "lhs", "rhs", "rhs_hi"), edges):
-            object.__setattr__(self, name, edge)
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def verdict(self) -> str:  # "pass" | "fail" | "inconclusive"
-        if any(math.isnan(e) for e in (self.lhs_lo, self.lhs, self.rhs, self.rhs_hi)):
-            return "fail"
-        if self.lhs <= self.rhs:
-            return "pass"
-        return "inconclusive" if self.lhs_lo <= self.rhs_hi else "fail"
 
 
 # ---------------------------------------------------------------------------

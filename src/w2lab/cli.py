@@ -12,7 +12,10 @@ list    print the checker registry (id and anchor)
 A job id is ``kind:name``; ``run_job`` finds its kind in one table.  A check
 job runs its ``REGISTRY`` entry, an experiment leg the settings field
 ``{kind}_{name}``: the experiment jobs are those fields, in field order, so a
-new leg is one ``RunSettings`` field.  Every job gets one generator,
+new leg is one ``RunSettings`` field.  The registry loads on first use, by
+``check``, ``all``, ``list`` or an ``--only`` id to validate, so ``rate``,
+``lower`` and ``ci`` never load :mod:`w2lab.checks` nor the modules only the
+checkers use.  Every job gets one generator,
 ``rng_for(root seed, *the UTF-8 bytes of its id)``: distinct ids are distinct
 seed paths, so a job's numbers depend on the root seed and its id alone,
 never on the worker count, the job order or which other jobs run.  The
@@ -39,12 +42,12 @@ then exits quietly with the same verdict status.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-from .checks import REGISTRY, Verdict
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     bentkus_reference_curve,
@@ -54,6 +57,7 @@ from .experiments import (
 )
 from .reporting import (
     SCHEMA_VERSION,
+    Verdict,
     config_hash,
     jsonable,
     write_plotdata,
@@ -92,7 +96,14 @@ class JobResult:
 # jobs -> verdicts + artifacts
 # ---------------------------------------------------------------------------
 
-_CHECKERS = {entry.checker_id: entry for entry in REGISTRY}
+@functools.cache
+def _checkers() -> dict:
+    """The checker registry by id, in its order, loaded on first use: ``check``,
+    ``all``, ``list`` and ``--only`` load it; ``rate``, ``lower`` and ``ci``
+    never load :mod:`w2lab.checks` or the modules only it uses."""
+    from .checks import REGISTRY
+
+    return {entry.checker_id: entry for entry in REGISTRY}
 
 
 def _leg_meta(cfg, **sizes) -> dict:
@@ -116,7 +127,7 @@ def _series(points, column: str) -> tuple:
 
 
 def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
-    entry = _CHECKERS[checker_id]
+    entry = _checkers()[checker_id]
     return JobResult(job_id=f"check:{checker_id}", anchor=entry.anchor,
                      verdicts=entry.runner(rng))
 
@@ -209,13 +220,11 @@ def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[s
     """The job ids a subcommand runs, in order; ``list`` runs none."""
     if only is not None and subcommand not in ("check", "all"):
         raise UsageError("--only applies to the check/all subcommands")
-    if only is not None and only not in _CHECKERS:
-        raise UsageError(f"unknown checker {only!r}; run the list subcommand for ids")
-    check_jobs = [f"check:{cid}" for cid in _CHECKERS if only in (None, cid)]
-    if subcommand == "check":
-        return check_jobs
-    if subcommand == "all":
-        return check_jobs + list(EXPERIMENT_JOBS)
+    if subcommand in ("check", "all"):
+        if only is not None and only not in _checkers():
+            raise UsageError(f"unknown checker {only!r}; run the list subcommand for ids")
+        check_jobs = [f"check:{cid}" for cid in _checkers() if only in (None, cid)]
+        return check_jobs if subcommand == "check" else check_jobs + list(EXPERIMENT_JOBS)
     exp_jobs = [j for j in EXPERIMENT_JOBS if j.startswith(f"{subcommand}:")]
     if not exp_jobs and subcommand != "list":
         raise UsageError(f"unknown subcommand {subcommand!r}")
@@ -330,7 +339,7 @@ def main(argv=None) -> int:
     status = 1 if any(v.verdict == "fail" for res in results for v in res.verdicts) else 0
     try:
         if args.subcommand == "list":
-            print("\n".join(f"{e.checker_id:24s} {e.anchor}" for e in REGISTRY))
+            print("\n".join(f"{e.checker_id:24s} {e.anchor}" for e in _checkers().values()))
         else:
             emit(settings, results, settings.verbosity)
         sys.stdout.flush()

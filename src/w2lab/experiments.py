@@ -16,7 +16,12 @@ frame, or in d = 2 in the frame turned by 45 degrees.  That covers every
 default leg.  Each walk's law of S_n is a :func:`walk_pmf` convolution
 power, the one law engine that the halfspace statistic reads too, and its
 W2 to the Gaussian coordinate is the closed-form quantile-cell sum
-:func:`w2lab.transport.w2_atoms_gaussian_1d`; such a leg draws nothing.  Any
+:func:`w2lab.transport.w2_atoms_gaussian_1d`; such a leg draws nothing.
+Each walk's W2 at each n, and each kernel's squarings kernel^(2^j), are
+computed once per process (:func:`_walk_w2`, :func:`_squarings`): the legs
+that share a law, and the two equal coordinates of the 45-degree frame,
+reuse them, and the same ``np.convolve`` calls run in the same order, so
+every value is bitwise the uncached one.  Any
 other law keeps one :func:`_w2_of_sum` draw per estimate, whose estimator
 the sampler's dimension picks (:func:`w2lab.transport.estimate_w2`): the
 quantile coupling in one dimension, exact assignment otherwise.  A config
@@ -102,17 +107,29 @@ class SamplerSpec:
 # The exact law of S_n
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _squarings(kernel: tuple) -> list:
+    """The kernel's squarings kernel^(2^j), j = 0, 1, ..., as read-only arrays:
+    one list per kernel and process, which :func:`walk_pmf` extends on demand."""
+    first = np.array(kernel, dtype=float)
+    first.flags.writeable = False
+    return [first]
+
+
 def walk_pmf(kernel, n: int) -> np.ndarray:
     """pmf at k = 0..n (len(kernel) - 1) of a sum of n i.i.d. steps in {0, ...,
     len(kernel) - 1}, whose probabilities ``kernel`` holds: its n-fold
-    ``np.convolve`` power, by squaring.  The one law engine of this module."""
-    pmf, power = np.ones(1), np.asarray(kernel, dtype=float)
-    while n:
-        if n & 1:
-            pmf = np.convolve(pmf, power)
-        n >>= 1
-        if n:
-            power = np.convolve(power, power)
+    ``np.convolve`` power, by binary powering over the kernel's shared
+    :func:`_squarings`, each the square of the one before.  The one law engine
+    of this module."""
+    powers, pmf = _squarings(tuple(kernel)), np.ones(1)
+    for j in range(int(n).bit_length()):
+        if j == len(powers):
+            square = np.convolve(powers[-1], powers[-1])
+            square.flags.writeable = False
+            powers.append(square)
+        if n >> j & 1:
+            pmf = np.convolve(pmf, powers[j])
     return pmf
 
 
@@ -127,11 +144,19 @@ class LatticeWalk:
     sd: float
 
     def w2(self, n: int) -> float:
-        """Exact W2(n^{-1/2} (X_1 + ... + X_n), N(0, sd^2)), whose law is the
-        :func:`walk_pmf` power on the points ``n start + span k``."""
-        pmf = walk_pmf(self.kernel, n)
-        atoms = (n * self.start + self.span * np.arange(len(pmf))) / math.sqrt(n)
-        return w2_atoms_gaussian_1d(atoms, pmf, self.sd)
+        """Exact W2(n^{-1/2} (X_1 + ... + X_n), N(0, sd^2)): :func:`_walk_w2`."""
+        return _walk_w2(self, n)
+
+
+@functools.cache
+def _walk_w2(walk: LatticeWalk, n: int) -> float:
+    """A walk's exact W2 at n, whose law is the :func:`walk_pmf` power on the
+    points ``n start + span k``: computed once per (walk, n) and process, so
+    equal walks (the legs' shared laws, the 45-degree frame's two coordinates)
+    share it."""
+    pmf = walk_pmf(walk.kernel, n)
+    atoms = (n * walk.start + walk.span * np.arange(len(pmf))) / math.sqrt(n)
+    return w2_atoms_gaussian_1d(atoms, pmf, walk.sd)
 
 
 def _lattice_walk(values: np.ndarray, probs: np.ndarray, sd: float) -> Optional[LatticeWalk]:

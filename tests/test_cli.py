@@ -821,27 +821,62 @@ class TestExactLegs:
 
 
 def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
-    # start-up cost: importing the CLI loads no SciPy module, and neither does any
-    # experiment job, at the default config or at smoke, nor `rate`, `lower` and
-    # `ci` run through main; only the checkers that call SciPy import it
+    # start-up cost: importing the CLI loads no SciPy module and no checker stack
+    # (checks, densities, qstats), and neither does any experiment job, at the
+    # default config or at smoke, nor `rate`, `lower` and `ci` run through main, nor
+    # a rejected `rate --only`; only the checkers that call SciPy import it, and
+    # only the registry's users (check, all, list, an --only id) load the checkers
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import os, sys, w2lab.cli as cli\n"
-        "def scipy_loaded(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
-        "assert not scipy_loaded(), scipy_loaded()\n"
+        "def loaded(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+        "                      or m in ('w2lab.checks', 'w2lab.densities', 'w2lab.qstats')]\n"
+        "assert not loaded(), loaded()\n"
         "jobs = [j for j in cli.EXPERIMENT_JOBS if j.partition(':')[0] in ('rate', 'lower', 'ci')]\n"
         "assert len(jobs) == 6, jobs\n"
         "for settings in (cli.RunSettings(), cli.load_settings(sys.argv[1])):\n"
         "    for job in jobs:\n"
         "        cli.run_job(settings, job)\n"
-        "        assert not scipy_loaded(), (job, scipy_loaded())\n"
+        "        assert not loaded(), (job, loaded())\n"
         "for sub in ('rate', 'lower', 'ci'):\n"
         "    out = os.path.join(sys.argv[2], sub)\n"
         "    assert cli.main([sub, '--workers', '1', '--out', out]) == 0, sub\n"
         "    assert os.path.exists(os.path.join(out, 'verdicts.json')), sub\n"
-        "    assert not scipy_loaded(), (sub, scipy_loaded())\n"
+        "    assert not loaded(), (sub, loaded())\n"
+        "assert cli.main(['rate', '--only', 'ot-exact']) == 2\n"
+        "assert not loaded(), loaded()\n"
+        "assert cli.main(['check', '--only', 'bogus']) == 2\n"
+        "assert 'w2lab.checks' in loaded()\n"
     )
     subprocess.run([sys.executable, "-c", code, SMOKE, str(tmp_path)], env=env, check=True,
                    stdout=subprocess.DEVNULL, timeout=120)
+
+
+class TestRegistryOnFirstUse:
+    # the registry loads on first use; each of its users keeps its exit status and
+    # its messages
+    def test_list_prints_the_registry_in_order(self, capsys):
+        assert cli.main(["list"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"{e.checker_id:24s} {e.anchor}" for e in REGISTRY]
+        assert captured.err == ""
+
+    def test_check_only_runs_one_checker(self, tmp_path, capsys):
+        out = str(tmp_path / "ot")
+        assert cli.main(["check", "--only", "ot-exact", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"verdicts: 2 pass, 0 fail, 0 inconclusive -> {out}/verdicts.json\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--only", "bogus"], "unknown checker 'bogus'; run the list subcommand for ids"),
+        (["rate", "--only", "ot-exact"], "--only applies to the check/all subcommands"),
+    ])
+    def test_bad_only_exits_2(self, tmp_path, capsys, argv, message):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()

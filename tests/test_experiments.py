@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from w2lab import experiments
+from w2lab.config import RunSettings
 from w2lab.experiments import (
+    WALK_SPAN_CAP,
     HalfspaceConfig,
     LatticeWalk,
     LowerExperimentConfig,
@@ -25,10 +28,11 @@ from w2lab.experiments import (
     lattice_lower_experiment,
     main_rate_bound,
     walk_cdf,
+    walk_pmf,
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
 from w2lab.samplers import lattice_distance, make_rademacher_product, make_scaled_basis
-from w2lab.transport import EmpiricalMeasure, w2_exact, w2_quantile_1d
+from w2lab.transport import EmpiricalMeasure, w2_atoms_gaussian_1d, w2_exact, w2_quantile_1d
 
 
 RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
@@ -499,3 +503,99 @@ class TestExactLaw:
         three = SamplerSpec("lattice_custom", 1, outcomes=((-1.0,), (0.0,), (16.0,)),
                             probs=(0.5, 0.5 - 1 / 32, 1 / 32))
         assert lattice_factors(three.build()) is None
+
+
+def _reference_pmf(kernel, n: int) -> np.ndarray:
+    """The uncached engine: the ``np.convolve`` binary power, squaring as it goes."""
+    pmf, power = np.ones(1), np.asarray(kernel, dtype=float)
+    while n:
+        if n & 1:
+            pmf = np.convolve(pmf, power)
+        n >>= 1
+        if n:
+            power = np.convolve(power, power)
+    return pmf
+
+
+# kernels on {0, ..., span}: interior zero masses, and spans up to WALK_SPAN_CAP
+MEMO_KERNELS = {
+    "rademacher": (0.5, 0.5),
+    "gap": (0.3, 0.0, 0.7),
+    "sparse": (0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.25),
+    "cap": (16 / 17,) + (0.0,) * (WALK_SPAN_CAP - 1) + (1 / 17,),
+}
+MEMO_NS = (1, 2, 3, 1000, 4095, 4096)
+
+
+@pytest.fixture
+def fresh_memo():
+    """Empty the per-process walk memo before and after, so a test that counts or
+    patches the engine sees every computation and leaves no value behind."""
+    experiments._walk_w2.cache_clear()
+    experiments._squarings.cache_clear()
+    yield
+    experiments._walk_w2.cache_clear()
+    experiments._squarings.cache_clear()
+
+
+class TestOncePerProcess:
+    @pytest.mark.parametrize("kernel", MEMO_KERNELS.values(), ids=MEMO_KERNELS)
+    def test_pmf_is_bitwise_the_uncached_power(self, fresh_memo, kernel):
+        # the shared squarings grow in either order of n, and reused ones change nothing
+        reference = {n: _reference_pmf(kernel, n).tobytes() for n in MEMO_NS}
+        for n in MEMO_NS + MEMO_NS[::-1]:
+            pmf = walk_pmf(kernel, n)
+            assert pmf.tobytes() == reference[n], n
+            assert pmf.flags.writeable  # a fresh array: no caller can write into the memo
+
+    @pytest.mark.parametrize("kernel", MEMO_KERNELS.values(), ids=MEMO_KERNELS)
+    def test_w2_is_bitwise_the_direct_sum(self, fresh_memo, kernel):
+        walk = LatticeWalk(-1.0, 0.5, kernel, 0.7)
+        for n in MEMO_NS:
+            pmf = _reference_pmf(kernel, n)
+            atoms = (n * walk.start + walk.span * np.arange(len(pmf))) / math.sqrt(n)
+            direct = w2_atoms_gaussian_1d(atoms, pmf, walk.sd)
+            assert walk.w2(n) == direct, n
+            assert LatticeWalk(-1.0, 0.5, tuple(kernel), 0.7).w2(n) == direct, n
+
+    def test_cached_squarings_are_read_only(self, fresh_memo):
+        kernel = MEMO_KERNELS["gap"]
+        walk_pmf(kernel, 4096)
+        powers = experiments._squarings(kernel)
+        assert len(powers) == 13  # kernel^(2^j) for j = 0..12, nothing past n's top bit
+        for power in powers:
+            with pytest.raises(ValueError, match="read-only"):
+                power[0] = 1.0
+        assert walk_pmf(kernel, 4096).tobytes() == _reference_pmf(kernel, 4096).tobytes()
+
+    def test_each_walk_and_n_runs_the_engine_once(self, fresh_memo, monkeypatch):
+        # the default legs share the Rademacher walk in d = 1, and the 45-degree frame's
+        # two coordinates are one walk in d = 2: the quantile-cell sum runs once per
+        # distinct (walk, n), each kernel is squared only up to the top bit of its
+        # largest n, and a second pass computes nothing
+        sums, powers, squarings = [], {}, []
+        real_sum, real_pmf, real_convolve = (
+            experiments.w2_atoms_gaussian_1d, experiments.walk_pmf, np.convolve)
+        monkeypatch.setattr(experiments, "w2_atoms_gaussian_1d",
+                            lambda atoms, probs, sd: sums.append(sd) or real_sum(atoms, probs, sd))
+        monkeypatch.setattr(experiments, "walk_pmf", lambda kernel, n: powers.update(
+            {tuple(kernel): max(n, powers.get(tuple(kernel), 0))}) or real_pmf(kernel, n))
+        monkeypatch.setattr(np, "convolve",
+                            lambda a, b: squarings.append(a is b) or real_convolve(a, b))
+        settings = RunSettings()
+        legs = [(clt_rate_experiment, settings.rate_d1), (clt_rate_experiment, settings.rate_d2),
+                (lattice_lower_experiment, settings.lower_d1),
+                (lattice_lower_experiment, settings.lower_d2),
+                (ci_halfspace_experiment, settings.ci_d1), (ci_halfspace_experiment, settings.ci_d2)]
+        pairs = set()
+        for run, cfg in legs:
+            run(cfg, None)  # an exact leg draws nothing
+            pairs |= {(walk, n) for walk in cfg.factors for n in cfg.n_grid}
+        assert len(sums) == len(pairs) < sum(len(cfg.factors) * len(cfg.n_grid)
+                                             for _, cfg in legs)
+        assert sum(squarings) == sum(n.bit_length() - 1 for n in powers.values())
+        sums.clear()
+        squarings.clear()
+        for run, cfg in legs:
+            run(cfg, None)
+        assert sums == [] and not any(squarings)
