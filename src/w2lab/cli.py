@@ -18,16 +18,17 @@ new leg is one ``RunSettings`` field.  The registry loads on first use, by
 checkers use.  Every job gets one generator,
 ``rng_for(root seed, *the UTF-8 bytes of its id)``: distinct ids are distinct
 seed paths, so a job's numbers depend on the root seed and its id alone,
-never on the worker count, the job order or which other jobs run.  The
-experiment records are stated here, as ``Verdict(case, lhs, rhs)``: a window
-around a centre as ``(|x - centre|, half-width)``, a side resting on W2(S_n, Z),
-known only from below by the lattice floor, with an infinite edge.  A
-record depends on the leg's config, never on its name: a rate leg gets the
-slope window exactly when its W2 is not an assignment estimate, and a leg
-with the exact law (``estimator`` ``exact_law``) states its records on the
-exact W2, a lower leg's cross-check of the floor against it included.  Each
-job states its anchor once (a checker's ``REGISTRY`` entry, or one constant
-per experiment kind here) and stamps it, with its checker id, on every record.
+never on the worker count, the job order or which other jobs run (an
+experiment leg draws nothing from its own).  The experiment records are
+stated here, as ``Verdict(case, lhs, rhs)``: a window around a centre as
+``(|x - centre|, half-width)``, a side resting on W2(S_n, Z), known only from
+below by the lattice floor, with an infinite edge.  Every leg's config
+requires the exact law of S_n, so every record rests on the exact W2: each
+rate leg gets the slope window, and each lower leg the cross-check of the
+floor against the exact W2.  A record depends on the leg's config, never on
+its name.  Each job states its anchor once (a checker's ``REGISTRY`` entry,
+or one constant per experiment kind here) and stamps it, with its checker
+id, on every record.
 
 Artifacts land in the output directory: ``verdicts.json`` (an unbounded edge
 as ``null``), plus for the experiments ``tables/*.csv`` and ``plotdata/*.dat``
@@ -106,13 +107,10 @@ def _checkers() -> dict:
     return {entry.checker_id: entry for entry in REGISTRY}
 
 
-def _leg_meta(cfg, **sizes) -> dict:
-    """Artifact metadata of an experiment leg: its estimator, its sampler and,
-    when it samples, its sample sizes."""
+def _leg_meta(cfg) -> dict:
+    """Artifact metadata of an experiment leg: its sampler."""
     s = cfg.sampler
-    sizes = {} if cfg.estimator == "exact_law" else sizes
-    return {**sizes, "estimator": cfg.estimator,
-            "sampler": f"{s.kind}(dim={s.dim},scale={s.scale})"}
+    return {"sampler": f"{s.kind}(dim={s.dim},scale={s.scale})"}
 
 
 def _table(points, *columns) -> tuple:
@@ -134,27 +132,17 @@ def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
 
 def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
     cfg = getattr(settings, f"rate_{leg}")
-    rep = clt_rate_experiment(cfg, rng)
-    job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR,
-                    meta=_leg_meta(cfg, m=cfg.m, replicas=cfg.replicas))
-    worst = max(max(p.replica_values) - p.bound for p in rep.points)
-    if cfg.estimator == "exact_law":
-        case, of, inputs = "exact W2(S_n, Z) below the bound at every grid point", "exact W2", {}
-    else:
-        case, of, inputs = "every replica below the bound", "the replica mean", {"m": cfg.m}
-    job.verdicts.append(Verdict(case, worst, 0.0, {"n_grid": list(cfg.n_grid), **inputs}))
-    if cfg.estimator != "exact":  # assignment's bias grows with n and would tilt the slope
-        c, h = RATE_SLOPE_WINDOW
-        job.verdicts.append(Verdict(f"log-log slope of {of} within [{c - h}, {c + h}]",
-                                    abs(rep.fit.slope - c), h,
-                                    {"slope": rep.fit.slope,
-                                     "correlation": rep.fit.correlation}))
+    rep = clt_rate_experiment(cfg)
+    job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR, meta=_leg_meta(cfg))
+    worst = max(p.w2_hat - p.bound for p in rep.points)
+    job.verdicts.append(Verdict("exact W2(S_n, Z) below the bound at every grid point",
+                                worst, 0.0, {"n_grid": list(cfg.n_grid)}))
+    c, h = RATE_SLOPE_WINDOW
+    job.verdicts.append(Verdict(f"log-log slope of exact W2 within [{c - h}, {c + h}]",
+                                abs(rep.fit.slope - c), h,
+                                {"slope": rep.fit.slope, "correlation": rep.fit.correlation}))
     job.fits[f"rate_{leg}"] = asdict(rep.fit)
-    job.tables[f"rate_{leg}"] = _table(rep.points, "n", "w2_hat", "bound")
-    job.tables[f"rate_{leg}_replicas"] = (
-        ("n", "replica", "w2_hat"),
-        [(p.n, r, v) for p in rep.points for r, v in enumerate(p.replica_values)],
-    )
+    job.tables[f"rate_{leg}"] = _table(rep.points)
     job.plotdata[f"rate_{leg}"] = _series(rep.points, "w2_hat")
     job.plotdata[f"rate_{leg}_bound"] = _series(rep.points, "bound")
     return job
@@ -162,19 +150,18 @@ def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
     cfg = getattr(settings, f"lower_{leg}")
-    rep = lattice_lower_experiment(cfg, rng)
-    job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR,
-                    meta=_leg_meta(cfg, m_w2=cfg.m_w2))
+    rep = lattice_lower_experiment(cfg)
+    job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR, meta=_leg_meta(cfg))
     last = rep.points[-1]
     job.verdicts.append(Verdict("sqrt(n) x exact lattice floor at the largest n reaches the target",
                                 rep.target, (last.sqrtn_floor, math.inf), {"n": last.n}))
     worst = max(p.sqrtn_floor - p.sqrtn_bound for p in rep.points)
     job.verdicts.append(Verdict("exact lattice floor below the rate bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
-    if cfg.estimator == "exact_law":  # a theorem: a bug in either primitive fails it
-        worst = max(p.sqrtn_floor - p.sqrtn_w2_hat for p in rep.points)
-        job.verdicts.append(Verdict("exact lattice floor <= exact W2(S_n, Z) at every grid point",
-                                    worst, 0.0, {"n_grid": list(cfg.n_grid)}))
+    # a theorem: a bug in either primitive fails it
+    worst = max(p.sqrtn_floor - p.sqrtn_w2_hat for p in rep.points)
+    job.verdicts.append(Verdict("exact lattice floor <= exact W2(S_n, Z) at every grid point",
+                                worst, 0.0, {"n_grid": list(cfg.n_grid)}))
     job.tables[f"lower_{leg}"] = _table(rep.points)
     job.plotdata[f"lower_{leg}_floor"] = _series(rep.points, "sqrtn_floor")
     job.plotdata[f"lower_{leg}_w2"] = _series(rep.points, "sqrtn_w2_hat")
@@ -183,8 +170,8 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
 
 def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     cfg = getattr(settings, f"ci_{leg}")
-    rep = ci_halfspace_experiment(cfg, rng)
-    job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg, w2_m=cfg.w2_m))
+    rep = ci_halfspace_experiment(cfg)
+    job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg))
     # W2 >= floor: delta's excess over the bound at W2 is at most its excess at the floor
     worst = max(p.delta - p.conversion_rhs for p in rep.points)
     job.verdicts.append(Verdict("exact delta below the conversion bound at every grid point",
@@ -201,6 +188,7 @@ def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     return job
 
 
+# each builder takes the job's generator; only a checker draws from it
 _JOB_KINDS = {"check": _check_job, "rate": _rate_job, "lower": _lower_job, "ci": _ci_job}
 # the settings fields ``{kind}_{leg}`` of the experiment kinds, in field order
 EXPERIMENT_JOBS = tuple(f"{kind}:{leg}" for kind, _, leg in

@@ -40,9 +40,9 @@ class UsageError(ValueError):
     """Malformed CLI input or config file (exit code 2)."""
 
 
-def _leg(cls, sampler: SamplerSpec, **differs):
-    """A leg default: ``cls`` with ``sampler`` and what differs from its own defaults."""
-    return field(default_factory=lambda: cls(sampler, **differs))
+def _leg(cls, sampler: SamplerSpec):
+    """A leg default: ``cls`` with ``sampler`` and its own defaults."""
+    return field(default_factory=lambda: cls(sampler))
 
 
 _RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
@@ -56,13 +56,12 @@ class RunSettings:
     out_dir: str = "out"
     verbosity: int = 1
     rate_d1: RateExperimentConfig = _leg(RateExperimentConfig, _RADEMACHER_1D)
-    rate_d2: RateExperimentConfig = _leg(RateExperimentConfig, _BASIS_2D, replicas=3, m=3000)
+    rate_d2: RateExperimentConfig = _leg(RateExperimentConfig, _BASIS_2D)
     lower_d1: LowerExperimentConfig = _leg(LowerExperimentConfig, _RADEMACHER_1D)
-    lower_d2: LowerExperimentConfig = _leg(
-        LowerExperimentConfig, SamplerSpec("scaled_basis", 2, 1.0), m_w2=3000
-    )
+    lower_d2: LowerExperimentConfig = _leg(LowerExperimentConfig,
+                                           SamplerSpec("scaled_basis", 2, 1.0))
     ci_d1: HalfspaceConfig = _leg(HalfspaceConfig, _RADEMACHER_1D)
-    ci_d2: HalfspaceConfig = _leg(HalfspaceConfig, _BASIS_2D, w2_m=3000)
+    ci_d2: HalfspaceConfig = _leg(HalfspaceConfig, _BASIS_2D)
 
     def __post_init__(self):
         if self.seed < 0:

@@ -1,11 +1,10 @@
 """End-to-end experiments: rate reproduction, lattice floor, halfspace distance.
 
-Each experiment takes its leg's dataclass config and its job's generator
-(:func:`w2lab.cli.run_job` keys it by the job id), and draws from it in grid
-order, so a report is bit-identical across runs and across worker counts.
-The lattice floor, on which the lower and ci verdicts rest, is exact and
-draws nothing; so is the halfspace statistic, the exact law of S_n along a
-fixed direction family, which the ``halfspace-exact`` checker
+Every experiment rests on the exact law of S_n, so none draws: each takes
+its leg's dataclass config alone, and a report is bit-identical across runs
+and across worker counts.  The lattice floor, on which the lower and ci
+verdicts rest, is exact; so is the halfspace statistic, the exact law of S_n
+along a fixed direction family, which the ``halfspace-exact`` checker
 (:mod:`w2lab.checks`) certifies against enumeration.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
@@ -13,22 +12,19 @@ Experiments return plain report dataclasses; the verdicts and the tables
 W2(S_n, Z) is exact wherever the sampler's law factorises into independent
 one-dimensional lattice walks (:func:`lattice_factors`): in the canonical
 frame, or in d = 2 in the frame turned by 45 degrees.  That covers every
-default leg.  Each walk's law of S_n is a :func:`walk_pmf` convolution
-power, the one law engine that the halfspace statistic reads too, and its
-W2 to the Gaussian coordinate is the closed-form quantile-cell sum
-:func:`w2lab.transport.w2_atoms_gaussian_1d`; such a leg draws nothing.
+default leg, and it is a hypothesis of every leg: a config whose law has no
+such form is rejected at construction, naming the law.  Each walk's law of
+S_n is a :func:`walk_pmf` convolution power, the one law engine that the
+halfspace statistic reads too, and its W2 to the Gaussian coordinate is the
+closed-form quantile-cell sum :func:`w2lab.transport.w2_atoms_gaussian_1d`.
 Each walk's W2 at each n, and each kernel's squarings kernel^(2^j), are
 computed once per process (:func:`_walk_w2`, :func:`_squarings`): the legs
 that share a law, and the two equal coordinates of the 45-degree frame,
 reuse them, and the same ``np.convolve`` calls run in the same order, so
-every value is bitwise the uncached one.  Any
-other law keeps one :func:`_w2_of_sum` draw per estimate, whose estimator
-the sampler's dimension picks (:func:`w2lab.transport.estimate_w2`): the
-quantile coupling in one dimension, exact assignment otherwise.  A config
-checks at construction everything that depends on it alone (the sampler
-builds, the n grid, the cloud sizes against the exact-assignment cap on a
-leg that runs assignment, the lower and ci legs' lattice support), so a bad
-config fails before any compute.
+every value is bitwise the uncached one.  A config checks at construction
+everything that depends on it alone (the sampler builds, the n grid, the
+exact law, the lower and ci legs' lattice support), so a bad config fails
+before any compute.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import rate_envelope
-from .gaussmath import CovarianceSpec, norm_cdf, sample_gaussian
+from .gaussmath import CovarianceSpec, norm_cdf
 from .samplers import (
     BoundedSampler,
     make_lattice_custom,
@@ -49,9 +45,11 @@ from .samplers import (
     make_scaled_basis,
     require_lattice_support,
 )
-from .transport import EXACT_CAP_DEFAULT, estimate_w2, w2_atoms_gaussian_1d
+from .transport import w2_atoms_gaussian_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
 from .transport import w2_exact  # noqa: F401
+# perfbench/tracing.py pins this name here; no experiment calls it
+from .transport import estimate_w2  # noqa: F401
 
 # the rate and ci legs' n grid: 16 to 4096 in powers of 2
 N_GRID_DEFAULT = tuple(2**k for k in range(4, 13))
@@ -211,26 +209,17 @@ def exact_w2_of_sum(factors: tuple, n: int) -> float:
 
 
 class _ExperimentLeg:
-    """The derived lattice factors and W2 estimator, and the checks every
-    experiment config shares."""
+    """The derived lattice factors, and the checks every experiment config
+    shares."""
 
     @functools.cached_property
-    def factors(self) -> Optional[tuple]:
+    def factors(self) -> tuple:
         """The sampler's :func:`lattice_factors`, derived once per config object
         and kept out of its fields, so the config echo and hash ignore it."""
         return lattice_factors(self.sampler.build())
 
-    @property
-    def estimator(self) -> str:
-        """``exact_law`` for a law with :func:`lattice_factors`; otherwise the
-        sampled estimator the dimension picks, ``quantile_1d`` in one dimension
-        and ``exact`` (assignment) in more."""
-        if self.factors is not None:
-            return "exact_law"
-        return "quantile_1d" if self.sampler.dim == 1 else "exact"
-
-    def _check_leg(self, cloud: int, fits_slope: bool = True) -> BoundedSampler:
-        """Check the n grid (stored as ints) and the W2 cloud size; return the sampler."""
+    def _check_leg(self, fits_slope: bool = True) -> BoundedSampler:
+        """Check the n grid (stored as ints) and the exact law; return the sampler."""
         s = self.sampler.build()
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or grid[0] < 1:
@@ -240,13 +229,8 @@ class _ExperimentLeg:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        if cloud < 1:
-            raise ValueError(f"need at least 1 point per W2 cloud, got {cloud}")
-        if self.estimator == "exact" and cloud > EXACT_CAP_DEFAULT:
-            raise ValueError(
-                f"exact assignment is capped at {EXACT_CAP_DEFAULT} points "
-                f"per cloud, got {cloud}"
-            )
+        if self.factors is None:
+            raise ValueError(f"sampler {s.kind}(dim={s.dim}) has no exact law of S_n")
         return s
 
 
@@ -258,18 +242,14 @@ class _ExperimentLeg:
 class RateExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = N_GRID_DEFAULT
-    replicas: int = 10
-    m: int = 10**5
 
     def __post_init__(self):
-        self._check_leg(self.m)
-        if self.replicas < 1:
-            raise ValueError(f"need replicas >= 1, got {self.replicas}")
+        self._check_leg()
 
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares line through (log n, log y), y the replica-mean W2.
+    """Least-squares line through (log n, log y), y the exact W2.
 
     The ci experiment fits its decay slope of log delta the same way.
     """
@@ -282,9 +262,8 @@ class RateFit:
 @dataclass(frozen=True)
 class RatePoint:
     n: int
-    w2_hat: float  # replica mean: the exact value on an exact_law leg
+    w2_hat: float  # the exact W2(S_n, Z)
     bound: float
-    replica_values: tuple
 
 
 @dataclass(frozen=True)
@@ -311,40 +290,13 @@ def _loglog_fit(xs, ys) -> RateFit:
     )
 
 
-def _w2_of_sum(s: BoundedSampler, n: int, m: int, rng: np.random.Generator) -> float:
-    """Estimate W2(S_n, Z) on m draws of S_n = n^{-1/2} (X_1 + ... + X_n) by the
-    sampler's exact sum path, then m draws of Z ~ N(0, Sigma), both from ``rng``."""
-    sn = s.draw_sum(n, m, rng) / math.sqrt(n)
-    return estimate_w2(sn, sample_gaussian(s.cov, m, rng))
-
-
-def _w2_values(s: BoundedSampler, factors, n: int, m: int, rng: np.random.Generator,
-               replicas: int = 1) -> list:
-    """W2(S_n, Z): the one exact value when the law has lattice ``factors``
-    (drawing nothing), else ``replicas`` :func:`_w2_of_sum` estimates on
-    m-point clouds."""
-    if factors is not None:
-        return [exact_w2_of_sum(factors, n)]
-    return [_w2_of_sum(s, n, m, rng) for _ in range(replicas)]
-
-
-def clt_rate_experiment(cfg: RateExperimentConfig, rng: np.random.Generator) -> RateReport:
-    """W2(S_n, Z) over the n grid, with the rate bound at each n.
-
-    A law with :func:`lattice_factors` gets its exact value at each n, as a
-    one-element ``replica_values``, and draws nothing.  Any other law gets
-    ``replicas`` estimates at each n, each a fresh (S_n cloud, Z cloud) pair
-    from ``rng``, the replicas of each n in turn.
-    """
+def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
+    """The exact W2(S_n, Z) over the n grid, with the rate bound at each n."""
     s = cfg.sampler.build()
-    points = []
-    for n in cfg.n_grid:
-        bound = main_rate_bound(s.dim, s.bound, n)
-        vals = _w2_values(s, cfg.factors, n, cfg.m, rng, cfg.replicas)
-        points.append(RatePoint(n=n, w2_hat=float(np.mean(vals)), bound=bound,
-                                replica_values=tuple(vals)))
+    points = tuple(RatePoint(n=n, w2_hat=exact_w2_of_sum(cfg.factors, n),
+                             bound=main_rate_bound(s.dim, s.bound, n)) for n in cfg.n_grid)
     fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
-    return RateReport(points=tuple(points), fit=fit)
+    return RateReport(points=points, fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +352,12 @@ class LowerBoundReport:
 class LowerExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = (64, 256, 1024, 4096)
-    m_w2: int = 10**5
 
     def __post_init__(self):
-        require_lattice_support(self._check_leg(self.m_w2, fits_slope=False))
+        require_lattice_support(self._check_leg(fits_slope=False))
 
 
-def lattice_lower_experiment(
-    cfg: LowerExperimentConfig, rng: np.random.Generator
-) -> LowerBoundReport:
+def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
     """Track sqrt(n) * W2 and the exact lattice floor along the n grid.
 
     The sampler takes values in beta * Z^d (checked by the config).  At scale n the
@@ -416,20 +365,17 @@ def lattice_lower_experiment(
     so :func:`expected_lattice_distance` with that spacing lower-bounds
     W2(S_n, Z).  Its sqrt(n)-scaled value tends to beta sqrt(d / 12), above
     the target sqrt(d) * beta / 4, and must stay below the main rate bound.
-    The W2 column is exact for a law with :func:`lattice_factors`, and then
-    lies above the floor; any other law's is an estimate, never asserted,
-    whose clouds ``rng`` draws.
+    The W2 column is exact, and lies above the floor.
     """
     s = cfg.sampler.build()
     points = []
     for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
         floor = expected_lattice_distance(s.cov, ell)
-        [w2_hat] = _w2_values(s, cfg.factors, n, cfg.m_w2, rng)
         rn = math.sqrt(n)
         points.append(LowerBoundPoint(
-            n=n, ell_n=ell, sqrtn_w2_hat=rn * w2_hat, sqrtn_floor=rn * floor,
-            sqrtn_bound=rn * main_rate_bound(s.dim, s.bound, n)))
+            n=n, ell_n=ell, sqrtn_w2_hat=rn * exact_w2_of_sum(cfg.factors, n),
+            sqrtn_floor=rn * floor, sqrtn_bound=rn * main_rate_bound(s.dim, s.bound, n)))
     return LowerBoundReport(target=math.sqrt(s.dim) * s.bound / 4.0, points=tuple(points))
 
 
@@ -441,7 +387,7 @@ def lattice_lower_experiment(
 class HalfspacePoint:
     n: int
     delta: float  # the exact halfspace statistic of S_n
-    w2_hat: float  # reported, never asserted: exact, or an estimate whose bias favours the check
+    w2_hat: float  # the exact W2(S_n, Z), reported, never asserted
     floor: float  # the exact lattice floor, a lower bound on W2(S_n, Z)
     conversion_rhs: float  # 5 d^{1/6} floor^{2/3}
 
@@ -450,10 +396,9 @@ class HalfspacePoint:
 class HalfspaceConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = N_GRID_DEFAULT
-    w2_m: int = 10**5
 
     def __post_init__(self):
-        require_lattice_support(self._check_leg(self.w2_m))
+        require_lattice_support(self._check_leg())
 
 
 @dataclass(frozen=True)
@@ -507,24 +452,20 @@ def halfspace_distance(s: BoundedSampler, n: int) -> float:
     return max(walk_gap(kernel, n, sd) for kernel, sd in walks)
 
 
-def ci_halfspace_experiment(
-    cfg: HalfspaceConfig, rng: np.random.Generator
-) -> HalfspaceReport:
+def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
     """Measure the halfspace distance and the conversion bound along the n grid.
 
     Both sides are exact: :func:`halfspace_distance`, and the conversion bound
     at the exact lattice floor of S_n (the config checks the sampler's lattice
     support), which lies below W2(S_n, Z), so a pass is certified.  The
-    reported W2 column is exact for a law with :func:`lattice_factors`; for
-    any other law ``rng`` draws its clouds, for each n in turn.
+    reported W2 column is exact.
     """
     s = cfg.sampler.build()
     points = []
     for n in cfg.n_grid:
         floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))
-        [w2_hat] = _w2_values(s, cfg.factors, n, cfg.w2_m, rng)
         points.append(HalfspacePoint(
-            n=n, delta=halfspace_distance(s, n), w2_hat=w2_hat,
+            n=n, delta=halfspace_distance(s, n), w2_hat=exact_w2_of_sum(cfg.factors, n),
             floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))
     fit = _loglog_fit([p.n for p in points], [max(p.delta, 1e-12) for p in points])
     return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)

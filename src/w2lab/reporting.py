@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)

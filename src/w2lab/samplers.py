@@ -11,9 +11,10 @@ approximation.
 
 The ``sampler-zoo`` checker (:mod:`w2lab.checks`) verifies each law's
 hypotheses exactly from its outcomes and probabilities.
-:func:`validate_sampler` and :meth:`BoundedSampler.draw` feed no job; they
-stay because ``perfbench/tracing.py`` pins them, until the benchmark's
-revision (ROADMAP item 1) releases them.
+:func:`validate_sampler`, :meth:`BoundedSampler.draw` and
+:meth:`BoundedSampler.draw_sum` feed no job (every experiment rests on the
+exact law of S_n); they stay because ``perfbench/tracing.py`` pins them,
+until the benchmark's revision (ROADMAP item 1) releases them.
 """
 
 from __future__ import annotations

@@ -9,18 +9,20 @@ Solver menu:
   assignment solver (`scipy.optimize.linear_sum_assignment`, Jonker-Volgenant
   family).  Exact; returns W2^2 and the plan (callers take the square
   root).  Clouds past ``EXACT_CAP_DEFAULT`` points raise
-  :class:`SolverCapacityError`.  The experiments' estimator in d >= 2 for a
-  law without lattice factors.  A solve holds one m x m float64 cost matrix
+  :class:`SolverCapacityError`.  The ``ot-exact`` checker certifies it; no
+  experiment runs it.  A solve holds one m x m float64 cost matrix
   (72 MB at m = 3000, 200 MB at the cap), built in place by
   :func:`_pair_cost`.
 * :func:`w2_bruteforce` -- the oracle that certifies :func:`w2_exact` on at
   most ``BRUTEFORCE_CAP`` points: all m! pairings scored in one indexed sum
   over a cached permutation array; independent of the assignment solver.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
-  dimension; the experiments' estimator in d = 1 for a law on no lattice.
-* :func:`estimate_w2` -- the estimator rule: the quantile coupling for 1-d
-  clouds, exact assignment otherwise.  The experiments estimate every
-  empirical W2 through it.
+  dimension; the ``ot-exact`` checker compares it with :func:`w2_exact`.
+* :func:`estimate_w2` -- the cloud rule: the quantile coupling for 1-d
+  clouds, exact assignment otherwise.  No job runs it, since every
+  experiment rests on the exact law; it stays because
+  ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
+  item 1) releases it.
 * :func:`w2_gaussian_mixture_1d` -- exact W2 between a 1-d Gaussian mixture
   with a common variance and a centred Gaussian: the monotone coupling as a
   Gauss-Hermite sum over bisected mixture quantiles; the increment step's
@@ -233,7 +235,7 @@ def w2_quantile_1d(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def estimate_w2(sn: np.ndarray, z: np.ndarray) -> float:
-    """W2 between two equal-size clouds, by the estimator their dimension picks.
+    """W2 between two equal-size clouds, by the coupling their dimension picks.
 
     One-dimensional clouds use the monotone (quantile) coupling; higher
     dimensions use exact assignment, which raises past ``EXACT_CAP_DEFAULT``

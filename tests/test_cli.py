@@ -27,9 +27,8 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
 SAMPLER_KEYS = {"sampler", "dim", "scale", "outcomes", "probs"}
 ACCEPTED_KEYS = {
     "run": {"seed", "workers", "out", "verbosity"},
-    **{f"rate_{leg}": SAMPLER_KEYS | {"n_grid", "replicas", "m"} for leg in ("d1", "d2")},
-    **{f"lower_{leg}": SAMPLER_KEYS | {"n_grid", "m_w2"} for leg in ("d1", "d2")},
-    **{f"ci_{leg}": SAMPLER_KEYS | {"n_grid", "w2_m"} for leg in ("d1", "d2")},
+    **{f"{kind}_{leg}": SAMPLER_KEYS | {"n_grid"}
+       for kind in ("rate", "lower", "ci") for leg in ("d1", "d2")},
 }
 
 
@@ -83,12 +82,13 @@ class TestConfig:
         s = RunSettings(seed=1)
         assert s.seed == 1
         assert s.rate_d1.sampler.kind == "rademacher_product"
-        assert s.rate_d2.estimator == "exact_law"
+        # the 45-degree frame turns scaled_basis(2) into two lattice walks
+        assert len(s.rate_d2.factors) == 2
 
     def test_smoke_file_overrides(self):
         s = load_settings(SMOKE)
-        assert s.rate_d1.m == 20000
         assert s.rate_d1.n_grid == (16, 64, 256, 1024)
+        assert s.rate_d2.n_grid == (16, 64, 256)
 
     def test_cli_flags_strongest(self):
         s = load_settings(SMOKE, seed=42, workers=4, out_dir="x")
@@ -122,12 +122,12 @@ class TestConfig:
         assert "out_dir" not in d and "workers" not in d
         assert "seed" in d
 
-    def test_w2_m_coerced_to_int(self, tmp_path):
-        p = tmp_path / "w2m.ini"
-        p.write_text("[ci_d1]\nw2_m = 5000\n")
+    def test_int_keys_coerced_to_int(self, tmp_path):
+        p = tmp_path / "ints.ini"
+        p.write_text("[run]\nworkers = 2\n[ci_d1]\ndim = 1\nn_grid = 16, 64\n")
         s = load_settings(str(p))
-        assert s.ci_d1.w2_m == 5000
-        assert isinstance(s.ci_d1.w2_m, int)
+        assert (s.workers, s.ci_d1.sampler.dim, s.ci_d1.n_grid) == (2, 1, (16, 64))
+        assert all(isinstance(v, int) for v in (s.workers, s.ci_d1.sampler.dim, *s.ci_d1.n_grid))
 
     @pytest.mark.parametrize("ini", ["[rate_d1]\nroot_seed = 5\n",
                                      "[ci_d2]\nroot_seed = 9\n"])
@@ -154,7 +154,7 @@ class TestConfig:
                     s if section == "run" else getattr(s, section)))
                 for section in ACCEPTED_KEYS}
         assert keys == ACCEPTED_KEYS
-        assert sum(len(k) for k in keys.values()) == 48
+        assert sum(len(k) for k in keys.values()) == 40
 
     def test_no_config_shrinks_a_checker(self):
         # every checker size is a constant: no shipped config has a [check] section
@@ -203,11 +203,11 @@ class TestConfig:
         p.write_text("\n".join(lines) + "\n")
         assert repr(load_settings(str(p))) == repr(s)
         p.write_text("[rate_d1]\nsampler = lattice_custom\noutcomes = -1 | 1,\n"
-                     "probs = 0.5, 0.5\n[ci_d1]\nw2_m = 5000\n")
+                     "probs = 0.5, 0.5\n[ci_d1]\nn_grid = 16, 64\n")
         loaded = load_settings(str(p))
         assert repr(loaded.rate_d1.sampler.outcomes) == "((-1.0,), (1.0,))"
         assert repr(loaded.rate_d1.sampler.probs) == "(0.5, 0.5)"
-        assert repr(loaded.ci_d1.w2_m) == "5000"
+        assert repr(loaded.ci_d1.n_grid) == "(16, 64)"
 
     @pytest.mark.parametrize("ini", [
         "[rate_d1]\nkind = scaled_basis\n", "[rate_d1]\nbeta = 2.0\n",
@@ -247,11 +247,11 @@ class TestConfig:
     def test_default_section_rejected(self, tmp_path, capsys):
         # its keys would otherwise reach every section as if written there
         p = tmp_path / "default.ini"
-        p.write_text("[DEFAULT]\nseed = 3\n[rate_d1]\nm = 5\n")
+        p.write_text("[DEFAULT]\nseed = 3\n[rate_d1]\nn_grid = 16 64\n")
         assert cli.main(["list", "--config", str(p)]) == 2
         assert "unknown config section [DEFAULT]" in capsys.readouterr().err
-        p.write_text("[DEFAULT]\n[rate_d1]\nm = 5\n")
-        assert load_settings(str(p)).rate_d1.m == 5
+        p.write_text("[DEFAULT]\n[rate_d1]\nn_grid = 16 64\n")
+        assert load_settings(str(p)).rate_d1.n_grid == (16, 64)
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
                              ids=lambda p: os.path.relpath(p, ROOT))
@@ -315,29 +315,20 @@ class TestJobs:
 TINY_EXPERIMENTS = """
 [rate_d1]
 n_grid = 16 64
-replicas = 3
-m = 200
 [rate_d2]
 n_grid = 16 64
-replicas = 3
-m = 50
 [lower_d1]
 n_grid = 64
-m_w2 = 200
 [lower_d2]
 n_grid = 64
-m_w2 = 50
 [ci_d1]
 n_grid = 16 64
-w2_m = 500
 [ci_d2]
 n_grid = 16 64
-w2_m = 50
 """
 
 TABLE_HEADERS = {
     **{f"rate_{leg}": "n,w2_hat,bound" for leg in ("d1", "d2")},
-    **{f"rate_{leg}_replicas": "n,replica,w2_hat" for leg in ("d1", "d2")},
     **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
     **{f"ci_{leg}": "n,delta,w2_hat,floor,conversion_rhs" for leg in ("d1", "d2")},
 }
@@ -396,7 +387,7 @@ class TestSeedPaths:
         rate, rate_tables = run("rate")
         assert rate == [r for r in everything if r["job"].startswith("rate:")]
         # the metadata lines hold the config hash, which both runs share
-        assert len(rate_tables) == 4 and rate_tables == all_tables
+        assert len(rate_tables) == 2 and rate_tables == all_tables
 
 
 class TestMainEndToEnd:
@@ -426,20 +417,6 @@ class TestMainEndToEnd:
     def test_missing_config_exits_2(self):
         assert cli.main(["check", "--config", "/no/such/file.ini"]) == 2
 
-    def test_estimator_dim_mismatch_exits_2(self, tmp_path):
-        # [rate_d1]'s m = 10^5 is past the assignment cap, which a 3-d basis runs
-        p = tmp_path / "bad.ini"
-        p.write_text("[rate_d1]\nsampler = scaled_basis\ndim = 3\n")
-        assert cli.main(["rate", "--config", str(p)]) == 2
-
-    def test_exact_cap_exits_2_before_compute(self, tmp_path):
-        # scaled_basis(3) has no exact law, so its leg runs assignment
-        out = tmp_path / "out"
-        p = tmp_path / "cap.ini"
-        p.write_text("[rate_d2]\ndim = 3\nm = 6000\n")
-        assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 2
-        assert not (out / "verdicts.json").exists()
-
     @pytest.mark.parametrize("subcommand,ini,message", [
         # corners (+-1, +-1) are finite but not in beta Z^2 = sqrt(2) Z^2
         ("lower", "[lower_d2]\nsampler = rademacher_product\n",
@@ -451,12 +428,17 @@ class TestMainEndToEnd:
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n",
          "[lower_d1]: sampler kind='lattice_custom' support is not contained in beta*Z^d"),
-        ("rate", "[rate_d1]\nm = 0\n", "[rate_d1]: need at least 1 point per W2 cloud, got 0"),
+        # every leg rests on the exact law of S_n: a law without one is rejected,
+        # by name, even where a leg then has nothing to run (list)
+        ("rate", "[rate_d1]\nsampler = lattice_custom\noutcomes = -1 | 0 | 1.4142135623730951\n"
+                 "probs = 0.28284271247461906 0.5171572875253809 0.2\n",
+         "[rate_d1]: sampler lattice_custom(dim=1) has no exact law of S_n"),
+        ("lower", "[lower_d2]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\n",
+         "[lower_d2]: sampler scaled_basis(dim=3) has no exact law of S_n"),
+        ("ci", "[ci_d2]\ndim = 3\n", "[ci_d2]: sampler scaled_basis(dim=3) has no exact law of S_n"),
+        ("list", "[rate_d2]\ndim = 3\n",
+         "[rate_d2]: sampler scaled_basis(dim=3) has no exact law of S_n"),
         ("rate", "[run]\nseed = -1\n", "[run]: seed must be >= 0, got -1"),
-        ("list", "[rate_d2]\ndim = 3\nm = 6000\n",
-         "[rate_d2]: exact assignment is capped at 5000 points per cloud, got 6000"),
-        ("ci", "[ci_d1]\nw2_m = 0\n", "[ci_d1]: need at least 1 point per W2 cloud, got 0"),
-        ("ci", "[ci_d2]\nw2_m = 0\n", "[ci_d2]: need at least 1 point per W2 cloud, got 0"),
         ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes and probabilities must be finite"),
         ("list", "[lower_d1]\nscale = inf\n", "[lower_d1]: outcomes and probabilities must be finite"),
         # the checkers take no config: a [check] section, with any key, is unknown
@@ -480,8 +462,13 @@ class TestMainEndToEnd:
         ("rate", "[rate_d2]\nsampler = lattice_custom\n"
                  "outcomes = -1 -1 | 1 1 | -1 1 | 1 -1\nprobs = 0.25 0.25 0.25 0.25\n",
          "[rate_d2]: lattice_custom takes its scale from its outcomes, got scale = 1.4142135623730951"),
-        # retired keys are unknown keys: the estimator follows the sampler's law
+        # retired keys are unknown keys: every leg's W2 is exact, so no leg takes
+        # an estimator, a replica count or a cloud size
         ("rate", "[rate_d2]\nestimator = exactt\n", "unknown key 'estimator' in section [rate_d2]"),
+        ("rate", "[rate_d1]\nreplicas = 3\n", "unknown key 'replicas' in section [rate_d1]"),
+        ("rate", "[rate_d2]\nm = 600\n", "unknown key 'm' in section [rate_d2]"),
+        ("lower", "[lower_d1]\nm_w2 = 100000\n", "unknown key 'm_w2' in section [lower_d1]"),
+        ("ci", "[ci_d2]\nw2_m = 600\n", "unknown key 'w2_m' in section [ci_d2]"),
         # every checker size is a constant in w2lab.checks (increment_ns = 3 would
         # also break the increment checker's hypothesis n >= 5 beta^2 / sigma^2 = 5)
         ("check", "[check]\nq_random_pairs = 0\n", "unknown config section [check]"),
@@ -555,20 +542,19 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize("ini,subcommands,all_pass", [
         # grid wide enough for the slope window to apply meaningfully
-        ("[rate_d1]\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n"
-         "[rate_d2]\nn_grid = 16 64\nreplicas = 3\nm = 400\n", ("rate",), True),
-        # a 3-d sampler in [rate_d1] and a 1-d one in [rate_d2]: the estimator,
-        # not the leg name, decides which leg gets the slope window
-        ("[rate_d1]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\nn_grid = 16 64 256\n"
-         "replicas = 3\nm = 600\n[rate_d2]\nsampler = rademacher_product\ndim = 1\n"
-         "scale = 1.0\nn_grid = 16 64 256 1024\nreplicas = 3\nm = 20000\n", ("rate",), True),
+        ("[rate_d1]\nn_grid = 16 64 256 1024\n[rate_d2]\nn_grid = 16 64\n", ("rate",), True),
+        # a 2-d sampler in [rate_d1] and a 1-d one in [rate_d2]: the config, not
+        # the leg name, decides the records
+        ("[rate_d1]\nsampler = rademacher_product\ndim = 2\nscale = 1.0\nn_grid = 16 64 256\n"
+         "[rate_d2]\nsampler = rademacher_product\ndim = 1\nscale = 1.0\n"
+         "n_grid = 16 64 256 1024\n", ("rate",), True),
         # sizes too small for the verdicts to mean anything: only the schema counts
         (TINY_EXPERIMENTS, ("rate", "lower", "ci"), False),
     ], ids=["rate", "rate-legs-swapped", "all-experiments"])
     def test_rate_csv_schema(self, tmp_path, ini, subcommands, all_pass):
         p = tmp_path / "tiny.ini"
         p.write_text(ini)
-        assert (len(TABLE_HEADERS), len(PLOT_NAMES)) == (8, 12)
+        assert (len(TABLE_HEADERS), len(PLOT_NAMES)) == (6, 12)
         anchors = {"rate": cli.RATE_ANCHOR, "lower": cli.LOWER_ANCHOR, "ci": cli.CI_ANCHOR}
         for sub in subcommands:
             out = str(tmp_path / sub)
@@ -578,12 +564,13 @@ class TestMainEndToEnd:
             assert rc == 0 or not all_pass
             settings = load_settings(str(p))
             assert {r["job"] for r in records} == set(jobs_for(sub, settings))
-            # every rate leg but an assignment one gets the window
+            # every rate leg gets the window, and each record reads its own leg's grid
             windows = {r["job"] for r in records if r["case"].startswith("log-log slope")}
-            assert windows == {j for j in jobs_for(sub, settings) if j.startswith("rate:")
-                               and getattr(settings, j.replace(":", "_")).estimator
-                               != "exact"}
+            assert windows == {j for j in jobs_for(sub, settings) if j.startswith("rate:")}
             for r in records:
+                if "n_grid" in r["inputs"]:
+                    leg = getattr(settings, r["job"].replace(":", "_"))
+                    assert r["inputs"]["n_grid"] == list(leg.n_grid), r
                 assert r["checker"] == r["job"].replace(":", "-")
                 assert r["anchor"] == anchors[sub]
             assert_verdicts_follow_the_rule(records)
@@ -606,17 +593,6 @@ class TestMainEndToEnd:
             rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
             assert rows and all(len(r) == 2 for r in rows)
             np.array(rows, dtype=float)
-
-    def test_lower_leg_in_three_dimensions(self, tmp_path):
-        p = tmp_path / "d3.ini"
-        p.write_text("[lower_d2]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\n"
-                     "n_grid = 16 64\nm_w2 = 200\n")
-        out = tmp_path / "out"
-        assert cli.main(["lower", "--config", str(p), "--out", str(out)]) == 0
-        records = json.loads((out / "verdicts.json").read_text())["verdicts"]
-        # the exact-law d1 leg adds its floor <= W2 record; the sampled 3-d leg cannot
-        assert [(r["job"], r["verdict"]) for r in records] == (
-            [("lower:d1", "pass")] * 3 + [("lower:d2", "pass")] * 2)
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys):
         s = RunSettings()
@@ -710,7 +686,7 @@ class TestMainEndToEnd:
         out = tmp_path / "o"
         assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 0
         payload = json.loads((out / "verdicts.json").read_text(), parse_constant=refuse_constant)
-        assert payload["schema_version"] == 6
+        assert payload["schema_version"] == 7
         assert [[r[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")]
                 for r in payload["verdicts"]] == [
             [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"]]
@@ -725,11 +701,11 @@ class TestMainEndToEnd:
         settings = load_settings(str(p))
         lower, ci = experiments.lattice_lower_experiment, experiments.ci_halfspace_experiment
 
-        def high_target(cfg, rng):
-            return dataclasses.replace(lower(cfg, rng), target=10.0)
+        def high_target(cfg):
+            return dataclasses.replace(lower(cfg), target=10.0)
 
-        def low_conversion(cfg, rng):
-            rep = ci(cfg, rng)
+        def low_conversion(cfg):
+            rep = ci(cfg)
             return dataclasses.replace(rep, points=tuple(
                 dataclasses.replace(q, conversion_rhs=0.5 * q.delta) for q in rep.points))
 
@@ -756,17 +732,13 @@ class TestExactLegs:
         settings = RunSettings()
         for job in cli.EXPERIMENT_JOBS:
             result = cli.run_job(settings, job)
-            cfg = getattr(settings, job.replace(":", "_"))
-            assert cfg.estimator == "exact_law"
-            # no cloud size or replica count: none applies
-            assert set(result.meta) == {"estimator", "sampler"}, result.meta
-            assert result.meta["estimator"] == "exact_law"
+            # no estimator, cloud size or replica count: none applies
+            assert set(result.meta) == {"sampler"}, result.meta
             assert all(v.verdict == "pass" for v in result.verdicts), job
 
     @pytest.mark.parametrize("job", EXPERIMENT_JOBS)
     def test_a_leg_derives_its_lattice_factors_once(self, monkeypatch, job):
-        # the config's validation, the estimator, the record rules, the artifact
-        # metadata and the experiment all read one cached derivation
+        # the config's validation and the experiment read one cached derivation
         calls = []
         real = experiments.lattice_factors
         monkeypatch.setattr(experiments, "lattice_factors",
@@ -777,7 +749,7 @@ class TestExactLegs:
         calls.clear()
         cfg = dataclasses.replace(default, n_grid=default.n_grid[:3])
         result = cli.run_job(dataclasses.replace(settings, **{field: cfg}), job)
-        assert cfg.estimator == result.meta["estimator"] == "exact_law"
+        assert cfg.factors and result.verdicts
         assert calls == [cfg.sampler.kind]
 
     def test_exact_rate_records_say_what_they_rest_on(self):
@@ -786,25 +758,51 @@ class TestExactLegs:
             "exact W2(S_n, Z) below the bound at every grid point",
             "log-log slope of exact W2 within [-0.65, -0.35]"]
         assert result.verdicts[0].inputs == {"n_grid": list(experiments.N_GRID_DEFAULT)}
-        _, replicas = result.tables["rate_d2_replicas"]
-        assert [r[:2] for r in replicas] == [(n, 0) for n in experiments.N_GRID_DEFAULT]
-
-    def test_sampled_rate_records_keep_the_replicas(self, tmp_path):
-        p = tmp_path / "d3.ini"
-        p.write_text("[rate_d2]\nsampler = scaled_basis\ndim = 3\nscale = 1.0\n"
-                     "n_grid = 16 64\nreplicas = 2\nm = 100\n")
-        settings = load_settings(str(p))
-        result = cli.run_job(settings, "rate:d2")
-        assert [v.case for v in result.verdicts] == ["every replica below the bound"]
-        assert result.verdicts[0].inputs == {"n_grid": [16, 64], "m": 100}
-        assert result.meta["estimator"] == "exact" and result.meta["m"] == 100
-        assert len(result.tables["rate_d2_replicas"][1]) == 4
+        # one exact value per n: no replica table
+        columns, rows = result.tables["rate_d2"]
+        assert set(result.tables) == {"rate_d2"} and columns == ("n", "w2_hat", "bound")
+        assert [r[0] for r in rows] == list(experiments.N_GRID_DEFAULT)
 
     @pytest.mark.parametrize("leg", ["lower:d1", "lower:d2"])
     def test_floor_below_exact_w2(self, leg):
         [record] = [v for v in cli.run_job(RunSettings(), leg).verdicts
                     if v.case == "exact lattice floor <= exact W2(S_n, Z) at every grid point"]
         assert record.verdict == "pass" and record.inputs == {"n_grid": [64, 256, 1024, 4096]}
+
+    def test_a_three_dimensional_rate_leg_runs_on_its_exact_law(self, tmp_path):
+        # a 3-d law that factorises: one exact value per n and the slope window,
+        # with no replica table and no estimator line in the table's header
+        p = tmp_path / "d3.ini"
+        p.write_text("[rate_d2]\nsampler = rademacher_product\ndim = 3\nscale = 1.0\n"
+                     "n_grid = 16 64 256 1024\n")
+        out = tmp_path / "out"
+        assert cli.main(["rate", "--config", str(p), "--out", str(out)]) == 0
+        records = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert [(r["case"], r["verdict"]) for r in records if r["job"] == "rate:d2"] == [
+            ("exact W2(S_n, Z) below the bound at every grid point", "pass"),
+            ("log-log slope of exact W2 within [-0.65, -0.35]", "pass")]
+        assert sorted(t.name for t in (out / "tables").iterdir()) == [
+            "rate_d1.csv", "rate_d2.csv"]
+        lines = (out / "tables" / "rate_d2.csv").read_text().splitlines()
+        meta = [l for l in lines if l.startswith("#")]
+        assert "# sampler=rademacher_product(dim=3,scale=1.0)" in meta
+        assert not any("estimator" in l for l in meta)
+        header, *rows = [l for l in lines if not l.startswith("#")]
+        assert header == "n,w2_hat,bound"
+        assert [int(r.split(",")[0]) for r in rows] == [16, 64, 256, 1024]
+
+    def test_floor_below_exact_w2_on_a_custom_lattice_law(self):
+        # the cross-check applies to every lower leg, not only the default laws:
+        # here the lazy {-1, 0, 1} walk, a lattice_custom law
+        lazy = experiments.SamplerSpec("lattice_custom", 1, outcomes=((-1.0,), (0.0,), (1.0,)),
+                                       probs=(0.25, 0.5, 0.25))
+        settings = RunSettings()
+        cfg = dataclasses.replace(settings.lower_d1, sampler=lazy)
+        result = cli.run_job(dataclasses.replace(settings, lower_d1=cfg), "lower:d1")
+        [record] = [v for v in result.verdicts
+                    if v.case == "exact lattice floor <= exact W2(S_n, Z) at every grid point"]
+        assert record.verdict == "pass" and record.inputs == {"n_grid": list(cfg.n_grid)}
+        assert result.meta == {"sampler": "lattice_custom(dim=1,scale=1.0)"}
 
     def test_floor_twice_too_high_fails_the_cross_check(self, monkeypatch):
         # scaled_basis(2, 1): sqrt(n) floor = sqrt(1/6) = 0.408, sqrt(n) W2 -> 0.577, so a

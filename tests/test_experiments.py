@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from w2lab.experiments import (
     ci_halfspace_experiment,
     clt_rate_experiment,
     conversion_bound,
-    estimate_w2,
     exact_w2_of_sum,
     expected_lattice_distance,
     halfspace_distance,
@@ -32,11 +32,17 @@ from w2lab.experiments import (
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
 from w2lab.samplers import lattice_distance, make_rademacher_product, make_scaled_basis
-from w2lab.transport import EmpiricalMeasure, w2_atoms_gaussian_1d, w2_exact, w2_quantile_1d
+from w2lab.transport import (
+    EmpiricalMeasure,
+    estimate_w2,
+    w2_atoms_gaussian_1d,
+    w2_exact,
+    w2_quantile_1d,
+)
 
 
 RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
-# a 1-d law on no lattice (its points -1, 0, sqrt 2 lie 1 and sqrt 2 apart), so its legs sample
+# a 1-d law on no lattice (its points -1, 0, sqrt 2 lie 1 and sqrt 2 apart): no exact law
 IRRATIONAL_1D = SamplerSpec(
     "lattice_custom", 1, outcomes=((-1.0,), (0.0,), (2.0**0.5,)),
     probs=(0.2 * 2.0**0.5, 0.8 - 0.2 * 2.0**0.5, 0.2),
@@ -70,32 +76,15 @@ class TestSamplerSpec:
 
 
 class TestRate:
-    def test_small_run_structure(self):
-        # a law off every lattice keeps its sampled replicas
-        cfg = RateExperimentConfig(
-            sampler=IRRATIONAL_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
-        )
-        assert cfg.estimator == "quantile_1d"
-        rep = clt_rate_experiment(cfg, np.random.default_rng(5))
-        assert [p.n for p in rep.points] == [16, 64, 256]
-        assert all(v <= p.bound for p in rep.points for v in p.replica_values)
-        assert rep.fit.slope < 0
-        beta = 2.0**0.5
-        for p in rep.points:
-            assert p.bound == pytest.approx(main_rate_bound(1, beta, p.n))
-            assert len(p.replica_values) == 3
-            assert p.w2_hat == np.mean(p.replica_values)
-
     def test_exact_law_run_structure(self):
-        # a lattice law: one exact value per n, whatever replicas and m say
-        cfg = RateExperimentConfig(
-            sampler=RADEMACHER_1D, n_grid=(16, 64, 256), replicas=3, m=5000,
-        )
-        rep = clt_rate_experiment(cfg, np.random.default_rng(5))
+        # one exact value per n
+        cfg = RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
+        rep = clt_rate_experiment(cfg)
         factors = lattice_factors(cfg.sampler.build())
+        assert [p.n for p in rep.points] == [16, 64, 256]
         for p in rep.points:
-            assert p.replica_values == (p.w2_hat,)
             assert p.w2_hat == exact_w2_of_sum(factors, p.n)
+            assert p.bound == main_rate_bound(1, 1.0, p.n)
             assert p.w2_hat <= p.bound
         assert rep.fit.slope == pytest.approx(-0.5, abs=0.01)
 
@@ -106,44 +95,61 @@ class TestRate:
         assert main_rate_bound(1, 1.0, 16) == pytest.approx(4.7157, abs=5e-4)
 
     def test_deterministic(self):
-        cfg = RateExperimentConfig(
-            sampler=IRRATIONAL_1D, n_grid=(16, 64), replicas=3, m=2000,
-        )
-        a = clt_rate_experiment(cfg, np.random.default_rng(11))
-        b = clt_rate_experiment(cfg, np.random.default_rng(11))
-        assert a.points == b.points
+        # an equal config, built apart, gives the equal report
+        spec = SamplerSpec("scaled_basis", 2, 2.0**0.5)
+        a = clt_rate_experiment(RateExperimentConfig(sampler=spec, n_grid=(16, 64)))
+        b = clt_rate_experiment(RateExperimentConfig(sampler=replace(spec), n_grid=(16, 64)))
+        assert a == b
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(16, 16))
-        with pytest.raises(ValueError, match=r"need replicas >= 1, got 0"):
-            RateExperimentConfig(sampler=RADEMACHER_1D, replicas=0)
         with pytest.raises(ValueError, match="non-empty"):
             RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=())
         # one point fits no slope: lstsq's minimum-norm answer would read as one
         with pytest.raises(ValueError, match=r"n_grid must hold at least 2 values"):
             RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(64,))
-        with pytest.raises(ValueError, match="W2 cloud"):
-            RateExperimentConfig(sampler=RADEMACHER_1D, m=0)
-
-    def test_estimator_follows_the_law(self):
-        # the exact law wherever the law factorises into lattice walks, else the
-        # sampled estimator the dimension picks
-        assert RateExperimentConfig(sampler=RADEMACHER_1D).estimator == "exact_law"
-        basis_2d = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), m=10**5)
-        assert basis_2d.estimator == "exact_law"
-        assert RateExperimentConfig(sampler=IRRATIONAL_1D).estimator == "quantile_1d"
-        cfg = RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0), m=5000)
-        assert cfg.estimator == "exact"
-
-    def test_exact_cap_rejected_at_construction(self):
-        # the cap binds only a leg that runs assignment
-        with pytest.raises(ValueError, match="capped at 5000"):
-            RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0), m=6000)
+        # a law without lattice factors has no exact law of S_n, and is rejected by name
+        with pytest.raises(ValueError, match=r"^sampler lattice_custom\(dim=1\) has no exact"):
+            RateExperimentConfig(sampler=IRRATIONAL_1D)
+        with pytest.raises(ValueError, match=r"^sampler scaled_basis\(dim=3\) has no exact law"):
+            RateExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0))
 
     def test_zero_variance_rejected_upstream(self):
         with pytest.raises(ValueError):
             SamplerSpec("rademacher_product", 1, 0.0).build()
+
+    def test_three_dimensional_product_law(self):
+        # a 3-d law that factorises runs on its exact law: W2^2 adds over the
+        # three Rademacher coordinates, and every point stays below the bound
+        cfg = RateExperimentConfig(sampler=SamplerSpec("rademacher_product", 3, 1.0),
+                                   n_grid=(16, 64, 256, 1024))
+        rep = clt_rate_experiment(cfg)
+        [line] = lattice_factors(RADEMACHER_1D.build())
+        s = cfg.sampler.build()
+        for p in rep.points:
+            assert p.w2_hat == pytest.approx(math.sqrt(3) * line.w2(p.n), rel=1e-14)
+            assert p.bound == main_rate_bound(3, s.bound, p.n)
+            assert p.w2_hat <= p.bound
+        assert rep.fit.slope == pytest.approx(-0.5, abs=0.01)
+
+
+EXPERIMENTS = {
+    "rate": (clt_rate_experiment, RateExperimentConfig),
+    "lower": (lattice_lower_experiment, LowerExperimentConfig),
+    "ci": (ci_halfspace_experiment, HalfspaceConfig),
+}
+
+
+@pytest.mark.parametrize("experiment,config", EXPERIMENTS.values(), ids=EXPERIMENTS)
+def test_an_experiment_takes_its_config_alone(experiment, config):
+    # every leg rests on the exact law: it takes no generator, and an equal
+    # config, built apart, gives the equal report
+    assert list(inspect.signature(experiment).parameters) == ["cfg"]
+    cfg = config(sampler=RADEMACHER_1D, n_grid=(16, 64))
+    with pytest.raises(TypeError):
+        experiment(cfg, np.random.default_rng(0))
+    assert experiment(cfg) == experiment(config(sampler=replace(RADEMACHER_1D), n_grid=(16, 64)))
 
 
 def _lattice_sq_distance_oracle(sigma: float, ell: float) -> float:
@@ -216,8 +222,8 @@ class TestLatticeFloor:
 
 class TestLowerExperiment:
     def test_d1_small(self):
-        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(256, 1024), m_w2=10**5)
-        rep = lattice_lower_experiment(cfg, np.random.default_rng(3))
+        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(256, 1024))
+        rep = lattice_lower_experiment(cfg)
         assert rep.target == pytest.approx(0.25)
         assert rep.points[-1].sqrtn_w2_hat >= 0.24
         for p in rep.points:
@@ -228,15 +234,17 @@ class TestLowerExperiment:
 
     def test_one_point_grid_accepted(self):
         # the lower leg fits no slope
-        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(64,), m_w2=100)
+        cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(64,))
         assert cfg.n_grid == (64,)
 
     def test_rejects_non_lattice_sampler(self):
         with pytest.raises(ValueError, match="beta\\*Z"):
             LowerExperimentConfig(
-                sampler=SamplerSpec("rademacher_product", 2, 1.0),
-                n_grid=(64,), m_w2=600,
+                sampler=SamplerSpec("rademacher_product", 2, 1.0), n_grid=(64,),
             )
+        # scaled_basis(3) lies in beta Z^3 but has no exact law of S_n
+        with pytest.raises(ValueError, match="has no exact law"):
+            LowerExperimentConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0), n_grid=(64,))
 
 
 def _convolved_law(outcomes, probs, n):
@@ -293,43 +301,29 @@ class TestHalfspace:
             halfspace_distance(SamplerSpec("rademacher_product", 2, 1.0).build(), 16)
 
     def test_experiment_small(self):
-        cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256), w2_m=20000)
-        rep = ci_halfspace_experiment(cfg, np.random.default_rng(9))
+        cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
+        rep = ci_halfspace_experiment(cfg)
         assert rep.decay_slope == pytest.approx(-0.5, abs=0.01)
         for p in rep.points:
             assert p.delta <= p.conversion_rhs
-            # the bound is evaluated at the exact lattice floor, never at the estimate
+            # the bound is evaluated at the exact lattice floor, never at W2
             assert p.floor == expected_lattice_distance(CovarianceSpec([1.0]), 1.0 / math.sqrt(p.n))
             assert p.conversion_rhs == conversion_bound(1, p.floor)
             assert p.floor < p.w2_hat
 
-    def test_delta_draws_nothing(self):
-        # scaled_basis(2) has the exact law: the whole report is equal under any generator
-        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5),
-                              n_grid=(16, 64), w2_m=200)
-        a, b = (ci_halfspace_experiment(cfg, np.random.default_rng(seed)) for seed in (1, 2))
-        assert a == b
+    def test_w2_column_is_the_exact_law(self):
+        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5), n_grid=(16, 64))
+        rep = ci_halfspace_experiment(cfg)
         s = cfg.sampler.build()
-        assert [p.w2_hat for p in a.points] == [
+        assert [p.w2_hat for p in rep.points] == [
             exact_w2_of_sum(lattice_factors(s), n) for n in cfg.n_grid]
 
-    def test_sampled_w2_column_draws_from_the_generator(self):
-        # scaled_basis(3) has no lattice factors: its W2 column is sampled, delta is not
-        cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0),
-                              n_grid=(16, 64), w2_m=200)
-        a, b = (ci_halfspace_experiment(cfg, np.random.default_rng(seed)) for seed in (1, 2))
-        assert [p.delta for p in a.points] == [p.delta for p in b.points]
-        assert [p.w2_hat for p in a.points] != [p.w2_hat for p in b.points]
-
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="W2 cloud, got 0"):
-            HalfspaceConfig(sampler=RADEMACHER_1D, w2_m=0)
         with pytest.raises(ValueError, match=r"n_grid must hold at least 2 values"):
             HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(64,))
-        assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0), w2_m=600).w2_m == 600
-        # the exact law runs no assignment, so no cap applies to it
-        assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0)).w2_m == 10**5
-        with pytest.raises(ValueError, match="capped"):
+        assert HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 1.0)).n_grid == (
+            experiments.N_GRID_DEFAULT)
+        with pytest.raises(ValueError, match=r"scaled_basis\(dim=3\) has no exact law"):
             HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0))
 
 
@@ -589,7 +583,7 @@ class TestOncePerProcess:
                 (ci_halfspace_experiment, settings.ci_d1), (ci_halfspace_experiment, settings.ci_d2)]
         pairs = set()
         for run, cfg in legs:
-            run(cfg, None)  # an exact leg draws nothing
+            run(cfg)
             pairs |= {(walk, n) for walk in cfg.factors for n in cfg.n_grid}
         assert len(sums) == len(pairs) < sum(len(cfg.factors) * len(cfg.n_grid)
                                              for _, cfg in legs)
@@ -597,5 +591,5 @@ class TestOncePerProcess:
         sums.clear()
         squarings.clear()
         for run, cfg in legs:
-            run(cfg, None)
+            run(cfg)
         assert sums == [] and not any(squarings)
