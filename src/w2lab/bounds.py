@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussmath import CovarianceSpec
+from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget
 from .samplers import BoundedSampler
 from .transport import w2_gaussian_mixture_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here
@@ -53,6 +53,7 @@ def rate_envelope(k: int, beta: float, n):
 class IncrementCheck:
     w2: float
     bound: float
+    budget: float  # the Gauss-Hermite budget of w2
 
 
 def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
@@ -60,7 +61,9 @@ def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
 
     Z_{n-1} + X is the mixture sum_j p_j N(a_j, sigma^2 (n-1)) over the
     support points a_j of X, and Z_n is N(0, sigma^2 n), so the distance is
-    :func:`~w2lab.transport.w2_gaussian_mixture_1d`.  Needs a 1-d sampler.
+    :func:`~w2lab.transport.w2_gaussian_mixture_1d`, whose Gauss-Hermite sum
+    gets the budget :func:`~w2lab.gaussmath.gh_budget` against half as many
+    nodes.  Needs a 1-d sampler.
     """
     from .qstats import check_hypothesis  # here, so the experiment legs never load qstats
 
@@ -68,10 +71,11 @@ def increment_bound_check(s: BoundedSampler, n: int) -> IncrementCheck:
         raise ValueError("the exact increment step needs k = 1")
     check_hypothesis(n, s.bound, s.cov)
     sigma = float(s.cov.sigmas[0])
-    w2 = w2_gaussian_mixture_1d(
-        s.outcomes[:, 0], s.probs, sigma * math.sqrt(n - 1), sigma * math.sqrt(n)
-    )
-    return IncrementCheck(w2=w2, bound=increment_bound(1, s.bound, n))
+    w2, w2_coarse = (w2_gaussian_mixture_1d(
+        s.outcomes[:, 0], s.probs, sigma * math.sqrt(n - 1), sigma * math.sqrt(n), nodes)
+        for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2))
+    return IncrementCheck(w2=w2, bound=increment_bound(1, s.bound, n),
+                          budget=gh_budget(w2, w2_coarse))
 
 
 def naive_w2_upper(

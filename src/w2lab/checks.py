@@ -50,8 +50,10 @@ from .experiments import (
     walk_gap,
 )
 from .gaussmath import (
+    GH_NODES_DEFAULT,
     CovarianceSpec,
     gaussian_exp_quadratic,
+    gh_budget,
     gh_nodes_weights,
     norm_cdf,
     sample_gaussian,
@@ -509,17 +511,29 @@ def check_talagrand_2d(rng: np.random.Generator):
     the same sum in the turned frame, lies at or below KR."""
     models = dict(chain_models_2d())
     reports = {name: dens.talagrand_chain(model) for name, model in models.items()}
-    out = [Verdict(f"{name}: {step}", est, bound)
+    out = [Verdict(f"{name}: {step}", est, bound,
+                   {"budget_kr": rep.budget_kr, "budget_kr_inner": rep.budget_kr_inner,
+                    "budget_quad": rep.budget_quad})
            for name, rep in reports.items() for step, est, bound in rep.steps()]
+
+    def marginal(name, frame):  # the marginal W2^2 sum and its Gauss-Hermite budget
+        fine, coarse = (dens.marginal_w2_sq(models[name], frame, nodes)
+                        for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2))
+        return fine, gh_budget(fine, coarse)
+
     name = "rademacher scale=1 n=2"
-    exact = dens.marginal_w2_sq(models[name], np.eye(2))
+    exact, budget = marginal(name, np.eye(2))
     out.append(Verdict(f"{name}: KR equals the exact product W2^2 to 1e-10 relative",
-                       abs(reports[name].kr / exact - 1.0), 1e-10))
+                       abs(reports[name].kr / exact - 1.0), 1e-10,
+                       {"budget_exact": budget, "budget_kr_inner": reports[name].budget_kr_inner}))
     name = "scaled_basis beta=sqrt2 n=2"
     rep = reports[name]
+    rotated, budget = marginal(name, DIAGONAL_FRAME)
     out.append(Verdict(f"{name}: exact W2^2 in the 45-degree frame <= KR",
-                       dens.marginal_w2_sq(models[name], DIAGONAL_FRAME),
-                       (rep.kr - rep.budget_kr, rep.kr + rep.budget_kr)))
+                       (rotated - budget, rotated + budget),
+                       (rep.kr - rep.kr_budget, rep.kr + rep.kr_budget),
+                       {"budget_rotated": budget, "budget_kr": rep.budget_kr,
+                        "budget_kr_inner": rep.budget_kr_inner}))
     return out
 
 
@@ -531,8 +545,9 @@ def check_increment(rng: np.random.Generator):
     out = [Verdict("degenerate X=0 against the closed form", abs(w2 - exact), 1e-12)]
     for n in INCREMENT_NS:
         chk = bnd.increment_bound_check(INCREMENT_SAMPLER, n)
-        out.append(Verdict(f"k=1 beta=2 n={n} (need 50% margin)", chk.w2,
-                           0.5 * chk.bound, {"bound": chk.bound}))
+        out.append(Verdict(f"k=1 beta=2 n={n} (need 50% margin)",
+                           (chk.w2 - chk.budget, chk.w2 + chk.budget),
+                           0.5 * chk.bound, {"bound": chk.bound, "budget_inner": chk.budget}))
     return out
 
 

@@ -29,10 +29,12 @@ E f_(i)^2).  KR is the Knothe-Rosenblatt cost (:func:`kr_terms`): the cost of
 a feasible coupling, so an upper bound on W2^2, exact in d = 1, and each of
 its coordinate terms is at most 2 sigma_k^2 times that coordinate's entropy
 increment (Talagrand's inequality in 1-d and the chain rule of relative
-entropy).  Each quantity is a Gauss-Hermite sum whose error budget is one
-rule, :func:`_budget`; the report states each step once, as an error
-interval against its bound (:meth:`ChainReport.steps`).  The budget is a
-first-order error model, not a certificate.
+entropy).  Each quantity is a Gauss-Hermite sum whose error budget is the
+package's one rule, :func:`w2lab.gaussmath.gh_budget`; KR's covers both its
+outer nodes and the inner sum of each mixture distance.  The report states
+each step once, as an error interval against its bound
+(:meth:`ChainReport.steps`).  The budget is a first-order error model, not a
+certificate.
 
 The cell masses (``rho_cell_masses`` and both ``tau_cell_masses``) and the
 atomic solvers imported here from :mod:`w2lab.transport` fed the chain's old
@@ -47,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_grid, norm_cdf
+from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget, gh_grid, norm_cdf
 from .samplers import BoundedSampler
 from .qstats import q_values
 from .transport import w2_gaussian_mixture_1d
@@ -332,10 +334,7 @@ def prefix_second_moments(
 # The transportation-inequality chain
 # ---------------------------------------------------------------------------
 
-# the factor scaling the difference of a chain quantity at its node count and at
-# half as many into its error budget, and the Gauss-Hermite nodes per axis of the
-# Knothe-Rosenblatt cost's outer expectation
-CHAIN_BUDGET_FACTOR = 3.0
+# the Gauss-Hermite nodes per axis of the Knothe-Rosenblatt cost's outer expectation
 CHAIN_KR_NODES = 32
 
 
@@ -344,25 +343,25 @@ class ChainReport:
     kr: float  # Knothe-Rosenblatt cost: >= W2^2, equal to it in d = 1
     rhs_entropy: float
     rhs_chi2: float
-    budget_kr: float
+    budget_kr: float  # KR's outer nodes
+    budget_kr_inner: float  # the inner sums of KR's mixture distances
     budget_quad: float
     equality_atol: float  # rounding allowance of both steps' bounds
+
+    @property
+    def kr_budget(self) -> float:
+        """KR's whole budget: its outer nodes and its inner sums."""
+        return self.budget_kr + self.budget_kr_inner
 
     def steps(self) -> tuple:
         """The two steps as (statement, (lo, hi), bound): an estimate +- its budget
         against the next term plus ``equality_atol``; the W2^2 step's estimate is
         KR, which bounds W2^2 from above, and W2^2 >= 0 clips its lower edge."""
-        kr, quad = self.budget_kr + self.budget_quad, self.budget_quad
+        kr, quad = self.kr_budget + self.budget_quad, self.budget_quad
         return (("W2^2 <= entropy RHS", (max(self.kr - kr, 0.0), self.kr + kr),
                  self.rhs_entropy + self.equality_atol),
                 ("entropy RHS <= chi-square RHS", (self.rhs_entropy - quad, self.rhs_entropy + quad),
                  self.rhs_chi2 + self.equality_atol))
-
-
-def _budget(fine, coarse) -> float:
-    """The chain's one error budget: ``CHAIN_BUDGET_FACTOR`` times the largest change
-    of a quantity between its node count and half as many."""
-    return CHAIN_BUDGET_FACTOR * float(np.max(np.abs(np.subtract(fine, coarse))))
 
 
 def _entropy_functional(model: DensityRatioModel, nodes: int) -> np.ndarray:
@@ -383,17 +382,20 @@ def _chi2_terms(model: DensityRatioModel, nodes: int) -> np.ndarray:
     return np.array(terms)
 
 
-def kr_terms(model: DensityRatioModel, nodes: int = CHAIN_KR_NODES) -> list:
+def kr_terms(
+    model: DensityRatioModel, nodes: int = CHAIN_KR_NODES, inner_nodes: int = GH_NODES_DEFAULT
+) -> list:
     """[KR_k for each coordinate k]: the Knothe-Rosenblatt cost of tau against rho,
     coordinate by coordinate in the canonical order.
 
     KR_k = E_{x<k ~ tau} W2^2(tau_k(. | x<k), N(0, sigma_k^2)).  Given x<k, the
     k-th coordinate of tau = sum_j p_j N(y_j, c Sigma) is the mixture of
     N(y_jk, c sigma_k^2) with masses p_j times atom j's Gaussian density at x<k,
-    so every outer node is one row of masses and one bisection
-    (:func:`w2lab.transport.w2_gaussian_mixture_1d`) serves them all.  x<k ~ tau
-    is a mixture too: the expectation is a tensor Gauss-Hermite sum of
-    ``nodes`` per axis about each distinct prefix of the atoms.  Coupling the
+    so every outer node is one row of masses, and one call of
+    :func:`w2lab.transport.w2_gaussian_mixture_1d`, a Gauss-Hermite sum of
+    ``inner_nodes`` per component, serves them all.  x<k ~ tau is a mixture
+    too: the expectation is a tensor Gauss-Hermite sum of ``nodes`` per axis
+    about each distinct prefix of the atoms.  Coupling the
     coordinates in turn is feasible, so sum_k KR_k >= W2^2(tau, rho), with
     equality in d = 1 and for a product law.
 
@@ -416,30 +418,34 @@ def kr_terms(model: DensityRatioModel, nodes: int = CHAIN_KR_NODES) -> list:
         # atoms that share coordinate k share one inner component
         values, col = np.unique(ys[:, k], return_inverse=True)
         masses = masses @ (col.ravel()[:, None] == np.arange(len(values)))
-        w2 = w2_gaussian_mixture_1d(values, masses, sd[k], model.cov.sigmas[k])
+        w2 = w2_gaussian_mixture_1d(values, masses, sd[k], model.cov.sigmas[k], inner_nodes)
         terms.append(math.fsum(weight * w2**2))
     return terms
 
 
-def marginal_w2_sq(model: DensityRatioModel, frame: np.ndarray) -> float:
+def marginal_w2_sq(
+    model: DensityRatioModel, frame: np.ndarray, nodes: int = GH_NODES_DEFAULT
+) -> float:
     """sum_i W2^2 of tau's and rho's i-th coordinates in an orthonormal ``frame``
     (its rows): a lower bound on W2^2(tau, rho), since a coupling's cost is the
     sum of its coordinates' costs, and equal to it where tau and rho are both
-    products in that frame."""
+    products in that frame.  Each term is a Gauss-Hermite sum of ``nodes`` per
+    mixture component."""
     frame = np.asarray(frame, dtype=float)
     ys = model._ys @ frame.T
     sd_ref = np.sqrt(frame**2 @ model.cov.variances)
     return math.fsum(
-        w2_gaussian_mixture_1d(col, model._probs, math.sqrt(model._c) * sd, sd) ** 2
+        w2_gaussian_mixture_1d(col, model._probs, math.sqrt(model._c) * sd, sd, nodes) ** 2
         for col, sd in zip(ys.T, sd_ref))
 
 
 def talagrand_chain(model: DensityRatioModel) -> ChainReport:
     """Evaluate the chain W2^2 <= KR <= entropy-RHS <= chi2-RHS for one model.
 
-    KR (:func:`kr_terms`) at ``CHAIN_KR_NODES`` outer nodes and the two right
-    sides at ``GH_NODES_DEFAULT`` nodes per axis each get the one budget rule
-    :func:`_budget` against half as many nodes.
+    KR (:func:`kr_terms`) at ``CHAIN_KR_NODES`` outer and ``GH_NODES_DEFAULT``
+    inner nodes and the two right sides at ``GH_NODES_DEFAULT`` nodes per axis
+    each get the one budget rule :func:`w2lab.gaussmath.gh_budget` against half
+    as many nodes; KR's outer and inner nodes are halved one at a time.
     """
     if model.dim not in (1, 2):
         raise ValueError("the chain is computed for dim in {1, 2} only")
@@ -449,13 +455,16 @@ def talagrand_chain(model: DensityRatioModel) -> ChainReport:
         return (float((2.0 * var * np.diff(_entropy_functional(model, nodes))).sum()),
                 float((2.0 * var * _chi2_terms(model, nodes)).sum()))
 
-    kr, kr_coarse = (math.fsum(kr_terms(model, m)) for m in (CHAIN_KR_NODES, CHAIN_KR_NODES // 2))
+    kr, kr_outer, kr_inner = (math.fsum(kr_terms(model, *nodes)) for nodes in (
+        (CHAIN_KR_NODES, GH_NODES_DEFAULT), (CHAIN_KR_NODES // 2, GH_NODES_DEFAULT),
+        (CHAIN_KR_NODES, GH_NODES_DEFAULT // 2)))
     (rhs_entropy, rhs_chi2), coarse = sides(GH_NODES_DEFAULT), sides(GH_NODES_DEFAULT // 2)
     return ChainReport(
         kr=kr,
         rhs_entropy=rhs_entropy,
         rhs_chi2=rhs_chi2,
-        budget_kr=_budget(kr, kr_coarse),
-        budget_quad=_budget((rhs_entropy, rhs_chi2), coarse),
+        budget_kr=gh_budget(kr, kr_outer),
+        budget_kr_inner=gh_budget(kr, kr_inner),
+        budget_quad=gh_budget((rhs_entropy, rhs_chi2), coarse),
         equality_atol=max(1e-10, 1e-8 * max(abs(kr), abs(rhs_entropy), abs(rhs_chi2))),
     )

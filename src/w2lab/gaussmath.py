@@ -18,7 +18,9 @@ need no SciPy:
 and the Gauss-Hermite nodes and the tensor grid used as the quadrature
 oracle for every density integral in the package (200 nodes per axis by
 default).  The nodes come from ``scipy.special.roots_hermite``, imported on
-the first call of :func:`gh_nodes_weights`, whose rules are cached.
+the first call of :func:`gh_nodes_weights`, whose rules are cached.  Every
+Gauss-Hermite value a verdict rests on gets the one error budget
+:func:`gh_budget`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from typing import Sequence
 import numpy as np
 
 GH_NODES_DEFAULT = 200
+# the factor scaling the change of a Gauss-Hermite sum between its node count
+# and half as many into its error budget
+GH_BUDGET_FACTOR = 3.0
 
 
 class DimensionMismatchError(ValueError):
@@ -270,3 +275,10 @@ def gh_grid(cov: CovarianceSpec, nodes: int = GH_NODES_DEFAULT):
     for _ in range(d - 1):
         wts = np.multiply.outer(wts, w1)
     return pts, wts.ravel()
+
+
+def gh_budget(fine, coarse) -> float:
+    """The one error budget of a Gauss-Hermite value: ``GH_BUDGET_FACTOR`` times
+    the largest change of the quantity between its node count and half as many.
+    A first-order error model, not a certificate."""
+    return GH_BUDGET_FACTOR * float(np.max(np.abs(np.subtract(fine, coarse))))

@@ -24,10 +24,11 @@ Solver menu:
   ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
   item 1) releases it.
 * :func:`w2_gaussian_mixture_1d` -- exact W2 between a 1-d Gaussian mixture
-  with a common variance and a centred Gaussian: the monotone coupling as a
-  Gauss-Hermite sum over bisected mixture quantiles; the increment step's
-  distance, and, for a stack of mass rows in one bisection, every inner term
-  of the transportation chain's Knothe-Rosenblatt cost.
+  with a common variance and a centred Gaussian: the forward monotone map
+  x -> Phi^-1(F(x)) integrated against each component by Gauss-Hermite, with
+  no root-finding; the increment step's distance, and, for a stack of mass
+  rows in one call, every inner term of the transportation chain's
+  Knothe-Rosenblatt cost.
 * :func:`sinkhorn_w2` -- entropic approximation with epsilon scaling, for
   unequal sizes; no job runs it, and it stays because
   ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
@@ -49,16 +50,16 @@ Solver menu:
   for the full problem, so the restricted optimum is the full optimum to the
   HiGHS feasibility tolerances (``LP_TOL`` = 1e-10).
 
-This module imports no SciPy at load time.  The experiments' solver,
-:func:`w2_atoms_gaussian_1d`, takes Phi^-1 from
-:func:`w2lab.gaussmath.norm_ppf`; each SciPy user imports what it needs
-on its first call:
+This module imports no SciPy at load time.  The two exact solvers,
+:func:`w2_atoms_gaussian_1d` and :func:`w2_gaussian_mixture_1d`, take Phi
+and Phi^-1 from :func:`w2lab.gaussmath.norm_cdf` and
+:func:`w2lab.gaussmath.norm_ppf` (the mixture's Gauss-Hermite nodes load
+``scipy.special`` through :func:`w2lab.gaussmath.gh_nodes_weights`); each
+SciPy user imports what it needs on its first call:
 
 * :func:`w2_exact` and :func:`w2_discrete_lp`: ``scipy.optimize`` (and the
   LP's ``scipy.sparse``), with the ``scipy.linalg`` they pull in, about
   0.2 s;
-* the mixture bisection of :func:`w2_gaussian_mixture_1d`:
-  ``scipy.special.ndtr`` (see :func:`_mixture_quantiles` for why);
 * :func:`sinkhorn_w2`: ``scipy.special.logsumexp``.
 
 ``scipy.special`` alone costs about 0.23 s of start-up, and no experiment
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights, norm_ppf
+from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights, norm_cdf, norm_ppf
 
 EXACT_CAP_DEFAULT = 5000
 BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
@@ -87,10 +88,6 @@ _FSUM_CHUNK = 65536
 LP_SEED_NEIGHBOURS = 16
 LP_TOL = 1e-10
 LP_PRICING_TOL = 1e-12
-# w2_gaussian_mixture_1d bisects only the Gauss-Hermite nodes of at least this
-# weight, while their dropped terms' bound stays below TRIM_REL_TOL of the sum
-GH_WEIGHT_FLOOR = 1e-30
-TRIM_REL_TOL = 2.0**-60
 
 
 class SolverCapacityError(ValueError):
@@ -280,79 +277,52 @@ def w2_atoms_gaussian_1d(atoms: np.ndarray, probs: np.ndarray, sd: float) -> flo
     return sd * math.sqrt(_fsum(cells))
 
 
-def _mixture_quantiles(a, rows, sd_mix, t) -> np.ndarray:
-    """(R, T): each mass row's mixture quantile F^-1(Phi(t)) at each node t,
-    bisected until no float lies between the two ends of its bracket.
-
-    Phi here is SciPy's ``ndtr`` ufunc, the package's one Phi besides
-    :func:`w2lab.gaussmath.norm_cdf`, on purpose: a smoke run evaluates 5.0M
-    values in this loop.  On one 5M array the ufunc takes 0.12 s and
-    ``norm_cdf``, one ``math.erfc`` call per element, 0.54 s; a numpy port
-    of Cephes ``erfc`` took 0.80 s against 0.11 s, and lost 1.2e-8 relative
-    accuracy in the far tail.  It is imported here, so only the checkers
-    that bisect load SciPy.
-    """
-    from scipy.special import ndtr
-
-    side = np.where(t > 0, -1.0, 1.0)  # -1: compare upper tails
-    target = ndtr(side * t)
-    shift = side[:, None] * a / sd_mix  # (T, J)
-    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
-    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            return lo
-        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
-        below = open_ & (side * (tail - target) < 0)  # mid lies below the quantile
-        lo = np.where(below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-
-
-def _dropped_remainder(a, sd_mix, sd_ref, t, w) -> float:
-    """Bound on the terms of the nodes t, weights w, left out of the sum: each
-    quantile lies in [sd_mix t + min a, sd_mix t + max a], so its term is at
-    most w (max|a| + |sd_mix - sd_ref| |t|)^2."""
-    return float(w @ (np.abs(a).max() + abs(sd_mix - sd_ref) * np.abs(t)) ** 2)
-
-
 def w2_gaussian_mixture_1d(
-    atoms: np.ndarray, probs: np.ndarray, sd_mix: float, sd_ref: float
+    atoms: np.ndarray, probs: np.ndarray, sd_mix: float, sd_ref: float,
+    nodes: int = GH_NODES_DEFAULT,
 ) -> float:
     """Exact W2 between sum_j p_j N(a_j, sd_mix^2) and N(0, sd_ref^2) on the line.
 
-    The monotone coupling is optimal in 1-d, so W2^2 = E (F^-1(Phi(T)) -
-    sd_ref T)^2 over T ~ N(0, 1), with F the mixture CDF; the expectation is
-    a Gauss-Hermite sum.  Each quantile F^-1(Phi(t)) lies in [sd_mix t +
-    min a, sd_mix t + max a] and is bisected until no float lies between the
-    two ends.  For t > 0 the upper tails are compared, which keeps the
-    right-hand nodes' tail probabilities at full relative precision.
-
-    Only the nodes of weight at least ``GH_WEIGHT_FLOOR`` are bisected (102
-    of the 200); the others enter the 200-node sum as 0, so the kept terms
-    are added in the untrimmed sum's order.  By the bracket above, the
-    dropped nodes' terms sum to at most ``sum w (max|a| + |sd_mix - sd_ref|
-    |t|)^2``.  If that remainder exceeds ``TRIM_REL_TOL`` = 2^-60 of the
-    kept sum on any row, far below one rounding of the sum, every node is
-    bisected instead, so no input loses accuracy to the trim.
+    The monotone map T = sd_ref Phi^-1(F(x)), with F the mixture CDF, is the
+    optimal coupling in 1-d, so W2^2 = int (x - T(x))^2 dF: a sum over the
+    components of p_j E (x_j - T(x_j))^2 with x_j = a_j + sd_mix t, t ~
+    N(0, 1), each a Gauss-Hermite sum of ``nodes`` terms.  No quantile is
+    solved for: F(x_j) = sum_i p_i Phi(t + (a_j - a_i) / sd_mix), and the
+    Phi values do not depend on the masses, so a stack of mass rows shares
+    one table of 2 J^2 ``nodes`` of them (both tails).  Phi^-1 takes the
+    lower tail where F <= 1/2 and the upper tail otherwise, so both keep full
+    relative precision, and the result is clipped to the bracket [(x - max
+    a) / sd_mix, (x - min a) / sd_mix] that F's own bounds give, which also
+    keeps it finite where a tail sum underflows.  Along each component the
+    integrand is smooth however far the components lie apart, where the
+    quantile function F^-1(Phi(t)) is nearly a step.
 
     ``probs`` may be a stack of mass rows (R, J) over the same atoms: the
-    result is then the (R,) array of the rows' distances, all from one
-    bisection.
+    result is then the (R,) array of the rows' distances.  A negative mass,
+    or a row whose sum is off 1 by more than 1e-9, raises ``ValueError``.
+
+    Ref: Villani, *Optimal Transport: Old and New* (2009), ch. 1.
     """
     a = np.asarray(atoms, dtype=float).ravel()
     p = np.asarray(probs, dtype=float)
-    rows = p.reshape(-1, a.size, 1)  # (R, J, 1)
-    t, w = gh_nodes_weights(GH_NODES_DEFAULT)
-    live = w >= GH_WEIGHT_FLOOR
-    err = np.zeros((len(rows), len(t)))  # a dropped node's term counts as 0
-    err[:, live] = _mixture_quantiles(a, rows, sd_mix, t[live]) - sd_ref * t[live]
-    w2_sq = err**2 @ w
-    if np.any(_dropped_remainder(a, sd_mix, sd_ref, t[~live], w[~live])
-              > TRIM_REL_TOL * w2_sq):
-        w2_sq = (_mixture_quantiles(a, rows, sd_mix, t) - sd_ref * t) ** 2 @ w
-    w2 = np.sqrt(w2_sq)
+    rows = p.reshape(-1, a.size)  # (R, J)
+    negative = np.flatnonzero((rows < 0).any(axis=1))
+    if negative.size:
+        r = negative[0]
+        raise ValueError(f"mass row {r} has a negative mass: {rows[r].tolist()}")
+    sums = rows.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if off.size:
+        r = off[0]
+        raise ValueError(f"mass row {r} sums to {float(sums[r])!r}, not 1")
+    t, w = gh_nodes_weights(nodes)
+    x = a[:, None] + sd_mix * t  # (J, T): the nodes of each component
+    u = (x - a[:, None, None]) / sd_mix  # (I, J, T): (x_j - a_i) / sd_mix
+    below, above = (np.einsum("ri,ijt->rjt", rows, phi) for phi in norm_cdf(np.stack([u, -u])))
+    lower = below <= 0.5  # F(x) <= 1/2: its own tail, else the upper one
+    q = norm_ppf(np.where(lower, below, np.minimum(above, 0.5)))
+    q = np.clip(np.where(lower, q, -q), (x - a.max()) / sd_mix, (x - a.min()) / sd_mix)
+    w2 = np.sqrt(np.sum(rows * ((x - sd_ref * q) ** 2 @ w), axis=1))
     return float(w2[0]) if p.ndim == 1 else w2
 
 

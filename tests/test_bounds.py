@@ -12,7 +12,7 @@ from w2lab.bounds import (
     rate_envelope,
 )
 from w2lab.checks import SCHEDULE_CASES
-from w2lab.gaussmath import CovarianceSpec, w2_gaussian_diag
+from w2lab.gaussmath import CovarianceSpec, gh_budget, w2_gaussian_diag
 from w2lab.qstats import HypothesisError
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
 
@@ -41,6 +41,14 @@ class TestIncrement:
         expect = transport.w2_gaussian_mixture_1d(
             [-2.0, 2.0], [0.5, 0.5], 2.0 * math.sqrt(39), 2.0 * math.sqrt(40))
         assert chk.w2 == expect
+
+    def test_budget_is_the_half_node_change(self):
+        s = make_rademacher_product(1, 2.0)
+        chk = increment_bound_check(s, 40)
+        coarse = transport.w2_gaussian_mixture_1d(
+            [-2.0, 2.0], [0.5, 0.5], 2.0 * math.sqrt(39), 2.0 * math.sqrt(40), nodes=100)
+        assert chk.budget == gh_budget(chk.w2, coarse)
+        assert chk.budget < 1e-10 * chk.w2
 
     def test_below_threshold_rejected(self):
         s = make_rademacher_product(1, 2.0)  # needs n >= 5

@@ -104,8 +104,8 @@ def test_verdict_edges_are_floats_in_order():
     (0.05, 0.0, "pass"), (0.0, 2.0, "inconclusive"),
 ])
 def test_chain_step_inconclusive_only_while_straddling(kr, budget_kr, verdict):
-    rep = ChainReport(kr=kr, rhs_entropy=1.0, rhs_chi2=2.0,
-                      budget_kr=budget_kr, budget_quad=0.1, equality_atol=0.0)
+    rep = ChainReport(kr=kr, rhs_entropy=1.0, rhs_chi2=2.0, budget_kr=budget_kr,
+                      budget_kr_inner=0.0, budget_quad=0.1, equality_atol=0.0)
     w2_step, quad_step = (checks.Verdict(*step) for step in rep.steps())
     assert w2_step.case == "W2^2 <= entropy RHS" and w2_step.rhs == w2_step.rhs_hi == 1.0
     # the KR and quadrature budgets both widen it, and W2^2 >= 0 clips its lower edge
@@ -235,6 +235,33 @@ def test_halfspace_enumeration_fails_without_left_limits(monkeypatch):
     assert enum.verdict == "fail" and enum.lhs > 0.1
 
 
+def test_talagrand_2d_records_carry_the_inner_budget():
+    # KR's inner Gauss-Hermite sums get a budget of their own: it widens the
+    # W2^2 step and the 45-degree record, and every record reports it
+    records = checks.check_talagrand_2d(None)
+    reports = {name: densities.talagrand_chain(model) for name, model in checks.chain_models_2d()}
+    for v in records:
+        assert "budget_kr_inner" in v.inputs, v.case
+    for name, rep in reports.items():
+        w2_step = next(v for v in records if v.case == f"{name}: W2^2 <= entropy RHS")
+        budget = rep.budget_kr + rep.budget_kr_inner + rep.budget_quad
+        assert w2_step.lhs == rep.kr + budget
+        assert w2_step.inputs["budget_kr_inner"] == rep.budget_kr_inner
+    rotated = records[-1]
+    assert rotated.lhs_lo < rotated.lhs
+    assert rotated.lhs - rotated.lhs_lo == pytest.approx(2 * rotated.inputs["budget_rotated"])
+
+
+def test_increment_records_are_intervals_of_the_inner_budget():
+    records = checks.check_increment(None)[1:]
+    assert len(records) == len(checks.INCREMENT_NS)
+    for v in records:
+        budget = v.inputs["budget_inner"]
+        assert 0.0 < budget < 1e-10 * v.lhs
+        assert v.lhs - v.lhs_lo == pytest.approx(2 * budget)
+        assert v.verdict == "pass"
+
+
 def test_talagrand_2d_oracles_certify_kr(monkeypatch):
     cases = ["rademacher scale=1 n=2: KR equals the exact product W2^2 to 1e-10 relative",
              "scaled_basis beta=sqrt2 n=2: exact W2^2 in the 45-degree frame <= KR"]
@@ -247,7 +274,6 @@ def test_talagrand_2d_oracles_certify_kr(monkeypatch):
     for factor, failing in ((0.5, cases), (3.0, ["scaled_basis beta=sqrt2 n=2: W2^2 <= entropy RHS",
                                                cases[0]])):
         monkeypatch.setattr(densities, "kr_terms",
-                            lambda model, nodes=densities.CHAIN_KR_NODES:
-                            [factor * t for t in kr_terms(model, nodes)])
+                            lambda model, *nodes: [factor * t for t in kr_terms(model, *nodes)])
         records = {v.case: v for v in checks.check_talagrand_2d(None)}
         assert [c for c, v in records.items() if v.verdict == "fail"] == failing, factor

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from w2lab import densities, transport
 from w2lab.checks import Verdict, chain_models_2d
 from w2lab.experiments import DIAGONAL_FRAME
-from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
+from w2lab.gaussmath import CovarianceSpec, gh_budget, gh_nodes_weights
 from w2lab.densities import (
     CHAIN_KR_NODES,
     DensityRatioModel,
@@ -310,6 +310,15 @@ class TestChain2d:
             w2_step, chi2_step = (Verdict(*step) for step in talagrand_chain(model).steps())
             assert w2_step.verdict == chi2_step.verdict == "pass", name
             assert w2_step.margin > 0.5 * w2_step.rhs, name
+
+    @pytest.mark.parametrize("name", [name for name, _ in chain_models_2d()])
+    def test_inner_budget_is_kr_against_half_the_inner_nodes(self, name):
+        model = dict(chain_models_2d())[name]
+        rep = talagrand_chain(model)
+        coarse = math.fsum(kr_terms(model, CHAIN_KR_NODES, 100))
+        assert rep.budget_kr_inner == gh_budget(rep.kr, coarse)
+        assert rep.budget_kr_inner < 1e-10 * rep.kr
+        assert rep.kr_budget == rep.budget_kr + rep.budget_kr_inner
 
     def test_rejects_higher_dims(self):
         cov = CovarianceSpec([1.0, 1.0, 1.0])

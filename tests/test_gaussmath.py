@@ -11,6 +11,7 @@ from w2lab.gaussmath import (
     DimensionMismatchError,
     DivergentIntegralError,
     gaussian_exp_quadratic,
+    gh_budget,
     gh_grid,
     gh_nodes_weights,
     norm_cdf,
@@ -196,6 +197,12 @@ def test_gh_rule_is_built_once_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a *= 2.0
     assert float(w @ x**2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gh_budget_is_three_times_the_largest_change():
+    assert gh_budget(1.0, 1.0) == 0.0
+    assert gh_budget(2.0, 2.5) == 1.5
+    assert gh_budget((1.0, -4.0), (1.25, -3.0)) == 3.0
 
 
 def _rel_errors(got, exact) -> float:

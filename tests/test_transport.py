@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 from w2lab import bounds, checks, densities, transport
-from w2lab.gaussmath import GH_NODES_DEFAULT, gh_nodes_weights
 from w2lab.samplers import make_scaled_basis
 from w2lab.transport import (
     EXACT_CAP_DEFAULT,
@@ -126,21 +125,43 @@ class TestQuantile1d:
             w2_quantile_1d([], [])
 
 
+def _norm_ppf_tail(p):
+    """Phi^-1(p) for 0 < p <= 1/2 at the working precision, by Newton steps on
+    log Phi: tail-safe where 2p - 1 rounds to -1 and erfinv(2p - 1) gives -inf.
+    The start is SciPy's ndtri, or the tail asymptote where p underflows a double."""
+    q = mpmath.mpf(ndtri(float(p))) if p > 1e-300 else -mpmath.sqrt(-2 * mpmath.log(p))
+    log_p = mpmath.log(p)
+    for _ in range(60):
+        cdf = mpmath.ncdf(q)
+        step = (mpmath.log(cdf) - log_p) * cdf / mpmath.npdf(q)
+        q -= step
+        if abs(step) <= mpmath.mpf(10) ** (5 - mpmath.mp.dps) * (1 + abs(q)):
+            return q
+    raise ArithmeticError(f"no convergence at p = {p}")
+
+
 def _mixture_w2_oracle(atoms, probs, sd_mix, sd_ref):
-    """mpmath quantile integral: int f(x) (x - sd_ref Phi^-1(F(x)))^2 dx to 10 sd_mix."""
-    with mpmath.workdps(30):
-        a = [mpmath.mpf(v) for v in atoms]
-        p = [mpmath.mpf(v) for v in probs]
+    """W2 by mpmath at 20 digits: sum_j p_j int phi(t) (x - sd_ref Phi^-1(F(x)))^2 dt
+    with x = a_j + sd_mix t, each component over |t| <= 12, and Phi^-1 taken from
+    F's lower tail where F <= 1/2, else from its upper tail."""
+    with mpmath.workdps(20):
+        a, p = ([mpmath.mpf(v) for v in vals] for vals in (atoms, probs))
         s, r = mpmath.mpf(sd_mix), mpmath.mpf(sd_ref)
+        live = [(aj, pj) for aj, pj in zip(a, p) if pj]
 
-        def integrand(x):
-            cdf = sum(pj * mpmath.ncdf((x - aj) / s) for aj, pj in zip(a, p))
-            pdf = sum(pj * mpmath.npdf((x - aj) / s) for aj, pj in zip(a, p)) / s
-            return pdf * (x - r * mpmath.sqrt(2) * mpmath.erfinv(2 * cdf - 1)) ** 2
+        def cost(x):
+            below = mpmath.fsum(pi * mpmath.ncdf((x - ai) / s) for ai, pi in live)
+            if below <= 0.5:
+                q = _norm_ppf_tail(below)
+            else:
+                q = -_norm_ppf_tail(mpmath.fsum(pi * mpmath.ncdf((ai - x) / s) for ai, pi in live))
+            return (x - r * q) ** 2
 
-        edge = max(abs(v) for v in a) + 10 * s
-        return float(mpmath.sqrt(mpmath.quad(
-            integrand, mpmath.linspace(-edge, edge, 9), method="gauss-legendre")))
+        w2_sq = mpmath.fsum(
+            pj * mpmath.quad(lambda t: mpmath.npdf(t) * cost(aj + s * t),
+                             mpmath.linspace(-12, 12, 5), method="gauss-legendre")
+            for aj, pj in live)
+        return float(mpmath.sqrt(w2_sq))
 
 
 class TestGaussianMixture1d:
@@ -164,12 +185,29 @@ class TestGaussianMixture1d:
         ([-1.0, 0.5, 3.0], [0.3, 0.6, 0.1], 1.5, 2.0),
     ])
     def test_matches_mpmath_quantile_integral(self, atoms, probs, sd_mix, sd_ref):
+        # the increment steps' W2 is 1e-4 of the components' spread, so the
+        # rounding of F and Phi^-1 leaves about 1e-12 of it
         oracle = _mixture_w2_oracle(atoms, probs, sd_mix, sd_ref)
         w2 = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref)
-        assert w2 == pytest.approx(oracle, rel=1e-10)
+        assert w2 == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize("atoms,probs,sd_mix,sd_ref", [
+        # two components twenty sd apart: the quantile function is nearly a step
+        ([-5.0, 5.0], [0.5, 0.5], 0.5, 1.0),
+        # one row of the chain: the asymmetric product law's first coordinate
+        ([-0.8 / math.sqrt(2), 1.6 / math.sqrt(2)], [2 / 3, 1 / 3], 0.8, math.sqrt(1.28)),
+        # a far atom of tiny mass: its share lives in the upper tail, near 1e-20
+        ([0.0, 1e8], [1.0, 1e-20], 1.0, 1.0),
+        # zero-mass entries, one of them far out
+        ([-1.0, 0.5, 3.0, 40.0], [0.3, 0.0, 0.7, 0.0], 1.5, 2.0),
+    ])
+    def test_exact_to_rounding_against_the_tail_safe_oracle(self, atoms, probs, sd_mix, sd_ref):
+        oracle = _mixture_w2_oracle(atoms, probs, sd_mix, sd_ref)
+        w2 = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref)
+        assert w2 == pytest.approx(oracle, rel=1e-13)
 
     def test_stack_of_rows_is_each_row_alone(self, rng):
-        # one bisection over a stack of mass rows gives each row's own distance,
+        # one call over a stack of mass rows gives each row's own distance,
         # zero masses included
         atoms = np.array([-1.0, 0.5, 3.0])
         rows = rng.dirichlet(np.ones(3), size=6)
@@ -181,38 +219,33 @@ class TestGaussianMixture1d:
         assert stacked[0] == pytest.approx(math.hypot(0.5, 0.5), rel=1e-12)
         assert type(w2_gaussian_mixture_1d(atoms, rows[1], 1.5, 2.0)) is float
 
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError, match=r"mass row 1 has a negative mass"):
+            w2_gaussian_mixture_1d([0.0, 1.0], [[0.5, 0.5], [1.25, -0.25]], 1.0, 1.0)
 
-def _untrimmed_quantiles(atoms, rows, sd_mix):
-    """The mixture quantiles at all 200 Gauss-Hermite nodes, each bisected to
-    adjacent floats, with no node dropped: the primitive before its trim."""
-    a = np.asarray(atoms, dtype=float).ravel()
-    rows = np.asarray(rows, dtype=float).reshape(-1, a.size, 1)
-    t, _ = gh_nodes_weights(GH_NODES_DEFAULT)
-    side = np.where(t > 0, -1.0, 1.0)
-    target = ndtr(side * t)
-    shift = side[:, None] * a / sd_mix
-    lo = np.broadcast_to(sd_mix * t + a.min(), (len(rows), len(t)))
-    hi = np.broadcast_to(sd_mix * t + a.max(), lo.shape)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            break
-        tail = (ndtr((side / sd_mix * mid)[..., None] - shift) @ rows)[..., 0]
-        below = open_ & (side * (tail - target) < 0)
-        lo = np.where(below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-    return lo
+    def test_mass_row_off_one_rejected(self):
+        with pytest.raises(ValueError, match=r"mass row 0 sums to 1\.1, not 1"):
+            w2_gaussian_mixture_1d([0.0, 1.0], [0.5, 0.6], 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"mass row 2 sums to"):
+            w2_gaussian_mixture_1d([0.0, 1.0], [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5 - 2e-9]],
+                                   1.0, 1.0)
+        # within 1e-9 of 1, a row is taken as it is
+        w2_gaussian_mixture_1d([0.0, 1.0], [0.5, 0.5 + 5e-10], 1.0, 1.0)
 
-
-def _untrimmed_w2(atoms, rows, sd_mix, sd_ref):
-    t, w = gh_nodes_weights(GH_NODES_DEFAULT)
-    return np.sqrt((_untrimmed_quantiles(atoms, rows, sd_mix) - sd_ref * t) ** 2 @ w)
+    def test_half_the_nodes_changes_the_chain_and_increment_calls_by_rounding(
+            self, monkeypatch):
+        # the inner sum's budget is 3 times this change: it stays near rounding
+        calls = _chain_and_increment_calls(monkeypatch)
+        assert any(np.ndim(args[1]) == 2 and len(args[1]) > 1 for args in calls)
+        for atoms, probs, sd_mix, sd_ref, *_ in calls:
+            fine = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref)
+            coarse = w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref, nodes=100)
+            np.testing.assert_allclose(coarse, fine, rtol=1e-11, atol=0)
 
 
 def _chain_and_increment_calls(monkeypatch):
-    """Every (atoms, probs, sd_mix, sd_ref) the chain's KR and marginal terms and
-    the increment step hand the primitive."""
+    """Every (atoms, probs, sd_mix, sd_ref, ...) the chain's KR and marginal terms
+    and the increment step hand the primitive."""
     calls = []
 
     def record(*args):
@@ -227,61 +260,6 @@ def _chain_and_increment_calls(monkeypatch):
     for n in checks.INCREMENT_NS:
         bounds.increment_bound_check(checks.INCREMENT_SAMPLER, n)
     return calls
-
-
-def _random_mixtures(rng, count=40):
-    """Stacks of mass rows over random atoms, at scales from 1e-3 to 1e4."""
-    cases = []
-    for _ in range(count):
-        j = int(rng.integers(1, 6))
-        cases.append((rng.normal(scale=10.0 ** rng.integers(-3, 5), size=j),
-                      rng.dirichlet(np.ones(j), size=int(rng.integers(1, 8))),
-                      float(rng.uniform(0.05, 10.0)), float(rng.uniform(0.05, 10.0))))
-    return cases
-
-
-class TestNodeTrim:
-    def test_bitwise_the_untrimmed_sum(self, monkeypatch, rng):
-        # the chain's stacked rows, the increment step and random mixtures
-        cases = _chain_and_increment_calls(monkeypatch)
-        assert any(np.ndim(args[1]) == 2 and len(args[1]) > 1 for args in cases)
-        cases += _random_mixtures(rng)
-        for atoms, probs, sd_mix, sd_ref in cases:
-            trimmed = np.atleast_1d(w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref))
-            reference = _untrimmed_w2(atoms, probs, sd_mix, sd_ref)
-            assert trimmed.tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("atoms,probs,sd_mix,sd_ref", [
-        # a far atom of tiny mass, whose share lives on the dropped tail nodes
-        ([0.0, 1e8], [[1.0, 1e-20]], 1.0, 1.0),
-        ([0.0, 1e8], [[1.0, 1e-30]], 1.0, 1.0),
-        # one row needs every node, so the whole stack keeps them
-        ([-2.0, 2.0, 1e8], [[0.5, 0.5, 0.0], [0.5, 0.5, 1e-24]], 1.0, 3.0),
-    ])
-    def test_guard_keeps_every_node_where_the_trim_would_lose_digits(
-            self, atoms, probs, sd_mix, sd_ref):
-        a = np.array(atoms)
-        t, w = gh_nodes_weights(GH_NODES_DEFAULT)
-        live = w >= transport.GH_WEIGHT_FLOOR
-        terms = (_untrimmed_quantiles(a, probs, sd_mix) - sd_ref * t) ** 2
-        kept = np.where(live, terms, 0.0) @ w
-        reference = _untrimmed_w2(a, probs, sd_mix, sd_ref)
-        assert np.sqrt(kept[-1]) != reference[-1]  # the live nodes alone fall short
-        remainder = transport._dropped_remainder(a, sd_mix, sd_ref, t[~live], w[~live])
-        assert remainder > transport.TRIM_REL_TOL * kept[-1]
-        assert w2_gaussian_mixture_1d(a, probs, sd_mix, sd_ref).tobytes() == reference.tobytes()
-
-    def test_remainder_bounds_the_dropped_terms(self, monkeypatch, rng):
-        cases = _chain_and_increment_calls(monkeypatch) + _random_mixtures(rng)
-        t, w = gh_nodes_weights(GH_NODES_DEFAULT)
-        dead = w < transport.GH_WEIGHT_FLOOR
-        assert dead.sum() == 98
-        for atoms, probs, sd_mix, sd_ref in cases:
-            q = _untrimmed_quantiles(atoms, probs, sd_mix)
-            dropped = (q[:, dead] - sd_ref * t[dead]) ** 2 @ w[dead]
-            bound = transport._dropped_remainder(
-                np.asarray(atoms, dtype=float), sd_mix, sd_ref, t[dead], w[dead])
-            assert np.all(dropped <= bound)
 
 
 def _reference_pair_cost(x, y):
