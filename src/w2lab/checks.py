@@ -3,12 +3,14 @@
 Each checker verifies one mathematical statement (an identity, an inequality
 suite, or a solver contract) and emits structured verdict records.  The
 registry holds the paper's statements and the primitives a verdict runs:
-exact assignment, the quantile coupling, Gauss-Hermite quadrature, the
-Gaussian-mixture transport of the chain and the increment step, and the
-exact halfspace statistic (against enumeration and the binomial CDF).  The
-library's Sinkhorn and projection solvers feed no verdict and have no
-checker; nor do the atomic and LP solvers and the density cell masses: no
-job runs them; kept for perfbench's pin (ROADMAP item 1).  Checkers are
+Gauss-Hermite quadrature, the Gaussian-mixture transport of the chain and
+the increment step, and the exact halfspace statistic (against enumeration
+and an exact integer binomial CDF).  No verdict rests on the exact
+assignment or the cloud quantile coupling, so they have no checker: Tier-1's
+``tests/test_transport.py`` certifies them.  The library's Sinkhorn and
+projection solvers feed no verdict and have no checker; nor do the atomic
+and LP solvers and the density cell masses: no job runs them; kept for
+perfbench's pin (ROADMAP item 1).  No checker loads SciPy.  Checkers are
 pure functions of their generator: a checker that draws draws only from the
 generator its job passes in (:func:`w2lab.cli.run_job` keys it by the job
 id), so the registry can be executed in any order, in parallel, with
@@ -75,14 +77,12 @@ INCREMENT_NS = (20, 40, 80)
 FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
 # the Gaussian draws of each sampling case, the random instances of the
-# quadrature, assignment, quantile and lattice records,
+# quadrature and lattice records,
 # the metric's random triples, the conditional-L2 tables (each at most
 # L2_SIDE x L2_SIDE), the remainder pairs and the chunk they are drawn in, and
 # the largest n the schedule replays
 GAUSS_DRAWS = 10**4
 GAUSS_QUAD_INSTANCES = 50
-OT_INSTANCES = 200
-QUANTILE_INSTANCES = 100
 LATTICE_INSTANCES = 2000
 METRIC_TRIPLES = 50
 L2_TABLES = 10**4
@@ -171,34 +171,6 @@ def check_w2_gaussian_metric(rng: np.random.Generator):
     ]
 
 
-def check_ot_exact(rng: np.random.Generator):
-    worst = 0.0
-    for _ in range(OT_INSTANCES):
-        m = int(rng.integers(2, 8))
-        d = int(rng.integers(1, 4))
-        mu = tr.EmpiricalMeasure(rng.normal(size=(m, d)))
-        nu = tr.EmpiricalMeasure(rng.normal(size=(m, d)))
-        cost, plan = tr.w2_exact(mu, nu)
-        worst = max(worst, abs(cost - tr.w2_bruteforce(mu, nu)))
-        if not plan.check_marginals():
-            worst = math.inf
-    worst_q = 0.0
-    for _ in range(QUANTILE_INSTANCES):
-        m = int(rng.integers(2, 40))
-        xs = rng.normal(size=m)
-        ys = rng.normal(size=m) + rng.normal()
-        qv = tr.w2_quantile_1d(xs, ys)
-        ev = math.sqrt(tr.w2_exact(
-            tr.EmpiricalMeasure(xs[:, None]), tr.EmpiricalMeasure(ys[:, None])
-        )[0])
-        worst_q = max(worst_q, abs(qv - ev))
-    return [
-        Verdict(f"{OT_INSTANCES} random instances m<=7 d<=3", worst, 1e-9),
-        Verdict(f"1-d quantile equals assignment on {QUANTILE_INSTANCES} instances",
-                worst_q, 1e-9),
-    ]
-
-
 def _enumerated_gap(outcomes: np.ndarray, probs: np.ndarray, n: int) -> float:
     """The halfspace statistic of S_n from all len(probs)^n step sequences, in the
     law's own frame over the d <= 2 family written out: F(t), F(t-) at each atom t."""
@@ -211,6 +183,21 @@ def _enumerated_gap(outcomes: np.ndarray, probs: np.ndarray, n: int) -> float:
             g = norm_cdf(t / sd)
             gaps += [abs(mass[proj <= t + 1e-12].sum() - g), abs(mass[proj < t - 1e-12].sum() - g)]
     return float(max(gaps))
+
+
+def _binomial_half_cdf(n: int) -> np.ndarray:
+    """P(K <= k) for K ~ Binomial(n, 1/2) at k = 0..n, each correctly rounded.
+
+    The coefficients C(n, k+1) = C(n, k) (n - k) / (k + 1) and their running
+    sums are exact Python integers; each sum over 2^n is an int/int true
+    division, which rounds correctly.  About 8 ms at n = 4096.
+    """
+    term, total, scale, cdf = 1, 0, 2**n, []
+    for k in range(n + 1):
+        total += term
+        cdf.append(total / scale)
+        term = term * (n - k) // (k + 1)
+    return np.array(cdf)
 
 
 def check_halfspace_exact(rng: np.random.Generator):
@@ -229,14 +216,13 @@ def check_halfspace_exact(rng: np.random.Generator):
             for n in range(1, 7) for o, p in laws]
     errs += [abs(walk_gap(drift, n, math.sqrt(drift @ steps[:, 0] ** 2))
                  - _enumerated_gap(steps, drift, n)) for n in range(1, 7)]
-    from scipy.special import bdtr
-
     n = 4096
-    binomial = bdtr((np.arange(-n, n + 1) + n) // 2, n, 0.5)
+    # S_n = 2K - n with K ~ Binomial(n, 1/2), so P(S_n <= j) = P(K <= floor((j + n) / 2))
+    binomial = _binomial_half_cdf(n)[(np.arange(-n, n + 1) + n) // 2]
     return [
         Verdict("halfspace_distance equals enumeration of S_n for n <= 6", max(errs), 1e-12),
         Verdict(f"d=1 Rademacher walk CDF at n={n} equals the binomial CDF",
-                np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - binomial)), 1e-11),
+                np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - binomial)), 1e-13),
         Verdict("conversion bound dominates the shifted-Gaussian sup 2 Phi(1/4) - 1",
                 2.0 * norm_cdf(HALFSPACE_SHIFT / 2.0) - 1.0, conversion_bound(1, HALFSPACE_SHIFT),
                 {"w2": HALFSPACE_SHIFT}),
@@ -598,7 +584,6 @@ REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("gauss-quad-expectation", "quadratic-exponential Gaussian moment formula", check_gauss_quad_expectation),
     CheckerEntry("gauss-sampling", "Gaussian sampling is sqrt(t) Sigma^{1/2} times the standard normals of a twin generator, bitwise (pins the draw order)", check_gauss_sampling),
     CheckerEntry("w2-gaussian-metric", "closed-form W2 between diagonal Gaussians is a metric", check_w2_gaussian_metric),
-    CheckerEntry("ot-exact", "exact assignment equals factorial brute force", check_ot_exact),
     CheckerEntry("halfspace-exact", "exact halfspace statistic: enumeration, binomial CDF, and the 5 d^{1/6} W2^{2/3} conversion at a shifted Gaussian", check_halfspace_exact),
     CheckerEntry("sampler-zoo", "mean-zero, covariance, and norm-bound sampler hypotheses, exactly from the enumerated laws", check_sampler_zoo),
     CheckerEntry("lattice-distance", "nearest-lattice-point distance: brute force, cell bound and the exact Gaussian floor", check_lattice_distance),

@@ -17,10 +17,12 @@ need no SciPy:
 
 and the Gauss-Hermite nodes and the tensor grid used as the quadrature
 oracle for every density integral in the package (200 nodes per axis by
-default).  The nodes come from ``scipy.special.roots_hermite``, imported on
-the first call of :func:`gh_nodes_weights`, whose rules are cached.  Every
-Gauss-Hermite value a verdict rests on gets the one error budget
-:func:`gh_budget`.
+default).  The rules come from ``numpy.polynomial.hermite_e.hermegauss``:
+the nodes are the eigenvalues of the probabilists' Hermite Jacobi matrix
+(Golub & Welsch, *Calculation of Gauss quadrature rules*, Math. Comp. 23
+(1969) 221-230), refined by one Newton step, so no SciPy module is loaded;
+:func:`gh_nodes_weights` caches each rule.  Every Gauss-Hermite value a
+verdict rests on gets the one error budget :func:`gh_budget`.
 """
 
 from __future__ import annotations
@@ -253,12 +255,15 @@ def norm_ppf(p):
 def gh_nodes_weights(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for E[g(T)], T ~ N(0,1): E[g] ~= sum w_i g(x_i).
 
-    Each rule is built once and shared, so both arrays are read-only.
+    ``hermegauss`` integrates against exp(-x^2/2), whose total mass is
+    sqrt(2 pi); its nodes are used as they are.  Each rule is built once and
+    shared, so both arrays are read-only.  ``numpy.polynomial`` is imported
+    on the first call, not at start-up.
     """
-    from scipy.special import roots_hermite
+    from numpy.polynomial.hermite_e import hermegauss
 
-    x, w = roots_hermite(nodes)
-    rule = (np.sqrt(2.0) * x, w / math.sqrt(math.pi))
+    x, w = hermegauss(nodes)
+    rule = (x, w / math.sqrt(2.0 * math.pi))
     for a in rule:
         a.setflags(write=False)
     return rule

@@ -9,15 +9,18 @@ Solver menu:
   assignment solver (`scipy.optimize.linear_sum_assignment`, Jonker-Volgenant
   family).  Exact; returns W2^2 and the plan (callers take the square
   root).  Clouds past ``EXACT_CAP_DEFAULT`` points raise
-  :class:`SolverCapacityError`.  The ``ot-exact`` checker certifies it; no
-  experiment runs it.  A solve holds one m x m float64 cost matrix
+  :class:`SolverCapacityError`.  No job runs it, so no checker certifies
+  it: Tier-1's ``tests/test_transport.py`` compares it with
+  :func:`w2_bruteforce` and :func:`w2_quantile_1d`.  It stays because
+  ``perfbench/tracing.py`` pins it, until the benchmark's revision (ROADMAP
+  item 1) releases it.  A solve holds one m x m float64 cost matrix
   (72 MB at m = 3000, 200 MB at the cap), built in place by
   :func:`_pair_cost`.
 * :func:`w2_bruteforce` -- the oracle that certifies :func:`w2_exact` on at
   most ``BRUTEFORCE_CAP`` points: all m! pairings scored in one indexed sum
   over a cached permutation array; independent of the assignment solver.
 * :func:`w2_quantile_1d` -- monotone (quantile) coupling, optimal in one
-  dimension; the ``ot-exact`` checker compares it with :func:`w2_exact`.
+  dimension; Tier-1 compares it with :func:`w2_exact`.
 * :func:`estimate_w2` -- the cloud rule: the quantile coupling for 1-d
   clouds, exact assignment otherwise.  No job runs it, since every
   experiment rests on the exact law; it stays because
@@ -53,17 +56,17 @@ Solver menu:
 This module imports no SciPy at load time.  The two exact solvers,
 :func:`w2_atoms_gaussian_1d` and :func:`w2_gaussian_mixture_1d`, take Phi
 and Phi^-1 from :func:`w2lab.gaussmath.norm_cdf` and
-:func:`w2lab.gaussmath.norm_ppf` (the mixture's Gauss-Hermite nodes load
-``scipy.special`` through :func:`w2lab.gaussmath.gh_nodes_weights`); each
-SciPy user imports what it needs on its first call:
+:func:`w2lab.gaussmath.norm_ppf`, and the mixture's Gauss-Hermite nodes
+from :func:`w2lab.gaussmath.gh_nodes_weights`, which loads no SciPy either.
+The SciPy users left are pinned code that no job runs; each imports what it
+needs on its first call:
 
 * :func:`w2_exact` and :func:`w2_discrete_lp`: ``scipy.optimize`` (and the
   LP's ``scipy.sparse``), with the ``scipy.linalg`` they pull in, about
   0.2 s;
 * :func:`sinkhorn_w2`: ``scipy.special.logsumexp``.
 
-``scipy.special`` alone costs about 0.23 s of start-up, and no experiment
-leg calls any of these, so ``rate``, ``lower`` and ``ci`` never load SciPy.
+So no job of ``w2lab all``, checker or experiment leg, loads SciPy.
 """
 
 from __future__ import annotations

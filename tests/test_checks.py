@@ -216,12 +216,29 @@ def test_poisson_floor_series_matches_mpmath(sigma, ratio):
 def test_halfspace_exact_draws_nothing_and_passes():
     enum, binomial, closed = checks.check_halfspace_exact(None)
     assert enum.lhs <= 1e-14 and enum.rhs == 1e-12
-    assert binomial.lhs <= 1e-11 and binomial.rhs == 1e-11
+    assert binomial.lhs <= 1e-13 and binomial.rhs == 1e-13
     # 2 Phi(1/4) - 1 against 5 (1/2)^{2/3}, both in closed form, with no slack
     assert closed.lhs == pytest.approx(0.19741265, abs=1e-7)
     assert closed.rhs == pytest.approx(5.0 * 0.5 ** (2.0 / 3.0), rel=1e-15)
     assert closed.inputs == {"w2": 0.5}
     assert enum.verdict == binomial.verdict == closed.verdict == "pass"
+
+
+def test_binomial_oracle_matches_a_40_digit_sum():
+    # the integer CDF of Binomial(4096, 1/2) against mpmath's binomial sum at
+    # 40 digits, each within one ulp of the correctly rounded value
+    n, ks = 4096, (0, 1, 2047, 2048, 4095, 4096)
+    cdf = checks._binomial_half_cdf(n)
+    assert cdf.shape == (n + 1,)
+    with mpmath.workdps(40):
+        total, exact = mpmath.mpf(0), {}
+        for k in range(n + 1):
+            total += mpmath.binomial(n, k)
+            if k in ks:
+                exact[k] = total / mpmath.mpf(2) ** n
+        for k in ks:
+            assert abs(mpmath.mpf(cdf[k]) - exact[k]) <= math.ulp(cdf[k]), k
+    assert cdf[n] == 1.0 and cdf[0] == 2.0**-n
 
 
 def test_halfspace_enumeration_fails_without_left_limits(monkeypatch):

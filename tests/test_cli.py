@@ -68,7 +68,7 @@ class TestRegistry:
         for entry in REGISTRY:
             assert entry.checker_id in out
 
-    @pytest.mark.parametrize("only", ["bogus", "ot-exact"])
+    @pytest.mark.parametrize("only", ["bogus", "r-of-n"])
     def test_list_rejects_only(self, capsys, only):
         # list runs no checker, so --only has nothing to pick, known id or not
         assert cli.main(["list", "--only", only]) == 2
@@ -281,7 +281,7 @@ class TestJobs:
     def test_job_lists(self):
         s = RunSettings()
         check_jobs = [f"check:{e.checker_id}" for e in REGISTRY]
-        assert len(check_jobs) == 19
+        assert len(check_jobs) == 18
         assert jobs_for("check", s) == check_jobs
         assert jobs_for("rate", s) == ["rate:d1", "rate:d2"]
         assert jobs_for("lower", s) == ["lower:d1", "lower:d2"]
@@ -356,13 +356,13 @@ class TestSeedPaths:
         for seed in (20260810, 20260811):
             settings = RunSettings(seed=seed)
             jobs = jobs_for("all", settings)
-            assert len(jobs) == 25
+            assert len(jobs) == 24
             for job in jobs:
                 paths.clear()
                 cli.run_job(settings, job)
                 assert paths == [(seed, tuple(job.encode()))], job
                 assert owner.setdefault(paths[0], job) == job
-        assert len(owner) == 2 * 25
+        assert len(owner) == 2 * 24
 
     def test_only_the_job_runner_derives_generators(self):
         assert not hasattr(checks, "rng_for")
@@ -822,8 +822,9 @@ def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
     # start-up cost: importing the CLI loads no SciPy module and no checker stack
     # (checks, densities, qstats), and neither does any experiment job, at the
     # default config or at smoke, nor `rate`, `lower` and `ci` run through main, nor
-    # a rejected `rate --only`; only the checkers that call SciPy import it, and
-    # only the registry's users (check, all, list, an --only id) load the checkers
+    # a rejected `rate --only`; only the registry's users (check, all, list, an
+    # --only id) load the checkers, and no checker loads SciPy: `all` at smoke and
+    # at the default config, in one worker so every job runs in this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -843,10 +844,16 @@ def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
         "    assert cli.main([sub, '--workers', '1', '--out', out]) == 0, sub\n"
         "    assert os.path.exists(os.path.join(out, 'verdicts.json')), sub\n"
         "    assert not loaded(), (sub, loaded())\n"
-        "assert cli.main(['rate', '--only', 'ot-exact']) == 2\n"
+        "assert cli.main(['rate', '--only', 'r-of-n']) == 2\n"
         "assert not loaded(), loaded()\n"
         "assert cli.main(['check', '--only', 'bogus']) == 2\n"
         "assert 'w2lab.checks' in loaded()\n"
+        "for name, config in (('smoke', ['--config', sys.argv[1]]), ('default', [])):\n"
+        "    out = os.path.join(sys.argv[2], 'all-' + name)\n"
+        "    assert cli.main(['all', *config, '--workers', '1', '--out', out]) == 0, name\n"
+        "    assert os.path.exists(os.path.join(out, 'verdicts.json')), name\n"
+        "    scipy = [m for m in loaded() if not m.startswith('w2lab.')]\n"
+        "    assert not scipy, (name, scipy)\n"
     )
     subprocess.run([sys.executable, "-c", code, SMOKE, str(tmp_path)], env=env, check=True,
                    stdout=subprocess.DEVNULL, timeout=120)
@@ -862,15 +869,15 @@ class TestRegistryOnFirstUse:
         assert captured.err == ""
 
     def test_check_only_runs_one_checker(self, tmp_path, capsys):
-        out = str(tmp_path / "ot")
-        assert cli.main(["check", "--only", "ot-exact", "--out", out]) == 0
+        out = str(tmp_path / "r")
+        assert cli.main(["check", "--only", "r-of-n", "--out", out]) == 0
         captured = capsys.readouterr()
-        assert captured.out == f"verdicts: 2 pass, 0 fail, 0 inconclusive -> {out}/verdicts.json\n"
+        assert captured.out == f"verdicts: 4 pass, 0 fail, 0 inconclusive -> {out}/verdicts.json\n"
         assert captured.err == ""
 
     @pytest.mark.parametrize("argv, message", [
         (["check", "--only", "bogus"], "unknown checker 'bogus'; run the list subcommand for ids"),
-        (["rate", "--only", "ot-exact"], "--only applies to the check/all subcommands"),
+        (["rate", "--only", "r-of-n"], "--only applies to the check/all subcommands"),
     ])
     def test_bad_only_exits_2(self, tmp_path, capsys, argv, message):
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2

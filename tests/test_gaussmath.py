@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import roots_hermite
 
 from w2lab.gaussmath import (
     CovarianceSpec,
@@ -197,6 +198,18 @@ def test_gh_rule_is_built_once_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a *= 2.0
     assert float(w @ x**2) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [16, 32, 80, 100, 200])
+def test_gh_rule_matches_scipy_roots_hermite(nodes):
+    # SciPy is an oracle here only: the library builds its rules with numpy
+    x, w = gh_nodes_weights(nodes)
+    xs, ws = roots_hermite(nodes)
+    np.testing.assert_allclose(x, math.sqrt(2.0) * xs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w, ws / math.sqrt(math.pi), rtol=1e-12, atol=0)
+    # E T^{2k} = (2k - 1)!!, exact for 2k <= 2 nodes - 1
+    for k in range(1, 11):
+        assert float(w @ x ** (2 * k)) == pytest.approx(math.prod(range(1, 2 * k, 2)), rel=1e-14)
 
 
 def test_gh_budget_is_three_times_the_largest_change():
