@@ -25,7 +25,10 @@ two overlap, else fail.  A checker folds its tolerance into the record: an
 equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
 tol)``.  No record rests on a standard error: exact enumerations allow
 1e-12, and the sampling record asks for bitwise equality.  The chain's steps
-are intervals, a quadrature value +- its error budget.
+are intervals, a quadrature value +- its error budget.  A record over many
+instances takes its worst case with ``np.max`` (``np.min``) over the collected
+values, which keeps a NaN from any instance, so the rule fails it; Python's
+``max`` drops a NaN that is not its first argument.
 A checker's records carry no labels: the job that runs it stamps them with
 the checker id and the anchor written in its ``REGISTRY`` entry.
 """
@@ -117,7 +120,7 @@ def _tensor_gh_quadratic(a, b, v, cov, nodes=200):
 
 
 def check_gauss_quad_expectation(rng: np.random.Generator):
-    worst = 0.0
+    errs = []
     for i in range(GAUSS_QUAD_INSTANCES):
         k = int(rng.integers(1, 4))
         cov = CovarianceSpec(rng.uniform(0.5, 2.0, size=k))
@@ -126,7 +129,7 @@ def check_gauss_quad_expectation(rng: np.random.Generator):
         v = rng.uniform(-1.0, 1.0, size=k) * cov.sigmas
         closed = gaussian_exp_quadratic(a, b, v, cov)
         quad = _tensor_gh_quadratic(a, b, v, cov)
-        worst = max(worst, abs(closed - quad) / abs(closed))
+        errs.append(abs(closed - quad) / abs(closed))
     # pinned examples
     c1 = CovarianceSpec([1.0])
     v1 = gaussian_exp_quadratic(0.25, 0.0, np.zeros(1), c1)
@@ -134,7 +137,7 @@ def check_gauss_quad_expectation(rng: np.random.Generator):
     v2 = gaussian_exp_quadratic(-0.5, 1.0, c2.canonicalize([1.0, 2.0]), c2)
     return [
         Verdict(f"max relative error over {GAUSS_QUAD_INSTANCES} random instances",
-                worst, 1e-8, {"instances": GAUSS_QUAD_INSTANCES}),
+                np.max(errs), 1e-8, {"instances": GAUSS_QUAD_INSTANCES}),
         Verdict("k=1 a=1/4 b=0 equals sqrt(2)", abs(v1 - math.sqrt(2.0)), 1e-12),
         Verdict("k=2 diag(1,4) example", abs(v2 - 0.5 * math.exp(0.5)), 1e-12),
     ]
@@ -157,32 +160,47 @@ def check_gauss_sampling(rng: np.random.Generator):
 
 
 def check_w2_gaussian_metric(rng: np.random.Generator):
-    worst_tri = -math.inf
+    excess = []
     for _ in range(METRIC_TRIPLES):
         d = int(rng.integers(1, 5))
         a, b, c = (CovarianceSpec(rng.uniform(0.2, 3.0, size=d)) for _ in range(3))
         ab, bc, ac = (w2_gaussian_diag(a, b), w2_gaussian_diag(b, c), w2_gaussian_diag(a, c))
-        worst_tri = max(worst_tri, ac - (ab + bc))
+        excess.append(ac - (ab + bc))
     one = w2_gaussian_diag(CovarianceSpec([1.0]), CovarianceSpec([1.0]), 1.0, 4.0)
     return [
         Verdict("triangle inequality on random triples",
-                worst_tri, 1e-9, {"triples": METRIC_TRIPLES}),
+                np.max(excess), 1e-9, {"triples": METRIC_TRIPLES}),
         Verdict("d=1 t-scales 1 vs 4 gives 1", abs(one - 1.0), 1e-12),
     ]
 
 
 def _enumerated_gap(outcomes: np.ndarray, probs: np.ndarray, n: int) -> float:
     """The halfspace statistic of S_n from all len(probs)^n step sequences, in the
-    law's own frame over the d <= 2 family written out: F(t), F(t-) at each atom t."""
-    idx = np.indices((len(probs),) * n).reshape(n, -1).T
-    sums, mass = outcomes[idx].sum(axis=1) / math.sqrt(n), probs[idx].prod(axis=1)
-    gaps = [0.0]
+    law's own frame over the d <= 2 family written out: |F(t) - Phi| and
+    |F(t-) - Phi| at each atom t of each projection.
+
+    The sequences grow one step at a time, their sums and masses accumulated left
+    to right.  Each projection is sorted once and its equal values grouped; F(t)
+    and F(t-) are the cumulative group masses up to t + 1e-12 and below t - 1e-12.
+    Grouping before the cumulative sum keeps its rounding to one term per atom.
+    """
+    sums, mass = outcomes, probs
+    for _ in range(n - 1):
+        sums = (sums[:, None, :] + outcomes).reshape(-1, outcomes.shape[1])
+        mass = (mass[:, None] * probs).ravel()
+    sums = sums / math.sqrt(n)
+    gaps = []
     for a in np.eye(1) if outcomes.shape[1] == 1 else np.array([[1, 0], [0, 1], [1, 1], [1, -1]]):
         proj, sd = sums @ a, math.sqrt(probs @ (outcomes @ a) ** 2)
-        for t in np.unique(proj):
-            g = norm_cdf(t / sd)
-            gaps += [abs(mass[proj <= t + 1e-12].sum() - g), abs(mass[proj < t - 1e-12].sum() - g)]
-    return float(max(gaps))
+        order = np.argsort(proj, kind="stable")
+        proj = proj[order]
+        starts = np.flatnonzero(np.concatenate(([True], proj[1:] != proj[:-1])))
+        atoms = proj[starts]
+        cdf = np.concatenate(([0.0], np.cumsum(np.add.reduceat(mass[order], starts))))
+        g = norm_cdf(atoms / sd)
+        gaps += [np.abs(cdf[np.searchsorted(atoms, atoms + 1e-12, side="right")] - g),
+                 np.abs(cdf[np.searchsorted(atoms, atoms - 1e-12, side="left")] - g)]
+    return float(np.max(np.concatenate(gaps)))
 
 
 def _binomial_half_cdf(n: int) -> np.ndarray:
@@ -220,7 +238,7 @@ def check_halfspace_exact(rng: np.random.Generator):
     # S_n = 2K - n with K ~ Binomial(n, 1/2), so P(S_n <= j) = P(K <= floor((j + n) / 2))
     binomial = _binomial_half_cdf(n)[(np.arange(-n, n + 1) + n) // 2]
     return [
-        Verdict("halfspace_distance equals enumeration of S_n for n <= 6", max(errs), 1e-12),
+        Verdict("halfspace_distance equals enumeration of S_n for n <= 6", np.max(errs), 1e-12),
         Verdict(f"d=1 Rademacher walk CDF at n={n} equals the binomial CDF",
                 np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - binomial)), 1e-13),
         Verdict("conversion bound dominates the shifted-Gaussian sup 2 Phi(1/4) - 1",
@@ -245,14 +263,14 @@ def check_sampler_zoo(rng: np.random.Generator):
     out = []
     for s, var, beta in _sampler_zoo():
         second = (s.outcomes * s.probs[:, None]).T @ s.outcomes
-        moments = max(np.max(np.abs(s.probs @ s.outcomes)),
-                      np.max(np.abs(second - var * np.eye(s.dim))),
-                      np.max(np.abs(s.cov.variances - var)))
+        moments = np.max([np.max(np.abs(s.probs @ s.outcomes)),
+                          np.max(np.abs(second - var * np.eye(s.dim))),
+                          np.max(np.abs(s.cov.variances - var))])
         norms = np.linalg.norm(s.outcomes, axis=1)
         out.append(Verdict(f"{s.kind} d={s.dim} mean zero, covariance and declared Sigma {var:g} I",
                            float(moments), 1e-12, {"support": len(s.probs)}))
         out.append(Verdict(f"{s.kind} d={s.dim} bound and outcome norms equal beta={beta:g}",
-                           float(max(abs(s.bound - beta), np.max(np.abs(norms - beta)))), 1e-12))
+                           np.max([abs(s.bound - beta), *np.abs(norms - beta)]), 1e-12))
     # rademacher sums stay on the rescaled lattice: the outcomes lie on scale Z^d,
     # which is closed under sums, so S_n / sqrt(n) lies on (scale / sqrt n) Z^d
     n = 64
@@ -280,25 +298,25 @@ def check_lattice_distance(rng: np.random.Generator):
     dims = rng.integers(1, 4, size=LATTICE_INSTANCES)
     ells = rng.uniform(0.3, 2.5, size=(LATTICE_INSTANCES, 1))
     xs = rng.uniform(-3, 3, size=(LATTICE_INSTANCES, 3))
-    worst, worst_cell = 0.0, -math.inf
-    for d in np.unique(dims):
+    errs, cell_excess = [], []
+    for d in np.flatnonzero(np.bincount(dims)):  # the drawn dims, ascending
         x, ell = xs[dims == d, :d], ells[dims == d]
         fast = lattice_distance(x, ell)
         offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij"), -1).reshape(-1, d)
         near = (ell * np.round(x / ell))[:, None, :] + ell[:, None] * offs - x[:, None, :]
         brute = np.min(np.linalg.norm(near, axis=2), axis=1)
-        worst = max(worst, float(np.max(np.abs(fast - brute))))
-        worst_cell = max(worst_cell, float(np.max(fast - ell[:, 0] * math.sqrt(d) / 2.0)))
+        errs.append(np.max(np.abs(fast - brute)))
+        cell_excess.append(np.max(fast - ell[:, 0] * math.sqrt(d) / 2.0))
     example = float(lattice_distance(np.array([0.3, 0.4]), 1.0))
     # the exact floor E d_L(Z)^2 against its Poisson series, in d = 1 and 2 at
     # spacing sigma_1 and sigma_1 / 64
-    worst_floor = max(
+    worst_floor = np.max([
         abs(expected_lattice_distance(cov, spacing) ** 2 / _poisson_floor_sq(cov, spacing) - 1.0)
         for cov in (CovarianceSpec([1.0]), CovarianceSpec([1.0, 0.5]))
-        for spacing in (cov.sigmas[0], cov.sigmas[0] / 64))
+        for spacing in (cov.sigmas[0], cov.sigmas[0] / 64)])
     return [
-        Verdict("agrees with 3^d-neighbor brute force", worst, 1e-12),
-        Verdict("never exceeds the half-diagonal", worst_cell, 1e-12),
+        Verdict("agrees with 3^d-neighbor brute force", np.max(errs), 1e-12),
+        Verdict("never exceeds the half-diagonal", np.max(cell_excess), 1e-12),
         Verdict("d=2 point (0.3, 0.4) gives 1/2", abs(example - 0.5), 1e-12),
         Verdict("exact floor^2 matches the Poisson series of E d_L(Z)^2 to 1e-10 relative",
                 worst_floor, 1e-10),
@@ -307,16 +325,13 @@ def check_lattice_distance(rng: np.random.Generator):
 
 def check_r_of_n(rng: np.random.Generator):
     ns = [2, 3, 5, 10, 100, 10**4, 10**6, 10**8]
-    worst_lo, worst_hi = 0.0, -math.inf
-    for n in ns:
-        r = qs.r_of_n(n)
-        worst_lo = min(worst_lo, r)
-        worst_hi = max(worst_hi, r - 1.0 / (n * n - 1.0) ** 2)
+    rs = [qs.r_of_n(n) for n in ns]
     r2 = qs.r_of_n(2)
     expect = 1.0 / 6.0 - 0.5 * math.log(4.0 / 3.0)
     return [
-        Verdict("lower edge over the n grid", -worst_lo, 0.0),
-        Verdict("upper edge over the n grid", worst_hi, 0.0),
+        Verdict("lower edge over the n grid", -np.min([0.0, *rs]), 0.0),
+        Verdict("upper edge over the n grid",
+                np.max([r - 1.0 / (n * n - 1.0) ** 2 for n, r in zip(ns, rs)]), 0.0),
         Verdict("r(2) equals 1/6 - log(4/3)/2", abs(r2 - expect), 1e-16),
         # r(10^6) >= 0 is the lower-edge record: 10^6 is on the n grid
         Verdict("r(10^6) below 1e-12", qs.r_of_n(10**6), 1e-12),
@@ -337,17 +352,16 @@ def _q_zoo():
 
 
 def check_q_abs_estimates(rng: np.random.Generator):
-    worst_qi, worst_q, worst_qmqi = -math.inf, -math.inf, -math.inf
+    excess = []  # per law: (|Q_i| - bound, |Q| - 1, |Q - Q_i| - 1), each at its worst pair
     for s, n in _q_zoo():
         qs.check_hypothesis(n, s.bound, s.cov)
         y, yp, _ = qs.support_pairs(s, n)
         qa = qs.q_values(y, yp, s.cov, n)
         rhs = qs.q_abs_bound_rhs(y, yp, s.cov, n)
-        worst_qi = max(worst_qi, float(np.max(np.abs(qa) - rhs)))
         q_tot = qa.sum(axis=1)
-        worst_q = max(worst_q, float(np.max(np.abs(q_tot)) - 1.0))
-        wo = np.abs(q_tot[:, None] - qa)
-        worst_qmqi = max(worst_qmqi, float(np.max(wo) - 1.0))
+        excess.append((np.max(np.abs(qa) - rhs), np.max(np.abs(q_tot)) - 1.0,
+                       np.max(np.abs(q_tot[:, None] - qa)) - 1.0))
+    worst_qi, worst_q, worst_qmqi = np.max(excess, axis=0)
     return [
         Verdict("per-coordinate bound", worst_qi, 1e-12),
         Verdict("|Q| <= 1", worst_q, 1e-12),
@@ -373,16 +387,13 @@ def check_q_moments(rng: np.random.Generator):
 
 def check_chi2_identity(rng: np.random.Generator):
     out = []
-    worst = 0.0
     for s, n in _q_zoo():
         if s.dim > 2:
             continue
         model = dens.DensityRatioModel(s, n)
         lhs = dens.density_second_moment_lhs(model)
         rhs = dens.density_second_moment_rhs(s, n)
-        dev = abs(lhs - rhs)
-        worst = max(worst, dev)
-        out.append(Verdict(f"{s.kind} d={s.dim} n={n}", dev, 1e-6))
+        out.append(Verdict(f"{s.kind} d={s.dim} n={n}", abs(lhs - rhs), 1e-6))
         norm = dens.density_normalization(model)
         out.append(Verdict(f"{s.kind} d={s.dim} n={n} normalization", abs(norm - 1.0), 1e-8))
     m0 = dens.DensityRatioModel(None, 10, cov=CovarianceSpec([1.0]))
@@ -403,13 +414,13 @@ def check_averaged_identity(rng: np.random.Generator):
     out.append(Verdict("d=2 symmetric sampler: i=1 equals i=2", abs(a0 - a1), 1e-12))
     model = dens.DensityRatioModel(s2, 40)
     x1, w1 = gh_nodes_weights(200)
-    worst = 0.0
+    devs = []
     for i in (0, 1):
         other = 1 - i
         pts = (x1 * model.cov.sigmas[other])[:, None]
         quad = float(w1 @ model.f_avg_coord(i, pts) ** 2)
-        worst = max(worst, abs(quad - dens.averaged_second_moment(s2, 40, i=i)))
-    out.append(Verdict("d=2 quadrature oracle on the averaged integrand", worst, 1e-6))
+        devs.append(abs(quad - dens.averaged_second_moment(s2, 40, i=i)))
+    out.append(Verdict("d=2 quadrature oracle on the averaged integrand", np.max(devs), 1e-6))
     return out
 
 
@@ -445,13 +456,13 @@ def check_conditional_l2(rng: np.random.Generator):
 def check_remainder(rng: np.random.Generator):
     # one chunk's arrays at a time: all the pairs in one piece would lift the
     # process's peak memory by about 45 MB
-    worst = -math.inf
+    excess = []
     for _ in range(REMAINDER_PAIRS // REMAINDER_CHUNK):
         lhs, rhs = qs.remainder_difference_batch(*rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK)))
-        worst = max(worst, float(np.max(lhs - rhs)))
+        excess.append(np.max(lhs - rhs))
     ex_lhs, ex_rhs = qs.remainder_difference_batch(1.0, 0.0)
     return [
-        Verdict(f"zero violations over {REMAINDER_PAIRS} random pairs", worst, 1e-12),
+        Verdict(f"zero violations over {REMAINDER_PAIRS} random pairs", np.max(excess), 1e-12),
         Verdict("endpoint example |R(1)| <= 2.5", ex_lhs, ex_rhs + 1e-12),
     ]
 
@@ -558,9 +569,8 @@ def check_ank_schedule(rng: np.random.Generator):
     for sigmas, beta in SCHEDULE_CASES:
         cov = CovarianceSpec(sigmas)
         table = bnd.ank_bound_schedule(SCHEDULE_N_MAX, cov, beta)
-        worst = max(
-            float(np.max(table[1:, k] - bnd.rate_envelope(k, beta, ns)))
-            for k in range(1, cov.dim + 1))
+        worst = np.max([table[1:, k] - bnd.rate_envelope(k, beta, ns)
+                        for k in range(1, cov.dim + 1)])
         out.append(Verdict(f"sigmas={sigmas} beta={beta} envelope", worst, 1e-9))
         first_row = float(np.max(table[1, 1:]))
         out.append(Verdict(f"sigmas={sigmas} base row below 2 beta", first_row, 2.0 * beta))

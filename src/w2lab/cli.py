@@ -49,6 +49,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from .config import RunSettings, UsageError, load_settings
 from .experiments import (
     bentkus_reference_curve,
@@ -134,7 +136,7 @@ def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
     cfg = getattr(settings, f"rate_{leg}")
     rep = clt_rate_experiment(cfg)
     job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR, meta=_leg_meta(cfg))
-    worst = max(p.w2_hat - p.bound for p in rep.points)
+    worst = np.max([p.w2_hat - p.bound for p in rep.points])
     job.verdicts.append(Verdict("exact W2(S_n, Z) below the bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
     c, h = RATE_SLOPE_WINDOW
@@ -155,11 +157,11 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
     last = rep.points[-1]
     job.verdicts.append(Verdict("sqrt(n) x exact lattice floor at the largest n reaches the target",
                                 rep.target, (last.sqrtn_floor, math.inf), {"n": last.n}))
-    worst = max(p.sqrtn_floor - p.sqrtn_bound for p in rep.points)
+    worst = np.max([p.sqrtn_floor - p.sqrtn_bound for p in rep.points])
     job.verdicts.append(Verdict("exact lattice floor below the rate bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
     # a theorem: a bug in either primitive fails it
-    worst = max(p.sqrtn_floor - p.sqrtn_w2_hat for p in rep.points)
+    worst = np.max([p.sqrtn_floor - p.sqrtn_w2_hat for p in rep.points])
     job.verdicts.append(Verdict("exact lattice floor <= exact W2(S_n, Z) at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
     job.tables[f"lower_{leg}"] = _table(rep.points)
@@ -173,7 +175,7 @@ def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     rep = ci_halfspace_experiment(cfg)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg))
     # W2 >= floor: delta's excess over the bound at W2 is at most its excess at the floor
-    worst = max(p.delta - p.conversion_rhs for p in rep.points)
+    worst = np.max([p.delta - p.conversion_rhs for p in rep.points])
     job.verdicts.append(Verdict("exact delta below the conversion bound at every grid point",
                                 (-math.inf, worst), 0.0, {"n_grid": list(cfg.n_grid)}))
     job.verdicts.append(Verdict(f"log delta decay slope at most {CI_DECAY_SLOPE_MAX}",

@@ -17,7 +17,9 @@ reduce to the same formula on projected data.
 Every integral against rho or one of its marginals (second moments,
 normalization, the entropy and chi-square terms) is
 the one Gauss-Hermite tensor rule :func:`w2lab.gaussmath.gh_grid`, over all
-of its nodes; the mixture form keeps f finite at the outermost ones.
+of its nodes; the mixture form keeps f finite at the outermost ones.  f on the
+full d-dimensional rule is evaluated once per model and node count, and every
+integral of f itself (E f, E f^2, and E f log f, f_[d] being f) reads it.
 
 The chain report compares, for one model,
 
@@ -67,14 +69,17 @@ def _mixture_eval(
     cov: CovarianceSpec,
     c: float,
 ) -> np.ndarray:
-    """The mixture representation of f on points (N, k), c the variance ratio."""
+    """The mixture representation of f on points (N, k), c the variance ratio.
+
+    The exponent (2<x, y>_w - (1 - c)|x|_w^2 - |y|_w^2) / (2c) is built and
+    exponentiated in one (N, s) array, updated in place.
+    """
     w = 1.0 / cov.variances
-    k = cov.dim
-    xn2 = (pts**2 * w).sum(axis=-1)  # |x|_w^2, (N,)
-    yn2 = (ys**2 * w).sum(axis=-1)  # (s,)
-    cross = (pts * w) @ ys.T  # <x, y>_w, (N, s)
-    expo = (-(1.0 - c) * xn2[:, None] + 2.0 * cross - yn2[None, :]) / (2.0 * c)
-    return c ** (-k / 2.0) * (np.exp(expo) @ probs)
+    expo = (pts * (2.0 * w)) @ ys.T  # 2<x, y>_w; doubling w is exact
+    expo -= (1.0 - c) * (pts**2 * w).sum(axis=-1)[:, None]
+    expo -= (ys**2 * w).sum(axis=-1)
+    expo /= 2.0 * c
+    return c ** (-cov.dim / 2.0) * (np.exp(expo, out=expo) @ probs)
 
 
 def _support(
@@ -181,6 +186,7 @@ class DensityRatioModel(_RatioBase):
             raise ValueError("n must be >= 2")
         self._ys, self._probs, self.cov = _support(self.sampler, self.n, self.cov)
         self._c = 1.0 - 1.0 / self.n
+        self._grid_f = {}
         if self.sampler is not None and self.sampler.dim != self.cov.dim:
             raise ValueError("sampler and covariance dims differ")
 
@@ -195,6 +201,7 @@ class DensityRatioModel(_RatioBase):
         model = object.__new__(cls)
         model.sampler, model.n, model.cov = None, None, cov
         model._ys, model._probs, model._c = ys, np.asarray(probs, dtype=float), float(c)
+        model._grid_f = {}
         return model
 
     # scaled supports for a projection onto an index subset
@@ -204,6 +211,18 @@ class DensityRatioModel(_RatioBase):
     def f(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _mixture_eval(pts, self._ys, self._probs, self.cov, self._c)
+
+    def _f_on_grid(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, f at the points) of the full rule ``gh_grid(cov, nodes)``,
+        evaluated once per model and node count and shared, so both arrays are
+        read-only, as :func:`w2lab.gaussmath.gh_nodes_weights`'s are."""
+        if nodes not in self._grid_f:
+            pts, wts = gh_grid(self.cov, nodes=nodes)
+            vals = self.f(pts)
+            for a in (wts, vals):
+                a.setflags(write=False)
+            self._grid_f[nodes] = (wts, vals)
+        return self._grid_f[nodes]
 
     def f_prefix(self, k: int, pts: np.ndarray) -> np.ndarray:
         if not 0 <= k <= self.dim:
@@ -248,8 +267,8 @@ class DensityRatioModel(_RatioBase):
 # ---------------------------------------------------------------------------
 
 def _second_moment_quad(model: DensityRatioModel, nodes: int) -> float:
-    pts, wts = gh_grid(model.cov, nodes=nodes)
-    return float(wts @ model.f(pts) ** 2)
+    wts, f = model._f_on_grid(nodes)
+    return float(wts @ f**2)
 
 
 def density_second_moment_lhs(
@@ -277,8 +296,8 @@ def density_second_moment_lhs(
 
 def density_normalization(model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z), which must equal 1 (tau integrates to one)."""
-    pts, wts = gh_grid(model.cov, nodes=nodes)
-    return float(wts @ model.f(pts))
+    wts, f = model._f_on_grid(nodes)
+    return float(wts @ f)
 
 
 def density_second_moment_rhs(
@@ -315,12 +334,14 @@ def averaged_second_moment(
 def _prefix_integrals(
     model: DensityRatioModel, nodes: int, integrand: Callable[[np.ndarray], np.ndarray]
 ) -> list:
-    """[E integrand(f_[k](Z)) for k = 1..d] by quadrature on the k-dim marginals."""
+    """[E integrand(f_[k](Z)) for k = 1..d] by quadrature on the k-dim marginals;
+    f_[d] is f, read from the model's full grid."""
     out = []
-    for k in range(1, model.dim + 1):
+    for k in range(1, model.dim):
         pts, wts = gh_grid(model.cov.head(k), nodes=nodes)
         out.append(float(wts @ integrand(model.f_prefix(k, pts))))
-    return out
+    wts, f = model._f_on_grid(nodes)
+    return out + [float(wts @ integrand(f))]
 
 
 def prefix_second_moments(

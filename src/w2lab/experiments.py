@@ -449,7 +449,7 @@ def halfspace_distance(s: BoundedSampler, n: int) -> float:
     sds = np.sqrt(dirs**2 @ s.cov.variances) / s.bound
     walks = {(tuple(np.bincount(col, weights=s.probs, minlength=3)), sd)
              for col, sd in zip(steps.T, sds.tolist())}
-    return max(walk_gap(kernel, n, sd) for kernel, sd in walks)
+    return float(np.max([walk_gap(kernel, n, sd) for kernel, sd in walks]))
 
 
 def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from w2lab import checks, densities, experiments
+from w2lab import checks, densities, experiments, qstats
 from w2lab.checks import _tensor_gh_quadratic
 from w2lab.densities import ChainReport
-from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights
+from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights, norm_cdf
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
 
@@ -239,6 +240,63 @@ def test_binomial_oracle_matches_a_40_digit_sum():
         for k in ks:
             assert abs(mpmath.mpf(cdf[k]) - exact[k]) <= math.ulp(cdf[k]), k
     assert cdf[n] == 1.0 and cdf[0] == 2.0**-n
+
+
+def _masked_sum_gap(outcomes, probs, n):
+    """The enumeration as first written: every sequence by fancy indexing, and one
+    masked sum per atom and side.  The reference for the sorted, grouped one."""
+    idx = np.indices((len(probs),) * n).reshape(n, -1).T
+    sums, mass = outcomes[idx].sum(axis=1) / math.sqrt(n), probs[idx].prod(axis=1)
+    gaps = [0.0]
+    for a in np.eye(1) if outcomes.shape[1] == 1 else np.array([[1, 0], [0, 1], [1, 1], [1, -1]]):
+        proj, sd = sums @ a, math.sqrt(probs @ (outcomes @ a) ** 2)
+        for t in np.unique(proj):
+            g = norm_cdf(t / sd)
+            gaps += [abs(mass[proj <= t + 1e-12].sum() - g), abs(mass[proj < t - 1e-12].sum() - g)]
+    return float(max(gaps))
+
+
+# the four laws the halfspace checker enumerates
+HALFSPACE_LAWS = [
+    (np.array([[1.0], [-1.0]]), np.full(2, 0.5)),
+    (math.sqrt(2.0) * np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]), np.full(4, 0.25)),
+    (2.0 * np.array([[0.0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]),
+     np.array([0.4, 0.1, 0.1, 0.2, 0.2])),
+    (np.array([[-1.0], [0.0], [1.0]]), np.array([0.2, 0.3, 0.5])),
+]
+
+
+@pytest.mark.parametrize("law", range(len(HALFSPACE_LAWS)))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerated_gap_matches_the_masked_sum_reference(law, n):
+    outcomes, probs = HALFSPACE_LAWS[law]
+    assert checks._enumerated_gap(outcomes, probs, n) == pytest.approx(
+        _masked_sum_gap(outcomes, probs, n), abs=1e-15)
+
+
+def _nan_on_call(fn, call):
+    """``fn``, except that its ``call``-th call (from 1) returns NaN."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        return math.nan if next(calls) == call else value
+
+    return wrapped
+
+
+@pytest.mark.parametrize("checker, module, name, call, records", [
+    (checks.check_gauss_quad_expectation, checks, "gaussian_exp_quadratic", 2, [0]),
+    (checks.check_w2_gaussian_metric, checks, "w2_gaussian_diag", 5, [0]),
+    (checks.check_halfspace_exact, checks, "halfspace_distance", 2, [0]),
+    (checks.check_r_of_n, qstats, "r_of_n", 2, [0, 1]),
+])
+def test_a_nan_instance_fails_its_record(monkeypatch, checker, module, name, call, records):
+    # a NaN past the first instance reaches the record's worst case, and fails it
+    monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), call))
+    out = checker(np.random.default_rng(4))
+    for i in records:
+        assert math.isnan(out[i].lhs) and out[i].verdict == "fail", out[i].case
 
 
 def test_halfspace_enumeration_fails_without_left_limits(monkeypatch):

@@ -818,20 +818,47 @@ class TestExactLegs:
         assert record.lhs == pytest.approx(2 * math.sqrt(1 / 6) - 1 / math.sqrt(3), abs=1e-3)
 
 
+@pytest.mark.parametrize("job, experiment, field, case", [
+    ("rate:d1", "clt_rate_experiment", "bound",
+     "exact W2(S_n, Z) below the bound at every grid point"),
+    ("lower:d1", "lattice_lower_experiment", "sqrtn_bound",
+     "exact lattice floor below the rate bound at every grid point"),
+    ("lower:d1", "lattice_lower_experiment", "sqrtn_w2_hat",
+     "exact lattice floor <= exact W2(S_n, Z) at every grid point"),
+    ("ci:d1", "ci_halfspace_experiment", "conversion_rhs",
+     "exact delta below the conversion bound at every grid point"),
+])
+def test_a_nan_grid_point_fails_its_record(monkeypatch, job, experiment, field, case):
+    # the second grid point's NaN reaches the record's worst case, and fails it
+    exact = getattr(cli, experiment)
+
+    def with_nan(cfg):
+        rep = exact(cfg)
+        points = list(rep.points)
+        points[1] = dataclasses.replace(points[1], **{field: math.nan})
+        return dataclasses.replace(rep, points=tuple(points))
+
+    monkeypatch.setattr(cli, experiment, with_nan)
+    record = {v.case: v for v in cli.run_job(RunSettings(), job).verdicts}[case]
+    assert math.isnan(record.lhs) and record.verdict == "fail"
+
+
 def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
     # start-up cost: importing the CLI loads no SciPy module and no checker stack
     # (checks, densities, qstats), and neither does any experiment job, at the
     # default config or at smoke, nor `rate`, `lower` and `ci` run through main, nor
     # a rejected `rate --only`; only the registry's users (check, all, list, an
     # --only id) load the checkers, and no checker loads SciPy: `all` at smoke and
-    # at the default config, in one worker so every job runs in this process
+    # at the default config, in one worker so every job runs in this process.
+    # Nothing loads numpy.ma (about 15 ms and 1.3 MB), which np.unique of a bare
+    # array imports
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import os, sys, w2lab.cli as cli\n"
         "def loaded(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
-        "                      or m in ('w2lab.checks', 'w2lab.densities', 'w2lab.qstats')]\n"
+        "                      or m in ('numpy.ma', 'w2lab.checks', 'w2lab.densities', 'w2lab.qstats')]\n"
         "assert not loaded(), loaded()\n"
         "jobs = [j for j in cli.EXPERIMENT_JOBS if j.partition(':')[0] in ('rate', 'lower', 'ci')]\n"
         "assert len(jobs) == 6, jobs\n"
@@ -852,8 +879,8 @@ def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
         "    out = os.path.join(sys.argv[2], 'all-' + name)\n"
         "    assert cli.main(['all', *config, '--workers', '1', '--out', out]) == 0, name\n"
         "    assert os.path.exists(os.path.join(out, 'verdicts.json')), name\n"
-        "    scipy = [m for m in loaded() if not m.startswith('w2lab.')]\n"
-        "    assert not scipy, (name, scipy)\n"
+        "    stray = [m for m in loaded() if not m.startswith('w2lab.')]\n"
+        "    assert not stray, (name, stray)\n"
     )
     subprocess.run([sys.executable, "-c", code, SMOKE, str(tmp_path)], env=env, check=True,
                    stdout=subprocess.DEVNULL, timeout=120)

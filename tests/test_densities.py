@@ -6,10 +6,10 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from w2lab import densities, transport
+from w2lab import checks, densities, transport
 from w2lab.checks import Verdict, chain_models_2d
 from w2lab.experiments import DIAGONAL_FRAME
-from w2lab.gaussmath import CovarianceSpec, gh_budget, gh_nodes_weights
+from w2lab.gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget, gh_grid, gh_nodes_weights
 from w2lab.densities import (
     CHAIN_KR_NODES,
     DensityRatioModel,
@@ -88,6 +88,80 @@ class TestMixtureRepresentation:
     def test_zero_sampler_needs_cov(self):
         with pytest.raises(ValueError, match="cov"):
             DensityRatioModel(None, 10)
+
+
+def parent_mixture_eval(pts, ys, probs, cov, c):
+    """The mixture form as first written, one temporary per term: the reference."""
+    w = 1.0 / cov.variances
+    xn2 = (pts**2 * w).sum(axis=-1)
+    yn2 = (ys**2 * w).sum(axis=-1)
+    cross = (pts * w) @ ys.T
+    expo = (-(1.0 - c) * xn2[:, None] + 2.0 * cross - yn2[None, :]) / (2.0 * c)
+    return c ** (-cov.dim / 2.0) * (np.exp(expo) @ probs)
+
+
+def checked_models():
+    """Every model a checker integrates f of: the chain's (d = 2 and the d = 1
+    shifted Gaussians) and the chi-square identity's."""
+    return ([model for _, model in chain_models_2d()]
+            + [DensityRatioModel.mixture([[shift]], [1.0], CovarianceSpec([1.0]), 1.0)
+               for shift in (0.25, 0.5, 1.0)]
+            + [DensityRatioModel(s, n) for s, n in checks._q_zoo() if s.dim <= 2])
+
+
+def count_full_grid_evals(monkeypatch):
+    """Count _mixture_eval calls on the full d = 2 rule at either node count."""
+    calls = []
+    inner = densities._mixture_eval
+
+    def counted(pts, *args):
+        if pts.shape in {(nodes**2, 2) for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2)}:
+            calls.append(pts.shape[0])
+        return inner(pts, *args)
+
+    monkeypatch.setattr(densities, "_mixture_eval", counted)
+    return calls
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("nodes", [GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2])
+    def test_mixture_eval_matches_the_reference_expression(self, nodes):
+        for model in checked_models():
+            pts, _ = gh_grid(model.cov, nodes)
+            got = densities._mixture_eval(pts, model._ys, model._probs, model.cov, model._c)
+            ref = parent_mixture_eval(pts, model._ys, model._probs, model.cov, model._c)
+            assert np.all(ref > 0)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    def test_chain_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
+        # once at each node count, shared by the entropy and chi-square terms
+        calls = count_full_grid_evals(monkeypatch)
+        for name, model in chain_models_2d():
+            del calls[:]
+            talagrand_chain(model)
+            assert sorted(calls) == [(GH_NODES_DEFAULT // 2) ** 2, GH_NODES_DEFAULT**2], name
+
+    def test_chi2_identity_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
+        # E f^2 at both node counts and E f at the finer one share two evaluations
+        calls = count_full_grid_evals(monkeypatch)
+        records = checks.check_chi2_identity(None)
+        assert all(v.verdict == "pass" for v in records)
+        laws_2d = sum(s.dim == 2 for s, _ in checks._q_zoo())
+        assert sorted(calls) == ([(GH_NODES_DEFAULT // 2) ** 2] * laws_2d
+                                 + [GH_NODES_DEFAULT**2] * laws_2d)
+
+    @pytest.mark.parametrize("name", [name for name, _ in chain_models_2d()])
+    def test_grid_values_are_f_shared_and_read_only(self, name):
+        model = dict(chain_models_2d())[name]
+        pts, wts = gh_grid(model.cov, 100)
+        memo_wts, memo_f = model._f_on_grid(100)
+        assert np.array_equal(memo_wts, wts) and np.array_equal(memo_f, model.f(pts))
+        # f_[d] is f, bitwise, so the entropy's k = d term may read the grid values
+        assert np.array_equal(model.f_prefix(model.dim, pts), memo_f)
+        assert model._f_on_grid(100)[1] is memo_f
+        assert not memo_wts.flags.writeable and not memo_f.flags.writeable
+        with pytest.raises(ValueError):
+            memo_f[0] = 0.0
 
 
 class TestSecondMoments:

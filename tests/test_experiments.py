@@ -296,6 +296,19 @@ class TestHalfspace:
             half_atom = math.comb(n, n // 2) / 2**n / 2
             assert halfspace_distance(s, n) == pytest.approx(half_atom, abs=1e-14)
 
+    def test_a_nan_walk_gives_nan(self, monkeypatch):
+        # the scaled-basis law in d = 2 has two walks: a NaN from the second
+        # reaches the supremum, where Python's max would drop it
+        exact, calls = experiments.walk_gap, []
+
+        def nan_second(kernel, n, sd):
+            calls.append(kernel)
+            return math.nan if len(calls) == 2 else exact(kernel, n, sd)
+
+        monkeypatch.setattr(experiments, "walk_gap", nan_second)
+        assert math.isnan(halfspace_distance(make_scaled_basis(2, math.sqrt(2.0)), 4))
+        assert len(calls) == 2
+
     def test_needs_lattice_support(self):
         with pytest.raises(ValueError, match="beta\\*Z\\^d"):
             halfspace_distance(SamplerSpec("rademacher_product", 2, 1.0).build(), 16)
