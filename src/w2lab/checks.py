@@ -7,7 +7,8 @@ Gauss-Hermite quadrature, the Gaussian-mixture transport of the chain and
 the increment step, and the exact halfspace statistic (against enumeration
 and an exact integer binomial CDF).  No verdict rests on the exact
 assignment or the cloud quantile coupling, so they have no checker: Tier-1's
-``tests/test_transport.py`` certifies them.  The library's Sinkhorn and
+``tests/test_transport.py`` certifies them; nor on Gaussian sampling, which
+``tests/test_gaussmath.py`` certifies.  The library's Sinkhorn and
 projection solvers feed no verdict and have no checker; nor do the atomic
 and LP solvers and the density cell masses: no job runs them; kept for
 perfbench's pin (ROADMAP item 1).  No checker loads SciPy.  Checkers are
@@ -24,18 +25,17 @@ pass when the left side lies at or below the right, inconclusive while the
 two overlap, else fail.  A checker folds its tolerance into the record: an
 equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
 tol)``.  No record rests on a standard error: exact enumerations allow
-1e-12, and the sampling record asks for bitwise equality.  The chain's steps
-are intervals, a quadrature value +- its error budget.  A record over many
-instances takes its worst case with ``np.max`` (``np.min``) over the collected
-values, which keeps a NaN from any instance, so the rule fails it; Python's
-``max`` drops a NaN that is not its first argument.
+1e-12.  The chain's steps are intervals, a quadrature value +- its error
+budget.  A record over many instances takes its worst case with ``np.max``
+(``np.min``) over the collected values, which keeps a NaN from any instance,
+so the rule fails it; Python's ``max`` drops a NaN that is not its first
+argument.
 A checker's records carry no labels: the job that runs it stamps them with
 the checker id and the anchor written in its ``REGISTRY`` entry.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,11 +48,12 @@ from . import qstats as qs
 from . import transport as tr
 from .experiments import (
     DIAGONAL_FRAME,
+    LatticeWalk,
     conversion_bound,
     expected_lattice_distance,
     halfspace_distance,
-    walk_cdf,
     walk_gap,
+    walk_pmf,
 )
 from .gaussmath import (
     GH_NODES_DEFAULT,
@@ -61,7 +62,6 @@ from .gaussmath import (
     gh_budget,
     gh_nodes_weights,
     norm_cdf,
-    sample_gaussian,
     w2_gaussian_diag,
 )
 from .reporting import Verdict
@@ -79,12 +79,10 @@ INCREMENT_SAMPLER = make_rademacher_product(1, 2.0)
 INCREMENT_NS = (20, 40, 80)
 FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
-# the Gaussian draws of each sampling case, the random instances of the
-# quadrature and lattice records,
-# the metric's random triples, the conditional-L2 tables (each at most
-# L2_SIDE x L2_SIDE), the remainder pairs and the chunk they are drawn in, and
-# the largest n the schedule replays
-GAUSS_DRAWS = 10**4
+# the random instances of the quadrature and lattice records, the metric's
+# random triples, the conditional-L2 tables (each at most L2_SIDE x L2_SIDE),
+# the remainder pairs and the chunk they are drawn in, and the largest n the
+# schedule replays
 GAUSS_QUAD_INSTANCES = 50
 LATTICE_INSTANCES = 2000
 METRIC_TRIPLES = 50
@@ -141,22 +139,6 @@ def check_gauss_quad_expectation(rng: np.random.Generator):
         Verdict("k=1 a=1/4 b=0 equals sqrt(2)", abs(v1 - math.sqrt(2.0)), 1e-12),
         Verdict("k=2 diag(1,4) example", abs(v2 - 0.5 * math.exp(0.5)), 1e-12),
     ]
-
-
-def check_gauss_sampling(rng: np.random.Generator):
-    """``sample_gaussian(cov, m, rng, t)`` equals sqrt(t) sigma_i times the standard
-    normals of a copy of ``rng``, bitwise: given numpy's normals, the law N(0, t Sigma).
-    The twin pins the implementation's draw order, so a correct rewrite that draws
-    the normals differently reads fail; it is not an independent test of the law."""
-    out = []
-    for t, sigmas in ((1.0, [1.0]), (4.0, [1.0]), (1.0, [2.0, 1.0, 0.5])):
-        cov = CovarianceSpec(sigmas)
-        twin = copy.deepcopy(rng)
-        z = sample_gaussian(cov, GAUSS_DRAWS, rng, t)
-        expect = twin.standard_normal((GAUSS_DRAWS, cov.dim)) * (math.sqrt(t) * cov.sigmas)
-        out.append(Verdict(f"t={t} dim={cov.dim} equals sqrt(t) sigma_i times the normals",
-                           float(np.max(np.abs(z - expect))), 0.0, {"m": GAUSS_DRAWS}))
-    return out
 
 
 def check_w2_gaussian_metric(rng: np.random.Generator):
@@ -219,28 +201,30 @@ def _binomial_half_cdf(n: int) -> np.ndarray:
 
 
 def check_halfspace_exact(rng: np.random.Generator):
-    """The exact halfspace statistic against enumeration and the binomial CDF, and
-    the conversion bound at N(shift, 1) against N(0, 1), whose W2 is the shift and
-    whose halfspace sup is 2 Phi(shift/2) - 1; draws nothing."""
+    """The exact halfspace statistic against enumeration (laws on and off {0,
+    +-beta e_i}, and a drifting walk), the Rademacher walk's law against the
+    binomial CDF, and the conversion bound at N(shift, 1) against N(0, 1), whose
+    W2 is the shift and whose halfspace sup is 2 Phi(shift/2) - 1; draws nothing."""
     laws = [(np.array([[1.0], [-1.0]]), np.full(2, 0.5)),
             (math.sqrt(2.0) * np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]), np.full(4, 0.25)),
             # a zero atom, unequal masses, the larger variance on the second axis
             (2.0 * np.array([[0.0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]),
-             np.array([0.4, 0.1, 0.1, 0.2, 0.2]))]
-    # laws on {0, +-beta e_i} are symmetric, so their left limits mirror their
-    # atoms; this drifting walk's supremum sits at a left limit
+             np.array([0.4, 0.1, 0.1, 0.2, 0.2])),
+            # laws off {0, +-beta e_i}: rademacher_product(2), and the skewed {-1, 2} law
+            (np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]]), np.full(4, 0.25)),
+            (np.array([[-1.0], [2.0]]), np.array([2 / 3, 1 / 3]))]
+    # this drifting walk's supremum sits at a left limit
     drift, steps = np.array([0.2, 0.3, 0.5]), np.array([[-1.0], [0.0], [1.0]])
+    walk = LatticeWalk(-1.0, 1.0, tuple(drift), math.sqrt(drift @ steps[:, 0] ** 2))
     errs = [abs(halfspace_distance(make_lattice_custom(o, p), n) - _enumerated_gap(o, p, n))
             for n in range(1, 7) for o, p in laws]
-    errs += [abs(walk_gap(drift, n, math.sqrt(drift @ steps[:, 0] ** 2))
-                 - _enumerated_gap(steps, drift, n)) for n in range(1, 7)]
+    errs += [abs(walk_gap(walk, n) - _enumerated_gap(steps, drift, n)) for n in range(1, 7)]
     n = 4096
-    # S_n = 2K - n with K ~ Binomial(n, 1/2), so P(S_n <= j) = P(K <= floor((j + n) / 2))
-    binomial = _binomial_half_cdf(n)[(np.arange(-n, n + 1) + n) // 2]
     return [
         Verdict("halfspace_distance equals enumeration of S_n for n <= 6", np.max(errs), 1e-12),
         Verdict(f"d=1 Rademacher walk CDF at n={n} equals the binomial CDF",
-                np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - binomial)), 1e-13),
+                np.max(np.abs(np.cumsum(walk_pmf((0.5, 0.5), n)) - _binomial_half_cdf(n))),
+                1e-13),
         Verdict("conversion bound dominates the shifted-Gaussian sup 2 Phi(1/4) - 1",
                 2.0 * norm_cdf(HALFSPACE_SHIFT / 2.0) - 1.0, conversion_bound(1, HALFSPACE_SHIFT),
                 {"w2": HALFSPACE_SHIFT}),
@@ -385,21 +369,30 @@ def check_q_moments(rng: np.random.Generator):
     return out
 
 
+def _second_moment_records(label: str, model, rhs: float, tol: float) -> list:
+    """E f^2 by quadrature equals its closed form ``rhs``, and the quadrature at
+    ``GH_NODES_DEFAULT`` and half as many nodes agree to 1e-8 relative."""
+    fine = dens.density_second_moment_lhs(model, GH_NODES_DEFAULT)
+    coarse = dens.density_second_moment_lhs(model, GH_NODES_DEFAULT // 2)
+    return [Verdict(label, abs(fine - rhs), tol),
+            Verdict(f"{label} quadrature at {GH_NODES_DEFAULT} and {GH_NODES_DEFAULT // 2} "
+                    f"nodes agree to 1e-8 relative", abs(fine - coarse) / fine, 1e-8,
+                    {"fine": fine, "coarse": coarse})]
+
+
 def check_chi2_identity(rng: np.random.Generator):
     out = []
     for s, n in _q_zoo():
         if s.dim > 2:
             continue
         model = dens.DensityRatioModel(s, n)
-        lhs = dens.density_second_moment_lhs(model)
-        rhs = dens.density_second_moment_rhs(s, n)
-        out.append(Verdict(f"{s.kind} d={s.dim} n={n}", abs(lhs - rhs), 1e-6))
+        out += _second_moment_records(f"{s.kind} d={s.dim} n={n}", model,
+                                      dens.density_second_moment_rhs(s, n), 1e-6)
         norm = dens.density_normalization(model)
         out.append(Verdict(f"{s.kind} d={s.dim} n={n} normalization", abs(norm - 1.0), 1e-8))
     m0 = dens.DensityRatioModel(None, 10, cov=CovarianceSpec([1.0]))
-    lhs0 = dens.density_second_moment_lhs(m0)
-    rhs0 = dens.density_second_moment_rhs(None, 10, CovarianceSpec([1.0]))
-    out.append(Verdict("degenerate Y=0 cross-check", abs(lhs0 - rhs0), 1e-8))
+    out += _second_moment_records("degenerate Y=0 cross-check", m0, dens.density_second_moment_rhs(
+        None, 10, CovarianceSpec([1.0])), 1e-8)
     return out
 
 
@@ -592,7 +585,6 @@ class CheckerEntry:
 
 REGISTRY: tuple[CheckerEntry, ...] = (
     CheckerEntry("gauss-quad-expectation", "quadratic-exponential Gaussian moment formula", check_gauss_quad_expectation),
-    CheckerEntry("gauss-sampling", "Gaussian sampling is sqrt(t) Sigma^{1/2} times the standard normals of a twin generator, bitwise (pins the draw order)", check_gauss_sampling),
     CheckerEntry("w2-gaussian-metric", "closed-form W2 between diagonal Gaussians is a metric", check_w2_gaussian_metric),
     CheckerEntry("halfspace-exact", "exact halfspace statistic: enumeration, binomial CDF, and the 5 d^{1/6} W2^{2/3} conversion at a shifted Gaussian", check_halfspace_exact),
     CheckerEntry("sampler-zoo", "mean-zero, covariance, and norm-bound sampler hypotheses, exactly from the enumerated laws", check_sampler_zoo),

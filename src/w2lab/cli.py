@@ -15,11 +15,12 @@ job runs its ``REGISTRY`` entry, an experiment leg the settings field
 new leg is one ``RunSettings`` field.  The registry loads on first use, by
 ``check``, ``all``, ``list`` or an ``--only`` id to validate, so ``rate``,
 ``lower`` and ``ci`` never load :mod:`w2lab.checks` nor the modules only the
-checkers use.  Every job gets one generator,
+checkers use.  Every check job gets one generator,
 ``rng_for(root seed, *the UTF-8 bytes of its id)``: distinct ids are distinct
 seed paths, so a job's numbers depend on the root seed and its id alone,
-never on the worker count, the job order or which other jobs run (an
-experiment leg draws nothing from its own).  The experiment records are
+never on the worker count, the job order or which other jobs run.  An
+experiment leg draws nothing and gets none, so ``rate``, ``lower`` and ``ci``
+never load ``numpy.random``.  The experiment records are
 stated here, as ``Verdict(case, lhs, rhs)``: a window around a centre as
 ``(|x - centre|, half-width)``, a side resting on W2(S_n, Z), known only from
 below by the lattice floor, with an infinite edge.  Every leg's config
@@ -115,9 +116,9 @@ def _leg_meta(cfg) -> dict:
     return {"sampler": f"{s.kind}(dim={s.dim},scale={s.scale})"}
 
 
-def _table(points, *columns) -> tuple:
-    """(columns, rows) of the named fields of each point; all its fields by default."""
-    columns = columns or tuple(f.name for f in fields(points[0]))
+def _table(points) -> tuple:
+    """(columns, rows) of every field of each point."""
+    columns = tuple(f.name for f in fields(points[0]))
     return columns, [tuple(getattr(p, c) for c in columns) for p in points]
 
 
@@ -132,7 +133,7 @@ def _check_job(settings: RunSettings, checker_id: str, rng) -> JobResult:
                      verdicts=entry.runner(rng))
 
 
-def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
+def _rate_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = getattr(settings, f"rate_{leg}")
     rep = clt_rate_experiment(cfg)
     job = JobResult(job_id=f"rate:{leg}", anchor=RATE_ANCHOR, meta=_leg_meta(cfg))
@@ -150,7 +151,7 @@ def _rate_job(settings: RunSettings, leg: str, rng) -> JobResult:
     return job
 
 
-def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
+def _lower_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = getattr(settings, f"lower_{leg}")
     rep = lattice_lower_experiment(cfg)
     job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR, meta=_leg_meta(cfg))
@@ -170,7 +171,7 @@ def _lower_job(settings: RunSettings, leg: str, rng) -> JobResult:
     return job
 
 
-def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
+def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = getattr(settings, f"ci_{leg}")
     rep = ci_halfspace_experiment(cfg)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg))
@@ -183,14 +184,14 @@ def _ci_job(settings: RunSettings, leg: str, rng) -> JobResult:
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}
     job.tables[f"ci_{leg}"] = _table(rep.points)
     job.plotdata[f"ci_{leg}_delta"] = _series(rep.points, "delta")
-    s = cfg.sampler.build()
+    s = cfg.law
     ns = [p.n for p in rep.points]
     job.plotdata[f"ci_{leg}_bentkus_reference"] = (
         ns, [bentkus_reference_curve(s.dim, n, s.bound) for n in ns])
     return job
 
 
-# each builder takes the job's generator; only a checker draws from it
+# a check job's builder takes its generator; an experiment leg draws nothing and gets none
 _JOB_KINDS = {"check": _check_job, "rate": _rate_job, "lower": _lower_job, "ci": _ci_job}
 # the settings fields ``{kind}_{leg}`` of the experiment kinds, in field order
 EXPERIMENT_JOBS = tuple(f"{kind}:{leg}" for kind, _, leg in
@@ -199,11 +200,14 @@ EXPERIMENT_JOBS = tuple(f"{kind}:{leg}" for kind, _, leg in
 
 
 def run_job(settings: RunSettings, job_id: str) -> JobResult:
-    """Run one job on its own generator, whose seed path is its id's UTF-8 bytes."""
+    """Run one job; a check job on its own generator, whose seed path is its id's
+    UTF-8 bytes."""
     kind, _, name = job_id.partition(":")
     if kind not in _JOB_KINDS:
         raise ValueError(f"unknown job {job_id!r}")
-    return _JOB_KINDS[kind](settings, name, rng_for(settings.seed, *job_id.encode()))
+    if kind == "check":
+        return _JOB_KINDS[kind](settings, name, rng_for(settings.seed, *job_id.encode()))
+    return _JOB_KINDS[kind](settings, name)
 
 
 def jobs_for(subcommand: str, settings: RunSettings, only: str = None) -> list[str]:

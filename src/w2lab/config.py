@@ -11,8 +11,8 @@ file that does not parse (no section header, a key or section given twice,
 bytes that are not UTF-8), unknown sections (a non-empty ``[DEFAULT]``
 included) or keys, and values a config rejects when it is built are usage
 errors naming the offender, so they surface before any compute.  The one
-root seed is ``[run] seed`` (or ``--seed``): every job derives its generators
-from it and its own job path.
+root seed is ``[run] seed`` (or ``--seed``): every check job derives its
+generator from it and its own job path.
 Running with no config file is the reference run.
 """
 

@@ -3,8 +3,8 @@
 Every experiment rests on the exact law of S_n, so none draws: each takes
 its leg's dataclass config alone, and a report is bit-identical across runs
 and across worker counts.  The lattice floor, on which the lower and ci
-verdicts rest, is exact; so is the halfspace statistic, the exact law of S_n
-along a fixed direction family, which the ``halfspace-exact`` checker
+verdicts rest, is exact; so is the halfspace statistic, read off the exact
+law of S_n along a fixed direction family, which the ``halfspace-exact`` checker
 (:mod:`w2lab.checks`) certifies against enumeration.
 Experiments return plain report dataclasses; the verdicts and the tables
 (the named fields of each point) are stated from them in :mod:`w2lab.cli`.
@@ -13,18 +13,20 @@ W2(S_n, Z) is exact wherever the sampler's law factorises into independent
 one-dimensional lattice walks (:func:`lattice_factors`): in the canonical
 frame, or in d = 2 in the frame turned by 45 degrees.  That covers every
 default leg, and it is a hypothesis of every leg: a config whose law has no
-such form is rejected at construction, naming the law.  Each walk's law of
-S_n is a :func:`walk_pmf` convolution power, the one law engine that the
-halfspace statistic reads too, and its W2 to the Gaussian coordinate is the
-closed-form quantile-cell sum :func:`w2lab.transport.w2_atoms_gaussian_1d`.
-Each walk's W2 at each n, and each kernel's squarings kernel^(2^j), are
-computed once per process (:func:`_walk_w2`, :func:`_squarings`): the legs
-that share a law, and the two equal coordinates of the 45-degree frame,
-reuse them, and the same ``np.convolve`` calls run in the same order, so
-every value is bitwise the uncached one.  A config checks at construction
-everything that depends on it alone (the sampler builds, the n grid, the
-exact law, the lower and ci legs' lattice support), so a bad config fails
-before any compute.
+such form is rejected at construction, naming the law.  One law engine
+serves every exact quantity of S_n: :func:`_walks` derives the 1-d walk
+<X, a> of each direction a, and :meth:`LatticeWalk.law` gives its sum's
+atoms and :func:`walk_pmf` masses, which the W2 legs (the closed-form
+quantile-cell sum :func:`w2lab.transport.w2_atoms_gaussian_1d`), the
+halfspace statistic (:func:`walk_gap`) and the checkers all read.  Each
+walk's W2 at each n, and each kernel's squarings kernel^(2^j), are computed
+once per process (:meth:`LatticeWalk.w2`, :func:`_squarings`): the legs that
+share a law, and the two equal coordinates of the 45-degree frame, reuse
+them, and the same ``np.convolve`` calls run in the same order, so every
+value is bitwise the uncached one.  A config builds its sampler once
+(``law``) and checks at construction everything that depends on it alone
+(the n grid, the exact law, the lower and ci legs' lattice support), so a
+bad config fails before any compute.
 """
 
 from __future__ import annotations
@@ -141,20 +143,19 @@ class LatticeWalk:
     kernel: tuple
     sd: float
 
+    def law(self, n: int) -> tuple:
+        """The law of n^{-1/2} (X_1 + ... + X_n): its atoms (n start + span k) /
+        sqrt(n), k = 0..n (len(kernel) - 1), in increasing order, and their
+        :func:`walk_pmf` masses.  The one place that knows S_n's atoms."""
+        pmf = walk_pmf(self.kernel, n)
+        return (n * self.start + self.span * np.arange(len(pmf))) / math.sqrt(n), pmf
+
+    @functools.cache
     def w2(self, n: int) -> float:
-        """Exact W2(n^{-1/2} (X_1 + ... + X_n), N(0, sd^2)): :func:`_walk_w2`."""
-        return _walk_w2(self, n)
-
-
-@functools.cache
-def _walk_w2(walk: LatticeWalk, n: int) -> float:
-    """A walk's exact W2 at n, whose law is the :func:`walk_pmf` power on the
-    points ``n start + span k``: computed once per (walk, n) and process, so
-    equal walks (the legs' shared laws, the 45-degree frame's two coordinates)
-    share it."""
-    pmf = walk_pmf(walk.kernel, n)
-    atoms = (n * walk.start + walk.span * np.arange(len(pmf))) / math.sqrt(n)
-    return w2_atoms_gaussian_1d(atoms, pmf, walk.sd)
+        """Exact W2(n^{-1/2} (X_1 + ... + X_n), N(0, sd^2)): the quantile-cell sum
+        on :meth:`law`, computed once per (walk, n) and process, so equal walks
+        (the legs' shared laws, the 45-degree frame's two coordinates) share it."""
+        return w2_atoms_gaussian_1d(*self.law(n), self.sd)
 
 
 def _lattice_walk(values: np.ndarray, probs: np.ndarray, sd: float) -> Optional[LatticeWalk]:
@@ -170,25 +171,35 @@ def _lattice_walk(values: np.ndarray, probs: np.ndarray, sd: float) -> Optional[
     return None
 
 
+def _walks(s: BoundedSampler, dirs: np.ndarray) -> list:
+    """For each row a of ``dirs``, <X, a> over the law's live atoms as a
+    :class:`LatticeWalk` against N(0, a^T Sigma a), or None where it has none:
+    the one derivation of the 1-d walks that every exact quantity reads."""
+    live = s.probs > 0
+    sds = np.sqrt(dirs**2 @ s.cov.variances)
+    return [_lattice_walk(col, s.probs[live], float(sd))
+            for col, sd in zip((s.outcomes[live] @ dirs.T).T, sds)]
+
+
 def lattice_factors(s: BoundedSampler) -> Optional[tuple]:
     """The sampler's law as independent :class:`LatticeWalk` coordinates of an
     orthonormal frame, or None when it has no such form.
 
     The frames tried are the canonical one and, in d = 2, the one turned by
-    45 degrees.  A frame serves when each coordinate is a lattice walk and the
-    joint law is their product: as many support points as the product of the
-    kernels' supports, each with the product of its coordinates' masses (to
-    1e-12).  The law of S_n is then the product of the walks' laws, and so is
-    N(0, Sigma): each coordinate's variance is its own, ``sd^2``.
+    45 degrees.  A frame serves when each coordinate is a lattice walk
+    (:func:`_walks`) and the joint law is their product: as many support
+    points as the product of the kernels' supports, each with the product of
+    its coordinates' masses (to 1e-12).  The law of S_n is then the product of
+    the walks' laws, and so is N(0, Sigma): each coordinate's variance is its
+    own, ``sd^2``.
     """
     live = s.probs > 0
     probs = s.probs[live]
     for frame in [np.eye(s.dim)] + ([DIAGONAL_FRAME] if s.dim == 2 else []):
-        coords = s.outcomes[live] @ frame.T
-        sds = np.sqrt(frame**2 @ s.cov.variances)
-        walks = [_lattice_walk(col, probs, float(sd)) for col, sd in zip(coords.T, sds)]
+        walks = _walks(s, frame)
         if any(w is None for w in walks):
             continue
+        coords = s.outcomes[live] @ frame.T
         index = np.rint((coords - [w.start for w in walks]) / [w.span for w in walks]).astype(int)
         order = np.lexsort(index.T)  # equal cells adjacent; np.unique(axis=0) is 20x slower
         index = index[order]
@@ -209,18 +220,23 @@ def exact_w2_of_sum(factors: tuple, n: int) -> float:
 
 
 class _ExperimentLeg:
-    """The derived lattice factors, and the checks every experiment config
-    shares."""
+    """The built law and its lattice factors, derived once per config object and
+    kept out of its fields, so the config echo and hash ignore them; and the
+    checks every experiment config shares."""
+
+    @functools.cached_property
+    def law(self) -> BoundedSampler:
+        """The sampler, built once per config object."""
+        return self.sampler.build()
 
     @functools.cached_property
     def factors(self) -> tuple:
-        """The sampler's :func:`lattice_factors`, derived once per config object
-        and kept out of its fields, so the config echo and hash ignore it."""
-        return lattice_factors(self.sampler.build())
+        """The law's :func:`lattice_factors`."""
+        return lattice_factors(self.law)
 
     def _check_leg(self, fits_slope: bool = True) -> BoundedSampler:
-        """Check the n grid (stored as ints) and the exact law; return the sampler."""
-        s = self.sampler.build()
+        """Check the n grid (stored as ints) and the exact law; return the law."""
+        s = self.law
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or grid[0] < 1:
             raise ValueError("n grid must be non-empty with every n >= 1")
@@ -292,7 +308,7 @@ def _loglog_fit(xs, ys) -> RateFit:
 
 def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
     """The exact W2(S_n, Z) over the n grid, with the rate bound at each n."""
-    s = cfg.sampler.build()
+    s = cfg.law
     points = tuple(RatePoint(n=n, w2_hat=exact_w2_of_sum(cfg.factors, n),
                              bound=main_rate_bound(s.dim, s.bound, n)) for n in cfg.n_grid)
     fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
@@ -367,7 +383,7 @@ def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
     the target sqrt(d) * beta / 4, and must stay below the main rate bound.
     The W2 column is exact, and lies above the floor.
     """
-    s = cfg.sampler.build()
+    s = cfg.law
     points = []
     for n in cfg.n_grid:
         ell = s.bound / math.sqrt(n)
@@ -412,20 +428,16 @@ def conversion_bound(d: int, w2: float) -> float:
     return 5.0 * d ** (1.0 / 6.0) * w2 ** (2.0 / 3.0)
 
 
-def walk_cdf(kernel, n: int) -> np.ndarray:
-    """CDF at k = -n..n of a sum of n i.i.d. steps in {-1, 0, 1}, whose
-    probabilities ``kernel`` holds: the running sum of :func:`walk_pmf`."""
-    return np.cumsum(walk_pmf(kernel, n))
+def walk_gap(walk: LatticeWalk, n: int) -> float:
+    """Exact sup_t |P(W <= t) - Phi(t/sd)| for W = n^{-1/2} (X_1 + ... + X_n) of
+    the walk, on its :meth:`LatticeWalk.law`.
 
-
-def walk_gap(kernel, n: int, sd: float) -> float:
-    """Exact sup_t |P(W <= t) - Phi(t/sd)| for W = n^{-1/2} x the :func:`walk_cdf` sum.
-
-    Between the points x of n^{-1/2} {-n, ..., n} the CDF F of W is flat while
-    Phi rises, so the supremum is |F(x) - Phi(x/sd)| or |F(x-) - Phi(x/sd)|.
+    Between the atoms x the CDF F of W is flat while Phi rises, so the
+    supremum is |F(x) - Phi(x/sd)| or |F(x-) - Phi(x/sd)|.
     """
-    cdf = walk_cdf(kernel, n)
-    gauss = norm_cdf(np.arange(-n, n + 1) / (math.sqrt(n) * sd))
+    atoms, pmf = walk.law(n)
+    cdf = np.cumsum(pmf)
+    gauss = norm_cdf(atoms / walk.sd)
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(max(np.max(np.abs(cdf - gauss)), np.max(np.abs(left - gauss))))
 
@@ -433,23 +445,21 @@ def walk_gap(kernel, n: int, sd: float) -> float:
 def halfspace_distance(s: BoundedSampler, n: int) -> float:
     """Exact sup over the family's halfspaces of |P(S_n in A) - P(Z in A)|.
 
-    The support lies in beta Z^d with norms at most beta, so in {0, +-beta e_i}.
     Along each direction a of the family {e_i} and {e_i +- e_j : i < j} (d^2
-    members), a step of S_n moves <S_n, a> by -1, 0 or 1 times beta / sqrt(n):
-    a :func:`walk_gap` walk against <Z, a> ~ N(0, sum_i a_i^2 sigma_i^2), in the
-    canonical sorted frame; directions with the same kernel and spread share
-    one walk.  A restricted supremum: a lower bound on the full convex-set
-    distance.
+    members, in the canonical sorted frame), <S_n, a> is the sum of the walk
+    <X, a> (:func:`_walks`): a :func:`walk_gap` against <Z, a> ~ N(0, a^T Sigma
+    a).  Equal walks are computed once.  Any finite law whose directions are
+    lattice walks serves; a direction that is none raises, naming the law.  A
+    restricted supremum: a lower bound on the full convex-set distance.
     """
-    require_lattice_support(s)
     eye = np.eye(s.dim)
     dirs = np.array([*eye, *(eye[i] + sign * eye[j] for i in range(s.dim)
                              for j in range(i + 1, s.dim) for sign in (1.0, -1.0))])
-    steps = np.rint(s.outcomes @ dirs.T / s.bound).astype(int) + 1  # in {0, 1, 2}
-    sds = np.sqrt(dirs**2 @ s.cov.variances) / s.bound
-    walks = {(tuple(np.bincount(col, weights=s.probs, minlength=3)), sd)
-             for col, sd in zip(steps.T, sds.tolist())}
-    return float(np.max([walk_gap(kernel, n, sd) for kernel, sd in walks]))
+    walks = _walks(s, dirs)
+    if any(w is None for w in walks):
+        raise ValueError(f"sampler {s.kind}(dim={s.dim}) has a halfspace direction that is "
+                         f"no lattice walk of at most {WALK_SPAN_CAP} steps")
+    return float(np.max([walk_gap(walk, n) for walk in dict.fromkeys(walks)]))
 
 
 def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
@@ -460,7 +470,7 @@ def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
     support), which lies below W2(S_n, Z), so a pass is certified.  The
     reported W2 column is exact.
     """
-    s = cfg.sampler.build()
+    s = cfg.law
     points = []
     for n in cfg.n_grid:
         floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))

@@ -9,8 +9,9 @@ order or worker count.
 Splitting rule: the generator for a job addressed by an integer path
 ``(i_1, ..., i_k)`` is ``PCG64(SeedSequence(root_seed, spawn_key=(i_1, ..., i_k)))``.
 Distinct paths give statistically independent streams.  A job's path is the
-UTF-8 bytes of its id (:func:`w2lab.cli.run_job`), so no path is assigned
-by hand.
+UTF-8 bytes of its id (:func:`w2lab.cli.run_job`, which derives one for each
+check job only: the experiment legs draw nothing), so no path is assigned by
+hand.
 """
 
 from __future__ import annotations

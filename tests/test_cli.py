@@ -281,7 +281,7 @@ class TestJobs:
     def test_job_lists(self):
         s = RunSettings()
         check_jobs = [f"check:{e.checker_id}" for e in REGISTRY]
-        assert len(check_jobs) == 18
+        assert len(check_jobs) == 17
         assert jobs_for("check", s) == check_jobs
         assert jobs_for("rate", s) == ["rate:d1", "rate:d2"]
         assert jobs_for("lower", s) == ["lower:d1", "lower:d2"]
@@ -339,14 +339,16 @@ PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
 
 
 class TestSeedPaths:
-    def test_each_job_gets_one_generator_keyed_by_its_id(self, monkeypatch):
-        paths = []
+    def test_each_check_job_gets_one_generator_keyed_by_its_id(self, monkeypatch):
+        # and an experiment job, which draws nothing, gets none
+        paths, given = [], []
 
         def recording_rng_for(root, *path):
             paths.append((root, path))
             return seeding.rng_for(root, *path)
 
-        def job_stub(settings, name, rng):
+        def job_stub(settings, name, *rng):
+            given.append(len(rng))
             return JobResult(job_id=name, anchor="")
 
         monkeypatch.setattr(cli, "rng_for", recording_rng_for)
@@ -356,13 +358,17 @@ class TestSeedPaths:
         for seed in (20260810, 20260811):
             settings = RunSettings(seed=seed)
             jobs = jobs_for("all", settings)
-            assert len(jobs) == 24
+            assert len(jobs) == 23
             for job in jobs:
                 paths.clear()
+                given.clear()
                 cli.run_job(settings, job)
-                assert paths == [(seed, tuple(job.encode()))], job
-                assert owner.setdefault(paths[0], job) == job
-        assert len(owner) == 2 * 24
+                if job.startswith("check:"):
+                    assert paths == [(seed, tuple(job.encode()))] and given == [1], job
+                    assert owner.setdefault(paths[0], job) == job
+                else:
+                    assert paths == [] and given == [0], job
+        assert len(owner) == 2 * 17
 
     def test_only_the_job_runner_derives_generators(self):
         assert not hasattr(checks, "rng_for")
@@ -381,9 +387,9 @@ class TestSeedPaths:
             return records, tables
 
         everything, all_tables = run("all")
-        alone, _ = run("check", "--only", "gauss-sampling")
+        alone, _ = run("check", "--only", "lattice-distance")
         assert alone and alone == [r for r in everything
-                                   if r["job"] == "check:gauss-sampling"]
+                                   if r["job"] == "check:lattice-distance"]
         rate, rate_tables = run("rate")
         assert rate == [r for r in everything if r["job"].startswith("rate:")]
         # the metadata lines hold the config hash, which both runs share
@@ -722,13 +728,11 @@ class TestMainEndToEnd:
 
 class TestExactLegs:
     def test_default_legs_draw_nothing(self, monkeypatch):
-        # every default sampler factorises into lattice walks: a generator that
-        # raises on any use goes untouched
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError(f"an exact leg used its generator ({name})")
+        # every default sampler factorises into lattice walks: no leg derives a generator
+        def no_generator(*args):
+            raise AssertionError("an exact leg derived a generator")
 
-        monkeypatch.setattr(cli, "rng_for", lambda *args: NoDraws())
+        monkeypatch.setattr(cli, "rng_for", no_generator)
         settings = RunSettings()
         for job in cli.EXPERIMENT_JOBS:
             result = cli.run_job(settings, job)
@@ -751,6 +755,22 @@ class TestExactLegs:
         result = cli.run_job(dataclasses.replace(settings, **{field: cfg}), job)
         assert cfg.factors and result.verdicts
         assert calls == [cfg.sampler.kind]
+
+    @pytest.mark.parametrize("job", EXPERIMENT_JOBS)
+    def test_a_leg_builds_its_sampler_once(self, monkeypatch, job):
+        # from the config's construction through run_job: the validation, the
+        # lattice factors, the experiment and the job's own records read one law
+        calls = []
+        real = experiments.SamplerSpec.build
+        monkeypatch.setattr(experiments.SamplerSpec, "build",
+                            lambda spec: calls.append(spec.kind) or real(spec))
+        field = job.replace(":", "_")
+        settings = RunSettings()
+        default = getattr(settings, field)
+        calls.clear()
+        cfg = dataclasses.replace(default, n_grid=default.n_grid[:3])
+        result = cli.run_job(dataclasses.replace(settings, **{field: cfg}), job)
+        assert result.verdicts and calls == [cfg.sampler.kind]
 
     def test_exact_rate_records_say_what_they_rest_on(self):
         result = cli.run_job(RunSettings(), "rate:d2")
@@ -851,14 +871,16 @@ def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
     # --only id) load the checkers, and no checker loads SciPy: `all` at smoke and
     # at the default config, in one worker so every job runs in this process.
     # Nothing loads numpy.ma (about 15 ms and 1.3 MB), which np.unique of a bare
-    # array imports
+    # array imports.  The experiments draw nothing, so they load no numpy.random
+    # either; `all` does, as its checkers draw
     src = os.path.dirname(os.path.dirname(os.path.abspath(w2lab.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import os, sys, w2lab.cli as cli\n"
         "def loaded(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
-        "                      or m in ('numpy.ma', 'w2lab.checks', 'w2lab.densities', 'w2lab.qstats')]\n"
+        "                      or m.startswith('numpy.random') or m in (\n"
+        "                          'numpy.ma', 'w2lab.checks', 'w2lab.densities', 'w2lab.qstats')]\n"
         "assert not loaded(), loaded()\n"
         "jobs = [j for j in cli.EXPERIMENT_JOBS if j.partition(':')[0] in ('rate', 'lower', 'ci')]\n"
         "assert len(jobs) == 6, jobs\n"
@@ -879,7 +901,8 @@ def test_cli_and_experiments_leave_scipy_unloaded(tmp_path):
         "    out = os.path.join(sys.argv[2], 'all-' + name)\n"
         "    assert cli.main(['all', *config, '--workers', '1', '--out', out]) == 0, name\n"
         "    assert os.path.exists(os.path.join(out, 'verdicts.json')), name\n"
-        "    stray = [m for m in loaded() if not m.startswith('w2lab.')]\n"
+        "    assert 'numpy.random' in loaded(), name\n"
+        "    stray = [m for m in loaded() if not m.startswith(('w2lab.', 'numpy.random'))]\n"
         "    assert not stray, (name, stray)\n"
     )
     subprocess.run([sys.executable, "-c", code, SMOKE, str(tmp_path)], env=env, check=True,

@@ -13,7 +13,6 @@ from w2lab.gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget, gh_grid
 from w2lab.densities import (
     CHAIN_KR_NODES,
     DensityRatioModel,
-    QuadratureResolutionError,
     averaged_second_moment,
     density_normalization,
     density_second_moment_lhs,
@@ -187,11 +186,20 @@ class TestSecondMoments:
             rhs = density_second_moment_rhs(s, n)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
-    def test_quadrature_self_check_raises_when_coarse(self):
-        s = make_scaled_basis(2, 3.0)
-        model = DensityRatioModel(s, 2)  # strong perturbation
-        with pytest.raises(QuadratureResolutionError):
-            density_second_moment_lhs(model, nodes=8, check_tol=1e-12)
+    def test_an_under_resolved_quadrature_fails_its_record(self, monkeypatch):
+        # with the checker's node count patched down to 4 and 2, the resolution
+        # record of each model fails; the job still returns every record
+        full = checks.check_chi2_identity(None)
+        monkeypatch.setattr(checks, "GH_NODES_DEFAULT", 4)
+        coarse = checks.check_chi2_identity(None)
+        assert [v.case.replace("200 and 100", "4 and 2") for v in full] == [
+            v.case for v in coarse]
+        resolution = [v for v in coarse if "quadrature at 4 and 2 nodes" in v.case]
+        assert len(resolution) == len(full) // 3 + 1 >= 6
+        assert all(v.verdict == "fail" for v in resolution)
+        for v in resolution:
+            assert v.rhs == 1e-8
+            assert v.lhs == abs(v.inputs["fine"] - v.inputs["coarse"]) / v.inputs["fine"]
 
     def test_averaged_d1_is_one(self):
         assert averaged_second_moment(

@@ -27,7 +27,7 @@ from w2lab.experiments import (
     lattice_factors,
     lattice_lower_experiment,
     main_rate_bound,
-    walk_cdf,
+    walk_gap,
     walk_pmf,
 )
 from w2lab.gaussmath import CovarianceSpec, sample_gaussian
@@ -260,28 +260,54 @@ def _convolved_law(outcomes, probs, n):
     return law
 
 
+# the brute-force halfspace laws: outcomes on Z^d, and masses
+HALFSPACE_BRUTE_LAWS = {
+    # a zero atom, unequal masses, the larger variance on the second axis
+    "zero-atom-d2": (((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), (0.3, 0.1, 0.1, 0.25, 0.25)),
+    # laws off {0, +-beta e_i}: rademacher_product(2), and the skewed {-1, 2} law
+    "rademacher-d2": (((1, 1), (1, -1), (-1, 1), (-1, -1)), (0.25,) * 4),
+    "skewed-d1": (((-1,), (2,)), (2 / 3, 1 / 3)),
+}
+
+
+def _ci_delta_d1_rademacher_oracle(n: int) -> float:
+    """The halfspace statistic of the d = 1 Rademacher walk at 40 digits: the exact
+    binomial CDF, from Python integers, against mpmath's Phi at each atom (2k - n) /
+    sqrt(n), on both sides of each jump."""
+    with mpmath.workdps(40):
+        scale, total, gap = mpmath.mpf(2) ** n, 0, mpmath.mpf(0)
+        for k in range(n + 1):
+            below, total = total, total + math.comb(n, k)
+            phi = mpmath.ncdf((2 * k - n) / mpmath.sqrt(n))
+            gap = max(gap, abs(total / scale - phi), abs(below / scale - phi))
+        return float(gap)
+
+
 class TestHalfspace:
-    def test_walk_cdf_matches_mpmath_binomial(self):
+    def test_walk_law_matches_mpmath_binomial(self):
+        # the d = 1 Rademacher walk's law is Binomial(n, 1/2) on the atoms (2k - n) / sqrt(n)
         n = 4096
         with mpmath.workdps(40):
             pmf = [mpmath.binomial(n, j) / mpmath.mpf(2) ** n for j in range(n + 1)]
             cdf = np.array([float(c) for c in np.cumsum(pmf)])
-        k = np.arange(-n, n + 1)
-        assert np.max(np.abs(walk_cdf((0.5, 0.0, 0.5), n) - cdf[(k + n) // 2])) <= 1e-13
+        atoms, law = LatticeWalk(-1.0, 2.0, (0.5, 0.5), 1.0).law(n)
+        assert np.max(np.abs(np.cumsum(law) - cdf)) <= 1e-13
+        assert np.array_equal(atoms * math.sqrt(n), 2.0 * np.arange(n + 1) - n)
 
-    def test_zero_atom_law_in_d2_matches_brute_force(self):
-        # a zero atom, unequal masses, the larger variance on the second axis
-        outcomes = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
-        probs = np.array([0.3, 0.1, 0.1, 0.25, 0.25])
-        s = SamplerSpec("lattice_custom", 2, outcomes=tuple(map(tuple, outcomes.astype(float))),
+    @pytest.mark.parametrize("law", HALFSPACE_BRUTE_LAWS)
+    def test_matches_brute_force(self, law):
+        outcomes, probs = map(np.array, HALFSPACE_BRUTE_LAWS[law])
+        s = SamplerSpec("lattice_custom", outcomes.shape[1],
+                        outcomes=tuple(map(tuple, outcomes.astype(float))),
                         probs=tuple(probs)).build()
         sd2 = probs @ outcomes**2
+        family = [[1]] if s.dim == 1 else [[1, 0], [0, 1], [1, 1], [1, -1]]
         for n in (1, 3, 8):
             law = _convolved_law(outcomes, probs, n)
             points = np.array(list(law), dtype=float) / math.sqrt(n)
             mass = np.array(list(law.values()))
             brute = 0.0
-            for a in ([1, 0], [0, 1], [1, 1], [1, -1]):
+            for a in family:
                 proj = points @ a
                 sd = math.sqrt(sd2 @ np.square(a))
                 for t in np.unique(proj):
@@ -296,22 +322,52 @@ class TestHalfspace:
             half_atom = math.comb(n, n // 2) / 2**n / 2
             assert halfspace_distance(s, n) == pytest.approx(half_atom, abs=1e-14)
 
+    def test_ci_delta_at_4096_matches_a_40_digit_reference(self):
+        # the exact law's delta is within 8e-14 relative of the 40-digit value: the
+        # walk on its own span (2) errs by 6.7e-14, where a {-1, 0, 1} step kernel,
+        # its pmf twice as long, erred by 1.0e-13
+        n = 4096
+        [point] = ci_halfspace_experiment(HalfspaceConfig(
+            sampler=RADEMACHER_1D, n_grid=(1024, n))).points[1:]
+        oracle = _ci_delta_d1_rademacher_oracle(n)
+        assert abs(point.delta - oracle) <= 8e-14 * oracle
+
     def test_a_nan_walk_gives_nan(self, monkeypatch):
-        # the scaled-basis law in d = 2 has two walks: a NaN from the second
-        # reaches the supremum, where Python's max would drop it
+        # the scaled-basis law in d = 2 has two distinct walks among its four
+        # directions: a NaN from the second reaches the supremum, where Python's
+        # max would drop it
         exact, calls = experiments.walk_gap, []
 
-        def nan_second(kernel, n, sd):
-            calls.append(kernel)
-            return math.nan if len(calls) == 2 else exact(kernel, n, sd)
+        def nan_second(walk, n):
+            calls.append(walk)
+            return math.nan if len(calls) == 2 else exact(walk, n)
 
         monkeypatch.setattr(experiments, "walk_gap", nan_second)
         assert math.isnan(halfspace_distance(make_scaled_basis(2, math.sqrt(2.0)), 4))
-        assert len(calls) == 2
+        assert len(calls) == 2 and calls[0] != calls[1]
 
-    def test_needs_lattice_support(self):
-        with pytest.raises(ValueError, match="beta\\*Z\\^d"):
-            halfspace_distance(SamplerSpec("rademacher_product", 2, 1.0).build(), 16)
+    def test_needs_no_lattice_support(self):
+        # rademacher_product(2, 1) is off beta Z^2 (beta = sqrt 2), and its statistic
+        # is the Rademacher walk's: along e_i, and, doubled and lazy, along e_1 +- e_2
+        s = SamplerSpec("rademacher_product", 2, 1.0).build()
+        for n in (1, 16, 256):
+            assert halfspace_distance(s, n) == max(
+                walk_gap(LatticeWalk(-1.0, 2.0, (0.5, 0.5), 1.0), n),
+                walk_gap(LatticeWalk(-2.0, 2.0, (0.25, 0.5, 0.25), math.sqrt(2.0)), n))
+        # the ci leg's lattice floor still needs beta Z^d
+        with pytest.raises(ValueError, match=r"beta\*Z\^d"):
+            HalfspaceConfig(sampler=SamplerSpec("rademacher_product", 2, 1.0))
+
+    def test_a_direction_past_the_span_cap_raises_naming_the_law(self):
+        # three points 1 and 16 steps apart span 17 steps, one more than a walk may;
+        # a law on no lattice has no walk at all
+        three = SamplerSpec("lattice_custom", 1, outcomes=((-1.0,), (0.0,), (16.0,)),
+                            probs=(0.5, 0.5 - 1 / 32, 1 / 32))
+        for spec in (three, IRRATIONAL_1D):
+            with pytest.raises(ValueError, match=r"lattice_custom\(dim=1\) has a halfspace "
+                                                 r"direction that is no lattice walk of at most "
+                                                 f"{WALK_SPAN_CAP} steps"):
+                halfspace_distance(spec.build(), 4)
 
     def test_experiment_small(self):
         cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
@@ -538,10 +594,10 @@ MEMO_NS = (1, 2, 3, 1000, 4095, 4096)
 def fresh_memo():
     """Empty the per-process walk memo before and after, so a test that counts or
     patches the engine sees every computation and leaves no value behind."""
-    experiments._walk_w2.cache_clear()
+    LatticeWalk.w2.cache_clear()
     experiments._squarings.cache_clear()
     yield
-    experiments._walk_w2.cache_clear()
+    LatticeWalk.w2.cache_clear()
     experiments._squarings.cache_clear()
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -63,6 +64,17 @@ class TestSampling:
         a = sample_gaussian(cov, 100, np.random.default_rng(7), time_scale=1.5)
         b = sample_gaussian(cov, 100, np.random.default_rng(7), time_scale=1.5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t, sigmas", [(1.0, [1.0]), (4.0, [1.0]), (1.0, [2.0, 1.0, 0.5])])
+    def test_scales_the_normals_of_a_twin_generator(self, t, sigmas):
+        # bitwise sqrt(t) sigma_i times the standard normals of a copy of the generator:
+        # given numpy's normals, the law N(0, t Sigma).  Variances equal sigmas only at
+        # sigma = 1, so the sigma = (2, 1, 0.5) case catches a scaling by the variances
+        cov, rng = CovarianceSpec(sigmas), np.random.default_rng(3)
+        twin = copy.deepcopy(rng)
+        z = sample_gaussian(cov, 10**4, rng, t)
+        assert np.array_equal(z, twin.standard_normal((10**4, cov.dim))
+                              * (math.sqrt(t) * cov.sigmas))
 
     def test_mean_and_variance(self, rng):
         m = 10**6
