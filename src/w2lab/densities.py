@@ -10,16 +10,21 @@ numerically, so f is always evaluated through its mixture representation
     f(x) = E_Y[ c^{-k/2} exp( -(1-c)|x|_w^2/(2c) + <x,Y>_w/c - |Y|_w^2/(2c) ) ],
 
 with w the inverse-covariance weights; every term is bounded above, so the
-evaluation is stable everywhere.  Coordinate averagings f_(i) (average along
-axis i) and prefix averagings f_[k] (average over all but the first k axes)
-reduce to the same formula on projected data.
+evaluation is stable everywhere.  f averaged over some axes against rho is
+the ratio of the marginals on the others, the same formula on the projected
+atoms (:meth:`DensityRatioModel.marginal`, a model of its own): coordinate
+averagings f_(i) (along axis i) and prefix averagings f_[k] (over all but the
+first k axes) are marginals.
 
 Every integral against rho or one of its marginals (second moments,
-normalization, the entropy and chi-square terms) is
-the one Gauss-Hermite tensor rule :func:`w2lab.gaussmath.gh_grid`, over all
-of its nodes; the mixture form keeps f finite at the outermost ones.  f on the
-full d-dimensional rule is evaluated once per model and node count, and every
-integral of f itself (E f, E f^2, and E f log f, f_[d] being f) reads it.
+normalization, the entropy and chi-square terms) is one
+:meth:`DensityRatioModel.gh_mean` on the model or a marginal: the tensor rule
+:func:`w2lab.gaussmath.gh_grid` over all of its nodes, on f evaluated once per
+model and node count (the mixture form keeps f finite at the outermost
+nodes).  Marginals are cached, so in d = 2 the entropy's k = 1 term and the
+chi-square term for i = 1 share one.  The sum is numpy's fixed-order pairwise
+one, not a BLAS dot, whose threaded reduction moves the last bits with the
+thread count: no value depends on the host's cores or ``OPENBLAS_NUM_THREADS``.
 
 The chain report compares, for one model,
 
@@ -170,7 +175,8 @@ class DensityRatioModel(_RatioBase):
     which case no moment identities are implied, only the density algebra.
     tau is the Gaussian mixture of the atoms ``_ys`` (the support of Y) with
     masses ``_probs`` and covariance ``_c`` Sigma, the variance ratio c being
-    1 - 1/n; :meth:`mixture` builds the ratio of any such mixture.
+    1 - 1/n; :meth:`mixture` builds the ratio of any such mixture, and
+    :meth:`marginal` that of its marginals.  Integrals against rho are :meth:`gh_mean`.
     """
 
     sampler: Optional[BoundedSampler]
@@ -180,29 +186,46 @@ class DensityRatioModel(_RatioBase):
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        self._ys, self._probs, self.cov = _support(self.sampler, self.n, self.cov)
-        self._c = 1.0 - 1.0 / self.n
-        self._grid_f = {}
-        if self.sampler is not None and self.sampler.dim != self.cov.dim:
+        ys, probs, cov = _support(self.sampler, self.n, self.cov)
+        if self.sampler is not None and self.sampler.dim != cov.dim:
             raise ValueError("sampler and covariance dims differ")
+        self._set_law(ys, probs, cov, 1.0 - 1.0 / self.n)
 
     @classmethod
     def mixture(cls, ys, probs, cov: CovarianceSpec, c: float) -> "DensityRatioModel":
         """The ratio of sum_j p_j N(y_j, c Sigma) to N(0, Sigma), from the atoms
         (rows of ``ys``), their masses and the variance ratio c > 0; it has no
-        sampler and no n."""
+        sampler and no n.  The masses, one per atom, are nonnegative and sum to
+        1 within 1e-9, as :func:`w2lab.transport.w2_gaussian_mixture_1d`'s."""
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        probs = np.asarray(probs, dtype=float)
         if ys.shape[1] != cov.dim or not c > 0:
             raise ValueError(f"need atoms of dim {cov.dim} and c > 0, got {ys.shape[1]} and {c}")
+        if probs.shape != (len(ys),) or not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"need {len(ys)} nonnegative masses summing to 1, got {probs.tolist()}")
         model = object.__new__(cls)
-        model.sampler, model.n, model.cov = None, None, cov
-        model._ys, model._probs, model._c = ys, np.asarray(probs, dtype=float), float(c)
-        model._grid_f = {}
+        model.sampler, model.n = None, None
+        model._set_law(ys, probs, cov, float(c))
         return model
 
-    # scaled supports for a projection onto an index subset
-    def _proj(self, idx: list[int]):
-        return self._ys[:, idx], CovarianceSpec(self.cov.sigmas[idx])
+    def _set_law(self, ys: np.ndarray, probs: np.ndarray, cov: CovarianceSpec, c: float):
+        self._ys, self._probs, self.cov, self._c = ys, probs, cov, c
+        self._grid_f, self._marginals = {}, {}
+
+    def marginal(self, axes) -> "DensityRatioModel":
+        """The ratio of tau's and rho's marginals on ``axes`` (f averaged over the
+        others against rho): the mixture of the atoms' ``axes`` coordinates, same
+        masses and c.  Cached per axis set, with its grid values; all axes give self."""
+        key = tuple(sorted({int(a) for a in axes}))  # sorted keeps the sigmas' order
+        if not key or key[0] < 0 or key[-1] >= self.dim:
+            raise ValueError(f"axes must be a nonempty subset of range({self.dim}), got {axes}")
+        if len(key) == self.dim:
+            return self
+        if key not in self._marginals:
+            idx = list(key)
+            self._marginals[key] = DensityRatioModel.mixture(
+                self._ys[:, idx], self._probs, CovarianceSpec(self.cov.sigmas[idx]), self._c)
+        return self._marginals[key]
 
     def f(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -220,27 +243,30 @@ class DensityRatioModel(_RatioBase):
             self._grid_f[nodes] = (wts, vals)
         return self._grid_f[nodes]
 
+    def gh_mean(self, g: Callable[[np.ndarray], np.ndarray], nodes: int = GH_NODES_DEFAULT) -> float:
+        """E g(f(Z)), Z ~ rho, by the full Gauss-Hermite rule of ``nodes`` per axis
+        on f's cached grid values, for dim <= 2 (a 200-node rule in d = 3 has 8e6
+        points); summed in numpy's fixed order, whatever BLAS's thread count."""
+        if self.dim > 2:
+            raise ValueError(f"Gauss-Hermite means are supported for dim <= 2, not {self.dim}")
+        wts, vals = self._f_on_grid(nodes)
+        return float(np.sum(wts * g(vals)))
+
     def f_prefix(self, k: int, pts: np.ndarray) -> np.ndarray:
+        """f_[k], f averaged over all but the first k axes: the marginal on them."""
         if not 0 <= k <= self.dim:
             raise ValueError(f"k must be in [0, {self.dim}]")
         if k == 0:
             return np.ones(np.atleast_2d(pts).shape[0])
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ys, cov = self._proj(list(range(k)))
-        return _mixture_eval(pts, ys, self._probs, cov, self._c)
+        return self.marginal(range(k)).f(pts)
 
     def f_avg_coord(self, i: int, pts: np.ndarray) -> np.ndarray:
+        """f_(i), f averaged along axis i: the marginal on the other axes."""
         if not 0 <= i < self.dim:
             raise ValueError(f"coordinate {i} out of range")
         if self.dim == 1:
             return np.ones(np.atleast_2d(pts).shape[0])
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx = [j for j in range(self.dim) if j != i]
-        ys, cov = self._proj(idx)
-        return _mixture_eval(pts, ys, self._probs, cov, self._c)
-
-    def tau(self, pts: np.ndarray) -> np.ndarray:
-        return self.f(pts) * self.rho(pts)
+        return self.marginal(np.delete(np.arange(self.dim), i)).f(pts)
 
     def tau_cell_masses(self, edges: list[np.ndarray]) -> np.ndarray:
         """Exact cell masses: the law is a finite mixture of Gaussians."""
@@ -262,26 +288,31 @@ class DensityRatioModel(_RatioBase):
 # Second-moment identities
 # ---------------------------------------------------------------------------
 
-def _second_moment_quad(model: DensityRatioModel, nodes: int) -> float:
-    wts, f = model._f_on_grid(nodes)
-    return float(wts @ f**2)
-
-
 def density_second_moment_lhs(model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z)^2 by Gauss-Hermite quadrature of f^2 against rho, for dim <= 2.
 
     Its resolution is a record of the ``chi2-identity`` checker, which compares
     it at ``nodes`` and ``nodes // 2``.
     """
-    if model.dim > 2:
-        raise ValueError("quadrature second moment supported for dim <= 2")
-    return _second_moment_quad(model, nodes)
+    return model.gh_mean(np.square, nodes)
 
 
 def density_normalization(model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT) -> float:
     """E f(Z), which must equal 1 (tau integrates to one)."""
-    wts, f = model._f_on_grid(nodes)
-    return float(wts @ f)
+    return model.gh_mean(lambda v: v, nodes)
+
+
+def _pair_mean_exp_q(
+    sampler: Optional[BoundedSampler], n: int, cov: Optional[CovarianceSpec], skip: Optional[int]
+) -> float:
+    """E exp(sum_{j in A} Q_j) over independent pairs, by exact enumeration of
+    the support; A is every axis but ``skip`` (``None``: every axis)."""
+    ys, probs, cov = _support(sampler, n, cov)
+    if skip is not None and not 0 <= skip < cov.dim:
+        raise ValueError(f"coordinate {skip} out of range")
+    axes = [j for j in range(cov.dim) if j != skip]
+    q = q_values(ys[:, None, :], ys[None, :, :], cov, n)[..., axes].sum(axis=-1)
+    return float(np.sum(probs[:, None] * probs[None, :] * np.exp(q)))
 
 
 def density_second_moment_rhs(
@@ -293,10 +324,7 @@ def density_second_moment_rhs(
 
     The closed-form side of E f(Z)^2.
     """
-    ys, probs, cov = _support(sampler, n, cov)
-    q = q_values(ys[:, None, :], ys[None, :, :], cov, n).sum(axis=-1)
-    w = probs[:, None] * probs[None, :]
-    return float(np.sum(w * np.exp(q)))
+    return _pair_mean_exp_q(sampler, n, cov, None)
 
 
 def averaged_second_moment(
@@ -306,33 +334,16 @@ def averaged_second_moment(
     i: int = 0,
 ) -> float:
     """E f_(i)(Z)^2 = E exp(Q - Q_i) by exact enumeration."""
-    ys, probs, cov = _support(sampler, n, cov)
-    if not 0 <= i < cov.dim:
-        raise ValueError(f"coordinate {i} out of range")
-    q_all = q_values(ys[:, None, :], ys[None, :, :], cov, n)
-    q_wo = q_all.sum(axis=-1) - q_all[:, :, i]
-    w = probs[:, None] * probs[None, :]
-    return float(np.sum(w * np.exp(q_wo)))
-
-
-def _prefix_integrals(
-    model: DensityRatioModel, nodes: int, integrand: Callable[[np.ndarray], np.ndarray]
-) -> list:
-    """[E integrand(f_[k](Z)) for k = 1..d] by quadrature on the k-dim marginals;
-    f_[d] is f, read from the model's full grid."""
-    out = []
-    for k in range(1, model.dim):
-        pts, wts = gh_grid(model.cov.head(k), nodes=nodes)
-        out.append(float(wts @ integrand(model.f_prefix(k, pts))))
-    wts, f = model._f_on_grid(nodes)
-    return out + [float(wts @ integrand(f))]
+    return _pair_mean_exp_q(sampler, n, cov, i)
 
 
 def prefix_second_moments(
     model: DensityRatioModel, nodes: int = GH_NODES_DEFAULT
 ) -> np.ndarray:
-    """[E f_[k](Z)^2 for k = 0..d]; f_[0] = 1."""
-    return np.array([1.0] + _prefix_integrals(model, nodes, lambda v: v**2))
+    """[E f_[k](Z)^2 for k = 0..d]; f_[0] = 1, and f_[k] is the marginal on the
+    first k axes."""
+    return np.array([1.0] + [model.marginal(range(k)).gh_mean(np.square, nodes)
+                             for k in range(1, model.dim + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +382,17 @@ class ChainReport:
 
 def _entropy_functional(model: DensityRatioModel, nodes: int) -> np.ndarray:
     """[E f_[k] log f_[k] for k = 0..d]; the k = 0 term is 0, and so is v log v at v = 0."""
-    return np.array([0.0] + _prefix_integrals(
-        model, nodes, lambda v: v * np.log(np.where(v > 0, v, 1.0))))
+    return np.array([0.0] + [model.marginal(range(k)).gh_mean(
+        lambda v: v * np.log(np.where(v > 0, v, 1.0)), nodes) for k in range(1, model.dim + 1)])
 
 
 def _chi2_terms(model: DensityRatioModel, nodes: int) -> np.ndarray:
-    """[E f^2 - E f_(i)^2 for each i] by quadrature."""
-    ef2 = _second_moment_quad(model, nodes)
+    """[E f^2 - E f_(i)^2 for each i] by quadrature; f_(i) is 1 in d = 1."""
+    ef2 = model.gh_mean(np.square, nodes)
     if model.dim == 1:
         return np.array([ef2 - 1.0])
-    terms = []
-    for i in range(model.dim):
-        pts, wts = gh_grid(model.cov.drop(i), nodes=nodes)
-        terms.append(ef2 - float(wts @ model.f_avg_coord(i, pts) ** 2))
-    return np.array(terms)
+    return np.array([ef2 - model.marginal(np.delete(np.arange(model.dim), i)).gh_mean(
+        np.square, nodes) for i in range(model.dim)])
 
 
 def kr_terms(

@@ -89,18 +89,6 @@ class CovarianceSpec:
         v = np.asarray(v, dtype=float)
         return v[..., self.permutation]
 
-    def head(self, k: int) -> "CovarianceSpec":
-        """Covariance of the projection onto the first k coordinates."""
-        if not 1 <= k <= self.dim:
-            raise ValueError(f"k must be in [1, {self.dim}], got {k}")
-        return CovarianceSpec(self.sigmas[:k])
-
-    def drop(self, i: int) -> "CovarianceSpec":
-        """Covariance of the projection onto all coordinates but i."""
-        if self.dim < 2:
-            raise ValueError("cannot drop a coordinate from a 1-d spec")
-        return CovarianceSpec(np.delete(self.sigmas, i))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CovarianceSpec) and np.array_equal(
             self.sigmas, other.sigmas

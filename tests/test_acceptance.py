@@ -8,6 +8,8 @@ Criteria use the same default configurations the command line ships with.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -214,7 +216,7 @@ def test_criterion_10_ci_conversion():
 
 
 def test_criterion_11_determinism(tmp_path):
-    with criterion(11, "byte-identical artifacts across runs and worker counts"):
+    with criterion(11, "byte-identical artifacts across runs, worker counts and BLAS threads"):
         outs = []
         for tag, workers in (("a", 1), ("b", 1), ("c", 8)):
             out = str(tmp_path / tag)
@@ -223,6 +225,18 @@ def test_criterion_11_determinism(tmp_path):
                 "--workers", str(workers), "--seed", "7",
             ])
             assert rc == 0
+            outs.append(out)
+        # BLAS reads its thread count once, at load, so each count is a fresh process
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"threads{threads}")
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), threads)}
+            subprocess.run([sys.executable, "-m", "w2lab.cli", "all", "--config", SMOKE,
+                            "--out", out, "--seed", "7"], env=env, check=True,
+                           stdout=subprocess.DEVNULL, timeout=300)
             outs.append(out)
 
         def tree(root):

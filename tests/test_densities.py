@@ -22,7 +22,6 @@ from w2lab.densities import (
     prefix_second_moments,
     talagrand_chain,
     _entropy_functional,
-    _second_moment_quad,
 )
 from w2lab.samplers import (
     make_lattice_custom,
@@ -49,7 +48,6 @@ class TestMixtureRepresentation:
             tau += p * gaussian_density(xs[:, 0], y[0], sd)
         rho = gaussian_density(xs[:, 0], 0.0, 1.0)
         assert np.allclose(model.f(xs), tau / rho, rtol=1e-12)
-        assert np.allclose(model.tau(xs), tau, rtol=1e-12)
         assert np.allclose(model.rho(xs), rho, rtol=1e-12)
 
     def test_f_nonnegative_and_normalized(self, rng):
@@ -108,13 +106,13 @@ def checked_models():
             + [DensityRatioModel(s, n) for s, n in checks._q_zoo() if s.dim <= 2])
 
 
-def count_full_grid_evals(monkeypatch):
-    """Count _mixture_eval calls on the full d = 2 rule at either node count."""
+def count_grid_evals(monkeypatch, dim=2):
+    """Count _mixture_eval calls on the full ``dim``-dimensional rule at either node count."""
     calls = []
     inner = densities._mixture_eval
 
     def counted(pts, *args):
-        if pts.shape in {(nodes**2, 2) for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2)}:
+        if pts.shape in {(nodes**dim, dim) for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2)}:
             calls.append(pts.shape[0])
         return inner(pts, *args)
 
@@ -134,7 +132,7 @@ class TestGridEvaluation:
 
     def test_chain_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
         # once at each node count, shared by the entropy and chi-square terms
-        calls = count_full_grid_evals(monkeypatch)
+        calls = count_grid_evals(monkeypatch)
         for name, model in chain_models_2d():
             del calls[:]
             talagrand_chain(model)
@@ -142,12 +140,52 @@ class TestGridEvaluation:
 
     def test_chi2_identity_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
         # E f^2 at both node counts and E f at the finer one share two evaluations
-        calls = count_full_grid_evals(monkeypatch)
+        calls = count_grid_evals(monkeypatch)
         records = checks.check_chi2_identity(None)
         assert all(v.verdict == "pass" for v in records)
         laws_2d = sum(s.dim == 2 for s, _ in checks._q_zoo())
         assert sorted(calls) == ([(GH_NODES_DEFAULT // 2) ** 2] * laws_2d
                                  + [GH_NODES_DEFAULT**2] * laws_2d)
+
+    def test_chain_shares_each_1d_marginal(self, monkeypatch):
+        # the entropy's k = 1 term and the chi-square term for i = 1 both read
+        # the marginal onto axis 0: two 1-d evaluations per node count, not three
+        calls = count_grid_evals(monkeypatch, dim=1)
+        for name, model in chain_models_2d():
+            del calls[:]
+            talagrand_chain(model)
+            assert sorted(calls) == [GH_NODES_DEFAULT // 2] * 2 + [GH_NODES_DEFAULT] * 2, name
+
+    def test_marginal_is_f_averaged_over_the_other_axes(self, rng):
+        # oracle: f averaged over axis 1 against N(0, sigma_1^2) by an 80-node
+        # rule, on a 3-d mixture with distinct sigmas, axes given out of order
+        cov = CovarianceSpec([2.0, 1.0, 0.5])
+        model = DensityRatioModel.mixture(rng.normal(size=(4, 3)), [0.1, 0.2, 0.3, 0.4], cov, 0.8)
+        pts = rng.normal(size=(20, 2))
+        t, w = gh_nodes_weights(80)
+        full = np.empty((len(pts), len(t), 3))
+        full[:, :, [0, 2]] = pts[:, None, :]
+        full[:, :, 1] = t * cov.sigmas[1]
+        averaged = model.f(full.reshape(-1, 3)).reshape(len(pts), -1) @ w
+        marginal = model.marginal([2, 0])
+        assert marginal.cov == CovarianceSpec([2.0, 0.5])
+        assert np.allclose(marginal.f(pts), averaged, rtol=1e-10)
+        assert model.marginal((0, 2)) is marginal and model.marginal([2, 1, 0]) is model
+        for bad in ([], [3], [-1]):
+            with pytest.raises(ValueError, match="axes"):
+                model.marginal(bad)
+
+    def test_gh_mean_refuses_3d_before_any_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(densities, "gh_grid", no_grid)
+        model = DensityRatioModel(None, 10, cov=CovarianceSpec([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="dim <= 2"):
+            model.gh_mean(np.square)
+        with pytest.raises(ValueError, match="dim <= 2"):
+            density_normalization(model)
+        assert model._grid_f == {}
 
     @pytest.mark.parametrize("name", [name for name, _ in chain_models_2d()])
     def test_grid_values_are_f_shared_and_read_only(self, name):
@@ -231,7 +269,7 @@ class TestSecondMoments:
             pm = prefix_second_moments(model)
             assert pm[0] == 1.0
             assert np.all(np.diff(pm) >= -1e-12)
-            ef2 = _second_moment_quad(model, 200)
+            ef2 = density_second_moment_lhs(model, 200)
             for k in (1, 2):
                 lhs = pm[k] - pm[k - 1]
                 rhs = ef2 - averaged_second_moment(s, n, i=k - 1)
@@ -273,6 +311,14 @@ class TestMixtureModel:
             DensityRatioModel.mixture([[0.0, 1.0]], [1.0], CovarianceSpec([1.0]), 1.0)
         with pytest.raises(ValueError, match="c > 0"):
             DensityRatioModel.mixture([[0.0]], [1.0], CovarianceSpec([1.0]), 0.0)
+        # masses as w2_gaussian_mixture_1d takes them: one per atom, none
+        # negative, summing to 1 within 1e-9; a NaN is none of these
+        for probs in ([0.7, 0.7], [1.5, -0.5], [1.0], [0.5, 0.5, 0.0], [0.5, 0.5 - 2e-9],
+                      [0.5, math.nan]):
+            with pytest.raises(ValueError, match="masses"):
+                DensityRatioModel.mixture([[0.0], [1.0]], probs, CovarianceSpec([1.0]), 0.9)
+        edge = DensityRatioModel.mixture([[0.0], [1.0]], [0.5, 0.5 - 5e-10], CovarianceSpec([1.0]), 0.9)
+        assert edge._probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKnotheRosenblatt:

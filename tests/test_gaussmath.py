@@ -52,11 +52,6 @@ class TestCovarianceSpec:
         with pytest.raises(ValueError, match="finite"):
             CovarianceSpec([1.0, bad])
 
-    def test_head_and_drop(self):
-        cov = CovarianceSpec([2.0, 1.0, 0.5])
-        assert np.array_equal(cov.head(2).sigmas, [2.0, 1.0])
-        assert np.array_equal(cov.drop(1).sigmas, [2.0, 0.5])
-
 
 class TestSampling:
     def test_seed_determinism(self):
