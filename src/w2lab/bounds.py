@@ -97,9 +97,9 @@ def naive_w2_upper(
     d = x_m.size
     if not 0 <= k <= d:
         raise ValueError(f"k must be in [0, {d}], got {k}")
-    if head_w2 < 0:
+    if not head_w2 >= 0:
         raise ValueError("head_w2 must be nonnegative")
-    if np.any(x_m < 0) or np.any(y_m < 0):
+    if not (np.all(x_m >= 0) and np.all(y_m >= 0)):
         raise ValueError("second moments must be nonnegative")
     tail = float(np.sum(x_m[k:]) + np.sum(y_m[k:]))
     # squared by one multiplication, which rounds as the schedule's columns do

@@ -17,16 +17,20 @@ generator its job passes in (:func:`w2lab.cli.run_job` keys it by the job
 id), so the registry can be executed in any order, in parallel, with
 bit-identical results.  Every checker size is a constant of this module.
 
-Each checker states its records as ``Verdict(case, lhs, rhs)``: the library
-functions it calls return measured quantities only, and the verdict rule is
-written once, in :class:`w2lab.reporting.Verdict` (imported here, so
-``checks.Verdict`` names it too), on sides that are points or intervals:
-pass when the left side lies at or below the right, inconclusive while the
-two overlap, else fail.  A checker folds its tolerance into the record: an
-equality becomes ``(|a - b|, tol)``, a bound with an allowance ``(lhs, rhs +
-tol)``.  No record rests on a standard error: exact enumerations allow
-1e-12.  The chain's steps are intervals, a quadrature value +- its error
-budget.  A record over many instances takes its worst case with ``np.max``
+Each checker states its records as ``Verdict(case, lhs, rhs)``.  The library
+functions it calls return measured quantities, with two exceptions that also
+name what they measure: :func:`w2lab.qstats.estimate_q_moments` names its
+five rules (``BoundCheck``), which :func:`check_q_moments` remaps to case
+text and tolerances through ``_Q_CASE`` and ``_Q_EXACT_TOL``, and
+:meth:`w2lab.densities.ChainReport.steps` writes the chain's case strings.
+The verdict rule is written once, in :class:`w2lab.reporting.Verdict`
+(imported here, so ``checks.Verdict`` names it too), on sides that are
+points or intervals: pass when the left side lies at or below the right,
+inconclusive while the two overlap, else fail.  A checker folds its
+tolerance into the record: an equality becomes ``(|a - b|, tol)``, a bound
+with an allowance ``(lhs, rhs + tol)``.  No record rests on a standard
+error: exact enumerations allow 1e-12.  The chain's steps are intervals, a
+quadrature value +- its error budget.  A record over many instances takes its worst case with ``np.max``
 (``np.min``) over the collected values, which keeps a NaN from any instance,
 so the rule fails it; Python's ``max`` drops a NaN that is not its first
 argument.
@@ -390,9 +394,10 @@ def check_chi2_identity(rng: np.random.Generator):
                                       dens.density_second_moment_rhs(s, n), 1e-6)
         norm = dens.density_normalization(model)
         out.append(Verdict(f"{s.kind} d={s.dim} n={n} normalization", abs(norm - 1.0), 1e-8))
-    m0 = dens.DensityRatioModel(None, 10, cov=CovarianceSpec([1.0]))
-    out += _second_moment_records("degenerate Y=0 cross-check", m0, dens.density_second_moment_rhs(
-        None, 10, CovarianceSpec([1.0])), 1e-8)
+    cov = CovarianceSpec([1.0])
+    m0 = dens.DensityRatioModel.mixture(np.zeros((1, 1)), [1.0], cov, 1 - 1 / 10)
+    out += _second_moment_records("degenerate Y=0 cross-check", m0, float(np.exp(
+        qs.q_values(np.zeros(1), np.zeros(1), cov, 10).sum())), 1e-8)
     return out
 
 

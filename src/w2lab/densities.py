@@ -3,8 +3,10 @@
 ``rho`` is the density of the reference Gaussian Z ~ N(0, Sigma) and ``tau``
 the density of Z_{1-1/n} + Y, with Y = X/sqrt(n) a rescaled bounded draw:
 the Gaussian mixture sum_j p_j N(y_j, c Sigma) over the support of Y, with
-the variance ratio c = 1 - 1/n (any mixture of that form, any c > 0, is a
-:meth:`DensityRatioModel.mixture`).  Dividing two near-zero tails is hopeless
+the variance ratio c = 1 - 1/n.  A model is built from a sampler and n, or
+as any mixture of that form, any c > 0, by :meth:`DensityRatioModel.mixture`,
+whose masses pass the package's one mass check,
+:func:`w2lab.samplers.check_masses`.  Dividing two near-zero tails is hopeless
 numerically, so f is always evaluated through its mixture representation
 
     f(x) = E_Y[ c^{-k/2} exp( -(1-c)|x|_w^2/(2c) + <x,Y>_w/c - |Y|_w^2/(2c) ) ],
@@ -52,13 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget, gh_grid, norm_cdf
-from .samplers import BoundedSampler
-from .qstats import q_values
+from .samplers import BoundedSampler, check_masses
+from .qstats import q_values, support_pairs
 from .transport import w2_gaussian_mixture_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds these names here
 from .transport import w2_atomic_1d, w2_discrete_lp  # noqa: F401
@@ -81,23 +83,6 @@ def _mixture_eval(
     expo -= (ys**2 * w).sum(axis=-1)
     expo /= 2.0 * c
     return c ** (-cov.dim / 2.0) * (np.exp(expo, out=expo) @ probs)
-
-
-def _support(
-    sampler: Optional[BoundedSampler], n: int, cov: Optional[CovarianceSpec]
-):
-    """(ys, probs, cov): the support of Y = X/sqrt(n), its masses, and Sigma.
-
-    ``sampler=None`` is the zero atom, which needs ``cov``; otherwise ``cov``
-    defaults to the sampler's covariance.
-    """
-    if cov is None:
-        if sampler is None:
-            raise ValueError("cov is required for the zero sampler")
-        cov = sampler.cov
-    if sampler is None:
-        return np.zeros((1, cov.dim)), np.ones(1), cov
-    return sampler.outcomes / math.sqrt(n), sampler.probs, cov
 
 
 def _gauss_cell_masses_1d(edges: np.ndarray, mean: float, sd: float) -> np.ndarray:
@@ -168,41 +153,35 @@ class _RatioBase:
 
 @dataclass(eq=False)  # a mixture() model has no sampler or n to compare
 class DensityRatioModel(_RatioBase):
-    """The ratio of law(Z_{1-1/n} + Y) to law(Z) for a bounded sampler.
+    """The ratio of law(Z_{1-1/n} + Y) to law(Z) for a bounded sampler, Z ~
+    N(0, Sigma) with Sigma the sampler's covariance.
 
-    ``sampler=None`` means Y = 0 (the pure time-change ratio); ``cov``
-    defaults to the sampler's covariance but may be supplied explicitly, in
-    which case no moment identities are implied, only the density algebra.
     tau is the Gaussian mixture of the atoms ``_ys`` (the support of Y) with
     masses ``_probs`` and covariance ``_c`` Sigma, the variance ratio c being
-    1 - 1/n; :meth:`mixture` builds the ratio of any such mixture, and
-    :meth:`marginal` that of its marginals.  Integrals against rho are :meth:`gh_mean`.
+    1 - 1/n.  A model is built in one of two ways: from ``(sampler, n)``, or
+    by :meth:`mixture` from any such mixture; :meth:`marginal` gives the
+    ratio of its marginals.  Integrals against rho are :meth:`gh_mean`.
     """
 
-    sampler: Optional[BoundedSampler]
+    sampler: BoundedSampler
     n: int
-    cov: CovarianceSpec = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        ys, probs, cov = _support(self.sampler, self.n, self.cov)
-        if self.sampler is not None and self.sampler.dim != cov.dim:
-            raise ValueError("sampler and covariance dims differ")
-        self._set_law(ys, probs, cov, 1.0 - 1.0 / self.n)
+        s = self.sampler
+        self._set_law(s.outcomes / math.sqrt(self.n), s.probs, s.cov, 1.0 - 1.0 / self.n)
 
     @classmethod
     def mixture(cls, ys, probs, cov: CovarianceSpec, c: float) -> "DensityRatioModel":
         """The ratio of sum_j p_j N(y_j, c Sigma) to N(0, Sigma), from the atoms
         (rows of ``ys``), their masses and the variance ratio c > 0; it has no
-        sampler and no n.  The masses, one per atom, are nonnegative and sum to
-        1 within 1e-9, as :func:`w2lab.transport.w2_gaussian_mixture_1d`'s."""
+        sampler and no n.  The masses, one per atom, pass
+        :func:`w2lab.samplers.check_masses`."""
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        probs = np.asarray(probs, dtype=float)
         if ys.shape[1] != cov.dim or not c > 0:
             raise ValueError(f"need atoms of dim {cov.dim} and c > 0, got {ys.shape[1]} and {c}")
-        if probs.shape != (len(ys),) or not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"need {len(ys)} nonnegative masses summing to 1, got {probs.tolist()}")
+        probs = check_masses(probs, ys.shape[:1])
         model = object.__new__(cls)
         model.sampler, model.n = None, None
         model._set_law(ys, probs, cov, float(c))
@@ -302,39 +281,27 @@ def density_normalization(model: DensityRatioModel, nodes: int = GH_NODES_DEFAUL
     return model.gh_mean(lambda v: v, nodes)
 
 
-def _pair_mean_exp_q(
-    sampler: Optional[BoundedSampler], n: int, cov: Optional[CovarianceSpec], skip: Optional[int]
-) -> float:
-    """E exp(sum_{j in A} Q_j) over independent pairs, by exact enumeration of
-    the support; A is every axis but ``skip`` (``None``: every axis)."""
-    ys, probs, cov = _support(sampler, n, cov)
-    if skip is not None and not 0 <= skip < cov.dim:
+def _pair_mean_exp_q(sampler: BoundedSampler, n: int, skip: int | None) -> float:
+    """E exp(sum_{j in A} Q_j) over :func:`w2lab.qstats.support_pairs`; A is
+    every axis but ``skip`` (``None``: every axis)."""
+    if skip is not None and not 0 <= skip < sampler.dim:
         raise ValueError(f"coordinate {skip} out of range")
-    axes = [j for j in range(cov.dim) if j != skip]
-    q = q_values(ys[:, None, :], ys[None, :, :], cov, n)[..., axes].sum(axis=-1)
-    return float(np.sum(probs[:, None] * probs[None, :] * np.exp(q)))
+    y, yp, w = support_pairs(sampler, n)
+    axes = [j for j in range(sampler.dim) if j != skip]
+    return float(np.sum(w * np.exp(q_values(y, yp, sampler.cov, n)[:, axes].sum(axis=-1))))
 
 
-def density_second_moment_rhs(
-    sampler: Optional[BoundedSampler],
-    n: int,
-    cov: Optional[CovarianceSpec] = None,
-) -> float:
+def density_second_moment_rhs(sampler: BoundedSampler, n: int) -> float:
     """E exp(Q) over independent pairs, by exact enumeration of the support.
 
     The closed-form side of E f(Z)^2.
     """
-    return _pair_mean_exp_q(sampler, n, cov, None)
+    return _pair_mean_exp_q(sampler, n, None)
 
 
-def averaged_second_moment(
-    sampler: Optional[BoundedSampler],
-    n: int,
-    cov: Optional[CovarianceSpec] = None,
-    i: int = 0,
-) -> float:
+def averaged_second_moment(sampler: BoundedSampler, n: int, i: int = 0) -> float:
     """E f_(i)(Z)^2 = E exp(Q - Q_i) by exact enumeration."""
-    return _pair_mean_exp_q(sampler, n, cov, i)
+    return _pair_mean_exp_q(sampler, n, i)
 
 
 def prefix_second_moments(

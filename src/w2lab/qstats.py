@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmath import CovarianceSpec, DimensionMismatchError
-from .samplers import BoundedSampler
+from .samplers import BoundedSampler, check_masses
 
 
 class HypothesisError(ValueError):
@@ -186,24 +186,17 @@ def conditional_l2_check(
     ``f_table[..., a, b]`` holds f on the product of two finite independent
     variables with laws ``p_a[..., a]`` and ``p_b[..., b]``; f_A(b) averages
     over A and f_B(a) over B.  Leading axes stack tables, each with its own
-    pair of laws.  Every average runs term by term, so a table's sides do not
-    depend on the stack it sits in, nor on zero-mass rows or columns padding
-    it.  Returns ``{"lhs": ..., "rhs": ...}``, each of the stack's shape; the
-    caller decides.
+    pair of laws, and each law passes :func:`w2lab.samplers.check_masses`.
+    Every average runs term by term, so a table's sides do not depend on the
+    stack it sits in, nor on zero-mass rows or columns padding it.  Returns
+    ``{"lhs": ..., "rhs": ...}``, each of the stack's shape; the caller
+    decides.
     """
     f = np.asarray(f_table, dtype=float)
-    p_a = np.asarray(p_a, dtype=float)
-    p_b = np.asarray(p_b, dtype=float)
     if f.ndim < 2:
         raise ValueError(f"f_table must have shape (..., na, nb), got {f.shape}")
-    for name, p, shape in (("p_a", p_a, f.shape[:-1]),
-                           ("p_b", p_b, f.shape[:-2] + f.shape[-1:])):
-        if p.shape != shape:
-            raise ValueError(f"{name} has shape {p.shape}, the table needs {shape}")
-        bad = np.any(p < 0, axis=-1) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-9)
-        if np.any(bad):
-            where = f" of table {tuple(int(i) for i in np.argwhere(bad)[0])}" if bad.ndim else ""
-            raise ValueError(f"{name}{where} is not a probability vector")
+    p_a = check_masses(p_a, f.shape[:-1], name="p_a")
+    p_b = check_masses(p_b, f.shape[:-2] + f.shape[-1:], name="p_b")
     f_b = _expect(p_b[..., None, :], f)  # function of a
     f_a = _expect(p_a[..., None, :], np.swapaxes(f, -1, -2))  # function of b
     e_f = _expect(p_a, f_b)
@@ -228,7 +221,7 @@ def remainder_difference_batch(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(np.abs(a) > 1.0) or np.any(np.abs(b) > 1.0):
+    if not (np.all(np.abs(a) <= 1.0) and np.all(np.abs(b) <= 1.0)):
         raise ValueError("the remainder bound is proved only on [-1, 1]")
     lhs = np.abs(exp_remainder(a) - exp_remainder(b))
     rhs = np.abs(a - b) * (1.5 * a**2 + (a - b) ** 2)

@@ -5,6 +5,12 @@ almost-sure norm bound ||X|| <= beta, and its full outcome enumeration
 (outcomes + probabilities, at most 2**16 points), so downstream moment
 identities are evaluated exactly instead of by Monte Carlo.
 
+Every finite law of the package, a sampler's or one computed from it (the
+pmf of S_n, a mixture's masses, a table's marginal laws), passes one mass
+check, :func:`check_masses`: finite, nonnegative masses that sum to 1 within
+a tolerance, 1e-12 for a sampler's declared law (``LAW_MASS_TOL``) and 1e-9
+for computed mass rows (``MASS_TOL``).
+
 Sums of n i.i.d. draws are sampled in O(1)-per-n time via multinomial
 outcome counts; this is an exact distributional identity, not an
 approximation.
@@ -29,6 +35,8 @@ from .gaussmath import CovarianceSpec
 ENUMERATION_CAP = 2**16
 NORM_SLACK = 1e-12
 VALIDATE_MIN_DRAWS = 10**4  # fewest draws validate_sampler accepts
+LAW_MASS_TOL = 1e-12  # a sampler's declared probabilities
+MASS_TOL = 1e-9  # mass rows computed from a law
 
 
 class SamplerInvariantError(RuntimeError):
@@ -47,6 +55,29 @@ def lattice_distance(x: np.ndarray, spacing: float | np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     resid = x - spacing * np.round(x / spacing)
     return np.sqrt(np.sum(resid**2, axis=-1))
+
+
+def check_masses(probs, shape: tuple | None = None, *, tol: float = MASS_TOL,
+                 name: str = "probs") -> np.ndarray:
+    """``probs`` as a float array, once each row along its last axis is a law:
+    finite, nonnegative masses summing to 1 within ``tol``.
+
+    Leading axes stack rows.  ``shape``, if given, is the shape ``probs`` must
+    have.  Otherwise ``ValueError``, naming ``name`` and the first bad row.  The
+    two comparisons are false on NaN, so a NaN mass fails, and so does an
+    infinite one, through its sum.
+    """
+    p = np.asarray(probs, dtype=float)
+    if shape is not None and p.shape != tuple(shape):
+        raise ValueError(f"{name} has shape {p.shape}, expected {tuple(shape)}")
+    sums = p.sum(axis=-1)
+    bad = ~(np.all(p >= 0, axis=-1) & (np.abs(sums - 1.0) <= tol))
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        row = "" if not first else f" row {first[0] if len(first) == 1 else first}"
+        raise ValueError(f"{name}{row} must be finite, nonnegative and sum to 1 within {tol!r}: "
+                         f"min {float(p[first].min())!r}, sum {float(sums[first])!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -81,17 +112,13 @@ class BoundedSampler:
 
 def _enumerated(kind: str, outcomes: np.ndarray, probs: np.ndarray) -> BoundedSampler:
     outcomes = np.asarray(outcomes, dtype=float)
-    probs = np.asarray(probs, dtype=float)
     if outcomes.ndim != 2:
         raise ValueError("outcomes must be a (support, dim) array")
-    if len(outcomes) != len(probs):
-        raise ValueError("outcomes and probabilities must have equal length")
     if len(outcomes) > ENUMERATION_CAP:
         raise ValueError(f"support exceeds enumeration cap {ENUMERATION_CAP}")
-    if not (np.isfinite(outcomes).all() and np.isfinite(probs).all()):
-        raise ValueError("outcomes and probabilities must be finite")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
+    if not np.isfinite(outcomes).all():
+        raise ValueError("outcomes must be finite")
+    probs = check_masses(probs, (len(outcomes),), tol=LAW_MASS_TOL)
     mean = probs @ outcomes
     if np.max(np.abs(mean)) > 1e-12:
         raise ValueError(f"support is not mean-zero (mean {mean})")

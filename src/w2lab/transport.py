@@ -41,12 +41,11 @@ Solver menu:
 * :func:`w2_atomic_1d` / :func:`w2_discrete_lp` -- exact optimal transport
   between weighted atomic measures, which the transportation-inequality
   chain's density grids used: no job runs it; kept for perfbench's pin
-  (ROADMAP item 1).  Both take their weights through one check
-  (non-negative, each summing to 1) and share the north-west-corner
-  plan :func:`_north_west_corner`.  On the line, that plan of the sorted
-  atoms is the monotone coupling, which is optimal, so :func:`w2_atomic_1d`
-  is its cost.  In any dimension it seeds the linear program, which
-  is solved by column generation: HiGHS solves it on a sparse candidate set
+  (ROADMAP item 1).  Both share the north-west-corner plan
+  :func:`_north_west_corner`.  On the line, that plan of the sorted atoms is
+  the monotone coupling, which is optimal, so :func:`w2_atomic_1d` is its
+  cost.  In any dimension it seeds the linear program, which is solved by
+  column generation: HiGHS solves it on a sparse candidate set
   of pairs (each source's nearest targets plus the north-west-corner plan),
   and every pair whose reduced cost under the restricted duals is negative
   joins the set for the next solve.  Once none is, the duals are feasible
@@ -67,6 +66,11 @@ needs on its first call:
 * :func:`sinkhorn_w2`: ``scipy.special.logsumexp``.
 
 So no job of ``w2lab all``, checker or experiment leg, loads SciPy.
+
+Every solver that takes masses (a finite law's, a mixture's mass rows, an
+atomic measure's weights) checks them with the package's one mass check,
+:func:`w2lab.samplers.check_masses`: one per atom, finite, nonnegative and
+summing to 1 within 1e-9, else ``ValueError``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmath import GH_NODES_DEFAULT, gh_nodes_weights, norm_cdf, norm_ppf
+from .samplers import check_masses
 
 EXACT_CAP_DEFAULT = 5000
 BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
@@ -259,13 +264,14 @@ def w2_atoms_gaussian_1d(atoms: np.ndarray, probs: np.ndarray, sd: float) -> flo
     -+inf, contribute nothing, and atoms of zero mass own no cell.
     Breakpoints above the median come from the upper-tail sums, so the
     right-hand cells keep their tail probabilities at full relative
-    precision.  The cells are summed exactly.
+    precision.  The cells are summed exactly.  ``probs``, one per atom, pass
+    :func:`w2lab.samplers.check_masses`.
 
     Refs: Bobkov, *Berry-Esseen bounds and Edgeworth expansions in the CLT
     for transport distances*, PTRF 170 (2018).
     """
     a = np.asarray(atoms, dtype=float).ravel()
-    p = np.asarray(probs, dtype=float).ravel()
+    p = check_masses(np.ravel(probs), a.shape)
     keep = p > 0
     c, p = a[keep] / sd, p[keep]
     below = np.cumsum(p)[:-1]  # P(X <= a_k), for every cell but the last
@@ -301,23 +307,15 @@ def w2_gaussian_mixture_1d(
     quantile function F^-1(Phi(t)) is nearly a step.
 
     ``probs`` may be a stack of mass rows (R, J) over the same atoms: the
-    result is then the (R,) array of the rows' distances.  A negative mass,
-    or a row whose sum is off 1 by more than 1e-9, raises ``ValueError``.
+    result is then the (R,) array of the rows' distances.  Each row passes
+    :func:`w2lab.samplers.check_masses`: a NaN or negative mass, or a row
+    whose sum is off 1 by more than 1e-9, raises ``ValueError``.
 
     Ref: Villani, *Optimal Transport: Old and New* (2009), ch. 1.
     """
     a = np.asarray(atoms, dtype=float).ravel()
     p = np.asarray(probs, dtype=float)
-    rows = p.reshape(-1, a.size)  # (R, J)
-    negative = np.flatnonzero((rows < 0).any(axis=1))
-    if negative.size:
-        r = negative[0]
-        raise ValueError(f"mass row {r} has a negative mass: {rows[r].tolist()}")
-    sums = rows.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if off.size:
-        r = off[0]
-        raise ValueError(f"mass row {r} sums to {float(sums[r])!r}, not 1")
+    rows = check_masses(p, p.shape[:-1] + a.shape).reshape(-1, a.size)  # (R, J)
     t, w = gh_nodes_weights(nodes)
     x = a[:, None] + sd_mix * t  # (J, T): the nodes of each component
     u = (x - a[:, None, None]) / sd_mix  # (I, J, T): (x_j - a_i) / sd_mix
@@ -427,19 +425,6 @@ def w2_projection_lower(
 # Weighted atomic measures (density-grid transport)
 # ---------------------------------------------------------------------------
 
-def _check_weights(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray):
-    """Both atomic measures' weights: one per atom, non-negative, each summing to 1."""
-    if len(x) != len(p) or len(y) != len(q):
-        raise ValueError(
-            f"atoms and weights differ in length ({len(x)} vs {len(p)}, "
-            f"{len(y)} vs {len(q)})"
-        )
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("weights must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must each sum to 1")
-
-
 def _north_west_corner(p: np.ndarray, q: np.ndarray):
     """The north-west-corner plan of p and q: (rows, cols, masses).
 
@@ -470,9 +455,8 @@ def w2_atomic_1d(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_weights(x, p, y, q)
+    p = check_masses(p, x.shape[:1], name="p")
+    q = check_masses(q, y.shape[:1], name="q")
     ox = np.argsort(x, kind="stable")
     oy = np.argsort(y, kind="stable")
     rows, cols, mass = _north_west_corner(p[ox], q[oy])
@@ -511,9 +495,8 @@ def w2_discrete_lp(
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_weights(x, p, y, q)
+    p = check_masses(p, x.shape[:1], name="p")
+    q = check_masses(q, y.shape[:1], name="q")
     ns, nt = len(x), len(y)
     c = _pair_cost(x, y)
     k = min(LP_SEED_NEIGHBOURS, nt)

@@ -87,6 +87,12 @@ class TestNaive:
         with pytest.raises(ValueError):
             naive_w2_upper([-1.0], [1.0], 0, 0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="second moments must be nonnegative"):
+            naive_w2_upper([math.nan], [1.0], 0, 0.0)
+        with pytest.raises(ValueError, match="head_w2 must be nonnegative"):
+            naive_w2_upper([1.0], [1.0], 1, math.nan)
+
 
 class TestSchedule:
     def test_envelope_and_bases(self):

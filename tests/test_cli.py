@@ -445,8 +445,8 @@ class TestMainEndToEnd:
         ("list", "[rate_d2]\ndim = 3\n",
          "[rate_d2]: sampler scaled_basis(dim=3) has no exact law of S_n"),
         ("rate", "[run]\nseed = -1\n", "[run]: seed must be >= 0, got -1"),
-        ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes and probabilities must be finite"),
-        ("list", "[lower_d1]\nscale = inf\n", "[lower_d1]: outcomes and probabilities must be finite"),
+        ("rate", "[rate_d1]\nscale = inf\n", "[rate_d1]: outcomes must be finite"),
+        ("list", "[lower_d1]\nscale = inf\n", "[lower_d1]: outcomes must be finite"),
         # the checkers take no config: a [check] section, with any key, is unknown
         ("check", "[check]\nchain_grid_2d = 0\n", "unknown config section [check]"),
         ("check", "[check]\nchain_refine = 0.5\n", "unknown config section [check]"),

@@ -23,6 +23,7 @@ from w2lab.densities import (
     talagrand_chain,
     _entropy_functional,
 )
+from w2lab.qstats import q_values
 from w2lab.samplers import (
     make_lattice_custom,
     make_rademacher_product,
@@ -81,10 +82,6 @@ class TestMixtureRepresentation:
         for i in (0, 1):
             assert np.allclose(model.f_avg_coord(i, pts), averaged(i), rtol=1e-8)
         assert np.allclose(model.f_prefix(1, pts), averaged(1), rtol=1e-8)
-
-    def test_zero_sampler_needs_cov(self):
-        with pytest.raises(ValueError, match="cov"):
-            DensityRatioModel(None, 10)
 
 
 def parent_mixture_eval(pts, ys, probs, cov, c):
@@ -180,7 +177,7 @@ class TestGridEvaluation:
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(densities, "gh_grid", no_grid)
-        model = DensityRatioModel(None, 10, cov=CovarianceSpec([1.0, 1.0, 1.0]))
+        model = DensityRatioModel.mixture(np.zeros((1, 3)), [1.0], CovarianceSpec([1.0, 1.0, 1.0]), 0.9)
         with pytest.raises(ValueError, match="dim <= 2"):
             model.gh_mean(np.square)
         with pytest.raises(ValueError, match="dim <= 2"):
@@ -206,8 +203,8 @@ class TestSecondMoments:
         # Y = 0: E f(Z)^2 = (n^2/(n^2-1))^{k/2}, k = 2 here
         cov = CovarianceSpec([1.0, 0.5])
         n = 8
-        lhs = density_second_moment_lhs(DensityRatioModel(None, n, cov=cov))
-        rhs = density_second_moment_rhs(None, n, cov)
+        lhs = density_second_moment_lhs(DensityRatioModel.mixture(np.zeros((1, 2)), [1.0], cov, 1 - 1 / n))
+        rhs = float(np.exp(q_values(np.zeros(2), np.zeros(2), cov, n).sum()))
         closed = (n * n / (n * n - 1.0)) ** 1.0
         assert lhs == pytest.approx(rhs, abs=1e-8)
         assert rhs == pytest.approx(closed, abs=1e-12)
@@ -311,11 +308,11 @@ class TestMixtureModel:
             DensityRatioModel.mixture([[0.0, 1.0]], [1.0], CovarianceSpec([1.0]), 1.0)
         with pytest.raises(ValueError, match="c > 0"):
             DensityRatioModel.mixture([[0.0]], [1.0], CovarianceSpec([1.0]), 0.0)
-        # masses as w2_gaussian_mixture_1d takes them: one per atom, none
+        # masses as samplers.check_masses takes them: one per atom, none
         # negative, summing to 1 within 1e-9; a NaN is none of these
         for probs in ([0.7, 0.7], [1.5, -0.5], [1.0], [0.5, 0.5, 0.0], [0.5, 0.5 - 2e-9],
                       [0.5, math.nan]):
-            with pytest.raises(ValueError, match="masses"):
+            with pytest.raises(ValueError, match="^probs "):
                 DensityRatioModel.mixture([[0.0], [1.0]], probs, CovarianceSpec([1.0]), 0.9)
         edge = DensityRatioModel.mixture([[0.0], [1.0]], [0.5, 0.5 - 5e-10], CovarianceSpec([1.0]), 0.9)
         assert edge._probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -422,7 +419,8 @@ class TestChain2d:
     def test_mismatched_cov_model_runs(self):
         # sigmas (2, 1) with an independent scaled-basis perturbation
         s = make_scaled_basis(2, 5.0)
-        model = DensityRatioModel(s, 50, cov=CovarianceSpec([2.0, 1.0]))
+        model = DensityRatioModel.mixture(s.outcomes / math.sqrt(50), s.probs, CovarianceSpec([2.0, 1.0]),
+                                          1 - 1 / 50)
         rep = talagrand_chain(model)
         assert chain_verdicts(rep) == ["pass", "pass"]
         assert rep.rhs_entropy <= rep.rhs_chi2 + 1e-9

@@ -207,14 +207,14 @@ class TestConditionalL2:
         _, f, p_a, p_b = self._padded_stack(rng, count=12)
         laws = {"p_a": p_a.reshape(3, 4, 8), "p_b": p_b.reshape(3, 4, 8)}
         laws[name][2, 1] = bad
-        with pytest.raises(ValueError, match=rf"^{name} of table \(2, 1\) is not a probability"):
+        with pytest.raises(ValueError, match=rf"^{name} row \(2, 1\) must be finite, nonnegative and sum to 1"):
             conditional_l2_check(f.reshape(3, 4, 8, 8), laws["p_a"], laws["p_b"])
 
     def test_stack_law_shapes_must_match_the_tables(self, rng):
         _, f, p_a, p_b = self._padded_stack(rng, count=4)
-        with pytest.raises(ValueError, match=r"p_a has shape \(4, 7\), the table needs \(4, 8\)"):
+        with pytest.raises(ValueError, match=r"^p_a has shape \(4, 7\), expected \(4, 8\)$"):
             conditional_l2_check(f, p_a[:, :7], p_b)
-        with pytest.raises(ValueError, match=r"p_b has shape \(8,\), the table needs \(4, 8\)"):
+        with pytest.raises(ValueError, match=r"^p_b has shape \(8,\), expected \(4, 8\)$"):
             conditional_l2_check(f, p_a, p_b[0])
 
 
@@ -233,6 +233,12 @@ class TestRemainder:
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             remainder_difference_batch(1.5, 0.0)
+
+    def test_nan_rejected(self):
+        # NaN lies in no square: it is refused, not carried into (nan, nan)
+        for a, b in ((math.nan, 0.0), (0.0, math.nan), ([0.5, math.nan], [0.0, 0.0])):
+            with pytest.raises(ValueError, match=r"only on \[-1, 1\]"):
+                remainder_difference_batch(a, b)
 
     def test_random_sweep(self, rng):
         a = rng.uniform(-1, 1, size=10**5)

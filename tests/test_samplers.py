@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from w2lab.densities import DensityRatioModel
+from w2lab.gaussmath import CovarianceSpec
+from w2lab.qstats import conditional_l2_check
 from w2lab.samplers import (
+    LAW_MASS_TOL,
+    MASS_TOL,
     BoundedSampler,
     SamplerInvariantError,
+    check_masses,
     lattice_distance,
     make_lattice_custom,
     make_rademacher_product,
@@ -15,6 +21,7 @@ from w2lab.samplers import (
     require_lattice_support,
     validate_sampler,
 )
+from w2lab.transport import w2_atomic_1d, w2_atoms_gaussian_1d, w2_discrete_lp, w2_gaussian_mixture_1d
 
 
 def corrupt_bound(s: BoundedSampler, factor: float) -> BoundedSampler:
@@ -217,3 +224,53 @@ class TestCustomLattice:
         assert s.cov.sigmas[0] == pytest.approx(2.0)
         assert np.allclose(np.abs(s.outcomes[:, 0]), 2.0)
 
+
+
+# Every entry point that takes masses, called with one two-atom law ``p``:
+# (call, the name its error gives the bad law, the tolerance on the sum).
+MASS_ENTRY_POINTS = {
+    "make_lattice_custom": (
+        lambda p: make_lattice_custom(np.array([[-1.0], [1.0]]), p), "probs", LAW_MASS_TOL),
+    "DensityRatioModel.mixture": (
+        lambda p: DensityRatioModel.mixture([[0.0], [1.0]], p, CovarianceSpec([1.0]), 0.9),
+        "probs", MASS_TOL),
+    "w2_atoms_gaussian_1d": (lambda p: w2_atoms_gaussian_1d([0.0, 1.0], p, 1.0), "probs", MASS_TOL),
+    "w2_gaussian_mixture_1d": (
+        lambda p: w2_gaussian_mixture_1d([0.0, 1.0], p, 0.9, 1.0), "probs", MASS_TOL),
+    "w2_gaussian_mixture_1d stack": (
+        lambda p: w2_gaussian_mixture_1d([0.0, 1.0], [[0.5, 0.5], p, p], 0.9, 1.0),
+        "probs row 1", MASS_TOL),
+    "w2_atomic_1d": (lambda p: w2_atomic_1d([0.0, 1.0], p, [0.0], [1.0]), "p", MASS_TOL),
+    "w2_discrete_lp": (lambda p: w2_discrete_lp([[0.0], [1.0]], p, [[0.0]], [1.0]), "p", MASS_TOL),
+    "conditional_l2_check p_a": (
+        lambda p: conditional_l2_check(np.ones((2, 2)), p, [0.5, 0.5]), "p_a", MASS_TOL),
+    "conditional_l2_check p_b": (
+        lambda p: conditional_l2_check(np.ones((2, 2)), [0.5, 0.5], p), "p_b", MASS_TOL),
+}
+
+
+class TestMassContract:
+    """One mass check, :func:`check_masses`, behind every finite law."""
+
+    @pytest.mark.parametrize("site", MASS_ENTRY_POINTS)
+    @pytest.mark.parametrize("probs", [[0.5, math.nan], [1.5, -0.5], [0.5, 0.6], [math.inf, 0.0]],
+                             ids=["nan", "negative", "off-sum", "infinite"])
+    def test_entry_point_rejects_a_bad_law(self, site, probs):
+        call, name, _ = MASS_ENTRY_POINTS[site]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, nonnegative and sum to 1"):
+            call(np.array(probs))
+
+    @pytest.mark.parametrize("site", MASS_ENTRY_POINTS)
+    def test_entry_point_takes_a_sum_within_its_tolerance(self, site):
+        call, _, tol = MASS_ENTRY_POINTS[site]
+        call(np.array([0.5, 0.5 - tol / 2]))
+
+    def test_names_the_first_bad_row_and_checks_the_shape(self):
+        rows = np.full((2, 3, 2), 0.5)
+        rows[1, 2] = [0.5, math.nan]
+        rows[1, 1] = [0.25, 0.25]
+        with pytest.raises(ValueError, match=r"^p row \(1, 1\) must be .*: min 0\.25, sum 0\.5$"):
+            check_masses(rows, name="p")
+        with pytest.raises(ValueError, match=r"^probs has shape \(2,\), expected \(3,\)$"):
+            check_masses([0.5, 0.5], (3,))
+        assert check_masses([[1.0, 0.0]], (1, 2)).dtype == float
