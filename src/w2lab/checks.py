@@ -18,22 +18,21 @@ id), so the registry can be executed in any order, in parallel, with
 bit-identical results.  Every checker size is a constant of this module.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``.  The library
-functions it calls return measured quantities, with two exceptions that also
-name what they measure: :func:`w2lab.qstats.estimate_q_moments` names its
-five rules (``BoundCheck``), which :func:`check_q_moments` remaps to case
-text and tolerances through ``_Q_CASE`` and ``_Q_EXACT_TOL``, and
-:meth:`w2lab.densities.ChainReport.steps` writes the chain's case strings.
-The verdict rule is written once, in :class:`w2lab.reporting.Verdict`
-(imported here, so ``checks.Verdict`` names it too), on sides that are
-points or intervals: pass when the left side lies at or below the right,
-inconclusive while the two overlap, else fail.  A checker folds its
-tolerance into the record: an equality becomes ``(|a - b|, tol)``, a bound
-with an allowance ``(lhs, rhs + tol)``.  No record rests on a standard
-error: exact enumerations allow 1e-12.  The chain's steps are intervals, a
-quadrature value +- its error budget.  A record over many instances takes its worst case with ``np.max``
-(``np.min``) over the collected values, which keeps a NaN from any instance,
-so the rule fails it; Python's ``max`` drops a NaN that is not its first
-argument.
+functions it calls return measured quantities only, and name no rule: a
+record's case text, closed-form side and allowance are written here, side by
+side (the Q-moment lemma's five rules in :func:`check_q_moments`, the
+transportation chain's two steps in ``_chain_records``).  The verdict rule is
+written once, in :class:`w2lab.reporting.Verdict` (imported here, so
+``checks.Verdict`` names it too), on sides that are points or intervals: pass
+when the left side lies at or below the right, inconclusive while the two
+overlap, else fail.  A checker folds its tolerance into the record: an
+equality becomes ``(|a - b|, tol)``, a bound with an allowance
+``(lhs, rhs + tol)``.  No record rests on a standard error: exact
+enumerations allow 1e-12.  The chain's steps are intervals, a quadrature
+value +- its error budget.  A record over many instances takes its worst case
+with ``np.max`` (``np.min``) over the collected values, which keeps a NaN from
+any instance, so the rule fails it; Python's ``max`` drops a NaN that is not
+its first argument.
 A checker's records carry no labels: the job that runs it stamps them with
 the checker id and the anchor written in its ``REGISTRY`` entry.
 """
@@ -357,19 +356,35 @@ def check_q_abs_estimates(rng: np.random.Generator):
     ]
 
 
-# rounding allowance of the exact Q-moment rules: the mean identity is an
-# equality, and the cross-moment rule compares two d x d tables entrywise
-_Q_EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
-_Q_CASE = {"mean_identity": "exact mean identity"}  # other rules' cases are their names
-
-
 def check_q_moments(rng: np.random.Generator):
+    """The Q-moment lemma on each zoo law, from its exact moments: each rule as
+    (case, measured side, closed-form side, rounding allowance), k the dimension.
+    The mean identity is an equality, and the cross-moment rule compares two
+    k x k tables entrywise."""
     out = []
     for s, n in _q_zoo():
         rep = qs.estimate_q_moments(s, n)
-        for c in rep.checks:
-            out.append(Verdict(f"{s.kind} d={s.dim} n={n} {_Q_CASE.get(c.name, c.name)}",
-                               c.lhs, c.rhs + _Q_EXACT_TOL.get(c.name, 0.0)))
+        k, n2m1, var = s.dim, float(n) * n - 1.0, s.cov.variances
+        # E Q_i Q_j <= n^2/(n^2-1)^2 delta_ij + n^2 E Y_i^2 Y_j^2 / (2 s_i^2 s_j^2 (n^2-1)^2)
+        #              + 1/(2 (n^2-1)^2), entrywise
+        cross_rhs = ((n * n) / n2m1**2 * np.eye(k)
+                     + (n * n) * rep.e_yi2yj2 / (2.0 * np.outer(var, var) * n2m1**2)
+                     + 1.0 / (2.0 * n2m1**2))
+        rules = (
+            # E Q_i = -1/(2(n^2-1)) - r(n)
+            ("exact mean identity",
+             np.max(np.abs(rep.e_qi - (-1.0 / (2.0 * n2m1) - qs.r_of_n(n)))), 0.0, 1e-12),
+            ("cross_moment", np.max(rep.e_qiqj - cross_rhs), 0.0, 1e-15),
+            # E Q_i^2 <= (2n^2 + n + 1) / (2 (n^2-1)^2)
+            ("square_moment", np.max(np.diag(rep.e_qiqj)),
+             (2.0 * n * n + n + 1.0) / (2.0 * n2m1**2), 0.0),
+            # E (Q - Q_i) Q_i <= n k / (2 (n^2-1)^2)
+            ("coupled_moment", np.max(rep.e_qmqi_qi), n * k / (2.0 * n2m1**2), 0.0),
+            # E Q^2 <= 2k / (n^2-1)
+            ("total_square", rep.e_q2, 2.0 * k / n2m1, 0.0),
+        )
+        out += [Verdict(f"{s.kind} d={k} n={n} {case}", lhs, rhs + tol)
+                for case, lhs, rhs, tol in rules]
     return out
 
 
@@ -460,6 +475,20 @@ def check_remainder(rng: np.random.Generator):
     ]
 
 
+def _chain_records(label: str, rep: dens.ChainReport, inputs: dict) -> list:
+    """The chain's two steps for one model, each an estimate +- its budget against
+    the next term, which gets a rounding allowance of max(1e-10, 1e-8 max|side|).
+    The W2^2 step's estimate is KR, which bounds W2^2 from above and carries KR's
+    budget and the quadrature's; W2^2 >= 0 clips its lower edge."""
+    allow = max(1e-10, 1e-8 * max(abs(rep.kr), abs(rep.rhs_entropy), abs(rep.rhs_chi2)))
+    kr, quad = rep.kr_budget + rep.budget_quad, rep.budget_quad
+    return [Verdict(f"{label}: W2^2 <= entropy RHS", (max(rep.kr - kr, 0.0), rep.kr + kr),
+                    rep.rhs_entropy + allow, inputs),
+            Verdict(f"{label}: entropy RHS <= chi-square RHS",
+                    (rep.rhs_entropy - quad, rep.rhs_entropy + quad),
+                    rep.rhs_chi2 + allow, inputs)]
+
+
 def check_talagrand_1d(rng: np.random.Generator):
     out = []
     cov = CovarianceSpec([1.0])
@@ -470,7 +499,7 @@ def check_talagrand_1d(rng: np.random.Generator):
             Verdict(f"shift {shift}: W2^2 equals shift^2", abs(rep.kr - shift**2), 1e-12),
             Verdict(f"shift {shift}: entropy RHS equals shift^2",
                     abs(rep.rhs_entropy - shift**2), 1e-12),
-            *(Verdict(f"shift {shift}: {step}", est, bound) for step, est, bound in rep.steps()),
+            *_chain_records(f"shift {shift}", rep, {}),
         ]
     return out
 
@@ -501,10 +530,9 @@ def check_talagrand_2d(rng: np.random.Generator):
     the same sum in the turned frame, lies at or below KR."""
     models = dict(chain_models_2d())
     reports = {name: dens.talagrand_chain(model) for name, model in models.items()}
-    out = [Verdict(f"{name}: {step}", est, bound,
-                   {"budget_kr": rep.budget_kr, "budget_kr_inner": rep.budget_kr_inner,
-                    "budget_quad": rep.budget_quad})
-           for name, rep in reports.items() for step, est, bound in rep.steps()]
+    out = [v for name, rep in reports.items() for v in _chain_records(name, rep, {
+        "budget_kr": rep.budget_kr, "budget_kr_inner": rep.budget_kr_inner,
+        "budget_quad": rep.budget_quad})]
 
     def marginal(name, frame):  # the marginal W2^2 sum and its Gauss-Hermite budget
         fine, coarse = (dens.marginal_w2_sq(models[name], frame, nodes)

@@ -31,10 +31,10 @@ its name.  Each job states its anchor once (a checker's ``REGISTRY`` entry,
 or one constant per experiment kind here) and stamps it, with its checker
 id, on every record.
 
-Artifacts land in the output directory: ``verdicts.json`` (an unbounded edge
-as ``null``), plus for the experiments ``tables/*.csv`` and ``plotdata/*.dat``
-read from the named fields of each report's points, every file stamped with
-the config hash and root seed.  Exit status: 0 when nothing
+Artifacts land in the output directory: ``verdicts.json`` (strict JSON, every
+non-finite number as ``null``), plus for the experiments ``tables/*.csv`` and
+``plotdata/*.dat`` read from the named fields of each report's points, every
+file stamped with the config hash and root seed.  Exit status: 0 when nothing
 failed (inconclusive verdicts only warn), 1 on any failed verdict, 2 on
 usage or configuration errors.  Every artifact is written before the first
 verdict line prints, so a closed standard output loses none, and ``main``
@@ -63,7 +63,6 @@ from .reporting import (
     SCHEMA_VERSION,
     Verdict,
     config_hash,
-    jsonable,
     write_plotdata,
     write_table_csv,
     write_verdicts_json,
@@ -235,15 +234,11 @@ def execute(settings: RunSettings, job_ids: list[str]) -> list[JobResult]:
     else:
         from concurrent.futures import ProcessPoolExecutor  # here, so a 1-worker run skips its 16 ms
 
-        with ProcessPoolExecutor(max_workers=settings.workers) as pool:
+        # the fork start method forks every worker at the first submit: none beyond the jobs
+        with ProcessPoolExecutor(max_workers=min(settings.workers, len(job_ids))) as pool:
             futures = {pool.submit(run_job, settings, j): j for j in job_ids}
             results = [f.result() for f in futures]
     return sorted(results, key=lambda r: r.job_id)
-
-
-def _bounded(x: float):
-    """A record's number as JSON, which has no infinity: an unbounded edge is null."""
-    return None if math.isinf(x) else x
 
 
 def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
@@ -265,13 +260,13 @@ def emit(settings: RunSettings, results: list[JobResult], verbose: int) -> int:
                 "checker": res.checker,
                 "anchor": res.anchor,
                 "case": v.case,
-                "lhs": _bounded(v.lhs),
-                "lhs_lo": _bounded(v.lhs_lo),
-                "rhs": _bounded(v.rhs),
-                "rhs_hi": _bounded(v.rhs_hi),
-                "margin": _bounded(v.margin),
+                "lhs": v.lhs,
+                "lhs_lo": v.lhs_lo,
+                "rhs": v.rhs,
+                "rhs_hi": v.rhs_hi,
+                "margin": v.margin,
                 "verdict": v.verdict,
-                "inputs": jsonable(v.inputs),
+                "inputs": v.inputs,
             })
         fits.update(res.fits)
         job_meta = {**meta, **res.meta}

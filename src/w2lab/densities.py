@@ -40,10 +40,10 @@ its coordinate terms is at most 2 sigma_k^2 times that coordinate's entropy
 increment (Talagrand's inequality in 1-d and the chain rule of relative
 entropy).  Each quantity is a Gauss-Hermite sum whose error budget is the
 package's one rule, :func:`w2lab.gaussmath.gh_budget`; KR's covers both its
-outer nodes and the inner sum of each mixture distance.  The report states
-each step once, as an error interval against its bound
-(:meth:`ChainReport.steps`).  The budget is a first-order error model, not a
-certificate.
+outer nodes and the inner sum of each mixture distance.  The report holds
+the three values and their budgets only; the two steps, each an error
+interval against its bound, are stated once, in :mod:`w2lab.checks`.  The
+budget is a first-order error model, not a certificate.
 
 The cell masses (``rho_cell_masses`` and both ``tau_cell_masses``) and the
 atomic solvers imported here from :mod:`w2lab.transport` fed the chain's old
@@ -329,22 +329,11 @@ class ChainReport:
     budget_kr: float  # KR's outer nodes
     budget_kr_inner: float  # the inner sums of KR's mixture distances
     budget_quad: float
-    equality_atol: float  # rounding allowance of both steps' bounds
 
     @property
     def kr_budget(self) -> float:
         """KR's whole budget: its outer nodes and its inner sums."""
         return self.budget_kr + self.budget_kr_inner
-
-    def steps(self) -> tuple:
-        """The two steps as (statement, (lo, hi), bound): an estimate +- its budget
-        against the next term plus ``equality_atol``; the W2^2 step's estimate is
-        KR, which bounds W2^2 from above, and W2^2 >= 0 clips its lower edge."""
-        kr, quad = self.kr_budget + self.budget_quad, self.budget_quad
-        return (("W2^2 <= entropy RHS", (max(self.kr - kr, 0.0), self.kr + kr),
-                 self.rhs_entropy + self.equality_atol),
-                ("entropy RHS <= chi-square RHS", (self.rhs_entropy - quad, self.rhs_entropy + quad),
-                 self.rhs_chi2 + self.equality_atol))
 
 
 def _entropy_functional(model: DensityRatioModel, nodes: int) -> np.ndarray:
@@ -446,5 +435,4 @@ def talagrand_chain(model: DensityRatioModel) -> ChainReport:
         budget_kr=gh_budget(kr, kr_outer),
         budget_kr_inner=gh_budget(kr, kr_inner),
         budget_quad=gh_budget((rhs_entropy, rhs_chi2), coarse),
-        equality_atol=max(1e-10, 1e-8 * max(abs(kr), abs(rhs_entropy), abs(rhs_chi2))),
     )

@@ -10,14 +10,15 @@ with the log-correction constant r(n) = 1/(2(n^2-1)) - (1/2) log(1 + 1/(n^2-1)).
 The exponential moment of Q equals the chi-square-type second moment of the
 density ratio handled in :mod:`w2lab.densities`; this module evaluates the Q
 moments themselves, exactly, by one weighted sum over every ordered pair of
-support points of the sampler's finite law, and both sides of their closed-form
-bounds.
+support points of the sampler's finite law (:func:`estimate_q_moments`).  The
+moment lemma's closed-form right sides and rounding allowances are stated once,
+in :func:`w2lab.checks.check_q_moments`.
 
 Under the standing hypothesis n >= 5 beta^2 / sigma_min^2 the statistics obey
 |Q| <= 1 and |Q - Q_i| <= 1, which is what makes the later Taylor expansion
-of exp(Q) legitimate; both sides of the remainder inequality are evaluated
-here too.  These functions measure; the checkers in :mod:`w2lab.checks`
-decide pass or fail.
+of exp(Q) legitimate; both sides of the per-coordinate bound and of the
+remainder inequality are evaluated here too.  These functions measure and name
+no rule; the checkers in :mod:`w2lab.checks` decide pass or fail.
 """
 
 from __future__ import annotations
@@ -94,73 +95,35 @@ def support_pairs(s: BoundedSampler, n: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# Exact moments and bound suite
+# Exact moments
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundCheck:
-    """One moment rule: the measured lhs against its closed-form rhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
 class QMomentReport:
-    """Exact Q moments and their rules."""
+    """The exact moments the Q-moment lemma bounds, each over every ordered pair:
+    E Q_i, E Q_i Q_j, E (Q - Q_i) Q_i, E Q^2, and E Y_i^2 Y_j^2, which the
+    cross-moment bound's right side reads."""
 
-    n: int
-    dim: int
     e_qi: np.ndarray
     e_qiqj: np.ndarray
     e_qmqi_qi: np.ndarray
     e_q2: float
-    checks: tuple
+    e_yi2yj2: np.ndarray
 
 
 def estimate_q_moments(s: BoundedSampler, n: int) -> QMomentReport:
-    """Exact Q moments over :func:`support_pairs`, with the five rules' two sides.
-
-    The caller decides each rule.
-    """
+    """The exact Q moments over :func:`support_pairs`, under the standing hypothesis."""
     check_hypothesis(n, s.bound, s.cov)
     y, yp, w = support_pairs(s, n)
     qa = q_values(y, yp, s.cov, n)  # (pairs, d)
     q_tot = qa.sum(axis=1)
-    e_qi = w @ qa
     e_qiqj = (w[:, None] * qa).T @ qa
-    e_q2 = float(w @ q_tot**2)
-    e_qmqi_qi = (w * q_tot) @ qa - np.diag(e_qiqj)
-    e_yi2yj2 = (w[:, None] * y**2).T @ y**2
-
-    d = s.dim
-    n2m1 = float(n) * n - 1.0
-    var = s.cov.variances
-    # cross-moment bound, entrywise:
-    # E Q_i Q_j <= n^2/(n^2-1)^2 delta_ij + n^2 E Y_i^2 Y_j^2 / (2 s_i^2 s_j^2 (n^2-1)^2)
-    #              + 1/(2 (n^2-1)^2)
-    rhs_qiqj = (
-        (n * n) / n2m1**2 * np.eye(d)
-        + (n * n) * e_yi2yj2 / (2.0 * np.outer(var, var) * n2m1**2)
-        + 1.0 / (2.0 * n2m1**2)
-    )
-    checks = (
-        # mean identity: E Q_i = -1/(2(n^2-1)) - r(n)
-        BoundCheck("mean_identity",
-                   float(np.max(np.abs(e_qi - (-1.0 / (2.0 * n2m1) - r_of_n(n))))), 0.0),
-        BoundCheck("cross_moment", float(np.max(e_qiqj - rhs_qiqj)), 0.0),
-        # E Q_i^2 <= (2n^2 + n + 1) / (2 (n^2-1)^2)
-        BoundCheck("square_moment", float(np.max(np.diag(e_qiqj))),
-                   (2.0 * n * n + n + 1.0) / (2.0 * n2m1**2)),
-        # E (Q - Q_i) Q_i <= n k / (2 (n^2-1)^2)
-        BoundCheck("coupled_moment", float(np.max(e_qmqi_qi)), n * d / (2.0 * n2m1**2)),
-        # E Q^2 <= 2k / (n^2-1)
-        BoundCheck("total_square", e_q2, 2.0 * d / n2m1),
-    )
     return QMomentReport(
-        n=n, dim=d, e_qi=e_qi, e_qiqj=e_qiqj, e_qmqi_qi=e_qmqi_qi, e_q2=e_q2,
-        checks=checks,
+        e_qi=w @ qa,
+        e_qiqj=e_qiqj,
+        e_qmqi_qi=(w * q_tot) @ qa - np.diag(e_qiqj),
+        e_q2=float(w @ q_tot**2),
+        e_yi2yj2=(w[:, None] * y**2).T @ y**2,
     )
 
 

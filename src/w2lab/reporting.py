@@ -5,8 +5,9 @@ CSV tables, gnuplot data.
 leg; it lives here, beside its writers, so a run that records only
 experiment verdicts never loads the checker registry.  Every artifact embeds
 the config hash and root seed, never a timestamp, so repeated runs with the
-same seed are byte-identical.  JSON is written with sorted keys; floats
-serialize through repr (exact round-trip).
+same seed are byte-identical.  JSON is written strict, with sorted keys;
+finite floats serialize through repr (exact round-trip), and NaN and the
+infinities as ``null``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ class Verdict:
 
 
 def jsonable(obj):
-    """Recursively convert numpy/dataclass objects into JSON-safe values."""
+    """Recursively convert numpy/dataclass objects into JSON-safe values; JSON has
+    no NaN or infinity, so a non-finite float becomes None (``null``)."""
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -91,7 +95,7 @@ def _meta_lines(meta: dict) -> list[str]:
 def write_verdicts_json(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, sort_keys=True, indent=1)
+        json.dump(jsonable(payload), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 

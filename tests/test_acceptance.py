@@ -20,7 +20,6 @@ from w2lab import transport as tr
 from w2lab.checks import (
     L2_TABLES,
     REMAINDER_PAIRS,
-    _Q_EXACT_TOL,
     _q_zoo,
     chain_models_2d,
     check_chi2_identity,
@@ -118,10 +117,10 @@ def test_criterion_04_q_moment_suite():
         # the mean identity's record is max_i |E Q_i + 1/(2(n^2-1)) + r(n)|
         rules = ["exact mean identity", "cross_moment", "square_moment",
                  "coupled_moment", "total_square"]
-        assert _Q_EXACT_TOL["mean_identity"] <= 1e-12
         records = check_q_moments(job_rng("check:q-moments"))
         assert [v.case for v in records] == [f"{s.kind} d={s.dim} n={n} {rule}"
                                              for s, n in _q_zoo() for rule in rules]
+        assert all(v.rhs <= 1e-12 for v in records if v.case.endswith("exact mean identity"))
         assert all(v.verdict == "pass" for v in records)
 
 

@@ -106,16 +106,19 @@ def test_verdict_edges_are_floats_in_order():
 ])
 def test_chain_step_inconclusive_only_while_straddling(kr, budget_kr, verdict):
     rep = ChainReport(kr=kr, rhs_entropy=1.0, rhs_chi2=2.0, budget_kr=budget_kr,
-                      budget_kr_inner=0.0, budget_quad=0.1, equality_atol=0.0)
-    w2_step, quad_step = (checks.Verdict(*step) for step in rep.steps())
-    assert w2_step.case == "W2^2 <= entropy RHS" and w2_step.rhs == w2_step.rhs_hi == 1.0
+                      budget_kr_inner=0.0, budget_quad=0.1)
+    w2_step, quad_step = checks._chain_records("model", rep, {})
+    # each bound carries the rounding allowance max(1e-10, 1e-8 max|side|) = 2e-8
+    allow = 2e-8
+    assert w2_step.case == "model: W2^2 <= entropy RHS"
+    assert w2_step.rhs == w2_step.rhs_hi == 1.0 + allow
     # the KR and quadrature budgets both widen it, and W2^2 >= 0 clips its lower edge
     budget = budget_kr + 0.1
     assert (w2_step.lhs_lo, w2_step.lhs) == (max(kr - budget, 0.0), kr + budget)
     assert w2_step.verdict == verdict
     # the quadrature step does not depend on KR
-    assert quad_step.case == "entropy RHS <= chi-square RHS"
-    assert (quad_step.lhs_lo, quad_step.lhs, quad_step.rhs) == (0.9, 1.1, 2.0)
+    assert quad_step.case == "model: entropy RHS <= chi-square RHS"
+    assert (quad_step.lhs_lo, quad_step.lhs, quad_step.rhs) == (0.9, 1.1, 2.0 + allow)
     assert quad_step.verdict == "pass"
 
 
@@ -169,8 +172,46 @@ def test_q_moments_records_come_from_the_report():
     assert len(out) == 5 * len(checks._q_zoo())  # five exact rules per law, nothing sampled
     exact = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
     mean = out["rademacher_product d=1 n=10 exact mean identity"]
-    assert mean.lhs == exact.checks[0].lhs
+    # max_i |E Q_i - (-1/(2(n^2-1)) - r(n))| from the report's exact E Q_i
+    assert mean.lhs == np.max(np.abs(exact.e_qi - (-1.0 / (2.0 * 99.0) - qstats.r_of_n(10))))
     assert mean.rhs == 1e-12
+
+
+# each rule stated in checks on a report's measured side: its checker, the
+# measurement it reads and the report field, the end of its records' cases, and a
+# slack well above the rounding of the field's values
+MOVED_RULES = [
+    *((checks.check_q_moments, qstats, "estimate_q_moments", field, rule, 1e-16)
+      for field, rule in (("e_qi", "exact mean identity"), ("e_qiqj", "cross_moment"),
+                          ("e_qiqj", "square_moment"), ("e_qmqi_qi", "coupled_moment"),
+                          ("e_q2", "total_square"))),
+    (checks.check_talagrand_2d, densities, "talagrand_chain", "kr", "W2^2 <= entropy RHS", 1e-12),
+    (checks.check_talagrand_2d, densities, "talagrand_chain", "rhs_entropy",
+     "entropy RHS <= chi-square RHS", 1e-12),
+]
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["inside", "past"])
+@pytest.mark.parametrize("checker, module, measure, field, rule, slack", MOVED_RULES,
+                         ids=[rule for *_, rule, _ in MOVED_RULES])
+def test_moved_rules_fail_just_past_their_allowance(monkeypatch, checker, module, measure,
+                                                    field, rule, slack, past):
+    # the measured side moved by the record's margin (and its interval's width) plus
+    # or minus a slack: just inside the bound and its allowance the record passes,
+    # with the whole interval just past it the record fails
+    clean = [v for v in checker(None) if v.case.endswith(rule)]
+    assert clean and all(v.verdict == "pass" for v in clean)
+    exact, records = getattr(module, measure), iter(clean)
+
+    def moved(*args):
+        rep, v = exact(*args), next(records)
+        shift = v.margin + (v.lhs - v.lhs_lo) + slack if past else v.margin - slack
+        return replace(rep, **{field: getattr(rep, field) + shift})
+
+    monkeypatch.setattr(module, measure, moved)
+    out = [v for v in checker(None) if v.case.endswith(rule)]
+    assert [v.case for v in out] == [v.case for v in clean]
+    assert all(v.verdict == ("fail" if past else "pass") for v in out), out
 
 
 def test_lattice_floor_record_certifies_the_exact_floor(monkeypatch):

@@ -685,18 +685,57 @@ class TestMainEndToEnd:
             0.0, 2.0, 1.0, 1.0, -1.0, "inconclusive"]
 
     def test_unbounded_edges_are_written_as_null(self, tmp_path):
+        # and so is a NaN: on an edge, in the margin, the inputs or the fits
         j = JobResult(job_id="check:fake", anchor="anchor", verdicts=[
             Verdict("open above", (0.0, math.inf), 1.0),
             Verdict("open at both outer edges", (-math.inf, 0.5), (1.0, math.inf)),
-        ])
+            Verdict("a NaN grid point", np.float64(math.nan), 1.0, {"worst": np.float64(math.nan)}),
+        ], fits={"fake": {"slope": math.nan, "intercept": 0.5}})
         out = tmp_path / "o"
-        assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 0
+        # the NaN record fails
+        assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 1
         payload = json.loads((out / "verdicts.json").read_text(), parse_constant=refuse_constant)
         assert payload["schema_version"] == 7
         assert [[r[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")]
                 for r in payload["verdicts"]] == [
-            [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"]]
-        assert_verdicts_follow_the_rule(payload["verdicts"])
+            [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"],
+            [None, None, 1.0, 1.0, None, "fail"]]
+        assert payload["verdicts"][2]["inputs"] == {"worst": None}
+        assert payload["fits"] == {"fake": {"slope": None, "intercept": 0.5}}
+        assert payload["summary"] == {"pass": 1, "fail": 1, "inconclusive": 1}
+        # a null stands for an infinite edge in the rule, which a NaN is not
+        assert_verdicts_follow_the_rule(payload["verdicts"][:2])
+
+    @pytest.mark.parametrize("workers, jobs", [(64, 2), (2, 3)])
+    def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch, workers, jobs):
+        # the fork start method starts every worker at the first submit, so a pool
+        # larger than the job list forks idle processes.  A fake pool records its
+        # size and runs each job inline: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "run_job", lambda settings, j: JobResult(job_id=j, anchor="a"))
+        job_ids = [f"check:fake{i}" for i in reversed(range(jobs))]
+        results = cli.execute(dataclasses.replace(RunSettings(), workers=workers), job_ids)
+        assert sizes == [min(workers, jobs)]
+        assert [r.job_id for r in results] == sorted(job_ids)
 
     def test_one_sided_w2_records_read_inconclusive_when_the_floor_falls_short(
             self, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from w2lab import checks, densities, transport
-from w2lab.checks import Verdict, chain_models_2d
+from w2lab.checks import chain_models_2d
 from w2lab.experiments import DIAGONAL_FRAME
 from w2lab.gaussmath import GH_NODES_DEFAULT, CovarianceSpec, gh_budget, gh_grid, gh_nodes_weights
 from w2lab.densities import (
@@ -276,7 +276,7 @@ class TestSecondMoments:
 def chain_verdicts(rep):
     """The verdicts of the chain's two steps, W2^2 <= entropy RHS and entropy
     RHS <= chi-square RHS, as both chain checkers record them."""
-    return [Verdict(*step).verdict for step in rep.steps()]
+    return [v.verdict for v in checks._chain_records("model", rep, {})]
 
 
 def shifted(shift, sigma=1.0):
@@ -433,7 +433,7 @@ class TestChain2d:
         monkeypatch.setattr(densities, "w2_discrete_lp", refuse)
         monkeypatch.setattr(densities, "w2_atomic_1d", refuse)
         for name, model in chain_models_2d():
-            w2_step, chi2_step = (Verdict(*step) for step in talagrand_chain(model).steps())
+            w2_step, chi2_step = checks._chain_records(name, talagrand_chain(model), {})
             assert w2_step.verdict == chi2_step.verdict == "pass", name
             assert w2_step.margin > 0.5 * w2_step.rhs, name
 

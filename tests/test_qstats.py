@@ -23,11 +23,6 @@ from w2lab.samplers import (
     make_scaled_basis,
 )
 
-RULES = ["mean_identity", "cross_moment", "square_moment", "coupled_moment",
-         "total_square"]
-# the exact rules' rounding allowances: the mean identity is an equality
-EXACT_TOL = {"mean_identity": 1e-12, "cross_moment": 1e-15}
-
 
 class TestRofN:
     def test_n2_against_high_precision_oracle(self):
@@ -107,10 +102,17 @@ class TestMoments:
         assert rep.e_qi[0] == pytest.approx(-1.0 / 198.0 - r_of_n(10), abs=1e-12)
 
     def test_exact_bounds_pass(self):
+        # the five rules of the Q-moment lemma at k = 1, n = 10, with the mean
+        # identity's and the cross moment's rounding allowances
         rep = estimate_q_moments(make_rademacher_product(1, 1.0), 10)
-        assert [c.name for c in rep.checks] == RULES
-        for c in rep.checks:
-            assert c.lhs <= c.rhs + EXACT_TOL.get(c.name, 0.0), c
+        n, n2m1 = 10, 99.0
+        assert abs(rep.e_qi[0] - (-1.0 / (2.0 * n2m1) - r_of_n(n))) <= 1e-12
+        # X = +-1: E Y^4 = 1/n^2
+        assert rep.e_yi2yj2[0, 0] == pytest.approx(1.0 / n**2, rel=1e-15)
+        cross = n * n / n2m1**2 + n * n * rep.e_yi2yj2[0, 0] / (2.0 * n2m1**2) + 1.0 / (2.0 * n2m1**2)
+        assert rep.e_qiqj[0, 0] <= cross + 1e-15
+        assert rep.e_qiqj[0, 0] <= (2.0 * n * n + n + 1.0) / (2.0 * n2m1**2)
+        assert rep.e_qmqi_qi[0] <= n / (2.0 * n2m1**2)
         assert rep.e_q2 <= 2.0 / 99.0
 
     def test_exact_moments_match_pair_loop(self):
