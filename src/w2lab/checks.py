@@ -83,16 +83,19 @@ INCREMENT_NS = (20, 40, 80)
 FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
 # the random instances of the quadrature and lattice records, the metric's
-# random triples, the conditional-L2 tables (each at most L2_SIDE x L2_SIDE),
-# the remainder pairs and the chunk they are drawn in, and the largest n the
+# random triples, the conditional-L2 tables (each at most L2_SIDE x L2_SIDE)
+# and the block they are drawn and checked in, the remainder pairs, the chunk
+# they are drawn in and the slice it is checked in, and the largest n the
 # schedule replays
 GAUSS_QUAD_INSTANCES = 50
 LATTICE_INSTANCES = 2000
 METRIC_TRIPLES = 50
 L2_TABLES = 10**4
 L2_SIDE = 8
+L2_BLOCK = 1000
 REMAINDER_PAIRS = 10**6
 REMAINDER_CHUNK = 10**5
+REMAINDER_SLICE = 10**4
 SCHEDULE_N_MAX = 4096
 
 
@@ -445,13 +448,17 @@ def _flat_dirichlet_padded(sizes: np.ndarray, rng: np.random.Generator) -> np.nd
 
 def check_conditional_l2(rng: np.random.Generator):
     # each (na, nb) table sits in an L2_SIDE x L2_SIDE slot whose extra rows and
-    # columns carry zero mass, which adds nothing to either side
-    sizes = rng.integers(1, L2_SIDE + 1, size=(2, L2_TABLES))
-    f = rng.normal(size=(L2_TABLES, L2_SIDE, L2_SIDE))
-    f *= rng.uniform(0.2, 5.0, size=(L2_TABLES, 1, 1))
-    res = qs.conditional_l2_check(f, _flat_dirichlet_padded(sizes[0], rng),
-                                  _flat_dirichlet_padded(sizes[1], rng))
-    worst = float(np.max(res["rhs"] - res["lhs"]))
+    # columns carry zero mass, which adds nothing to either side; L2_BLOCK
+    # tables at a time, each block's sizes, tables, scales and laws drawn in turn
+    gaps = []
+    for _ in range(L2_TABLES // L2_BLOCK):
+        sizes = rng.integers(1, L2_SIDE + 1, size=(2, L2_BLOCK))
+        f = rng.normal(size=(L2_BLOCK, L2_SIDE, L2_SIDE))
+        f *= rng.uniform(0.2, 5.0, size=(L2_BLOCK, 1, 1))
+        res = qs.conditional_l2_check(f, _flat_dirichlet_padded(sizes[0], rng),
+                                      _flat_dirichlet_padded(sizes[1], rng))
+        gaps.append(np.max(res["rhs"] - res["lhs"]))
+    worst = float(np.max(gaps))
     const = qs.conditional_l2_check(np.full((3, 4), 2.5), np.full(3, 1 / 3), np.full(4, 0.25))
     eq_gap = abs(const["lhs"] - const["rhs"])
     return [
@@ -462,12 +469,14 @@ def check_conditional_l2(rng: np.random.Generator):
 
 
 def check_remainder(rng: np.random.Generator):
-    # one chunk's arrays at a time: all the pairs in one piece would lift the
-    # process's peak memory by about 45 MB
+    # one drawn chunk (1.6 MB) at a time, checked one slice at a time: checking
+    # a whole chunk at once lifts the checker's traced peak from 3.2 to 6.1 MiB
     excess = []
     for _ in range(REMAINDER_PAIRS // REMAINDER_CHUNK):
-        lhs, rhs = qs.remainder_difference_batch(*rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK)))
-        excess.append(np.max(lhs - rhs))
+        pairs = rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK))
+        for i in range(0, REMAINDER_CHUNK, REMAINDER_SLICE):
+            lhs, rhs = qs.remainder_difference_batch(*pairs[:, i:i + REMAINDER_SLICE])
+            excess.append(np.max(lhs - rhs))
     ex_lhs, ex_rhs = qs.remainder_difference_batch(1.0, 0.0)
     return [
         Verdict(f"zero violations over {REMAINDER_PAIRS} random pairs", np.max(excess), 1e-12),

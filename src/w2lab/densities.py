@@ -22,11 +22,12 @@ Every integral against rho or one of its marginals (second moments,
 normalization, the entropy and chi-square terms) is one
 :meth:`DensityRatioModel.gh_mean` on the model or a marginal: the tensor rule
 :func:`w2lab.gaussmath.gh_grid` over all of its nodes, on f evaluated once per
-model and node count (the mixture form keeps f finite at the outermost
-nodes).  Marginals are cached, so in d = 2 the entropy's k = 1 term and the
-chi-square term for i = 1 share one.  The sum is numpy's fixed-order pairwise
-one, not a BLAS dot, whose threaded reduction moves the last bits with the
-thread count: no value depends on the host's cores or ``OPENBLAS_NUM_THREADS``.
+model and node count, ``GRID_BLOCK`` points at a time (the mixture form
+keeps f finite at the outermost nodes).  Marginals are cached, so in d = 2
+the entropy's k = 1 term and the chi-square term for i = 1 share one.  The
+sum is numpy's fixed-order pairwise one, not a BLAS dot, whose threaded
+reduction moves the last bits with the thread count: no value depends on the
+host's cores or ``OPENBLAS_NUM_THREADS``.
 
 The chain report compares, for one model,
 
@@ -64,6 +65,10 @@ from .qstats import q_values, support_pairs
 from .transport import w2_gaussian_mixture_1d
 # perfbench/test_perfbench.py checks that its tracer rebinds these names here
 from .transport import w2_atomic_1d, w2_discrete_lp  # noqa: F401
+
+# points per block when f is evaluated on a quadrature grid
+GRID_BLOCK = 4096
+
 
 def _mixture_eval(
     pts: np.ndarray,
@@ -213,10 +218,15 @@ class DensityRatioModel(_RatioBase):
     def _f_on_grid(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """(weights, f at the points) of the full rule ``gh_grid(cov, nodes)``,
         evaluated once per model and node count and shared, so both arrays are
-        read-only, as :func:`w2lab.gaussmath.gh_nodes_weights`'s are."""
+        read-only, as :func:`w2lab.gaussmath.gh_nodes_weights`'s are.  f is
+        evaluated ``GRID_BLOCK`` points at a time, so the (points, atoms)
+        exponent stays that small; each point's value does not depend on its
+        block."""
         if nodes not in self._grid_f:
             pts, wts = gh_grid(self.cov, nodes=nodes)
-            vals = self.f(pts)
+            vals = np.empty(len(pts))
+            for i in range(0, len(pts), GRID_BLOCK):
+                vals[i:i + GRID_BLOCK] = self.f(pts[i:i + GRID_BLOCK])
             for a in (wts, vals):
                 a.setflags(write=False)
             self._grid_f[nodes] = (wts, vals)

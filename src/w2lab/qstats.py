@@ -131,14 +131,16 @@ def estimate_q_moments(s: BoundedSampler, n: int) -> QMomentReport:
 # Elementary inequality checkers
 # ---------------------------------------------------------------------------
 
-def _expect(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j p[..., j] x[..., j], one term at a time, left to right.
+def _expect(p: np.ndarray, x: np.ndarray, g=None) -> np.ndarray:
+    """sum_j p[..., j] g(x[..., j]) (g the identity if None), one term at a
+    time, left to right.
 
     A zero-mass term then leaves every partial sum bitwise unchanged, so a
     table padded with zero-mass rows and columns averages exactly as the
-    table itself, and no product of a law with a table is built.
+    table itself.  The terms are built one slice of x at a time, so neither
+    a product of a law with a table nor g of the whole table is built.
     """
-    return sum(p[..., j] * x[..., j] for j in range(p.shape[-1]))
+    return sum(p[..., j] * (x[..., j] if g is None else g(x[..., j])) for j in range(p.shape[-1]))
 
 
 def conditional_l2_check(
@@ -163,8 +165,8 @@ def conditional_l2_check(
     f_b = _expect(p_b[..., None, :], f)  # function of a
     f_a = _expect(p_a[..., None, :], np.swapaxes(f, -1, -2))  # function of b
     e_f = _expect(p_a, f_b)
-    e_f2 = _expect(p_a, _expect(p_b[..., None, :], f * f))
-    rhs = _expect(p_b, f_a**2) + _expect(p_a, f_b**2)
+    e_f2 = _expect(p_a, _expect(p_b[..., None, :], f, np.square))
+    rhs = _expect(p_b, f_a, np.square) + _expect(p_a, f_b, np.square)
     lhs = e_f2 + e_f**2
     return {"lhs": lhs, "rhs": rhs}
 

@@ -87,10 +87,12 @@ from .samplers import check_masses
 
 EXACT_CAP_DEFAULT = 5000
 BRUTEFORCE_CAP = 8  # m! pairings: 40320 at the cap
-# rows of the cost matrix per block when the squared norms are added in, and
-# values per list handed to math.fsum: the scratch each path allocates
+# rows of the cost matrix per block when the squared norms are added in,
+# values per list handed to math.fsum, and mass rows per block of the mixture
+# distance: the scratch each path allocates
 _COST_ROW_BLOCK = 256
 _FSUM_CHUNK = 65536
+MIXTURE_ROW_BLOCK = 16
 # column generation in w2_discrete_lp: nearest targets seeded per source,
 # HiGHS feasibility tolerances, and the reduced cost below which a pair enters
 LP_SEED_NEIGHBOURS = 16
@@ -309,7 +311,10 @@ def w2_gaussian_mixture_1d(
     ``probs`` may be a stack of mass rows (R, J) over the same atoms: the
     result is then the (R,) array of the rows' distances.  Each row passes
     :func:`w2lab.samplers.check_masses`: a NaN or negative mass, or a row
-    whose sum is off 1 by more than 1e-9, raises ``ValueError``.
+    whose sum is off 1 by more than 1e-9, raises ``ValueError``.  The rows
+    are taken ``MIXTURE_ROW_BLOCK`` at a time, so each (rows, J, ``nodes``)
+    temporary stays that small whatever R is; a row's distance does not
+    depend on the block it sits in.
 
     Ref: Villani, *Optimal Transport: Old and New* (2009), ch. 1.
     """
@@ -319,11 +324,16 @@ def w2_gaussian_mixture_1d(
     t, w = gh_nodes_weights(nodes)
     x = a[:, None] + sd_mix * t  # (J, T): the nodes of each component
     u = (x - a[:, None, None]) / sd_mix  # (I, J, T): (x_j - a_i) / sd_mix
-    below, above = (np.einsum("ri,ijt->rjt", rows, phi) for phi in norm_cdf(np.stack([u, -u])))
-    lower = below <= 0.5  # F(x) <= 1/2: its own tail, else the upper one
-    q = norm_ppf(np.where(lower, below, np.minimum(above, 0.5)))
-    q = np.clip(np.where(lower, q, -q), (x - a.max()) / sd_mix, (x - a.min()) / sd_mix)
-    w2 = np.sqrt(np.sum(rows * ((x - sd_ref * q) ** 2 @ w), axis=1))
+    phis = norm_cdf(np.stack([u, -u]))
+    bracket = (x - a.max()) / sd_mix, (x - a.min()) / sd_mix
+    w2 = np.empty(len(rows))
+    for r in range(0, len(rows), MIXTURE_ROW_BLOCK):
+        block = rows[r:r + MIXTURE_ROW_BLOCK]
+        below, above = (np.einsum("ri,ijt->rjt", block, phi) for phi in phis)
+        lower = below <= 0.5  # F(x) <= 1/2: its own tail, else the upper one
+        q = norm_ppf(np.where(lower, below, np.minimum(above, 0.5)))
+        q = np.clip(np.where(lower, q, -q), *bracket)
+        w2[r:r + MIXTURE_ROW_BLOCK] = np.sqrt(np.sum(block * ((x - sd_ref * q) ** 2 @ w), axis=1))
     return float(w2[0]) if p.ndim == 1 else w2
 
 

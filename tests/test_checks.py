@@ -10,10 +10,12 @@ from scipy.special import ndtr
 
 from w2lab import checks, densities, experiments, qstats
 from w2lab.checks import _tensor_gh_quadratic
+from w2lab.config import DEFAULT_SEED
 from w2lab.densities import ChainReport
 from w2lab.gaussmath import CovarianceSpec, gh_nodes_weights, norm_cdf
 from w2lab.qstats import estimate_q_moments
 from w2lab.samplers import make_rademacher_product, make_scaled_basis
+from w2lab.seeding import rng_for
 
 
 def _outer_tensor_sum(a, b, v, cov, nodes=200):
@@ -43,6 +45,45 @@ def test_every_checker_takes_only_its_generator():
     for entry in checks.REGISTRY:
         assert list(inspect.signature(entry.runner).parameters) == ["rng"], entry.checker_id
     assert not hasattr(checks, "CheckSuiteConfig") and not hasattr(checks, "CHAIN_RADIUS")
+
+
+@pytest.mark.parametrize("entry", checks.REGISTRY, ids=lambda entry: entry.checker_id)
+def test_every_checker_working_set_is_capped(entry, peak_bytes):
+    # stacks of instances are drawn and checked in blocks, so no checker
+    # holds more than 4 MiB at once on its job's generator
+    rng = rng_for(DEFAULT_SEED, *f"check:{entry.checker_id}".encode())
+    assert peak_bytes(entry.runner, rng) <= 4 * 2**20
+
+
+def test_conditional_l2_checks_every_table_once(monkeypatch):
+    stacks, inner = [], qstats.conditional_l2_check
+
+    def recorded(f, p_a, p_b):
+        stacks.append(np.shape(f)[:-2])
+        return inner(f, p_a, p_b)
+
+    monkeypatch.setattr(qstats, "conditional_l2_check", recorded)
+    records = checks.check_conditional_l2(np.random.default_rng(3))
+    assert stacks == [(checks.L2_BLOCK,)] * (checks.L2_TABLES // checks.L2_BLOCK) + [()]
+    assert all(v.verdict == "pass" for v in records)
+
+
+def test_remainder_record_is_the_worst_over_whole_chunks(monkeypatch):
+    # the same chunks from a twin generator, each checked in one piece; the
+    # checker's slices cover every pair once, and the endpoint example
+    rng, twin = (rng_for(DEFAULT_SEED, *b"check:exp-remainder") for _ in range(2))
+    worst = max(np.max(np.subtract(*qstats.remainder_difference_batch(
+        *twin.uniform(-1, 1, size=(2, checks.REMAINDER_CHUNK)))))
+        for _ in range(checks.REMAINDER_PAIRS // checks.REMAINDER_CHUNK))
+    sizes, inner = [], qstats.remainder_difference_batch
+
+    def recorded(a, b):
+        sizes.append(np.size(a))
+        return inner(a, b)
+
+    monkeypatch.setattr(qstats, "remainder_difference_batch", recorded)
+    assert checks.check_remainder(rng)[0].lhs == worst
+    assert sum(sizes) == checks.REMAINDER_PAIRS + 1
 
 
 INF, NAN = math.inf, math.nan

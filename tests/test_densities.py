@@ -103,6 +103,33 @@ def checked_models():
             + [DensityRatioModel(s, n) for s, n in checks._q_zoo() if s.dim <= 2])
 
 
+def evaluated_points(monkeypatch):
+    """Record the 2-d points at which f is evaluated, per model: a dict from the
+    id of the model's atom array to (that array, cov, [point blocks]).  Holding
+    the array keeps a later model from reusing its id."""
+    seen = {}
+    inner = densities._mixture_eval
+
+    def recorded(pts, ys, probs, cov, c):
+        if pts.shape[1] == 2:
+            seen.setdefault(id(ys), (ys, cov, []))[2].append(pts.copy())
+        return inner(pts, ys, probs, cov, c)
+
+    monkeypatch.setattr(densities, "_mixture_eval", recorded)
+    return seen
+
+
+def assert_each_grid_point_once(cov, blocks):
+    """The evaluated points are the 200- and 100-node grids, each point once."""
+    def rows_sorted(pts):
+        return pts[np.lexsort(pts.T[::-1])]
+
+    grids = [gh_grid(cov, nodes)[0] for nodes in (GH_NODES_DEFAULT, GH_NODES_DEFAULT // 2)]
+    got = np.concatenate(blocks)
+    assert len(got) == GH_NODES_DEFAULT**2 + (GH_NODES_DEFAULT // 2) ** 2
+    assert np.array_equal(rows_sorted(got), rows_sorted(np.concatenate(grids)))
+
+
 def count_grid_evals(monkeypatch, dim=2):
     """Count _mixture_eval calls on the full ``dim``-dimensional rule at either node count."""
     calls = []
@@ -128,21 +155,36 @@ class TestGridEvaluation:
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
     def test_chain_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
-        # once at each node count, shared by the entropy and chi-square terms
-        calls = count_grid_evals(monkeypatch)
+        # each grid point once at each node count, shared by the entropy and
+        # chi-square terms, however the grid is split into blocks
+        seen = evaluated_points(monkeypatch)
         for name, model in chain_models_2d():
-            del calls[:]
+            seen.clear()
             talagrand_chain(model)
-            assert sorted(calls) == [(GH_NODES_DEFAULT // 2) ** 2, GH_NODES_DEFAULT**2], name
+            assert list(seen) == [id(model._ys)], name
+            assert_each_grid_point_once(model.cov, seen[id(model._ys)][2])
 
     def test_chi2_identity_evaluates_the_full_grid_twice_per_model(self, monkeypatch):
-        # E f^2 at both node counts and E f at the finer one share two evaluations
-        calls = count_grid_evals(monkeypatch)
+        # E f^2 at both node counts and E f at the finer one share one
+        # evaluation of each grid point per node count
+        seen = evaluated_points(monkeypatch)
         records = checks.check_chi2_identity(None)
         assert all(v.verdict == "pass" for v in records)
-        laws_2d = sum(s.dim == 2 for s, _ in checks._q_zoo())
-        assert sorted(calls) == ([(GH_NODES_DEFAULT // 2) ** 2] * laws_2d
-                                 + [GH_NODES_DEFAULT**2] * laws_2d)
+        assert len(seen) == sum(s.dim == 2 for s, _ in checks._q_zoo())
+        for _, cov, blocks in seen.values():
+            assert_each_grid_point_once(cov, blocks)
+
+    def test_blocked_grid_values_equal_one_whole_grid_call_bitwise(self, rng):
+        # the 200-node grid spans several blocks; a 9-atom mixture too
+        models = [model for model in checked_models() if model.dim == 2] + [
+            DensityRatioModel.mixture(0.3 * rng.normal(size=(9, 2)), rng.dirichlet(np.ones(9)),
+                                      CovarianceSpec([1.5, 0.7]), 0.8)]
+        for model in models:
+            pts, wts = gh_grid(model.cov, GH_NODES_DEFAULT)
+            assert len(pts) > 2 * densities.GRID_BLOCK
+            whole = densities._mixture_eval(pts, model._ys, model._probs, model.cov, model._c)
+            memo_wts, memo_f = model._f_on_grid(GH_NODES_DEFAULT)
+            assert np.array_equal(memo_f, whole) and np.array_equal(memo_wts, wts)
 
     def test_chain_shares_each_1d_marginal(self, monkeypatch):
         # the entropy's k = 1 term and the chi-square term for i = 1 both read

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from w2lab.checks import REMAINDER_CHUNK, REMAINDER_SLICE
 from w2lab.gaussmath import CovarianceSpec, DimensionMismatchError
 from w2lab.qstats import (
     HypothesisError,
@@ -201,6 +202,20 @@ class TestConditionalL2:
         assert np.array_equal(grid["lhs"].ravel(), res["lhs"])
         assert np.array_equal(grid["rhs"].ravel(), res["rhs"])
 
+    def test_sides_equal_the_whole_table_squares_bitwise(self, rng):
+        # the reference squares whole tables before averaging them, as written
+        # before the squares moved term by term into the averages
+        def expect(p, x):
+            return sum(p[..., j] * x[..., j] for j in range(p.shape[-1]))
+
+        _, f, p_a, p_b = self._padded_stack(rng)
+        f_b = expect(p_b[..., None, :], f)
+        f_a = expect(p_a[..., None, :], np.swapaxes(f, -1, -2))
+        lhs = expect(p_a, expect(p_b[..., None, :], f * f)) + expect(p_a, f_b) ** 2
+        rhs = expect(p_b, f_a**2) + expect(p_a, f_b**2)
+        res = conditional_l2_check(f, p_a, p_b)
+        assert np.array_equal(res["lhs"], lhs) and np.array_equal(res["rhs"], rhs)
+
     @pytest.mark.parametrize("name", ["p_a", "p_b"])
     @pytest.mark.parametrize("bad", [np.array([0.6, 0.6, 0, 0, 0, 0, 0, 0]),
                                      np.array([-0.5, 1.5, 0, 0, 0, 0, 0, 0])],
@@ -247,6 +262,22 @@ class TestRemainder:
         b = rng.uniform(-1, 1, size=10**5)
         lhs, rhs = remainder_difference_batch(a, b)
         assert float(np.max(lhs - rhs)) <= 1e-12
+
+    def test_slices_equal_the_whole_chunk_bitwise(self, rng):
+        # a chunk drawn as the checker draws it, checked in its slices, against
+        # the bound's expression on the whole chunk at once
+        def whole(a, b):
+            r_a, r_b = (np.exp(t) - 1.0 - t - 0.5 * t**2 for t in (a, b))
+            return np.abs(r_a - r_b), np.abs(a - b) * (1.5 * a**2 + (a - b) ** 2)
+
+        a, b = rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK))
+        lhs, rhs = whole(a, b)
+        sliced = [remainder_difference_batch(a[i:i + REMAINDER_SLICE], b[i:i + REMAINDER_SLICE])
+                  for i in range(0, REMAINDER_CHUNK, REMAINDER_SLICE)]
+        assert np.array_equal(np.concatenate([s[0] for s in sliced]), lhs)
+        assert np.array_equal(np.concatenate([s[1] for s in sliced]), rhs)
+        assert np.max([np.max(s[0] - s[1]) for s in sliced]) == np.max(lhs - rhs)
+        assert remainder_difference_batch(1.0, 0.0) == whole(np.asarray(1.0), np.asarray(0.0))
 
     @given(st.floats(-1, 1), st.floats(-1, 1))
     def test_property(self, a, b):

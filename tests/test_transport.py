@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,9 +9,11 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import ndtri
 
 from w2lab import bounds, checks, densities, transport
+from w2lab.gaussmath import gh_nodes_weights, norm_cdf, norm_ppf
 from w2lab.samplers import make_scaled_basis
 from w2lab.transport import (
     EXACT_CAP_DEFAULT,
+    MIXTURE_ROW_BLOCK,
     EmpiricalMeasure,
     SinkhornConvergenceError,
     SolverCapacityError,
@@ -219,6 +220,46 @@ class TestGaussianMixture1d:
         assert stacked[0] == pytest.approx(math.hypot(0.5, 0.5), rel=1e-12)
         assert type(w2_gaussian_mixture_1d(atoms, rows[1], 1.5, 2.0)) is float
 
+    @staticmethod
+    def _whole_stack(atoms, rows, sd_mix, sd_ref, nodes=200):
+        """The distances of a stack of mass rows as written before the rows were
+        blocked, every (R, J, T) array built at once: the reference."""
+        a = np.asarray(atoms, dtype=float)
+        t, w = gh_nodes_weights(nodes)
+        x = a[:, None] + sd_mix * t
+        u = (x - a[:, None, None]) / sd_mix
+        below, above = (np.einsum("ri,ijt->rjt", rows, phi) for phi in norm_cdf(np.stack([u, -u])))
+        lower = below <= 0.5
+        q = norm_ppf(np.where(lower, below, np.minimum(above, 0.5)))
+        q = np.clip(np.where(lower, q, -q), (x - a.max()) / sd_mix, (x - a.min()) / sd_mix)
+        return np.sqrt(np.sum(rows * ((x - sd_ref * q) ** 2 @ w), axis=1))
+
+    @pytest.mark.parametrize("count", [3 * MIXTURE_ROW_BLOCK + 5, MIXTURE_ROW_BLOCK + 1,
+                                       MIXTURE_ROW_BLOCK, 1])
+    def test_blocked_rows_equal_the_whole_stack_bitwise(self, rng, count):
+        # several full blocks and a partial one, a one-row last block, one full
+        # block, one row; a far atom and zero masses included
+        atoms = np.array([-1.0, 0.5, 3.0, 40.0])
+        rows = rng.dirichlet(np.ones(4), size=count)
+        rows[0] = [0.3, 0.0, 0.7, 0.0]
+        got = w2_gaussian_mixture_1d(atoms, rows, 1.5, 2.0)
+        assert got.shape == (count,)
+        assert np.array_equal(got, self._whole_stack(atoms, rows, 1.5, 2.0))
+        assert np.array_equal(w2_gaussian_mixture_1d(atoms, rows, 1.5, 2.0, nodes=100),
+                              self._whole_stack(atoms, rows, 1.5, 2.0, nodes=100))
+
+    def test_chain_calls_equal_the_whole_stack_bitwise(self, monkeypatch):
+        calls = _chain_and_increment_calls(monkeypatch)
+        assert max(len(np.atleast_2d(args[1])) for args in calls) > MIXTURE_ROW_BLOCK
+        for atoms, probs, sd_mix, sd_ref, *nodes in calls:
+            rows = np.atleast_2d(probs)
+            got = np.atleast_1d(w2_gaussian_mixture_1d(atoms, probs, sd_mix, sd_ref, *nodes))
+            assert np.array_equal(got, self._whole_stack(atoms, rows, sd_mix, sd_ref, *nodes))
+
+    def test_zero_rows_give_an_empty_stack(self):
+        got = w2_gaussian_mixture_1d([0.0, 1.0], np.zeros((0, 2)), 1.0, 1.0)
+        assert got.shape == (0,)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match=r"^probs row 1 must be finite, nonnegative and sum to 1 within 1e-09: min -0\.25,"):
             w2_gaussian_mixture_1d([0.0, 1.0], [[0.5, 0.5], [1.25, -0.25]], 1.0, 1.0)
@@ -267,16 +308,6 @@ def _reference_pair_cost(x, y):
     xx = np.sum(x**2, axis=1)
     yy = np.sum(y**2, axis=1)
     return np.maximum(xx[:, None] + yy[None, :] - 2.0 * (x @ y.T), 0.0)
-
-
-def _peak_bytes(fn, *args):
-    """Peak traced allocation while ``fn(*args)`` runs (numpy buffers included)."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestAtomsGaussian1d:
@@ -371,19 +402,19 @@ class TestBitIdentity:
 class TestMemory:
     """Peak allocations of the large-array paths (tracemalloc sees numpy buffers)."""
 
-    def test_pair_cost_holds_one_matrix(self, rng):
+    def test_pair_cost_holds_one_matrix(self, rng, peak_bytes):
         m = 2000
         x = rng.normal(size=(m, 2))
         y = rng.normal(size=(m, 2))
-        assert _peak_bytes(transport._pair_cost, x, y) <= 1.25 * 8 * m * m
+        assert peak_bytes(transport._pair_cost, x, y) <= 1.25 * 8 * m * m
 
-    def test_quantile_streams_the_sum(self, rng):
+    def test_quantile_streams_the_sum(self, rng, peak_bytes):
         m = 10**6
         xs = rng.normal(size=m)
         ys = rng.normal(size=m)
         # one chunk list: a pointer and a float object per value
         chunk = transport._FSUM_CHUNK * (8 + (1.0).__sizeof__())
-        assert _peak_bytes(w2_quantile_1d, xs, ys) <= 3 * 8 * m + chunk
+        assert peak_bytes(w2_quantile_1d, xs, ys) <= 3 * 8 * m + chunk
 
 
 class TestSinkhorn:
