@@ -21,15 +21,14 @@ seed paths, so a job's numbers depend on the root seed and its id alone,
 never on the worker count, the job order or which other jobs run.  An
 experiment leg draws nothing and gets none, so ``rate``, ``lower`` and ``ci``
 never load ``numpy.random``.  The experiment records are
-stated here, as ``Verdict(case, lhs, rhs)``: a window around a centre as
-``(|x - centre|, half-width)``, a side resting on W2(S_n, Z), known only from
-below by the lattice floor, with an infinite edge.  Every leg's config
+stated here, as ``Verdict(case, lhs, rhs)`` with both sides exact points; a
+window around a centre is ``(|x - centre|, half-width)``.  Every leg's config
 requires the exact law of S_n, so every record rests on the exact W2: each
-rate leg gets the slope window, and each lower leg the cross-check of the
-floor against the exact W2.  A record depends on the leg's config, never on
-its name.  Each job states its anchor once (a checker's ``REGISTRY`` entry,
-or one constant per experiment kind here) and stamps it, with its checker
-id, on every record.
+rate leg gets the slope window, each lower leg the cross-check of the floor
+against the exact W2, and each ci leg the conversion bound at the exact W2.
+A record depends on the leg's config, never on its name.  Each job states
+its anchor once (a checker's ``REGISTRY`` entry, or one constant per
+experiment kind here) and stamps it, with its checker id, on every record.
 
 Artifacts land in the output directory: ``verdicts.json`` (strict JSON, every
 non-finite number as ``null``), plus for the experiments ``tables/*.csv`` and
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -156,7 +154,7 @@ def _lower_job(settings: RunSettings, leg: str) -> JobResult:
     job = JobResult(job_id=f"lower:{leg}", anchor=LOWER_ANCHOR, meta=_leg_meta(cfg))
     last = rep.points[-1]
     job.verdicts.append(Verdict("sqrt(n) x exact lattice floor at the largest n reaches the target",
-                                rep.target, (last.sqrtn_floor, math.inf), {"n": last.n}))
+                                rep.target, last.sqrtn_floor, {"n": last.n}))
     worst = np.max([p.sqrtn_floor - p.sqrtn_bound for p in rep.points])
     job.verdicts.append(Verdict("exact lattice floor below the rate bound at every grid point",
                                 worst, 0.0, {"n_grid": list(cfg.n_grid)}))
@@ -174,10 +172,9 @@ def _ci_job(settings: RunSettings, leg: str) -> JobResult:
     cfg = getattr(settings, f"ci_{leg}")
     rep = ci_halfspace_experiment(cfg)
     job = JobResult(job_id=f"ci:{leg}", anchor=CI_ANCHOR, meta=_leg_meta(cfg))
-    # W2 >= floor: delta's excess over the bound at W2 is at most its excess at the floor
     worst = np.max([p.delta - p.conversion_rhs for p in rep.points])
     job.verdicts.append(Verdict("exact delta below the conversion bound at every grid point",
-                                (-math.inf, worst), 0.0, {"n_grid": list(cfg.n_grid)}))
+                                worst, 0.0, {"n_grid": list(cfg.n_grid)}))
     job.verdicts.append(Verdict(f"log delta decay slope at most {CI_DECAY_SLOPE_MAX}",
                                 rep.decay_slope, CI_DECAY_SLOPE_MAX))
     job.fits[f"ci_{leg}"] = {"decay_slope": rep.decay_slope}

@@ -2,8 +2,8 @@
 
 Every experiment rests on the exact law of S_n, so none draws: each takes
 its leg's dataclass config alone, and a report is bit-identical across runs
-and across worker counts.  The lattice floor, on which the lower and ci
-verdicts rest, is exact; so is the halfspace statistic, read off the exact
+and across worker counts.  The lattice floor of the lower verdicts is
+exact; so are the ci legs' W2 and halfspace statistic, read off the exact
 law of S_n along a fixed direction family, which the ``halfspace-exact`` checker
 (:mod:`w2lab.checks`) certifies against enumeration.
 Experiments return plain report dataclasses; the verdicts and the tables
@@ -25,8 +25,8 @@ share a law, and the two equal coordinates of the 45-degree frame, reuse
 them, and the same ``np.convolve`` calls run in the same order, so every
 value is bitwise the uncached one.  A config builds its sampler once
 (``law``) and checks at construction everything that depends on it alone
-(the n grid, the exact law, the lower and ci legs' lattice support), so a
-bad config fails before any compute.
+(the n grid, the exact law, the lower legs' lattice support, the ci legs'
+halfspace walks), so a bad config fails before any compute.
 """
 
 from __future__ import annotations
@@ -403,9 +403,8 @@ def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
 class HalfspacePoint:
     n: int
     delta: float  # the exact halfspace statistic of S_n
-    w2_hat: float  # the exact W2(S_n, Z), reported, never asserted
-    floor: float  # the exact lattice floor, a lower bound on W2(S_n, Z)
-    conversion_rhs: float  # 5 d^{1/6} floor^{2/3}
+    w2_hat: float  # the exact W2(S_n, Z)
+    conversion_rhs: float  # 5 d^{1/6} w2_hat^{2/3}
 
 
 @dataclass(frozen=True)
@@ -414,7 +413,13 @@ class HalfspaceConfig(_ExperimentLeg):
     n_grid: tuple[int, ...] = N_GRID_DEFAULT
 
     def __post_init__(self):
-        require_lattice_support(self._check_leg())
+        self._check_leg()
+        self.walks  # a law with a direction that is no lattice walk fails here
+
+    @functools.cached_property
+    def walks(self) -> tuple:
+        """The law's :func:`halfspace_walks`."""
+        return halfspace_walks(self.law)
 
 
 @dataclass(frozen=True)
@@ -442,16 +447,10 @@ def walk_gap(walk: LatticeWalk, n: int) -> float:
     return float(max(np.max(np.abs(cdf - gauss)), np.max(np.abs(left - gauss))))
 
 
-def halfspace_distance(s: BoundedSampler, n: int) -> float:
-    """Exact sup over the family's halfspaces of |P(S_n in A) - P(Z in A)|.
-
-    Along each direction a of the family {e_i} and {e_i +- e_j : i < j} (d^2
-    members, in the canonical sorted frame), <S_n, a> is the sum of the walk
-    <X, a> (:func:`_walks`): a :func:`walk_gap` against <Z, a> ~ N(0, a^T Sigma
-    a).  Equal walks are computed once.  Any finite law whose directions are
-    lattice walks serves; a direction that is none raises, naming the law.  A
-    restricted supremum: a lower bound on the full convex-set distance.
-    """
+def halfspace_walks(s: BoundedSampler) -> tuple:
+    """The distinct walks <X, a> (:func:`_walks`) along the halfspace family's d^2
+    directions a, {e_i} and {e_i +- e_j : i < j} in the canonical sorted frame;
+    a direction that is no lattice walk raises, naming the law."""
     eye = np.eye(s.dim)
     dirs = np.array([*eye, *(eye[i] + sign * eye[j] for i in range(s.dim)
                              for j in range(i + 1, s.dim) for sign in (1.0, -1.0))])
@@ -459,25 +458,28 @@ def halfspace_distance(s: BoundedSampler, n: int) -> float:
     if any(w is None for w in walks):
         raise ValueError(f"sampler {s.kind}(dim={s.dim}) has a halfspace direction that is "
                          f"no lattice walk of at most {WALK_SPAN_CAP} steps")
-    return float(np.max([walk_gap(walk, n) for walk in dict.fromkeys(walks)]))
+    return tuple(dict.fromkeys(walks))
+
+
+def halfspace_distance(walks: tuple, n: int) -> float:
+    """Exact sup over the family's halfspaces of |P(S_n in A) - P(Z in A)|: the
+    largest :func:`walk_gap` of a law's :func:`halfspace_walks`.  A restricted
+    supremum: a lower bound on the full convex-set distance."""
+    return float(np.max([walk_gap(walk, n) for walk in walks]))
 
 
 def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
     """Measure the halfspace distance and the conversion bound along the n grid.
 
-    Both sides are exact: :func:`halfspace_distance`, and the conversion bound
-    at the exact lattice floor of S_n (the config checks the sampler's lattice
-    support), which lies below W2(S_n, Z), so a pass is certified.  The
-    reported W2 column is exact.
+    Both sides are exact: :func:`halfspace_distance` on the config's walks, and
+    the conversion bound at the exact W2(S_n, Z).
     """
-    s = cfg.law
     points = []
     for n in cfg.n_grid:
-        floor = expected_lattice_distance(s.cov, s.bound / math.sqrt(n))
-        points.append(HalfspacePoint(
-            n=n, delta=halfspace_distance(s, n), w2_hat=exact_w2_of_sum(cfg.factors, n),
-            floor=floor, conversion_rhs=conversion_bound(s.dim, floor)))
-    fit = _loglog_fit([p.n for p in points], [max(p.delta, 1e-12) for p in points])
+        w2 = exact_w2_of_sum(cfg.factors, n)
+        points.append(HalfspacePoint(n=n, delta=halfspace_distance(cfg.walks, n), w2_hat=w2,
+                                     conversion_rhs=conversion_bound(cfg.law.dim, w2)))
+    fit = _loglog_fit([p.n for p in points], [p.delta for p in points])
     return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)
 
 

@@ -21,8 +21,14 @@ default).  The rules come from ``numpy.polynomial.hermite_e.hermegauss``:
 the nodes are the eigenvalues of the probabilists' Hermite Jacobi matrix
 (Golub & Welsch, *Calculation of Gauss quadrature rules*, Math. Comp. 23
 (1969) 221-230), refined by one Newton step, so no SciPy module is loaded;
-:func:`gh_nodes_weights` caches each rule.  Every Gauss-Hermite value a
-verdict rests on gets the one error budget :func:`gh_budget`.
+:func:`gh_nodes_weights` caches each rule.  The Gauss-Hermite values that
+carry an error are budgeted by the one rule :func:`gh_budget`: the
+transportation chain's sides, the increment step's W2 and the marginal
+W2^2 of ``talagrand-2d``.  Others carry no budget and are compared with a
+fixed tolerance: ``gauss-quad-expectation``'s tensor sums against their
+closed form, ``chi2-identity``'s E f^2 and normalization records (with its
+own record that 200 and 100 nodes agree to 1e-8 relative) and
+``averaged-identity``'s quadrature oracle.
 """
 
 from __future__ import annotations

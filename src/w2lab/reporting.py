@@ -7,7 +7,7 @@ experiment verdicts never loads the checker registry.  Every artifact embeds
 the config hash and root seed, never a timestamp, so repeated runs with the
 same seed are byte-identical.  JSON is written strict, with sorted keys;
 finite floats serialize through repr (exact round-trip), and NaN and the
-infinities as ``null``.
+infinities as ``null``; a record's edge is ``null`` only when it fails.
 """
 
 from __future__ import annotations
@@ -22,19 +22,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """One checked statement instance ``lhs <= rhs``, each side a point or a
-    ``(lo, hi)`` interval known to hold it (an unknown end is an infinite edge).
+    """One checked statement instance ``lhs <= rhs``, each side an exact point
+    or a ``(lo, hi)`` interval from an estimate and its quadrature budget.
 
     It keeps the left side's upper edge as ``lhs`` and the right side's lower
     edge as ``rhs`` (``margin`` is rhs - lhs), the others as ``lhs_lo`` and
     ``rhs_hi``.  The one rule: pass when lhs <= rhs, else inconclusive when
-    lhs_lo <= rhs_hi, else fail; a NaN on any edge fails.  The job that records
-    it supplies its checker id and anchor.
+    lhs_lo <= rhs_hi, else fail; a non-finite edge (NaN or infinite) fails.
+    The job that records it supplies its checker id and anchor.
     """
 
     case: str
@@ -58,7 +58,7 @@ class Verdict:
 
     @property
     def verdict(self) -> str:  # "pass" | "fail" | "inconclusive"
-        if any(math.isnan(e) for e in (self.lhs_lo, self.lhs, self.rhs, self.rhs_hi)):
+        if not all(math.isfinite(e) for e in (self.lhs_lo, self.lhs, self.rhs, self.rhs_hi)):
             return "fail"
         if self.lhs <= self.rhs:
             return "pass"

@@ -256,3 +256,6 @@ def test_criterion_11_determinism(tmp_path):
         payload = json.loads(ref["verdicts.json"].decode())
         assert payload["root_seed"] == 7
         assert payload["summary"]["fail"] == 0
+        # every record's four edges are finite: no side is left unbounded
+        assert all(r[edge] is not None for r in payload["verdicts"]
+                   for edge in ("lhs_lo", "lhs", "rhs", "rhs_hi"))

@@ -68,6 +68,34 @@ def test_conditional_l2_checks_every_table_once(monkeypatch):
     assert all(v.verdict == "pass" for v in records)
 
 
+def test_conditional_l2_closest_table_is_the_worst_proper_gap():
+    # the same draws from a twin generator, each block's tables checked at once;
+    # a table's size read off its laws' positive masses
+    rng, twin = (rng_for(DEFAULT_SEED, *b"check:conditional-l2") for _ in range(2))
+    records = checks.check_conditional_l2(rng)
+    gaps, eq_gaps = [], []
+    for _ in range(checks.L2_TABLES // checks.L2_BLOCK):
+        sizes = twin.integers(1, checks.L2_SIDE + 1, size=(2, checks.L2_BLOCK))
+        f = twin.normal(size=(checks.L2_BLOCK, checks.L2_SIDE, checks.L2_SIDE))
+        f *= twin.uniform(0.2, 5.0, size=(checks.L2_BLOCK, 1, 1))
+        p_a, p_b = (checks._flat_dirichlet_padded(k, twin) for k in sizes)
+        res = qstats.conditional_l2_check(f, p_a, p_b)
+        proper = (np.count_nonzero(p_a, axis=1) >= 2) & (np.count_nonzero(p_b, axis=1) >= 2)
+        gaps += list((res["rhs"] - res["lhs"])[proper])
+        eq_gaps += list((res["rhs"] - res["lhs"])[~proper])
+    assert [v.case for v in records] == [
+        f"zero violations over {checks.L2_TABLES} random tables",
+        "zero violations over the random tables with at least 2 rows and 2 columns",
+        "constant table is the equality case"]
+    closest = records[1]
+    assert closest.lhs == max(gaps) < 0
+    assert closest.inputs == {"tables": len(gaps), "equality_tables": len(eq_gaps),
+                              "equality_max_abs_gap": max(map(abs, eq_gaps))}
+    assert len(gaps) + len(eq_gaps) == checks.L2_TABLES
+    # the equality tables hold record 0 at exactly 0
+    assert records[0].lhs == max(eq_gaps) == 0.0
+
+
 def test_remainder_record_is_the_worst_over_whole_chunks(monkeypatch):
     # the same chunks from a twin generator, each checked in one piece; the
     # checker's slices cover every pair once, and the endpoint example
@@ -91,7 +119,9 @@ INF, NAN = math.inf, math.nan
 
 @pytest.mark.parametrize("lhs,rhs,verdict", [
     (1.0, 2.0, "pass"), (2.0, 2.0, "pass"), (2.0, 1.0, "fail"),
-    (NAN, 1.0, "fail"), (0.0, NAN, "fail"), (-INF, 0.0, "pass"),
+    (NAN, 1.0, "fail"), (0.0, NAN, "fail"),
+    # an infinite point is no bound: it fails on either side
+    (1.0, INF, "fail"), (-INF, 0.0, "fail"), (INF, 1.0, "fail"), (0.0, -INF, "fail"),
 ])
 def test_verdict_is_lhs_at_most_rhs(lhs, rhs, verdict):
     # a point on both sides is both edges of its side
@@ -111,13 +141,12 @@ def test_verdict_is_lhs_at_most_rhs(lhs, rhs, verdict):
     (2.0, (2.0, 3.0), "pass"), (2.0, (1.0, 3.0), "inconclusive"),
     (2.0, (1.0, 2.0), "inconclusive"), (2.0, (0.5, 1.5), "fail"),
     ((1.0, 2.0), (1.5, 3.0), "inconclusive"), ((2.5, 3.0), (1.0, 2.0), "fail"),
-    # unbounded edges: a side unknown from above cannot pass, one unknown from
-    # the far side cannot fail, and the infinite edges compare as infinities
-    ((0.0, INF), 1.0, "inconclusive"), ((2.0, INF), 1.0, "fail"),
-    ((-INF, 2.0), 1.0, "inconclusive"), ((-INF, 0.5), 1.0, "pass"),
-    (2.0, (1.0, INF), "inconclusive"), (0.5, (1.0, INF), "pass"),
-    (2.0, (-INF, 1.0), "fail"), ((-INF, INF), (-INF, INF), "inconclusive"),
-    # a NaN on any of the four edges fails
+    # an infinite edge fails, on any of the four edges, whatever the others say
+    ((0.0, INF), 1.0, "fail"), ((2.0, INF), 1.0, "fail"),
+    ((-INF, 2.0), 1.0, "fail"), ((-INF, 0.5), 1.0, "fail"),
+    (2.0, (1.0, INF), "fail"), (0.5, (1.0, INF), "fail"),
+    (2.0, (-INF, 1.0), "fail"), ((-INF, INF), (-INF, INF), "fail"),
+    # and so does a NaN
     ((NAN, 0.0), 1.0, "fail"), ((0.0, NAN), 1.0, "fail"),
     (0.0, (NAN, 1.0), "fail"), (0.0, (1.0, NAN), "fail"),
     ((NAN, 0.0), (1.0, INF), "fail"), ((-INF, 0.0), (1.0, NAN), "fail"),

@@ -32,8 +32,7 @@ ACCEPTED_KEYS = {
 }
 
 
-# the infinity a null edge stands for, by key
-UNBOUNDED = {"lhs_lo": -math.inf, "lhs": math.inf, "rhs": -math.inf, "rhs_hi": math.inf}
+EDGES = ("lhs_lo", "lhs", "rhs", "rhs_hi")
 
 
 def refuse_constant(name):
@@ -41,12 +40,18 @@ def refuse_constant(name):
 
 
 def assert_verdicts_follow_the_rule(records):
-    """Every record's margin is rhs - lhs, and its verdict is the one rule on its
-    four edges: pass when lhs <= rhs, else inconclusive when lhs_lo <= rhs_hi."""
+    """Every record's verdict is the one rule on its four edges: a null (non-finite)
+    edge fails; else pass when lhs <= rhs, inconclusive when lhs_lo <= rhs_hi,
+    fail otherwise.  Its margin is rhs - lhs, null where that is not finite."""
     for r in records:
-        lhs_lo, lhs, rhs, rhs_hi = (UNBOUNDED[k] if r[k] is None else r[k] for k in UNBOUNDED)
-        margin = rhs - lhs
-        assert r["margin"] == (None if math.isinf(margin) else margin), r
+        if None in (r["lhs"], r["rhs"]):
+            assert r["margin"] is None, r
+        else:
+            assert r["margin"] == r["rhs"] - r["lhs"], r
+        if None in (r[k] for k in EDGES):
+            assert r["verdict"] == "fail", r
+            continue
+        lhs_lo, lhs, rhs, rhs_hi = (r[k] for k in EDGES)
         rule = "pass" if lhs <= rhs else "inconclusive" if lhs_lo <= rhs_hi else "fail"
         assert r["verdict"] == rule, r
 
@@ -330,7 +335,7 @@ n_grid = 16 64
 TABLE_HEADERS = {
     **{f"rate_{leg}": "n,w2_hat,bound" for leg in ("d1", "d2")},
     **{f"lower_{leg}": "n,ell_n,sqrtn_w2_hat,sqrtn_floor,sqrtn_bound" for leg in ("d1", "d2")},
-    **{f"ci_{leg}": "n,delta,w2_hat,floor,conversion_rhs" for leg in ("d1", "d2")},
+    **{f"ci_{leg}": "n,delta,w2_hat,conversion_rhs" for leg in ("d1", "d2")},
 }
 PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
               for kind, suffixes in (("rate", ("", "_bound")), ("lower", ("_floor", "_w2")),
@@ -427,10 +432,13 @@ class TestMainEndToEnd:
         # corners (+-1, +-1) are finite but not in beta Z^2 = sqrt(2) Z^2
         ("lower", "[lower_d2]\nsampler = rademacher_product\n",
          "[lower_d2]: sampler kind='rademacher_product' support is not contained in beta*Z^d"),
-        # the ci conversion bound is evaluated at the lattice floor, as the lower legs
-        # are: corners (+-sqrt 2, +-sqrt 2) are not in 2 Z^2
-        ("ci", "[ci_d2]\nsampler = rademacher_product\n",
-         "[ci_d2]: sampler kind='rademacher_product' support is not contained in beta*Z^d"),
+        # the ci legs read the halfspace walks at load: the product law (+-1, +-sqrt 2)
+        # has an exact W2, but its diagonal directions are on no lattice
+        ("ci", "[ci_d2]\nsampler = lattice_custom\nscale = 1\n"
+               "outcomes = 1 1.4142135623730951 | 1 -1.4142135623730951 | "
+               "-1 1.4142135623730951 | -1 -1.4142135623730951\nprobs = 0.25 0.25 0.25 0.25\n",
+         "[ci_d2]: sampler lattice_custom(dim=2) has a halfspace direction that is no lattice "
+         "walk of at most 16 steps"),
         ("lower", "[lower_d1]\nsampler = lattice_custom\ndim = 1\n"
                   "outcomes = -2 | 1\nprobs = 0.3333333333333333 0.6666666666666667\n",
          "[lower_d1]: sampler kind='lattice_custom' support is not contained in beta*Z^d"),
@@ -684,27 +692,27 @@ class TestMainEndToEnd:
         assert [rec[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")] == [
             0.0, 2.0, 1.0, 1.0, -1.0, "inconclusive"]
 
-    def test_unbounded_edges_are_written_as_null(self, tmp_path):
-        # and so is a NaN: on an edge, in the margin, the inputs or the fits
+    def test_non_finite_edges_are_written_as_null_and_fail(self, tmp_path):
+        # an infinity and a NaN alike: on an edge, in the margin, the inputs or the fits
         j = JobResult(job_id="check:fake", anchor="anchor", verdicts=[
             Verdict("open above", (0.0, math.inf), 1.0),
             Verdict("open at both outer edges", (-math.inf, 0.5), (1.0, math.inf)),
             Verdict("a NaN grid point", np.float64(math.nan), 1.0, {"worst": np.float64(math.nan)}),
+            Verdict("finite", 0.5, 1.0),
         ], fits={"fake": {"slope": math.nan, "intercept": 0.5}})
         out = tmp_path / "o"
-        # the NaN record fails
         assert emit(dataclasses.replace(RunSettings(), out_dir=str(out)), [j], verbose=0) == 1
         payload = json.loads((out / "verdicts.json").read_text(), parse_constant=refuse_constant)
-        assert payload["schema_version"] == 7
+        assert payload["schema_version"] == 8
         assert [[r[k] for k in ("lhs_lo", "lhs", "rhs", "rhs_hi", "margin", "verdict")]
                 for r in payload["verdicts"]] == [
-            [0.0, None, 1.0, 1.0, None, "inconclusive"], [None, 0.5, 1.0, None, 0.5, "pass"],
-            [None, None, 1.0, 1.0, None, "fail"]]
+            [0.0, None, 1.0, 1.0, None, "fail"], [None, 0.5, 1.0, None, 0.5, "fail"],
+            [None, None, 1.0, 1.0, None, "fail"], [0.5, 0.5, 1.0, 1.0, 0.5, "pass"]]
         assert payload["verdicts"][2]["inputs"] == {"worst": None}
         assert payload["fits"] == {"fake": {"slope": None, "intercept": 0.5}}
-        assert payload["summary"] == {"pass": 1, "fail": 1, "inconclusive": 1}
-        # a null stands for an infinite edge in the rule, which a NaN is not
-        assert_verdicts_follow_the_rule(payload["verdicts"][:2])
+        assert payload["summary"] == {"pass": 1, "fail": 3, "inconclusive": 0}
+        # a null edge is a failing one: the file's verdicts follow from its edges
+        assert_verdicts_follow_the_rule(payload["verdicts"])
 
     @pytest.mark.parametrize("workers, jobs", [(64, 2), (2, 3)])
     def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch, workers, jobs):
@@ -737,10 +745,10 @@ class TestMainEndToEnd:
         assert sizes == [min(workers, jobs)]
         assert [r.job_id for r in results] == sorted(job_ids)
 
-    def test_one_sided_w2_records_read_inconclusive_when_the_floor_falls_short(
+    def test_lower_target_and_ci_conversion_records_fail_when_they_fall_short(
             self, tmp_path, monkeypatch):
-        # W2(S_n, Z) is known only from below, by the lattice floor: a floor short of
-        # the lower target, or a conversion bound at the floor below delta, refutes nothing
+        # both sides are exact points: a floor short of the lower target, or a
+        # conversion bound at the exact W2 below delta, fails its record
         p = tmp_path / "tiny.ini"
         p.write_text(TINY_EXPERIMENTS)
         settings = load_settings(str(p))
@@ -760,9 +768,24 @@ class TestMainEndToEnd:
         below = cli.run_job(settings, "ci:d1").verdicts[0]
         assert reach.case == "sqrt(n) x exact lattice floor at the largest n reaches the target"
         assert below.case == "exact delta below the conversion bound at every grid point"
-        assert reach.lhs > reach.rhs and below.lhs > below.rhs  # the floor falls short
-        assert (reach.rhs_hi, below.lhs_lo) == (math.inf, -math.inf)
-        assert reach.verdict == below.verdict == "inconclusive"
+        assert (reach.lhs_lo, reach.lhs, reach.rhs) == (10.0, 10.0, reach.rhs_hi)
+        assert (below.lhs_lo, below.rhs, below.rhs_hi) == (below.lhs, 0.0, 0.0)
+        assert reach.lhs > reach.rhs and below.lhs > below.rhs
+        assert reach.verdict == below.verdict == "fail"
+
+    def test_ci_leg_on_a_product_law_off_beta_z_d_passes(self, tmp_path):
+        # rademacher_product(2, sqrt 2) is off beta Z^2 = 2 Z^2, which the ci legs do
+        # not require: its halfspace directions are lattice walks
+        p = tmp_path / "ci.ini"
+        p.write_text("[ci_d2]\nsampler = rademacher_product\nn_grid = 16 64 256\n")
+        out = tmp_path / "out"
+        assert cli.main(["ci", "--config", str(p), "--out", str(out)]) == 0
+        records = json.loads((out / "verdicts.json").read_text(),
+                             parse_constant=refuse_constant)["verdicts"]
+        ci_d2 = [r for r in records if r["job"] == "ci:d2"]
+        assert len(ci_d2) == 2 and all(r["verdict"] == "pass" for r in ci_d2)
+        assert "# sampler=rademacher_product(dim=2,scale=1.4142135623730951)" in (
+            out / "tables" / "ci_d2.csv").read_text()
 
 
 class TestExactLegs:

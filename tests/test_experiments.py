@@ -24,6 +24,7 @@ from w2lab.experiments import (
     exact_w2_of_sum,
     expected_lattice_distance,
     halfspace_distance,
+    halfspace_walks,
     lattice_factors,
     lattice_lower_experiment,
     main_rate_bound,
@@ -46,6 +47,13 @@ RADEMACHER_1D = SamplerSpec("rademacher_product", 1, 1.0)
 IRRATIONAL_1D = SamplerSpec(
     "lattice_custom", 1, outcomes=((-1.0,), (0.0,), (2.0**0.5,)),
     probs=(0.2 * 2.0**0.5, 0.8 - 0.2 * 2.0**0.5, 0.2),
+)
+
+# the product law (+-1, +-sqrt 2), equal masses: exact W2 in the canonical frame,
+# but its diagonal walks (values +-1 +- sqrt 2) lie on no lattice
+PRODUCT_OFF_LATTICE = SamplerSpec(
+    "lattice_custom", 2, outcomes=tuple((a, b) for a in (-1.0, 1.0) for b in (-2.0**0.5, 2.0**0.5)),
+    probs=(0.25,) * 4,
 )
 
 
@@ -314,13 +322,13 @@ class TestHalfspace:
                     g = ndtr(t / sd)
                     brute = max(brute, abs(mass[proj <= t + 1e-12].sum() - g),
                                 abs(mass[proj < t - 1e-12].sum() - g))
-            assert halfspace_distance(s, n) == pytest.approx(brute, abs=1e-14)
+            assert halfspace_distance(halfspace_walks(s), n) == pytest.approx(brute, abs=1e-14)
 
     def test_rademacher_sup_is_half_the_central_atom(self):
         s = RADEMACHER_1D.build()
         for n in (16, 256, 4096):
             half_atom = math.comb(n, n // 2) / 2**n / 2
-            assert halfspace_distance(s, n) == pytest.approx(half_atom, abs=1e-14)
+            assert halfspace_distance(halfspace_walks(s), n) == pytest.approx(half_atom, abs=1e-14)
 
     def test_ci_delta_at_4096_matches_a_40_digit_reference(self):
         # the exact law's delta is within 8e-14 relative of the 40-digit value: the
@@ -343,20 +351,20 @@ class TestHalfspace:
             return math.nan if len(calls) == 2 else exact(walk, n)
 
         monkeypatch.setattr(experiments, "walk_gap", nan_second)
-        assert math.isnan(halfspace_distance(make_scaled_basis(2, math.sqrt(2.0)), 4))
+        walks = halfspace_walks(make_scaled_basis(2, math.sqrt(2.0)))
+        assert math.isnan(halfspace_distance(walks, 4))
         assert len(calls) == 2 and calls[0] != calls[1]
 
     def test_needs_no_lattice_support(self):
         # rademacher_product(2, 1) is off beta Z^2 (beta = sqrt 2), and its statistic
-        # is the Rademacher walk's: along e_i, and, doubled and lazy, along e_1 +- e_2
-        s = SamplerSpec("rademacher_product", 2, 1.0).build()
+        # is the Rademacher walk's: along e_i, and, doubled and lazy, along e_1 +- e_2.
+        # The ci leg takes it: it reads the walks, and the bound at the exact W2
+        cfg = HalfspaceConfig(sampler=SamplerSpec("rademacher_product", 2, 1.0))
+        walks = (LatticeWalk(-1.0, 2.0, (0.5, 0.5), 1.0),
+                 LatticeWalk(-2.0, 2.0, (0.25, 0.5, 0.25), math.sqrt(2.0)))
+        assert cfg.walks == halfspace_walks(cfg.law) == walks
         for n in (1, 16, 256):
-            assert halfspace_distance(s, n) == max(
-                walk_gap(LatticeWalk(-1.0, 2.0, (0.5, 0.5), 1.0), n),
-                walk_gap(LatticeWalk(-2.0, 2.0, (0.25, 0.5, 0.25), math.sqrt(2.0)), n))
-        # the ci leg's lattice floor still needs beta Z^d
-        with pytest.raises(ValueError, match=r"beta\*Z\^d"):
-            HalfspaceConfig(sampler=SamplerSpec("rademacher_product", 2, 1.0))
+            assert halfspace_distance(cfg.walks, n) == max(walk_gap(w, n) for w in walks)
 
     def test_a_direction_past_the_span_cap_raises_naming_the_law(self):
         # three points 1 and 16 steps apart span 17 steps, one more than a walk may;
@@ -367,7 +375,7 @@ class TestHalfspace:
             with pytest.raises(ValueError, match=r"lattice_custom\(dim=1\) has a halfspace "
                                                  r"direction that is no lattice walk of at most "
                                                  f"{WALK_SPAN_CAP} steps"):
-                halfspace_distance(spec.build(), 4)
+                halfspace_walks(spec.build())
 
     def test_experiment_small(self):
         cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
@@ -375,10 +383,11 @@ class TestHalfspace:
         assert rep.decay_slope == pytest.approx(-0.5, abs=0.01)
         for p in rep.points:
             assert p.delta <= p.conversion_rhs
-            # the bound is evaluated at the exact lattice floor, never at W2
-            assert p.floor == expected_lattice_distance(CovarianceSpec([1.0]), 1.0 / math.sqrt(p.n))
-            assert p.conversion_rhs == conversion_bound(1, p.floor)
-            assert p.floor < p.w2_hat
+            # the bound is evaluated at the exact W2, which lies above the lattice floor
+            assert p.w2_hat == exact_w2_of_sum(cfg.factors, p.n)
+            assert p.conversion_rhs == conversion_bound(1, p.w2_hat)
+            floor = expected_lattice_distance(CovarianceSpec([1.0]), 1.0 / math.sqrt(p.n))
+            assert conversion_bound(1, floor) < p.conversion_rhs
 
     def test_w2_column_is_the_exact_law(self):
         cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5), n_grid=(16, 64))
@@ -394,6 +403,9 @@ class TestHalfspace:
             experiments.N_GRID_DEFAULT)
         with pytest.raises(ValueError, match=r"scaled_basis\(dim=3\) has no exact law"):
             HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 3, 1.0))
+        # a product of lattice walks whose diagonal <X, e_1 + e_2> is on no lattice
+        with pytest.raises(ValueError, match=r"lattice_custom\(dim=2\) has a halfspace direction"):
+            HalfspaceConfig(sampler=PRODUCT_OFF_LATTICE)
 
 
 class TestBentkus:

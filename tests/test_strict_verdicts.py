@@ -1,8 +1,10 @@
 """CI's gate on verdicts.json: ``.github/scripts/strict_verdicts.py``.
 
 The script refuses a file holding a NaN or an infinity, a record whose verdict
-is not ``pass``, or a summary counting a fail or an inconclusive record, and
-exits 1 when any named file is refused.  It is loaded by path, as it runs in CI.
+is not ``pass``, a record whose stored verdict or margin is not the one its
+four edges give (a ``null`` edge fails), or a summary counting a fail or an
+inconclusive record, and exits 1 when any named file is refused.  It is loaded
+by path, as it runs in CI.
 """
 
 import importlib.util
@@ -27,9 +29,12 @@ def _load_script():
 strict_verdicts = _load_script()
 
 
-def record(index, verdict="pass", lhs=0.5):
+def record(index, verdict="pass", lhs=0.5, lhs_lo=None, margin="rhs - lhs"):
+    """A record of a point lhs (unless ``lhs_lo`` widens it) against rhs 1.0."""
+    rhs = 1.0
     return {"job": "check:fake", "index": index, "case": f"case {index}", "lhs": lhs,
-            "rhs": 1.0, "verdict": verdict}
+            "lhs_lo": lhs if lhs_lo is None else lhs_lo, "rhs": rhs, "rhs_hi": rhs,
+            "margin": rhs - lhs if margin == "rhs - lhs" else margin, "verdict": verdict}
 
 
 def verdicts_file(tmp_path, records, summary=None, name="verdicts.json"):
@@ -56,7 +61,7 @@ def test_a_non_finite_number_is_refused(tmp_path, value, constant):
 
 def test_a_failed_record_under_a_clean_summary_is_refused(tmp_path):
     clean = {"pass": 2, "fail": 0, "inconclusive": 0}
-    path = verdicts_file(tmp_path, [record(0), record(1, "fail")], summary=clean)
+    path = verdicts_file(tmp_path, [record(0), record(1, "fail", lhs=1.5)], summary=clean)
     assert strict_verdicts.faults(path) == ["check:fake record 1 is fail: case 1"]
 
 
@@ -67,11 +72,27 @@ def test_an_inconclusive_count_in_the_summary_is_refused(tmp_path):
     assert strict_verdicts.faults(path) == [f"summary {summary}"]
 
 
+@pytest.mark.parametrize("bad, fault", [
+    (record(1, lhs=1.5), "is stored pass but its edges give fail"),
+    # a null edge is a non-finite one, which fails
+    (record(1) | {"lhs_lo": None}, "is stored pass but its edges give fail"),
+    (record(1, "inconclusive", lhs=1.5, lhs_lo=1.2),
+     "is stored inconclusive but its edges give fail"),
+    (record(1, margin=0.25), "has margin 0.25 but its edges give 0.5"),
+], ids=["lhs-above-rhs", "null-edge", "overlap-claimed", "margin"])
+def test_a_record_its_edges_contradict_is_refused(tmp_path, bad, fault):
+    # under a clean summary: the stored verdict is not taken on trust
+    clean = {"pass": 2, "fail": 0, "inconclusive": 0}
+    path = verdicts_file(tmp_path, [record(0), bad], summary=clean)
+    assert strict_verdicts.faults(path) == [f"check:fake record 1 {fault}: case 1"]
+
+
 @pytest.mark.parametrize("refused, status", [(False, 0), (True, 1)])
 def test_exit_status_names_each_refused_file(tmp_path, refused, status):
     paths = [verdicts_file(tmp_path, [record(0)], name="good.json")]
     if refused:
-        paths.append(verdicts_file(tmp_path, [record(0, "inconclusive", lhs=1.5)], name="bad.json"))
+        paths.append(verdicts_file(tmp_path, [record(0, "inconclusive", lhs=1.5, lhs_lo=0.5)],
+                                   name="bad.json"))
     proc = subprocess.run([sys.executable, SCRIPT, *paths], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == status, proc.stderr
