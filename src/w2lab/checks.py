@@ -15,7 +15,9 @@ perfbench's pin (ROADMAP item 1).  No checker loads SciPy.  Checkers are
 pure functions of their generator: a checker that draws draws only from the
 generator its job passes in (:func:`w2lab.cli.run_job` keys it by the job
 id), so the registry can be executed in any order, in parallel, with
-bit-identical results.  Every checker size is a constant of this module.
+bit-identical results.  Every checker size is a constant of this module, and
+a checker draws exactly the instances it checks, each in the shape it is
+checked in: no padding, and no coordinate or pair left unused.
 
 Each checker states its records as ``Verdict(case, lhs, rhs)``.  The library
 functions it calls return measured quantities only, and name no rule: a
@@ -84,18 +86,15 @@ INCREMENT_NS = (20, 40, 80)
 FLOOR_SERIES_TERMS = 20
 HALFSPACE_SHIFT = 0.5
 # the random instances of the quadrature and lattice records, the metric's
-# random triples, the conditional-L2 tables (each at most L2_SIDE x L2_SIDE)
-# and the block they are drawn and checked in, the remainder pairs, the chunk
-# they are drawn in and the slice it is checked in, and the largest n the
-# schedule replays
+# random triples, the conditional-L2 tables (each at most L2_SIDE x L2_SIDE),
+# the remainder pairs and the slice they are drawn and checked in, and the
+# largest n the schedule replays
 GAUSS_QUAD_INSTANCES = 50
 LATTICE_INSTANCES = 2000
 METRIC_TRIPLES = 50
 L2_TABLES = 10**4
 L2_SIDE = 8
-L2_BLOCK = 1000
 REMAINDER_PAIRS = 10**6
-REMAINDER_CHUNK = 10**5
 REMAINDER_SLICE = 10**4
 SCHEDULE_N_MAX = 4096
 
@@ -285,13 +284,14 @@ def _poisson_floor_sq(cov: CovarianceSpec, spacing: float) -> float:
 
 
 def check_lattice_distance(rng: np.random.Generator):
-    # every instance draws three coordinates and uses its first d
+    # each instance's dimension and spacing, then each drawn dimension's
+    # points, d coordinates each
     dims = rng.integers(1, 4, size=LATTICE_INSTANCES)
     ells = rng.uniform(0.3, 2.5, size=(LATTICE_INSTANCES, 1))
-    xs = rng.uniform(-3, 3, size=(LATTICE_INSTANCES, 3))
     errs, cell_excess = [], []
     for d in np.flatnonzero(np.bincount(dims)):  # the drawn dims, ascending
-        x, ell = xs[dims == d, :d], ells[dims == d]
+        ell = ells[dims == d]
+        x = rng.uniform(-3, 3, size=(len(ell), d))
         fast = lattice_distance(x, ell)
         offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij"), -1).reshape(-1, d)
         near = (ell * np.round(x / ell))[:, None, :] + ell[:, None] * offs - x[:, None, :]
@@ -436,56 +436,49 @@ def check_averaged_identity(rng: np.random.Generator):
     return out
 
 
-def _flat_dirichlet_padded(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One flat Dirichlet law on ``sizes[t]`` coordinates per row, zero past them.
-
-    A flat Dirichlet on L2_SIDE coordinates, restricted to its first k and
-    renormalised, is the flat Dirichlet on k.
-    """
-    p = rng.dirichlet(np.ones(L2_SIDE), size=len(sizes))
-    p = np.where(np.arange(L2_SIDE) < sizes[:, None], p, 0.0)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def check_conditional_l2(rng: np.random.Generator):
-    # each (na, nb) table sits in an L2_SIDE x L2_SIDE slot whose extra rows and
-    # columns carry zero mass, which adds nothing to either side; L2_BLOCK
-    # tables at a time, each block's sizes, tables, scales and laws drawn in turn.
-    # A table with one row or one column is an equality case, whose gap rounds to
-    # exactly 0, so the closest approach is read over the others apart
-    gaps, proper = [], []
-    for _ in range(L2_TABLES // L2_BLOCK):
-        sizes = rng.integers(1, L2_SIDE + 1, size=(2, L2_BLOCK))
-        f = rng.normal(size=(L2_BLOCK, L2_SIDE, L2_SIDE))
-        f *= rng.uniform(0.2, 5.0, size=(L2_BLOCK, 1, 1))
-        res = qs.conditional_l2_check(f, _flat_dirichlet_padded(sizes[0], rng),
-                                      _flat_dirichlet_padded(sizes[1], rng))
-        gaps.append(res["rhs"] - res["lhs"])
-        proper.append(np.all(sizes >= 2, axis=0))
-    gaps, proper = np.concatenate(gaps), np.concatenate(proper)
-    worst, closest = float(np.max(gaps)), float(np.max(gaps[proper]))
+    # each table's shape (na, nb) is uniform on {1, ..., L2_SIDE}^2: the shapes'
+    # counts are drawn first, then each drawn shape's tables as one stack, with
+    # their scales and two flat Dirichlet laws.  Each law is divided by its sum:
+    # numpy scales by the sum's reciprocal, which can leave a one-point law at
+    # 1 - 1 ulp.  A table with one row or one column is then an equality case,
+    # whose gap is exactly 0, so the closest approach is read over the others apart
+    counts = rng.multinomial(L2_TABLES, np.full(L2_SIDE**2, L2_SIDE**-2.0))
+    worst, closest, eq_gaps, proper = [], [], [], 0
+    for (a, b), count in np.ndenumerate(counts.reshape(L2_SIDE, L2_SIDE)):
+        if not count:  # np.max of an empty stack raises
+            continue
+        na, nb = a + 1, b + 1
+        f = rng.normal(size=(count, na, nb)) * rng.uniform(0.2, 5.0, size=(count, 1, 1))
+        p_a, p_b = (p / p.sum(-1, keepdims=True)
+                    for p in [rng.dirichlet(np.ones(k), size=count) for k in (na, nb)])
+        res = qs.conditional_l2_check(f, p_a, p_b)
+        gaps = res["rhs"] - res["lhs"]
+        worst.append(np.max(gaps))
+        if na >= 2 and nb >= 2:
+            closest.append(worst[-1])
+            proper += int(count)
+        else:
+            eq_gaps.append(np.max(np.abs(gaps)))
+    worst, closest = float(np.max(worst)), float(np.max(closest))
     const = qs.conditional_l2_check(np.full((3, 4), 2.5), np.full(3, 1 / 3), np.full(4, 0.25))
     eq_gap = abs(const["lhs"] - const["rhs"])
     return [
         Verdict(f"zero violations over {L2_TABLES} random tables",
                 worst, 1e-12, {"worst_gap": worst}),
         Verdict("zero violations over the random tables with at least 2 rows and 2 columns",
-                closest, 1e-12, {"tables": int(np.sum(proper)),
-                                 "equality_tables": int(np.sum(~proper)),
-                                 "equality_max_abs_gap": float(np.max(np.abs(gaps[~proper])))}),
+                closest, 1e-12, {"tables": proper, "equality_tables": L2_TABLES - proper,
+                                 "equality_max_abs_gap": float(np.max(eq_gaps))}),
         Verdict("constant table is the equality case", eq_gap, 1e-12),
     ]
 
 
 def check_remainder(rng: np.random.Generator):
-    # one drawn chunk (1.6 MB) at a time, checked one slice at a time: checking
-    # a whole chunk at once lifts the checker's traced peak from 3.2 to 6.1 MiB
+    # one (2, REMAINDER_SLICE) slice drawn and checked at a time
     excess = []
-    for _ in range(REMAINDER_PAIRS // REMAINDER_CHUNK):
-        pairs = rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK))
-        for i in range(0, REMAINDER_CHUNK, REMAINDER_SLICE):
-            lhs, rhs = qs.remainder_difference_batch(*pairs[:, i:i + REMAINDER_SLICE])
-            excess.append(np.max(lhs - rhs))
+    for _ in range(REMAINDER_PAIRS // REMAINDER_SLICE):
+        lhs, rhs = qs.remainder_difference_batch(*rng.uniform(-1, 1, size=(2, REMAINDER_SLICE)))
+        excess.append(np.max(lhs - rhs))
     ex_lhs, ex_rhs = qs.remainder_difference_batch(1.0, 0.0)
     return [
         Verdict(f"zero violations over {REMAINDER_PAIRS} random pairs", np.max(excess), 1e-12),

@@ -1,13 +1,14 @@
 """End-to-end experiments: rate reproduction, lattice floor, halfspace distance.
 
 Every experiment rests on the exact law of S_n, so none draws: each takes
-its leg's dataclass config alone, and a report is bit-identical across runs
+its leg's dataclass config alone, and its points are bit-identical across runs
 and across worker counts.  The lattice floor of the lower verdicts is
 exact; so are the ci legs' W2 and halfspace statistic, read off the exact
 law of S_n along a fixed direction family, which the ``halfspace-exact`` checker
 (:mod:`w2lab.checks`) certifies against enumeration.
-Experiments return plain report dataclasses; the verdicts and the tables
-(the named fields of each point) are stated from them in :mod:`w2lab.cli`.
+Each experiment returns its points, a tuple of plain dataclasses, one per n;
+the verdicts, the fits and the tables (the named fields of each point) are
+stated from them in :mod:`w2lab.cli`.
 
 W2(S_n, Z) is exact wherever the sampler's law factorises into independent
 one-dimensional lattice walks (:func:`lattice_factors`): in the canonical
@@ -264,28 +265,10 @@ class RateExperimentConfig(_ExperimentLeg):
 
 
 @dataclass(frozen=True)
-class RateFit:
-    """Least-squares line through (log n, log y), y the exact W2.
-
-    The ci experiment fits its decay slope of log delta the same way.
-    """
-
-    slope: float
-    intercept: float
-    correlation: float
-
-
-@dataclass(frozen=True)
 class RatePoint:
     n: int
     w2_hat: float  # the exact W2(S_n, Z)
     bound: float
-
-
-@dataclass(frozen=True)
-class RateReport:
-    points: tuple
-    fit: RateFit
 
 
 def main_rate_bound(d: int, beta: float, n: int) -> float:
@@ -293,26 +276,11 @@ def main_rate_bound(d: int, beta: float, n: int) -> float:
     return rate_envelope(d, beta, n) / math.sqrt(n)
 
 
-def _loglog_fit(xs, ys) -> RateFit:
-    """Least-squares line through (log x, log y) of at least two points (the
-    rate and ci legs reject shorter grids)."""
-    log_x = np.log(xs)
-    log_y = np.log(ys)
-    a = np.vstack([log_x, np.ones_like(log_x)]).T
-    slope, intercept = np.linalg.lstsq(a, log_y, rcond=None)[0]
-    corr = np.corrcoef(log_x, log_y)[0, 1]
-    return RateFit(
-        slope=float(slope), intercept=float(intercept), correlation=float(corr)
-    )
-
-
-def clt_rate_experiment(cfg: RateExperimentConfig) -> RateReport:
+def clt_rate_experiment(cfg: RateExperimentConfig) -> tuple:
     """The exact W2(S_n, Z) over the n grid, with the rate bound at each n."""
     s = cfg.law
-    points = tuple(RatePoint(n=n, w2_hat=exact_w2_of_sum(cfg.factors, n),
-                             bound=main_rate_bound(s.dim, s.bound, n)) for n in cfg.n_grid)
-    fit = _loglog_fit([p.n for p in points], [p.w2_hat for p in points])
-    return RateReport(points=points, fit=fit)
+    return tuple(RatePoint(n=n, w2_hat=exact_w2_of_sum(cfg.factors, n),
+                           bound=main_rate_bound(s.dim, s.bound, n)) for n in cfg.n_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +327,6 @@ class LowerBoundPoint:
 
 
 @dataclass(frozen=True)
-class LowerBoundReport:
-    target: float  # sqrt(d) * beta / 4
-    points: tuple
-
-
-@dataclass(frozen=True)
 class LowerExperimentConfig(_ExperimentLeg):
     sampler: SamplerSpec
     n_grid: tuple[int, ...] = (64, 256, 1024, 4096)
@@ -373,7 +335,7 @@ class LowerExperimentConfig(_ExperimentLeg):
         require_lattice_support(self._check_leg(fits_slope=False))
 
 
-def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
+def lattice_lower_experiment(cfg: LowerExperimentConfig) -> tuple:
     """Track sqrt(n) * W2 and the exact lattice floor along the n grid.
 
     The sampler takes values in beta * Z^d (checked by the config).  At scale n the
@@ -392,7 +354,7 @@ def lattice_lower_experiment(cfg: LowerExperimentConfig) -> LowerBoundReport:
         points.append(LowerBoundPoint(
             n=n, ell_n=ell, sqrtn_w2_hat=rn * exact_w2_of_sum(cfg.factors, n),
             sqrtn_floor=rn * floor, sqrtn_bound=rn * main_rate_bound(s.dim, s.bound, n)))
-    return LowerBoundReport(target=math.sqrt(s.dim) * s.bound / 4.0, points=tuple(points))
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +382,6 @@ class HalfspaceConfig(_ExperimentLeg):
     def walks(self) -> tuple:
         """The law's :func:`halfspace_walks`."""
         return halfspace_walks(self.law)
-
-
-@dataclass(frozen=True)
-class HalfspaceReport:
-    points: tuple
-    decay_slope: float  # slope of log delta vs log n
 
 
 def conversion_bound(d: int, w2: float) -> float:
@@ -468,7 +424,7 @@ def halfspace_distance(walks: tuple, n: int) -> float:
     return float(np.max([walk_gap(walk, n) for walk in walks]))
 
 
-def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
+def ci_halfspace_experiment(cfg: HalfspaceConfig) -> tuple:
     """Measure the halfspace distance and the conversion bound along the n grid.
 
     Both sides are exact: :func:`halfspace_distance` on the config's walks, and
@@ -479,8 +435,7 @@ def ci_halfspace_experiment(cfg: HalfspaceConfig) -> HalfspaceReport:
         w2 = exact_w2_of_sum(cfg.factors, n)
         points.append(HalfspacePoint(n=n, delta=halfspace_distance(cfg.walks, n), w2_hat=w2,
                                      conversion_rhs=conversion_bound(cfg.law.dim, w2)))
-    fit = _loglog_fit([p.n for p in points], [p.delta for p in points])
-    return HalfspaceReport(points=tuple(points), decay_slope=fit.slope)
+    return tuple(points)
 
 
 def bentkus_reference_curve(d: int, n: int, beta3: float) -> float:

@@ -135,10 +135,9 @@ def _expect(p: np.ndarray, x: np.ndarray, g=None) -> np.ndarray:
     """sum_j p[..., j] g(x[..., j]) (g the identity if None), one term at a
     time, left to right.
 
-    A zero-mass term then leaves every partial sum bitwise unchanged, so a
-    table padded with zero-mass rows and columns averages exactly as the
-    table itself.  The terms are built one slice of x at a time, so neither
-    a product of a law with a table nor g of the whole table is built.
+    A zero-mass term then leaves every partial sum bitwise unchanged, and the
+    terms are built one slice of x at a time, so neither a product of a law
+    with a table nor g of the whole table is built.
     """
     return sum(p[..., j] * (x[..., j] if g is None else g(x[..., j])) for j in range(p.shape[-1]))
 
@@ -153,7 +152,7 @@ def conditional_l2_check(
     over A and f_B(a) over B.  Leading axes stack tables, each with its own
     pair of laws, and each law passes :func:`w2lab.samplers.check_masses`.
     Every average runs term by term, so a table's sides do not depend on the
-    stack it sits in, nor on zero-mass rows or columns padding it.  Returns
+    stack it sits in, and zero-mass rows or columns change neither.  Returns
     ``{"lhs": ..., "rhs": ...}``, each of the stack's shape; the caller
     decides.
     """

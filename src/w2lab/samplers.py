@@ -181,7 +181,7 @@ def make_lattice_custom(outcomes: np.ndarray, probs: np.ndarray) -> BoundedSampl
 def require_lattice_support(s: BoundedSampler) -> None:
     """Check the support is contained in bound * Z^dim.
 
-    The lower and ci experiments' hypothesis.  Rejects a support with a point
+    The lower experiments' hypothesis.  Rejects a support with a point
     farther than 1e-9 * beta from the lattice, measured by
     :func:`lattice_distance`.
     """

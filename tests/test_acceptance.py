@@ -174,9 +174,11 @@ def test_criterion_08_rate_experiments():
     with criterion(8, "rate bound pointwise and slope window (d=1 and d=2)"):
         settings = RunSettings(seed=SEED)
         # both default legs rest on the exact law: each is bounded and in the window
-        for rep in (clt_rate_experiment(settings.rate_d1), clt_rate_experiment(settings.rate_d2)):
-            assert all(p.w2_hat <= p.bound for p in rep.points), rep
-            assert -0.65 <= rep.fit.slope <= -0.35, rep.fit
+        for points in (clt_rate_experiment(settings.rate_d1),
+                       clt_rate_experiment(settings.rate_d2)):
+            assert all(p.w2_hat <= p.bound for p in points), points
+            fit = cli._loglog_fit(points, "w2_hat")
+            assert -0.65 <= fit["slope"] <= -0.35, fit
 
 
 def test_criterion_09_lattice_lower_bound():
@@ -184,12 +186,14 @@ def test_criterion_09_lattice_lower_bound():
         settings = RunSettings(seed=SEED)
         for leg, cfg in ((1, settings.lower_d1), (2, settings.lower_d2)):
             s = cfg.sampler.build()
-            rep = lattice_lower_experiment(cfg)
-            last = rep.points[-1]
+            points = lattice_lower_experiment(cfg)
+            last = points[-1]
             assert last.n == 4096
-            assert rep.target == pytest.approx(math.sqrt(s.dim) * s.bound / 4.0)
-            assert last.sqrtn_floor >= rep.target, rep
-            for p in rep.points:
+            # the target record states sqrt(d) beta / 4 against the last floor
+            target = cli.run_job(settings, f"lower:d{leg}").verdicts[0]
+            assert (target.lhs, target.rhs) == (math.sqrt(s.dim) * s.bound / 4.0, last.sqrtn_floor)
+            assert last.sqrtn_floor >= target.lhs, points
+            for p in points:
                 assert abs(p.sqrtn_floor - s.bound * math.sqrt(s.dim / 12)) <= 1e-9, p
                 assert p.sqrtn_floor <= p.sqrtn_bound, p
                 # the W2 column is exact on both default legs, and above the floor
@@ -208,10 +212,10 @@ def test_criterion_10_ci_conversion():
         assert closed.rhs == pytest.approx(3.1498, abs=5e-4)
         assert closed.lhs <= closed.rhs
         for leg, cfg in ((1, settings.ci_d1), (2, settings.ci_d2)):
-            rep = ci_halfspace_experiment(cfg)
-            for p in rep.points:
+            points = ci_halfspace_experiment(cfg)
+            for p in points:
                 assert p.delta <= p.conversion_rhs, (cfg.sampler, p)
-            assert rep.decay_slope == pytest.approx(-0.5, abs=0.01), rep
+            assert cli._loglog_fit(points, "delta")["slope"] == pytest.approx(-0.5, abs=0.01)
 
 
 def test_criterion_11_determinism(tmp_path):

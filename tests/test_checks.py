@@ -56,33 +56,45 @@ def test_every_checker_working_set_is_capped(entry, peak_bytes):
 
 
 def test_conditional_l2_checks_every_table_once(monkeypatch):
+    # one stack per drawn shape, in grid order, each table and law exactly its
+    # shape and the stacks' sizes summing to L2_TABLES; then the constant table
     stacks, inner = [], qstats.conditional_l2_check
 
     def recorded(f, p_a, p_b):
-        stacks.append(np.shape(f)[:-2])
+        stacks.append((np.shape(f), np.shape(p_a), np.shape(p_b)))
         return inner(f, p_a, p_b)
 
     monkeypatch.setattr(qstats, "conditional_l2_check", recorded)
     records = checks.check_conditional_l2(np.random.default_rng(3))
-    assert stacks == [(checks.L2_BLOCK,)] * (checks.L2_TABLES // checks.L2_BLOCK) + [()]
+    *drawn, const = stacks
+    assert const == ((3, 4), (3,), (4,))
+    shapes = [f[1:] for f, _, _ in drawn]
+    assert shapes == sorted(set(shapes))
+    assert all(1 <= k <= checks.L2_SIDE for shape in shapes for k in shape)
+    assert all(count >= 1 and p_a == (count, na) and p_b == (count, nb)
+               for (count, na, nb), p_a, p_b in drawn)
+    assert sum(f[0] for f, _, _ in drawn) == checks.L2_TABLES
     assert all(v.verdict == "pass" for v in records)
 
 
 def test_conditional_l2_closest_table_is_the_worst_proper_gap():
-    # the same draws from a twin generator, each block's tables checked at once;
-    # a table's size read off its laws' positive masses
+    # the same draws from a twin generator: the shapes' counts, then shape by
+    # shape its tables, scales and two laws, each row divided by its sum
     rng, twin = (rng_for(DEFAULT_SEED, *b"check:conditional-l2") for _ in range(2))
     records = checks.check_conditional_l2(rng)
+    side = checks.L2_SIDE
+    counts = twin.multinomial(checks.L2_TABLES, [1 / side**2] * side**2).reshape(side, side)
     gaps, eq_gaps = [], []
-    for _ in range(checks.L2_TABLES // checks.L2_BLOCK):
-        sizes = twin.integers(1, checks.L2_SIDE + 1, size=(2, checks.L2_BLOCK))
-        f = twin.normal(size=(checks.L2_BLOCK, checks.L2_SIDE, checks.L2_SIDE))
-        f *= twin.uniform(0.2, 5.0, size=(checks.L2_BLOCK, 1, 1))
-        p_a, p_b = (checks._flat_dirichlet_padded(k, twin) for k in sizes)
-        res = qstats.conditional_l2_check(f, p_a, p_b)
-        proper = (np.count_nonzero(p_a, axis=1) >= 2) & (np.count_nonzero(p_b, axis=1) >= 2)
-        gaps += list((res["rhs"] - res["lhs"])[proper])
-        eq_gaps += list((res["rhs"] - res["lhs"])[~proper])
+    for (a, b), count in np.ndenumerate(counts):
+        if not count:
+            continue
+        na, nb = a + 1, b + 1
+        f = twin.normal(size=(count, na, nb)) * twin.uniform(0.2, 5.0, size=(count, 1, 1))
+        p_a = twin.dirichlet(np.ones(na), size=count)
+        p_b = twin.dirichlet(np.ones(nb), size=count)
+        res = qstats.conditional_l2_check(f, p_a / p_a.sum(1, keepdims=True),
+                                          p_b / p_b.sum(1, keepdims=True))
+        (gaps if min(na, nb) >= 2 else eq_gaps).extend(res["rhs"] - res["lhs"])
     assert [v.case for v in records] == [
         f"zero violations over {checks.L2_TABLES} random tables",
         "zero violations over the random tables with at least 2 rows and 2 columns",
@@ -92,17 +104,19 @@ def test_conditional_l2_closest_table_is_the_worst_proper_gap():
     assert closest.inputs == {"tables": len(gaps), "equality_tables": len(eq_gaps),
                               "equality_max_abs_gap": max(map(abs, eq_gaps))}
     assert len(gaps) + len(eq_gaps) == checks.L2_TABLES
-    # the equality tables hold record 0 at exactly 0
-    assert records[0].lhs == max(eq_gaps) == 0.0
+    # the equality tables hold record 0 at exactly 0: their one-point laws are
+    # exactly 1 once divided by their sums
+    assert records[0].lhs == max(eq_gaps) == 0.0 == records[1].inputs["equality_max_abs_gap"]
 
 
-def test_remainder_record_is_the_worst_over_whole_chunks(monkeypatch):
-    # the same chunks from a twin generator, each checked in one piece; the
-    # checker's slices cover every pair once, and the endpoint example
+def test_remainder_record_is_the_worst_over_every_pair(monkeypatch):
+    # the same pairs from a twin generator, all drawn and checked at once (the
+    # slices, drawn one after another, are the leading axis of one draw); the
+    # checker's calls cover every pair once, and the endpoint example
     rng, twin = (rng_for(DEFAULT_SEED, *b"check:exp-remainder") for _ in range(2))
-    worst = max(np.max(np.subtract(*qstats.remainder_difference_batch(
-        *twin.uniform(-1, 1, size=(2, checks.REMAINDER_CHUNK)))))
-        for _ in range(checks.REMAINDER_PAIRS // checks.REMAINDER_CHUNK))
+    slices = checks.REMAINDER_PAIRS // checks.REMAINDER_SLICE
+    a, b = np.moveaxis(twin.uniform(-1, 1, size=(slices, 2, checks.REMAINDER_SLICE)), 1, 0)
+    worst = np.max(np.subtract(*qstats.remainder_difference_batch(a, b)))
     sizes, inner = [], qstats.remainder_difference_batch
 
     def recorded(a, b):
@@ -111,7 +125,7 @@ def test_remainder_record_is_the_worst_over_whole_chunks(monkeypatch):
 
     monkeypatch.setattr(qstats, "remainder_difference_batch", recorded)
     assert checks.check_remainder(rng)[0].lhs == worst
-    assert sum(sizes) == checks.REMAINDER_PAIRS + 1
+    assert sizes == [checks.REMAINDER_SLICE] * slices + [1]
 
 
 INF, NAN = math.inf, math.nan
@@ -376,13 +390,26 @@ def test_enumerated_gap_matches_the_masked_sum_reference(law, n):
         _masked_sum_gap(outcomes, probs, n), abs=1e-15)
 
 
+def _nan_first(value):
+    """``value`` with a NaN in its first entry: a number, an array, or each one
+    of a tuple or dict of them."""
+    if isinstance(value, dict):
+        return {k: _nan_first(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_nan_first(v) for v in value)
+    out = np.array(value, dtype=float)
+    out.flat[0] = math.nan
+    return out if out.ndim else float(out)
+
+
 def _nan_on_call(fn, call):
-    """``fn``, except that its ``call``-th call (from 1) returns NaN."""
+    """``fn``, except that its ``call``-th call (from 1) returns a NaN in the
+    first entry of its result."""
     calls = itertools.count(1)
 
     def wrapped(*args, **kwargs):
         value = fn(*args, **kwargs)
-        return math.nan if next(calls) == call else value
+        return _nan_first(value) if next(calls) == call else value
 
     return wrapped
 
@@ -392,6 +419,11 @@ def _nan_on_call(fn, call):
     (checks.check_w2_gaussian_metric, checks, "w2_gaussian_diag", 5, [0]),
     (checks.check_halfspace_exact, checks, "halfspace_distance", 2, [0]),
     (checks.check_r_of_n, qstats, "r_of_n", 2, [0, 1]),
+    # the tenth shape stack, (2, 2): its tables are proper ones
+    (checks.check_conditional_l2, qstats, "conditional_l2_check", 10, [0, 1]),
+    (checks.check_remainder, qstats, "remainder_difference_batch", 2, [0]),
+    # the second dimension's group
+    (checks.check_lattice_distance, checks, "lattice_distance", 2, [0, 1]),
 ])
 def test_a_nan_instance_fails_its_record(monkeypatch, checker, module, name, call, records):
     # a NaN past the first instance reaches the record's worst case, and fails it

@@ -345,15 +345,15 @@ PLOT_NAMES = {f"{kind}_{leg}{suffix}" for leg in ("d1", "d2")
 
 class TestSeedPaths:
     def test_each_check_job_gets_one_generator_keyed_by_its_id(self, monkeypatch):
-        # and an experiment job, which draws nothing, gets none
+        # and an experiment job, which draws nothing, gets none: its leg config
         paths, given = [], []
 
         def recording_rng_for(root, *path):
             paths.append((root, path))
             return seeding.rng_for(root, *path)
 
-        def job_stub(settings, name, *rng):
-            given.append(len(rng))
+        def job_stub(name, arg):
+            given.append(arg)
             return JobResult(job_id=name, anchor="")
 
         monkeypatch.setattr(cli, "rng_for", recording_rng_for)
@@ -369,10 +369,11 @@ class TestSeedPaths:
                 given.clear()
                 cli.run_job(settings, job)
                 if job.startswith("check:"):
-                    assert paths == [(seed, tuple(job.encode()))] and given == [1], job
+                    assert paths == [(seed, tuple(job.encode()))], job
+                    assert [type(g) for g in given] == [np.random.Generator], job
                     assert owner.setdefault(paths[0], job) == job
                 else:
-                    assert paths == [] and given == [0], job
+                    assert paths == [] and given == [getattr(settings, job.replace(":", "_"))], job
         assert len(owner) == 2 * 17
 
     def test_only_the_job_runner_derives_generators(self):
@@ -589,9 +590,6 @@ class TestMainEndToEnd:
                 assert r["anchor"] == anchors[sub]
             assert_verdicts_follow_the_rule(records)
         lines = open(os.path.join(tmp_path, "rate", "tables", "rate_d1.csv")).read().splitlines()
-        meta = [l for l in lines if l.startswith("#")]
-        assert any("config_hash=" in l for l in meta)
-        assert any("root_seed=" in l for l in meta)
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == len(load_settings(str(p)).rate_d1.n_grid)
         headers = {}
@@ -602,6 +600,15 @@ class TestMainEndToEnd:
                            if name.split("_")[0] in subcommands}
         dats = {path.stem: path for path in tmp_path.glob("*/plotdata/*.dat")}
         assert set(dats) == {name for name in PLOT_NAMES if name.split("_")[0] in subcommands}
+        # every table and plot-data file is stamped with the config hash, the root
+        # seed and its leg's sampler; the schema version is verdicts.json's alone
+        for path in [*tmp_path.glob("*/tables/*.csv"), *dats.values()]:
+            stamps = [l for l in path.read_text().splitlines() if l.startswith("#")]
+            assert [l.partition("=")[0] for l in stamps] == [
+                "# config_hash", "# root_seed", "# sampler"], path
+        for sub in subcommands:
+            payload = json.loads(open(os.path.join(tmp_path, sub, "verdicts.json")).read())
+            assert payload["schema_version"] == cli.SCHEMA_VERSION
         for path in dats.values():
             # plotdata is two-column numeric
             rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -754,21 +761,23 @@ class TestMainEndToEnd:
         settings = load_settings(str(p))
         lower, ci = experiments.lattice_lower_experiment, experiments.ci_halfspace_experiment
 
-        def high_target(cfg):
-            return dataclasses.replace(lower(cfg), target=10.0)
+        def short_floor(cfg):
+            *points, last = lower(cfg)
+            return (*points, dataclasses.replace(last, sqrtn_floor=0.1))
 
         def low_conversion(cfg):
-            rep = ci(cfg)
-            return dataclasses.replace(rep, points=tuple(
-                dataclasses.replace(q, conversion_rhs=0.5 * q.delta) for q in rep.points))
+            return tuple(dataclasses.replace(q, conversion_rhs=0.5 * q.delta) for q in ci(cfg))
 
-        monkeypatch.setattr(cli, "lattice_lower_experiment", high_target)
+        monkeypatch.setattr(cli, "lattice_lower_experiment", short_floor)
         monkeypatch.setattr(cli, "ci_halfspace_experiment", low_conversion)
         reach = cli.run_job(settings, "lower:d1").verdicts[0]
         below = cli.run_job(settings, "ci:d1").verdicts[0]
         assert reach.case == "sqrt(n) x exact lattice floor at the largest n reaches the target"
         assert below.case == "exact delta below the conversion bound at every grid point"
-        assert (reach.lhs_lo, reach.lhs, reach.rhs) == (10.0, 10.0, reach.rhs_hi)
+        # the target sqrt(d) beta / 4 of the leg's law, against the short floor
+        law = settings.lower_d1.law
+        target = math.sqrt(law.dim) * law.bound / 4.0
+        assert (reach.lhs_lo, reach.lhs, reach.rhs, reach.rhs_hi) == (target, target, 0.1, 0.1)
         assert (below.lhs_lo, below.rhs, below.rhs_hi) == (below.lhs, 0.0, 0.0)
         assert reach.lhs > reach.rhs and below.lhs > below.rhs
         assert reach.verdict == below.verdict == "fail"
@@ -915,10 +924,9 @@ def test_a_nan_grid_point_fails_its_record(monkeypatch, job, experiment, field, 
     exact = getattr(cli, experiment)
 
     def with_nan(cfg):
-        rep = exact(cfg)
-        points = list(rep.points)
+        points = list(exact(cfg))
         points[1] = dataclasses.replace(points[1], **{field: math.nan})
-        return dataclasses.replace(rep, points=tuple(points))
+        return tuple(points)
 
     monkeypatch.setattr(cli, experiment, with_nan)
     record = {v.case: v for v in cli.run_job(RunSettings(), job).verdicts}[case]

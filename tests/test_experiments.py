@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from w2lab import experiments
+from w2lab.cli import _loglog_fit
 from w2lab.config import RunSettings
 from w2lab.experiments import (
     WALK_SPAN_CAP,
@@ -87,14 +88,14 @@ class TestRate:
     def test_exact_law_run_structure(self):
         # one exact value per n
         cfg = RateExperimentConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
-        rep = clt_rate_experiment(cfg)
+        points = clt_rate_experiment(cfg)
         factors = lattice_factors(cfg.sampler.build())
-        assert [p.n for p in rep.points] == [16, 64, 256]
-        for p in rep.points:
+        assert [p.n for p in points] == [16, 64, 256]
+        for p in points:
             assert p.w2_hat == exact_w2_of_sum(factors, p.n)
             assert p.bound == main_rate_bound(1, 1.0, p.n)
             assert p.w2_hat <= p.bound
-        assert rep.fit.slope == pytest.approx(-0.5, abs=0.01)
+        assert _loglog_fit(points, "w2_hat")["slope"] == pytest.approx(-0.5, abs=0.01)
 
     def test_bound_formula(self):
         assert main_rate_bound(1, 1.0, 16) == pytest.approx(
@@ -132,14 +133,14 @@ class TestRate:
         # three Rademacher coordinates, and every point stays below the bound
         cfg = RateExperimentConfig(sampler=SamplerSpec("rademacher_product", 3, 1.0),
                                    n_grid=(16, 64, 256, 1024))
-        rep = clt_rate_experiment(cfg)
+        points = clt_rate_experiment(cfg)
         [line] = lattice_factors(RADEMACHER_1D.build())
         s = cfg.sampler.build()
-        for p in rep.points:
+        for p in points:
             assert p.w2_hat == pytest.approx(math.sqrt(3) * line.w2(p.n), rel=1e-14)
             assert p.bound == main_rate_bound(3, s.bound, p.n)
             assert p.w2_hat <= p.bound
-        assert rep.fit.slope == pytest.approx(-0.5, abs=0.01)
+        assert _loglog_fit(points, "w2_hat")["slope"] == pytest.approx(-0.5, abs=0.01)
 
 
 EXPERIMENTS = {
@@ -231,14 +232,14 @@ class TestLatticeFloor:
 class TestLowerExperiment:
     def test_d1_small(self):
         cfg = LowerExperimentConfig(sampler=RADEMACHER_1D, n_grid=(256, 1024))
-        rep = lattice_lower_experiment(cfg)
-        assert rep.target == pytest.approx(0.25)
-        assert rep.points[-1].sqrtn_w2_hat >= 0.24
-        for p in rep.points:
+        points = lattice_lower_experiment(cfg)
+        assert points[-1].sqrtn_w2_hat >= 0.24
+        for p in points:
             assert p.ell_n == 1.0 / math.sqrt(p.n)
             assert abs(p.sqrtn_floor - math.sqrt(1 / 12)) <= 1e-9
             assert p.sqrtn_bound == pytest.approx(math.sqrt(p.n) * main_rate_bound(1, 1.0, p.n))
-            assert rep.target < p.sqrtn_floor < p.sqrtn_bound
+            # above the target sqrt(d) beta / 4 = 1/4
+            assert 0.25 < p.sqrtn_floor < p.sqrtn_bound
 
     def test_one_point_grid_accepted(self):
         # the lower leg fits no slope
@@ -336,7 +337,7 @@ class TestHalfspace:
         # its pmf twice as long, erred by 1.0e-13
         n = 4096
         [point] = ci_halfspace_experiment(HalfspaceConfig(
-            sampler=RADEMACHER_1D, n_grid=(1024, n))).points[1:]
+            sampler=RADEMACHER_1D, n_grid=(1024, n)))[1:]
         oracle = _ci_delta_d1_rademacher_oracle(n)
         assert abs(point.delta - oracle) <= 8e-14 * oracle
 
@@ -379,9 +380,9 @@ class TestHalfspace:
 
     def test_experiment_small(self):
         cfg = HalfspaceConfig(sampler=RADEMACHER_1D, n_grid=(16, 64, 256))
-        rep = ci_halfspace_experiment(cfg)
-        assert rep.decay_slope == pytest.approx(-0.5, abs=0.01)
-        for p in rep.points:
+        points = ci_halfspace_experiment(cfg)
+        assert _loglog_fit(points, "delta")["slope"] == pytest.approx(-0.5, abs=0.01)
+        for p in points:
             assert p.delta <= p.conversion_rhs
             # the bound is evaluated at the exact W2, which lies above the lattice floor
             assert p.w2_hat == exact_w2_of_sum(cfg.factors, p.n)
@@ -391,9 +392,9 @@ class TestHalfspace:
 
     def test_w2_column_is_the_exact_law(self):
         cfg = HalfspaceConfig(sampler=SamplerSpec("scaled_basis", 2, 2.0**0.5), n_grid=(16, 64))
-        rep = ci_halfspace_experiment(cfg)
+        points = ci_halfspace_experiment(cfg)
         s = cfg.sampler.build()
-        assert [p.w2_hat for p in rep.points] == [
+        assert [p.w2_hat for p in points] == [
             exact_w2_of_sum(lattice_factors(s), n) for n in cfg.n_grid]
 
     def test_config_validation(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from w2lab.checks import REMAINDER_CHUNK, REMAINDER_SLICE
+from w2lab.checks import REMAINDER_SLICE
 from w2lab.gaussmath import CovarianceSpec, DimensionMismatchError
 from w2lab.qstats import (
     HypothesisError,
@@ -264,16 +264,16 @@ class TestRemainder:
         assert float(np.max(lhs - rhs)) <= 1e-12
 
     def test_slices_equal_the_whole_chunk_bitwise(self, rng):
-        # a chunk drawn as the checker draws it, checked in its slices, against
-        # the bound's expression on the whole chunk at once
+        # ten slices' pairs checked slice by slice, as the checker checks them,
+        # against the bound's expression on the whole chunk at once
         def whole(a, b):
             r_a, r_b = (np.exp(t) - 1.0 - t - 0.5 * t**2 for t in (a, b))
             return np.abs(r_a - r_b), np.abs(a - b) * (1.5 * a**2 + (a - b) ** 2)
 
-        a, b = rng.uniform(-1, 1, size=(2, REMAINDER_CHUNK))
+        a, b = rng.uniform(-1, 1, size=(2, 10 * REMAINDER_SLICE))
         lhs, rhs = whole(a, b)
         sliced = [remainder_difference_batch(a[i:i + REMAINDER_SLICE], b[i:i + REMAINDER_SLICE])
-                  for i in range(0, REMAINDER_CHUNK, REMAINDER_SLICE)]
+                  for i in range(0, a.size, REMAINDER_SLICE)]
         assert np.array_equal(np.concatenate([s[0] for s in sliced]), lhs)
         assert np.array_equal(np.concatenate([s[1] for s in sliced]), rhs)
         assert np.max([np.max(s[0] - s[1]) for s in sliced]) == np.max(lhs - rhs)
